@@ -1,9 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/experiments"
@@ -13,7 +10,7 @@ func TestRunSubset(t *testing.T) {
 	// A tiny run of the non-sweep experiments plus one sweep-backed
 	// table, mostly to keep the wiring honest.
 	p := experiments.Params{Ops: 800, ValueSize: 16, Seed: 1}
-	if err := run(map[string]bool{"E5": true, "E9": true}, p, nil, 4, 8, 4, ""); err != nil {
+	if err := run(map[string]bool{"E5": true, "E9": true}, p); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -23,94 +20,7 @@ func TestRunSweepBacked(t *testing.T) {
 		t.Skip("sweep is slow")
 	}
 	p := experiments.Params{Ops: 800, ValueSize: 16, Seed: 1}
-	if err := run(map[string]bool{"E1": true, "E4": true, "E8": true}, p, nil, 4, 8, 4, ""); err != nil {
+	if err := run(map[string]bool{"E1": true, "E4": true, "E8": true}, p); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRunConcurrentWritesBenchJSON(t *testing.T) {
-	p := experiments.Params{Ops: 400, ValueSize: 16, Seed: 1}
-	path := filepath.Join(t.TempDir(), "BENCH_E10.json")
-	if err := run(map[string]bool{"E10": true}, p, []int{1, 2}, 4, 8, 4, path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var points []benchPoint
-	if err := json.Unmarshal(data, &points); err != nil {
-		t.Fatalf("bench json: %v\n%s", err, data)
-	}
-	// Two E10 curve points plus the five trajectory points (cursor page
-	// reads, put latency, worm burn rate, checkpoint duration, group
-	// commit) plus the two migration-latency points (inline/background)
-	// plus the two maintenance points (compaction, checkpoint pause)
-	// plus the four served closed-loop points (throughput and p99, one
-	// pair per migration mode) plus the two query-engine points
-	// (pushdown page reads, parallel-scan speedup).
-	if len(points) != 17 {
-		t.Fatalf("got %d bench points: %+v", len(points), points)
-	}
-	if points[0].OpsPerSec <= 0 || points[1].Shards != 2 {
-		t.Fatalf("unexpected E10 points: %+v", points[:2])
-	}
-	byExp := map[string]benchPoint{}
-	for _, p := range points {
-		byExp[p.Experiment] = p
-	}
-	if p := byExp["cursor-limit1"]; p.PageReads <= 0 {
-		t.Errorf("cursor-limit1 point = %+v", p)
-	}
-	if p := byExp["put-latency"]; p.AvgPutMicros <= 0 {
-		t.Errorf("put-latency point = %+v", p)
-	}
-	if p := byExp["group-commit"]; p.RecordsPerSync <= 0 || p.OpsPerSec <= 0 {
-		t.Errorf("group-commit point = %+v", p)
-	}
-	if p := byExp["worm-burn-rate"]; p.WormUtilization <= 0 {
-		t.Errorf("worm-burn-rate point = %+v", p)
-	}
-	if p := byExp["checkpoint-duration"]; p.CheckpointMillis <= 0 || p.FlushedPages == 0 {
-		t.Errorf("checkpoint-duration point = %+v", p)
-	}
-	if p := byExp["migration-latency-inline"]; p.PutP99Micros <= 0 || p.SplitLatchMillis <= 0 {
-		t.Errorf("migration-latency-inline point = %+v", p)
-	}
-	if p := byExp["migration-latency-background"]; p.PutP99Micros <= 0 {
-		t.Errorf("migration-latency-background point = %+v", p)
-	}
-	if p := byExp["maintenance-compaction"]; p.WasteReclaimedBytes == 0 || p.WormUtilization <= 0 {
-		t.Errorf("maintenance-compaction point = %+v", p)
-	}
-	if p := byExp["maintenance-ckpt-pause"]; p.CkptPauseMillis <= 0 {
-		t.Errorf("maintenance-ckpt-pause point = %+v", p)
-	}
-	for _, mode := range []string{"inline", "background"} {
-		if p := byExp["server-throughput-"+mode]; p.OpsPerSec <= 0 {
-			t.Errorf("server-throughput-%s point = %+v", mode, p)
-		}
-		if p := byExp["server-p99-us-"+mode]; p.ServerP99Micros <= 0 {
-			t.Errorf("server-p99-us-%s point = %+v", mode, p)
-		}
-	}
-	if p := byExp["query-pushdown"]; p.PageReads <= 0 {
-		t.Errorf("query-pushdown point = %+v", p)
-	}
-	if p := byExp["query-parallel"]; p.QuerySpeedup <= 0 {
-		t.Errorf("query-parallel point = %+v", p)
-	}
-}
-
-func TestParseShards(t *testing.T) {
-	got, err := parseShards("1, 2,8")
-	if err != nil || len(got) != 3 || got[2] != 8 {
-		t.Fatalf("parseShards: %v %v", got, err)
-	}
-	if _, err := parseShards("0"); err == nil {
-		t.Fatal("accepted shard count 0")
-	}
-	if _, err := parseShards("x"); err == nil {
-		t.Fatal("accepted junk")
 	}
 }

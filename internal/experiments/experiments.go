@@ -8,9 +8,8 @@
 //
 // plus the storage cost function CS = SpaceM·CM + SpaceO·CO and the
 // qualitative claims of §1 (sector utilization, access costs, lock-free
-// read-only transactions). Experiments E1-E9 (see DESIGN.md) realize that
-// plan; cmd/tsbench prints their tables and bench_test.go exposes each as
-// a benchmark.
+// read-only transactions). Experiments E1-E9 realize that plan;
+// cmd/tsbench prints their tables.
 package experiments
 
 import (

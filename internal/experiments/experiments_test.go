@@ -124,7 +124,7 @@ func TestSweepShapes(t *testing.T) {
 	// never the minimizer at CO/CM = 1. Note: the paper's claim that key
 	// splitting always wins total space assumes node-granular accounting
 	// on both devices; byte-packed WORM appends give moderate time
-	// splitting a packing advantage (see EXPERIMENTS.md).
+	// splitting a packing advantage.
 	e4 := s.E4CostFunction(0.6)
 	minRow := e4.Rows[len(e4.Rows)-1]
 	if minRow[1] == "tsb-keypref" {
@@ -210,87 +210,5 @@ func TestTableRendering(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("table output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestE10Concurrent(t *testing.T) {
-	results, tab, err := E10Concurrent([]int{1, 4}, 4, 150, 1, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results\n%s", len(results), tab)
-	}
-	for _, r := range results {
-		if r.Ops == 0 || r.OpsPerSec <= 0 {
-			t.Errorf("shards=%d: no throughput recorded: %+v", r.Shards, r)
-		}
-		if !r.InvariantsOK {
-			t.Errorf("shards=%d: invariants failed", r.Shards)
-		}
-	}
-}
-
-func TestWormBurnRate(t *testing.T) {
-	res, tab, err := WormBurnRate(3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BurnedBytes == 0 || res.BurnedPerOp <= 0 {
-		t.Fatalf("no burn measured: %+v", res)
-	}
-	if res.Utilization <= 0 || res.Utilization > 1 {
-		t.Fatalf("utilization out of range: %+v", res)
-	}
-	if len(tab.Rows) != 1 {
-		t.Fatalf("table: %+v", tab)
-	}
-}
-
-func TestCheckpointDuration(t *testing.T) {
-	rows, tab, err := CheckpointDuration(t.TempDir(), []int{800, 3200}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || len(tab.Rows) != 2 {
-		t.Fatalf("rows: %+v", rows)
-	}
-	small, large := rows[0], rows[1]
-	if large.TotalPages <= small.TotalPages {
-		t.Fatalf("database did not grow: %+v", rows)
-	}
-	// The acceptance property: the flush after a fixed dirty set stays
-	// O(dirty) as the database quadruples — it must not track total
-	// pages (allow generous slack for boundary pages and timing noise).
-	if large.DirtyFlushed*4 > large.TotalPages {
-		t.Fatalf("checkpoint flushed %d of %d pages: not O(dirty)", large.DirtyFlushed, large.TotalPages)
-	}
-	if large.Millis <= 0 {
-		t.Fatalf("no duration measured: %+v", large)
-	}
-}
-
-func TestE15Maintenance(t *testing.T) {
-	res, tab, err := E15Maintenance(t.TempDir(), 4, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops != 1200 || res.Checkpoints == 0 {
-		t.Fatalf("run shape: %+v", res)
-	}
-	// The aging protocol (close without checkpoint, reopen, replay
-	// re-burns) must leave dead payload, and compaction must hand
-	// capacity back with utilization not degraded.
-	if res.DeadBytes == 0 || res.ReclaimedBytes == 0 {
-		t.Fatalf("nothing reclaimed: %+v", res)
-	}
-	if res.UtilAfter < res.UtilBefore || res.UtilAfter > 1 {
-		t.Fatalf("utilization did not recover: %+v", res)
-	}
-	if res.AvgPauseMillis <= 0 || res.MaxPauseMillis < res.AvgPauseMillis {
-		t.Fatalf("pause accounting: %+v", res)
-	}
-	if len(tab.Rows) != 1 {
-		t.Fatalf("table: %+v", tab)
 	}
 }

@@ -104,6 +104,13 @@ func KeyName(i int) record.Key {
 	return record.Key(fmt.Sprintf("key%016x", h))
 }
 
+// SpreadKey returns the canonical key for index i, as an 8-byte binary
+// key whose high-order bytes are uniformly distributed (multiplicative
+// hashing), so consecutive indexes land on different key-range shards.
+func SpreadKey(i uint64) record.Key {
+	return record.Uint64Key(i * 0x9e3779b97f4a7c15)
+}
+
 // InitialOps returns the operations that pre-seed the initial keys; apply
 // them before the main stream.
 func (g *Generator) InitialOps() []Op {

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"testing"
+
+	"repro/internal/record"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -136,5 +138,21 @@ func TestKeyNamesUniqueAndSpread(t *testing.T) {
 			t.Fatalf("duplicate key at %d", i)
 		}
 		seen[k] = true
+	}
+}
+
+// TestSpreadKeysCoverShards checks the property the sharded engine's
+// scaling depends on: SpreadKey indexes land near-uniformly across the
+// key-range shards of record.ShardOfKey.
+func TestSpreadKeysCoverShards(t *testing.T) {
+	const n = 8
+	counts := make([]int, n)
+	for i := uint64(0); i < 8000; i++ {
+		counts[record.ShardOfKey(SpreadKey(i), n)]++
+	}
+	for s, c := range counts {
+		if c < 700 || c > 1300 {
+			t.Fatalf("shard %d holds %d of 8000 keys: spread is skewed (%v)", s, c, counts)
+		}
 	}
 }
