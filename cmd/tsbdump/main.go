@@ -17,7 +17,7 @@
 // commit time, write-set size — ending with whether the tail is clean or
 // torn. It reads without locking; safe on a live or crashed directory.
 //
-// -pagedir DIR inspects a paged durable directory's device files: the
+// -pagedir DIR inspects a durable directory's device files: the
 // magnetic page file page by page (written/hole, payload bytes, CRC
 // status) and the WORM burn file sector by sector (payload vs. waste,
 // CRC status, whether the sector is inside the checkpoint boundary or
@@ -51,7 +51,7 @@ func main() {
 	dump := flag.Bool("dump", false, "print the full node-by-node tree dump")
 	scan := flag.Int("scan", 0, "stream the first N snapshot records through a cursor")
 	waldir := flag.String("waldir", "", "inspect a durable database directory (checkpoint + WAL) and exit")
-	pagedir := flag.String("pagedir", "", "inspect a paged durable directory's device files (page-by-page, sector-by-sector) and exit")
+	pagedir := flag.String("pagedir", "", "inspect a durable database directory's device files (page-by-page, sector-by-sector) and exit")
 	flag.Parse()
 
 	if *waldir != "" {
@@ -77,22 +77,16 @@ func main() {
 // dumpWALDir prints a durable directory's checkpoint header and a
 // frame-by-frame listing of every WAL segment.
 func dumpWALDir(w io.Writer, dir string) error {
-	info, found, err := wal.ReadCheckpointInfo(dir)
+	info, found, err := wal.ReadCheckpoint(dir)
 	if err != nil {
 		return err
 	}
 	if found {
-		version, kind := wal.CheckpointFormatVersion, "logical"
-		if info.Paged != nil {
-			version, kind = wal.PagedCheckpointFormatVersion, "paged"
-		}
-		fmt.Fprintf(w, "checkpoint: format v%d (%s), %d shard(s), clock=%s, LSN boundary %d\n",
-			version, kind, info.Shards, info.Clock, info.LSN)
-		if info.Paged != nil {
-			fmt.Fprintf(w, "paged devices: epoch %d, %d pages of %d B, %d sectors of %d B fsynced\n",
-				info.Paged.Epoch, info.Paged.Alloc.Pages, info.Paged.PageSize,
-				info.Paged.Burned, info.Paged.SectorSize)
-		}
+		fmt.Fprintf(w, "checkpoint: format v%d, %d shard(s), clock=%s, LSN boundary %d\n",
+			wal.PagedCheckpointFormatVersion, info.Shards, info.Clock, info.LSN)
+		fmt.Fprintf(w, "devices: epoch %d, %d pages of %d B, %d sectors of %d B fsynced\n",
+			info.Paged.Epoch, info.Paged.Alloc.Pages, info.Paged.PageSize,
+			info.Paged.Burned, info.Paged.SectorSize)
 		if len(info.Secondaries) > 0 {
 			fmt.Fprintf(w, "secondary indexes: %s\n", strings.Join(info.Secondaries, ", "))
 		}
@@ -135,20 +129,19 @@ func dumpWALDir(w io.Writer, dir string) error {
 	return nil
 }
 
-// dumpPagedDir prints a paged durable directory's device files page by
-// page and sector by sector, with CRC status and the burned-waste
-// accounting.
+// dumpPagedDir prints a durable directory's device files page by page
+// and sector by sector, with CRC status and the burned-waste accounting.
 func dumpPagedDir(w io.Writer, dir string) error {
-	info, found, err := wal.ReadCheckpointInfo(dir)
+	info, found, err := wal.ReadCheckpoint(dir)
 	if err != nil {
 		return err
 	}
 	var boundary, metaDead uint64
-	if found && info.Paged != nil {
+	if found {
 		m := info.Paged
 		boundary = m.Burned
 		metaDead = m.DeadBytes
-		fmt.Fprintf(w, "checkpoint: format v%d (paged), epoch %d, clock=%s, LSN boundary %d\n",
+		fmt.Fprintf(w, "checkpoint: format v%d, epoch %d, clock=%s, LSN boundary %d\n",
 			wal.PagedCheckpointFormatVersion, m.Epoch, info.Clock, info.LSN)
 		fmt.Fprintf(w, "allocator: %d pages (%d free), boundary %d burned sectors\n",
 			m.Alloc.Pages, len(m.Alloc.Free), m.Burned)
@@ -156,8 +149,6 @@ func dumpPagedDir(w io.Writer, dir string) error {
 			fmt.Fprintf(w, "dead payload: %d B of in-boundary burns referenced by nothing (abandoned migrations; compaction reclaims)\n",
 				metaDead)
 		}
-	} else if found {
-		return fmt.Errorf("%s holds a logical-device database (use -waldir)", dir)
 	} else {
 		fmt.Fprintln(w, "checkpoint: none (uninstalled or fresh directory)")
 	}

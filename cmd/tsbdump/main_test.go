@@ -1,12 +1,17 @@
 package main
 
 import (
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/db"
 	"repro/internal/record"
 	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 func TestRun(t *testing.T) {
@@ -44,7 +49,7 @@ func TestDumpWALDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"checkpoint: format v3", "2 shard(s)", "lsn 5", "tail: clean", "5 commit record(s)"} {
+	for _, want := range []string{"checkpoint: format v4", "2 shard(s)", "devices: epoch", "lsn 5", "tail: clean", "5 commit record(s)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q:\n%s", want, out)
 		}
@@ -64,7 +69,7 @@ func TestDumpWALDirEmpty(t *testing.T) {
 
 func TestDumpPagedDir(t *testing.T) {
 	dir := t.TempDir()
-	d, err := db.Open(db.Config{Dir: dir, PagedDevices: true, Shards: 2, CheckpointBytes: -1,
+	d, err := db.Open(db.Config{Dir: dir, Shards: 2, CheckpointBytes: -1,
 		LeafCapacity: 512, IndexCapacity: 1024, SectorSize: 256})
 	if err != nil {
 		t.Fatal(err)
@@ -89,31 +94,28 @@ func TestDumpPagedDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"format v4 (paged)", "page file", "crc ok", "burn file",
+	for _, want := range []string{"format v4, epoch", "page file", "crc ok", "burn file",
 		"live payload", "dead payload, utilization", "0 bad"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("paged dump missing %q:\n%s", want, out)
 		}
 	}
-	// The WAL dump also understands a paged directory.
-	sb.Reset()
-	if err := dumpWALDir(&sb, dir); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "paged devices: epoch") {
-		t.Errorf("waldir dump missing paged header:\n%s", sb.String())
-	}
 }
 
+// TestDumpPagedDirRejectsLogical: a directory whose checkpoint is the
+// retired logical format (3) is reported as such, not dumped as empty.
 func TestDumpPagedDirRejectsLogical(t *testing.T) {
 	dir := t.TempDir()
-	d, err := db.Open(db.Config{Dir: dir, CheckpointBytes: -1})
-	if err != nil {
+	e := record.NewEncoder(nil)
+	e.Byte(2)    // checkpoint header frame
+	e.Uvarint(3) // format
+	if err := os.WriteFile(filepath.Join(dir, "CHECKPOINT"), record.AppendFrame(nil, e.Bytes()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d.Close()
-	var sb strings.Builder
-	if err := dumpPagedDir(&sb, dir); err == nil || !strings.Contains(err.Error(), "logical") {
-		t.Fatalf("dumpPagedDir on logical dir: %v", err)
+	for name, dump := range map[string]func(io.Writer, string) error{"pagedir": dumpPagedDir, "waldir": dumpWALDir} {
+		var sb strings.Builder
+		if err := dump(&sb, dir); !errors.Is(err, wal.ErrRetiredFormat) || !strings.Contains(err.Error(), "logical") {
+			t.Fatalf("-%s on a format-3 directory: %v", name, err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 // Command tsbserve serves a TSB-tree database over TCP: the network
 // face of the engine, speaking the pipelined binary protocol of
-// internal/server/wire. It opens (or recovers) the database at -dir,
+// internal/server/wire. It opens (or recovers) the durable database in
+// -dir — page and burn device files, write-ahead log, checkpoint —
 // listens on -addr, and drains cleanly on SIGTERM/SIGINT: in-flight
 // request windows finish and are acknowledged, cursors close, and the
 // database closes last — every acknowledged commit is on disk before
@@ -8,7 +9,7 @@
 //
 // Usage:
 //
-//	tsbserve -dir DATA [-addr HOST:PORT] [-shards N] [-paged]
+//	tsbserve -dir DATA [-addr HOST:PORT] [-shards N]
 //	         [-migration] [-checkpoint-bytes N]
 //	         [-metrics-addr HOST:PORT]
 //	         [-window N] [-max-frame BYTES]
@@ -73,7 +74,6 @@ func run(args []string, stdout io.Writer, sigCh <-chan os.Signal) error {
 	addr := fs.String("addr", "127.0.0.1:4611", "listen address (or dial address with -status)")
 	dir := fs.String("dir", "", "database directory (created or recovered; required to serve)")
 	shards := fs.Int("shards", 4, "shard count for a newly created database")
-	paged := fs.Bool("paged", false, "paged durable mode (disk page/burn devices)")
 	migration := fs.Bool("migration", false, "background time-split migration")
 	ckptBytes := fs.Int64("checkpoint-bytes", 0, "background checkpoint threshold (0 = engine default, <0 = off)")
 	window := fs.Int("window", 64, "per-connection in-flight request window")
@@ -101,7 +101,6 @@ func run(args []string, stdout io.Writer, sigCh <-chan os.Signal) error {
 	d, err := db.Open(db.Config{
 		Dir:                 *dir,
 		Shards:              *shards,
-		PagedDevices:        *paged,
 		BackgroundMigration: *migration,
 		CheckpointBytes:     *ckptBytes,
 	})

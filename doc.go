@@ -3,8 +3,8 @@
 // Time-Split B-tree (TSB-tree).
 //
 // docs/ARCHITECTURE.md is the orientation document: the layer map, the
-// latch hierarchy, the durability contract (logical v3 vs paged v4
-// checkpoints), the background-migration state machine with its
+// latch hierarchy, the durability contract, the background-migration
+// state machine with its
 // admissible interleavings, the maintenance economy (the background
 // scheduler, WORM compaction, and the fuzzy per-shard checkpoint
 // capture), and the statically enforced invariants: cmd/tsbvet is a
@@ -15,19 +15,19 @@
 // ARCHITECTURE.md ("Statically enforced invariants") for the rules and
 // their escape hatches.
 //
-// The system lives in internal/ (see DESIGN.md for the inventory):
+// The system lives in internal/:
 //
 //   - internal/core: the TSB-tree itself (the paper's contribution);
 //   - internal/wobt: Easton's Write-Once B-tree, the §2 baseline;
 //   - internal/bplus: a single-version B+-tree comparator;
 //   - internal/storage: simulated magnetic and write-once devices (and
 //     the device contracts both backends satisfy);
-//   - internal/pagestore: the file-backed devices of the paged durable
-//     mode — a CRC-framed mutable page file with a rollback journal,
-//     and an append-only burn file with torn-tail detection;
+//   - internal/pagestore: the file-backed devices of a durable
+//     database — a CRC-framed mutable page file with a rollback
+//     journal, and an append-only burn file with torn-tail detection;
 //   - internal/buffer, internal/record: substrates (the buffer pool
-//     doubles as the paged mode's dirty-page table; the record package
-//     also defines the shard-boundary key codec);
+//     doubles as a durable database's dirty-page table; the record
+//     package also defines the shard-boundary key codec);
 //   - internal/txn, internal/secondary, internal/db: the §4/§3.6
 //     transaction and secondary-index layers and the engine facade;
 //   - internal/query: the temporal query engine — §2.5's query classes
@@ -40,10 +40,10 @@
 //     section of docs/ARCHITECTURE.md for the operator contract, the
 //     pushdown rules, and the one-latch invariant);
 //   - internal/wal: the durability subsystem — a CRC-framed,
-//     fsync-batched write-ahead log of commit records plus logical
-//     checkpoints;
+//     fsync-batched write-ahead log of commit records plus the
+//     metadata-only checkpoint codec;
 //   - internal/workload, internal/metrics, internal/experiments: the
-//     evaluation harness (experiments E1-E17, see EXPERIMENTS.md);
+//     paper's evaluation (experiments E1-E9);
 //   - internal/obs: the observability substrate — atomic counters,
 //     gauges, and lock-free latency histograms behind a registry with
 //     Prometheus-text and JSON exposition, plus ring-buffer event and
@@ -64,26 +64,26 @@
 // with a shared wait-free commit clock and a no-wait lock table — see the
 // internal/db package documentation for the exact guarantees. Shards: 1
 // (the default) reproduces the paper's single-tree system; higher counts
-// scale throughput with available cores (experiment E10,
-// BenchmarkSharded* in bench_test.go).
+// scale throughput with available cores.
 //
-// The engine is durable when opened with db.Config.Dir: committed =
+// The engine is durable when opened with db.Config.Dir, and the
+// directory is the database: the two storage devices are disk files in
+// it (internal/pagestore) — the paper's magnetic/WORM hierarchy made
+// real — beside a write-ahead log and a small checkpoint. Committed =
 // logged + fsynced — a commit is acknowledged only once its redo record
 // (the stamped write set) is durable in the write-ahead log, and group
 // commit coalesces concurrently-arriving committers into one log append,
-// one fsync, and one clock advance (BenchmarkGroupCommit reports the
-// commits-per-fsync amortization). Crash recovery reloads the latest
-// checkpoint and replays the log tail, stopping at the first torn frame;
-// background incremental checkpoints truncate the log without stopping
-// writers. With db.Config.PagedDevices the two storage devices are
-// themselves disk files (internal/pagestore) — the paper's magnetic/WORM
-// hierarchy made real — and a checkpoint flushes dirty pages through a
-// rollback journal instead of dumping the database: O(dirty pages)
-// checkpoints (BenchmarkPagedCheckpoint), metadata-only recovery, torn
-// flushes restored from the journal, torn WORM tails clipped on reopen.
-// See the internal/db package documentation for the exact durability
-// contract, and `tsbdump -waldir DIR` / `tsbdump -pagedir DIR` to
-// inspect a durable directory.
+// one fsync, and one clock advance. A checkpoint flushes the dirty pages
+// through a rollback journal — O(dirty pages), not O(database) —
+// installs metadata only, and truncates the log without stopping
+// writers. Crash recovery reattaches the device files at the last
+// checkpoint (torn flushes restored from the journal, torn WORM tails
+// clipped) and replays the log tail, stopping at the first torn frame.
+// With Dir empty the same engine runs on simulated in-memory devices.
+// There is one on-disk format and one open path. See the internal/db
+// package documentation for the exact durability contract, and
+// `tsbdump -waldir DIR` / `tsbdump -pagedir DIR` to inspect a durable
+// directory.
 //
 // Historical-node migration can leave the insert path: with
 // db.Config.BackgroundMigration an insert that would time split a leaf —
@@ -96,25 +96,21 @@
 // interleavings). The consistency contract: no version is ever
 // unreachable, readers see the pre- or post-swap node and never a torn
 // one, and a database drained after each operation is byte-identical to
-// an inline-split one. Experiment E14 (`tsbench -exp E14`,
-// BenchmarkMigrator) measures the payoff under real burn latency:
-// order-of-magnitude reductions in put p99 and in split-under-latch
-// time. Stats().Migrator reports queue depth, nodes migrated, bytes
-// burned, and abandoned burns.
+// an inline-split one. Stats().Migrator reports queue depth, nodes
+// migrated, bytes burned, abandoned burns, and the split-under-latch
+// time the migrator exists to shrink.
 //
 // The same machinery keeps an aging database healthy: a per-DB
 // maintenance scheduler runs incremental checkpoints
-// (db.Config.CheckpointBytes) and — in paged mode — WORM compaction
+// (db.Config.CheckpointBytes) and WORM compaction
 // (db.Config.CompactDeadBytes, or DB.Compact on demand), which copies
 // the live tail of the burn file forward, rewrites node addresses under
 // short write latches, and truncates the dead prefix region away so
-// Stats().Device utilization recovers. The paged checkpoint's capture
-// is fuzzy: per-shard boundary LSNs let each shard's image and dirty
-// pages be captured under only that shard's read latch, so the
-// commit-posting pause stays flat as the database grows. Experiment E15
-// (`tsbench -exp E15`) measures both — the per-checkpoint pause with
-// writers running and the capacity compaction reclaims after aging; see
-// the "maintenance economy" section of docs/ARCHITECTURE.md.
+// Stats().Device utilization recovers. The checkpoint's capture is
+// fuzzy: per-shard boundary LSNs let each shard's image and dirty pages
+// be captured under only that shard's read latch, so the commit-posting
+// pause stays flat as the database grows; see the "maintenance economy"
+// section of docs/ARCHITECTURE.md.
 //
 // Range reads stream: db.Cursor / txn.ReadTxn.Cursor (and the iter.Seq2
 // form, Range) yield a snapshot lazily, page by page, with
@@ -123,19 +119,17 @@
 // holds no latch between Next calls; each Next read-latches at most one
 // shard — for a single leaf-page fetch (snapshot cursors), or for one
 // shard's materialized window scan (From/To cursors) — so a Limit=1 read
-// over a 100k-version snapshot costs O(tree height) page reads
-// (BenchmarkCursorLimit1). The slice-returning scan APIs survive as thin
-// Collect wrappers. Composed queries (db.Query, internal/query) stack
-// streaming operators on those cursors and inherit the contract
-// unchanged; experiment E17 (`tsbench -exp E17`) measures the filter
-// pushdown's page-read gap and the parallel per-shard scan speedup.
+// over a 100k-version snapshot costs O(tree height) page reads. The
+// slice-returning scan APIs survive as thin Collect wrappers. Composed
+// queries (db.Query, internal/query) stack streaming operators on those
+// cursors and inherit the contract unchanged.
 //
-// The benchmarks in bench_test.go regenerate every experiment and the
-// shard-scaling curves; the binaries under cmd/ print the experiment
-// tables (tsbench, including the concurrent E10 run, the served
-// closed-loop E16 run, and a -benchjson perf-trajectory export),
-// compare archived perf points across runs (benchcmp), replay the
-// paper's figures (figures), dump tree structure — including a
-// cursor-streamed snapshot sample — (tsbdump), and serve the engine
-// over the network with graceful SIGTERM drain (tsbserve).
+// The repo's one benchmark is bench/, a module of its own (bash
+// bench/run.sh --workload NAME --seed N; see bench/README.md): four
+// named workloads with end-to-end and per-layer metrics. The binaries
+// under cmd/ print the paper's experiment tables E1-E9 (tsbench),
+// replay the paper's figures (figures), dump tree structure and inspect
+// durable directories (tsbdump), and serve the engine over the network
+// with graceful SIGTERM drain (tsbserve); ablation_bench_test.go holds
+// the four design-choice ablations.
 package repro

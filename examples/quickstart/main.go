@@ -18,22 +18,21 @@ import (
 )
 
 func main() {
-	// A durable database lives in a directory: the write-ahead log and
-	// checkpoints go there, and opening the same directory later
-	// recovers every acknowledged commit. PagedDevices puts the two
-	// storage devices themselves on disk — pages.dev (the erasable
-	// magnetic disk, CRC-guarded pages) and worm.dev (the write-once
-	// disk, append-only sectors) — so a checkpoint flushes dirty pages
-	// instead of rewriting a logical image of the database. (Leave Dir
-	// empty for a purely in-memory database, or drop PagedDevices for
-	// the logical-checkpoint durable mode.)
+	// A durable database lives in a directory: the two storage devices
+	// are files there — pages.dev (the erasable magnetic disk,
+	// CRC-guarded pages) and worm.dev (the write-once disk, append-only
+	// sectors) — beside the write-ahead log and a small checkpoint, and
+	// opening the same directory later recovers every acknowledged
+	// commit. A checkpoint flushes the dirty pages, not the database.
+	// (Leave Dir empty for a purely in-memory database on simulated
+	// devices.)
 	dir, err := os.MkdirTemp("", "tsb-quickstart-*")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
 
-	d, err := db.Open(db.Config{Dir: dir, PagedDevices: true})
+	d, err := db.Open(db.Config{Dir: dir})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -173,7 +172,7 @@ func main() {
 	if err := d.Close(); err != nil {
 		log.Fatal(err)
 	}
-	d2, err := db.Open(db.Config{Dir: dir, PagedDevices: true})
+	d2, err := db.Open(db.Config{Dir: dir})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,8 +16,8 @@
 //     marks the page dirty in the dirty-page table; the device is
 //     written only when a checkpoint flushes. The pool is strictly
 //     no-steal — a dirty page is never evicted and never reaches the
-//     device outside a flush — which is what lets the paged durable
-//     mode keep its on-disk page file reconstructible to the last
+//     device outside a flush — which is what lets a durable database
+//     keep its on-disk page file reconstructible to the last
 //     checkpoint boundary (internal/pagestore). When every frame over
 //     capacity is dirty or pinned, the pool grows past capacity rather
 //     than violate no-steal (Stats.Overflows counts this; the
@@ -281,8 +281,7 @@ func (p *Pool) Unpin(page uint64) {
 
 // Tagged returns a view of the pool whose writes carry the given flush
 // group — the handle each shard's tree (and the secondary indexes) gets
-// in the paged durable mode, so a checkpoint can pre-flush shard by
-// shard. Reads, allocation, and freeing are the shared pool's.
+// in a durable database, so a checkpoint can pre-flush shard by shard. Reads, allocation, and freeing are the shared pool's.
 func (p *Pool) Tagged(tag int) storage.PageStore { return &taggedView{p: p, tag: tag} }
 
 type taggedView struct {

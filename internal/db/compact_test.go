@@ -37,7 +37,7 @@ func seedDeadBurns(t *testing.T, cfg Config, commits int, seed int64) []oracleOp
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	acked, unacked := runPagedUntilCrash(t, d, rng, commits, commits+1)
+	acked, unacked := runUntilCrash(t, d, rng, commits, 0)
 	if unacked != nil {
 		t.Fatalf("fault-free workload failed after %d commits", len(acked))
 	}
@@ -336,7 +336,7 @@ func TestRecoveryCompactionTornSweep(t *testing.T) {
 		dir := t.TempDir()
 		copyDir(t, tmpl, dir)
 		plan := storage.NewTearPlan(tear)
-		ccfg := pagedCrashConfig(dir, plan)
+		ccfg := tearConfig(pagedConfigWithSecs(dir, secs), plan, true, true)
 		ccfg.BackgroundMigration = true
 		d, err := Open(ccfg)
 		if err != nil {

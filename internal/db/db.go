@@ -1,9 +1,10 @@
 // Package db is the public face of the reproduction: a multiversion,
 // timestamped database engine with a non-deletion policy, backed by
-// Time-Split B-trees over a simulated magnetic disk (current data) and a
-// simulated write-once optical disk (historical data), with transactions,
-// read-only queries that take no logical locks, and secondary indexes —
-// the complete system of Lomet & Salzberg, SIGMOD 1989.
+// Time-Split B-trees over a magnetic disk (current data) and a write-once
+// optical disk (historical data) — simulated in memory, or files in a
+// directory — with transactions, read-only queries that take no logical
+// locks, and secondary indexes — the complete system of Lomet &
+// Salzberg, SIGMOD 1989.
 //
 // # Sharding and concurrency
 //
@@ -33,9 +34,15 @@
 //
 // # Durability
 //
-// With Config.Dir set, the database is durable: a write-ahead log
-// (internal/wal) and incremental checkpoints live in that directory.
-// The contract, precisely:
+// With Config.Dir set, the database is durable and that directory is the
+// database: the two devices are disk files in it (internal/pagestore) —
+// a mutable page file with a per-page CRC for the magnetic disk, an
+// append-only burn file of CRC-guarded sectors for the WORM — beside a
+// write-ahead log (internal/wal) and one small checkpoint file. With Dir
+// empty the same engine runs on simulated in-memory devices and nothing
+// survives the process. The device choice is the only difference: there
+// is one on-disk format and one recovery procedure. The contract,
+// precisely:
 //
 //   - Committed = logged + fsynced. Update/Commit return only after the
 //     transaction's redo record (its stamped write set) is durable in
@@ -43,59 +50,36 @@
 //     while the batch leader fsyncs join the next batch, so N
 //     concurrent committers cost far fewer than N fsyncs
 //     (Stats().WAL's Records/Syncs is the measured factor).
-//   - A crash loses nothing acknowledged. Open(Config{Dir: ...})
-//     reloads the latest checkpoint and replays the log tail, stopping
-//     at the first torn frame. An unacknowledged commit (in flight at
-//     the crash) is recovered either fully or not at all — a log frame
-//     is exactly one transaction under a CRC — and uncommitted data is
-//     never durable, so recovery needs no undo pass.
-//   - Checkpoints truncate the log without stopping writers:
-//     DB.Checkpoint (and the background checkpointer, see
-//     Config.CheckpointBytes) rotates the log at a posting-quiescent
-//     boundary, dumps each shard's committed versions up to that
-//     boundary under the shard's read latch — one shard at a time,
-//     commits proceeding throughout — then atomically installs the
-//     checkpoint and deletes the segments it covers. Dumps are
-//     boundary-exact, so reload + log-tail replay applies every commit
-//     exactly once, in global commit-time order.
-//
-// # Paged durability
-//
-// With Config.PagedDevices additionally set, the devices themselves are
-// disk files in Dir (internal/pagestore): a mutable page file with a
-// per-page CRC for the magnetic disk, an append-only burn file of
-// CRC-guarded sectors for the WORM. The durability contract is the same
-// — committed = logged + fsynced, recovery loses nothing acknowledged —
-// but the checkpoint changes shape:
-//
+//   - A crash loses nothing acknowledged. An unacknowledged commit (in
+//     flight at the crash) is recovered either fully or not at all — a
+//     log frame is exactly one transaction under a CRC — and
+//     uncommitted data is never trusted, so recovery needs no undo log.
 //   - What a checkpoint flushes: the buffer pool runs writeback with a
 //     dirty-page table (strictly no-steal — a dirty page is never
 //     evicted, never written outside a checkpoint), and a checkpoint
-//     writes exactly the dirty pages — O(dirty), not O(database) —
-//     through a rollback journal (old contents fsynced before any slot
-//     is overwritten), then fsyncs both device files, then installs a
-//     metadata-only checkpoint: tree roots, page allocator, WORM burned
-//     boundary, and the page-consistent WAL boundary. The flush
-//     pre-runs shard by shard with commits flowing; only the boundary
-//     capture itself (memory copies, no I/O) briefly holds the commit
-//     token plus the shard latches.
-//
+//     (DB.Checkpoint, or the background one, see
+//     Config.CheckpointBytes) writes exactly the dirty pages — O(dirty),
+//     not O(database) — through a rollback journal (old contents
+//     fsynced before any slot is overwritten), then fsyncs both device
+//     files, then installs a metadata-only checkpoint: tree roots, page
+//     allocator, WORM burned boundary, and one WAL boundary per tree.
+//     Log segments the checkpoint covers are then deleted. The flush
+//     pre-runs shard by shard with commits flowing; only each shard's
+//     boundary capture (memory copies, no I/O) briefly holds the commit
+//     token plus that shard's latch.
 //   - What recovery trusts: page CRCs (verified on every read), the
 //     rollback journal (a torn flush restores the previous boundary
 //     image before anything reads it), the burn file up to the
-//     checkpointed boundary (fsynced), and the WAL tail. The unsynced
-//     WORM tail is verified sector by sector and clipped at the first
-//     torn frame; intact orphan burns stay as dead waste, as they would
-//     on real write-once media. Pending versions of transactions in
-//     flight at the boundary are erased from the image (the checkpoint
-//     records their write locks), then the WAL tail replays — so
-//     recovery reads the checkpoint metadata plus O(log tail), never
-//     the whole database.
-//
-// SaveTo/LoadFrom remain as the quiescent whole-image alternative for
-// simulated devices; they refuse to run with updating transactions in
-// flight (ErrActiveTransactions) and refuse paged databases (whose
-// durable state is the directory itself).
+//     checkpointed boundary (fsynced), and the WAL tail, which stops at
+//     the first torn frame. The unsynced WORM tail is verified sector
+//     by sector and clipped at the first torn frame; intact orphan
+//     burns stay as dead waste, as they would on real write-once media.
+//     Pending versions of transactions in flight at the boundary are
+//     erased from the image (the checkpoint records their write locks),
+//     then the WAL tail replays, each version to its shard only past
+//     that shard's boundary — so recovery reads the checkpoint metadata
+//     plus O(log tail), never the whole database, and applies every
+//     commit to every tree exactly once.
 //
 // # Background migration
 //
@@ -119,11 +103,11 @@
 //     inline first) abandons the burned node as unreferenced write-once
 //     waste — Stats().Migrator.Abandoned — never links it in. Abandoned
 //     payload counts as waste, not payload, in Stats().Device
-//     (WastedBytes/DeadBytes), and on paged devices DB.Compact reclaims
-//     it: the database does not age badly under lost races.
-//   - Checkpoints fence the workers around the boundary, so v3 dumps
-//     and v4 page captures stay boundary-exact. Marks are not durable:
-//     a crash drops them and future inserts re-create them.
+//     (WastedBytes/DeadBytes), and on a durable database DB.Compact
+//     reclaims it: the database does not age badly under lost races.
+//   - Checkpoints fence the workers around the boundary, so page
+//     captures stay boundary-exact. Marks are not durable: a crash
+//     drops them and future inserts re-create them.
 //   - Close finishes the in-flight migration and drops the queue (a
 //     marked-but-unsplit leaf is a valid tree); DrainMigrations flushes
 //     the queue synchronously first when every historical node must
@@ -211,15 +195,16 @@ type Config struct {
 	// BufferPages is the page-cache capacity shared by all shards.
 	// 0 selects the default of 256; NoCachePages (-1, or any negative
 	// value) disables caching entirely so every page read reaches the
-	// simulated device.
+	// simulated device (in-memory databases only, see Dir).
 	BufferPages int
 	// Policy is the TSB-tree splitting policy (default PolicyLastUpdate,
 	// the paper's refinement).
 	Policy core.Policy
-	// Cost is the simulated latency model (default DefaultCostModel).
+	// Cost is the latency model of the simulated devices (default
+	// DefaultCostModel). File-backed devices cost what the files cost.
 	Cost *storage.CostModel
-	// PlatterSectors/Drives enable the optical-library model (0 = one
-	// always-mounted disk).
+	// PlatterSectors/Drives enable the simulated optical-library model
+	// (0 = one always-mounted disk).
 	PlatterSectors uint64
 	Drives         int
 	// MaxKeySize / MaxValueSize bound record sizes (see core.Config).
@@ -229,24 +214,23 @@ type Config struct {
 	LeafCapacity  int
 	IndexCapacity int
 
-	// Dir enables the durable mode: the directory holds the write-ahead
-	// log and checkpoints. Open creates it if needed, or recovers the
-	// database it finds there (checkpoint reload + WAL tail replay).
-	// With Dir set, a commit is acknowledged only once its redo record
-	// is fsynced — group commit batches concurrent committers into one
-	// fsync. See the package documentation's durability contract.
+	// Dir makes the database durable: the magnetic and WORM devices are
+	// disk files in this directory (internal/pagestore) instead of
+	// in-memory simulations, beside the write-ahead log and the
+	// checkpoint. Open creates the directory if needed, or recovers the
+	// database it finds there. A commit is acknowledged only once its
+	// redo record is fsynced — group commit batches concurrent
+	// committers into one fsync — and a checkpoint flushes the dirty
+	// pages, O(dirty) not O(database). See the package documentation's
+	// durability contract. Reopening adopts the directory's shard count,
+	// page and sector sizes and tree parameters. A durable database does
+	// not accept BufferPages = NoCachePages (the dirty-page table IS the
+	// pool), and Cost and PlatterSectors/Drives do not apply to it: they
+	// describe the simulated devices only.
 	Dir string
-	// PagedDevices selects the paged durable mode (requires Dir): the
-	// magnetic and WORM devices are disk files in Dir
-	// (internal/pagestore) instead of in-memory simulations, the buffer
-	// pool runs writeback with a dirty-page table, and a checkpoint
-	// flushes dirty pages — O(dirty), not O(database) — then records a
-	// page-consistent boundary. Recovery reopens the device files
-	// (restoring any torn flush from the rollback journal and clipping
-	// the torn WORM tail) and replays only the WAL tail. A directory is
-	// paged or logical at creation, forever: reopening with the wrong
-	// mode fails. Incompatible with BufferPages = NoCachePages (the
-	// dirty-page table IS the pool).
+	// PagedDevices is ignored.
+	//
+	// Deprecated: Dir alone selects paged devices.
 	PagedDevices bool
 	// BackgroundMigration moves time-split migration off the insert
 	// path: an insert that would time split a leaf (burning its
@@ -261,20 +245,20 @@ type Config struct {
 	// headroom: with LeafCapacity equal to PageSize (the default) a
 	// logically-overfull leaf has nowhere to grow and splits inline, so
 	// set LeafCapacity below PageSize to give the migrator room.
-	// Works for in-memory, durable, and paged databases; recovery
-	// replay always splits inline (marks are not durable state).
+	// Works for in-memory and durable databases; recovery replay always
+	// splits inline (marks are not durable state).
 	BackgroundMigration bool
 	// CheckpointBytes triggers a background incremental checkpoint
 	// (which truncates the log) once the WAL has grown by this many
 	// bytes since the last one. 0 selects the 4 MiB default; negative
 	// disables background checkpointing (DB.Checkpoint still works).
-	// Durable mode only.
+	// Durable databases only.
 	CheckpointBytes int64
 	// CompactDeadBytes triggers a background WORM compaction (see
 	// DB.Compact) once the payload of unreferenced write-once runs —
 	// Stats().Device.DeadBytes: abandoned background migrations, crash
 	// orphans — exceeds this many bytes. 0 disables background
-	// compaction (DB.Compact still works). Paged durable mode only.
+	// compaction (DB.Compact still works). Durable databases only.
 	CompactDeadBytes int64
 	// SlowOpThreshold is the duration at or above which a completed
 	// background span (checkpoint, compaction round, migration) is
@@ -289,11 +273,11 @@ type Config struct {
 	// replays them.
 	Secondaries map[string]SecondaryExtract
 
-	// logWrap wraps every log and checkpoint file the durable mode
+	// logWrap wraps every log and checkpoint file a durable database
 	// opens; crash tests inject torn-write faults through it.
 	logWrap func(storage.LogFile) storage.LogFile
-	// blockWrap wraps the paged mode's device files (page file, burn
-	// file, rollback journal); crash tests inject torn positioned
+	// blockWrap wraps a durable database's device files (page file,
+	// burn file, rollback journals); crash tests inject torn positioned
 	// writes through it.
 	blockWrap func(storage.BlockFile) storage.BlockFile
 }
@@ -322,12 +306,13 @@ type DB struct {
 	store *shardedStore
 	tm    *txn.Manager
 
-	// Paged-mode devices (nil otherwise): the same objects as mag/worm,
-	// concretely typed for the checkpoint flush protocol.
+	// The file-backed devices of a durable database (nil in memory): the
+	// same objects as mag/worm, concretely typed for the checkpoint
+	// flush protocol.
 	pf *pagestore.PageFile
 	bf *pagestore.BurnFile
-	// epoch is the installed paged-checkpoint epoch; secTag the flush
-	// group of the secondary indexes (shard i uses group i).
+	// epoch is the installed checkpoint epoch; secTag the flush group of
+	// the secondary indexes (shard i uses group i).
 	epoch  uint64
 	secTag int
 
@@ -338,7 +323,7 @@ type DB struct {
 	// deadBytes is the payload carried by write-once runs nothing
 	// references — abandoned background migrations, post-crash orphans —
 	// i.e. capacity the device counters still report as payload but that
-	// no read path can ever reach. Carried across reopens in the v4
+	// no read path can ever reach. Carried across reopens in the
 	// checkpoint (wal.PagedMeta.DeadBytes), folded into
 	// Stats().Device.WastedBytes, zeroed by a completed compaction.
 	deadBytes atomic.Uint64
@@ -353,8 +338,8 @@ type DB struct {
 	coEvery int64
 
 	// reg names every component's instruments for exposition; events is
-	// the background-job span log. Built by wireObs on every open path,
-	// so both are always non-nil on a DB the package returned.
+	// the background-job span log. Built by wireObs in Open, so both are
+	// always non-nil on a DB the package returned.
 	reg    *obs.Registry
 	events *obs.EventLog
 	// Migration phase histograms (capture/burn/swap latch regimes). They
@@ -370,10 +355,9 @@ type DB struct {
 	secMu       sync.RWMutex //tsb:latch level=6 name=secondary
 	secondaries map[string]*secondaryIndex
 
-	policy      core.Policy
-	bufferPages int
+	policy core.Policy
 
-	// Durable-mode state (nil/zero for in-memory databases).
+	// Durable-database state (nil/zero in memory).
 	wal     *wal.Log
 	dir     string
 	dirLock *os.File // exclusive flock on dir/LOCK, held until Close
@@ -411,64 +395,152 @@ func (cfg *Config) withDefaults() error {
 	if (cfg.Policy == core.Policy{}) {
 		cfg.Policy = core.PolicyLastUpdate
 	}
-	if cfg.PagedDevices {
-		if cfg.Dir == "" {
-			return fmt.Errorf("db: PagedDevices requires Dir")
-		}
-		if cfg.BufferPages == NoCachePages {
-			return fmt.Errorf("db: PagedDevices requires the buffer pool (BufferPages must not be NoCachePages)")
-		}
+	if cfg.Dir != "" && cfg.BufferPages == NoCachePages {
+		return fmt.Errorf("db: a durable database requires the buffer pool (BufferPages must not be NoCachePages)")
 	}
 	return nil
 }
 
 // Open creates a new database on fresh simulated devices — or, when
 // cfg.Dir is set, opens the durable database in that directory,
-// recovering whatever a previous process left there: the latest
-// checkpoint is reloaded and the WAL tail replayed over it, yielding
-// exactly the acknowledged commits (see the package documentation's
-// durability contract).
-func Open(cfg Config) (*DB, error) {
+// creating it or recovering whatever a previous process left there,
+// yielding exactly the acknowledged commits (see the package
+// documentation's durability contract). The device choice is the only
+// fork: everything from the trees up is wired the same way, once.
+func Open(cfg Config) (_ *DB, err error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
 	}
-	if cfg.Dir != "" {
-		return openDurable(cfg)
+	d := &DB{
+		secondaries: make(map[string]*secondaryIndex),
+		dir:         cfg.Dir,
+		logWrap:     cfg.logWrap,
 	}
-	d, err := newEmpty(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for name, extract := range cfg.Secondaries {
-		if err := d.CreateSecondary(name, extract); err != nil {
+	defer func() {
+		if err != nil {
+			_ = d.releaseFiles()
+		}
+	}()
+
+	// An installed checkpoint fixes the directory's shape; meta stays nil
+	// when there is nothing to reattach to (in memory, or a directory
+	// without a sealed checkpoint) and everything below is built fresh.
+	durable := cfg.Dir != ""
+	var info wal.CheckpointInfo
+	if durable {
+		if info, err = d.lockAndReadCheckpoint(cfg); err != nil {
 			return nil, err
 		}
 	}
-	d.tm = txn.NewManager(d.store, d.store.Now())
+	meta := info.Paged
+	if meta != nil {
+		cfg.Shards = info.Shards
+	}
+	d.secTag = cfg.Shards
+
+	// Devices and pool.
+	if durable {
+		if err := d.openFileDevices(cfg, meta); err != nil {
+			return nil, err
+		}
+	} else {
+		d.openSimulatedDevices(cfg)
+	}
+
+	// Trees, then secondary indexes: reattached from their checkpointed
+	// images, or new.
+	trees := make([]*core.Tree, cfg.Shards)
+	for i := range trees {
+		if meta != nil {
+			trees[i], err = core.FromImage(d.treePages(i), d.worm, meta.Shards[i])
+		} else {
+			trees[i], err = core.New(d.treePages(i), d.worm, core.Config{
+				Policy:        cfg.Policy,
+				MaxKeySize:    cfg.MaxKeySize,
+				MaxValueSize:  cfg.MaxValueSize,
+				LeafCapacity:  cfg.LeafCapacity,
+				IndexCapacity: cfg.IndexCapacity,
+			})
+		}
+		if err != nil {
+			return nil, fmt.Errorf("db: shard %d: %w", i, err)
+		}
+	}
+	d.store = newShardedStore(trees)
+	d.policy = trees[0].Policy()
+	for name, extract := range cfg.Secondaries {
+		var img *core.TreeImage
+		if meta != nil {
+			saved, ok := meta.Secondaries[name]
+			if !ok {
+				return nil, fmt.Errorf("db: checkpoint names secondary index %q but holds no image of it", name)
+			}
+			img = &saved
+		}
+		if err := d.addSecondary(name, extract, img); err != nil {
+			return nil, err
+		}
+	}
+
+	// Recovery: bring the reattached image up to the acknowledged state.
+	var lastLSN, nextSeg uint64
+	if durable {
+		if lastLSN, nextSeg, err = d.recoverTo(info); err != nil {
+			return nil, err
+		}
+	}
+
+	// The clock resumes at the newest committed time recovery produced
+	// (the checkpoint clock is a lower bound of it).
+	d.tm = txn.NewManager(d.store, max(d.store.Now(), info.Clock))
 	d.tm.SetCommitHook(d.onCommit)
+	if durable {
+		d.wal, err = wal.Open(wal.Options{Dir: cfg.Dir, WrapFile: cfg.logWrap}, nextSeg, lastLSN)
+		if err != nil {
+			return nil, err
+		}
+		d.tm.SetCommitLog(d.wal)
+	}
 	d.wireObs(cfg)
+
+	if durable && meta == nil {
+		// Seal the directory's shape before the first commit: an empty
+		// checkpoint makes the shard count (and secondary-index set)
+		// authoritative for every future reopen, even one that crashes
+		// before its first real checkpoint.
+		if err := d.Checkpoint(); err != nil {
+			return nil, err
+		}
+	}
+
+	// Background work starts last, with nothing left that can fail. The
+	// migrator starts only now, after recovery — replayed inserts split
+	// inline (deterministically), and marks are never durable state — and
+	// before the maintenance loop, whose jobs fence it.
 	if cfg.BackgroundMigration {
 		d.startMigrator()
+	}
+	if durable {
+		d.cpEvery = cfg.CheckpointBytes
+		if d.cpEvery == 0 {
+			d.cpEvery = defaultCheckpointBytes
+		}
+		d.coEvery = cfg.CompactDeadBytes
+		if d.cpEvery > 0 || d.coEvery > 0 {
+			d.stopCp = make(chan struct{})
+			d.cpDone.Add(1)
+			go d.maintenanceLoop()
+		}
 	}
 	return d, nil
 }
 
-// newEmpty builds a database on fresh simulated devices with no
-// transaction manager, hook, log, or secondaries wired yet: the common
-// substrate of the in-memory and durable open paths. Each caller
-// constructs d.tm itself — the durable path only knows the clock after
-// recovery, and a single construction point per path keeps the clock
-// seeding explicit.
-func newEmpty(cfg Config) (*DB, error) {
+// openSimulatedDevices builds the in-memory devices and, unless caching
+// is disabled, the write-through pool over them.
+func (d *DB) openSimulatedDevices(cfg Config) {
 	cost := storage.DefaultCostModel()
 	if cfg.Cost != nil {
 		cost = *cfg.Cost
-	}
-
-	d := &DB{
-		secondaries: make(map[string]*secondaryIndex),
-		policy:      cfg.Policy,
-		bufferPages: cfg.BufferPages,
 	}
 	d.mag = storage.NewMagneticDisk(cfg.PageSize, cost)
 	d.worm = storage.NewWORMDisk(storage.WORMConfig{
@@ -477,23 +549,9 @@ func newEmpty(cfg Config) (*DB, error) {
 		PlatterSectors: cfg.PlatterSectors,
 		Drives:         cfg.Drives,
 	})
-	pages := d.pages()
-	trees := make([]*core.Tree, cfg.Shards)
-	for i := range trees {
-		tree, err := core.New(pages, d.worm, core.Config{
-			Policy:        cfg.Policy,
-			MaxKeySize:    cfg.MaxKeySize,
-			MaxValueSize:  cfg.MaxValueSize,
-			LeafCapacity:  cfg.LeafCapacity,
-			IndexCapacity: cfg.IndexCapacity,
-		})
-		if err != nil {
-			return nil, err
-		}
-		trees[i] = tree
+	if cfg.BufferPages > 0 {
+		d.pool = buffer.NewPool(d.mag, cfg.BufferPages)
 	}
-	d.store = newShardedStore(trees)
-	return d, nil
 }
 
 // defaultSlowOpThreshold is the slow-op ring threshold when
@@ -501,8 +559,8 @@ func newEmpty(cfg Config) (*DB, error) {
 const defaultSlowOpThreshold = 25 * time.Millisecond
 
 // wireObs builds the metric registry and event log and names every
-// component's instruments in them. Called once per open path (Open,
-// openDurable, LoadFrom) after the transaction manager exists.
+// component's instruments in them. Called once, by Open, after the
+// transaction manager exists.
 // Instruments are component-owned struct fields that record from birth;
 // registration only names them for exposition, so nothing here is on a
 // hot path and order relative to first use does not matter.
@@ -560,26 +618,42 @@ func (d *DB) Metrics() *obs.Registry { return d.reg }
 // Config.SlowOpThreshold. Always non-nil.
 func (d *DB) Events() *obs.EventLog { return d.events }
 
-// pages returns the page store the trees share: the buffer pool when
-// caching is enabled, the raw device otherwise.
-func (d *DB) pages() storage.PageStore {
-	if d.bufferPages > 0 {
-		if d.pool == nil {
-			d.pool = buffer.NewPool(d.mag, d.bufferPages)
-		}
+// treePages returns the page store a tree writes through: on file-backed
+// devices the pool view tagged with the tree's flush group (shard i =
+// group i, the secondary indexes share secTag), so checkpoints can
+// capture and flush one group at a time; in memory the pool itself, or
+// the raw device when caching is disabled.
+func (d *DB) treePages(tag int) storage.PageStore {
+	switch {
+	case d.pf != nil:
+		return d.pool.Tagged(tag)
+	case d.pool != nil:
 		return d.pool
+	default:
+		return d.mag
 	}
-	return d.mag
 }
 
-// secondaryPages returns the page store a secondary index's tree writes
-// through: in paged mode the pool view tagged with the secondary flush
-// group, so checkpoints can pre-flush the indexes as their own batch.
-func (d *DB) secondaryPages() storage.PageStore {
-	if d.pf != nil {
-		return d.pool.Tagged(d.secTag)
+// addSecondary builds the tree of secondary index name — reattached from
+// img when non-nil, else new — and registers it.
+func (d *DB) addSecondary(name string, extract SecondaryExtract, img *core.TreeImage) error {
+	d.secMu.Lock()
+	defer d.secMu.Unlock()
+	if _, dup := d.secondaries[name]; dup {
+		return fmt.Errorf("db: secondary index %q already exists", name)
 	}
-	return d.pages()
+	var ix *secondary.Index
+	var err error
+	if img != nil {
+		ix, err = secondary.FromImage(name, d.treePages(d.secTag), d.worm, *img)
+	} else {
+		ix, err = secondary.New(name, d.treePages(d.secTag), d.worm, core.Config{Policy: d.policy})
+	}
+	if err != nil {
+		return fmt.Errorf("db: secondary %q: %w", name, err)
+	}
+	d.secondaries[name] = &secondaryIndex{index: ix, extract: extract}
+	return nil
 }
 
 // CreateSecondary registers a secondary index maintained from commit time
@@ -591,18 +665,9 @@ func (d *DB) CreateSecondary(name string, extract SecondaryExtract) error {
 	if d.store.stats().Inserts > 0 {
 		return fmt.Errorf("db: secondary index %q must be created before any writes", name)
 	}
-	d.secMu.Lock()
-	if _, dup := d.secondaries[name]; dup {
-		d.secMu.Unlock()
-		return fmt.Errorf("db: secondary index %q already exists", name)
-	}
-	ix, err := secondary.New(name, d.secondaryPages(), d.worm, core.Config{Policy: d.policy})
-	if err != nil {
-		d.secMu.Unlock()
+	if err := d.addSecondary(name, extract, nil); err != nil {
 		return err
 	}
-	d.secondaries[name] = &secondaryIndex{index: ix, extract: extract}
-	d.secMu.Unlock()
 	if d.wal != nil {
 		if err := d.Checkpoint(); err != nil {
 			return fmt.Errorf("db: sealing secondary index %q: %w", name, err)
@@ -835,8 +900,8 @@ func (d *DB) FetchBySecondary(name string, skey record.Key, at record.Timestamp)
 // function CS = SpaceM·CM + SpaceO·CO, derived from the device counters
 // for both the simulated and the file-backed (paged) devices.
 type DeviceStats struct {
-	// Paged reports whether the devices are disk files
-	// (Config.PagedDevices) rather than in-memory simulations.
+	// Paged reports whether the devices are disk files (Config.Dir)
+	// rather than in-memory simulations.
 	Paged bool
 	// SpaceM is the magnetic space consumed in bytes (pages in use ×
 	// page size) — the erasable current database plus index.
@@ -857,8 +922,8 @@ type DeviceStats struct {
 	// Utilization is PayloadBytes / SpaceO (1 when nothing is burned).
 	Utilization float64
 	// DirtyPages is the current size of the buffer pool's dirty-page
-	// table — the pages the next checkpoint will flush. Always 0
-	// outside the paged mode (the pool writes through).
+	// table — the pages the next checkpoint will flush. Always 0 in
+	// memory (the pool writes through).
 	DirtyPages int
 }
 
@@ -875,7 +940,7 @@ type Stats struct {
 	Buffer   buffer.Stats
 	// Device condenses Magnetic/WORM/Buffer into the paper's space
 	// accounting: SpaceM, SpaceO, burned vs. payload, and the
-	// dirty-page count the next paged checkpoint will flush.
+	// dirty-page count the next checkpoint will flush.
 	Device DeviceStats
 	// WAL is the write-ahead log accounting (zero for in-memory
 	// databases). Txn.Committed / WAL.Syncs is the group-commit fsync
@@ -888,7 +953,7 @@ type Stats struct {
 	Migrator MigratorStats
 	// Checkpoint is the checkpoint pause accounting: how long, in
 	// total and per checkpoint, commit posting was quiesced for
-	// boundary captures. The fuzzy paged capture exists to shrink it.
+	// boundary captures. The fuzzy per-shard capture exists to shrink it.
 	Checkpoint CheckpointStats
 	// Compaction is the WORM compaction accounting (DB.Compact).
 	Compaction CompactionStats
@@ -977,21 +1042,9 @@ func (d *DB) WithShardTree(i int, fn func(*core.Tree) error) error {
 	return fn(sh.tree)
 }
 
-// Tree exposes the first shard's TSB-tree without any latching.
-//
-// Deprecated: the returned tree races with concurrent transactions; use
-// WithShardTree, which holds the shard latch around the access.
-func (d *DB) Tree() *core.Tree { return d.store.shards[0].tree }
-
-// ShardTree exposes shard i's TSB-tree without any latching.
-//
-// Deprecated: the returned tree races with concurrent transactions; use
-// WithShardTree, which holds the shard latch around the access.
-func (d *DB) ShardTree(i int) *core.Tree { return d.store.shards[i].tree }
-
 // Devices exposes the storage devices for experiment accounting: the
 // simulated disks of an in-memory database, or the file-backed page and
-// burn stores of a paged durable one.
+// burn stores of a durable one.
 func (d *DB) Devices() (storage.PageDevice, storage.WORMDevice) { return d.mag, d.worm }
 
 // CheckInvariants verifies every shard tree (including that each key

@@ -29,6 +29,16 @@ func put(t *testing.T, d *DB, key, val string) {
 	}
 }
 
+// deptExtract is the secondary-index extractor the tests share: the
+// value's prefix up to '|'.
+func deptExtract(v []byte) record.Key {
+	i := bytes.IndexByte(v, '|')
+	if i < 0 {
+		return nil
+	}
+	return record.Key(v[:i])
+}
+
 func TestOpenDefaults(t *testing.T) {
 	d := open(t, Config{})
 	if d.Now() != 0 {

@@ -1,36 +1,8 @@
 package db
 
-// The durable mode: a directory-backed database whose commits are
-// write-ahead logged (internal/wal) and whose log is truncated by
-// incremental logical checkpoints taken while writers run.
-//
-// The durability contract, precisely:
-//
-//   - committed = logged + fsynced. Update/Commit return only after the
-//     transaction's redo record (its stamped write set) is durable in
-//     the WAL; group commit batches concurrently-arriving committers
-//     into one append + one fsync.
-//   - a crash loses nothing acknowledged. Open replays the latest
-//     checkpoint and then the WAL tail, stopping at the first torn
-//     frame. A commit whose fsync never completed is either absent or
-//     — if its frame happened to land intact before the crash —
-//     present in full; never half-applied, because a frame is exactly
-//     one transaction under a CRC.
-//   - in-flight transactions at the crash are gone: pending versions
-//     are never logged and never checkpointed (the logical dump takes
-//     only committed versions), so recovery needs no undo pass.
-//
-// A checkpoint rotates the log at a posting-quiescent boundary (one
-// brief acquisition of the commit leadership token), then dumps each
-// shard's committed versions under that shard's read latch — shard by
-// shard, writers running throughout. The dump is boundary-exact:
-// versions stamped after the boundary clock are filtered out (their log
-// records all sit past the rotation LSN and are replayed instead), so
-// reload plus log tail reproduces every commit exactly once, in global
-// commit-time order — which the secondary indexes, one tree shared by
-// all shards, require. Once the checkpoint file is fsynced and
-// atomically renamed into place, segments wholly below the rotation
-// point are deleted.
+// Opening, recovering, checkpointing and closing a durable database
+// (Config.Dir). The durability contract is in the package documentation;
+// the checkpoint protocol and its body (flushAndInstall) are in paged.go.
 
 import (
 	"errors"
@@ -41,6 +13,9 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/buffer"
+	"repro/internal/core"
+	"repro/internal/pagestore"
 	"repro/internal/record"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -73,129 +48,63 @@ func lockDir(dir string) (*os.File, error) {
 // checkpoint when Config.CheckpointBytes is 0.
 const defaultCheckpointBytes = 4 << 20
 
-// openDurable opens (creating or recovering) the durable database in
-// cfg.Dir. Called from Open with defaults applied.
-func openDurable(cfg Config) (*DB, error) {
+// lockAndReadCheckpoint creates and locks cfg.Dir, reads its installed
+// checkpoint if there is one (info.Paged is nil otherwise), and checks
+// the configuration against it.
+func (d *DB) lockAndReadCheckpoint(cfg Config) (info wal.CheckpointInfo, err error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("db: create %s: %w", cfg.Dir, err)
+		return info, fmt.Errorf("db: create %s: %w", cfg.Dir, err)
 	}
-	lock, err := lockDir(cfg.Dir)
-	if err != nil {
-		return nil, err
+	if d.dirLock, err = lockDir(cfg.Dir); err != nil {
+		return info, err
 	}
-	var log *wal.Log
-	var d *DB
-	ok := false
-	defer func() {
-		if !ok {
-			if log != nil {
-				_ = log.Close()
-			}
-			if d != nil {
-				d.closeDevices()
-			}
-			_ = lock.Close()
-		}
-	}()
-	info, found, err := wal.ReadCheckpointInfo(cfg.Dir)
-	if err != nil {
-		return nil, err
+	info, found, err := wal.ReadCheckpoint(cfg.Dir)
+	if err != nil || !found {
+		return info, err
 	}
-	if found {
-		if havePaged := info.Paged != nil; havePaged != cfg.PagedDevices {
-			mode := map[bool]string{true: "paged", false: "logical"}
-			return nil, fmt.Errorf("db: %s holds a %s-device database, config asks for %s (a directory's device mode is fixed at creation)",
-				cfg.Dir, mode[havePaged], mode[cfg.PagedDevices])
-		}
-		if cfg.Shards != 1 && cfg.Shards != info.Shards {
-			return nil, fmt.Errorf("db: %s has %d shards, config asks for %d",
-				cfg.Dir, info.Shards, cfg.Shards)
-		}
-		cfg.Shards = info.Shards
-		if err := checkExtractors(info.Secondaries, cfg.Secondaries); err != nil {
-			return nil, err
-		}
+	if cfg.Shards != 1 && cfg.Shards != info.Shards {
+		return info, fmt.Errorf("db: %s has %d shards, config asks for %d",
+			cfg.Dir, info.Shards, cfg.Shards)
 	}
+	return info, checkExtractors(info.Secondaries, cfg.Secondaries)
+}
 
-	if cfg.PagedDevices {
-		// Paged mode: the committed database is the device files
-		// themselves; openPaged reattaches (or creates) them and builds
-		// the trees from the checkpoint's images — no version reload.
-		d, err = openPaged(cfg, info, found)
-		if err != nil {
-			return nil, err
+// openFileDevices opens the page and burn files in cfg.Dir behind a
+// writeback pool: reattached at the boundary meta describes — replaying
+// a matching rollback journal, verifying and clipping the WORM tail past
+// the boundary — or, with no installed checkpoint (meta nil), created
+// empty: whatever device files exist then are the remains of an open
+// that crashed before its seal checkpoint, and nothing in them was ever
+// acknowledged.
+func (d *DB) openFileDevices(cfg Config, meta *wal.PagedMeta) (err error) {
+	pagePath, burnPath := pagestore.Paths(cfg.Dir)
+	pageCfg := pagestore.Config{Path: pagePath, PageSize: cfg.PageSize, Wrap: cfg.blockWrap}
+	burnCfg := pagestore.BurnConfig{Path: burnPath, SectorSize: cfg.SectorSize, Wrap: cfg.blockWrap}
+	if meta == nil {
+		if d.pf, err = pagestore.Create(pageCfg); err != nil {
+			return err
+		}
+		if d.bf, err = pagestore.CreateBurn(burnCfg); err != nil {
+			return err
 		}
 	} else {
-		d, err = newEmpty(cfg)
-		if err != nil {
-			return nil, err
+		pageCfg.PageSize, burnCfg.SectorSize = meta.PageSize, meta.SectorSize
+		if d.pf, err = pagestore.Open(pageCfg, meta.Alloc, meta.MagStats, meta.Epoch); err != nil {
+			return err
 		}
-		d.dir = cfg.Dir
-		d.logWrap = cfg.logWrap
-		for name, extract := range cfg.Secondaries {
-			if err := d.CreateSecondary(name, extract); err != nil {
-				return nil, err
-			}
+		var rep pagestore.ReopenReport
+		if d.bf, rep, err = pagestore.OpenBurn(burnCfg, meta.Burned, meta.WormStats, meta.Epoch); err != nil {
+			return err
 		}
-		if found {
-			if err := d.loadCheckpoint(); err != nil {
-				return nil, err
-			}
-		}
+		d.epoch = meta.Epoch
+		// Dead-burn accounting survives the reopen, and the clipped tail's
+		// orphans (burns acknowledged by no checkpoint) join it: both are
+		// write-once payload nothing references, reclaimable by compaction.
+		d.deadBytes.Store(meta.DeadBytes + rep.OrphanPayloadBytes)
 	}
-	lastLSN, nextSeg, err := d.replayLog(info)
-	if err != nil {
-		return nil, err
-	}
-
-	// The clock resumes at the newest committed time recovery produced
-	// (the checkpoint clock is a lower bound of it).
-	clock := d.store.Now()
-	if info.Clock > clock {
-		clock = info.Clock
-	}
-	d.tm = txn.NewManager(d.store, clock)
-	d.tm.SetCommitHook(d.onCommit)
-
-	log, err = wal.Open(wal.Options{Dir: cfg.Dir, WrapFile: cfg.logWrap}, nextSeg, lastLSN)
-	if err != nil {
-		return nil, err
-	}
-	d.wal = log
-	d.tm.SetCommitLog(log)
-	d.wireObs(cfg)
-
-	if !found {
-		// Seal the directory's shape before the first commit: an empty
-		// checkpoint makes the shard count (and secondary-index set)
-		// authoritative for every future reopen, even one that crashes
-		// before its first real checkpoint.
-		if err := d.Checkpoint(); err != nil {
-			return nil, err
-		}
-	}
-
-	d.cpEvery = cfg.CheckpointBytes
-	if d.cpEvery == 0 {
-		d.cpEvery = defaultCheckpointBytes
-	}
-	d.coEvery = cfg.CompactDeadBytes
-	if d.pf == nil {
-		d.coEvery = 0 // compaction is a paged-device job
-	}
-	if d.cpEvery > 0 || d.coEvery > 0 {
-		d.stopCp = make(chan struct{})
-		d.cpDone.Add(1)
-		go d.maintenanceLoop()
-	}
-	if cfg.BackgroundMigration {
-		// Started only now, after recovery: replayed inserts split
-		// inline (deterministically), and marks are never durable state.
-		d.startMigrator()
-	}
-	d.dirLock = lock
-	ok = true
-	return d, nil
+	d.mag, d.worm = d.pf, d.bf
+	d.pool = buffer.NewWritebackPool(d.pf, cfg.BufferPages)
+	return nil
 }
 
 // checkExtractors verifies the supplied extraction functions exactly
@@ -218,8 +127,7 @@ func checkExtractors(names []string, extracts map[string]SecondaryExtract) error
 // hook sees exactly what it would have seen at the original commit.
 // Versions must arrive in an order that never decreases commit times
 // GLOBALLY — the secondary indexes are single trees spanning all
-// shards — which loadCheckpoint's global sort and the WAL's LSN order
-// both guarantee.
+// shards — which the WAL's LSN order guarantees.
 func (d *DB) applyCommitted(v record.Version) error {
 	if len(d.secondaries) == 0 {
 		// The old version is only ever needed by the secondary-index
@@ -236,56 +144,31 @@ func (d *DB) applyCommitted(v record.Version) error {
 	return d.onCommit(v.Time, oldV, oldOK, v)
 }
 
-// loadCheckpoint rebuilds the store from the checkpoint's logical dump.
-// Chunks arrive shard by shard, but the secondary indexes span shards,
-// so every version is buffered and applied in one globally time-sorted
-// pass (the dump is boundary-exact: nothing past the checkpoint clock).
-func (d *DB) loadCheckpoint() error {
-	var all []record.Version
-	info, _, err := wal.ReadCheckpoint(d.dir, func(shard int, vs []record.Version) error {
-		all = append(all, vs...)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	sort.SliceStable(all, func(a, b int) bool {
-		if all[a].Time != all[b].Time {
-			return all[a].Time < all[b].Time
-		}
-		return all[a].Key.Less(all[b].Key)
-	})
-	for _, v := range all {
-		if v.Time > info.Clock {
-			// Defense in depth: a correctly-written checkpoint is
-			// boundary-exact, so nothing past its clock belongs here —
-			// the log tail owns those commits.
-			return fmt.Errorf("db: checkpoint version at %s past its clock %s", v.Time, info.Clock)
-		}
-		if err := d.applyCommitted(v); err != nil {
-			return fmt.Errorf("db: checkpoint reload: %w", err)
-		}
-	}
-	return nil
-}
-
-// replayLog replays every WAL segment after the checkpoint boundary.
-// For logical (v3) checkpoints the boundary is one LSN and every frame
-// past it is applied unconditionally, in LSN (= global commit-time)
-// order. A fuzzy paged (v4) checkpoint has per-tree boundaries instead:
-// shard i's image was captured at GroupLSNs[i] and the secondary
-// indexes at SecLSN (>= every group LSN, they are captured last), all
-// >= the header LSN the replay starts from — so each version applies to
-// its primary shard only past that shard's boundary, and drives the
-// secondary-index hook only past SecLSN. Reload + tail replay stays
-// exactly-once per tree. It returns the last intact LSN and the segment
+// recoverTo brings the reattached trees up to the acknowledged state: it
+// erases the pending versions the checkpointed pages may hold, then
+// replays every WAL segment past the checkpoint boundary. A checkpoint
+// is fuzzy — shard i's image was captured at GroupLSNs[i] and the
+// secondary indexes at SecLSN (>= every group LSN, they are captured
+// last), all >= the header LSN the replay starts from — so each version
+// applies to its primary shard only past that shard's boundary, and
+// drives the secondary-index hook only past SecLSN: exactly once per
+// tree. With no installed checkpoint every boundary is zero and
+// everything applies. It returns the last intact LSN and the segment
 // number a fresh log should start at.
-func (d *DB) replayLog(info wal.CheckpointInfo) (lastLSN, nextSeg uint64, err error) {
-	var group []uint64
-	secLSN := info.LSN
-	if p := info.Paged; p != nil && len(p.GroupLSNs) == len(d.store.shards) {
-		group = p.GroupLSNs
-		secLSN = p.SecLSN
+func (d *DB) recoverTo(info wal.CheckpointInfo) (lastLSN, nextSeg uint64, err error) {
+	group := make([]uint64, len(d.store.shards))
+	secLSN := uint64(0)
+	if m := info.Paged; m != nil {
+		group, secLSN = m.GroupLSNs, m.SecLSN
+		// The transactions in flight at the boundary died with the
+		// crash; a committed one re-arrives from its log frame. The
+		// lock-table snapshot is a superset of what actually reached the
+		// trees, so "nothing to abort" is fine.
+		for _, p := range m.Pending {
+			if err := d.store.AbortKey(p.Key, p.TxnID); err != nil && !errors.Is(err, core.ErrNoPending) {
+				return 0, 0, fmt.Errorf("db: erasing boundary pending version of %s: %w", p.Key, err)
+			}
+		}
 	}
 	segs, err := wal.Segments(d.dir)
 	if err != nil {
@@ -317,57 +200,29 @@ func (d *DB) replayLog(info wal.CheckpointInfo) (lastLSN, nextSeg uint64, err er
 }
 
 // replayCommit redoes one logged transaction, filtered by the fuzzy
-// capture boundaries (group/secLSN; group is nil for logical replay,
-// which applies everything).
+// capture boundaries: group[i] is shard i's, secLSN the secondaries'.
 func (d *DB) replayCommit(lsn uint64, rec txn.CommitRecord, group []uint64, secLSN uint64) error {
 	for _, v := range rec.Versions {
-		if group != nil {
-			if lsn <= group[record.ShardOfKey(v.Key, len(d.store.shards))] {
-				// The shard's image was captured past this record: the
-				// version is already in it — and in the secondaries too,
-				// since SecLSN >= every group LSN.
-				continue
-			}
-			if lsn <= secLSN {
-				// The primary shard needs it, the secondary indexes
-				// (captured later) already saw it: insert without the
-				// index hook.
-				if err := d.store.Insert(v); err != nil {
-					return fmt.Errorf("db: replay of txn %d at %s: %w", rec.TxnID, rec.Time, err)
-				}
-				continue
-			}
+		if lsn <= group[record.ShardOfKey(v.Key, len(group))] {
+			// The shard's image was captured past this record: the
+			// version is already in it — and in the secondaries too,
+			// since SecLSN >= every group LSN.
+			continue
 		}
-		if err := d.applyCommitted(v); err != nil {
+		var err error
+		if lsn <= secLSN {
+			// The primary shard needs it, the secondary indexes
+			// (captured later) already saw it: insert without the
+			// index hook.
+			err = d.store.Insert(v)
+		} else {
+			err = d.applyCommitted(v)
+		}
+		if err != nil {
 			return fmt.Errorf("db: replay of txn %d at %s: %w", rec.TxnID, rec.Time, err)
 		}
 	}
 	return nil
-}
-
-// dumpShard materializes shard i's committed history up to the
-// checkpoint boundary under that shard's read latch, sorted so commit
-// times never decrease — the unit of checkpoint capture. Versions
-// stamped past the boundary (writers keep committing during the dump)
-// are excluded: their log records live past the rotation LSN and replay
-// owns them, keeping reload + replay exactly-once and globally ordered.
-func (d *DB) dumpShard(i int, upTo record.Timestamp) ([]record.Version, error) {
-	sh := d.store.shards[i]
-	sh.mu.RLock()
-	vs, err := sh.tree.ScanRange(nil, record.InfiniteBound(), record.TimeZero+1, upTo+1)
-	sh.mu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	// The boundary clock is posting-quiescent, so no version sits at
-	// upTo+1 mid-posting; the window [1, upTo+1) is exact.
-	sort.SliceStable(vs, func(a, b int) bool {
-		if vs[a].Time != vs[b].Time {
-			return vs[a].Time < vs[b].Time
-		}
-		return vs[a].Key.Less(vs[b].Key)
-	})
-	return vs, nil
 }
 
 // secondaryNames returns the registered secondary-index names, sorted.
@@ -383,11 +238,11 @@ func (d *DB) secondaryNames() []string {
 }
 
 // Checkpoint takes an incremental checkpoint of a durable database and
-// truncates the log, without stopping writers: the log is rotated at a
-// posting-quiescent boundary (a brief pause of commit posting only),
-// each shard is dumped under a short read latch, and old segments are
-// deleted once the checkpoint file is durably installed. Concurrent
-// checkpoints serialize.
+// truncates the log, without stopping writers: dirty pages are flushed,
+// each shard's boundary is captured under a brief pause of commit
+// posting plus that shard's read latch, and old segments are deleted
+// once the checkpoint file is durably installed. Concurrent checkpoints
+// serialize.
 func (d *DB) Checkpoint() error {
 	if d.wal == nil {
 		return fmt.Errorf("db: Checkpoint requires a durable database (Config.Dir)")
@@ -401,28 +256,22 @@ func (d *DB) Checkpoint() error {
 	// in-flight migrations complete first (pause waits for them), then
 	// the workers idle, so no swap rewrites pages and no off-latch burn
 	// moves the WORM tail while the boundary is captured. The fence is
-	// what keeps v4 page captures and v3 dumps boundary-exact with
-	// migrations in the system; queued-but-unprocessed marks are not
-	// durable state and simply survive (or, after a crash, are
-	// re-created by future inserts).
+	// what keeps page captures boundary-exact with migrations in the
+	// system; queued-but-unprocessed marks are not durable state and
+	// simply survive (or, after a crash, are re-created by future
+	// inserts).
 	d.mig.pause()
 	defer d.mig.resume()
 	return d.checkpointLocked()
 }
 
-// checkpointLocked runs the mode-appropriate checkpoint — caller holds
-// cpMu with the migrator fenced — and accounts the per-checkpoint pause
-// (the sum of its quiesce windows) into Stats().Checkpoint.
+// checkpointLocked runs one checkpoint — caller holds cpMu with the
+// migrator fenced — and accounts the per-checkpoint pause (the sum of
+// its quiesce windows) into Stats().Checkpoint.
 func (d *DB) checkpointLocked() error {
 	sp := d.events.StartSpan("checkpoint", &d.cpHist)
 	before := d.cpPauseNanos.Load()
-	var err error
-	if d.pf != nil {
-		err = d.checkpointPagedLocked()
-	} else {
-		err = d.checkpointLogicalLocked()
-	}
-	if err != nil {
+	if err := d.flushAndInstall(); err != nil {
 		sp.End("error: " + err.Error())
 		return err
 	}
@@ -446,42 +295,6 @@ func (d *DB) quiesceTimed(fn func() error) error {
 	err := d.tm.Quiesce(fn)
 	d.cpPauseNanos.Add(uint64(time.Since(start)))
 	return err
-}
-
-// checkpointLogicalLocked is the v3 (logical-dump) checkpoint body.
-func (d *DB) checkpointLogicalLocked() error {
-	var boundary uint64
-	var clock record.Timestamp
-	err := d.quiesceTimed(func() error {
-		// Under the leadership token no commit is mid-posting: every
-		// record at or below the boundary is fully in the store, and
-		// the clock cannot move.
-		lsn, err := d.wal.Rotate()
-		if err != nil {
-			return err
-		}
-		boundary = lsn
-		clock = d.tm.Now()
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	info := wal.CheckpointInfo{
-		Shards:      len(d.store.shards),
-		Clock:       clock,
-		LSN:         boundary,
-		Secondaries: d.secondaryNames(),
-	}
-	dump := func(shard int) ([]record.Version, error) { return d.dumpShard(shard, clock) }
-	if err := wal.WriteCheckpoint(d.dir, d.logWrap, info, dump); err != nil {
-		return err
-	}
-	if err := d.wal.RemoveSegmentsBelow(d.wal.CurrentSegment()); err != nil {
-		return err
-	}
-	d.wal.MarkCheckpoint()
-	return nil
 }
 
 // Close stops the maintenance scheduler and the background migrator,
@@ -515,21 +328,32 @@ func (d *DB) Close() error {
 	if err := d.mig.stop(); err != nil && cpErr == nil {
 		cpErr = err
 	}
-	if d.wal != nil {
-		if err := d.wal.Close(); err != nil && cpErr == nil {
-			cpErr = err
-		}
-	}
-	if d.pf != nil {
-		// Acknowledged commits are durable in the WAL regardless; the
-		// device files hold at most the last checkpoint boundary plus
-		// burns, and reopening reconciles them. Close just releases fds.
-		d.closeDevices()
-	}
-	if d.dirLock != nil {
-		// Closing the fd releases the flock: the directory may be
-		// reopened by anyone.
-		_ = d.dirLock.Close()
+	if err := d.releaseFiles(); err != nil && cpErr == nil {
+		cpErr = err
 	}
 	return cpErr
+}
+
+// releaseFiles closes the log, the device files and the directory lock
+// — whichever of them are open — and returns the log's close error.
+// Acknowledged commits are durable in the WAL regardless; the device
+// files hold at most the last checkpoint boundary plus burns, and
+// reopening reconciles them, so closing them only releases fds. Closing
+// the lock's fd releases the flock: the directory may be reopened by
+// anyone.
+func (d *DB) releaseFiles() error {
+	var err error
+	if d.wal != nil {
+		err = d.wal.Close()
+	}
+	if d.pf != nil {
+		_ = d.pf.Close()
+	}
+	if d.bf != nil {
+		_ = d.bf.Close()
+	}
+	if d.dirLock != nil {
+		_ = d.dirLock.Close()
+	}
+	return err
 }

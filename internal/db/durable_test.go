@@ -107,8 +107,8 @@ func TestDurableSecondariesRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Checkpoint so recovery exercises the dump+replay composition, then
-	// write more so the tail is non-empty.
+	// Checkpoint so recovery exercises the image+replay composition,
+	// then write more so the tail is non-empty.
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +136,11 @@ func TestDurableSecondariesRecovered(t *testing.T) {
 }
 
 func TestDurableSecondariesMultiShardCheckpointReopen(t *testing.T) {
-	// Regression: the secondary index is ONE tree spanning all shards,
-	// so checkpoint reload must apply versions in GLOBAL commit-time
-	// order — applying shard 0's dump fully before shard 1's would feed
-	// the secondary tree decreasing commit times and fail the reopen.
-	// Keys here are spread so consecutive commits land on far-apart
-	// shards.
+	// The secondary index is ONE tree spanning all shards, so recovery
+	// must feed it commit times that never decrease GLOBALLY: its image
+	// plus the tail past its own boundary, in log order, whatever the
+	// per-shard boundaries are. Keys here are spread so consecutive
+	// commits land on far-apart shards.
 	dir := t.TempDir()
 	secs := map[string]SecondaryExtract{"dept": deptExtract}
 	d := openDur(t, Config{Dir: dir, Shards: 4, Secondaries: secs, CheckpointBytes: -1})
@@ -270,7 +269,7 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	if len(segsAfter) != 1 {
 		t.Fatalf("%d segments after checkpoint, want only the live one", len(segsAfter))
 	}
-	info, found, err := wal.ReadCheckpointInfo(dir)
+	info, found, err := wal.ReadCheckpoint(dir)
 	if err != nil || !found {
 		t.Fatalf("checkpoint info: found=%v err=%v", found, err)
 	}
@@ -298,7 +297,7 @@ func TestBackgroundCheckpointerTruncates(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		info, found, err := wal.ReadCheckpointInfo(dir)
+		info, found, err := wal.ReadCheckpoint(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,8 +372,8 @@ func TestDurableConcurrentCommitsAndCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	// Keys spread across all 4 shards and a secondary index riding
 	// along: a checkpoint racing the writers must stay boundary-exact
-	// (a fuzzy dump would feed the shard-spanning secondary tree
-	// out-of-order commit times on reload).
+	// per tree (replay must neither skip nor repeat a commit for any
+	// shard or for the shard-spanning secondary tree).
 	secs := map[string]SecondaryExtract{"dept": deptExtract}
 	d := openDur(t, Config{Dir: dir, Shards: 4, Secondaries: secs, CheckpointBytes: -1})
 	const workers = 4

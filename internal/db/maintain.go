@@ -11,10 +11,9 @@ package db
 //     per-shard migrator workers; the scheduler's role is the shared
 //     fence (pause/resume) every other job uses around its own
 //     critical windows.
-//   - the fuzzy paged flush (paged.go, checkpointPagedLocked):
-//     triggered here on WAL growth, exactly as the old background
-//     checkpointer did, but now capturing the boundary one flush group
-//     at a time so the writer-visible pause is one shard's capture.
+//   - the fuzzy checkpoint flush (paged.go, flushAndInstall): triggered
+//     here on WAL growth, capturing the boundary one flush group at a
+//     time so the writer-visible pause is one shard's capture.
 //   - WORM compaction (DB.Compact, below): triggered here once the
 //     dead-burn payload (Stats().Device.DeadBytes) passes
 //     Config.CompactDeadBytes.
@@ -137,7 +136,7 @@ func (d *DB) maintenanceJobs() []maintJob {
 		},
 		run: d.Checkpoint,
 	}}
-	if d.pf != nil && d.coEvery > 0 {
+	if d.coEvery > 0 {
 		jobs = append(jobs, maintJob{
 			name: "compact",
 			due:  func() bool { return int64(d.deadBytes.Load()) >= d.coEvery },
@@ -182,7 +181,7 @@ func (d *DB) maintenanceLoop() {
 	}
 }
 
-// Compact reclaims dead write-once capacity on a paged database: runs
+// Compact reclaims dead write-once capacity on a durable database: runs
 // that nothing references — abandoned background migrations, post-crash
 // orphans — are squeezed out of the burn file by copying the live tail
 // forward and truncating the rest. Four phases:
@@ -209,7 +208,7 @@ func (d *DB) maintenanceLoop() {
 func (d *DB) Compact() (CompactionReport, error) {
 	var rep CompactionReport
 	if d.bf == nil {
-		return rep, fmt.Errorf("db: Compact requires paged devices (Config.PagedDevices)")
+		return rep, fmt.Errorf("db: Compact requires a durable database (Config.Dir)")
 	}
 	d.cpMu.Lock()
 	defer d.cpMu.Unlock()

@@ -27,9 +27,8 @@ package db
 //     write-once waste, counted in MigratorStats.Abandoned, exactly as a
 //     torn migration on real WORM media would be.
 //   - Checkpoints fence the migrator (pause: in-flight tickets complete,
-//     workers idle) around the boundary capture, so a v3 dump or v4 page
-//     capture never interleaves with a swap or a boundary-straddling
-//     burn. Queued-but-unprocessed marks are NOT part of durable state:
+//     workers idle) around the boundary capture, so a page capture
+//     never interleaves with a swap or a boundary-straddling burn. Queued-but-unprocessed marks are NOT part of durable state:
 //     after a crash they vanish, the leaves are simply still unsplit,
 //     and future inserts re-queue them.
 //   - Close stops the workers after their in-flight ticket (if any)

@@ -36,13 +36,7 @@ func TestRecoveryPagedMigratorConcurrentCrash(t *testing.T) {
 		cfg.Shards = 4
 		cfg.CheckpointBytes = 2048
 		cfg.BackgroundMigration = true
-		cfg.logWrap = func(f storage.LogFile) storage.LogFile {
-			return storage.NewTornLogFile(f, plan)
-		}
-		cfg.blockWrap = func(f storage.BlockFile) storage.BlockFile {
-			return storage.NewTornBlockFile(f, plan)
-		}
-		d, err := Open(cfg)
+		d, err := Open(tearConfig(cfg, plan, true, true))
 		if err != nil {
 			if errors.Is(err, storage.ErrInjected) {
 				continue // tear fired inside the seal checkpoint

@@ -1,15 +1,53 @@
 package db
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/record"
+	"repro/internal/storage"
 	"repro/internal/txn"
 )
+
+// dbImage is the whole state of an in-memory database — both device
+// images, every tree image, the clock: the reference two databases are
+// compared on when they must be byte-identical.
+type dbImage struct {
+	Magnetic    storage.MagneticImage
+	WORM        storage.WORMImage
+	Shards      []core.TreeImage
+	Secondaries map[string]core.TreeImage
+	Clock       record.Timestamp
+}
+
+// imageOf captures d's image. d must be in memory and idle.
+func imageOf(t *testing.T, d *DB) dbImage {
+	t.Helper()
+	img := dbImage{
+		Magnetic:    d.mag.(*storage.MagneticDisk).Image(),
+		WORM:        d.worm.(*storage.WORMDisk).Image(),
+		Secondaries: map[string]core.TreeImage{},
+		Clock:       d.Now(),
+	}
+	for i := 0; i < d.Shards(); i++ {
+		if err := d.WithShardTree(i, func(tree *core.Tree) error {
+			img.Shards = append(img.Shards, tree.Image())
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.secMu.RLock()
+	defer d.secMu.RUnlock()
+	for name, s := range d.secondaries {
+		img.Secondaries[name] = s.index.Image()
+	}
+	return img
+}
 
 // applyShardOpsDrained applies ops one at a time, draining the background
 // migration queue after every operation — the serialized discipline under
@@ -59,8 +97,8 @@ func collectCursor(t *testing.T, c *Cursor) []record.Version {
 
 // TestMigratorEquivalenceProperty is the background-migration property
 // test: a multi-shard database running the background migrator (drained
-// after each operation) must be byte-identical — the full SaveTo image:
-// device contents, tree metadata, stats — to an inline-split database
+// after each operation) must be byte-identical — the full image: device
+// contents, tree metadata, stats, clock — to an inline-split database
 // given the same operation sequence, and must answer forward, reverse,
 // and limit/paginated scans identically.
 func TestMigratorEquivalenceProperty(t *testing.T) {
@@ -105,16 +143,9 @@ func TestMigratorEquivalenceProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				var imgInline, imgBg bytes.Buffer
-				if err := inline.SaveTo(&imgInline); err != nil {
-					t.Fatal(err)
-				}
-				if err := bg.SaveTo(&imgBg); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(imgInline.Bytes(), imgBg.Bytes()) {
-					t.Fatalf("SaveTo images diverged: inline %d bytes, background %d bytes (tree stats inline=%+v bg=%+v)",
-						imgInline.Len(), imgBg.Len(), inline.Stats().Tree, bg.Stats().Tree)
+				if !reflect.DeepEqual(imageOf(t, inline), imageOf(t, bg)) {
+					t.Fatalf("images diverged (tree stats inline=%+v bg=%+v)",
+						inline.Stats().Tree, bg.Stats().Tree)
 				}
 
 				// Forward, reverse, and limit/paginated scans agree.
@@ -233,7 +264,7 @@ func TestMigratorConcurrentStress(t *testing.T) {
 }
 
 // TestMigratorDurableCheckpointReopen runs the migrator against a durable
-// (logical-checkpoint) database with checkpoints taken mid-stream — the
+// database with checkpoints taken mid-stream — the
 // fence path — then closes with migrations still queued and reopens: the
 // recovered database must hold exactly the acknowledged updates.
 func TestMigratorDurableCheckpointReopen(t *testing.T) {
@@ -349,56 +380,5 @@ func TestMigratorStatsSurface(t *testing.T) {
 	}
 	if ist.SplitLatchNanos == 0 {
 		t.Fatal("inline database reports zero split-latch time despite splits")
-	}
-}
-
-// TestMigratorSaveToFenced is the regression test for SaveTo on a
-// background-migration database: the whole-image checkpoint must fence
-// the workers (as DB.Checkpoint does) so a mid-image swap cannot tear
-// the device/tree capture. The saved image must reload into a database
-// holding every acknowledged value.
-func TestMigratorSaveToFenced(t *testing.T) {
-	for round := 0; round < 5; round++ {
-		d, err := Open(Config{
-			Shards: 2, LeafCapacity: 512, IndexCapacity: 1024,
-			BackgroundMigration: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := map[string]string{}
-		for i := 0; i < 400; i++ {
-			k := fmt.Sprintf("key%02d", i%12)
-			v := fmt.Sprintf("val%d-%d", round, i)
-			if err := d.Update(func(tx *txn.Txn) error {
-				return tx.Put(record.StringKey(k), []byte(v))
-			}); err != nil {
-				t.Fatal(err)
-			}
-			want[k] = v
-		}
-		// Save immediately after the burst: the queue is typically
-		// non-empty and a worker may be mid-ticket.
-		var img bytes.Buffer
-		if err := d.SaveTo(&img); err != nil {
-			t.Fatal(err)
-		}
-		re, err := LoadFrom(&img, nil, nil)
-		if err != nil {
-			t.Fatalf("round %d: LoadFrom of mid-migration image: %v", round, err)
-		}
-		if err := re.CheckInvariants(); err != nil {
-			t.Fatalf("round %d: reloaded invariants: %v", round, err)
-		}
-		for k, v := range want {
-			got, ok, err := re.Get(record.StringKey(k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok || string(got.Value) != v {
-				t.Fatalf("round %d: reloaded key %s = %q, want %q (ok=%v)", round, k, got.Value, v, ok)
-			}
-		}
-		d.Close()
 	}
 }

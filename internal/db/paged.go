@@ -1,8 +1,8 @@
 package db
 
-// The paged durable mode: the storage devices themselves are disk files
-// (internal/pagestore), so a checkpoint flushes dirty pages instead of
-// rewriting a logical image of the whole database.
+// The checkpoint of a durable database: the devices are disk files
+// (internal/pagestore), so a checkpoint flushes dirty pages and installs
+// the metadata that reattaches the engine to them.
 //
 // The protocol, precisely:
 //
@@ -19,22 +19,22 @@ package db
 //     pause, then captures the boundary FUZZILY, one flush group at a
 //     time: the WAL is rotated under the commit token alone, and then
 //     each shard is captured under the token plus that ONE shard's read
-//     latch — its boundary LSN (v4 meta GroupLSNs[i]), its tree image,
-//     its dirty pages (memory copies only), and its slice of the
-//     in-flight write-lock set. The secondary indexes are captured
-//     last, the same way, under the secondary latch (SecLSN), together
-//     with the page allocator and the WORM burned count. No instant
-//     quiesces the whole database: the pause a writer can observe is
-//     one shard's capture, not all of them. Replay compensates for the
-//     skew — a logged version applies to its primary shard only past
-//     that shard's GroupLSN, and to the secondaries only past SecLSN —
-//     so reload + tail replay stays exactly-once per tree. The skew
+//     latch — its boundary LSN (meta GroupLSNs[i]), its tree image, its
+//     dirty pages (memory copies only), and its slice of the in-flight
+//     write-lock set. The secondary indexes are captured last, the same
+//     way, under the secondary latch (SecLSN), together with the page
+//     allocator and the WORM burned count. No instant quiesces the
+//     whole database: the pause a writer can observe is one shard's
+//     capture, not all of them. Replay compensates for the skew — a
+//     logged version applies to its primary shard only past that
+//     shard's GroupLSN, and to the secondaries only past SecLSN — so
+//     reload + tail replay stays exactly-once per tree. The skew
 //     windows can leak bounded garbage on a crash (a page allocated, or
 //     a run burned, after its tree's capture but before the allocator/
 //     burned capture): allocated-but-unreferenced pages and dead burns,
 //     never lost data; compaction reclaims the dead burns.
 //
-//   - The captured pages are flushed, both files fsynced, and the v4
+//   - The captured pages are flushed, both files fsynced, and the
 //     checkpoint metadata durably installed (tmp + fsync + rename).
 //     Every page overwritten by a flush had its old contents appended
 //     to the page file's rollback journal (and fsynced) first, so a
@@ -43,147 +43,22 @@ package db
 //     After the install, the journal is retired and old segments are
 //     deleted.
 //
-//   - Recovery (openPaged) reopens the device files — replaying a
-//     matching rollback journal, verifying page CRCs as pages are read,
-//     and verifying + clipping the WORM tail past the boundary —
+//   - Recovery (Open, durable.go) reopens the device files — replaying
+//     a matching rollback journal, verifying page CRCs as pages are
+//     read, and verifying + clipping the WORM tail past the boundary —
 //     reattaches the trees from their checkpointed images, erases the
 //     pending versions of the transactions in flight at the boundary
-//     (they died with the crash; a logical dump filters them out, a
-//     page image cannot), and replays the WAL tail past the boundary
-//     LSN. Orphaned intact burns stay as burned waste, exactly as
-//     unacknowledged burns on write-once media would.
+//     (they died with the crash, and a page image cannot filter them
+//     out), and replays the WAL tail past the boundary LSNs. Orphaned
+//     intact burns stay as burned waste, exactly as unacknowledged
+//     burns on write-once media would.
 
 import (
-	"errors"
-	"fmt"
-
 	"repro/internal/buffer"
 	"repro/internal/core"
-	"repro/internal/pagestore"
 	"repro/internal/record"
-	"repro/internal/secondary"
 	"repro/internal/wal"
 )
-
-// openPaged builds the paged-device substrate of a durable database:
-// fresh device files for a new (or pre-first-checkpoint) directory, or
-// a reattachment to the files an installed checkpoint describes. The
-// caller (openDurable) then replays the WAL tail and wires the
-// transaction manager exactly as in the logical mode.
-func openPaged(cfg Config, info wal.CheckpointInfo, found bool) (*DB, error) {
-	pagePath, burnPath := pagestore.Paths(cfg.Dir)
-	d := &DB{
-		secondaries: make(map[string]*secondaryIndex),
-		policy:      cfg.Policy,
-		bufferPages: cfg.BufferPages,
-		secTag:      cfg.Shards,
-		dir:         cfg.Dir,
-		logWrap:     cfg.logWrap,
-	}
-
-	if !found {
-		// No installed checkpoint: whatever device files exist are the
-		// remains of an open that crashed before its seal checkpoint —
-		// nothing in them was ever acknowledged. Start clean.
-		pf, err := pagestore.Create(pagestore.Config{Path: pagePath, PageSize: cfg.PageSize, Wrap: cfg.blockWrap})
-		if err != nil {
-			return nil, err
-		}
-		bf, err := pagestore.CreateBurn(pagestore.BurnConfig{Path: burnPath, SectorSize: cfg.SectorSize, Wrap: cfg.blockWrap})
-		if err != nil {
-			_ = pf.Close()
-			return nil, err
-		}
-		d.pf, d.bf = pf, bf
-		d.mag, d.worm = pf, bf
-		d.pool = buffer.NewWritebackPool(pf, cfg.BufferPages)
-		trees := make([]*core.Tree, cfg.Shards)
-		for i := range trees {
-			tree, err := core.New(d.pool.Tagged(i), bf, core.Config{
-				Policy:        cfg.Policy,
-				MaxKeySize:    cfg.MaxKeySize,
-				MaxValueSize:  cfg.MaxValueSize,
-				LeafCapacity:  cfg.LeafCapacity,
-				IndexCapacity: cfg.IndexCapacity,
-			})
-			if err != nil {
-				d.closeDevices()
-				return nil, err
-			}
-			trees[i] = tree
-		}
-		d.store = newShardedStore(trees)
-		for name, extract := range cfg.Secondaries {
-			if err := d.CreateSecondary(name, extract); err != nil {
-				d.closeDevices()
-				return nil, err
-			}
-		}
-		return d, nil
-	}
-
-	m := info.Paged
-	pf, err := pagestore.Open(pagestore.Config{Path: pagePath, PageSize: m.PageSize, Wrap: cfg.blockWrap},
-		m.Alloc, m.MagStats, m.Epoch)
-	if err != nil {
-		return nil, err
-	}
-	bf, rep, err := pagestore.OpenBurn(pagestore.BurnConfig{Path: burnPath, SectorSize: m.SectorSize, Wrap: cfg.blockWrap},
-		m.Burned, m.WormStats, m.Epoch)
-	if err != nil {
-		_ = pf.Close()
-		return nil, err
-	}
-	d.pf, d.bf = pf, bf
-	d.mag, d.worm = pf, bf
-	d.epoch = m.Epoch
-	// Dead-burn accounting survives the reopen, and the clipped tail's
-	// orphans (burns acknowledged by no checkpoint) join it: both are
-	// write-once payload nothing references, reclaimable by compaction.
-	d.deadBytes.Store(m.DeadBytes + rep.OrphanPayloadBytes)
-	d.pool = buffer.NewWritebackPool(pf, cfg.BufferPages)
-	trees := make([]*core.Tree, len(m.Shards))
-	for i, img := range m.Shards {
-		tree, terr := core.FromImage(d.pool.Tagged(i), bf, img)
-		if terr != nil {
-			d.closeDevices()
-			return nil, fmt.Errorf("db: shard %d: %w", i, terr)
-		}
-		trees[i] = tree
-	}
-	d.store = newShardedStore(trees)
-	d.policy = trees[0].Policy()
-	for name, img := range m.Secondaries {
-		ix, serr := secondary.FromImage(name, d.pool.Tagged(d.secTag), bf, img)
-		if serr != nil {
-			d.closeDevices()
-			return nil, fmt.Errorf("db: secondary %q: %w", name, serr)
-		}
-		d.secondaries[name] = &secondaryIndex{index: ix, extract: cfg.Secondaries[name]}
-	}
-	// The image may contain pending versions of transactions in flight
-	// at the boundary; they died with the crash. Erase them before the
-	// WAL tail replays (a committed one re-arrives from its log frame).
-	// The lock-table snapshot is a superset of what actually reached
-	// the trees, so "nothing to abort" is fine.
-	for _, p := range m.Pending {
-		if err := d.store.AbortKey(p.Key, p.TxnID); err != nil && !errors.Is(err, core.ErrNoPending) {
-			d.closeDevices()
-			return nil, fmt.Errorf("db: erasing boundary pending version of %s: %w", p.Key, err)
-		}
-	}
-	return d, nil
-}
-
-// closeDevices releases the paged device files on a failed open.
-func (d *DB) closeDevices() {
-	if d.pf != nil {
-		_ = d.pf.Close()
-	}
-	if d.bf != nil {
-		_ = d.bf.Close()
-	}
-}
 
 // flushPages writes one captured batch of dirty pages through the page
 // file's journal protocol and retires the untouched ones from the
@@ -205,13 +80,13 @@ func (d *DB) flushPages(copies []buffer.DirtyPage) error {
 	return nil
 }
 
-// checkpointPagedLocked is DB.Checkpoint for the paged mode, called
-// under cpMu. Its cost is O(dirty pages), independent of database size:
-// nothing is dumped, only the dirty-page table is flushed and a
-// metadata-only checkpoint installed. The boundary capture is fuzzy —
-// per flush group, never whole-database; see the package comment's
-// protocol and the GroupLSNs/SecLSN fields of wal.PagedMeta.
-func (d *DB) checkpointPagedLocked() error {
+// flushAndInstall is the body of a checkpoint, called under cpMu. Its
+// cost is O(dirty pages), independent of database size: only the
+// dirty-page table is flushed and a metadata-only checkpoint installed.
+// The boundary capture is fuzzy — per flush group, never whole-database;
+// see the protocol at the top of this file and the GroupLSNs/SecLSN
+// fields of wal.PagedMeta.
+func (d *DB) flushAndInstall() error {
 	// Fuzzy pre-flush, flush group by flush group (shards, then the
 	// secondary indexes — captured in ONE pool walk), with commits
 	// running: shrinks the set the boundary capture must copy. Pages
@@ -268,7 +143,7 @@ func (d *DB) checkpointPagedLocked() error {
 			// This shard's slice of the in-flight write-lock set: the
 			// captured pages may hold those transactions' pending
 			// versions, and if this boundary is ever recovered they are
-			// dead — recovery erases them (see openPaged). A lock
+			// dead — recovery erases them (see recoverTo). A lock
 			// released after this instant is either aborted (the erase
 			// finds nothing or removes a version the flushed page still
 			// shows) or committed past GroupLSNs[i] (erased, then
@@ -340,7 +215,7 @@ func (d *DB) checkpointPagedLocked() error {
 		Secondaries: d.secondaryNames(),
 		Paged:       &meta,
 	}
-	if err := wal.WriteCheckpoint(d.dir, d.logWrap, info, nil); err != nil {
+	if err := wal.WriteCheckpoint(d.dir, d.logWrap, info); err != nil {
 		return err
 	}
 	// The rename landed: the installed boundary IS meta.Epoch from here

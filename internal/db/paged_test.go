@@ -5,20 +5,28 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/record"
 	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
-// pagedConfig is the base configuration of the paged-mode tests: small
+// pagedConfig is the base configuration of the device-file tests: small
 // nodes so splits and WORM migrations actually happen.
 func pagedConfig(dir string) Config {
 	return Config{
-		Dir: dir, PagedDevices: true, Shards: 2, CheckpointBytes: -1,
+		Dir: dir, Shards: 2, CheckpointBytes: -1,
 		LeafCapacity: 512, IndexCapacity: 1024, SectorSize: 256,
 	}
+}
+
+func pagedConfigWithSecs(dir string, secs map[string]SecondaryExtract) Config {
+	cfg := pagedConfig(dir)
+	cfg.Secondaries = secs
+	return cfg
 }
 
 func mustPut(t *testing.T, d *DB, k, v string) {
@@ -30,7 +38,7 @@ func mustPut(t *testing.T, d *DB, k, v string) {
 	}
 }
 
-// TestPagedOpenReopen is the basic paged-mode round trip: write,
+// TestPagedOpenReopen is the basic device-file round trip: write,
 // checkpoint, write more (so the WAL tail matters), close, reopen, and
 // demand every version — current, historical, scanned — plus the device
 // accounting to survive.
@@ -134,62 +142,94 @@ func TestPagedCheckpointIncremental(t *testing.T) {
 	}
 }
 
-// TestPagedModeMismatch: a directory is paged or logical at creation,
-// forever.
-func TestPagedModeMismatch(t *testing.T) {
-	dir := t.TempDir()
-	d, err := Open(pagedConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPut(t, d, "a", "1")
-	d.Close()
-	cfg := pagedConfig(dir)
-	cfg.PagedDevices = false
-	if _, err := Open(cfg); err == nil || !strings.Contains(err.Error(), "paged") {
-		t.Fatalf("logical open of a paged directory: err = %v", err)
-	}
-
-	dir2 := t.TempDir()
-	cfg2 := pagedConfig(dir2)
-	cfg2.PagedDevices = false
-	d2, err := Open(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPut(t, d2, "a", "1")
-	d2.Close()
-	if _, err := Open(pagedConfig(dir2)); err == nil || !strings.Contains(err.Error(), "logical") {
-		t.Fatalf("paged open of a logical directory: err = %v", err)
-	}
-}
-
-// TestPagedSaveToRefused: SaveTo images simulated devices only.
-func TestPagedSaveToRefused(t *testing.T) {
-	dir := t.TempDir()
-	d, err := Open(pagedConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if err := d.SaveTo(os.NewFile(0, "discard")); err == nil || !strings.Contains(err.Error(), "paged") {
-		t.Fatalf("SaveTo on paged database: err = %v", err)
-	}
-}
-
-// TestPagedConfigValidation: PagedDevices needs Dir and the pool.
+// TestPagedConfigValidation: a durable database needs the pool — its
+// dirty-page table is what a checkpoint flushes.
 func TestPagedConfigValidation(t *testing.T) {
-	if _, err := Open(Config{PagedDevices: true}); err == nil {
-		t.Fatal("PagedDevices without Dir accepted")
+	dir := filepath.Join(t.TempDir(), "db")
+	if _, err := Open(Config{Dir: dir, BufferPages: NoCachePages}); err == nil {
+		t.Fatal("durable database with NoCachePages accepted")
 	}
-	if _, err := Open(Config{PagedDevices: true, Dir: t.TempDir(), BufferPages: NoCachePages}); err == nil {
-		t.Fatal("PagedDevices with NoCachePages accepted")
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("rejected config still touched the directory: %v", err)
+	}
+}
+
+// TestOpenRefusesRetiredFormat: a directory whose CHECKPOINT is the
+// retired logical format (3) holds a real database this engine cannot
+// read. Open must say so — not see "no checkpoint" and create a fresh
+// database over it — and must leave every file as it found it.
+func TestOpenRefusesRetiredFormat(t *testing.T) {
+	dir := t.TempDir()
+	frame := func(build func(e *record.Encoder)) []byte {
+		e := record.NewEncoder(nil)
+		build(e)
+		return record.AppendFrame(nil, e.Bytes())
+	}
+	var file []byte
+	file = append(file, frame(func(e *record.Encoder) { // header
+		e.Byte(2)
+		e.Uvarint(3) // format
+		e.Uvarint(1) // shards
+		e.Time(1)    // clock
+		e.Uvarint(1) // LSN
+		e.Uvarint(0) // secondaries
+	})...)
+	file = append(file, frame(func(e *record.Encoder) { // shard chunk
+		e.Byte(3)
+		e.Uvarint(0)
+		e.Versions([]record.Version{{Key: record.StringKey("k"), Time: 1, Value: []byte("v")}})
+	})...)
+	file = append(file, frame(func(e *record.Encoder) { // footer
+		e.Byte(4)
+		e.Uvarint(1)
+	})...)
+	if err := os.WriteFile(filepath.Join(dir, "CHECKPOINT"), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wal-00000002.log"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() map[string]string {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, ent := range ents {
+			if ent.Name() == "LOCK" {
+				continue // the advisory lock file is not database state
+			}
+			data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[ent.Name()] = string(data)
+		}
+		return out
+	}
+	before := snapshot()
+
+	_, err := Open(Config{Dir: dir})
+	if !errors.Is(err, wal.ErrRetiredFormat) {
+		t.Fatalf("open of a format-3 directory: err = %v, want wal.ErrRetiredFormat", err)
+	}
+	if !strings.Contains(err.Error(), "logical") {
+		t.Fatalf("error does not name the retired logical format: %v", err)
+	}
+	if after := snapshot(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused open changed the directory:\nbefore %q\nafter  %q", before, after)
+	}
+	// The refusal released the lock: a second attempt fails the same
+	// way, not with ErrLocked.
+	if _, err := Open(Config{Dir: dir}); !errors.Is(err, wal.ErrRetiredFormat) {
+		t.Fatalf("second open: err = %v", err)
 	}
 }
 
 // TestPagedSecondariesReopen: secondary indexes rebuilt from tree
 // images answer the same lookups after a reopen, and reopening demands
-// the extractor set exactly as the logical mode does.
+// the extractor set.
 func TestPagedSecondariesReopen(t *testing.T) {
 	dir := t.TempDir()
 	secs := map[string]SecondaryExtract{"dept": deptExtract}
@@ -291,20 +331,6 @@ func TestPagedPendingErasedOnRecovery(t *testing.T) {
 	}
 	if err := re.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPagedDoubleOpenLocked: the directory lock applies to paged
-// directories too.
-func TestPagedDoubleOpenLocked(t *testing.T) {
-	dir := t.TempDir()
-	d, err := Open(pagedConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if _, err := Open(pagedConfig(dir)); !errors.Is(err, ErrLocked) {
-		t.Fatalf("second open: err = %v, want ErrLocked", err)
 	}
 }
 

@@ -1,6 +1,6 @@
-// Package pagestore implements the file-backed storage devices of the
-// paged durable mode: the two-tier hierarchy the paper designs for
-// (§1) held in real disk files instead of in-memory simulations.
+// Package pagestore implements the file-backed storage devices of a
+// durable database: the two-tier hierarchy the paper designs for (§1)
+// held in real disk files instead of in-memory simulations.
 //
 //   - PageFile is the magnetic disk: a mutable array of fixed-size
 //     pages, each stored as a CRC-guarded frame, read and written at
@@ -21,7 +21,7 @@
 // storage.MagneticStats, SpaceO and burned-vs-payload via
 // storage.WORMStats) and satisfy the storage.PageDevice and
 // storage.WORMDevice contracts, so the TSB-trees run on them unchanged.
-// The wal checkpoint format v4 records the metadata that reattaches a
+// The wal checkpoint records the metadata that reattaches a
 // database to these files (allocator state, tree roots, the burned
 // boundary); see internal/db for the checkpoint and recovery protocol.
 package pagestore

@@ -88,8 +88,7 @@ func (e *Encoder) Version(v Version) {
 }
 
 // Versions appends a count-prefixed run of version records: the wire
-// encoding of a commit's write set, shared by the write-ahead log's
-// frames and the logical checkpoint chunks.
+// encoding of a commit's write set in the write-ahead log's frames.
 func (e *Encoder) Versions(vs []Version) {
 	e.Uvarint(uint64(len(vs)))
 	for _, v := range vs {

@@ -1,10 +1,10 @@
 package storage
 
-// Device images: exported snapshots of a device's full state, used by the
-// db layer's save/load (checkpointing) support. Images are plain data
-// with exported fields so they serialize with encoding/gob.
+// Device images: deep-copied snapshots of a simulated device's full
+// state, plain data with exported fields. Tests compare them to assert
+// that two databases reached byte-identical device contents.
 
-// MagneticImage is the serializable state of a MagneticDisk.
+// MagneticImage is the full state of a MagneticDisk.
 type MagneticImage struct {
 	PageSize int
 	Pages    [][]byte // nil = unwritten or freed
@@ -32,22 +32,7 @@ func (d *MagneticDisk) Image() MagneticImage {
 	return img
 }
 
-// NewMagneticFromImage reconstructs a disk from an image.
-func NewMagneticFromImage(img MagneticImage, cost CostModel) *MagneticDisk {
-	d := NewMagneticDisk(img.PageSize, cost)
-	d.pages = make([][]byte, len(img.Pages))
-	for i, p := range img.Pages {
-		if p != nil {
-			d.pages[i] = append([]byte(nil), p...)
-		}
-	}
-	d.live = append([]bool(nil), img.Live...)
-	d.free = append([]uint64(nil), img.Free...)
-	d.stats = img.Stats
-	return d
-}
-
-// WORMImage is the serializable state of a WORMDisk.
+// WORMImage is the full state of a WORMDisk.
 type WORMImage struct {
 	SectorSize     int
 	Sectors        [][]byte // nil = unburned
@@ -58,8 +43,7 @@ type WORMImage struct {
 }
 
 // Image captures the device's current state. Mounted-platter state is
-// transient and not captured (a reopened library starts with no platters
-// on line).
+// transient and not captured.
 func (d *WORMDisk) Image() WORMImage {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -77,23 +61,4 @@ func (d *WORMDisk) Image() WORMImage {
 		}
 	}
 	return img
-}
-
-// NewWORMFromImage reconstructs a device from an image.
-func NewWORMFromImage(img WORMImage, cost CostModel) *WORMDisk {
-	d := NewWORMDisk(WORMConfig{
-		SectorSize:     img.SectorSize,
-		Cost:           cost,
-		PlatterSectors: img.PlatterSectors,
-		Drives:         img.Drives,
-	})
-	d.sectors = make([][]byte, len(img.Sectors))
-	for i, s := range img.Sectors {
-		if s != nil {
-			d.sectors[i] = append([]byte(nil), s...)
-		}
-	}
-	d.reserved = img.Reserved
-	d.stats = img.Stats
-	return d
 }

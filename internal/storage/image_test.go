@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func TestMagneticImageRoundTrip(t *testing.T) {
+func TestMagneticImageSnapshot(t *testing.T) {
 	d := NewMagneticDisk(64, CostModel{})
 	p1, _ := d.Alloc()
 	p2, _ := d.Alloc()
@@ -16,61 +16,45 @@ func TestMagneticImageRoundTrip(t *testing.T) {
 	d.Free(p3)
 
 	img := d.Image()
-	d2 := NewMagneticFromImage(img, CostModel{})
-
-	got, err := d2.Read(p1)
-	if err != nil || string(got) != "one" {
-		t.Fatalf("Read(p1) = %q, %v", got, err)
+	if img.PageSize != 64 || string(img.Pages[p1]) != "one" || string(img.Pages[p2]) != "two" {
+		t.Fatalf("image contents: %+v", img)
 	}
-	if _, err := d2.Read(p3); err == nil {
-		t.Error("freed page must stay freed after restore")
+	if img.Live[p3] || len(img.Free) != 1 || img.Free[0] != p3 {
+		t.Fatalf("freed page not on the image's free list: live=%v free=%v", img.Live, img.Free)
 	}
-	// The free list survives: the next alloc reuses p3.
-	p4, _ := d2.Alloc()
-	if p4 != p3 {
-		t.Errorf("alloc after restore = %d, want recycled %d", p4, p3)
+	if img.Stats != d.Stats() {
+		t.Errorf("image stats %+v, device %+v", img.Stats, d.Stats())
 	}
-	if d2.Stats().PagesInUse != 3 {
-		t.Errorf("PagesInUse = %d", d2.Stats().PagesInUse)
-	}
-	// The image is a deep copy: mutating the restored disk leaves the
-	// original untouched.
-	d2.Write(p1, []byte("changed"))
-	orig, _ := d.Read(p1)
-	if string(orig) != "one" {
-		t.Error("image aliased original pages")
+	// The image is a deep copy: later writes leave it untouched.
+	d.Write(p1, []byte("changed"))
+	if string(img.Pages[p1]) != "one" {
+		t.Error("image aliases the device's pages")
 	}
 }
 
-func TestWORMImageRoundTrip(t *testing.T) {
+func TestWORMImageSnapshot(t *testing.T) {
 	d := NewWORMDisk(WORMConfig{SectorSize: 32, PlatterSectors: 8, Drives: 2})
 	addr, _ := d.Append(bytes.Repeat([]byte("x"), 70))
 	ext, _ := d.AllocExtent(3)
 	d.WriteSector(ext, []byte("extent0"))
 
 	img := d.Image()
-	d2 := NewWORMFromImage(img, CostModel{})
-	if d2.Stats().PayloadBytes != d.Stats().PayloadBytes ||
-		d2.Stats().SectorsBurned != d.Stats().SectorsBurned {
-		t.Error("stats lost in round trip")
+	if img.SectorSize != 32 || img.PlatterSectors != 8 || img.Drives != 2 || img.Reserved != ext+3 {
+		t.Fatalf("image geometry: %+v", img)
 	}
-
-	got, err := d2.ReadAt(addr)
-	if err != nil || len(got) != 70 {
-		t.Fatalf("ReadAt = %d bytes, %v", len(got), err)
+	if img.Stats != d.Stats() {
+		t.Errorf("image stats %+v, device %+v", img.Stats, d.Stats())
 	}
-	// Burn-once still enforced on restored sectors.
-	if err := d2.WriteSector(ext, []byte("again")); !errors.Is(err, ErrBurned) {
-		t.Fatalf("rewrite of restored sector = %v", err)
+	if img.Sectors[addr.Off] == nil || !bytes.HasPrefix(img.Sectors[ext], []byte("extent0")) {
+		t.Fatal("burned sectors missing from the image")
 	}
-	// Unburned reserved sectors remain writable.
-	if err := d2.WriteSector(ext+1, []byte("extent1")); err != nil {
-		t.Fatal(err)
+	if img.Sectors[ext+1] != nil {
+		t.Error("reserved-but-unburned sector has contents in the image")
 	}
-	// New appends land after the restored reservation.
-	a2, _ := d2.Append([]byte("tail"))
-	if a2.Off < ext+3 {
-		t.Errorf("append at %d overlaps restored extent [%d,%d)", a2.Off, ext, ext+3)
+	// Deep copy: a later burn does not appear in the image.
+	d.WriteSector(ext+1, []byte("extent1"))
+	if img.Sectors[ext+1] != nil {
+		t.Error("image aliases the device's sectors")
 	}
 }
 

@@ -108,10 +108,10 @@ type CostModel struct {
 
 	// RealSleep makes the devices actually sleep their access cost
 	// (while holding the device mutex — one arm, one head) instead of
-	// only accounting it in SimTime. Latency experiments use it to make
-	// device asymmetry physically observable — e.g. E14, where the
-	// write-once burn either runs under a shard's write latch (inline
-	// time splits) or off-latch (the background migrator). Keep the
+	// only accounting it in SimTime. Latency measurements use it to make
+	// device asymmetry physically observable — e.g. whether the
+	// write-once burn runs under a shard's write latch (inline time
+	// splits) or off-latch (the background migrator). Keep the
 	// durations small: a RealSleep MountDelay of 20s means a real 20s.
 	RealSleep bool
 }

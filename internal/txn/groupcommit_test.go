@@ -314,8 +314,8 @@ func TestActiveUpdatersCountsMidCommit(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- tx.Commit() }()
 	// While the commit is mid-flight (parked in the log append), the
-	// updater must still be counted: SaveTo's quiescence guard depends
-	// on it.
+	// updater must still be counted: quiescence means decided, not
+	// merely submitted.
 	for i := 0; i < 100; i++ {
 		if n := m.ActiveUpdaters(); n != 1 {
 			t.Fatalf("mid-commit ActiveUpdaters = %d, want 1", n)
@@ -352,8 +352,7 @@ func TestUpdateAbortsOnPanic(t *testing.T) {
 		})
 	}()
 	// The transaction was aborted on the way out: no active updater
-	// lingers (SaveTo's quiescence guard depends on this), the lock is
-	// free, and nothing is visible.
+	// lingers, the lock is free, and nothing is visible.
 	if n := m.ActiveUpdaters(); n != 0 {
 		t.Fatalf("ActiveUpdaters after panic = %d", n)
 	}

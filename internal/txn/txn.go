@@ -259,12 +259,11 @@ type PendingWrite struct {
 }
 
 // PendingWrites snapshots the lock table: every key currently
-// write-locked by an in-flight transaction. The paged checkpoint
-// records this set so recovery can erase the stale pending versions a
-// page-level image necessarily captures (a logical dump filters them
-// out; pages cannot). The snapshot is a superset of the pending
-// versions actually in the store — a locker may not have inserted yet —
-// so consumers must tolerate AbortKey finding nothing.
+// write-locked by an in-flight transaction. The checkpoint records
+// this set so recovery can erase the stale pending versions a
+// page-level image necessarily captures. The snapshot is a superset of
+// the pending versions actually in the store — a locker may not have
+// inserted yet — so consumers must tolerate AbortKey finding nothing.
 func (m *Manager) PendingWrites() []PendingWrite {
 	m.lockMu.Lock()
 	defer m.lockMu.Unlock()
@@ -453,8 +452,8 @@ func (t *Txn) Commit() error {
 		return ErrDone
 	}
 	t.done = true
-	// The updater stays counted until its outcome is decided, so a
-	// concurrent SaveTo cannot observe quiescence mid-posting.
+	// The updater stays counted until its outcome is decided, so
+	// ActiveUpdaters never reports quiescence mid-posting.
 	defer m.activeUpdaters.Add(-1)
 	if len(t.writes) == 0 {
 		m.committed.Add(1)

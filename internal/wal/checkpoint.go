@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,62 +10,56 @@ import (
 	"repro/internal/storage"
 )
 
-// CheckpointFormatVersion identifies the logical checkpoint format.
-// Versions 1 and 2 were the gob whole-image quiescent checkpoints of
-// db.SaveTo; version 3 is the incremental-friendly logical form: a
-// CRC-framed dump of every committed version, per shard, plus the LSN
-// the log was rotated at.
-const CheckpointFormatVersion = 3
-
-// PagedCheckpointFormatVersion identifies the paged checkpoint format:
-// no version chunks — the database pages live in the device files
-// (internal/pagestore), flushed before the checkpoint is installed —
-// only a PagedMeta frame reattaching the engine to them at the
-// page-consistent boundary the footer seals.
+// PagedCheckpointFormatVersion identifies the checkpoint format, the
+// only one the engine writes or reads: the database pages live in the
+// device files (internal/pagestore), flushed before the checkpoint is
+// installed, and the checkpoint is a header, one PagedMeta frame
+// reattaching the engine to them at a page-consistent boundary, and the
+// footer that seals it.
 const PagedCheckpointFormatVersion = 4
+
+// retiredLogicalFormat is format 3, the logical checkpoint: a dump of
+// every committed version per shard, for a database held in RAM on
+// simulated disks. The engine no longer reads it.
+const retiredLogicalFormat = 3
+
+// ErrRetiredFormat is returned by ReadCheckpoint for a checkpoint in a
+// format this engine no longer reads. The directory holds a real
+// database, so the caller must stop, not treat it as empty.
+var ErrRetiredFormat = errors.New("wal: checkpoint is in a retired format")
 
 const (
 	checkpointName    = "CHECKPOINT"
 	checkpointTmpName = "CHECKPOINT.tmp"
 )
 
-// checkpointChunk bounds how many versions one shard-chunk frame
-// carries, so a frame stays a bounded unit of work and corruption loss.
-const checkpointChunk = 512
-
-// CheckpointInfo is the header of a checkpoint: everything recovery
-// needs before it streams the version chunks.
+// CheckpointInfo is a checkpoint: the header fields plus the PagedMeta
+// frame.
 type CheckpointInfo struct {
-	// Shards is the key-range shard count the dump is partitioned by;
-	// a durable database reopens with the same count.
+	// Shards is the key-range shard count; a durable database reopens
+	// with the same count.
 	Shards int
-	// Clock is the commit clock at the rotation boundary: every commit
-	// at or before it is fully contained in the dump.
+	// Clock is the commit clock when the last tree image was captured:
+	// a lower bound of the clock recovery resumes at.
 	Clock record.Timestamp
-	// LSN is the rotation boundary: log records at or below it are
-	// exactly the dump's contents (dumps are boundary-exact — nothing
-	// stamped after Clock is included, so the log tail past this LSN is
-	// replayed unconditionally), and segments wholly at or below it are
-	// deleted after the checkpoint lands.
+	// LSN is the rotation boundary: every per-tree capture boundary in
+	// Paged is at or above it, so replay starts after it and segments
+	// wholly at or below it are deleted once the checkpoint lands.
 	LSN uint64
 	// Secondaries names the secondary indexes registered when the
 	// checkpoint was taken; reopening requires an extractor per name.
 	Secondaries []string
-	// Paged is the device/tree metadata of a paged (format v4)
-	// checkpoint, nil for a logical (v3) one. A paged checkpoint has no
-	// version chunks: the committed database is the device files
-	// themselves, page-consistent at this boundary.
+	// Paged is the device/tree metadata. Never nil in a checkpoint
+	// ReadCheckpoint returned.
 	Paged *PagedMeta
 }
 
-// WriteCheckpoint durably writes a checkpoint: header, then every
-// shard's committed versions (dump(i) must return them boundary-exact —
-// nothing stamped after info.Clock — and sorted so commit times never
-// decrease; reload applies all shards in one globally time-sorted
-// pass), then a footer proving completeness, all CRC-framed, fsynced to
-// a temporary file and atomically renamed into place. wrap is the
+// WriteCheckpoint durably writes a checkpoint: header, the PagedMeta
+// frame, then a footer proving completeness, all CRC-framed, fsynced to
+// a temporary file and atomically renamed into place. The device files
+// the meta describes must already be flushed and fsynced. wrap is the
 // fault-injection seam (may be nil).
-func WriteCheckpoint(dir string, wrap func(storage.LogFile) storage.LogFile, info CheckpointInfo, dump func(shard int) ([]record.Version, error)) (err error) {
+func WriteCheckpoint(dir string, wrap func(storage.LogFile) storage.LogFile, info CheckpointInfo) (err error) {
 	tmpPath := filepath.Join(dir, checkpointTmpName)
 	raw, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -88,13 +83,9 @@ func WriteCheckpoint(dir string, wrap func(storage.LogFile) storage.LogFile, inf
 		return nil
 	}
 
-	version := uint64(CheckpointFormatVersion)
-	if info.Paged != nil {
-		version = PagedCheckpointFormatVersion
-	}
 	e := record.NewEncoder(nil)
 	e.Byte(frameCheckpointHeader)
-	e.Uvarint(version)
+	e.Uvarint(PagedCheckpointFormatVersion)
 	e.Uvarint(uint64(info.Shards))
 	e.Time(info.Clock)
 	e.Uvarint(info.LSN)
@@ -106,31 +97,8 @@ func WriteCheckpoint(dir string, wrap func(storage.LogFile) storage.LogFile, inf
 		return err
 	}
 
-	if info.Paged != nil {
-		// A paged checkpoint carries no versions: the database pages
-		// are already flushed into the device files. Only the
-		// reattachment metadata is written.
-		if err = write(encodePagedMeta(info.Paged)); err != nil {
-			return err
-		}
-	} else {
-		for shard := 0; shard < info.Shards; shard++ {
-			vs, derr := dump(shard)
-			if derr != nil {
-				err = fmt.Errorf("wal: checkpoint dump of shard %d: %w", shard, derr)
-				return err
-			}
-			for base := 0; base < len(vs); base += checkpointChunk {
-				end := min(base+checkpointChunk, len(vs))
-				e := record.NewEncoder(nil)
-				e.Byte(frameShardChunk)
-				e.Uvarint(uint64(shard))
-				e.Versions(vs[base:end])
-				if err = write(e.Bytes()); err != nil {
-					return err
-				}
-			}
-		}
+	if err = write(encodePagedMeta(info.Paged)); err != nil {
+		return err
 	}
 
 	e = record.NewEncoder(nil)
@@ -152,13 +120,12 @@ func WriteCheckpoint(dir string, wrap func(storage.LogFile) storage.LogFile, inf
 	return nil
 }
 
-// ReadCheckpoint reads dir's checkpoint, streaming each shard chunk's
-// versions through apply (in file order, which per shard is commit-time
-// order). found=false means no checkpoint exists (a fresh or
-// pre-first-checkpoint directory). A checkpoint is only ever installed
-// complete, so a torn or incomplete one is corruption, not a crash
-// artifact: the error says so.
-func ReadCheckpoint(dir string, apply func(shard int, vs []record.Version) error) (info CheckpointInfo, found bool, err error) {
+// ReadCheckpoint reads and verifies dir's checkpoint. found=false means
+// no checkpoint exists (a fresh or pre-first-checkpoint directory). A
+// checkpoint is only ever installed complete, so a torn or incomplete
+// one is corruption, not a crash artifact: the error says so. A
+// checkpoint in the retired logical format fails with ErrRetiredFormat.
+func ReadCheckpoint(dir string) (info CheckpointInfo, found bool, err error) {
 	buf, err := os.ReadFile(filepath.Join(dir, checkpointName))
 	if os.IsNotExist(err) {
 		return CheckpointInfo{}, false, nil
@@ -167,7 +134,6 @@ func ReadCheckpoint(dir string, apply func(shard int, vs []record.Version) error
 		return CheckpointInfo{}, false, err
 	}
 	sawHeader, sawFooter := false, false
-	version := uint64(0)
 	clean, err := parseFrames(buf, func(payload []byte) error {
 		d := record.NewDecoder(payload)
 		switch typ := d.Byte(); typ {
@@ -176,9 +142,13 @@ func ReadCheckpoint(dir string, apply func(shard int, vs []record.Version) error
 				return fmt.Errorf("wal: duplicate checkpoint header")
 			}
 			sawHeader = true
-			if version = d.Uvarint(); version != CheckpointFormatVersion && version != PagedCheckpointFormatVersion {
-				return fmt.Errorf("wal: checkpoint format %d, want %d or %d",
-					version, CheckpointFormatVersion, PagedCheckpointFormatVersion)
+			switch version := d.Uvarint(); version {
+			case PagedCheckpointFormatVersion:
+			case retiredLogicalFormat:
+				return fmt.Errorf("%w: %s is format %d, the logical version dump; this engine reads only format %d",
+					ErrRetiredFormat, filepath.Join(dir, checkpointName), version, PagedCheckpointFormatVersion)
+			default:
+				return fmt.Errorf("wal: checkpoint format %d, want %d", version, PagedCheckpointFormatVersion)
 			}
 			info.Shards = int(d.Uvarint())
 			info.Clock = d.Time()
@@ -195,7 +165,7 @@ func ReadCheckpoint(dir string, apply func(shard int, vs []record.Version) error
 			}
 			return nil
 		case framePagedMeta:
-			if !sawHeader || sawFooter || version != PagedCheckpointFormatVersion {
+			if !sawHeader || sawFooter {
 				return fmt.Errorf("wal: misplaced paged-meta frame")
 			}
 			if info.Paged != nil {
@@ -211,22 +181,6 @@ func ReadCheckpoint(dir string, apply func(shard int, vs []record.Version) error
 			}
 			info.Paged = m
 			return nil
-		case frameShardChunk:
-			if !sawHeader || sawFooter || version != CheckpointFormatVersion {
-				return fmt.Errorf("wal: checkpoint chunk outside header/footer")
-			}
-			shard := int(d.Uvarint())
-			vs := d.Versions()
-			if err := d.Err(); err != nil {
-				return fmt.Errorf("wal: checkpoint chunk: %w", err)
-			}
-			if shard < 0 || shard >= info.Shards {
-				return fmt.Errorf("wal: checkpoint chunk for shard %d of %d", shard, info.Shards)
-			}
-			if apply == nil {
-				return nil
-			}
-			return apply(shard, vs)
 		case frameCheckpointFooter:
 			if !sawHeader || sawFooter {
 				return fmt.Errorf("wal: misplaced checkpoint footer")
@@ -246,14 +200,8 @@ func ReadCheckpoint(dir string, apply func(shard int, vs []record.Version) error
 	if !clean || !sawHeader || !sawFooter {
 		return CheckpointInfo{}, false, fmt.Errorf("wal: checkpoint incomplete or corrupt")
 	}
-	if version == PagedCheckpointFormatVersion && info.Paged == nil {
-		return CheckpointInfo{}, false, fmt.Errorf("wal: paged checkpoint missing its meta frame")
+	if info.Paged == nil {
+		return CheckpointInfo{}, false, fmt.Errorf("wal: checkpoint missing its paged-meta frame")
 	}
 	return info, true, nil
-}
-
-// ReadCheckpointInfo reads only the checkpoint header (still verifying
-// every frame's CRC) — the inspection path for tools.
-func ReadCheckpointInfo(dir string) (CheckpointInfo, bool, error) {
-	return ReadCheckpoint(dir, nil)
 }

@@ -1,15 +1,13 @@
 package wal
 
-// Checkpoint format v4: the paged-device checkpoint. Where the logical
-// v3 checkpoint carries the whole committed database as version chunks,
-// a v4 checkpoint carries only the metadata that reattaches the engine
-// to its file-backed devices (internal/pagestore) at a page-consistent
-// boundary — the page allocator, the WORM burned-sector boundary, the
-// cumulative device accounting, and each tree's image (root pointer,
-// clock, counters, §3.5 marked set). The pages themselves were flushed
-// and fsynced into the device files before this metadata is installed,
-// so recovery is: restore any torn flush from the rollback journal,
-// reattach, replay the WAL tail past the boundary LSN.
+// The checkpoint's PagedMeta frame: the metadata that reattaches the
+// engine to its file-backed devices (internal/pagestore) at a
+// page-consistent boundary — the page allocator, the WORM burned-sector
+// boundary, the cumulative device accounting, and each tree's image
+// (root pointer, clock, counters, §3.5 marked set). The pages themselves
+// were flushed and fsynced into the device files before this metadata is
+// installed, so recovery is: restore any torn flush from the rollback
+// journal, reattach, replay the WAL tail past each tree's boundary LSN.
 
 import (
 	"fmt"
@@ -24,9 +22,9 @@ import (
 	"repro/internal/txn"
 )
 
-// PagedMeta is the device/tree metadata of a v4 (paged) checkpoint.
+// PagedMeta is the device/tree metadata of a checkpoint.
 type PagedMeta struct {
-	// Epoch numbers installed paged checkpoints (monotonically, from 1
+	// Epoch numbers installed checkpoints (monotonically, from 1
 	// for the open-time seal). The page file's rollback journal records
 	// which epoch's image it restores; matching epochs is how recovery
 	// distinguishes a torn flush from a completed one.
@@ -53,15 +51,14 @@ type PagedMeta struct {
 	// whose uncommitted pending versions the flushed pages may contain
 	// (§4: uncommitted data lives, erasable, in the current database).
 	// Those transactions died with the crash, so recovery erases each
-	// pending version before replaying the WAL tail — the paged
-	// equivalent of the logical dump's pending filter.
+	// pending version before replaying the WAL tail.
 	Pending []txn.PendingWrite
 	// GroupLSNs holds the per-shard capture boundary of a fuzzy
 	// checkpoint: shard i's image and dirty pages were captured with the
 	// log at GroupLSNs[i], quiescing only that shard. Replay applies a
 	// committed version to its primary shard iff its record's LSN is
-	// past that shard's boundary. Empty for pre-fuzzy checkpoints
-	// (every shard was captured at the header LSN).
+	// past that shard's boundary. Always one per shard: the decoder
+	// refuses any other count.
 	GroupLSNs []uint64
 	// SecLSN is the capture boundary of the secondary indexes (all
 	// captured together under the secondary latch).
@@ -280,6 +277,12 @@ func decodePagedMeta(d *record.Decoder) (*PagedMeta, error) {
 	m.DeadBytes = d.Uvarint()
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("wal: paged meta: %w", err)
+	}
+	if len(m.GroupLSNs) != len(m.Shards) {
+		// Replay filters each shard's versions by its boundary LSN; with
+		// a boundary missing it would re-apply commits the shard image
+		// already holds.
+		return nil, fmt.Errorf("wal: paged meta: %d group LSNs for %d shard images", len(m.GroupLSNs), len(m.Shards))
 	}
 	return m, nil
 }

@@ -1,7 +1,7 @@
 // Package wal is the durability subsystem of the engine: an append-only,
 // CRC-framed, fsync-batched write-ahead log of commit records, plus the
-// logical checkpoint format that lets the log be truncated without
-// stopping writers.
+// checkpoint format that lets the log be truncated without stopping
+// writers.
 //
 // # Log format
 //
@@ -35,16 +35,16 @@
 //
 // # Checkpoints
 //
-// A checkpoint (see checkpoint.go) is a logical, CRC-framed dump of
-// every committed version up to a boundary, taken shard by shard under
-// short read latches while writers keep committing, stamped with the
-// LSN the log was rotated at. Dumps are boundary-exact (versions
-// stamped after the boundary clock are filtered out; their log records
-// all sit past the rotation LSN), so checkpoint reload plus log-tail
-// replay applies every commit exactly once, in global commit-time
-// order. Once a checkpoint is durable (written to a temp file, fsynced,
-// atomically renamed), segments wholly at or below its LSN are deleted:
-// incremental truncation with writers running.
+// A checkpoint (see checkpoint.go, paged.go) carries no data: the
+// database pages live in the device files (internal/pagestore), which
+// the engine flushes and fsyncs first. The checkpoint is the CRC-framed
+// metadata that reattaches the engine to them — tree roots, page
+// allocator, WORM burned boundary — with one log boundary per tree
+// (PagedMeta.GroupLSNs, SecLSN), so reattach plus log-tail replay
+// applies every commit to every tree exactly once. Once a checkpoint is
+// durable (written to a temp file, fsynced, atomically renamed),
+// segments wholly at or below its LSN are deleted: incremental
+// truncation with writers running.
 package wal
 
 import (
@@ -67,7 +67,7 @@ import (
 const (
 	frameCommit           = 1
 	frameCheckpointHeader = 2
-	frameShardChunk       = 3
+	// 3 was the retired logical checkpoint's shard chunk; not reused.
 	frameCheckpointFooter = 4
 	framePagedMeta        = 5
 )

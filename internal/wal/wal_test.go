@@ -4,8 +4,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/record"
 	"repro/internal/storage"
 	"repro/internal/txn"
@@ -242,76 +244,25 @@ func TestAppendAfterTornWriteFailsFast(t *testing.T) {
 	l.Close()
 }
 
-func TestCheckpointRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	vs := func(shard int) []record.Version {
-		var out []record.Version
-		for i := 0; i < 700; i++ { // > checkpointChunk: forces chunking
-			out = append(out, record.Version{
-				Key:   record.StringKey(string(rune('a'+shard)) + "key"),
-				Time:  record.Timestamp(i + 1),
-				Value: []byte{byte(shard), byte(i)},
-			})
-		}
-		return out
-	}
-	info := CheckpointInfo{Shards: 2, Clock: 700, LSN: 41, Secondaries: []string{"dept"}}
-	err := WriteCheckpoint(dir, nil, info, func(shard int) ([]record.Version, error) {
-		return vs(shard), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[int][]record.Version{}
-	gotInfo, found, err := ReadCheckpoint(dir, func(shard int, chunk []record.Version) error {
-		got[shard] = append(got[shard], chunk...)
-		return nil
-	})
-	if err != nil || !found {
-		t.Fatalf("read: found=%v err=%v", found, err)
-	}
-	if gotInfo.Shards != 2 || gotInfo.Clock != 700 || gotInfo.LSN != 41 ||
-		len(gotInfo.Secondaries) != 1 || gotInfo.Secondaries[0] != "dept" {
-		t.Fatalf("info = %+v", gotInfo)
-	}
-	for shard := 0; shard < 2; shard++ {
-		want := vs(shard)
-		if len(got[shard]) != len(want) {
-			t.Fatalf("shard %d: %d versions, want %d", shard, len(got[shard]), len(want))
-		}
-		for i := range want {
-			g := got[shard][i]
-			if !g.Key.Equal(want[i].Key) || g.Time != want[i].Time || string(g.Value) != string(want[i].Value) {
-				t.Fatalf("shard %d version %d = %+v, want %+v", shard, i, g, want[i])
-			}
-		}
-	}
-	// Header-only read agrees.
-	hdr, found, err := ReadCheckpointInfo(dir)
-	if err != nil || !found || hdr.LSN != 41 {
-		t.Fatalf("info read: %+v found=%v err=%v", hdr, found, err)
-	}
-}
-
 func TestCheckpointAbsentAndTorn(t *testing.T) {
 	dir := t.TempDir()
-	if _, found, err := ReadCheckpoint(dir, nil); err != nil || found {
+	if _, found, err := ReadCheckpoint(dir); err != nil || found {
 		t.Fatalf("empty dir: found=%v err=%v", found, err)
 	}
+	info := CheckpointInfo{Shards: 1, Clock: 3, LSN: 7, Paged: &PagedMeta{
+		Epoch: 1, PageSize: 4096, SectorSize: 1024,
+		Shards: []core.TreeImage{{}}, GroupLSNs: []uint64{7}, SecLSN: 7,
+	}}
 
 	// A torn checkpoint write never installs: the tmp file stays and is
 	// ignored by readers.
 	plan := storage.NewTearPlan(30)
 	err := WriteCheckpoint(dir,
-		func(f storage.LogFile) storage.LogFile { return storage.NewTornLogFile(f, plan) },
-		CheckpointInfo{Shards: 1, Clock: 3, LSN: 7},
-		func(int) ([]record.Version, error) {
-			return []record.Version{{Key: record.StringKey("k"), Time: 1, Value: []byte("v")}}, nil
-		})
+		func(f storage.LogFile) storage.LogFile { return storage.NewTornLogFile(f, plan) }, info)
 	if !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("torn checkpoint error = %v", err)
 	}
-	if _, found, err := ReadCheckpoint(dir, nil); err != nil || found {
+	if _, found, err := ReadCheckpoint(dir); err != nil || found {
 		t.Fatalf("after torn write: found=%v err=%v", found, err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, checkpointName)); !os.IsNotExist(err) {
@@ -319,9 +270,7 @@ func TestCheckpointAbsentAndTorn(t *testing.T) {
 	}
 
 	// An installed checkpoint that is then corrupted is a hard error.
-	err = WriteCheckpoint(dir, nil, CheckpointInfo{Shards: 1, Clock: 3, LSN: 7},
-		func(int) ([]record.Version, error) { return nil, nil })
-	if err != nil {
+	if err := WriteCheckpoint(dir, nil, info); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, checkpointName)
@@ -329,8 +278,78 @@ func TestCheckpointAbsentAndTorn(t *testing.T) {
 	if err := os.WriteFile(path, buf[:len(buf)-2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadCheckpoint(dir, nil); err == nil {
+	if _, _, err := ReadCheckpoint(dir); err == nil {
 		t.Fatal("truncated installed checkpoint should be a hard error")
+	}
+}
+
+// TestReadCheckpointRefuses feeds the reader hand-built checkpoint files
+// it must reject with an error — never as "not found", which would let
+// the engine re-create a database over a live directory.
+func TestReadCheckpointRefuses(t *testing.T) {
+	header := func(version uint64, shards int) []byte {
+		e := record.NewEncoder(nil)
+		e.Byte(frameCheckpointHeader)
+		e.Uvarint(version)
+		e.Uvarint(uint64(shards))
+		e.Time(5)
+		e.Uvarint(9) // LSN
+		e.Uvarint(0) // no secondaries
+		return e.Bytes()
+	}
+	footer := func() []byte {
+		e := record.NewEncoder(nil)
+		e.Byte(frameCheckpointFooter)
+		e.Uvarint(9)
+		return e.Bytes()
+	}
+	// The retired logical format: header, one shard chunk (frame type
+	// 3) of versions, footer.
+	chunk := record.NewEncoder(nil)
+	chunk.Byte(3)
+	chunk.Uvarint(0)
+	chunk.Versions([]record.Version{{Key: record.StringKey("k"), Time: 1, Value: []byte("v")}})
+
+	twoShards := []core.TreeImage{{}, {}}
+	for _, tc := range []struct {
+		name    string
+		frames  [][]byte
+		wantErr error  // matched with errors.Is when non-nil
+		wantMsg string // else a substring of the error
+	}{
+		{"format 3 logical dump",
+			[][]byte{header(3, 1), chunk.Bytes(), footer()}, ErrRetiredFormat, ""},
+		{"unknown format",
+			[][]byte{header(9, 1), footer()}, nil, "checkpoint format 9"},
+		{"v4 meta with fewer group LSNs than shards",
+			[][]byte{header(4, 2), encodePagedMeta(&PagedMeta{Shards: twoShards, GroupLSNs: []uint64{9}}), footer()},
+			nil, "1 group LSNs for 2 shard images"},
+		{"v4 meta with no group LSNs",
+			[][]byte{header(4, 2), encodePagedMeta(&PagedMeta{Shards: twoShards}), footer()},
+			nil, "0 group LSNs for 2 shard images"},
+		{"v4 without its meta frame",
+			[][]byte{header(4, 1), footer()}, nil, "missing its paged-meta frame"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var file []byte
+			for _, f := range tc.frames {
+				file = appendFrame(file, f)
+			}
+			if err := os.WriteFile(filepath.Join(dir, checkpointName), file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, found, err := ReadCheckpoint(dir)
+			if err == nil || found {
+				t.Fatalf("found=%v err=%v, want an error", found, err)
+			}
+			if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if !strings.Contains(err.Error(), tc.wantMsg) {
+				t.Fatalf("err = %v, want it to mention %q", err, tc.wantMsg)
+			}
+		})
 	}
 }
 
