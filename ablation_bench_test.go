@@ -1,6 +1,6 @@
 package repro_test
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
+// Ablation benchmarks for the reproduction's own design choices: the
 // buffer pool in front of the magnetic disk, the magnetic page size, the
 // WOBT's fixed node extent, and the TSB-tree's index-split preference.
 

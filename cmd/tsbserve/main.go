@@ -23,13 +23,14 @@
 // latency percentiles overall and per op class) instead of serving;
 // -watch re-samples every interval and adds throughput deltas.
 //
-// Besides point ops and range cursors, the protocol serves composed
-// temporal queries (internal/query): OpOpenQuery ships an operator
-// tree — filter, project, merge join, secondary-index join, group-by,
-// diff, history — compiled server-side over the session's snapshot and
-// namespace, and OpQueryFetch streams the result rows in batches. The
-// per-op latency rows open_query and query_fetch track them in
-// -status.
+// The protocol is point ops (put, get, delete, atomic commit) and one
+// range-read path: OpOpenQuery ships an operator tree (internal/query)
+// — a plain range scan is the one-node tree; filter, project, merge
+// join, secondary-index join, group-by, diff and history compose on top
+// — compiled server-side over the session's snapshot and namespace into
+// a leased cursor (at most 64 open per session), and OpQueryFetch
+// streams its rows in batches. The per-op latency rows open_query and
+// query_fetch track every scan in -status.
 //
 // -metrics-addr starts an HTTP sidecar on the serving process exposing
 // /metrics (Prometheus text), /debug/vars (JSON), /debug/events and

@@ -117,12 +117,13 @@
 // ScanOptions{Limit, Reverse, After, At, From, To} — pagination,
 // descending order, per-scan time travel, and temporal windows. A cursor
 // holds no latch between Next calls; each Next read-latches at most one
-// shard — for a single leaf-page fetch (snapshot cursors), or for one
-// shard's materialized window scan (From/To cursors) — so a Limit=1 read
-// over a 100k-version snapshot costs O(tree height) page reads. The
-// slice-returning scan APIs survive as thin Collect wrappers. Composed
-// queries (db.Query, internal/query) stack streaming operators on those
-// cursors and inherit the contract unchanged.
+// shard for a single leaf-page fetch (snapshot and From/To window
+// cursors alike), so a Limit=1 read over a 100k-version snapshot costs
+// O(tree height) page reads. That is the one range-read stack: the
+// slice-returning scan APIs are thin Collect wrappers, composed queries
+// (db.Query, internal/query) stack streaming operators on those cursors
+// and inherit the contract unchanged, db.Diff drains one such query,
+// and every scan over the wire is one (a leased operator on the server).
 //
 // The repo's one benchmark is bench/, a module of its own (bash
 // bench/run.sh --workload NAME --seed N; see bench/README.md): four

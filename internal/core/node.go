@@ -10,7 +10,7 @@ import (
 
 // entry is one index item: a child node and the key×time rectangle it is
 // responsible for. Entries of an index node exactly partition the node's
-// own rectangle (see DESIGN.md on the explicit-rectangle representation).
+// own rectangle (stored explicitly; see record.Rect on that representation).
 type entry struct {
 	rect  record.Rect
 	child storage.Addr

@@ -42,9 +42,28 @@ func reversed(vs []record.Version) []record.Version {
 	return out
 }
 
+// coreOracle runs scan — one of core.Tree's recursive, materializing
+// reference scans, which no cursor goes through — on every shard tree
+// and concatenates the results in shard order, which is key order.
+func coreOracle(t *testing.T, d *DB, scan func(*core.Tree) ([]record.Version, error)) []record.Version {
+	t.Helper()
+	var out []record.Version
+	for i := 0; i < d.Shards(); i++ {
+		err := d.WithShardTree(i, func(tr *core.Tree) error {
+			vs, err := scan(tr)
+			out = append(out, vs...)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 // TestCursorEquivalenceProperty is the multi-shard equivalence property
 // test of the streaming read API: forward, reverse, limited, and
-// windowed cursors must be byte-identical to the materializing scans
+// windowed cursors must be byte-identical to core's materializing scans
 // under every shard count.
 func TestCursorEquivalenceProperty(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 5, 8} {
@@ -74,11 +93,9 @@ func TestCursorEquivalenceProperty(t *testing.T) {
 					high = record.KeyBound(spreadKey(uint64(rng.Intn(keySpace))))
 				}
 
-				// Oracle: the recursive, materializing store scan.
-				want, err := d.store.ScanAsOf(at, low, high)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := coreOracle(t, d, func(tr *core.Tree) ([]record.Version, error) {
+					return tr.ScanAsOf(at, low, high)
+				})
 
 				r := d.ReadAt(at)
 				got, err := r.Cursor(low, high, ScanOptions{}).Collect()
@@ -106,30 +123,22 @@ func TestCursorEquivalenceProperty(t *testing.T) {
 					cursorSameVersions(t, "limit", gotLim, wantLim)
 				}
 
-				// The legacy slice API is a wrapper over the same
-				// cursor; it must agree with the oracle too.
-				legacy, err := d.ScanAsOf(at, low, high)
+				// The slice API is a wrapper over the same cursor; it
+				// must agree with the oracle too.
+				slice, err := d.ScanAsOf(at, low, high)
 				if err != nil {
 					t.Fatal(err)
 				}
-				cursorSameVersions(t, "legacy-scan", legacy, want)
+				cursorSameVersions(t, "slice-scan", slice, want)
 
-				// Window mode: per-shard lazy parts against the
-				// per-shard materializing oracle. From starts at 1:
-				// From=To=0 is the "no window" sentinel, not a window.
+				// Window mode: leaf-paged cursors against the per-shard
+				// materializing oracle. From starts at 1: From=To=0 is
+				// the "no window" sentinel, not a window.
 				from := record.Timestamp(1 + rng.Intn(now))
 				to := from + record.Timestamp(rng.Intn(now))
-				var wantWin []record.Version
-				for i := 0; i < shards; i++ {
-					err := d.WithShardTree(i, func(tr *core.Tree) error {
-						vs, err := tr.ScanRange(low, high, from, to)
-						wantWin = append(wantWin, vs...)
-						return err
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
+				wantWin := coreOracle(t, d, func(tr *core.Tree) ([]record.Version, error) {
+					return tr.ScanRange(low, high, from, to)
+				})
 				gotWin, err := d.Cursor(low, high, ScanOptions{From: from, To: to}).Collect()
 				if err != nil {
 					t.Fatal(err)
@@ -140,6 +149,17 @@ func TestCursorEquivalenceProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 				cursorSameVersions(t, "window-reverse", gotWinRev, reversed(wantWin))
+
+				// A reverse window drains the forward pages and yields
+				// them back to front; Limit must cut that sequence, not
+				// the forward one.
+				if winLimit := 1 + rng.Intn(len(wantWin)+1); winLimit < len(wantWin) {
+					gotWinRevLim, err := d.Cursor(low, high, ScanOptions{From: from, To: to, Reverse: true, Limit: winLimit}).Collect()
+					if err != nil {
+						t.Fatal(err)
+					}
+					cursorSameVersions(t, "window-reverse-limit", gotWinRevLim, reversed(wantWin)[:winLimit])
+				}
 			}
 		})
 	}

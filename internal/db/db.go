@@ -130,17 +130,19 @@
 // read-latches at most one shard, for the duration of a single leaf-page
 // fetch (one root-to-leaf descent), then releases it before returning;
 // crossing a shard boundary hands the latch off to the next shard in key
-// order. Window-mode cursors (From/To set) are lazier than the old API
-// but coarser than snapshot cursors: each Next materializes at most ONE
-// shard's temporal scan under that shard's read latch, so the per-Next
-// latch hold and allocation are bounded by a shard's window, not a leaf.
-// Consistency across all hand-offs comes from the snapshot timestamp,
-// not from latches — versions visible at a fixed time are immutable
-// under the non-deletion policy — so a paused or abandoned cursor never
-// blocks a writer and a Limit=1 snapshot cursor costs O(tree height)
-// page reads, not a full scan. The slice-returning
-// ScanAsOf/ScanRange/FetchBySecondary survive as thin Collect wrappers
-// over cursors.
+// order. Window-mode cursors (From/To set) page the same way: each fill
+// is one leaf-bounded key page of the temporal range under one shard's
+// read latch, so latch hold and allocation per Next are bounded by a
+// leaf, not by a shard's window (reverse windows excepted: see
+// ScanOptions.Reverse). Consistency across all hand-offs comes from the
+// snapshot timestamp, not from latches — versions visible at a fixed
+// time are immutable under the non-deletion policy — so a paused or
+// abandoned cursor never blocks a writer and a Limit=1 snapshot cursor
+// costs O(tree height) page reads, not a full scan. There is no second
+// range-read path: the slice-returning ScanAsOf/ScanRange/
+// FetchBySecondary are thin Collect wrappers over cursors, and Diff
+// drains the query layer's diff operator, itself a fold over a window
+// cursor.
 //
 // Typical use:
 //
@@ -174,6 +176,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pagestore"
+	"repro/internal/query"
 	"repro/internal/record"
 	"repro/internal/secondary"
 	"repro/internal/storage"
@@ -769,13 +772,37 @@ func (d *DB) History(k record.Key) ([]record.Version, error) {
 // moment in [from, to), sorted by (key, time) — e.g. "all balance changes
 // of accounts A..B during March".
 func (d *DB) ScanRange(low record.Key, high record.Bound, from, to record.Timestamp) ([]record.Version, error) {
-	return d.tm.ScanRange(low, high, from, to)
+	if to <= from {
+		return nil, nil // and from=to=0 is ScanOptions' "no window", not a window
+	}
+	return d.Cursor(low, high, ScanOptions{From: from, To: to}).Collect()
 }
 
 // Diff reports every key in [low, high) whose visible state differs
-// between times from and to, sorted by key.
+// between times from and to, sorted by key: the change stream
+// query.Diff compiles to, drained into a slice.
 func (d *DB) Diff(low record.Key, high record.Bound, from, to record.Timestamp) ([]core.Change, error) {
-	return d.tm.Diff(low, high, from, to)
+	op, err := d.QueryAt(d.Now(), query.Diff(low, high, from, to))
+	if err != nil {
+		return nil, err
+	}
+	defer op.Close()
+	var out []core.Change
+	for op.Next() {
+		r := op.Row()
+		c := core.Change{Key: r.Key, HasBefor: r.HasBefore, HasAfter: r.HasAfter}
+		if c.HasBefor {
+			c.Before = r.Versions[0]
+		}
+		if c.HasAfter {
+			c.After = r.Versions[len(r.Versions)-1]
+		}
+		out = append(out, c)
+	}
+	if err := op.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Now returns the last commit timestamp.

@@ -52,10 +52,11 @@ func (sh *shard) sampleLatch() bool {
 }
 
 // shardedStore routes operations across n key-range shards and implements
-// txn.Store and txn.Differ. Shard i owns the half-open key range
+// txn.Store. Shard i owns the half-open key range
 // [record.ShardBoundary(i,n), record.ShardBoundary(i+1,n)), so shard order
-// equals key order and range queries merge by concatenating per-shard
-// results — no interleaving is ever needed.
+// equals key order and the two page iterators hand a scan from one shard
+// to the next through the page's resume key — no interleaving is ever
+// needed.
 type shardedStore struct {
 	shards []*shard
 	// mig, when non-nil, receives the deferred-split tickets inserts
@@ -74,17 +75,6 @@ func newShardedStore(trees []*core.Tree) *shardedStore {
 
 func (s *shardedStore) shardFor(k record.Key) *shard {
 	return s.shards[record.ShardOfKey(k, len(s.shards))]
-}
-
-// shardSpan returns the inclusive shard index range a key interval
-// [low, high) touches.
-func (s *shardedStore) shardSpan(low record.Key, high record.Bound) (from, to int) {
-	n := len(s.shards)
-	from = record.ShardOfKey(low, n)
-	if high.IsInfinite() {
-		return from, n - 1
-	}
-	return from, record.ShardOfKey(high.Key(), n)
 }
 
 // Now returns the largest committed timestamp across all shards.
@@ -210,59 +200,6 @@ func (s *shardedStore) History(k record.Key) ([]record.Version, error) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return sh.tree.History(k)
-}
-
-func (s *shardedStore) ScanAsOf(at record.Timestamp, low record.Key, high record.Bound) ([]record.Version, error) {
-	var out []record.Version
-	from, to := s.shardSpan(low, high)
-	for i := from; i <= to; i++ {
-		sh := s.shards[i]
-		sh.mu.RLock()
-		part, err := sh.tree.ScanAsOf(at, low, high)
-		sh.mu.RUnlock()
-		if err != nil {
-			return nil, fmt.Errorf("db: shard %d: %w", i, err)
-		}
-		out = append(out, part...)
-	}
-	return out, nil
-}
-
-func (s *shardedStore) ScanRange(low record.Key, high record.Bound, from, to record.Timestamp) ([]record.Version, error) {
-	var out []record.Version
-	parts := s.RangeParts(low, high)
-	for part := 0; part < parts; part++ {
-		vs, err := s.ScanRangePart(part, low, high, from, to)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vs...)
-	}
-	return out, nil
-}
-
-// RangeParts returns how many independently latched parts a temporal
-// range scan of [low, high) splits into: one per touched shard, in key
-// order (shard order equals key order, so concatenating parts preserves
-// the (key, time) result order).
-func (s *shardedStore) RangeParts(low record.Key, high record.Bound) int {
-	from, to := s.shardSpan(low, high)
-	return to - from + 1
-}
-
-// ScanRangePart materializes one part of a temporal range scan under
-// that single shard's read latch; no other latch is touched.
-func (s *shardedStore) ScanRangePart(part int, low record.Key, high record.Bound, from, to record.Timestamp) ([]record.Version, error) {
-	first, _ := s.shardSpan(low, high)
-	i := first + part
-	sh := s.shards[i]
-	sh.mu.RLock()
-	out, err := sh.tree.ScanRange(low, high, from, to)
-	sh.mu.RUnlock()
-	if err != nil {
-		return nil, fmt.Errorf("db: shard %d: %w", i, err)
-	}
-	return out, nil
 }
 
 // ScanPageAsOf streams one latch-scoped batch of the snapshot at time
@@ -398,22 +335,6 @@ func (s *shardedStore) ScanRangePage(low record.Key, high record.Bound, from, to
 	}
 }
 
-func (s *shardedStore) Diff(low record.Key, high record.Bound, from, to record.Timestamp) ([]core.Change, error) {
-	var out []core.Change
-	lo, hi := s.shardSpan(low, high)
-	for i := lo; i <= hi; i++ {
-		sh := s.shards[i]
-		sh.mu.RLock()
-		part, err := sh.tree.Diff(low, high, from, to)
-		sh.mu.RUnlock()
-		if err != nil {
-			return nil, fmt.Errorf("db: shard %d: %w", i, err)
-		}
-		out = append(out, part...)
-	}
-	return out, nil
-}
-
 // registerMetrics names each shard's latch-contention histograms in r,
 // one (shard, mode) series pair per histogram.
 func (s *shardedStore) registerMetrics(r *obs.Registry) {
@@ -482,10 +403,4 @@ func (s *shardedStore) checkInvariants() error {
 	return nil
 }
 
-var (
-	_ txn.Store             = (*shardedStore)(nil)
-	_ txn.Differ            = (*shardedStore)(nil)
-	_ txn.CursorStore       = (*shardedStore)(nil)
-	_ txn.PartedStore       = (*shardedStore)(nil)
-	_ txn.WindowCursorStore = (*shardedStore)(nil)
-)
+var _ txn.Store = (*shardedStore)(nil)

@@ -38,7 +38,6 @@ func LatchTable() []LatchEntry {
 		{3, "commit-token", "repro/internal/txn.Manager.leaderCh", "token"},
 		{4, "wal", "repro/internal/wal.Log.mu", "mutex"},
 		{5, "shard", "repro/internal/db.shard.mu", "rwmutex"},
-		{5, "store", "repro/internal/txn.LatchedStore.mu", "rwmutex"},
 		{6, "secondary", "repro/internal/db.DB.secMu", "rwmutex"},
 		{7, "commit-queue", "repro/internal/txn.Manager.qMu", "mutex"},
 		{7, "lock-table", "repro/internal/txn.Manager.lockMu", "mutex"},
@@ -91,9 +90,8 @@ func builtinFuncFacts() map[string]*FuncFacts {
 		"repro/internal/core.Tree.BurnCapture": {IO: true},
 
 		// Store-level insert paths forward to Tree.Insert.
-		"repro/internal/txn.Store.Insert":        {IO: true},
-		"repro/internal/db.shardedStore.Insert":  {IO: true},
-		"repro/internal/txn.LatchedStore.Insert": {IO: true},
+		"repro/internal/txn.Store.Insert":       {IO: true},
+		"repro/internal/db.shardedStore.Insert": {IO: true},
 
 		// Secondary index maintenance inserts into its own tree (and so
 		// can split/burn inline).

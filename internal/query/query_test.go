@@ -2,8 +2,10 @@ package query_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/query"
 	"repro/internal/record"
@@ -117,9 +119,22 @@ func TestQueryDiffMatchesDB(t *testing.T) {
 	}
 	t2 := d.Now()
 
-	want, err := d.Diff(nil, record.InfiniteBound(), t1, t2)
-	if err != nil {
-		t.Fatalf("db diff: %v", err)
+	// The oracle is core.Tree.Diff, the recursive reference no query
+	// operator goes through (db.Diff is the stream under test, drained),
+	// per shard and concatenated in shard order, which is key order.
+	var want []core.Change
+	for i := 0; i < d.Shards(); i++ {
+		err := d.WithShardTree(i, func(tr *core.Tree) error {
+			cs, err := tr.Diff(nil, record.InfiniteBound(), t1, t2)
+			want = append(want, cs...)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("core diff, shard %d: %v", i, err)
+		}
+	}
+	if len(want) != 3 {
+		t.Fatalf("core oracle reports %d changes, want 3 (a deleted, b updated, c created)", len(want))
 	}
 	rows := collectRows(t, d, query.Diff(nil, record.InfiniteBound(), t1, t2))
 	if len(rows) != len(want) {
@@ -140,6 +155,14 @@ func TestQueryDiffMatchesDB(t *testing.T) {
 		if c.HasAfter && r.Versions[j].Time != c.After.Time {
 			t.Fatalf("row %d after mismatch", i)
 		}
+	}
+	// db.Diff drains the same stream into core.Change values.
+	got, err := d.Diff(nil, record.InfiniteBound(), t1, t2)
+	if err != nil {
+		t.Fatalf("db diff: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("db.Diff = %+v, core oracle %+v", got, want)
 	}
 }
 

@@ -182,10 +182,10 @@ func (b Bound) String() string {
 // has LowKey == empty and HighKey == +infinity.
 //
 // The paper derives these ranges implicitly from the split history of each
-// node; we store them explicitly (see DESIGN.md, "Faithfulness note"). The
-// §3.5 Index Node Keyspace Split Rule speaks directly in terms of the
-// "upper bound" and "lower bound" of each entry's key range, so the
-// information content is identical.
+// node; we store them explicitly — a representational departure, not a
+// semantic one: the §3.5 Index Node Keyspace Split Rule speaks directly
+// in terms of the "upper bound" and "lower bound" of each entry's key
+// range, so the information content is identical.
 type Rect struct {
 	LowKey  Key
 	HighKey Bound

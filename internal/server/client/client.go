@@ -111,15 +111,11 @@ func Dial(addr string, opt Options) (*Client, error) {
 		readerDone: make(chan struct{}),
 	}
 	go c.readLoop()
-	hello, err := c.send(wire.AppendHello(nil, wire.Hello{
+	body, err := c.do(wire.AppendHello(nil, wire.Hello{
 		Version: wire.ProtocolVersion,
 		Tenant:  opt.Tenant,
 		At:      opt.At,
 	}))
-	var body []byte
-	if err == nil {
-		body, err = c.wait(hello)
-	}
 	if err != nil {
 		_ = c.Close()
 		return nil, fmt.Errorf("client: hello: %w", err)
@@ -193,6 +189,16 @@ func (c *Client) wait(call *Call) ([]byte, error) {
 	}
 	<-call.done
 	return call.body, call.err
+}
+
+// do is the synchronous round trip: send one request, wait for its
+// response body.
+func (c *Client) do(req []byte) ([]byte, error) {
+	call, err := c.send(req)
+	if err != nil {
+		return nil, err
+	}
+	return c.wait(call)
 }
 
 // readLoop matches response frames to pending calls strictly FIFO.

@@ -146,143 +146,9 @@ func (c *Client) Ping() (record.Timestamp, error) {
 
 // Stats fetches the server's observability counters.
 func (c *Client) Stats() (wire.StatsReply, error) {
-	call, err := c.send([]byte{wire.OpStats})
-	if err != nil {
-		return wire.StatsReply{}, err
-	}
-	body, err := c.wait(call)
+	body, err := c.do([]byte{wire.OpStats})
 	if err != nil {
 		return wire.StatsReply{}, err
 	}
 	return wire.DecodeStatsReply(record.NewDecoder(body))
-}
-
-// Scan is a client-side iterator over a server-side cursor: batches
-// fetch lazily, and between batches the server holds no DB resource —
-// only a resume entry kept alive by its lease.
-type Scan struct {
-	c     *Client
-	id    uint64
-	batch uint64
-	buf   []record.Version
-	pos   int
-	done  bool
-	err   error
-}
-
-// ScanOptions shapes a Scan.
-type ScanOptions struct {
-	At        record.Timestamp // snapshot (0 = session snapshot)
-	Limit     uint64           // total versions (0 = unlimited)
-	Reverse   bool
-	BatchSize uint64 // versions per fetch frame (0 = server default)
-}
-
-// Scan opens a server-side cursor over [low, high) of the session's
-// namespace. Close it when done early; an abandoned Scan is reclaimed
-// by the server's cursor lease.
-func (c *Client) Scan(low record.Key, high record.Bound, opts ScanOptions) (*Scan, error) {
-	call, err := c.send(wire.AppendOpenCursor(nil, wire.OpenCursor{
-		Low:     low,
-		High:    high,
-		At:      opts.At,
-		Limit:   opts.Limit,
-		Reverse: opts.Reverse,
-	}))
-	if err != nil {
-		return nil, err
-	}
-	body, err := c.wait(call)
-	if err != nil {
-		return nil, err
-	}
-	d := record.NewDecoder(body)
-	id := d.Uvarint()
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("client: short open-cursor reply: %w", err)
-	}
-	return &Scan{c: c, id: id, batch: opts.BatchSize}, nil
-}
-
-// Next advances to the next version, fetching the next batch when the
-// local one is drained. It returns false at the end of the range or on
-// error (check Err).
-func (s *Scan) Next() bool {
-	if s.err != nil {
-		return false
-	}
-	for s.pos >= len(s.buf) {
-		if s.done {
-			return false
-		}
-		if !s.fetch() {
-			return false
-		}
-	}
-	s.pos++
-	return true
-}
-
-func (s *Scan) fetch() bool {
-	e := record.NewEncoder(make([]byte, 0, 12))
-	e.Byte(wire.OpFetch)
-	e.Uvarint(s.id)
-	e.Uvarint(s.batch)
-	call, err := s.c.send(e.Bytes())
-	var body []byte
-	if err == nil {
-		body, err = s.c.wait(call)
-	}
-	if err != nil {
-		s.err = err
-		return false
-	}
-	d := record.NewDecoder(body)
-	s.buf = s.buf[:0]
-	s.pos = 0
-	for d.Uvarint() == 1 {
-		s.buf = append(s.buf, d.Version())
-	}
-	s.done = d.Bool()
-	if err := d.Err(); err != nil {
-		s.err = fmt.Errorf("client: short fetch reply: %w", err)
-		return false
-	}
-	return true
-}
-
-// Version returns the version Next advanced to.
-func (s *Scan) Version() record.Version { return s.buf[s.pos-1] }
-
-// Err returns the scan's terminal error, typed *wire.Error for server
-// refusals.
-func (s *Scan) Err() error { return s.err }
-
-// Close releases the server-side cursor; safe after exhaustion (the
-// server already removed it — close is idempotent there).
-func (s *Scan) Close() error {
-	if s.done {
-		return nil // server removed it when the range was exhausted
-	}
-	e := record.NewEncoder(make([]byte, 0, 12))
-	e.Byte(wire.OpCloseCursor)
-	e.Uvarint(s.id)
-	call, err := s.c.send(e.Bytes())
-	if err != nil {
-		return err
-	}
-	_, err = s.c.wait(call)
-	return err
-}
-
-// Collect drains the scan into a slice and closes it.
-func (s *Scan) Collect() ([]record.Version, error) {
-	var out []record.Version
-	for s.Next() {
-		out = append(out, s.Version())
-	}
-	if s.err != nil {
-		return out, s.err
-	}
-	return out, s.Close()
 }

@@ -8,11 +8,12 @@ import (
 	"repro/internal/server/wire"
 )
 
-// QueryScan is the client iterator over a server-side query cursor: a
-// composed operator tree (filter, join, group-by, diff, history —
+// QueryScan is the client iterator over a server-side cursor: an
+// operator tree (scan, filter, join, group-by, diff, history —
 // internal/query) executing on the server, streamed back in row
 // batches. Between batches the server's pipeline idles latch-free; an
-// abandoned QueryScan is reclaimed by the cursor lease.
+// abandoned QueryScan is reclaimed by the cursor lease. It is the one
+// range-read iterator: Scan is a thin view of it.
 type QueryScan struct {
 	c     *Client
 	id    uint64
@@ -36,11 +37,7 @@ func (c *Client) QueryScan(spec *query.Spec, opts QueryOptions) (*QueryScan, err
 	if err != nil {
 		return nil, err
 	}
-	call, err := c.send(req)
-	if err != nil {
-		return nil, err
-	}
-	body, err := c.wait(call)
+	body, err := c.do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -72,11 +69,7 @@ func (q *QueryScan) Next() bool {
 }
 
 func (q *QueryScan) fetch() bool {
-	call, err := q.c.send(wire.AppendQueryFetch(nil, q.id, q.batch))
-	var body []byte
-	if err == nil {
-		body, err = q.c.wait(call)
-	}
+	body, err := q.c.do(wire.AppendQueryFetch(nil, q.id, q.batch))
 	if err != nil {
 		q.err = err
 		return false
@@ -116,11 +109,7 @@ func (q *QueryScan) Close() error {
 	e := record.NewEncoder(make([]byte, 0, 12))
 	e.Byte(wire.OpCloseCursor)
 	e.Uvarint(q.id)
-	call, err := q.c.send(e.Bytes())
-	if err != nil {
-		return err
-	}
-	_, err = q.c.wait(call)
+	_, err := q.c.do(e.Bytes())
 	return err
 }
 
@@ -134,4 +123,46 @@ func (q *QueryScan) Collect() ([]query.Row, error) {
 		return out, q.err
 	}
 	return out, q.Close()
+}
+
+// Scan is the version-at-a-time view of a QueryScan over a plain range
+// scan, whose rows each carry exactly one version. Next, Err and Close
+// are the QueryScan's.
+type Scan struct{ *QueryScan }
+
+// ScanOptions shapes a Scan.
+type ScanOptions struct {
+	At        record.Timestamp // snapshot (0 = session snapshot)
+	Limit     uint64           // total versions (0 = unlimited)
+	Reverse   bool
+	BatchSize uint64 // versions per fetch frame (0 = server default)
+}
+
+// Scan opens a server-side cursor over [low, high) of the session's
+// namespace: QueryScan over query.Scan(low, high). Close it when done
+// early; an abandoned Scan is reclaimed by the server's cursor lease.
+func (c *Client) Scan(low record.Key, high record.Bound, opts ScanOptions) (*Scan, error) {
+	spec := query.Scan(low, high)
+	spec.At, spec.Reverse = opts.At, opts.Reverse
+	if opts.Limit > 0 {
+		spec = spec.WithLimit(opts.Limit)
+	}
+	q, err := c.QueryScan(spec, QueryOptions{BatchSize: opts.BatchSize})
+	if err != nil {
+		return nil, err
+	}
+	return &Scan{q}, nil
+}
+
+// Version returns the version Next advanced to.
+func (s *Scan) Version() record.Version { return s.Row().Versions[0] }
+
+// Collect drains the scan into a slice and closes it.
+func (s *Scan) Collect() ([]record.Version, error) {
+	rows, err := s.QueryScan.Collect()
+	var out []record.Version
+	for _, r := range rows {
+		out = append(out, r.Versions[0])
+	}
+	return out, err
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/db"
 	"repro/internal/query"
 	"repro/internal/record"
 	"repro/internal/server/wire"
@@ -21,8 +20,7 @@ type session struct {
 	hello  bool
 	tenant []byte
 	at     record.Timestamp // pinned read snapshot
-	nsLow  record.Key       // TenantRange(tenant)
-	nsHigh record.Bound
+	nsHigh record.Bound     // upper edge of TenantRange(tenant)
 }
 
 // conn runs one connection's pipeline. Only the executor goroutine
@@ -165,10 +163,6 @@ func (c *conn) respond(payload []byte) []byte {
 		return c.opDelete(d)
 	case wire.OpCommit:
 		return c.opCommit(d)
-	case wire.OpOpenCursor:
-		return c.opOpenCursor(d)
-	case wire.OpFetch:
-		return c.opFetch(d)
 	case wire.OpCloseCursor:
 		return c.opCloseCursor(d)
 	case wire.OpRefresh:
@@ -208,12 +202,10 @@ func (c *conn) opHello(d *record.Decoder) []byte {
 		at = c.srv.db.Now()
 	}
 	tenant := append([]byte(nil), h.Tenant...) // payload buffer is transient
-	low, high := record.TenantRange(tenant)
 	c.sess.hello = true
 	c.sess.tenant = tenant
 	c.sess.at = at
-	c.sess.nsLow = low
-	c.sess.nsHigh = high
+	_, c.sess.nsHigh = record.TenantRange(tenant)
 	e := ok()
 	e.Time(at)
 	return e.Bytes()
@@ -326,128 +318,20 @@ func (c *conn) opGet(d *record.Decoder) []byte {
 	return e.Bytes()
 }
 
-func (c *conn) opOpenCursor(d *record.Decoder) []byte {
-	oc, err := wire.DecodeOpenCursor(d)
-	if err != nil {
-		return errResp(wire.CodeBadRequest, err.Error())
+// nsBound maps a tenant-relative high bound into the session's
+// namespace; an open one becomes the namespace's own upper edge.
+func (c *conn) nsBound(b record.Bound) record.Bound {
+	if b.IsInfinite() {
+		return c.sess.nsHigh
 	}
-	at := oc.At
-	if at == 0 {
-		at = c.sess.at
-	}
-	// Translate the tenant-relative range into the namespaced keyspace.
-	low := record.PrefixKey(c.sess.tenant, oc.Low)
-	high := c.sess.nsHigh
-	if !oc.High.IsInfinite() {
-		high = record.KeyBound(record.PrefixKey(c.sess.tenant, oc.High.Key()))
-	}
-	remaining := -1
-	if oc.Limit > 0 {
-		remaining = int(min(oc.Limit, 1<<31))
-	}
-	id := c.srv.curs.add(&cursorState{
-		sess:      c.sess.id,
-		low:       low,
-		high:      high,
-		at:        at,
-		remaining: remaining,
-		reverse:   oc.Reverse,
-		expires:   time.Now().Add(c.srv.cfg.CursorLease),
-	})
-	e := ok()
-	e.Uvarint(id)
-	return e.Bytes()
-}
-
-// opFetch returns one batch from a server-side cursor. It opens a fresh
-// DB cursor positioned by the saved resume state, drains at most one
-// batch, and lets it go — between fetch frames the server holds no DB
-// latch, snapshot handle, or heap beyond the resume struct, so an
-// abandoned client cursor costs one table entry until its lease
-// expires.
-func (c *conn) opFetch(d *record.Decoder) []byte {
-	id := d.Uvarint()
-	maxN := d.Uvarint()
-	if d.Err() != nil {
-		return errResp(wire.CodeBadRequest, "short fetch")
-	}
-	if maxN == 0 {
-		maxN = 128
-	}
-	maxN = min(maxN, 1024)
-
-	cu, found := c.srv.curs.checkout(id, c.sess.id, time.Now().Add(c.srv.cfg.CursorLease))
-	if !found {
-		return errResp(wire.CodeUnknownCursor, "no such cursor (closed, expired, or another session's)")
-	}
-	if cu.op != nil {
-		c.srv.curs.checkin(id, cu, nil, 0, false)
-		return errResp(wire.CodeBadRequest, "query cursor: use query-fetch")
-	}
-	if cu.remaining == 0 {
-		// The client Limit is spent: terminal empty batch.
-		c.srv.curs.checkin(id, cu, nil, 0, true)
-		e := ok()
-		e.Uvarint(0)
-		e.Bool(true)
-		return e.Bytes()
-	}
-
-	n := int(maxN)
-	if cu.remaining > 0 {
-		n = min(n, cu.remaining)
-	}
-	opts := db.ScanOptions{Reverse: cu.reverse, Limit: n}
-	low, high := cu.low, cu.high
-	if cu.last != nil {
-		if cu.reverse {
-			high = record.KeyBound(cu.last) // exclusive: resumes strictly below
-		} else {
-			opts.After = cu.last
-		}
-	}
-
-	// Size-aware batch: stop early rather than overflow the frame.
-	budget := c.srv.cfg.MaxFrameBytes - 256
-	e := ok()
-	count := 0
-	sized := false
-	var last record.Key
-	cur := c.srv.db.ReadAt(cu.at).Cursor(low, high, opts)
-	for cur.Next() {
-		v := cur.Version()
-		last = append([]byte(nil), v.Key...)
-		sk, okStrip := record.StripPrefix(c.sess.tenant, v.Key)
-		if !okStrip {
-			c.srv.curs.checkin(id, cu, nil, 0, true)
-			return errResp(wire.CodeInternal, "cursor version outside session namespace")
-		}
-		v.Key = sk
-		count++
-		e.Uvarint(1) // "another version follows"
-		e.Version(v)
-		if e.Len() >= budget {
-			sized = true
-			break
-		}
-	}
-	if err := cur.Err(); err != nil {
-		c.srv.curs.checkin(id, cu, nil, 0, false)
-		return dbErrResp(err)
-	}
-	// Done when the range is exhausted (neither the batch cap nor the
-	// size budget stopped us) or the client's Limit is spent.
-	done := (count < n && !sized) || (cu.remaining > 0 && count >= cu.remaining)
-	c.srv.curs.checkin(id, cu, last, count, done)
-	e.Uvarint(0) // end of batch
-	e.Bool(done)
-	return e.Bytes()
+	return record.KeyBound(record.PrefixKey(c.sess.tenant, b.Key()))
 }
 
 // namespaceSpec maps a tenant-relative operator tree into the
-// session's slice of the keyspace — the query-shaped form of what
-// opOpenCursor does to its bounds. Primary-key fields (scan/diff
-// windows, history keys, filter ranges) are prefixed; secondary keys
+// session's slice of the keyspace: the tenant clamp of every range
+// read. Primary-key fields (scan/diff windows, history keys, filter
+// ranges) are prefixed, and an open high bound becomes the namespace's
+// own, so no scan leaves the tenant's range; secondary keys
 // are not (the index maps them to already-prefixed primary keys, and
 // the semi-join intersects with the tenant-clamped primary stream).
 // The decoded tree is ours to mutate in place.
@@ -458,21 +342,13 @@ func (c *conn) namespaceSpec(s *query.Spec) *query.Spec {
 	switch s.Kind {
 	case query.OpScan, query.OpDiff:
 		s.Low = record.PrefixKey(c.sess.tenant, s.Low)
-		if s.High.IsInfinite() {
-			s.High = c.sess.nsHigh
-		} else {
-			s.High = record.KeyBound(record.PrefixKey(c.sess.tenant, s.High.Key()))
-		}
+		s.High = c.nsBound(s.High)
 	case query.OpHistory:
 		s.Key = record.PrefixKey(c.sess.tenant, s.Key)
 	case query.OpFilter:
 		if s.HasKeyRange {
 			s.FilterLow = record.PrefixKey(c.sess.tenant, s.FilterLow)
-			if s.FilterHigh.IsInfinite() {
-				s.FilterHigh = c.sess.nsHigh
-			} else {
-				s.FilterHigh = record.KeyBound(record.PrefixKey(c.sess.tenant, s.FilterHigh.Key()))
-			}
+			s.FilterHigh = c.nsBound(s.FilterHigh)
 		}
 	}
 	s.Input = c.namespaceSpec(s.Input)
@@ -482,13 +358,18 @@ func (c *conn) namespaceSpec(s *query.Spec) *query.Spec {
 }
 
 // opOpenQuery compiles a shipped operator tree at the session snapshot
-// and registers its live pipeline as a query cursor. Malformed trees —
-// decode failures and Validate refusals alike — are the typed
-// bad-request; nothing panics on crafted bytes.
+// and registers its live pipeline as a cursor. Malformed trees — decode
+// failures and Validate refusals alike — are the typed bad-request;
+// nothing panics on crafted bytes. A session at maxSessionCursors is
+// refused with the retryable overloaded error before anything compiles
+// (a parallel scan starts its goroutines at compile).
 func (c *conn) opOpenQuery(d *record.Decoder) []byte {
 	spec, err := wire.DecodeOpenQuery(d)
 	if err != nil {
 		return errResp(wire.CodeBadRequest, err.Error())
+	}
+	if !c.srv.curs.hasRoom(c.sess.id) {
+		return errResp(wire.CodeOverloaded, "session cursor limit reached: close or drain a cursor first")
 	}
 	op, err := c.srv.db.QueryAt(c.sess.at, c.namespaceSpec(spec))
 	if err != nil {
@@ -498,21 +379,19 @@ func (c *conn) opOpenQuery(d *record.Decoder) []byte {
 		return dbErrResp(err)
 	}
 	id := c.srv.curs.add(&cursorState{
-		sess:      c.sess.id,
-		at:        c.sess.at,
-		remaining: -1,
-		expires:   time.Now().Add(c.srv.cfg.CursorLease),
-		op:        op,
+		sess:    c.sess.id,
+		expires: time.Now().Add(c.srv.cfg.CursorLease),
+		op:      op,
 	})
 	e := ok()
 	e.Uvarint(id)
 	return e.Bytes()
 }
 
-// opQueryFetch drains one row batch from a query cursor's pipeline.
-// The operator stays checked out for the duration (the busy flag
-// serializes fetches and holds the janitor off), and between fetches
-// it idles latch-free under its lease.
+// opQueryFetch drains one row batch from a cursor's pipeline. The
+// operator stays checked out for the duration (the busy flag serializes
+// fetches and holds the janitor off), and between fetches it idles
+// latch-free under its lease.
 func (c *conn) opQueryFetch(d *record.Decoder) []byte {
 	id := d.Uvarint()
 	maxN := d.Uvarint()
@@ -528,15 +407,10 @@ func (c *conn) opQueryFetch(d *record.Decoder) []byte {
 	if !found {
 		return errResp(wire.CodeUnknownCursor, "no such cursor (closed, expired, or another session's)")
 	}
-	if cu.op == nil {
-		c.srv.curs.checkin(id, cu, nil, 0, false)
-		return errResp(wire.CodeBadRequest, "range cursor: use fetch")
-	}
 
 	fail := func(code byte, msg string) []byte {
-		_ = cu.op.Close()
-		cu.op = nil
-		c.srv.curs.checkin(id, cu, nil, 0, true)
+		closeOp(cu)
+		c.srv.curs.checkin(id, cu, true)
 		return errResp(code, msg)
 	}
 
@@ -576,10 +450,9 @@ func (c *conn) opQueryFetch(d *record.Decoder) []byte {
 		}
 	}
 	if done {
-		_ = cu.op.Close()
-		cu.op = nil
+		closeOp(cu)
 	}
-	c.srv.curs.checkin(id, cu, nil, 0, done)
+	c.srv.curs.checkin(id, cu, done)
 	e.Uvarint(0) // end of batch
 	e.Bool(done)
 	return e.Bytes()

@@ -5,33 +5,28 @@ import (
 	"time"
 
 	"repro/internal/query"
-	"repro/internal/record"
 )
 
+// maxSessionCursors bounds how many cursors one session may hold open:
+// each pins an operator pipeline (heap, and for a parallel scan one
+// goroutine per shard prefetching from open) for up to a full lease, so
+// unbounded, one connection could pin unbounded memory. 64 is the
+// default pipelining Window.
+const maxSessionCursors = 64
+
 // cursorState is everything the server remembers about a client's open
-// range scan between fetches: bounds, snapshot, resume position, and
-// lease. For a plain range cursor no DB cursor, latch, or snapshot
-// handle lives here — each fetch re-opens and abandons a fresh engine
-// cursor, so an idle or abandoned client scan blocks nothing.
-//
-// A query cursor (op non-nil) additionally keeps its live operator
-// pipeline: a composed stream has no single resume key to re-seek
-// from. The operator contract makes that equally harmless — an idle
+// cursor between fetches: its owner, its lease, and its live operator
+// pipeline (a plain range scan is the one-operator pipeline). The
+// operator contract makes keeping it harmless to writers — an idle
 // operator holds no latch — but it does pin heap (and, for a parallel
 // scan, parked goroutines), so every path that drops the table entry
 // must also Close the operator. Close runs outside the table mutex:
 // it may wait on goroutines that are mid-fill inside the engine.
 type cursorState struct {
-	sess      uint64
-	low       record.Key
-	high      record.Bound
-	at        record.Timestamp
-	last      record.Key // resume key: last key returned, nil before the first batch
-	remaining int        // client Limit countdown; -1 = unlimited
-	reverse   bool
-	expires   time.Time
-	busy      bool           // checked out by a fetch; janitor must not reap
-	op        query.Operator // live pipeline (query cursors only)
+	sess    uint64
+	expires time.Time
+	busy    bool // checked out by a fetch; janitor must not reap
+	op      query.Operator
 }
 
 // cursorTable owns every open server-side cursor. Its mutex is a leaf,
@@ -42,11 +37,22 @@ type cursorTable struct {
 	mu        sync.Mutex //tsb:latch level=7 name=server-cursors
 	next      uint64
 	open      map[uint64]*cursorState
+	perSess   map[uint64]int // open cursors per session, for maxSessionCursors
 	reclaimed uint64
 }
 
 func (t *cursorTable) init() {
 	t.open = make(map[uint64]*cursorState)
+	t.perSess = make(map[uint64]int)
+}
+
+// hasRoom reports whether sess may open another cursor. Only the
+// session's own executor goroutine opens cursors for it, so the answer
+// cannot turn false between this check and the add that follows.
+func (t *cursorTable) hasRoom(sess uint64) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.perSess[sess] < maxSessionCursors
 }
 
 func (t *cursorTable) add(cu *cursorState) uint64 {
@@ -55,7 +61,17 @@ func (t *cursorTable) add(cu *cursorState) uint64 {
 	t.next++
 	id := t.next
 	t.open[id] = cu
+	t.perSess[cu.sess]++
 	return id
+}
+
+// drop deletes one table entry and its session count. Caller holds mu
+// and owns closing the operator afterwards.
+func (t *cursorTable) drop(id uint64, cu *cursorState) {
+	delete(t.open, id)
+	if t.perSess[cu.sess]--; t.perSess[cu.sess] <= 0 {
+		delete(t.perSess, cu.sess)
+	}
 }
 
 // checkout hands the cursor to a fetch if it exists, belongs to sess,
@@ -73,47 +89,26 @@ func (t *cursorTable) checkout(id, sess uint64, renewTo time.Time) (*cursorState
 	return cu, true
 }
 
-// checkin returns the cursor after a fetch: done removes it, otherwise
-// the resume position advances (last non-nil only when the batch
-// yielded keys) and the limit countdown shrinks. The caller owns
-// closing cu.op on done — it already holds the operator via checkout.
-func (t *cursorTable) checkin(id uint64, cu *cursorState, last record.Key, yielded int, done bool) {
+// checkin returns the cursor after a fetch; done removes it. The caller
+// owns closing cu.op on done — it already holds the operator via
+// checkout.
+func (t *cursorTable) checkin(id uint64, cu *cursorState, done bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cu.busy = false
 	if done {
-		delete(t.open, id)
-		return
-	}
-	if last != nil {
-		cu.last = last
-	}
-	if cu.remaining > 0 {
-		cu.remaining = max(cu.remaining-yielded, 0)
+		t.drop(id, cu)
 	}
 }
 
-// remove closes a cursor if it exists and belongs to sess.
-func (t *cursorTable) remove(id, sess uint64) bool {
-	t.mu.Lock()
-	cu, found := t.open[id]
-	if !found || cu.sess != sess {
-		t.mu.Unlock()
-		return false
-	}
-	delete(t.open, id)
-	t.mu.Unlock()
-	closeOp(cu)
-	return true
-}
-
-// removeSession reaps every cursor a closing session left behind.
-func (t *cursorTable) removeSession(sess uint64) {
+// reap drops every cursor pred selects (pred runs under the mutex) and
+// closes their operators after releasing it.
+func (t *cursorTable) reap(pred func(*cursorState) bool) {
 	t.mu.Lock()
 	var dropped []*cursorState
 	for id, cu := range t.open {
-		if cu.sess == sess {
-			delete(t.open, id)
+		if pred(cu) {
+			t.drop(id, cu)
 			dropped = append(dropped, cu)
 		}
 	}
@@ -121,25 +116,41 @@ func (t *cursorTable) removeSession(sess uint64) {
 	for _, cu := range dropped {
 		closeOp(cu)
 	}
+}
+
+// remove closes a cursor if it exists and belongs to sess.
+func (t *cursorTable) remove(id, sess uint64) {
+	t.mu.Lock()
+	cu, found := t.open[id]
+	if !found || cu.sess != sess {
+		t.mu.Unlock()
+		return
+	}
+	t.drop(id, cu)
+	t.mu.Unlock()
+	closeOp(cu)
+}
+
+// removeSession reaps every cursor a closing session left behind.
+func (t *cursorTable) removeSession(sess uint64) {
+	t.reap(func(cu *cursorState) bool { return cu.sess == sess })
 }
 
 // reapExpired removes cursors whose lease lapsed — the abandoned-scan
 // backstop. In-flight fetches (busy) are skipped; their checkout
 // already renewed the lease.
 func (t *cursorTable) reapExpired(now time.Time) {
-	t.mu.Lock()
-	var dropped []*cursorState
-	for id, cu := range t.open {
-		if !cu.busy && now.After(cu.expires) {
-			delete(t.open, id)
-			t.reclaimed++
-			dropped = append(dropped, cu)
+	t.reap(func(cu *cursorState) bool {
+		if cu.busy || !now.After(cu.expires) {
+			return false
 		}
-	}
-	t.mu.Unlock()
-	for _, cu := range dropped {
-		closeOp(cu)
-	}
+		t.reclaimed++
+		return true
+	})
+}
+
+func (t *cursorTable) clear() {
+	t.reap(func(*cursorState) bool { return true })
 }
 
 func (t *cursorTable) counts() (open int, reclaimed uint64) {
@@ -148,21 +159,8 @@ func (t *cursorTable) counts() (open int, reclaimed uint64) {
 	return len(t.open), t.reclaimed
 }
 
-func (t *cursorTable) clear() {
-	t.mu.Lock()
-	var dropped []*cursorState
-	for _, cu := range t.open {
-		dropped = append(dropped, cu)
-	}
-	clear(t.open)
-	t.mu.Unlock()
-	for _, cu := range dropped {
-		closeOp(cu)
-	}
-}
-
-// closeOp releases a query cursor's pipeline; a no-op for plain range
-// cursors. Never called with the table mutex held.
+// closeOp releases a cursor's pipeline. Never called with the table
+// mutex held.
 func closeOp(cu *cursorState) {
 	if cu.op != nil {
 		_ = cu.op.Close()

@@ -142,3 +142,70 @@ func TestServerQueryCursorLease(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestServerSessionCursorCap pins the per-session bound on open cursors:
+// every cursor is a leased operator pipeline, so one connection may hold
+// only so many. The refusal is the typed retryable overloaded error.
+func TestServerSessionCursorCap(t *testing.T) {
+	h := start(t, db.Config{}, server.Config{})
+	c := h.dial(t, client.Options{Tenant: []byte("cap")})
+	for i := 0; i < 4; i++ {
+		if _, err := c.Put(record.Key(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+
+	const limit = 64 // server.maxSessionCursors
+	scans := make([]*client.Scan, 0, limit)
+	for i := 0; i < limit; i++ {
+		sc, err := c.Scan(nil, record.InfiniteBound(), client.ScanOptions{})
+		if err != nil {
+			t.Fatalf("open %d: %v", i, err)
+		}
+		scans = append(scans, sc)
+	}
+	if _, err := c.Scan(nil, record.InfiniteBound(), client.ScanOptions{}); !wire.IsOverloaded(err) || !wire.IsRetryable(err) {
+		t.Fatalf("open %d: err = %v, want retryable overloaded", limit+1, err)
+	}
+	// The cap is the session's, not the server's.
+	other := h.dial(t, client.Options{Tenant: []byte("cap")})
+	if sc, err := other.Scan(nil, record.InfiniteBound(), client.ScanOptions{}); err != nil {
+		t.Fatalf("another session refused: %v", err)
+	} else if err := sc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Closing one admits the next, and so does draining one to its end.
+	if err := scans[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if vs, err := scans[1].Collect(); err != nil || len(vs) != 4 {
+		t.Fatalf("drain: %d versions, err %v", len(vs), err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := c.Scan(nil, record.InfiniteBound(), client.ScanOptions{}); err != nil {
+			t.Fatalf("open after release %d: %v", i, err)
+		}
+	}
+	if _, err := c.Scan(nil, record.InfiniteBound(), client.ScanOptions{}); !wire.IsOverloaded(err) {
+		t.Fatalf("open past the refilled cap: err = %v, want overloaded", err)
+	}
+
+	// Session close releases every cursor it held.
+	if st := h.srv.Stats(); st.Cursors != limit {
+		t.Fatalf("open cursors = %d, want %d", st.Cursors, limit)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for h.srv.Stats().Cursors != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("session close left %d cursors open", h.srv.Stats().Cursors)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}

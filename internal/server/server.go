@@ -22,17 +22,21 @@
 // at session open and held — and OpRefresh re-pins to "now" when the
 // session wants to observe later commits.
 //
-// # Cursors, leases
+// # Cursors and leases
 //
-// Range scans are server-side cursors: OpOpenCursor registers bounds
-// and a snapshot, OpFetch returns one batch. Between fetches the server
-// holds NO DB resource — a fetch opens a fresh DB cursor positioned by
-// the saved resume key (ScanOptions.After forward, a shrunken high
-// bound in reverse), drains one batch, and abandons it, which by the
-// engine's cursor contract leaks nothing and can never block a writer.
-// The only cross-fetch state is a struct in the cursor table, and a
-// lease reclaims it: every fetch renews the lease, a janitor reaps
-// cursors whose lease expired, and a session's close reaps its cursors.
+// Every range read is a server-side cursor over a query.Spec operator
+// tree: OpOpenQuery ships the tree (a plain scan is the one-node tree
+// query.Scan), the server clamps it to the tenant's namespace, compiles
+// it at the session snapshot, and keeps the live operator pipeline in
+// the cursor table; OpQueryFetch drains one row batch from it. Between
+// fetches the pipeline holds NO latch — an operator latches one shard
+// for one leaf read inside a Next call and nothing between calls — so
+// an idle or abandoned cursor can never block a writer. What it pins is
+// heap (and, for a parallel scan, parked goroutines), capped two ways:
+// a lease (every fetch renews it, a janitor closes expired cursors'
+// operators, a session's close closes its own) and a per-session cursor
+// cap (maxSessionCursors), past which an open is refused with the
+// retryable wire.CodeOverloaded before anything is compiled.
 //
 // # Admission control, drain
 //
@@ -185,8 +189,6 @@ var opClassNames = [wire.OpQueryFetch + 1]string{
 	wire.OpGet:         "get",
 	wire.OpDelete:      "delete",
 	wire.OpCommit:      "commit",
-	wire.OpOpenCursor:  "open_cursor",
-	wire.OpFetch:       "fetch",
 	wire.OpCloseCursor: "close_cursor",
 	wire.OpRefresh:     "refresh",
 	wire.OpStats:       "stats",

@@ -215,9 +215,14 @@ func TestServerCursorPagination(t *testing.T) {
 	h := start(t, db.Config{}, server.Config{})
 	c := h.dial(t, client.Options{Tenant: []byte("p")})
 	const n = 50
+	var at25 record.Timestamp // the commit time of k024: 25 keys exist then
 	for i := 0; i < n; i++ {
-		if _, err := c.Put(record.Key(fmt.Sprintf("k%03d", i)), []byte{byte(i)}); err != nil {
+		ct, err := c.Put(record.Key(fmt.Sprintf("k%03d", i)), []byte{byte(i)})
+		if err != nil {
 			t.Fatal(err)
+		}
+		if i == 24 {
+			at25 = ct
 		}
 	}
 	if _, err := c.Refresh(); err != nil {
@@ -261,6 +266,36 @@ func TestServerCursorPagination(t *testing.T) {
 	for i, v := range vs {
 		if want := fmt.Sprintf("k%03d", 19-i); string(v.Key) != want {
 			t.Fatalf("reverse key %d = %q, want %q", i, v.Key, want)
+		}
+	}
+
+	// Time travel (At older than the session snapshot) and a bounded
+	// high edge inside the tenant namespace, each across several fetches.
+	for _, tc := range []struct {
+		name        string
+		low         string
+		high        string
+		opts        client.ScanOptions
+		first, last int
+	}{
+		{"at", "", "k040", client.ScanOptions{At: at25, BatchSize: 4}, 0, 24},
+		{"bounded-high", "k005", "k030", client.ScanOptions{BatchSize: 7}, 5, 29},
+	} {
+		sc, err := c.Scan(record.Key(tc.low), record.KeyBound(record.Key(tc.high)), tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs, err := sc.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vs) != tc.last-tc.first+1 {
+			t.Fatalf("%s scan yielded %d keys, want %d", tc.name, len(vs), tc.last-tc.first+1)
+		}
+		for i, v := range vs {
+			if want := fmt.Sprintf("k%03d", tc.first+i); string(v.Key) != want {
+				t.Fatalf("%s key %d = %q, want %q", tc.name, i, v.Key, want)
+			}
 		}
 	}
 }
@@ -439,6 +474,32 @@ func TestServerMaxFrameEnforced(t *testing.T) {
 	}
 	if _, err := c.Ping(); err == nil {
 		t.Fatal("connection survived a framing violation")
+	}
+}
+
+// TestServerRefusesOldProtocol: a version-1 peer (whose op codes past
+// commit mean something else now) is refused at Hello by the version
+// check, with the typed bad-request, before it can send anything else.
+func TestServerRefusesOldProtocol(t *testing.T) {
+	h := start(t, db.Config{}, server.Config{})
+	nc, err := net.Dial("tcp", h.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = nc.Close() }()
+	hello := wire.AppendHello(nil, wire.Hello{Version: wire.ProtocolVersion - 1, Tenant: []byte("old")})
+	if _, err := nc.Write(record.AppendFrame(nil, hello)); err != nil {
+		t.Fatal(err)
+	}
+	_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	payload, err := record.ReadFrame(nc, wire.DefaultMaxFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = wire.DecodeResponse(payload)
+	var we *wire.Error
+	if !errors.As(err, &we) || we.Code != wire.CodeBadRequest {
+		t.Fatalf("version-1 hello: err = %v, want bad request", err)
 	}
 }
 

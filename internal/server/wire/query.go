@@ -7,16 +7,17 @@ import (
 	"repro/internal/record"
 )
 
-// Query protocol: OpOpenQuery ships a serialized query.Spec operator
-// tree and replies with a cursor id (the same id space — and the same
-// OpCloseCursor — as plain range cursors). OpQueryFetch returns one
-// batch of rows from it.
+// Cursor protocol: OpOpenQuery ships a serialized query.Spec operator
+// tree — a plain range scan is the one-node tree query.Scan(low, high) —
+// and replies with a cursor id. OpQueryFetch returns one batch of rows
+// from it; OpCloseCursor releases it early. There is no other way to
+// read a range over the wire.
 //
-// Unlike a plain cursor, a query cursor keeps a live operator pipeline
-// on the server between fetches: a composed stream (join, group-by,
-// diff) has no single resume key to re-seek from. That is safe under
+// A cursor keeps its live operator pipeline on the server between
+// fetches: a composed stream (join, group-by, diff) has no single resume
+// key to re-seek from, so no cursor resumes by key. That is safe under
 // the engine's cursor contract — an idle operator holds no latch — and
-// the cursor lease still bounds an abandoned pipeline's lifetime.
+// the cursor lease bounds an abandoned pipeline's lifetime.
 
 // Spec node flag bits on the wire.
 const (

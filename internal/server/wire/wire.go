@@ -24,8 +24,10 @@ import (
 )
 
 // ProtocolVersion is sent in Hello; the server rejects versions it does
-// not speak.
-const ProtocolVersion = 1
+// not speak. Version 2 retired the resume-cursor ops and renumbered what
+// followed them; Hello kept its code and layout, so a version-1 peer is
+// refused by the version check rather than misparsed.
+const ProtocolVersion = 2
 
 // DefaultMaxFrame bounds one message frame's payload unless configured
 // otherwise: requests and responses alike must fit.
@@ -41,13 +43,11 @@ const (
 	OpGet
 	OpDelete
 	OpCommit
-	OpOpenCursor
-	OpFetch
 	OpCloseCursor
 	OpRefresh
 	OpStats
 	OpPing
-	OpOpenQuery  // query.go: open a composed-operator query cursor
+	OpOpenQuery  // query.go: open a cursor over a query.Spec operator tree
 	OpQueryFetch // query.go: fetch one row batch from it
 )
 
@@ -223,43 +223,6 @@ func DecodeCommit(d *record.Decoder) ([]CommitOp, error) {
 		ops = append(ops, op)
 	}
 	return ops, nil
-}
-
-// OpenCursor starts a server-side cursor over [Low, High) of the
-// session's namespace. At 0 reads at the session snapshot; Limit 0 is
-// unlimited; Reverse yields descending keys.
-type OpenCursor struct {
-	Low     record.Key
-	High    record.Bound
-	At      record.Timestamp
-	Limit   uint64
-	Reverse bool
-}
-
-// AppendOpenCursor appends an OpOpenCursor request.
-func AppendOpenCursor(buf []byte, oc OpenCursor) []byte {
-	e := record.NewEncoder(buf)
-	e.Byte(OpOpenCursor)
-	e.Key(oc.Low)
-	e.Bound(oc.High)
-	e.Time(oc.At)
-	e.Uvarint(oc.Limit)
-	e.Bool(oc.Reverse)
-	return e.Bytes()
-}
-
-// DecodeOpenCursor decodes the fields after the op byte.
-func DecodeOpenCursor(d *record.Decoder) (OpenCursor, error) {
-	var oc OpenCursor
-	oc.Low = d.Key()
-	oc.High = d.Bound()
-	oc.At = d.Time()
-	oc.Limit = d.Uvarint()
-	oc.Reverse = d.Bool()
-	if err := d.Err(); err != nil {
-		return OpenCursor{}, err
-	}
-	return oc, nil
 }
 
 // StatsReply is the server's observability surface on the wire —

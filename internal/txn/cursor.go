@@ -18,9 +18,9 @@ type ScanOptions struct {
 
 	// From/To, when either is nonzero, switch the cursor to the
 	// temporal range query: it yields the versions of each key valid at
-	// any moment in [From, To), ordered by (key, time) — ScanRange's
-	// contract, streamed one key-range shard at a time. From/To cannot
-	// be combined with At.
+	// any moment in [From, To), ordered by (key, time) — core.Tree's
+	// ScanRange contract, streamed one leaf-bounded key page at a time.
+	// From/To cannot be combined with At.
 	From, To record.Timestamp
 
 	// After, when non-nil, starts the scan strictly after this key,
@@ -33,71 +33,39 @@ type ScanOptions struct {
 	Limit int
 
 	// Reverse yields versions in descending order (descending (key,
-	// time) in window mode).
+	// time) in window mode). A snapshot scan pages from the high edge.
+	// A window scan has no reverse pager: the cursor drains the forward
+	// pages on its first Next — one leaf's latch at a time — and yields
+	// them back to front, so it buffers the whole window (O(window)
+	// memory) and Limit bounds only what is yielded, not what is read.
 	Reverse bool
 }
 
 // ErrCursorOptions is returned by a cursor whose options conflict.
 var ErrCursorOptions = errors.New("txn: ScanOptions.At cannot be combined with From/To")
 
-// CursorStore is the streaming extension of Store: it serves a snapshot
-// one latch-scoped page at a time (one leaf per call, found by one
-// root-to-leaf descent). *core.Tree and the db layer's shard router
-// implement it; a Store without it falls back to a materializing scan.
-type CursorStore interface {
-	Store
-	ScanPageAsOf(at record.Timestamp, low record.Key, high record.Bound, reverse bool) (core.Page, error)
-}
-
-// PartedStore is implemented by stores whose temporal range scans split
-// into independently latched parts in key order (the db layer's shard
-// router: one part per key-range shard). A window cursor over a
-// PartedStore materializes one part at a time instead of the whole
-// result.
-type PartedStore interface {
-	RangeParts(low record.Key, high record.Bound) int
-	ScanRangePart(part int, low record.Key, high record.Bound, from, to record.Timestamp) ([]record.Version, error)
-}
-
-// WindowCursorStore is the streaming extension of the temporal range
-// query: one key-paged, latch-scoped batch of ScanRange per call, with
-// the ScanPageAsOf resume contract (NextLow/More). A forward window
-// cursor over a WindowCursorStore streams page by page — the time-window
-// pushdown — instead of materializing whole shard parts; stores without
-// it (and reverse window scans) keep the parted path. *core.Tree and the
-// db layer's shard router implement it.
-type WindowCursorStore interface {
-	ScanRangePage(low record.Key, high record.Bound, from, to record.Timestamp) (core.Page, error)
-}
-
 // Cursor is a lazy, resumable read: versions stream in key order (or in
 // (key, time) order in window mode) as Next is called, instead of
 // arriving as one materialized slice.
 //
-// No latch is held between Next calls. Each Next holds at most one shard
-// latch, for the duration of a single leaf-page read (snapshot mode) or
-// a single shard's window scan (window mode); the snapshot-timestamp
-// contract survives the latch hand-offs because versions visible at the
-// cursor's timestamp are immutable. Abandoning a cursor mid-iteration
-// therefore leaks nothing and can never block a writer; Close exists to
-// make early termination explicit.
+// No latch is held between Next calls. Each fill asks the Store for one
+// page — ScanPageAsOf in snapshot mode, ScanRangePage in window mode —
+// and the store latches at most one shard for the duration of that one
+// leaf read; the snapshot-timestamp contract survives the latch
+// hand-offs because versions visible at the cursor's timestamp are
+// immutable. Abandoning a cursor mid-iteration therefore leaks nothing
+// and can never block a writer; Close exists to make early termination
+// explicit.
 //
 // A Cursor must be confined to one goroutine at a time, like the ReadTxn
 // that produced it.
 type Cursor struct {
-	store Store
-	at    record.Timestamp
-	low   record.Key
-	high  record.Bound
-	opts  ScanOptions
-
-	// window-mode progress: parts remaining, next part to fetch. When
-	// paged is set the cursor streams ScanRangePage batches through the
-	// (low, high) window instead of counting parts.
-	window bool
-	paged  bool
-	part   int
-	parts  int
+	store  Store
+	at     record.Timestamp
+	low    record.Key
+	high   record.Bound
+	opts   ScanOptions
+	window bool // From/To select versions; at is zero
 
 	buf    []record.Version
 	pos    int
@@ -114,27 +82,17 @@ func newCursor(store Store, at record.Timestamp, low record.Key, high record.Bou
 		low = opts.After.Successor()
 	}
 	c := &Cursor{store: store, at: at, low: low.Clone(), high: high, opts: opts}
-	if opts.From != 0 || opts.To != 0 {
+	switch {
+	case opts.From == 0 && opts.To == 0:
 		if opts.At != 0 {
-			c.err = ErrCursorOptions
-			return c
+			c.at = opts.At
 		}
+	case opts.At != 0:
+		c.err = ErrCursorOptions
+	default:
 		c.window = true
-		if _, ok := store.(WindowCursorStore); ok && !opts.Reverse {
-			c.paged = true
-		} else {
-			c.parts = 1
-			if ps, ok := store.(PartedStore); ok {
-				c.parts = ps.RangeParts(c.low, c.high)
-			}
-		}
-		if opts.To <= opts.From {
-			c.done = true // empty time window, like ScanRange
-		}
-		return c
-	}
-	if opts.At != 0 {
-		c.at = opts.At
+		c.at = 0
+		c.done = opts.To <= opts.From // empty time window, like ScanRange
 	}
 	return c
 }
@@ -191,73 +149,40 @@ func (c *Cursor) Next() bool {
 	}
 }
 
-// fill fetches the next latch-scoped batch: one leaf page in snapshot
-// mode, one part's window scan in window mode, or — for a Store without
-// streaming support — the whole materialized result at once.
-func (c *Cursor) fill() error {
+// page fetches the next latch-scoped page from the store and shrinks
+// the cursor's window past it.
+func (c *Cursor) page() ([]record.Version, error) {
+	var p core.Page
+	var err error
+	reverse := c.opts.Reverse && !c.window
 	if c.window {
-		return c.fillWindow()
+		p, err = c.store.ScanRangePage(c.low, c.high, c.opts.From, c.opts.To)
+	} else {
+		p, err = c.store.ScanPageAsOf(c.at, c.low, c.high, reverse)
 	}
-	cs, ok := c.store.(CursorStore)
-	if !ok {
-		vs, err := c.store.ScanAsOf(c.at, c.low, c.high)
-		if err != nil {
-			return err
-		}
-		if c.opts.Reverse {
-			slices.Reverse(vs)
-		}
-		c.buf, c.pos, c.done = vs, 0, true
-		return nil
-	}
-	p, err := cs.ScanPageAsOf(c.at, c.low, c.high, c.opts.Reverse)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	c.buf, c.pos = p.Versions, 0
-	c.low, c.high, c.done = p.Advance(c.low, c.high, c.opts.Reverse)
-	return nil
+	c.low, c.high, c.done = p.Advance(c.low, c.high, reverse)
+	return p.Versions, nil
 }
 
-// fillWindow fetches the next latch-scoped batch of a temporal range
-// query: one key page (forward scans over a WindowCursorStore) or one
-// part (parts run back to front when reversing).
-func (c *Cursor) fillWindow() error {
-	if c.paged {
-		p, err := c.store.(WindowCursorStore).ScanRangePage(c.low, c.high, c.opts.From, c.opts.To)
-		if err != nil {
-			return err
+// fill buffers the next page — or, for a reverse window scan, every
+// forward page of the window, reversed (see ScanOptions.Reverse).
+func (c *Cursor) fill() error {
+	vs, err := c.page()
+	if c.window && c.opts.Reverse {
+		for err == nil && !c.done {
+			var more []record.Version
+			more, err = c.page()
+			vs = append(vs, more...)
 		}
-		c.buf, c.pos = p.Versions, 0
-		c.low, c.high, c.done = p.Advance(c.low, c.high, false)
-		return nil
-	}
-	if c.part >= c.parts {
-		c.done = true
-		return nil
-	}
-	part := c.part
-	if c.opts.Reverse {
-		part = c.parts - 1 - c.part
-	}
-	var vs []record.Version
-	var err error
-	if ps, ok := c.store.(PartedStore); ok {
-		vs, err = ps.ScanRangePart(part, c.low, c.high, c.opts.From, c.opts.To)
-	} else {
-		vs, err = c.store.ScanRange(c.low, c.high, c.opts.From, c.opts.To)
+		slices.Reverse(vs)
 	}
 	if err != nil {
 		return err
 	}
-	if c.opts.Reverse {
-		slices.Reverse(vs)
-	}
-	c.part++
 	c.buf, c.pos = vs, 0
-	if c.part >= c.parts {
-		c.done = true
-	}
 	return nil
 }
 
@@ -270,12 +195,7 @@ func (c *Cursor) Err() error { return c.err }
 
 // Timestamp returns the snapshot time the cursor reads at (0 in window
 // mode, where From/To select versions instead).
-func (c *Cursor) Timestamp() record.Timestamp {
-	if c.window {
-		return 0
-	}
-	return c.at
-}
+func (c *Cursor) Timestamp() record.Timestamp { return c.at }
 
 // Close terminates the cursor. It is idempotent and always safe: a
 // cursor holds no latch between Next calls, so Close releases no
@@ -286,8 +206,9 @@ func (c *Cursor) Close() error {
 }
 
 // Collect drains the cursor into a slice: the bridge from the streaming
-// API back to the materializing one. The legacy Scan/ScanRange methods
-// are implemented with it.
+// API back to the materializing one. The slice-returning scans
+// (ReadTxn.Scan, the db layer's ScanAsOf/ScanRange) are implemented
+// with it.
 func (c *Cursor) Collect() ([]record.Version, error) {
 	var out []record.Version
 	for c.Next() {
@@ -299,7 +220,4 @@ func (c *Cursor) Collect() ([]record.Version, error) {
 	return out, nil
 }
 
-var (
-	_ CursorStore       = (*core.Tree)(nil)
-	_ WindowCursorStore = (*core.Tree)(nil)
-)
+var _ Store = (*core.Tree)(nil)

@@ -103,7 +103,7 @@ func TestCursorSnapshotIsolationAcrossNext(t *testing.T) {
 }
 
 func TestCursorWindowMatchesScanRange(t *testing.T) {
-	m, _ := newManager(t)
+	m, tree := newManager(t)
 	seedKeys(t, m, 10)
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 10; i += 2 {
@@ -115,20 +115,30 @@ func TestCursorWindowMatchesScanRange(t *testing.T) {
 			}
 		}
 	}
-	want, err := m.ScanRange(nil, record.InfiniteBound(), 5, 20)
+	// The oracle is the tree's recursive ScanRange, not the cursor.
+	want, err := tree.ScanRange(nil, record.InfiniteBound(), 5, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.ReadOnly().Cursor(nil, record.InfiniteBound(), ScanOptions{From: 5, To: 20}).Collect()
-	if err != nil {
-		t.Fatal(err)
+	if len(want) == 0 {
+		t.Fatal("oracle window is empty: the test compares nothing")
 	}
-	if len(got) != len(want) {
-		t.Fatalf("window cursor = %d versions, ScanRange %d", len(got), len(want))
-	}
-	for i := range want {
-		if !got[i].Key.Equal(want[i].Key) || got[i].Time != want[i].Time {
-			t.Fatalf("window cursor[%d] = %v, want %v", i, got[i], want[i])
+	for _, reverse := range []bool{false, true} {
+		got, err := m.ReadOnly().Cursor(nil, record.InfiniteBound(), ScanOptions{From: 5, To: 20, Reverse: reverse}).Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("window cursor (reverse=%v) = %d versions, ScanRange %d", reverse, len(got), len(want))
+		}
+		for i := range want {
+			g := got[i]
+			if reverse {
+				g = got[len(got)-1-i]
+			}
+			if !g.Key.Equal(want[i].Key) || g.Time != want[i].Time {
+				t.Fatalf("window cursor (reverse=%v) [%d] = %v, want %v", reverse, i, g, want[i])
+			}
 		}
 	}
 	// Empty window, like ScanRange.

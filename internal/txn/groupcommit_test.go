@@ -269,7 +269,7 @@ func storageNew(t *testing.T) Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewLatchedStore(tree)
+	return newLatchedStore(tree)
 }
 
 func TestCommitHookPanicDoesNotStrandLeadership(t *testing.T) {

@@ -17,7 +17,7 @@
 // # Concurrency
 //
 // The Manager is safe for concurrent use provided its Store is (the db
-// layer supplies a latched, sharded store). Internally:
+// layer supplies one: a latched key-range shard router). Internally:
 //
 //   - the commit clock and transaction-id counter are atomics, so issuing
 //     a read-only transaction's timestamp is wait-free — a reader never
@@ -54,14 +54,17 @@
 //
 // # Streaming reads
 //
-// Range reads stream: ReadTxn.Cursor (and the iter.Seq2 form,
+// Every range read is a Cursor: ReadTxn.Cursor (and the iter.Seq2 form,
 // ReadTxn.Range) yields versions lazily with pagination, reverse order,
-// and early termination as first-class options (ScanOptions). A cursor
-// holds no latch between Next calls — each Next latches at most one
-// shard for one leaf-page read — and stays consistent across the latch
+// and early termination as first-class options (ScanOptions), pulling
+// one leaf-bounded page at a time through the Store's two page methods;
+// there is no other range-read path and no materializing fallback. A
+// cursor holds no latch between Next calls — each page latches at most
+// one shard for one leaf read — and stays consistent across the latch
 // hand-offs because the versions visible at its snapshot timestamp are
-// immutable. The slice-returning Scan and ScanRange survive as thin
-// Collect wrappers over the cursor.
+// immutable. The slice-returning ReadTxn.Scan is a thin Collect wrapper
+// over the cursor; diffs are the query layer's fold over a
+// window cursor (query.Diff).
 package txn
 
 import (
@@ -77,9 +80,13 @@ import (
 	"repro/internal/record"
 )
 
-// Store is the versioned store a Manager coordinates. It must be safe for
-// concurrent use; the db layer's latched shard router satisfies it, and a
-// bare *core.Tree does for single-goroutine use.
+// Store is the versioned store a Manager coordinates — the one store
+// interface: point reads and writes, one key's history, and the two page
+// iterators every range read streams through (a page is one latch-scoped
+// leaf read, resumed through core.Page's NextLow/NextHigh, so a Store
+// never materializes a range or holds a latch across calls). It must be
+// safe for concurrent use; the db layer's latched shard router satisfies
+// it, and a bare *core.Tree does for single-goroutine use.
 type Store interface {
 	Insert(v record.Version) error
 	CommitKey(k record.Key, txnID uint64, commitTime record.Timestamp) error
@@ -87,10 +94,24 @@ type Store interface {
 	GetPending(k record.Key, txnID uint64) (record.Version, bool, error)
 	Get(k record.Key) (record.Version, bool, error)
 	GetAsOf(k record.Key, at record.Timestamp) (record.Version, bool, error)
-	ScanAsOf(at record.Timestamp, low record.Key, high record.Bound) ([]record.Version, error)
 	History(k record.Key) ([]record.Version, error)
-	ScanRange(low record.Key, high record.Bound, from, to record.Timestamp) ([]record.Version, error)
+	// ScanPageAsOf returns one page of the snapshot of [low, high) at
+	// time at, from the low edge (the high edge when reverse).
+	ScanPageAsOf(at record.Timestamp, low record.Key, high record.Bound, reverse bool) (core.Page, error)
+	// ScanRangePage returns one forward key page of the versions of
+	// [low, high) valid at any moment in [from, to), in (key, time) order.
+	ScanRangePage(low record.Key, high record.Bound, from, to record.Timestamp) (core.Page, error)
 }
+
+// Deprecated: the former optional extensions of Store, now aliases of
+// it. Nothing in this module names them; they exist only so the
+// compile-time assertions in bench/trace.go keep building, and go when
+// those do.
+type (
+	CursorStore       = Store
+	WindowCursorStore = Store
+	Differ            = Store
+)
 
 // Errors returned by the transaction layer.
 var (
@@ -702,34 +723,6 @@ func (m *Manager) ReadAt(at record.Timestamp) *ReadTxn {
 // History returns the full committed version history of key k.
 func (m *Manager) History(k record.Key) ([]record.Version, error) {
 	return m.store.History(k)
-}
-
-// ScanRange returns the versions of keys in [low, high) valid at any
-// moment in the time window [from, to): the general temporal range
-// query, as a thin Collect wrapper over the streaming cursor.
-func (m *Manager) ScanRange(low record.Key, high record.Bound, from, to record.Timestamp) ([]record.Version, error) {
-	if to <= from {
-		return nil, nil
-	}
-	return newCursor(m.store, m.Now(), low, high, ScanOptions{From: from, To: to}).Collect()
-}
-
-// Differ is implemented by stores that support time-travel diffs
-// (*core.Tree and the db layer's shard router do).
-type Differ interface {
-	Diff(low record.Key, high record.Bound, from, to record.Timestamp) ([]core.Change, error)
-}
-
-func errNoDiff(s any) error { return fmt.Errorf("txn: store %T does not support Diff", s) }
-
-// Diff reports the keys whose visible state differs between two times.
-// It fails if the underlying store does not support diffs.
-func (m *Manager) Diff(low record.Key, high record.Bound, from, to record.Timestamp) ([]core.Change, error) {
-	differ, ok := m.store.(Differ)
-	if !ok {
-		return nil, errNoDiff(m.store)
-	}
-	return differ.Diff(low, high, from, to)
 }
 
 // Timestamp returns the reader's snapshot time.

@@ -19,7 +19,7 @@ func newManager(t *testing.T) (*Manager, *core.Tree) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewManager(NewLatchedStore(tree), tree.Now()), tree
+	return NewManager(newLatchedStore(tree), tree.Now()), tree
 }
 
 func TestCommitMakesWritesVisible(t *testing.T) {
@@ -325,7 +325,7 @@ func TestCommitFailureReleasesLocksAndBurnsTimestamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewManager(&failingStore{Store: NewLatchedStore(tree), failKey: "b"}, tree.Now())
+	m := NewManager(&failingStore{Store: newLatchedStore(tree), failKey: "b"}, tree.Now())
 
 	tx := m.Begin()
 	for _, k := range []string{"a", "b", "c"} {
