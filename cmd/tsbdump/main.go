@@ -35,7 +35,6 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 	"repro/internal/pagestore"
 	"repro/internal/record"
 	"repro/internal/txn"
@@ -255,8 +254,7 @@ func run(policy string, ops int, u float64, seed int64, dump bool, scan int) err
 	fmt.Printf("versions migrated:    %d (%d bytes)\n", st.VersionsMigrated, st.BytesMigrated)
 	fmt.Printf("marked leaves:        %d (forced splits: %d)\n", st.MarkedLeaves, st.ForcedTimeSplits)
 
-	rep := metrics.Collect(st, res.Mag.Stats(), res.WORM.Stats(), 4096, 1024)
-	fmt.Printf("\nspace: %s\n", rep)
+	fmt.Printf("\nspace: %s\n", res.Report)
 
 	if err := res.Tree.CheckInvariants(); err != nil {
 		return fmt.Errorf("INVARIANT VIOLATION: %w", err)

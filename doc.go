@@ -15,19 +15,20 @@
 // ARCHITECTURE.md ("Statically enforced invariants") for the rules and
 // their escape hatches.
 //
-// The system lives in internal/:
+// The system lives in internal/, in two groups. The engine:
 //
 //   - internal/core: the TSB-tree itself (the paper's contribution);
-//   - internal/wobt: Easton's Write-Once B-tree, the §2 baseline;
-//   - internal/bplus: a single-version B+-tree comparator;
 //   - internal/storage: simulated magnetic and write-once devices (and
 //     the device contracts both backends satisfy);
 //   - internal/pagestore: the file-backed devices of a durable
-//     database — a CRC-framed mutable page file with a rollback
-//     journal, and an append-only burn file with torn-tail detection;
+//     database — a CRC-guarded mutable page file and an append-only
+//     burn file with torn-tail detection, both overwritten in place
+//     only behind the one rollback journal;
 //   - internal/buffer, internal/record: substrates (the buffer pool
 //     doubles as a durable database's dirty-page table; the record
-//     package also defines the shard-boundary key codec);
+//     package defines the shard-boundary key codec and the one
+//     length|CRC|payload frame codec under the WAL, the checkpoint,
+//     the journals and the wire);
 //   - internal/txn, internal/secondary, internal/db: the §4/§3.6
 //     transaction and secondary-index layers and the engine facade;
 //   - internal/query: the temporal query engine — §2.5's query classes
@@ -42,8 +43,6 @@
 //   - internal/wal: the durability subsystem — a CRC-framed,
 //     fsync-batched write-ahead log of commit records plus the
 //     metadata-only checkpoint codec;
-//   - internal/workload, internal/metrics, internal/experiments: the
-//     paper's evaluation (experiments E1-E9);
 //   - internal/obs: the observability substrate — atomic counters,
 //     gauges, and lock-free latency histograms behind a registry with
 //     Prometheus-text and JSON exposition, plus ring-buffer event and
@@ -57,6 +56,17 @@
 //     watermark-based admission shedding — with the Go client in
 //     server/client and the daemon in cmd/tsbserve (see the "Service
 //     layer" section of docs/ARCHITECTURE.md).
+//
+// The evaluation (experiments E1-E9, the figures, the ablations) — no
+// engine package imports these:
+//
+//   - internal/wobt: Easton's Write-Once B-tree, the §2 baseline;
+//   - internal/bplus: a single-version B+-tree comparator;
+//   - internal/workload: the update-vs-insert workload generator;
+//   - internal/experiments: the paper's measurement plan — one workload
+//     driver over the three structures, the SpaceReport measures
+//     (SpaceM, SpaceO, redundancy, the §3.2 cost function), and the
+//     E1-E9 tables cmd/tsbench prints.
 //
 // The engine is concurrent and sharded: db.Config.Shards partitions the
 // key space across N independent TSB-trees (key-range sharding, so range

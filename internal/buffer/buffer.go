@@ -19,14 +19,14 @@
 //     device outside a flush — which is what lets a durable database
 //     keep its on-disk page file reconstructible to the last
 //     checkpoint boundary (internal/pagestore). When every frame over
-//     capacity is dirty or pinned, the pool grows past capacity rather
+//     capacity is dirty, the pool grows past capacity rather
 //     than violate no-steal (Stats.Overflows counts this; the
 //     checkpoint cadence bounds it).
 //
 // Writes can be tagged with a flush group (Tagged) — the paged engine
 // tags each shard's tree and the secondary indexes — so a checkpoint
 // can pre-flush shard by shard (CaptureDirty with a tag) before its
-// final boundary capture. Pin/Unpin protect hot pages from eviction.
+// final boundary capture.
 package buffer
 
 import (
@@ -53,7 +53,7 @@ type Stats struct {
 	// flush captures.
 	FlushedPages uint64
 	// Overflows counts frames the pool kept past capacity because
-	// every eviction candidate was dirty or pinned.
+	// every eviction candidate was dirty.
 	Overflows uint64
 }
 
@@ -72,7 +72,6 @@ type frame struct {
 	dirty bool
 	epoch uint64 // bumped on every write; lets a flush detect re-dirtying
 	tag   int
-	pins  int
 }
 
 // Pool is an LRU page cache implementing storage.PageStore. It is safe
@@ -157,10 +156,10 @@ func (p *Pool) insert(page uint64, data []byte, dirty bool, tag int) *frame {
 	return fr
 }
 
-// evictSome drops least-recently-used clean, unpinned frames until at
+// evictSome drops least-recently-used clean frames until at
 // most n remain, examining a bounded number of candidates so a mostly-
 // dirty pool costs O(1) per insert, not a full LRU walk: if the
-// candidates are all dirty or pinned, the pool grows past capacity
+// candidates are all dirty, the pool grows past capacity
 // (no-steal) and Stats.Overflows records it. MarkClean trims back.
 func (p *Pool) evictSome(n int) {
 	const scanLimit = 8
@@ -168,7 +167,7 @@ func (p *Pool) evictSome(n int) {
 	for scanned := 0; p.lru.Len() > n && el != nil && scanned < scanLimit; scanned++ {
 		prev := el.Prev()
 		fr := el.Value.(*frame)
-		if !fr.dirty && fr.pins == 0 {
+		if !fr.dirty {
 			p.lru.Remove(el)
 			delete(p.byPg, fr.page)
 			p.evictions.Inc()
@@ -236,47 +235,6 @@ func (p *Pool) Free(page uint64) error {
 		delete(p.byPg, page)
 	}
 	return p.dev.Free(page)
-}
-
-// Pin loads page into the cache (if absent) and protects it from
-// eviction until a matching Unpin.
-func (p *Pool) Pin(page uint64) error {
-	p.mu.Lock()
-	if el, ok := p.byPg[page]; ok {
-		el.Value.(*frame).pins++
-		p.mu.Unlock()
-		return nil
-	}
-	p.mu.Unlock()
-	if _, err := p.Read(page); err != nil {
-		return err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	el, ok := p.byPg[page]
-	if !ok {
-		// The read's insert was immediately evicted: capacity 1 corner.
-		data, err := p.dev.Read(page)
-		if err != nil {
-			return err
-		}
-		fr := p.insert(page, data, false, NoTag)
-		fr.pins++
-		return nil
-	}
-	el.Value.(*frame).pins++
-	return nil
-}
-
-// Unpin releases one pin on page.
-func (p *Pool) Unpin(page uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if el, ok := p.byPg[page]; ok {
-		if fr := el.Value.(*frame); fr.pins > 0 {
-			fr.pins--
-		}
-	}
 }
 
 // Tagged returns a view of the pool whose writes carry the given flush
@@ -400,7 +358,7 @@ func (p *Pool) MarkClean(pages []DirtyPage) {
 	for p.lru.Len() > p.cap && el != nil {
 		prev := el.Prev()
 		fr := el.Value.(*frame)
-		if !fr.dirty && fr.pins == 0 {
+		if !fr.dirty {
 			p.lru.Remove(el)
 			delete(p.byPg, fr.page)
 			p.evictions.Inc()
@@ -439,7 +397,7 @@ func (p *Pool) RegisterMetrics(r *obs.Registry) {
 	r.RegisterCounter("tsb_buffer_misses_total", "page reads that went to the device", &p.misses)
 	r.RegisterCounter("tsb_buffer_evictions_total", "clean frames evicted", &p.evictions)
 	r.RegisterCounter("tsb_buffer_flushed_pages_total", "dirty pages written back by flush captures", &p.flushed)
-	r.RegisterCounter("tsb_buffer_overflows_total", "frames kept past capacity (all candidates dirty or pinned)", &p.overflows)
+	r.RegisterCounter("tsb_buffer_overflows_total", "frames kept past capacity (all candidates dirty)", &p.overflows)
 	r.GaugeFunc("tsb_buffer_dirty_pages", "current dirty-page table size", func() float64 {
 		return float64(p.DirtyCount())
 	})

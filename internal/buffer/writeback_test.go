@@ -134,34 +134,6 @@ func TestWritebackTags(t *testing.T) {
 	}
 }
 
-// TestPinBlocksEviction: a pinned clean page survives capacity
-// pressure; unpinning releases it.
-func TestPinBlocksEviction(t *testing.T) {
-	dev := newDev()
-	pool := NewPool(dev, 2)
-	p, _ := pool.Alloc()
-	if err := pool.Write(p, []byte("pinned")); err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.Pin(p); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		q, _ := pool.Alloc()
-		if err := pool.Write(q, []byte("filler")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	devReads := dev.Stats().Reads
-	if got, err := pool.Read(p); err != nil || string(got) != "pinned" {
-		t.Fatalf("pinned read: %q, %v", got, err)
-	}
-	if dev.Stats().Reads != devReads {
-		t.Fatal("pinned page was evicted (device read needed)")
-	}
-	pool.Unpin(p)
-}
-
 // TestCaptureDirtyGroups: one walk buckets every flush group.
 func TestCaptureDirtyGroups(t *testing.T) {
 	dev := newDev()

@@ -241,28 +241,24 @@ type Tree struct {
 	// migration modes.
 	migFallbacks uint64
 	splitNanos   uint64
-	// pendingLimit bounds the background-migration queue: once this many
-	// nodes are marked, further overflows split inline (backpressure)
-	// until the migrator drains — well before the physical-page fallback
-	// would fire.
-	pendingLimit int
 }
 
-// defaultPendingSplitLimit is the per-tree backpressure bound on queued
-// background time splits.
-const defaultPendingSplitLimit = 32
+// pendingSplitLimit bounds each tree's background-migration queue: once
+// this many nodes are marked, further overflows split inline
+// (backpressure) until the migrator drains — well before the
+// physical-page fallback would fire.
+const pendingSplitLimit = 32
 
 // New creates an empty TSB-tree with a single empty leaf as root.
 func New(mag storage.PageStore, worm storage.WORMDevice, cfg Config) (*Tree, error) {
 	c := cfg.withDefaults(mag.PageSize())
 	t := &Tree{
-		mag:          mag,
-		worm:         worm,
-		cfg:          c,
-		policy:       c.Policy,
-		marked:       make(map[uint64]bool),
-		pending:      make(map[uint64]*pendingMark),
-		pendingLimit: defaultPendingSplitLimit,
+		mag:     mag,
+		worm:    worm,
+		cfg:     c,
+		policy:  c.Policy,
+		marked:  make(map[uint64]bool),
+		pending: make(map[uint64]*pendingMark),
 	}
 	// Bound on an encoded index entry: rect (two keys + bounds + two
 	// times) + child address + framing.

@@ -115,16 +115,6 @@ func (t *Tree) TakeNewPendingSplits() []PendingSplit {
 // background time split.
 func (t *Tree) PendingSplitCount() int { return len(t.pending) }
 
-// SetPendingSplitLimit overrides the backpressure bound on the
-// background-migration queue: once the queue holds this many nodes,
-// further overflows split inline until the migrator drains. It must be
-// called before concurrent use of the tree begins.
-func (t *Tree) SetPendingSplitLimit(n int) {
-	if n > 0 {
-		t.pendingLimit = n
-	}
-}
-
 // MigrationFallbacks returns how many queued leaves were split inline
 // after all because they ran out of physical page headroom.
 func (t *Tree) MigrationFallbacks() uint64 { return t.migFallbacks }
@@ -159,7 +149,7 @@ func (t *Tree) deferSplit(child *node, forced bool, v record.Version) bool {
 	if _, queued := t.pending[child.addr.Off]; queued {
 		return true
 	}
-	if len(t.pending) >= t.pendingLimit {
+	if len(t.pending) >= pendingSplitLimit {
 		return false // queue backpressure: split inline until the migrator drains
 	}
 	T, timeSplit, _ := t.plannedTimeSplit(child, forced)
@@ -213,7 +203,7 @@ func (t *Tree) deferIndexSplit(n *node, v record.Version) bool {
 	if _, queued := t.pending[n.addr.Off]; queued {
 		return true
 	}
-	if len(t.pending) >= t.pendingLimit {
+	if len(t.pending) >= pendingSplitLimit {
 		return false // queue backpressure: split inline until the migrator drains
 	}
 	// Mirror splitIndex's decision: defer only a wanted, legal local time

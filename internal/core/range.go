@@ -107,13 +107,6 @@ func (t *Tree) ScanRange(low record.Key, high record.Bound, from, to record.Time
 	return out, nil
 }
 
-// HistoryRange returns the versions of key k committed in [from, to),
-// preceded by the version alive at `from` if one exists — the single-key
-// form of ScanRange.
-func (t *Tree) HistoryRange(k record.Key, from, to record.Timestamp) ([]record.Version, error) {
-	return t.ScanRange(k, record.KeyBound(append(k.Clone(), 0)), from, to)
-}
-
 // ScanRangePage returns one key-paged batch of the temporal range query:
 // the ScanRange result restricted to the keys owned by the single current
 // leaf responsible for `low`, found by one root-to-leaf descent. The

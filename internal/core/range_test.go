@@ -99,6 +99,8 @@ func TestScanRangeTombstones(t *testing.T) {
 	}
 }
 
+// TestHistoryRange: ScanRange over a one-key window is that key's
+// history in [from, to), preceded by the version alive at from.
 func TestHistoryRange(t *testing.T) {
 	tree, _, _ := newTestTree(t, PolicyLastUpdate)
 	// k at odd times 1,3,..,19; other interleaved at even times.
@@ -106,18 +108,19 @@ func TestHistoryRange(t *testing.T) {
 		put(t, tree, "k", uint64(2*i-1), fmt.Sprintf("v%d", 2*i-1))
 		put(t, tree, "other", uint64(2*i), "x")
 	}
-	vs, err := tree.HistoryRange(record.StringKey("k"), 4, 8)
+	k := record.StringKey("k")
+	vs, err := tree.ScanRange(k, record.KeyBound(append(k.Clone(), 0)), 4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Window [4,8): alive at 4 is k@3; inside the window: k@5, k@7.
 	wantTimes := []record.Timestamp{3, 5, 7}
 	if len(vs) != len(wantTimes) {
-		t.Fatalf("HistoryRange = %v, want times %v", vs, wantTimes)
+		t.Fatalf("ScanRange = %v, want times %v", vs, wantTimes)
 	}
 	for i, v := range vs {
-		if v.Time != wantTimes[i] || !v.Key.Equal(record.StringKey("k")) {
-			t.Errorf("HistoryRange[%d] = %v, want time %v", i, v, wantTimes[i])
+		if v.Time != wantTimes[i] || !v.Key.Equal(k) {
+			t.Errorf("ScanRange[%d] = %v, want time %v", i, v, wantTimes[i])
 		}
 	}
 }

@@ -934,8 +934,7 @@ type DeviceStats struct {
 	// page size) — the erasable current database plus index.
 	SpaceM uint64
 	// SpaceO is the optical capacity consumed in bytes (sectors burned
-	// × sector size); BurnedBytes is its alias in the paper's
-	// burned-vs-payload framing.
+	// × sector size).
 	SpaceO uint64
 	// PayloadBytes of SpaceO hold live data; WastedBytes is the burned
 	// remainder: partial sectors plus DeadBytes. DeadBytes is the
@@ -953,9 +952,6 @@ type DeviceStats struct {
 	// memory (the pool writes through).
 	DirtyPages int
 }
-
-// BurnedBytes returns SpaceO: the total write-once capacity consumed.
-func (s DeviceStats) BurnedBytes() uint64 { return s.SpaceO }
 
 // Stats aggregates the accounting of every component.
 type Stats struct {

@@ -13,25 +13,44 @@ import (
 	"repro/internal/txn"
 )
 
-// dbImage is the whole state of an in-memory database — both device
-// images, every tree image, the clock: the reference two databases are
-// compared on when they must be byte-identical.
+// dbImage is the whole state of an in-memory database — both devices'
+// counters and contents, every tree image, the clock: the reference two
+// databases are compared on when they must be byte-identical.
 type dbImage struct {
-	Magnetic    storage.MagneticImage
-	WORM        storage.WORMImage
+	MagStats    storage.MagneticStats
+	Pages       [][]byte // nil = never written or freed
+	WORMStats   storage.WORMStats
+	Sectors     [][]byte
 	Shards      []core.TreeImage
 	Secondaries map[string]core.TreeImage
 	Clock       record.Timestamp
 }
 
-// imageOf captures d's image. d must be in memory and idle.
+// imageOf captures d's image. d must be in memory and idle. The
+// counters are snapshotted before the contents are read back, so the
+// reads the capture itself issues do not show in the image.
 func imageOf(t *testing.T, d *DB) dbImage {
 	t.Helper()
+	mag, worm := d.mag.(*storage.MagneticDisk), d.worm.(*storage.WORMDisk)
 	img := dbImage{
-		Magnetic:    d.mag.(*storage.MagneticDisk).Image(),
-		WORM:        d.worm.(*storage.WORMDisk).Image(),
+		MagStats:    mag.Stats(),
+		WORMStats:   worm.Stats(),
 		Secondaries: map[string]core.TreeImage{},
 		Clock:       d.Now(),
+	}
+	// Every page slot was handed out by a fresh Alloc, so Allocs bounds
+	// the slot count; the engine burns by Append only, so the burned
+	// sectors are exactly 0..SectorsBurned.
+	for p := uint64(0); p < img.MagStats.Allocs; p++ {
+		data, _ := mag.Read(p)
+		img.Pages = append(img.Pages, data)
+	}
+	for s := uint64(0); s < img.WORMStats.SectorsBurned; s++ {
+		data, err := worm.ReadSector(s)
+		if err != nil {
+			t.Fatalf("burned sector %d: %v", s, err)
+		}
+		img.Sectors = append(img.Sectors, data)
 	}
 	for i := 0; i < d.Shards(); i++ {
 		if err := d.WithShardTree(i, func(tree *core.Tree) error {

@@ -63,38 +63,25 @@ func E5SearchIO(p Params) ([]E5Result, Table, error) {
 	maxTime := uint64(p.Ops + initialKeys(p))
 	rng := rand.New(rand.NewSource(99))
 
-	type probe struct {
-		name string
-		n    int
-		run  func(structure string, i int) error
+	// Device-read and simulated-latency counters per structure.
+	type device struct {
+		reads func() uint64
+		time  func() time.Duration
 	}
-
-	// Device-read counters per structure.
-	tsbReads := func() uint64 {
-		return tsbRun.Mag.Stats().Reads + tsbRun.WORM.Stats().SectorReads
-	}
-	tsbTime := func() time.Duration {
-		return tsbRun.Mag.Stats().SimTime + tsbRun.WORM.Stats().SimTime
-	}
-	wobtReads := func() uint64 { return wobtRun.WORM.Stats().SectorReads }
-	wobtTime := func() time.Duration { return wobtRun.WORM.Stats().SimTime }
-	bplusReads := func() uint64 { return bplusMag.Stats().Reads }
-	bplusTime := func() time.Duration { return bplusMag.Stats().SimTime }
-
-	measure := func(structure, query string, n int, reads func() uint64, simTime func() time.Duration, body func() error) error {
-		r0, t0 := reads(), simTime()
-		if err := body(); err != nil {
-			return err
+	tsbDevice := func(r *TSBRun) device {
+		return device{
+			reads: func() uint64 { return r.Mag.Stats().Reads + r.WORM.Stats().SectorReads },
+			time:  func() time.Duration { return r.Mag.Stats().SimTime + r.WORM.Stats().SimTime },
 		}
-		r1, t1 := reads(), simTime()
-		results = append(results, E5Result{
-			Structure: structure,
-			Query:     query,
-			Queries:   n,
-			AvgReads:  float64(r1-r0) / float64(n),
-			AvgTime:   (t1 - t0) / time.Duration(n),
-		})
-		return nil
+	}
+	tsb, tsbBuf := tsbDevice(tsbRun), tsbDevice(tsbBufRun)
+	wobt := device{
+		reads: func() uint64 { return wobtRun.WORM.Stats().SectorReads },
+		time:  func() time.Duration { return wobtRun.WORM.Stats().SimTime },
+	}
+	bplus := device{
+		reads: func() uint64 { return bplusMag.Stats().Reads },
+		time:  func() time.Duration { return bplusMag.Stats().SimTime },
 	}
 
 	randKey := func() record.Key { return workload.KeyName(rng.Intn(nKeys)) }
@@ -104,119 +91,40 @@ func E5SearchIO(p Params) ([]E5Result, Table, error) {
 	const nScan = 5
 	const nHist = 100
 
-	tsbBufReads := func() uint64 {
-		return tsbBufRun.Mag.Stats().Reads + tsbBufRun.WORM.Stats().SectorReads
-	}
-	tsbBufTime := func() time.Duration {
-		return tsbBufRun.Mag.Stats().SimTime + tsbBufRun.WORM.Stats().SimTime
-	}
-
-	// Current point lookups.
-	if err := measure("tsb", "get-current", nPoint, tsbReads, tsbTime, func() error {
-		for i := 0; i < nPoint; i++ {
-			if _, _, err := tsbRun.Tree.Get(randKey()); err != nil {
-				return err
+	// Each probe runs one query n times on one structure and records the
+	// device cost it added. The order is part of the experiment: every
+	// probe draws its keys and times from the one rng. The B+-tree answers
+	// current queries only — it has discarded all history.
+	for _, pr := range []struct {
+		structure, query string
+		n                int
+		dev              device
+		run              func() error
+	}{
+		{"tsb", "get-current", nPoint, tsb, func() error { _, _, err := tsbRun.Tree.Get(randKey()); return err }},
+		{"tsb+cache", "get-current", nPoint, tsbBuf, func() error { _, _, err := tsbBufRun.Tree.Get(randKey()); return err }},
+		{"wobt", "get-current", nPoint, wobt, func() error { _, _, err := wobtRun.Tree.Get(randKey()); return err }},
+		{"b+tree", "get-current", nPoint, bplus, func() error { _, _, err := bplusTree.Get(randKey()); return err }},
+		{"tsb", "get-asof", nPoint, tsb, func() error { _, _, err := tsbRun.Tree.GetAsOf(randKey(), randTime()); return err }},
+		{"wobt", "get-asof", nPoint, wobt, func() error { _, _, err := wobtRun.Tree.GetAsOf(randKey(), randTime()); return err }},
+		{"tsb", "snapshot-scan", nScan, tsb, func() error { _, err := tsbRun.Tree.ScanAsOf(randTime(), nil, record.InfiniteBound()); return err }},
+		{"wobt", "snapshot-scan", nScan, wobt, func() error { _, err := wobtRun.Tree.ScanAsOf(randTime(), nil, record.InfiniteBound()); return err }},
+		{"tsb", "history", nHist, tsb, func() error { _, err := tsbRun.Tree.History(randKey()); return err }},
+		{"wobt", "history", nHist, wobt, func() error { _, err := wobtRun.Tree.History(randKey()); return err }},
+	} {
+		r0, t0 := pr.dev.reads(), pr.dev.time()
+		for i := 0; i < pr.n; i++ {
+			if err := pr.run(); err != nil {
+				return nil, Table{}, err
 			}
 		}
-		return nil
-	}); err != nil {
-		return nil, Table{}, err
-	}
-	if err := measure("tsb+cache", "get-current", nPoint, tsbBufReads, tsbBufTime, func() error {
-		for i := 0; i < nPoint; i++ {
-			if _, _, err := tsbBufRun.Tree.Get(randKey()); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, Table{}, err
-	}
-	if err := measure("wobt", "get-current", nPoint, wobtReads, wobtTime, func() error {
-		for i := 0; i < nPoint; i++ {
-			if _, _, err := wobtRun.Tree.Get(randKey()); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, Table{}, err
-	}
-	if err := measure("b+tree", "get-current", nPoint, bplusReads, bplusTime, func() error {
-		for i := 0; i < nPoint; i++ {
-			if _, _, err := bplusTree.Get(randKey()); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, Table{}, err
-	}
-
-	// As-of point lookups (temporal; the B+-tree cannot).
-	if err := measure("tsb", "get-asof", nPoint, tsbReads, tsbTime, func() error {
-		for i := 0; i < nPoint; i++ {
-			if _, _, err := tsbRun.Tree.GetAsOf(randKey(), randTime()); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, Table{}, err
-	}
-	if err := measure("wobt", "get-asof", nPoint, wobtReads, wobtTime, func() error {
-		for i := 0; i < nPoint; i++ {
-			if _, _, err := wobtRun.Tree.GetAsOf(randKey(), randTime()); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, Table{}, err
-	}
-
-	// Snapshot scans.
-	if err := measure("tsb", "snapshot-scan", nScan, tsbReads, tsbTime, func() error {
-		for i := 0; i < nScan; i++ {
-			if _, err := tsbRun.Tree.ScanAsOf(randTime(), nil, record.InfiniteBound()); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, Table{}, err
-	}
-	if err := measure("wobt", "snapshot-scan", nScan, wobtReads, wobtTime, func() error {
-		for i := 0; i < nScan; i++ {
-			if _, err := wobtRun.Tree.ScanAsOf(randTime(), nil, record.InfiniteBound()); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, Table{}, err
-	}
-
-	// Version histories.
-	if err := measure("tsb", "history", nHist, tsbReads, tsbTime, func() error {
-		for i := 0; i < nHist; i++ {
-			if _, err := tsbRun.Tree.History(randKey()); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, Table{}, err
-	}
-	if err := measure("wobt", "history", nHist, wobtReads, wobtTime, func() error {
-		for i := 0; i < nHist; i++ {
-			if _, err := wobtRun.Tree.History(randKey()); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, Table{}, err
+		results = append(results, E5Result{
+			Structure: pr.structure,
+			Query:     pr.query,
+			Queries:   pr.n,
+			AvgReads:  float64(pr.dev.reads()-r0) / float64(pr.n),
+			AvgTime:   (pr.dev.time() - t0) / time.Duration(pr.n),
+		})
 	}
 
 	t := Table{

@@ -19,7 +19,6 @@ import (
 	"repro/internal/bplus"
 	"repro/internal/buffer"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/record"
 	"repro/internal/storage"
 	"repro/internal/wobt"
@@ -96,11 +95,38 @@ func initialKeys(p Params) int {
 	return n
 }
 
+// drive feeds insert the one workload every structure is compared on:
+// the pre-seeded key population, then p.Ops operations at update
+// fraction u, each stamped with the next timestamp (a delete arrives as
+// a tombstone).
+func drive(p Params, u float64, insert func(record.Version) error) error {
+	gen := workload.New(workload.Config{
+		Ops: p.Ops, UpdateFraction: u, ValueSize: p.ValueSize, Seed: p.Seed,
+		Dist: p.Dist, InitialKeys: initialKeys(p),
+	})
+	ts := record.Timestamp(0)
+	apply := func(op workload.Op) error {
+		ts++
+		return insert(record.Version{Key: op.Key, Time: ts, Value: op.Value, Tombstone: op.Delete})
+	}
+	for _, op := range gen.InitialOps() {
+		if err := apply(op); err != nil {
+			return err
+		}
+	}
+	for op, more := gen.Next(); more; op, more = gen.Next() {
+		if err := apply(op); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TSBRun is the result of one TSB-tree workload run.
 type TSBRun struct {
 	Policy         string
 	UpdateFraction float64
-	Report         metrics.SpaceReport
+	Report         SpaceReport
 	Tree           *core.Tree
 	Mag            *storage.MagneticDisk
 	WORM           *storage.WORMDisk
@@ -123,33 +149,13 @@ func RunTSB(policyName string, u float64, p Params) (*TSBRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	gen := workload.New(workload.Config{
-		Ops: p.Ops, UpdateFraction: u, ValueSize: p.ValueSize, Seed: p.Seed,
-		Dist: p.Dist, InitialKeys: initialKeys(p),
-	})
-	ts := record.Timestamp(0)
-	apply := func(op workload.Op) error {
-		ts++
-		return tree.Insert(record.Version{Key: op.Key, Time: ts, Value: op.Value, Tombstone: op.Delete})
-	}
-	for _, op := range gen.InitialOps() {
-		if err := apply(op); err != nil {
-			return nil, err
-		}
-	}
-	for {
-		op, more := gen.Next()
-		if !more {
-			break
-		}
-		if err := apply(op); err != nil {
-			return nil, err
-		}
+	if err := drive(p, u, tree.Insert); err != nil {
+		return nil, err
 	}
 	return &TSBRun{
 		Policy:         policyName,
 		UpdateFraction: u,
-		Report:         metrics.Collect(tree.Stats(), mag.Stats(), worm.Stats(), p.PageSize, p.SectorSize),
+		Report:         collectSpace(tree.Stats(), mag.Stats(), worm.Stats(), p.PageSize, p.SectorSize),
 		Tree:           tree,
 		Mag:            mag,
 		WORM:           worm,
@@ -173,28 +179,8 @@ func RunWOBT(u float64, p Params) (*WOBTRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	gen := workload.New(workload.Config{
-		Ops: p.Ops, UpdateFraction: u, ValueSize: p.ValueSize, Seed: p.Seed,
-		Dist: p.Dist, InitialKeys: initialKeys(p),
-	})
-	ts := record.Timestamp(0)
-	apply := func(op workload.Op) error {
-		ts++
-		return tree.Insert(record.Version{Key: op.Key, Time: ts, Value: op.Value, Tombstone: op.Delete})
-	}
-	for _, op := range gen.InitialOps() {
-		if err := apply(op); err != nil {
-			return nil, err
-		}
-	}
-	for {
-		op, more := gen.Next()
-		if !more {
-			break
-		}
-		if err := apply(op); err != nil {
-			return nil, err
-		}
+	if err := drive(p, u, tree.Insert); err != nil {
+		return nil, err
 	}
 	return &WOBTRun{UpdateFraction: u, WORM: worm, Tree: tree, Stats: tree.Stats()}, nil
 }
@@ -208,30 +194,15 @@ func RunBPlus(u float64, p Params) (*storage.MagneticDisk, *bplus.Tree, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	gen := workload.New(workload.Config{
-		Ops: p.Ops, UpdateFraction: u, ValueSize: p.ValueSize, Seed: p.Seed,
-		Dist: p.Dist, InitialKeys: initialKeys(p),
-	})
-	apply := func(op workload.Op) error {
-		if op.Delete {
-			_, err := tree.Delete(op.Key)
+	err = drive(p, u, func(v record.Version) error {
+		if v.Tombstone {
+			_, err := tree.Delete(v.Key)
 			return err
 		}
-		return tree.Put(op.Key, op.Value)
-	}
-	for _, op := range gen.InitialOps() {
-		if err := apply(op); err != nil {
-			return nil, nil, err
-		}
-	}
-	for {
-		op, more := gen.Next()
-		if !more {
-			break
-		}
-		if err := apply(op); err != nil {
-			return nil, nil, err
-		}
+		return tree.Put(v.Key, v.Value)
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return mag, tree, nil
 }

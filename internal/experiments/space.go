@@ -1,11 +1,12 @@
-// Package metrics computes the space and cost measures of the paper's
-// evaluation plan: total space use, space use in the current database,
-// amount of redundancy (§5), and the storage cost function of §3.2,
+package experiments
+
+// The space and cost measures of the paper's evaluation plan: total
+// space use, space use in the current database, amount of redundancy
+// (§5), and the storage cost function of §3.2,
 //
 //	CS = SpaceM × CM + SpaceO × CO,
 //
 // where CM and CO are the per-byte costs of magnetic and optical storage.
-package metrics
 
 import (
 	"fmt"
@@ -37,9 +38,9 @@ type SpaceReport struct {
 	HistoricalNodes uint64
 }
 
-// Collect builds a SpaceReport from the tree and device statistics.
-func Collect(tree core.Stats, mag storage.MagneticStats, worm storage.WORMStats, pageSize, sectorSize int) SpaceReport {
-	r := SpaceReport{
+// collectSpace builds a SpaceReport from the tree and device statistics.
+func collectSpace(tree core.Stats, mag storage.MagneticStats, worm storage.WORMStats, pageSize, sectorSize int) SpaceReport {
+	return SpaceReport{
 		MagneticBytes:         mag.BytesInUse(pageSize),
 		WORMBytes:             worm.BytesBurned(sectorSize),
 		PayloadBytes:          worm.PayloadBytes,
@@ -50,7 +51,6 @@ func Collect(tree core.Stats, mag storage.MagneticStats, worm storage.WORMStats,
 		CurrentNodes:          tree.CurrentNodes,
 		HistoricalNodes:       tree.HistoricalNodes,
 	}
-	return r
 }
 
 // TotalBytes returns SpaceM + SpaceO.

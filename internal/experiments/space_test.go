@@ -1,4 +1,4 @@
-package metrics
+package experiments
 
 import (
 	"strings"
@@ -17,7 +17,7 @@ func TestCollectAndCost(t *testing.T) {
 	}
 	mag := storage.MagneticStats{PagesInUse: 10}
 	worm := storage.WORMStats{SectorsBurned: 20, PayloadBytes: 18000, WastedBytes: 2480}
-	r := Collect(tree, mag, worm, 4096, 1024)
+	r := collectSpace(tree, mag, worm, 4096, 1024)
 
 	if r.MagneticBytes != 10*4096 {
 		t.Errorf("MagneticBytes = %d", r.MagneticBytes)
@@ -43,7 +43,7 @@ func TestCollectAndCost(t *testing.T) {
 }
 
 func TestZeroReport(t *testing.T) {
-	r := Collect(core.Stats{}, storage.MagneticStats{}, storage.WORMStats{}, 4096, 1024)
+	r := collectSpace(core.Stats{}, storage.MagneticStats{}, storage.WORMStats{}, 4096, 1024)
 	if r.RedundancyRatio() != 0 {
 		t.Error("empty redundancy should be 0")
 	}

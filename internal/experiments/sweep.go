@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"repro/internal/metrics"
-)
+import "fmt"
 
 // Sweep holds the space-measurement runs shared by experiments E1-E4 and
 // E6-E8: every policy × every update fraction, plus the WOBT baseline at
@@ -52,10 +48,10 @@ func RunSweep(p Params) (*Sweep, error) {
 
 // wobtReport derives space numbers for a WOBT run: everything it stores is
 // on the write-once device.
-func (s *Sweep) wobtReport(u float64) metrics.SpaceReport {
+func (s *Sweep) wobtReport(u float64) SpaceReport {
 	run := s.WOBT[u]
 	st := run.WORM.Stats()
-	return metrics.SpaceReport{
+	return SpaceReport{
 		MagneticBytes:     0,
 		WORMBytes:         st.BytesBurned(s.Params.SectorSize),
 		PayloadBytes:      st.PayloadBytes,
@@ -72,25 +68,14 @@ func (s *Sweep) wobtReport(u float64) metrics.SpaceReport {
 func (s *Sweep) E1TotalSpace() Table {
 	t := Table{
 		Title:  "E1: total space use (KiB) vs update fraction (paper §5 measurement plan)",
-		Header: append([]string{"policy \\ u"}, fracHeader()...),
+		Header: fracRow("policy \\ u", frac),
 	}
 	for _, name := range PolicyNames {
-		row := []string{name}
-		for _, u := range UpdateFractions {
-			row = append(row, kb(s.TSB[name][u].Report.TotalBytes()))
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, fracRow(name, func(u float64) string { return kb(s.TSB[name][u].Report.TotalBytes()) }))
 	}
-	row := []string{"wobt (§2 baseline)"}
-	for _, u := range UpdateFractions {
-		row = append(row, kb(s.wobtReport(u).TotalBytes()))
-	}
-	t.Rows = append(t.Rows, row)
-	row = []string{"b+tree (current only)"}
-	for _, u := range UpdateFractions {
-		row = append(row, kb(s.BPlusM[u]))
-	}
-	t.Rows = append(t.Rows, row)
+	t.Rows = append(t.Rows,
+		fracRow("wobt (§2 baseline)", func(u float64) string { return kb(s.wobtReport(u).TotalBytes()) }),
+		fracRow("b+tree (current only)", func(u float64) string { return kb(s.BPlusM[u]) }))
 	t.Remarks = append(t.Remarks,
 		"b+tree keeps no history: its numbers are the lower bound for current data only",
 		"expected: tsb-keypref minimal among versioned stores; wobt worst (whole-sector writes)")
@@ -104,20 +89,12 @@ func (s *Sweep) E1TotalSpace() Table {
 func (s *Sweep) E2CurrentSpace() Table {
 	t := Table{
 		Title:  "E2: current (magnetic) space use (KiB) vs update fraction",
-		Header: append([]string{"policy \\ u"}, fracHeader()...),
+		Header: fracRow("policy \\ u", frac),
 	}
 	for _, name := range PolicyNames {
-		row := []string{name}
-		for _, u := range UpdateFractions {
-			row = append(row, kb(s.TSB[name][u].Report.MagneticBytes))
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, fracRow(name, func(u float64) string { return kb(s.TSB[name][u].Report.MagneticBytes) }))
 	}
-	row := []string{"b+tree (current only)"}
-	for _, u := range UpdateFractions {
-		row = append(row, kb(s.BPlusM[u]))
-	}
-	t.Rows = append(t.Rows, row)
+	t.Rows = append(t.Rows, fracRow("b+tree (current only)", func(u float64) string { return kb(s.BPlusM[u]) }))
 	t.Remarks = append(t.Remarks,
 		"expected: tsb-timepref smallest and flattest; tsb-keypref grows with total versions")
 	return t
@@ -131,21 +108,12 @@ func (s *Sweep) E2CurrentSpace() Table {
 func (s *Sweep) E3Redundancy() Table {
 	t := Table{
 		Title:  "E3: redundancy (redundant copies per distinct version) vs update fraction",
-		Header: append([]string{"policy \\ u"}, fracHeader()...),
+		Header: fracRow("policy \\ u", frac),
 	}
 	for _, name := range PolicyNames {
-		row := []string{name}
-		for _, u := range UpdateFractions {
-			row = append(row, f3(s.TSB[name][u].Report.RedundancyRatio()))
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, fracRow(name, func(u float64) string { return f3(s.TSB[name][u].Report.RedundancyRatio()) }))
 	}
-	row := []string{"wobt (§2 baseline)"}
-	for _, u := range UpdateFractions {
-		r := s.wobtReport(u)
-		row = append(row, f3(r.RedundancyRatio()))
-	}
-	t.Rows = append(t.Rows, row)
+	t.Rows = append(t.Rows, fracRow("wobt (§2 baseline)", func(u float64) string { return f3(s.wobtReport(u).RedundancyRatio()) }))
 	t.Remarks = append(t.Remarks,
 		"expected: all zero at u=0.0; wobt redundancy high (splits recopy current versions)")
 	return t
@@ -200,25 +168,18 @@ func (s *Sweep) E4CostFunction(u float64) Table {
 func (s *Sweep) E6SectorUtilization() Table {
 	t := Table{
 		Title:  "E6: WORM sector utilization (payload bytes / burned bytes) vs update fraction",
-		Header: append([]string{"structure \\ u"}, fracHeader()...),
+		Header: fracRow("structure \\ u", frac),
 	}
 	for _, name := range []string{"tsb-lastupdate", "tsb-timepref"} {
-		row := []string{name + " (consolidated appends)"}
-		for _, u := range UpdateFractions {
+		t.Rows = append(t.Rows, fracRow(name+" (consolidated appends)", func(u float64) string {
 			rep := s.TSB[name][u].Report
 			if rep.WORMBytes == 0 {
-				row = append(row, "n/a")
-			} else {
-				row = append(row, f3(rep.SectorUtilization))
+				return "n/a"
 			}
-		}
-		t.Rows = append(t.Rows, row)
+			return f3(rep.SectorUtilization)
+		}))
 	}
-	row := []string{"wobt (incremental sectors)"}
-	for _, u := range UpdateFractions {
-		row = append(row, f3(s.wobtReport(u).SectorUtilization))
-	}
-	t.Rows = append(t.Rows, row)
+	t.Rows = append(t.Rows, fracRow("wobt (incremental sectors)", func(u float64) string { return f3(s.wobtReport(u).SectorUtilization) }))
 	t.Remarks = append(t.Remarks,
 		"expected: tsb near 1.0 wherever it migrates; wobt far below (one new record per sector)")
 	return t
@@ -231,15 +192,13 @@ func (s *Sweep) E6SectorUtilization() Table {
 func (s *Sweep) E7SplitTimeChoice() Table {
 	t := Table{
 		Title:  "E7: split-time choice ablation (redundant copies per distinct version | versions migrated)",
-		Header: append([]string{"choice \\ u"}, fracHeader()...),
+		Header: fracRow("choice \\ u", frac),
 	}
 	for _, name := range []string{"tsb-now", "tsb-median", "tsb-lastupdate"} {
-		row := []string{name}
-		for _, u := range UpdateFractions {
+		t.Rows = append(t.Rows, fracRow(name, func(u float64) string {
 			rep := s.TSB[name][u]
-			row = append(row, fmt.Sprintf("%s|%d", f3(rep.Report.RedundancyRatio()), rep.Tree.Stats().VersionsMigrated))
-		}
-		t.Rows = append(t.Rows, row)
+			return fmt.Sprintf("%s|%d", f3(rep.Report.RedundancyRatio()), rep.Tree.Stats().VersionsMigrated)
+		}))
 	}
 	t.Remarks = append(t.Remarks,
 		"expected: pushing the split time back (last-update) lowers both redundancy and migration volume")
@@ -273,10 +232,12 @@ func (s *Sweep) E8IndexSplits() Table {
 	return t
 }
 
-func fracHeader() []string {
-	out := make([]string, len(UpdateFractions))
-	for i, u := range UpdateFractions {
-		out[i] = frac(u)
+// fracRow builds one row of a per-update-fraction table: the label, then
+// cell(u) for each u of the sweep.
+func fracRow(label string, cell func(u float64) string) []string {
+	row := []string{label}
+	for _, u := range UpdateFractions {
+		row = append(row, cell(u))
 	}
-	return out
+	return row
 }

@@ -77,9 +77,6 @@ func NewEventLog(size int, slowThreshold time.Duration) *EventLog {
 // SetSlowThreshold changes the slow-op threshold (0 disables).
 func (l *EventLog) SetSlowThreshold(d time.Duration) { l.thresh.Store(int64(d)) }
 
-// SlowThreshold returns the current slow-op threshold.
-func (l *EventLog) SlowThreshold() time.Duration { return time.Duration(l.thresh.Load()) }
-
 // Record appends one completed span. Nil-safe: a nil log drops the
 // event, so instrumented code never branches on wiring.
 func (l *EventLog) Record(name, detail string, start time.Time, dur time.Duration) {

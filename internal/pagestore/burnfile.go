@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"sync"
 	"time"
 
@@ -26,8 +25,6 @@ type BurnConfig struct {
 	// Wrap is the fault-injection seam (storage.TornBlockFile).
 	Wrap func(storage.BlockFile) storage.BlockFile
 }
-
-func (c BurnConfig) journalPath() string { return c.Path + ".journal" }
 
 // ReopenReport says what OpenBurn found past the checkpoint boundary.
 type ReopenReport struct {
@@ -68,19 +65,8 @@ type BurnFile struct {
 // CreateBurn makes a fresh, empty burn file, removing any stale
 // compaction journal.
 func CreateBurn(cfg BurnConfig) (*BurnFile, error) {
-	if cfg.SectorSize <= 0 {
-		return nil, fmt.Errorf("pagestore: sector size %d", cfg.SectorSize)
-	}
-	f, err := openBlock(cfg.Path, true, cfg.Wrap)
+	f, err := createDevice(cfg.Path, cfg.Wrap, burnMagic, cfg.SectorSize)
 	if err != nil {
-		return nil, fmt.Errorf("pagestore: create %s: %w", cfg.Path, err)
-	}
-	if err := writeFileHeader(f, burnMagic, cfg.SectorSize); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("pagestore: %s: write header: %w", cfg.Path, err)
-	}
-	if err := os.Remove(cfg.journalPath()); err != nil && !os.IsNotExist(err) {
-		f.Close()
 		return nil, err
 	}
 	return &BurnFile{cfg: cfg, f: f, sectorSize: cfg.SectorSize}, nil
@@ -96,9 +82,9 @@ func CreateBurn(cfg BurnConfig) (*BurnFile, error) {
 // never installed, so the rewritten region is restored to the boundary
 // image); a stale journal is discarded.
 func OpenBurn(cfg BurnConfig, durable uint64, base storage.WORMStats, epoch uint64) (*BurnFile, ReopenReport, error) {
-	f, err := openBlock(cfg.Path, false, cfg.Wrap)
+	f, size, err := openDevice(cfg.Path, cfg.Wrap, burnMagic, cfg.SectorSize)
 	if err != nil {
-		return nil, ReopenReport{}, fmt.Errorf("pagestore: open %s: %w", cfg.Path, err)
+		return nil, ReopenReport{}, err
 	}
 	ok := false
 	defer func() {
@@ -106,14 +92,6 @@ func OpenBurn(cfg BurnConfig, durable uint64, base storage.WORMStats, epoch uint
 			f.Close()
 		}
 	}()
-	size, err := readFileHeader(f, burnMagic, cfg.Path)
-	if err != nil {
-		return nil, ReopenReport{}, err
-	}
-	if cfg.SectorSize != 0 && cfg.SectorSize != size {
-		return nil, ReopenReport{}, fmt.Errorf("pagestore: %s has %d-byte sectors, config asks for %d",
-			cfg.Path, size, cfg.SectorSize)
-	}
 	b := &BurnFile{cfg: cfg, f: f, sectorSize: size, reserved: durable, stats: base}
 	if err := b.recoverCompactionJournal(epoch); err != nil {
 		return nil, ReopenReport{}, err
@@ -175,6 +153,23 @@ func decodeBurnFrame(buf []byte, sectorSize int) (plen int, valid bool) {
 	return plen, true
 }
 
+// sectorFrames encodes data as a consolidated run of sector slots: every
+// sector filled to capacity except possibly the last, which is
+// zero-padded to the slot size. The one encoder of burned bytes, shared
+// by Append and CompactRegion.
+func sectorFrames(data []byte, sectorSize int) (buf []byte, nsect int) {
+	nsect = (len(data) + sectorSize - 1) / sectorSize
+	buf = make([]byte, 0, nsect*(burnFrameHeader+sectorSize))
+	for lo := 0; lo < len(data); lo += sectorSize {
+		chunk := data[lo:min(lo+sectorSize, len(data))]
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(chunk)))
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(chunk, castagnoli))
+		buf = append(buf, chunk...)
+		buf = append(buf, make([]byte, sectorSize-len(chunk))...)
+	}
+	return buf, nsect
+}
+
 // SectorSize returns the fixed sector size in bytes.
 func (b *BurnFile) SectorSize() int { return b.sectorSize }
 
@@ -197,22 +192,8 @@ func (b *BurnFile) Append(data []byte) (storage.Addr, error) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	nsect := (len(data) + b.sectorSize - 1) / b.sectorSize
 	first := b.reserved
-	buf := make([]byte, 0, nsect*(burnFrameHeader+b.sectorSize))
-	for i := 0; i < nsect; i++ {
-		lo := i * b.sectorSize
-		hi := min(lo+b.sectorSize, len(data))
-		chunk := data[lo:hi]
-		var hdr [burnFrameHeader]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(chunk)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(chunk, castagnoli))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, chunk...)
-		if len(chunk) < b.sectorSize {
-			buf = append(buf, make([]byte, b.sectorSize-len(chunk))...)
-		}
-	}
+	buf, nsect := sectorFrames(data, b.sectorSize)
 	start := time.Now()
 	if _, err := b.f.WriteAt(buf, b.frameOff(first)); err != nil {
 		// The run may be partially on disk; reserve it anyway so no
@@ -351,45 +332,23 @@ func (b *BurnFile) CompactRegion(epoch, boundary uint64, payloads [][]byte) ([]s
 		return nil, fmt.Errorf("pagestore: compaction read of old region: %w", err)
 	}
 	region = region[:n] // short reads past holes/clipped tails are fine: restore rewrites what existed
-	jf, err := openBlock(b.cfg.journalPath(), true, b.cfg.Wrap)
+	j, err := createJournal(journalPath(b.cfg.Path), b.cfg.Wrap, epoch, []uint64{boundary, oldReserved}, region)
 	if err != nil {
-		return nil, fmt.Errorf("pagestore: create compaction journal: %w", err)
+		return nil, err
 	}
-	hdr := make([]byte, 0, 32)
-	hdr = append(hdr, jrnlMagic[:]...)
-	hdr = binary.LittleEndian.AppendUint64(hdr, epoch)
-	hdr = binary.LittleEndian.AppendUint64(hdr, boundary)
-	hdr = binary.LittleEndian.AppendUint64(hdr, oldReserved)
-	framed := crcFrame(nil, hdr)
-	framed = crcFrame(framed, region)
-	if _, err := jf.WriteAt(framed, 0); err != nil {
-		jf.Close()
-		return nil, fmt.Errorf("pagestore: compaction journal write: %w", err)
-	}
-	if err := jf.Sync(); err != nil {
-		jf.Close()
-		return nil, fmt.Errorf("pagestore: compaction journal sync: %w", err)
-	}
-	if err := jf.Close(); err != nil {
+	if err := j.close(); err != nil {
 		return nil, err
 	}
 
-	// Retire the old region from the content accounting.
-	var oldPayload, oldWaste uint64
-	for s := 0; s < int(regionSectors); s++ {
-		lo := s * frameSize
-		hi := min(lo+frameSize, len(region))
-		if lo >= len(region) {
-			oldWaste += uint64(b.sectorSize)
-			continue
-		}
-		if plen, valid := decodeBurnFrame(region[lo:hi], b.sectorSize); valid {
-			oldPayload += uint64(plen)
-			oldWaste += uint64(b.sectorSize - plen)
-		} else {
-			oldWaste += uint64(b.sectorSize)
-		}
+	// Retire the old region from the content accounting. A slot that is
+	// torn, a hole, or past the short read decodes to no payload: all
+	// waste.
+	var oldPayload uint64
+	for lo := 0; lo < len(region); lo += frameSize {
+		plen, _ := decodeBurnFrame(region[lo:min(lo+frameSize, len(region))], b.sectorSize)
+		oldPayload += uint64(plen)
 	}
+	oldWaste := regionSectors*uint64(b.sectorSize) - oldPayload
 	b.stats.SectorsBurned = saturatingSub(b.stats.SectorsBurned, regionSectors)
 	b.stats.PayloadBytes = saturatingSub(b.stats.PayloadBytes, oldPayload)
 	b.stats.WastedBytes = saturatingSub(b.stats.WastedBytes, oldWaste)
@@ -402,21 +361,7 @@ func (b *BurnFile) CompactRegion(epoch, boundary uint64, payloads [][]byte) ([]s
 		if len(data) == 0 {
 			return nil, fmt.Errorf("pagestore: empty compaction payload")
 		}
-		nsect := (len(data) + b.sectorSize - 1) / b.sectorSize
-		buf := make([]byte, 0, nsect*frameSize)
-		for i := 0; i < nsect; i++ {
-			lo := i * b.sectorSize
-			hi := min(lo+b.sectorSize, len(data))
-			chunk := data[lo:hi]
-			var fh [burnFrameHeader]byte
-			binary.LittleEndian.PutUint32(fh[0:4], uint32(len(chunk)))
-			binary.LittleEndian.PutUint32(fh[4:8], crc32.Checksum(chunk, castagnoli))
-			buf = append(buf, fh[:]...)
-			buf = append(buf, chunk...)
-			if len(chunk) < b.sectorSize {
-				buf = append(buf, make([]byte, b.sectorSize-len(chunk))...)
-			}
-		}
+		buf, nsect := sectorFrames(data, b.sectorSize)
 		if _, err := b.f.WriteAt(buf, b.frameOff(next)); err != nil {
 			return nil, fmt.Errorf("pagestore: compaction write at sector %d: %w", next, err)
 		}
@@ -445,68 +390,35 @@ func (b *BurnFile) CompactRegion(epoch, boundary uint64, payloads [][]byte) ([]s
 func (b *BurnFile) CompleteCompaction() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if err := os.Remove(b.cfg.journalPath()); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
+	return retireJournal(journalPath(b.cfg.Path))
 }
 
-// recoverCompactionJournal replays a matching compaction journal left by
-// a torn compaction: the old region bytes are restored at the boundary
-// and the file truncated back to the old burned end, so the device again
-// reconstructs to the installed (pre-compaction) checkpoint. A journal
-// whose epoch does not match belongs to a compaction whose checkpoint
-// completed and is discarded. A torn journal is also discarded: the
-// journal is fsynced before the region is touched, so a torn journal
-// means an untouched region.
+// recoverCompactionJournal replays the journal a torn compaction left
+// behind: the old region bytes are restored at the boundary and the file
+// truncated back to the old burned end, so the device again reconstructs
+// to the installed (pre-compaction) checkpoint. A journal with a torn
+// entry is discarded whole: its one region frame is fsynced before the
+// region is touched, so a torn one means an untouched region.
 func (b *BurnFile) recoverCompactionJournal(epoch uint64) error {
-	jpath := b.cfg.journalPath()
-	data, err := os.ReadFile(jpath)
-	if os.IsNotExist(err) {
-		return nil
-	}
+	targets, entries, clean, err := readJournal(journalPath(b.cfg.Path), epoch, 2)
 	if err != nil {
 		return err
 	}
-	var frames [][]byte
-	clean, err := parseCRCFrames(data, func(payload []byte) error {
-		frames = append(frames, payload)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	restore := clean && len(frames) == 2 && len(frames[0]) == 32
-	if restore {
-		for i := range jrnlMagic {
-			if frames[0][i] != jrnlMagic[i] {
-				restore = false
-				break
+	if targets != nil && clean && len(entries) == 1 {
+		boundary, oldReserved, region := targets[0], targets[1], entries[0]
+		if len(region) > 0 {
+			if _, err := b.f.WriteAt(region, b.frameOff(boundary)); err != nil {
+				return fmt.Errorf("pagestore: compaction journal restore: %w", err)
 			}
 		}
-	}
-	if restore {
-		jEpoch := binary.LittleEndian.Uint64(frames[0][8:16])
-		boundary := binary.LittleEndian.Uint64(frames[0][16:24])
-		oldReserved := binary.LittleEndian.Uint64(frames[0][24:32])
-		if jEpoch == epoch {
-			if len(frames[1]) > 0 {
-				if _, err := b.f.WriteAt(frames[1], b.frameOff(boundary)); err != nil {
-					return fmt.Errorf("pagestore: compaction journal restore: %w", err)
-				}
-			}
-			if err := b.f.Truncate(b.frameOff(oldReserved)); err != nil {
-				return fmt.Errorf("pagestore: compaction journal truncate: %w", err)
-			}
-			if err := b.f.Sync(); err != nil {
-				return err
-			}
+		if err := b.f.Truncate(b.frameOff(oldReserved)); err != nil {
+			return fmt.Errorf("pagestore: compaction journal truncate: %w", err)
+		}
+		if err := b.f.Sync(); err != nil {
+			return err
 		}
 	}
-	if err := os.Remove(jpath); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
+	return retireJournal(journalPath(b.cfg.Path))
 }
 
 var _ storage.WORMDevice = (*BurnFile)(nil)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"sync"
 	"time"
 
@@ -44,8 +43,6 @@ type Config struct {
 	Wrap func(storage.BlockFile) storage.BlockFile
 }
 
-func (c Config) journalPath() string { return c.Path + ".journal" }
-
 // PageFile is the file-backed magnetic disk: a mutable array of
 // fixed-size CRC-guarded pages implementing storage.PageDevice.
 //
@@ -73,8 +70,7 @@ type PageFile struct {
 	diskEpoch uint64 // checkpoint epoch the file reconstructs to
 	diskPages uint64 // allocator Pages at that epoch (truncation point)
 
-	jf        storage.BlockFile // open rollback journal, nil between flushes
-	jOff      int64
+	j         *journal // open rollback journal, nil between flushes
 	journaled map[uint64]bool
 
 	stats storage.MagneticStats
@@ -89,19 +85,8 @@ type PageFile struct {
 // Create makes a fresh, empty page file at cfg.Path, removing any stale
 // journal: the open path for a new (or pre-first-checkpoint) directory.
 func Create(cfg Config) (*PageFile, error) {
-	if cfg.PageSize <= 0 {
-		return nil, fmt.Errorf("pagestore: page size %d", cfg.PageSize)
-	}
-	f, err := openBlock(cfg.Path, true, cfg.Wrap)
+	f, err := createDevice(cfg.Path, cfg.Wrap, pageMagic, cfg.PageSize)
 	if err != nil {
-		return nil, fmt.Errorf("pagestore: create %s: %w", cfg.Path, err)
-	}
-	if err := writeFileHeader(f, pageMagic, cfg.PageSize); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("pagestore: %s: write header: %w", cfg.Path, err)
-	}
-	if err := os.Remove(cfg.journalPath()); err != nil && !os.IsNotExist(err) {
-		f.Close()
 		return nil, err
 	}
 	return &PageFile{cfg: cfg, f: f, pageSize: cfg.PageSize}, nil
@@ -115,22 +100,9 @@ func Create(cfg Config) (*PageFile, error) {
 // count — so the file is returned page-consistent at the boundary. A
 // stale journal (its checkpoint completed) is discarded.
 func Open(cfg Config, state AllocState, base storage.MagneticStats, epoch uint64) (*PageFile, error) {
-	f, err := openBlock(cfg.Path, false, cfg.Wrap)
-	if err != nil {
-		return nil, fmt.Errorf("pagestore: open %s: %w", cfg.Path, err)
-	}
-	ok := false
-	defer func() {
-		if !ok {
-			f.Close()
-		}
-	}()
-	size, err := readFileHeader(f, pageMagic, cfg.Path)
+	f, size, err := openDevice(cfg.Path, cfg.Wrap, pageMagic, cfg.PageSize)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.PageSize != 0 && cfg.PageSize != size {
-		return nil, fmt.Errorf("pagestore: %s has %d-byte pages, config asks for %d", cfg.Path, size, cfg.PageSize)
 	}
 	p := &PageFile{
 		cfg:       cfg,
@@ -148,9 +120,9 @@ func Open(cfg Config, state AllocState, base storage.MagneticStats, epoch uint64
 		p.stats.HighWater = p.inUse
 	}
 	if err := p.recoverJournal(epoch); err != nil {
+		f.Close()
 		return nil, err
 	}
-	ok = true
 	return p, nil
 }
 
@@ -354,9 +326,9 @@ func (p *PageFile) RegisterMetrics(r *obs.Registry) {
 func (p *PageFile) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.jf != nil {
-		_ = p.jf.Close()
-		p.jf = nil
+	if p.j != nil {
+		_ = p.j.close()
+		p.j = nil
 	}
 	return p.f.Close()
 }
@@ -367,26 +339,12 @@ func (p *PageFile) Close() error {
 // page in the batch and fsyncs the journal. Pages past the boundary
 // count need no entry: restore truncates the file back to the boundary.
 func (p *PageFile) journalBatch(pages []uint64) error {
-	if p.jf == nil {
-		jf, err := openBlock(p.cfg.journalPath(), true, p.cfg.Wrap)
+	if p.j == nil {
+		j, err := createJournal(journalPath(p.cfg.Path), p.cfg.Wrap, p.diskEpoch, []uint64{p.diskPages})
 		if err != nil {
-			return fmt.Errorf("pagestore: create journal: %w", err)
+			return err
 		}
-		hdr := make([]byte, 0, 24)
-		hdr = append(hdr, jrnlMagic[:]...)
-		hdr = binary.LittleEndian.AppendUint64(hdr, p.diskEpoch)
-		hdr = binary.LittleEndian.AppendUint64(hdr, p.diskPages)
-		framed := crcFrame(nil, hdr)
-		if _, err := jf.WriteAt(framed, 0); err != nil {
-			jf.Close()
-			return fmt.Errorf("pagestore: journal header: %w", err)
-		}
-		if err := jf.Sync(); err != nil {
-			jf.Close()
-			return fmt.Errorf("pagestore: journal header sync: %w", err)
-		}
-		p.jf = jf
-		p.jOff = int64(len(framed))
+		p.j = j
 		p.journaled = make(map[uint64]bool)
 	}
 	// A page may be marked journaled ONLY once its entry (or its
@@ -394,7 +352,7 @@ func (p *PageFile) journalBatch(pages []uint64) error {
 	// must leave every page of this batch eligible for re-journaling,
 	// or a retried checkpoint would overwrite slots with no durable
 	// pre-image and a later crash could not restore the boundary.
-	var batch []byte
+	var entries [][]byte
 	var fresh []uint64
 	for _, page := range pages {
 		if p.journaled[page] {
@@ -409,29 +367,17 @@ func (p *PageFile) journalBatch(pages []uint64) error {
 		if err != nil && err != io.EOF {
 			return fmt.Errorf("pagestore: journal read of page %d: %w", page, err)
 		}
-		entry := make([]byte, 0, 9+n)
-		if n < pageFrameHeader || binary.LittleEndian.Uint32(old[0:4]) == 0 {
-			entry = append(entry, 0) // hole: restore zeroes the header
-			entry = binary.LittleEndian.AppendUint64(entry, page)
-		} else {
-			entry = append(entry, 1)
-			entry = binary.LittleEndian.AppendUint64(entry, page)
-			keep := pageFrameHeader + int(binary.LittleEndian.Uint32(old[4:8]))
-			if keep > n {
-				keep = n
-			}
-			entry = append(entry, old[:keep]...)
+		kind, keep := byte(0), 0 // hole: restore zeroes the header
+		if n >= pageFrameHeader && binary.LittleEndian.Uint32(old[0:4]) != 0 {
+			kind, keep = 1, min(n, pageFrameHeader+int(binary.LittleEndian.Uint32(old[4:8])))
 		}
-		batch = crcFrame(batch, entry)
+		entry := binary.LittleEndian.AppendUint64([]byte{kind}, page)
+		entries = append(entries, append(entry, old[:keep]...))
 	}
-	if len(batch) > 0 {
-		if _, err := p.jf.WriteAt(batch, p.jOff); err != nil {
-			return fmt.Errorf("pagestore: journal append: %w", err)
+	if len(entries) > 0 {
+		if err := p.j.append(entries...); err != nil {
+			return err
 		}
-		if err := p.jf.Sync(); err != nil {
-			return fmt.Errorf("pagestore: journal sync: %w", err)
-		}
-		p.jOff += int64(len(batch))
 	}
 	for _, page := range fresh {
 		p.journaled[page] = true
@@ -453,78 +399,51 @@ func (p *PageFile) CompleteFlush(epoch, boundaryPages uint64) error {
 	defer p.mu.Unlock()
 	p.diskEpoch = epoch
 	p.diskPages = boundaryPages
-	if p.jf != nil {
-		_ = p.jf.Close()
-		p.jf = nil
+	if p.j != nil {
+		_ = p.j.close()
+		p.j = nil
 		p.journaled = nil
-		_ = os.Remove(p.cfg.journalPath())
+		_ = retireJournal(journalPath(p.cfg.Path))
 	}
 	return nil
 }
 
-// recoverJournal replays a matching rollback journal left by a torn
-// checkpoint flush: every intact entry restores its slot's old bytes
-// (clipping at the first torn entry — its pages were never overwritten,
-// because entries are fsynced before their slots are touched), then the
-// file is truncated to the boundary page count. A journal whose epoch
-// does not match `epoch` belongs to a checkpoint that completed (or a
-// directory state that no longer exists) and is discarded untouched.
+// recoverJournal replays the journal a torn checkpoint flush left behind
+// (readJournal says whether there is one): every intact entry restores
+// its slot's old bytes — a torn entry's pages were never overwritten,
+// because entries are fsynced before their slots are touched — then the
+// file is truncated to the boundary page count.
 func (p *PageFile) recoverJournal(epoch uint64) error {
-	jpath := p.cfg.journalPath()
-	data, err := os.ReadFile(jpath)
-	if os.IsNotExist(err) {
-		return nil
-	}
+	targets, entries, _, err := readJournal(journalPath(p.cfg.Path), epoch, 1)
 	if err != nil {
 		return err
 	}
-	sawHeader := false
-	match := false
-	var boundary uint64
-	_, err = parseCRCFrames(data, func(payload []byte) error {
-		if !sawHeader {
-			sawHeader = true
-			if len(payload) != 24 {
-				return nil
+	if targets != nil {
+		boundary := targets[0]
+		for _, entry := range entries {
+			if len(entry) < 9 {
+				continue
 			}
-			for i := range jrnlMagic {
-				if payload[i] != jrnlMagic[i] {
-					return nil
+			page := binary.LittleEndian.Uint64(entry[1:9])
+			if page >= boundary {
+				continue // truncation restores it
+			}
+			var old []byte
+			switch entry[0] {
+			case 0: // hole: zero the slot header so the page reads unwritten
+				old = make([]byte, pageFrameHeader)
+			case 1:
+				old = entry[9:]
+				if _, err := decodePageFrame(old, page, p.pageSize); err != nil {
+					return fmt.Errorf("pagestore: journal entry for page %d: %w", page, err)
 				}
-			}
-			jEpoch := binary.LittleEndian.Uint64(payload[8:16])
-			boundary = binary.LittleEndian.Uint64(payload[16:24])
-			match = jEpoch == epoch
-			return nil
-		}
-		if !match || len(payload) < 9 {
-			return nil
-		}
-		page := binary.LittleEndian.Uint64(payload[1:9])
-		if page >= boundary {
-			return nil // truncation restores it
-		}
-		switch payload[0] {
-		case 0: // hole: zero the slot header so the page reads unwritten
-			zero := make([]byte, pageFrameHeader)
-			if _, err := p.f.WriteAt(zero, p.frameOff(page)); err != nil {
-				return fmt.Errorf("pagestore: journal restore of page %d: %w", page, err)
-			}
-		case 1:
-			old := payload[9:]
-			if _, err := decodePageFrame(old, page, p.pageSize); err != nil {
-				return fmt.Errorf("pagestore: journal entry for page %d: %w", page, err)
+			default:
+				continue
 			}
 			if _, err := p.f.WriteAt(old, p.frameOff(page)); err != nil {
 				return fmt.Errorf("pagestore: journal restore of page %d: %w", page, err)
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if match {
 		if err := p.f.Truncate(p.frameOff(boundary)); err != nil {
 			return fmt.Errorf("pagestore: journal truncate: %w", err)
 		}
@@ -532,10 +451,7 @@ func (p *PageFile) recoverJournal(epoch uint64) error {
 			return err
 		}
 	}
-	if err := os.Remove(jpath); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
+	return retireJournal(journalPath(p.cfg.Path))
 }
 
 var _ storage.PageDevice = (*PageFile)(nil)

@@ -17,6 +17,10 @@
 //     burned waste, exactly as unacknowledged burns on write-once media
 //     would be.
 //
+// Neither file is overwritten in place except behind the one rollback
+// journal (journal.go): a checkpoint flush journals page pre-images, a
+// WORM compaction journals the region it rewrites.
+//
 // Both devices keep the paper's accounting (SpaceM via
 // storage.MagneticStats, SpaceO and burned-vs-payload via
 // storage.WORMStats) and satisfy the storage.PageDevice and
@@ -27,10 +31,12 @@
 package pagestore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 
 	"repro/internal/storage"
@@ -56,40 +62,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // writing is passed through it (storage.TornBlockFile in crash tests).
 type wrapFn func(storage.BlockFile) storage.BlockFile
 
-func wrap(w wrapFn, f storage.BlockFile) storage.BlockFile {
-	if w == nil {
-		return f
-	}
-	return w(f)
-}
-
-// writeFileHeader writes the 64-byte preamble: magic + block size.
-func writeFileHeader(f storage.BlockFile, magic [8]byte, blockSize int) error {
-	var hdr [fileHeaderSize]byte
-	copy(hdr[:8], magic[:])
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(blockSize))
-	_, err := f.WriteAt(hdr[:], 0)
-	return err
-}
-
-// readFileHeader verifies the preamble and returns the block size.
-func readFileHeader(f storage.BlockFile, magic [8]byte, path string) (int, error) {
-	var hdr [fileHeaderSize]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return 0, fmt.Errorf("pagestore: %s: read header: %w", path, err)
-	}
-	for i := range magic {
-		if hdr[i] != magic[i] {
-			return 0, fmt.Errorf("pagestore: %s: bad magic (not a device file, or wrong kind)", path)
-		}
-	}
-	size := int(binary.LittleEndian.Uint32(hdr[8:12]))
-	if size <= 0 {
-		return 0, fmt.Errorf("pagestore: %s: block size %d in header", path, size)
-	}
-	return size, nil
-}
-
 // openBlock opens (or creates) path as a BlockFile through the wrap
 // seam.
 func openBlock(path string, create bool, w wrapFn) (storage.BlockFile, error) {
@@ -101,37 +73,68 @@ func openBlock(path string, create bool, w wrapFn) (storage.BlockFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wrap(w, raw), nil
-}
-
-// crcFrame appends an 8-byte (length, CRC32-C) header plus payload to
-// buf — the same framing the WAL uses, reused for journal entries.
-func crcFrame(buf, payload []byte) []byte {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	return append(append(buf, hdr[:]...), payload...)
-}
-
-// parseCRCFrames walks a buffer of crcFrame-encoded frames, calling fn
-// for each intact payload, and reports whether the walk consumed the
-// whole buffer without hitting a torn or corrupt frame.
-func parseCRCFrames(buf []byte, fn func(payload []byte) error) (clean bool, err error) {
-	off := 0
-	for off+8 <= len(buf) {
-		n := int(binary.LittleEndian.Uint32(buf[off : off+4]))
-		crc := binary.LittleEndian.Uint32(buf[off+4 : off+8])
-		if n < 0 || off+8+n > len(buf) {
-			return false, nil
-		}
-		payload := buf[off+8 : off+8+n]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return false, nil
-		}
-		if err := fn(payload); err != nil {
-			return false, err
-		}
-		off += 8 + n
+	if w == nil {
+		return raw, nil
 	}
-	return off == len(buf), nil
+	return w(raw), nil
+}
+
+// createDevice makes a fresh, empty device file at path — the 64-byte
+// preamble (magic + block size) and nothing else — and removes any stale
+// journal beside it.
+func createDevice(path string, w wrapFn, magic [8]byte, blockSize int) (storage.BlockFile, error) {
+	if blockSize <= 0 {
+		return nil, fmt.Errorf("pagestore: %s: block size %d", path, blockSize)
+	}
+	f, err := openBlock(path, true, w)
+	if err != nil {
+		return nil, fmt.Errorf("pagestore: create %s: %w", path, err)
+	}
+	var hdr [fileHeaderSize]byte
+	copy(hdr[:8], magic[:])
+	binary.LittleEndian.PutUint32(hdr[8:12], uint32(blockSize))
+	if _, err = f.WriteAt(hdr[:], 0); err != nil {
+		err = fmt.Errorf("pagestore: %s: write header: %w", path, err)
+	} else {
+		err = retireJournal(journalPath(path))
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// openDevice opens an existing device file, verifies its preamble and
+// returns the block size it records; wantSize, when nonzero, must agree.
+func openDevice(path string, w wrapFn, magic [8]byte, wantSize int) (storage.BlockFile, int, error) {
+	f, err := openBlock(path, false, w)
+	if err != nil {
+		return nil, 0, fmt.Errorf("pagestore: open %s: %w", path, err)
+	}
+	size, err := readFileHeader(f, magic, path)
+	if err == nil && wantSize != 0 && wantSize != size {
+		err = fmt.Errorf("pagestore: %s has %d-byte blocks, config asks for %d", path, size, wantSize)
+	}
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, size, nil
+}
+
+// readFileHeader verifies the preamble and returns the block size.
+func readFileHeader(f io.ReaderAt, magic [8]byte, path string) (int, error) {
+	var hdr [fileHeaderSize]byte
+	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+		return 0, fmt.Errorf("pagestore: %s: read header: %w", path, err)
+	}
+	if !bytes.Equal(hdr[:8], magic[:]) {
+		return 0, fmt.Errorf("pagestore: %s: bad magic (not a device file, or wrong kind)", path)
+	}
+	size := int(binary.LittleEndian.Uint32(hdr[8:12]))
+	if size <= 0 {
+		return 0, fmt.Errorf("pagestore: %s: block size %d in header", path, size)
+	}
+	return size, nil
 }

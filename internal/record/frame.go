@@ -1,18 +1,22 @@
 package record
 
-// Wire framing shared by the WAL segments and the service layer's
-// network protocol: a frame is
+// The one CRC frame codec. Every byte stream the engine must be able to
+// cut at a torn or corrupt point is a run of
 //
 //	| payload length (uint32 LE) | CRC32-C of payload (uint32 LE) | payload |
 //
-// The same shape guards both durability (internal/wal segments) and the
-// tsbserve wire protocol (internal/server/wire), so torn-tail detection
-// and corruption handling are one code path with one fuzz target. The
-// three failure modes are typed: a frame whose header claims more than
-// the caller's limit is ErrFrameTooLarge (corruption or abuse — the
-// decoder refuses before allocating or reading the claimed length), a
-// frame that ends early is ErrFrameTruncated, and a payload whose
-// checksum disagrees with the header is ErrFrameCRC.
+// frames: the WAL segments and the checkpoint file (internal/wal), the
+// page file's flush journal and the burn file's compaction journal
+// (internal/pagestore), and the tsbserve wire protocol
+// (internal/server/wire). All of them encode with AppendFrame; the files
+// are read back with WalkFrames, which is a DecodeFrame loop, and the
+// wire with ReadFrame — so torn-tail detection and corruption handling
+// are one code path with one fuzz target. The three failure modes are
+// typed: a frame whose header claims more than the caller's limit is
+// ErrFrameTooLarge (corruption or abuse — the decoder refuses before
+// allocating or reading the claimed length), a frame that ends early is
+// ErrFrameTruncated, and a payload whose checksum disagrees with the
+// header is ErrFrameCRC.
 
 import (
 	"encoding/binary"
@@ -81,6 +85,33 @@ func DecodeFrame(buf []byte, maxPayload int) (payload, rest []byte, err error) {
 		return nil, buf, ErrFrameCRC
 	}
 	return payload, buf[FrameHeaderSize+int(n):], nil
+}
+
+// WalkFrames is recovery's repair rule for a framed file: it calls fn on
+// the payload of each intact frame of buf, in order, and stops at the
+// first frame DecodeFrame rejects — everything before that point was
+// durably written, nothing from it on was ever acknowledged. clean
+// reports that the walk consumed all of buf; an error from fn aborts the
+// walk and is returned with clean=false. Payloads alias buf.
+//
+// emptyIsTorn makes a zero-length frame end the walk as well. A
+// zero-filled tail (a file extended but never written) parses as a run
+// of empty frames, because CRC32-C of nothing is 0; a file whose every
+// real payload is non-empty (the WAL, the checkpoint) must read that as
+// a torn tail, while the compaction journal legally carries an empty
+// region frame.
+func WalkFrames(buf []byte, emptyIsTorn bool, fn func(payload []byte) error) (clean bool, err error) {
+	for len(buf) > 0 {
+		payload, rest, derr := DecodeFrame(buf, 0)
+		if derr != nil || (emptyIsTorn && len(payload) == 0) {
+			return false, nil
+		}
+		if err := fn(payload); err != nil {
+			return false, err
+		}
+		buf = rest
+	}
+	return true, nil
 }
 
 // ReadFrame reads exactly one frame from r and returns its payload. It

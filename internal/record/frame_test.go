@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"slices"
 	"testing"
 )
 
@@ -111,6 +112,8 @@ func FuzzFrameDecode(f *testing.F) {
 	bad[len(bad)-1] ^= 1
 	f.Add(bad, 0) // corrupted payload
 	f.Add(append(AppendFrame(nil, []byte("first")), 0x01, 0x02), 0)
+	f.Add(append(AppendFrame(nil, []byte("zero-filled tail")), make([]byte, 20)...), 0)
+	f.Add(AppendFrame(AppendFrame(AppendFrame(nil, []byte("a")), nil), []byte("b")), 0) // empty frame mid-run
 	f.Fuzz(func(t *testing.T, data []byte, maxPayload int) {
 		if maxPayload < 0 {
 			maxPayload = -maxPayload
@@ -143,5 +146,91 @@ func FuzzFrameDecode(f *testing.F) {
 		} else if serr == nil {
 			t.Fatalf("ReadFrame succeeded where DecodeFrame failed: %v", err)
 		}
+		// WalkFrames must be exactly a DecodeFrame loop: the same
+		// payloads, clean iff the loop consumed everything. The capacity
+		// clip turns any read past len(data) into a panic.
+		data = data[:len(data):len(data)]
+		for _, emptyIsTorn := range []bool{false, true} {
+			var want [][]byte
+			left := data
+			for len(left) > 0 {
+				p, r, derr := DecodeFrame(left, 0)
+				if derr != nil || (emptyIsTorn && len(p) == 0) {
+					break
+				}
+				want, left = append(want, p), r
+			}
+			var got [][]byte
+			clean, werr := WalkFrames(data, emptyIsTorn, func(p []byte) error {
+				got = append(got, p)
+				return nil
+			})
+			if werr != nil || clean != (len(left) == 0) || len(got) != len(want) {
+				t.Fatalf("WalkFrames(emptyIsTorn=%v): %d frames clean=%v err=%v, DecodeFrame loop: %d frames, %d bytes left",
+					emptyIsTorn, len(got), clean, werr, len(want), len(left))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("WalkFrames(emptyIsTorn=%v): frame %d = %q, want %q", emptyIsTorn, i, got[i], want[i])
+				}
+			}
+		}
 	})
+}
+
+// TestWalkFrames pins the walker's stopping rule, and the one way its
+// two users differ: a zero-length frame ends a WAL or checkpoint walk
+// (a zero-filled tail parses as empty frames) but is data to the
+// compaction journal.
+func TestWalkFrames(t *testing.T) {
+	frames := func(payloads ...string) []byte {
+		var buf []byte
+		for _, p := range payloads {
+			buf = AppendFrame(buf, []byte(p))
+		}
+		return buf
+	}
+	torn := frames("a", "bb", "ccc")
+	torn = torn[:len(torn)-1]
+	flipped := frames("a", "bb", "ccc")
+	flipped[FrameHeaderSize+1+FrameHeaderSize] ^= 1 // first payload byte of "bb"
+	for _, tc := range []struct {
+		name        string
+		buf         []byte
+		emptyIsTorn bool
+		want        []string
+		clean       bool
+	}{
+		{"empty buffer", nil, true, nil, true},
+		{"intact run", frames("a", "bb", "ccc"), true, []string{"a", "bb", "ccc"}, true},
+		{"torn last frame", torn, true, []string{"a", "bb"}, false},
+		{"short trailing header", append(frames("a"), 1, 2, 3), true, []string{"a"}, false},
+		{"corrupt middle frame hides the rest", flipped, true, []string{"a"}, false},
+		{"zero-filled tail, empty is torn", append(frames("a"), make([]byte, 24)...), true, []string{"a"}, false},
+		{"zero-filled tail, empty is data", append(frames("a"), make([]byte, 24)...), false, []string{"a", "", "", ""}, true},
+		{"empty frame mid-run, empty is torn", frames("a", "", "b"), true, []string{"a"}, false},
+		{"empty frame mid-run, empty is data", frames("a", "", "b"), false, []string{"a", "", "b"}, true},
+	} {
+		var got []string
+		clean, err := WalkFrames(tc.buf, tc.emptyIsTorn, func(p []byte) error {
+			got = append(got, string(p))
+			return nil
+		})
+		if err != nil || clean != tc.clean || !slices.Equal(got, tc.want) {
+			t.Errorf("%s: got %q clean=%v err=%v, want %q clean=%v", tc.name, got, clean, err, tc.want, tc.clean)
+		}
+	}
+	// An error from fn aborts the walk at that frame.
+	boom := errors.New("boom")
+	calls := 0
+	clean, err := WalkFrames(frames("a", "bb", "ccc"), true, func([]byte) error {
+		calls++
+		if calls == 2 {
+			return boom
+		}
+		return nil
+	})
+	if err != boom || clean || calls != 2 {
+		t.Fatalf("fn error: calls=%d clean=%v err=%v", calls, clean, err)
+	}
 }

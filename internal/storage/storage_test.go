@@ -346,3 +346,32 @@ func TestNewDevicePanicsOnBadConfig(t *testing.T) {
 		}()
 	}
 }
+
+func TestWORMReadAtUnburnedRun(t *testing.T) {
+	d := NewWORMDisk(WORMConfig{SectorSize: 16})
+	ext, _ := d.AllocExtent(2)
+	if _, err := d.ReadAt(Addr{Kind: KindWORM, Off: ext, Len: 20}); !errors.Is(err, ErrUnwritten) {
+		t.Fatalf("ReadAt over unburned sectors = %v", err)
+	}
+}
+
+func TestFaultyPagesAllocAndRead(t *testing.T) {
+	d := NewMagneticDisk(32, CostModel{})
+	f := NewFaultyPages(d)
+	f.FailAfter("alloc", 1)
+	if _, err := f.Alloc(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("alloc fault = %v", err)
+	}
+	p, err := f.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(p, []byte("x"))
+	f.FailAfter("read", 1)
+	if _, err := f.Read(p); !errors.Is(err, ErrInjected) {
+		t.Fatalf("read fault = %v", err)
+	}
+	if got, err := f.Read(p); err != nil || string(got) != "x" {
+		t.Fatalf("read after fault = %q, %v", got, err)
+	}
+}

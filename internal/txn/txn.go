@@ -307,10 +307,6 @@ func (m *Manager) Stats() Stats {
 	}
 }
 
-// CommitLatencyHist exposes the commit-latency histogram (the status
-// surfaces render its quantiles).
-func (m *Manager) CommitLatencyHist() *obs.Histogram { return &m.commitLatency }
-
 // RegisterMetrics names the manager's instruments in r; the engine
 // facade calls it once at open.
 func (m *Manager) RegisterMetrics(r *obs.Registry) {

@@ -77,7 +77,7 @@ func WriteCheckpoint(dir string, wrap func(storage.LogFile) storage.LogFile, inf
 	}()
 
 	write := func(payload []byte) error {
-		if _, werr := f.Write(appendFrame(nil, payload)); werr != nil {
+		if _, werr := f.Write(record.AppendFrame(nil, payload)); werr != nil {
 			return fmt.Errorf("wal: write checkpoint: %w", werr)
 		}
 		return nil
@@ -134,7 +134,7 @@ func ReadCheckpoint(dir string) (info CheckpointInfo, found bool, err error) {
 		return CheckpointInfo{}, false, err
 	}
 	sawHeader, sawFooter := false, false
-	clean, err := parseFrames(buf, func(payload []byte) error {
+	clean, err := record.WalkFrames(buf, true, func(payload []byte) error {
 		d := record.NewDecoder(payload)
 		switch typ := d.Byte(); typ {
 		case frameCheckpointHeader:

@@ -11,10 +11,9 @@ import (
 	"repro/internal/txn"
 )
 
-// TestPagedCheckpointRoundTrip: a checkpoint's header and metadata
-// survive write + read bit-exactly.
-func TestPagedCheckpointRoundTrip(t *testing.T) {
-	dir := t.TempDir()
+// sampleCheckpoint is a checkpoint with every field populated: the fixed
+// input of the round-trip and golden-bytes tests.
+func sampleCheckpoint() CheckpointInfo {
 	meta := &PagedMeta{
 		Epoch:      7,
 		PageSize:   4096,
@@ -60,13 +59,21 @@ func TestPagedCheckpointRoundTrip(t *testing.T) {
 		SecLSN:    461,
 		DeadBytes: 77,
 	}
-	info := CheckpointInfo{
+	return CheckpointInfo{
 		Shards:      2,
 		Clock:       99,
 		LSN:         456,
 		Secondaries: []string{"dept"},
 		Paged:       meta,
 	}
+}
+
+// TestPagedCheckpointRoundTrip: a checkpoint's header and metadata
+// survive write + read bit-exactly.
+func TestPagedCheckpointRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	info := sampleCheckpoint()
+	meta := info.Paged
 	if err := WriteCheckpoint(dir, nil, info); err != nil {
 		t.Fatal(err)
 	}

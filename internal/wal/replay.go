@@ -1,39 +1,12 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 
 	"repro/internal/record"
 	"repro/internal/txn"
 )
-
-// parseFrames walks buf frame by frame, calling fn on each CRC-valid
-// payload. It returns clean=false when the walk stopped at a torn tail:
-// a short header, a short payload, an empty or oversized length field,
-// or a CRC mismatch — all the shapes a crashed append leaves behind.
-// An error from fn aborts the walk.
-func parseFrames(buf []byte, fn func(payload []byte) error) (clean bool, err error) {
-	off := 0
-	for off+frameHeaderSize <= len(buf) {
-		n := binary.LittleEndian.Uint32(buf[off : off+4])
-		crc := binary.LittleEndian.Uint32(buf[off+4 : off+8])
-		if n == 0 || n > maxFrame || off+frameHeaderSize+int(n) > len(buf) {
-			return false, nil
-		}
-		payload := buf[off+frameHeaderSize : off+frameHeaderSize+int(n)]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return false, nil
-		}
-		if err := fn(payload); err != nil {
-			return true, err
-		}
-		off += frameHeaderSize + int(n)
-	}
-	return off == len(buf), nil
-}
 
 // decodeCommit parses a commit frame payload.
 func decodeCommit(payload []byte) (lsn uint64, rec txn.CommitRecord, err error) {
@@ -65,7 +38,7 @@ func ReplayFile(path string, afterLSN uint64, fn func(lsn uint64, rec txn.Commit
 	if err != nil {
 		return 0, false, err
 	}
-	clean, err = parseFrames(buf, func(payload []byte) error {
+	clean, err = record.WalkFrames(buf, true, func(payload []byte) error {
 		lsn, rec, derr := decodeCommit(payload)
 		if derr != nil {
 			return fmt.Errorf("%s: %w", path, derr)

@@ -6,7 +6,8 @@
 // # Log format
 //
 // The log is a sequence of numbered segment files (wal-00000001.log,
-// wal-00000002.log, ...). Each segment is a run of frames:
+// wal-00000002.log, ...). Each segment is a run of the record package's
+// CRC frames (record.AppendFrame):
 //
 //	| payload length (uint32 LE) | CRC32-C of payload (uint32 LE) | payload |
 //
@@ -17,8 +18,9 @@
 // recovery story: there is no undo logging — uncommitted data never
 // becomes durable, so there is nothing to roll back.
 //
-// Replay stops at the first torn frame (short header, short payload, or
-// CRC mismatch): everything before it is the committed prefix, everything
+// Replay (record.WalkFrames) stops at the first torn frame — short
+// header, short payload, CRC mismatch, or the empty frame a zero-filled
+// tail parses as: everything before it is the committed prefix, everything
 // from it on was never acknowledged. A batch append is a single
 // write+fsync, so a crash can also leave a fully intact frame whose
 // committer was never acknowledged — recovery treats it as committed
@@ -49,7 +51,6 @@ package wal
 
 import (
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -71,15 +72,6 @@ const (
 	frameCheckpointFooter = 4
 	framePagedMeta        = 5
 )
-
-const (
-	frameHeaderSize = 8
-	// maxFrame bounds a single frame payload; anything larger in a
-	// length header is corruption, not data.
-	maxFrame = 1 << 30
-)
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // segmentName returns the file name of segment i.
 func segmentName(i uint64) string { return fmt.Sprintf("wal-%08d.log", i) }
@@ -209,13 +201,6 @@ func encodeCommit(lsn uint64, rec txn.CommitRecord) []byte {
 	return e.Bytes()
 }
 
-// appendFrame appends one CRC frame around payload — the shared wire
-// framing (record.AppendFrame); the network service layer speaks the
-// same shape.
-func appendFrame(buf, payload []byte) []byte {
-	return record.AppendFrame(buf, payload)
-}
-
 // AppendBatch appends one frame per commit record and makes them all
 // durable with a single write and a single fsync — the group-commit
 // amortization. On error the log is broken: the batch (and everything
@@ -230,7 +215,7 @@ func (l *Log) AppendBatch(recs []txn.CommitRecord) error {
 	var buf []byte
 	for _, rec := range recs {
 		l.lsn++
-		buf = appendFrame(buf, encodeCommit(l.lsn, rec))
+		buf = record.AppendFrame(buf, encodeCommit(l.lsn, rec))
 	}
 	n, err := l.f.Write(buf)
 	l.bytes.Add(uint64(n))
@@ -319,10 +304,6 @@ func (l *Log) Stats() Stats {
 	st.BacklogBytes = st.Bytes - l.ckptBytes
 	return st
 }
-
-// FsyncHist exposes the append-path fsync latency histogram (the status
-// surfaces render its quantiles).
-func (l *Log) FsyncHist() *obs.Histogram { return &l.fsync }
 
 // RegisterMetrics names the log's instruments in r; the engine facade
 // calls it once at open. The derived gauges take the log mutex at

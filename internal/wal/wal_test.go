@@ -156,17 +156,30 @@ func TestReplayStopsAtTornTail(t *testing.T) {
 	if err != nil || clean || n != 4 {
 		t.Fatalf("corrupt tail: n=%d clean=%v err=%v", n, clean, err)
 	}
+	// A zero-filled tail (the file was extended, the bytes never landed)
+	// parses as empty frames — length 0, CRC32-C("") = 0 — and must read
+	// as a torn tail, never as a commit frame of type 0.
+	for _, zeros := range []int{1, 7, 8, 9, 16, 64} {
+		if err := os.WriteFile(path, append(append([]byte{}, whole...), make([]byte, zeros)...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		lastLSN, clean, err := ReplayFile(path, 0, func(uint64, txn.CommitRecord) error { n++; return nil })
+		if err != nil || clean || n != 5 || lastLSN != 5 {
+			t.Fatalf("%d zero bytes after the last frame: n=%d lastLSN=%d clean=%v err=%v", zeros, n, lastLSN, clean, err)
+		}
+	}
 }
 
 // frameEndsAt reports whether offset cut is a frame boundary of buf.
 func frameEndsAt(buf []byte, cut int) bool {
 	off := 0
 	for off < cut {
-		if off+frameHeaderSize > len(buf) {
+		if off+record.FrameHeaderSize > len(buf) {
 			return false
 		}
 		n := int(uint32(buf[off]) | uint32(buf[off+1])<<8 | uint32(buf[off+2])<<16 | uint32(buf[off+3])<<24)
-		off += frameHeaderSize + n
+		off += record.FrameHeaderSize + n
 	}
 	return off == cut
 }
@@ -281,6 +294,17 @@ func TestCheckpointAbsentAndTorn(t *testing.T) {
 	if _, _, err := ReadCheckpoint(dir); err == nil {
 		t.Fatal("truncated installed checkpoint should be a hard error")
 	}
+	// So is one with a zero-filled tail: the empty frames it parses as
+	// are a torn tail, not frames of an unknown type.
+	for _, zeros := range []int{1, 8, 64} {
+		if err := os.WriteFile(path, append(append([]byte{}, buf...), make([]byte, zeros)...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, found, err := ReadCheckpoint(dir)
+		if found || err == nil || !strings.Contains(err.Error(), "incomplete or corrupt") {
+			t.Fatalf("%d zero bytes after the footer: found=%v err=%v", zeros, found, err)
+		}
+	}
 }
 
 // TestReadCheckpointRefuses feeds the reader hand-built checkpoint files
@@ -334,7 +358,7 @@ func TestReadCheckpointRefuses(t *testing.T) {
 			dir := t.TempDir()
 			var file []byte
 			for _, f := range tc.frames {
-				file = appendFrame(file, f)
+				file = record.AppendFrame(file, f)
 			}
 			if err := os.WriteFile(filepath.Join(dir, checkpointName), file, 0o644); err != nil {
 				t.Fatal(err)
