@@ -22,8 +22,8 @@
 // status) and the WORM burn file sector by sector (payload vs. waste,
 // CRC status, whether the sector is inside the checkpoint boundary or
 // an orphaned post-boundary burn), ending with the burned-waste
-// accounting — SpaceO, live payload, waste (dead payload from abandoned
-// migrations and orphans counts here, not as payload), utilization. It
+// accounting — SpaceO, live payload, waste (dead payload from crash
+// orphans counts here, not as payload), utilization. It
 // reads without locking; safe on a live or crashed directory.
 package main
 
@@ -145,7 +145,7 @@ func dumpPagedDir(w io.Writer, dir string) error {
 		fmt.Fprintf(w, "allocator: %d pages (%d free), boundary %d burned sectors\n",
 			m.Alloc.Pages, len(m.Alloc.Free), m.Burned)
 		if metaDead > 0 {
-			fmt.Fprintf(w, "dead payload: %d B of in-boundary burns referenced by nothing (abandoned migrations; compaction reclaims)\n",
+			fmt.Fprintf(w, "dead payload: %d B of in-boundary burns referenced by nothing (crash orphans; compaction reclaims)\n",
 				metaDead)
 		}
 	} else {
@@ -203,7 +203,7 @@ func dumpPagedDir(w io.Writer, dir string) error {
 		return err
 	}
 	burnedBytes := sectors * uint64(sectorSize)
-	// Dead payload — checkpoint-recorded abandoned burns plus orphaned
+	// Dead payload — checkpoint-recorded dead burns plus orphaned
 	// post-boundary burns — is unreachable and counts as waste, not
 	// payload; compaction reclaims it. Clamped so a freshly compacted or
 	// inconsistent (mid-crash) directory still reports utilization in

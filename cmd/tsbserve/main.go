@@ -10,11 +10,11 @@
 // Usage:
 //
 //	tsbserve -dir DATA [-addr HOST:PORT] [-shards N]
-//	         [-migration] [-checkpoint-bytes N]
+//	         [-checkpoint-bytes N]
 //	         [-metrics-addr HOST:PORT]
 //	         [-window N] [-max-frame BYTES]
 //	         [-idle-timeout D] [-write-timeout D] [-lease D]
-//	         [-shed-queue N] [-shed-wal-bytes N] [-drain-timeout D]
+//	         [-shed-wal-bytes N] [-drain-timeout D]
 //
 //	tsbserve -status [-watch D] -addr HOST:PORT
 //
@@ -75,14 +75,12 @@ func run(args []string, stdout io.Writer, sigCh <-chan os.Signal) error {
 	addr := fs.String("addr", "127.0.0.1:4611", "listen address (or dial address with -status)")
 	dir := fs.String("dir", "", "database directory (created or recovered; required to serve)")
 	shards := fs.Int("shards", 4, "shard count for a newly created database")
-	migration := fs.Bool("migration", false, "background time-split migration")
 	ckptBytes := fs.Int64("checkpoint-bytes", 0, "background checkpoint threshold (0 = engine default, <0 = off)")
 	window := fs.Int("window", 64, "per-connection in-flight request window")
 	maxFrame := fs.Int("max-frame", 0, "max frame payload bytes (0 = protocol default)")
 	idleTimeout := fs.Duration("idle-timeout", 5*time.Minute, "close connections idle this long")
 	writeTimeout := fs.Duration("write-timeout", 30*time.Second, "per-flush write deadline")
 	lease := fs.Duration("lease", time.Minute, "server-side cursor lease")
-	shedQueue := fs.Int("shed-queue", 0, "shed writes at this migrator queue depth (0 = off)")
 	shedWAL := fs.Int64("shed-wal-bytes", 0, "shed writes at this WAL backlog (0 = off)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max graceful drain before severing connections")
 	metricsAddr := fs.String("metrics-addr", "", "HTTP observability sidecar address (/metrics, /debug/*; empty = off)")
@@ -100,10 +98,9 @@ func run(args []string, stdout io.Writer, sigCh <-chan os.Signal) error {
 	}
 
 	d, err := db.Open(db.Config{
-		Dir:                 *dir,
-		Shards:              *shards,
-		BackgroundMigration: *migration,
-		CheckpointBytes:     *ckptBytes,
+		Dir:             *dir,
+		Shards:          *shards,
+		CheckpointBytes: *ckptBytes,
 	})
 	if err != nil {
 		return err
@@ -115,7 +112,6 @@ func run(args []string, stdout io.Writer, sigCh <-chan os.Signal) error {
 		IdleTimeout:         *idleTimeout,
 		WriteTimeout:        *writeTimeout,
 		CursorLease:         *lease,
-		ShedMigratorQueue:   *shedQueue,
 		ShedWALBacklogBytes: *shedWAL,
 	})
 	ln, err := net.Listen("tcp", *addr)

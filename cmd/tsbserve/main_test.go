@@ -232,6 +232,21 @@ func TestStatusFlag(t *testing.T) {
 	}
 }
 
+// TestRetiredFlagsRejected: the background-migration knobs are gone, and
+// naming one is an error rather than a silent no-op.
+func TestRetiredFlagsRejected(t *testing.T) {
+	for _, flag := range []string{"-migration", "-shed-queue=1"} {
+		// A queued SIGTERM makes a daemon that accepted the flag drain
+		// and return nil at once instead of serving forever.
+		sigCh := make(chan os.Signal, 1)
+		sigCh <- syscall.SIGTERM
+		err := run([]string{"-dir", t.TempDir(), "-addr", "127.0.0.1:0", flag}, io.Discard, sigCh)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("run(%s) = %v, want an unknown-flag error", flag, err)
+		}
+	}
+}
+
 // TestMetricsScrape is the exposition contract against a live daemon:
 // -metrics-addr serves /metrics, the output survives a scraper-grade
 // parse, and the required engine and server series are present with
@@ -303,7 +318,6 @@ func TestMetricsScrape(t *testing.T) {
 		"tsb_wal_fsync_seconds",
 		"tsb_latch_wait_seconds",
 		"tsb_buffer_hit_ratio",
-		"tsb_migrator_phase_seconds",
 		"tsb_server_op_seconds",
 		"tsb_server_ops_total",
 		"tsb_server_shed_total",

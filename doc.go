@@ -3,17 +3,15 @@
 // Time-Split B-tree (TSB-tree).
 //
 // docs/ARCHITECTURE.md is the orientation document: the layer map, the
-// latch hierarchy, the durability contract, the background-migration
-// state machine with its
-// admissible interleavings, the maintenance economy (the background
-// scheduler, WORM compaction, and the fuzzy per-shard checkpoint
-// capture), and the statically enforced invariants: cmd/tsbvet is a
-// `go vet -vettool` analyzer suite (internal/lint) that checks the
-// latch hierarchy, the no-I/O-under-a-data-latch rule,
-// release-on-every-path, sync-before-rename, and the sticky-error
-// discipline against //tsb: directives in the source — see
-// ARCHITECTURE.md ("Statically enforced invariants") for the rules and
-// their escape hatches.
+// latch hierarchy, the durability contract, inline node-at-a-time
+// migration, the maintenance economy (the background scheduler, WORM
+// compaction, and the fuzzy per-shard checkpoint capture), and the
+// statically enforced invariants: cmd/tsbvet is a `go vet -vettool`
+// analyzer suite (internal/lint) that checks the latch hierarchy, the
+// no-I/O-under-a-data-latch rule, release-on-every-path,
+// sync-before-rename, and the sticky-error discipline against //tsb:
+// directives in the source — see ARCHITECTURE.md ("Statically enforced
+// invariants") for the rules and their escape hatches.
 //
 // The system lives in internal/, in two groups. The engine:
 //
@@ -95,28 +93,19 @@
 // `tsbdump -waldir DIR` / `tsbdump -pagedir DIR` to inspect a durable
 // directory.
 //
-// Historical-node migration can leave the insert path: with
-// db.Config.BackgroundMigration an insert that would time split a leaf —
-// burning its historical half to the slow write-once device while
-// holding the shard's write latch — instead marks the leaf and returns
-// fast; a per-shard background worker captures the historical half under
-// a short read latch, burns it with no latch held, and swaps the
-// rewritten leaf in under a short write latch (mark → copying → swapped;
-// see docs/ARCHITECTURE.md for the state machine and its admissible
-// interleavings). The consistency contract: no version is ever
-// unreachable, readers see the pre- or post-swap node and never a torn
-// one, and a database drained after each operation is byte-identical to
-// an inline-split one. Stats().Migrator reports queue depth, nodes
-// migrated, bytes burned, abandoned burns, and the split-under-latch
-// time the migrator exists to shrink.
+// Historical nodes migrate inline, node at a time, as the paper's §3.4
+// specifies: a time split burns its historical half to the write-once
+// device as part of the split, under the shard's write latch, so a
+// reader sees the tree before or after the split and no version is ever
+// unreachable. Stats().Migrator.SplitLatchNanos reports the latch time
+// splits take, burns included.
 //
-// The same machinery keeps an aging database healthy: a per-DB
-// maintenance scheduler runs incremental checkpoints
-// (db.Config.CheckpointBytes) and WORM compaction
-// (db.Config.CompactDeadBytes, or DB.Compact on demand), which copies
-// the live tail of the burn file forward, rewrites node addresses under
-// short write latches, and truncates the dead prefix region away so
-// Stats().Device utilization recovers. The checkpoint's capture is
+// A per-DB maintenance scheduler keeps an aging database healthy: it
+// runs incremental checkpoints (db.Config.CheckpointBytes) and WORM
+// compaction (db.Config.CompactDeadBytes, or DB.Compact on demand),
+// which copies the live tail of the burn file forward, rewrites node
+// addresses under short write latches, and truncates the dead prefix
+// region away so Stats().Device utilization recovers. The checkpoint's capture is
 // fuzzy: per-shard boundary LSNs let each shard's image and dirty pages
 // be captured under only that shard's read latch, so the commit-posting
 // pause stays flat as the database grows; see the "maintenance economy"

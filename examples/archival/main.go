@@ -3,16 +3,14 @@
 // of chart updates accumulate; old versions migrate incrementally to
 // write-once optical media while the working set stays on magnetic disk.
 //
-// This walkthrough runs the archive with the BACKGROUND MIGRATOR
-// (db.Config.BackgroundMigration): a burst of admissions and chart
-// updates lands at memory speed — inserts that would have burned
-// historical nodes to the (slow) write-once device inline instead mark
-// their leaves and return — and the per-shard workers then drain the
-// migration queue off the insert path. The example shows the
-// Stats().Migrator accounting (queue depth, nodes migrated, bytes
-// burned, split-under-latch time) before and after the drain, what
-// Close guarantees about pending migrations, and that every chart entry
-// stays reachable throughout.
+// Migration is node at a time, as the paper's §3.4 specifies: a time
+// split burns its historical half to the write-once device as part of
+// the split itself, inside the Update that triggered it. The walkthrough
+// watches that happen through Stats().Tree (time splits, historical
+// nodes, versions migrated) and Stats().Device (SpaceM, SpaceO, sector
+// utilization): the moment an update time splits a leaf, the historical
+// node is already on the optical disk, so there is never a backlog to
+// drain and every chart entry stays reachable throughout.
 package main
 
 import (
@@ -29,19 +27,12 @@ func patient(i int) record.Key { return record.StringKey(fmt.Sprintf("patient%04
 
 func main() {
 	d, err := db.Open(db.Config{
-		// Two shards, each with its own background migration worker.
-		Shards: 2,
-		// Leaf capacity below the page size: a leaf queued for migration
-		// needs physical headroom to keep absorbing updates until its
-		// historical half is burned and swapped out.
+		Shards:       2,
 		LeafCapacity: 1024,
 		// A small optical library: 256-sector platters, 2 drives, so
 		// cold reads pay simulated robot mounts.
 		PlatterSectors: 256,
 		Drives:         2,
-		// The point of the example: historical-node burns happen on
-		// background workers, not on the goroutine admitting patients.
-		BackgroundMigration: true,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -50,11 +41,8 @@ func main() {
 	const nPatients = 200
 	rng := rand.New(rand.NewSource(11))
 
-	// Admit every patient, then years of chart updates with a skewed
-	// access pattern (chronic cases see many more updates). This is the
-	// burst: every Update returns as soon as its WAL-free in-memory
-	// commit posts — time splits triggered along the way only MARK
-	// leaves for migration.
+	// Admissions are insert-only: §3.2 says a node of all-current
+	// versions must key split, so nothing migrates yet.
 	for i := 0; i < nPatients; i++ {
 		i := i
 		if err := d.Update(func(tx *txn.Txn) error {
@@ -63,6 +51,14 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+	report(d, "after admissions")
+
+	// Years of chart updates with a skewed access pattern (chronic cases
+	// see many more updates). Superseded versions make time splits
+	// worthwhile; each one burns its historical node inside the Update.
+	// Check that on every update: the historical-node count never lags
+	// the time-split count, not even for one commit.
+	firstBurn := -1
 	for visit := 0; visit < 4000; visit++ {
 		p := rng.Intn(nPatients)
 		if rng.Intn(4) == 0 {
@@ -74,47 +70,28 @@ func main() {
 		}); err != nil {
 			log.Fatal(err)
 		}
+		t := d.Stats().Tree
+		if t.HistoricalNodes != t.LeafTimeSplits+t.IndexTimeSplits {
+			log.Fatalf("visit %d: %d time splits but %d historical nodes",
+				visit, t.LeafTimeSplits+t.IndexTimeSplits, t.HistoricalNodes)
+		}
+		if firstBurn < 0 && t.HistoricalNodes > 0 {
+			firstBurn = visit
+			fmt.Printf("\nvisit %d time split a leaf: its historical node was burned by that same commit\n", visit)
+		}
+		if visit == 999 {
+			report(d, "after 1000 visits")
+		}
 	}
+	report(d, "after 4000 visits")
 
-	// The burst is acknowledged; the migration queue may still be
-	// draining in the background.
-	mig := d.Stats().Migrator
-	fmt.Println("after the burst (background workers still draining):")
-	fmt.Printf("  leaves marked for migration: %d (queue depth now %d, in flight %d)\n",
-		mig.Marked, mig.QueueDepth, mig.InFlight)
-	fmt.Printf("  migrated so far:             %d nodes, %d versions, %d KiB burned off-latch\n",
-		mig.Migrated, mig.VersionsMigrated, mig.BytesBurned/1024)
-	fmt.Printf("  split work under latches:    %.1f ms (inline mode pays the burns here too)\n",
-		float64(mig.SplitLatchNanos)/1e6)
-
-	// Every version is reachable RIGHT NOW, marked leaves included: a
-	// reader sees the pre-swap or post-swap node, never a torn one.
+	// Every version is reachable, the burned ones included.
 	h, err := d.History(patient(3))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\npatient0003 chart has %d entries mid-drain; first: %q, latest: %q\n",
+	fmt.Printf("\npatient0003 chart has %d entries; first: %q, latest: %q\n",
 		len(h), h[0].Value, h[len(h)-1].Value)
-
-	// Force the queue empty — the unload discipline. After the drain,
-	// every deferred historical node is on the write-once device.
-	if err := d.DrainMigrations(); err != nil {
-		log.Fatal(err)
-	}
-	mig = d.Stats().Migrator
-	fmt.Println("\nafter DrainMigrations:")
-	fmt.Printf("  queue depth %d, pending nodes %d; %d nodes migrated in background, %d abandoned\n",
-		mig.QueueDepth, mig.PendingNodes, mig.Migrated, mig.Abandoned)
-
-	st := d.Stats()
-	fmt.Println("\narchive after 4000 visits across 200 patients:")
-	fmt.Printf("  current database:    %d magnetic pages (%d KiB)\n",
-		st.Magnetic.PagesInUse, st.Magnetic.BytesInUse(4096)/1024)
-	fmt.Printf("  historical database: %d WORM sectors (%d KiB), utilization %.1f%%\n",
-		st.WORM.SectorsBurned, st.WORM.BytesBurned(1024)/1024,
-		100*st.WORM.Utilization(1024))
-	fmt.Printf("  versions migrated:   %d (time splits: %d, of which %d swapped in background)\n",
-		st.Tree.VersionsMigrated, st.Tree.LeafTimeSplits, mig.Migrated)
 
 	// Reading a cold chart pays optical seeks and possibly robot mounts;
 	// the device model accounts for them.
@@ -124,7 +101,7 @@ func main() {
 	if _, err := d.History(patient(3)); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ncold chart read cost: +%v simulated latency, %d platter mounts\n",
+	fmt.Printf("cold chart read cost: +%v simulated latency, %d platter mounts\n",
 		(mag.Stats().SimTime-m0)+(worm.Stats().SimTime-w0),
 		worm.Stats().Mounts-mounts0)
 
@@ -142,15 +119,23 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("index invariants: OK")
-
-	// What Close guarantees about pending migrations: the in-flight
-	// migration (if any) completes, queued marks are dropped — a marked
-	// but unsplit leaf is a valid tree state, and nothing acknowledged
-	// depends on a mark. We already drained, so nothing is dropped here;
-	// an archive closed mid-queue simply re-marks those leaves on the
-	// next burst of updates.
 	if err := d.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("closed: in-flight migration finished, queue (empty after drain) released")
+}
+
+// report prints the paper's space accounting: time splits and what they
+// migrated (Stats().Tree), and the magnetic vs. optical space that
+// resulted (Stats().Device).
+func report(d *db.DB, when string) {
+	st := d.Stats()
+	t, dev := st.Tree, st.Device
+	fmt.Printf("\n%s:\n", when)
+	fmt.Printf("  splits:              %d leaf time, %d leaf key, %d index time\n",
+		t.LeafTimeSplits, t.LeafKeySplits, t.IndexTimeSplits)
+	fmt.Printf("  migrated:            %d historical nodes, %d versions, %d KiB\n",
+		t.HistoricalNodes, t.VersionsMigrated, t.BytesMigrated/1024)
+	fmt.Printf("  current database:    SpaceM %d KiB\n", dev.SpaceM/1024)
+	fmt.Printf("  historical database: SpaceO %d KiB, sector utilization %.1f%%\n",
+		dev.SpaceO/1024, 100*dev.Utilization)
 }

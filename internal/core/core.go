@@ -223,42 +223,26 @@ type Tree struct {
 	marked   map[uint64]bool // magnetic leaf pages marked for forced time split
 	entryCap int             // conservative bound on one encoded index entry
 
-	// Background-migration state (see migrate.go). deferSplits switches
-	// Insert from splitting time-split leaves inline to queueing them;
-	// pending maps a queued leaf page to its chosen split time and write
-	// epoch; newTickets buffers tickets for the owner to drain after each
-	// Insert; directed routes splitNode to a pre-burned historical node
-	// during ApplySplit. None of this state is part of TreeImage: marks
-	// are advisory and are simply re-created by future inserts.
-	deferSplits bool
-	pending     map[uint64]*pendingMark
-	newTickets  []PendingSplit
-	directed    *directedSplit
-	// migFallbacks counts queued leaves that were split inline after all
-	// (no physical headroom left); splitNanos accumulates time spent in
-	// splitChild/splitRoot — work performed under the shard write latch.
-	// Both live outside Stats so images stay byte-identical across
-	// migration modes.
-	migFallbacks uint64
-	splitNanos   uint64
+	// splitNanos accumulates time spent in splitChild/splitRoot — work
+	// performed under the shard write latch. It lives outside Stats so
+	// it never reaches a TreeImage.
+	splitNanos uint64
 }
 
-// pendingSplitLimit bounds each tree's background-migration queue: once
-// this many nodes are marked, further overflows split inline
-// (backpressure) until the migrator drains — well before the
-// physical-page fallback would fire.
-const pendingSplitLimit = 32
+// SplitLatchNanos returns the cumulative time spent splitting nodes,
+// including the inline WORM append of every time split — work that runs
+// under the owning shard's write latch.
+func (t *Tree) SplitLatchNanos() uint64 { return t.splitNanos }
 
 // New creates an empty TSB-tree with a single empty leaf as root.
 func New(mag storage.PageStore, worm storage.WORMDevice, cfg Config) (*Tree, error) {
 	c := cfg.withDefaults(mag.PageSize())
 	t := &Tree{
-		mag:     mag,
-		worm:    worm,
-		cfg:     c,
-		policy:  c.Policy,
-		marked:  make(map[uint64]bool),
-		pending: make(map[uint64]*pendingMark),
+		mag:    mag,
+		worm:   worm,
+		cfg:    c,
+		policy: c.Policy,
+		marked: make(map[uint64]bool),
 	}
 	// Bound on an encoded index entry: rect (two keys + bounds + two
 	// times) + child address + framing.

@@ -41,8 +41,8 @@ func (t *Tree) Image() TreeImage {
 		img.Marked = append(img.Marked, page)
 	}
 	// Deterministic order: images of equivalent trees must be
-	// byte-identical (the shard- and migration-equivalence property tests
-	// compare serialized images directly).
+	// byte-identical (the shard-equivalence property test compares
+	// serialized images directly).
 	sort.Slice(img.Marked, func(i, j int) bool { return img.Marked[i] < img.Marked[j] })
 	return img
 }
@@ -60,12 +60,11 @@ func FromImage(mag storage.PageStore, worm storage.WORMDevice, img TreeImage) (*
 			LeafCapacity:  img.LeafCapacity,
 			IndexCapacity: img.IndexCapacity,
 		},
-		policy:  img.Policy,
-		root:    img.Root,
-		now:     img.Now,
-		stats:   img.Stats,
-		marked:  make(map[uint64]bool),
-		pending: make(map[uint64]*pendingMark),
+		policy: img.Policy,
+		root:   img.Root,
+		now:    img.Now,
+		stats:  img.Stats,
+		marked: make(map[uint64]bool),
 	}
 	t.entryCap = 2*img.MaxKeySize + 64
 	for _, page := range img.Marked {

@@ -43,16 +43,6 @@ func (t *Tree) Insert(v record.Version) error {
 		if t.size(root)+need <= limit {
 			break
 		}
-		if root.leaf && t.deferSplits && t.deferSplit(root, false, v) {
-			// Background migration: the root leaf is queued for a time
-			// split; the insert lands in the logically-overfull leaf.
-			break
-		}
-		if !root.leaf && t.deferSplits && t.deferIndexSplit(root, v) {
-			// Background migration: the root index node is queued for a
-			// local time split; the insert descends through it.
-			break
-		}
 		if err := t.splitRoot(); err != nil {
 			return err
 		}
@@ -79,21 +69,6 @@ func (t *Tree) Insert(v record.Version) error {
 			}
 		} else if t.size(child)+3*t.entryCap > t.cfg.IndexCapacity {
 			needSplit = true
-		}
-		if needSplit && child.leaf && t.deferSplits && t.deferSplit(child, forced, v) {
-			// Background migration: instead of time splitting here —
-			// burning the historical half to the WORM while holding the
-			// shard's write latch — the leaf is queued for the migrator
-			// and the insert proceeds into the logically-overfull leaf.
-			// Key splits (and any leaf out of physical page headroom)
-			// still split inline.
-			needSplit = false
-		}
-		if needSplit && !child.leaf && t.deferSplits && t.deferIndexSplit(child, v) {
-			// Same deferral for an overfull index child whose planned
-			// split is a pure local time split and whose subtree absorbs
-			// this insert without splitting (see deferIndexSplit).
-			needSplit = false
 		}
 		if needSplit {
 			if err := t.splitChild(n, idx, forced); err != nil {

@@ -6,9 +6,9 @@ package core
 // The live-run set of a tree is every WORM run reachable from its root.
 // Historical nodes form a DAG (rule 4 of §3.5 duplicates references to
 // them), so the walk dedupes by first sector. Runs that are burned but
-// unreachable — abandoned background migrations, crash orphans — are
-// dead: no read path can ever visit them, which is what makes relocating
-// the live tail and truncating the device safe.
+// unreachable — crash orphans — are dead: no read path can ever visit
+// them, which is what makes relocating the live tail and truncating the
+// device safe.
 
 import (
 	"fmt"

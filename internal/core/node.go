@@ -119,14 +119,6 @@ func (t *Tree) writeCurrent(n *node) error {
 	if !n.addr.IsMagnetic() {
 		return fmt.Errorf("core: writeCurrent of %s", n.addr)
 	}
-	if len(t.pending) > 0 {
-		// Re-dirty check for the background migrator: any rewrite of a
-		// queued leaf advances its write epoch, so a swap whose capture
-		// predates the rewrite re-verifies instead of trusting the burn.
-		if mk, ok := t.pending[n.addr.Off]; ok {
-			mk.epoch++
-		}
-	}
 	data := encodeNode(n)
 	if len(data) > t.mag.PageSize() {
 		return fmt.Errorf("core: node %s of %d bytes exceeds page size %d",

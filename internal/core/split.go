@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"time"
@@ -17,27 +16,6 @@ import (
 // be time split at the next opportunity" optimization.
 func (t *Tree) splitNode(n *node, forced bool) ([]entry, error) {
 	delete(t.marked, n.addr.Off)
-	if d := t.directed; d != nil && !d.done && n.addr.Off == d.page {
-		// Background migrator swap: the historical half was already
-		// burned off-latch; install it instead of migrating inline.
-		d.done = true
-		delete(t.pending, n.addr.Off)
-		burned := &burnedNode{addr: d.addr, data: d.data, trusted: d.trusted}
-		if n.leaf {
-			if d.forced {
-				t.stats.ForcedTimeSplits++
-			}
-			return t.timeSplitLeafWith(n, d.T, burned)
-		}
-		return t.timeSplitIndexWith(n, d.T, burned)
-	}
-	if _, queued := t.pending[n.addr.Off]; queued {
-		// The node was queued for a background time split but is being
-		// split inline after all (no physical headroom left, or an
-		// explicit forced split): the queued ticket is now stale.
-		delete(t.pending, n.addr.Off)
-		t.migFallbacks++
-	}
 	if n.leaf {
 		return t.splitLeaf(n, forced)
 	}
@@ -119,16 +97,14 @@ func (t *Tree) chooseSplitTime(n *node) (record.Timestamp, bool) {
 	return 0, false
 }
 
-// plannedTimeSplit applies the decision criteria of §3.2 and reports
-// whether splitting leaf n would be a time split (timeSplit, with its
-// time T) or a key split (canKey — meaningful only when timeSplit is
-// false). It is the pure decision half of splitLeaf, shared with the
-// background-migration deferral check, which must predict exactly what
-// the inline path would do.
-func (t *Tree) plannedTimeSplit(n *node, forced bool) (T record.Timestamp, timeSplit, canKey bool) {
+// splitLeaf implements the data-node split of §3.1-§3.3 and the decision
+// criteria of §3.2: a node of all-current versions must key split, a node
+// with one distinct key must time split, and in between the policy's
+// threshold on the current fraction decides.
+func (t *Tree) splitLeaf(n *node, forced bool) ([]entry, error) {
 	current, total, distinctKeys, hasUpdates := currentVersionStats(n)
 	T, canTime := t.chooseSplitTime(n)
-	canKey = distinctKeys >= 2
+	canKey := distinctKeys >= 2
 
 	wantTime := forced
 	if !forced {
@@ -145,33 +121,14 @@ func (t *Tree) plannedTimeSplit(n *node, forced bool) (T record.Timestamp, timeS
 
 	switch {
 	case wantTime && canTime:
-		return T, true, canKey
-	case canKey:
-		return 0, false, true
-	case canTime:
-		return T, true, false
-	default:
-		return 0, false, false
-	}
-}
-
-// splitLeaf implements the data-node split of §3.1-§3.3 and the decision
-// criteria of §3.2: a node of all-current versions must key split, a node
-// with one distinct key must time split, and in between the policy's
-// threshold on the current fraction decides.
-func (t *Tree) splitLeaf(n *node, forced bool) ([]entry, error) {
-	T, timeSplit, canKey := t.plannedTimeSplit(n, forced)
-	switch {
-	case timeSplit:
 		if forced {
-			// plannedTimeSplit plans a forced split as a time split
-			// only on the wantTime && canTime branch, so this count
-			// matches the pre-refactor decision table exactly.
 			t.stats.ForcedTimeSplits++
 		}
 		return t.timeSplitLeaf(n, T)
 	case canKey:
 		return t.keySplitLeaf(n)
+	case canTime:
+		return t.timeSplitLeaf(n, T)
 	default:
 		return nil, fmt.Errorf("core: leaf %s cannot be split (single key, no committed history)", n.addr)
 	}
@@ -181,9 +138,7 @@ func (t *Tree) splitLeaf(n *node, forced bool) ([]entry, error) {
 // leaf's versions, returning the historical half, the current half
 // (including the rule-3 redundant copies), and the redundant-copy count.
 // Both halves come back in canonical sorted order, so the encoding of the
-// historical node is a deterministic function of (versions, T) — which is
-// what lets the background migrator burn the historical half off-latch and
-// later verify, byte for byte, that the burn still matches the node.
+// historical node is a deterministic function of (versions, T).
 func partitionVersions(versions []record.Version, T record.Timestamp) (hist, cur []record.Version, redundant int) {
 	aliveAt := make(map[string]record.Version)
 	hasAtT := make(map[string]bool)
@@ -220,22 +175,6 @@ func partitionVersions(versions []record.Version, T record.Timestamp) (hist, cur
 	return hist, cur, redundant
 }
 
-// burnedNode is a historical node the background migrator already appended
-// to the WORM, handed to the split path in place of an inline migration.
-// trusted skips the byte re-verification: the leaf's write epoch has not
-// moved since the capture, so its bytes are exactly what was captured.
-type burnedNode struct {
-	addr    storage.Addr
-	data    []byte // exact encoded bytes that were burned
-	trusted bool
-}
-
-// errBurnMismatch reports a directed split whose pre-burned historical
-// node no longer matches the leaf's historical half. The ordinary write
-// paths cannot cause this (they only touch the current half), so
-// ApplySplit treats it as a stale capture and abandons the burn.
-var errBurnMismatch = fmt.Errorf("core: pre-burned historical node does not match leaf")
-
 // timeSplitLeaf applies the Time-Split Rule of §3.1 at time T:
 //
 //  1. all entries with time less than T go in the old (historical) node;
@@ -244,46 +183,20 @@ var errBurnMismatch = fmt.Errorf("core: pre-burned historical node does not matc
 //     new node — forcing redundancy for records persisting across T.
 //
 // Pending versions carry no timestamp and always stay current (§4).
+// The historical half is migrated to the WORM here, node at a time
+// (§3.4), under whatever latch the caller holds.
 // If the surviving current node would still overflow, it is immediately
 // key split as well (the WOBT's "split by key value and current time").
 func (t *Tree) timeSplitLeaf(n *node, T record.Timestamp) ([]entry, error) {
-	return t.timeSplitLeafWith(n, T, nil)
-}
-
-// timeSplitLeafWith is timeSplitLeaf with an optional pre-burned
-// historical node: nil migrates inline (holding whatever latch the caller
-// holds for the duration of the WORM append); non-nil installs the
-// already-burned node after verifying it still encodes exactly the leaf's
-// historical half.
-func (t *Tree) timeSplitLeafWith(n *node, T record.Timestamp, burned *burnedNode) ([]entry, error) {
 	histRect, curRect := n.rect.SplitAtTime(T)
 	hist, cur, redundant := partitionVersions(n.versions, T)
 	if len(hist) == 0 {
 		return nil, fmt.Errorf("core: time split of %s at %s leaves empty historical node", n.addr, T)
 	}
 
-	histNode := &node{rect: histRect, leaf: true, versions: hist}
-	var histAddr storage.Addr
-	if burned != nil {
-		// The epoch/re-dirty check: a leaf rewritten since its capture
-		// re-verifies, byte for byte, that the burn still encodes its
-		// historical half (concurrent inserts and commit stamps land in
-		// the current half only, so a live mark implies a match).
-		if !burned.trusted && !bytes.Equal(encodeNode(histNode), burned.data) {
-			return nil, errBurnMismatch
-		}
-		histAddr = burned.addr
-		// The burn itself happened off-latch; account for it now, under
-		// the latch, exactly as migrate would have.
-		t.stats.HistoricalNodes++
-		t.stats.VersionsMigrated += uint64(len(hist))
-		t.stats.BytesMigrated += uint64(len(burned.data))
-	} else {
-		var err error
-		histAddr, err = t.migrate(histNode)
-		if err != nil {
-			return nil, err
-		}
+	histAddr, err := t.migrate(&node{rect: histRect, leaf: true, versions: hist})
+	if err != nil {
+		return nil, err
 	}
 	t.stats.LeafTimeSplits++
 	t.stats.RedundantVersions += uint64(redundant)
@@ -487,10 +400,7 @@ func (t *Tree) markBlockingChildren(n *node) {
 // at time T to an index node's entries: everything before T goes in the
 // historical half (clipped at T), everything after T in the current half,
 // and entries spanning T are clipped into both (the redundant count).
-// Both halves preserve the input order, so the encoding of the historical
-// node is a deterministic function of (entries, T) — which is what lets
-// the background migrator burn the historical half off-latch and later
-// verify, byte for byte, that the burn still matches the node.
+// Both halves preserve the input order.
 func partitionEntries(entries []entry, T record.Timestamp) (hist, cur []entry, redundant int) {
 	for _, e := range entries {
 		spansT := e.rect.Start < T && e.rect.End > T
@@ -520,40 +430,15 @@ func partitionEntries(entries []entry, T record.Timestamp) (hist, cur []entry, r
 // into one historical index node; entries spanning T are clipped into both
 // halves (the redundant index entries all point to historical nodes).
 func (t *Tree) timeSplitIndex(n *node, T record.Timestamp) ([]entry, error) {
-	return t.timeSplitIndexWith(n, T, nil)
-}
-
-// timeSplitIndexWith is timeSplitIndex with an optional pre-burned
-// historical node: nil migrates inline (holding whatever latch the caller
-// holds for the duration of the WORM append); non-nil installs the
-// already-burned node after verifying it still encodes exactly the node's
-// historical half.
-func (t *Tree) timeSplitIndexWith(n *node, T record.Timestamp, burned *burnedNode) ([]entry, error) {
 	histRect, curRect := n.rect.SplitAtTime(T)
 	hist, cur, redundant := partitionEntries(n.entries, T)
 	t.stats.RedundantIndexEntries += uint64(redundant)
 	if len(hist) == 0 {
 		return nil, fmt.Errorf("core: index time split of %s at %s is empty", n.addr, T)
 	}
-	histNode := &node{rect: histRect, leaf: false, entries: hist}
-	var histAddr storage.Addr
-	if burned != nil {
-		// The epoch/re-dirty check, exactly as timeSplitLeafWith: a node
-		// rewritten since its capture re-verifies the burn byte for byte.
-		if !burned.trusted && !bytes.Equal(encodeNode(histNode), burned.data) {
-			return nil, errBurnMismatch
-		}
-		histAddr = burned.addr
-		// The burn itself happened off-latch; account for it now, under
-		// the latch, exactly as migrate would have.
-		t.stats.HistoricalNodes++
-		t.stats.BytesMigrated += uint64(len(burned.data))
-	} else {
-		var err error
-		histAddr, err = t.migrate(histNode)
-		if err != nil {
-			return nil, err
-		}
+	histAddr, err := t.migrate(&node{rect: histRect, leaf: false, entries: hist})
+	if err != nil {
+		return nil, err
 	}
 	t.stats.IndexTimeSplits++
 	n.rect = curRect
@@ -644,9 +529,9 @@ func indexSplitValue(n *node) (record.Key, bool) {
 // splitChild splits the child under parent.entries[idx] and patches the
 // parent in place (the parent is guaranteed to be on the magnetic disk:
 // "all parts of the index which refer to [the current database] must be on
-// an erasable medium", §1). Split work always runs under the owning
-// shard's write latch, so its duration is accumulated into splitNanos —
-// the latch-hold measurement the background migrator exists to shrink.
+// an erasable medium", §1). Split work — including the WORM append of a
+// time split — runs under the owning shard's write latch, so its duration
+// is accumulated into splitNanos.
 func (t *Tree) splitChild(parent *node, idx int, forced bool) error {
 	start := time.Now()
 	defer func() { t.splitNanos += uint64(time.Since(start)) }()

@@ -1,10 +1,10 @@
 package db
 
 // Tests for the maintenance economy: WORM compaction (DB.Compact), its
-// background trigger, the migrator's sticky-error surface, and the
-// fuzzy checkpoint's pause accounting. The crash tests follow the
-// kill-and-recover pattern of paged_recovery_test.go and are picked up
-// by the CI recovery job (go test -race -run Recovery ./...).
+// background trigger, and the fuzzy checkpoint's pause accounting. The
+// crash tests follow the kill-and-recover pattern of recovery_test.go
+// and are picked up by the CI recovery job (go test -race -run Recovery
+// ./...).
 
 import (
 	"errors"
@@ -16,19 +16,18 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/record"
 	"repro/internal/storage"
 	"repro/internal/txn"
 )
 
 // seedDeadBurns drives a migration-heavy workload against a fresh paged
-// directory, drains the background migrator so historical nodes are
-// burned, and then crashes WITHOUT a checkpoint. On reopen every run
-// burned since the open-time seal is unreferenced (the magnetic tree
-// that pointed at it rolled back to the seal; replay re-burns fresh
-// copies), so the directory deterministically carries dead write-once
-// payload — exactly what compaction exists to reclaim. It returns the
+// directory — its time splits burn historical nodes inline — and then
+// crashes WITHOUT a checkpoint. On reopen every run burned since the
+// open-time seal is unreferenced (the magnetic tree that pointed at it
+// rolled back to the seal; replay re-burns fresh copies), so the
+// directory deterministically carries dead write-once payload — exactly
+// what compaction exists to reclaim. It returns the
 // acknowledged commits for oracle comparison.
 func seedDeadBurns(t *testing.T, cfg Config, commits int, seed int64) []oracleOp {
 	t.Helper()
@@ -41,11 +40,9 @@ func seedDeadBurns(t *testing.T, cfg Config, commits int, seed int64) []oracleOp
 	if unacked != nil {
 		t.Fatalf("fault-free workload failed after %d commits", len(acked))
 	}
-	if err := d.DrainMigrations(); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if d.Stats().WORM.SectorsBurned == 0 {
-		t.Fatal("workload burned nothing; the orphaning crash would be vacuous")
+	if st := d.Stats(); st.WORM.SectorsBurned == 0 || st.Tree.LeafTimeSplits == 0 {
+		t.Fatalf("workload burned %d sectors in %d leaf time splits; the orphaning crash would be vacuous",
+			st.WORM.SectorsBurned, st.Tree.LeafTimeSplits)
 	}
 	crash(d)
 	return acked
@@ -69,14 +66,10 @@ func TestCompactReclaimsDeadBytes(t *testing.T) {
 	dir := t.TempDir()
 	secs := map[string]SecondaryExtract{"dept": deptExtract}
 	cfg := pagedConfigWithSecs(dir, secs)
-	cfg.BackgroundMigration = true
 	acked := seedDeadBurns(t, cfg, 120, 42)
 
 	d, err := Open(cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.DrainMigrations(); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Checkpoint(); err != nil {
@@ -159,7 +152,6 @@ func TestCompactReclaimsDeadBytes(t *testing.T) {
 func TestCompactBackgroundTrigger(t *testing.T) {
 	dir := t.TempDir()
 	cfg := pagedConfig(dir)
-	cfg.BackgroundMigration = true
 	seedDeadBurns(t, cfg, 120, 7)
 
 	cfg.CompactDeadBytes = 1
@@ -182,49 +174,6 @@ func TestCompactBackgroundTrigger(t *testing.T) {
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestMigratorStickyErrorSurfaces injects a burn-path fault and demands
-// the migrator's sticky error reach every surface deterministically:
-// DrainMigrations' return, Stats().Migrator.Err, and Close — while the
-// database itself keeps serving reads and writes.
-func TestMigratorStickyErrorSurfaces(t *testing.T) {
-	boom := errors.New("burn device unplugged")
-	cfg := Config{BackgroundMigration: true, Shards: 2, LeafCapacity: 512, IndexCapacity: 1024}
-	d, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Safe to set after Open: no ticket can exist before the first
-	// insert below, and the enqueue/pop mutex orders this write before
-	// any worker's read.
-	d.mig.burnHook = func(int, core.PendingSplit) error { return boom }
-
-	var drainErr error
-	for i := 0; i < 4000 && drainErr == nil; i++ {
-		mustPut(t, d, fmt.Sprintf("key%02d", i%8), fmt.Sprintf("val%05d", i))
-		if i%50 == 49 {
-			drainErr = d.DrainMigrations()
-		}
-	}
-	if !errors.Is(drainErr, boom) {
-		t.Fatalf("DrainMigrations = %v, want %v", drainErr, boom)
-	}
-	if err := d.Stats().Migrator.Err; !errors.Is(err, boom) {
-		t.Fatalf("Stats().Migrator.Err = %v, want %v", err, boom)
-	}
-	// Sticky: later drains keep reporting it.
-	if err := d.DrainMigrations(); !errors.Is(err, boom) {
-		t.Fatalf("second DrainMigrations = %v, want %v", err, boom)
-	}
-	// The database is degraded (marked leaves stay unmigrated), not dead.
-	mustPut(t, d, "key00", "post-error")
-	if v, ok, err := d.Get(record.StringKey("key00")); err != nil || !ok || string(v.Value) != "post-error" {
-		t.Fatalf("Get after migrator error = %v %v %v", v, ok, err)
-	}
-	if err := d.Close(); !errors.Is(err, boom) {
-		t.Fatalf("Close = %v, want %v", err, boom)
 	}
 }
 
@@ -296,17 +245,13 @@ func TestRecoveryCompactionTornSweep(t *testing.T) {
 	secs := map[string]SecondaryExtract{"dept": deptExtract}
 	tmpl := t.TempDir()
 	tcfg := pagedConfigWithSecs(tmpl, secs)
-	tcfg.BackgroundMigration = true
 	acked := seedDeadBurns(t, tcfg, 60, 1989)
 
 	// Stabilize the template: reopen (replay re-burns the live tail,
-	// the pre-crash burns become orphans), drain, checkpoint so the
-	// dead-byte account is durable, close cleanly.
+	// the pre-crash burns become orphans), checkpoint so the dead-byte
+	// account is durable, close cleanly.
 	d, err := Open(tcfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.DrainMigrations(); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Checkpoint(); err != nil {
@@ -336,9 +281,7 @@ func TestRecoveryCompactionTornSweep(t *testing.T) {
 		dir := t.TempDir()
 		copyDir(t, tmpl, dir)
 		plan := storage.NewTearPlan(tear)
-		ccfg := tearConfig(pagedConfigWithSecs(dir, secs), plan, true, true)
-		ccfg.BackgroundMigration = true
-		d, err := Open(ccfg)
+		d, err := Open(tearConfig(pagedConfigWithSecs(dir, secs), plan, true, true))
 		if err != nil {
 			// The tear fired in open's own writes (e.g. a fresh WAL
 			// segment): nothing of the template can have been lost.
@@ -375,12 +318,14 @@ func TestRecoveryCompactionTornSweep(t *testing.T) {
 func TestRecoveryCompactionConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	cfg := pagedConfig(dir)
-	cfg.BackgroundMigration = true
 	seedDeadBurns(t, cfg, 100, 11)
 
 	d, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d.Stats().Device.DeadBytes == 0 {
+		t.Fatal("no dead bytes after the orphaning crash; compaction would have nothing to do")
 	}
 	const writers, perWriter, keys = 3, 120, 6
 	var wg sync.WaitGroup
@@ -415,9 +360,6 @@ func TestRecoveryCompactionConcurrent(t *testing.T) {
 	wg.Wait()
 	if t.Failed() {
 		return
-	}
-	if err := d.DrainMigrations(); err != nil {
-		t.Fatal(err)
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)

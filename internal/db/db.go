@@ -81,44 +81,16 @@
 //     plus O(log tail), never the whole database, and applies every
 //     commit to every tree exactly once.
 //
-// # Background migration
+// # Migration
 //
-// With Config.BackgroundMigration, time-split migration leaves the
-// insert path: an insert that would time split a leaf marks it and
-// returns fast, and a per-shard worker later captures the historical
-// half under a short read latch, burns it to the write-once device with
-// NO latch held, and swaps the rewritten leaf in under a short write
-// latch. The consistency contract, precisely:
-//
-//   - No version is ever unreachable, at any instant: the swap goes
-//     through the same split machinery an inline split uses, atomically
-//     under the shard's write latch, so a reader sees the pre-swap or
-//     the post-swap node — never a torn one.
-//   - Concurrent writes into a marked leaf are never lost: they land
-//     under the write latch and partition into the current half at swap
-//     time (commit timestamps always exceed the chosen split time); a
-//     leaf rewritten since its capture is re-verified byte for byte
-//     before the burn is trusted (the epoch/re-dirty check).
-//   - A lost race (the leaf ran out of physical page headroom and split
-//     inline first) abandons the burned node as unreferenced write-once
-//     waste — Stats().Migrator.Abandoned — never links it in. Abandoned
-//     payload counts as waste, not payload, in Stats().Device
-//     (WastedBytes/DeadBytes), and on a durable database DB.Compact
-//     reclaims it: the database does not age badly under lost races.
-//   - Checkpoints fence the workers around the boundary, so page
-//     captures stay boundary-exact. Marks are not durable: a crash
-//     drops them and future inserts re-create them.
-//   - Close finishes the in-flight migration and drops the queue (a
-//     marked-but-unsplit leaf is a valid tree); DrainMigrations flushes
-//     the queue synchronously first when every historical node must
-//     reach the write-once device.
-//
-// Inline splitting (BackgroundMigration unset) remains the default and
-// the recovery-replay behavior; no split-policy knob is inline-only —
-// core.Policy applies identically in both modes, and the background
-// path defers exactly the splits the policy would have performed. See
-// docs/ARCHITECTURE.md for the migration state machine and its
-// admissible interleavings.
+// Historical data migrates inline, node at a time, as the paper's §3.4
+// specifies: a time split appends its historical half to the write-once
+// device as part of the split, under the owning shard's write latch, and
+// the index entry that references the burned node is installed by the
+// same split. A reader therefore sees the tree before or after the
+// split, never between. Live inserts, recovery replay and secondary
+// indexes all take this one path. Stats().Migrator.SplitLatchNanos is the
+// cumulative latch time spent splitting, burns included.
 //
 // # Streaming reads
 //
@@ -213,7 +185,9 @@ type Config struct {
 	// MaxKeySize / MaxValueSize bound record sizes (see core.Config).
 	MaxKeySize   int
 	MaxValueSize int
-	// LeafCapacity / IndexCapacity override logical node sizes (tests).
+	// LeafCapacity / IndexCapacity override the logical node sizes, in
+	// encoded bytes, at which nodes split (default and maximum: PageSize).
+	// A value below PageSize leaves the rest of each page unused.
 	LeafCapacity  int
 	IndexCapacity int
 
@@ -235,21 +209,10 @@ type Config struct {
 	//
 	// Deprecated: Dir alone selects paged devices.
 	PagedDevices bool
-	// BackgroundMigration moves time-split migration off the insert
-	// path: an insert that would time split a leaf (burning its
-	// historical half to the slow write-once device while holding the
-	// shard's write latch) instead marks the leaf and returns fast, and
-	// a per-shard background worker later captures the historical half
-	// under a short read latch, burns it with NO latch held, and swaps
-	// the rewritten leaf in under a short write latch. Readers always
-	// see the pre- or post-swap node, never a torn one, and no version
-	// is ever unreachable — see Stats().Migrator and the package
-	// documentation's migration contract. Deferral needs physical page
-	// headroom: with LeafCapacity equal to PageSize (the default) a
-	// logically-overfull leaf has nowhere to grow and splits inline, so
-	// set LeafCapacity below PageSize to give the migrator room.
-	// Works for in-memory and durable databases; recovery replay always
-	// splits inline (marks are not durable state).
+	// BackgroundMigration is ignored.
+	//
+	// Deprecated: every time split migrates its historical half inline
+	// (see the package documentation's migration section).
 	BackgroundMigration bool
 	// CheckpointBytes triggers a background incremental checkpoint
 	// (which truncates the log) once the WAL has grown by this many
@@ -259,15 +222,15 @@ type Config struct {
 	CheckpointBytes int64
 	// CompactDeadBytes triggers a background WORM compaction (see
 	// DB.Compact) once the payload of unreferenced write-once runs —
-	// Stats().Device.DeadBytes: abandoned background migrations, crash
-	// orphans — exceeds this many bytes. 0 disables background
-	// compaction (DB.Compact still works). Durable databases only.
+	// Stats().Device.DeadBytes: crash orphans — exceeds this many
+	// bytes. 0 disables background compaction (DB.Compact still works).
+	// Durable databases only.
 	CompactDeadBytes int64
 	// SlowOpThreshold is the duration at or above which a completed
-	// background span (checkpoint, compaction round, migration) is
-	// copied into the slow-op ring of the event log (DB.Events). 0
-	// selects the 25ms default; negative disables the slow-op ring (the
-	// main event ring still records everything).
+	// background span (checkpoint, compaction round) is copied into the
+	// slow-op ring of the event log (DB.Events). 0 selects the 25ms
+	// default; negative disables the slow-op ring (the main event ring
+	// still records everything).
 	SlowOpThreshold time.Duration
 	// Secondaries registers secondary indexes at open time, equivalent
 	// to calling CreateSecondary for each before any writes. Reopening
@@ -319,14 +282,10 @@ type DB struct {
 	epoch  uint64
 	secTag int
 
-	// mig is the background time-split migrator
-	// (Config.BackgroundMigration); nil when migration is inline.
-	mig *migrator
-
 	// deadBytes is the payload carried by write-once runs nothing
-	// references — abandoned background migrations, post-crash orphans —
-	// i.e. capacity the device counters still report as payload but that
-	// no read path can ever reach. Carried across reopens in the
+	// references — post-crash orphans — i.e. capacity the device
+	// counters still report as payload but that no read path can ever
+	// reach. Carried across reopens in the
 	// checkpoint (wal.PagedMeta.DeadBytes), folded into
 	// Stats().Device.WastedBytes, zeroed by a completed compaction.
 	deadBytes atomic.Uint64
@@ -345,10 +304,6 @@ type DB struct {
 	// always non-nil on a DB the package returned.
 	reg    *obs.Registry
 	events *obs.EventLog
-	// Migration phase histograms (capture/burn/swap latch regimes). They
-	// live on the DB, not the migrator, so the series exist — at zero —
-	// even when migration is inline or off.
-	migCapture, migBurn, migSwap obs.Histogram
 	// Whole-job duration histograms for the maintenance spans.
 	cpHist obs.Histogram
 	coHist obs.Histogram
@@ -516,13 +471,7 @@ func Open(cfg Config) (_ *DB, err error) {
 		}
 	}
 
-	// Background work starts last, with nothing left that can fail. The
-	// migrator starts only now, after recovery — replayed inserts split
-	// inline (deterministically), and marks are never durable state — and
-	// before the maintenance loop, whose jobs fence it.
-	if cfg.BackgroundMigration {
-		d.startMigrator()
-	}
+	// Background work starts last, with nothing left that can fail.
 	if durable {
 		d.cpEvery = cfg.CheckpointBytes
 		if d.cpEvery == 0 {
@@ -591,33 +540,18 @@ func (d *DB) wireObs(cfg Config) {
 	if d.bf != nil {
 		d.bf.RegisterMetrics(d.reg)
 	}
-	// Migration phase series exist in every mode (zero when migration is
-	// inline or off), so dashboards and scrape checks need no flag
-	// coordination with Config.BackgroundMigration.
-	phases := []struct {
-		name string
-		h    *obs.Histogram
-	}{{"capture", &d.migCapture}, {"burn", &d.migBurn}, {"swap", &d.migSwap}}
-	for _, p := range phases {
-		d.reg.RegisterHistogram("tsb_migrator_phase_seconds",
-			"background time-split migration phase duration (capture: read latch; burn: no latch; swap: write latch)",
-			p.h, obs.Label{Key: "phase", Value: p.name})
-	}
-	d.reg.GaugeFunc("tsb_migrator_queue_depth", "deferred-split tickets queued", func() float64 {
-		return float64(d.mig.statsSnapshot().QueueDepth)
-	})
 	d.reg.RegisterHistogram("tsb_checkpoint_seconds", "whole-checkpoint duration, quiesce windows included", &d.cpHist)
 	d.reg.RegisterHistogram("tsb_compaction_seconds", "WORM compaction round duration", &d.coHist)
 }
 
 // Metrics returns the database's metric registry: every engine
 // instrument — commit latency, fsync latency, shard latch contention,
-// buffer hit rates, device latency, migration phases — named for
+// buffer hit rates, device latency — named for
 // exposition (obs.WritePrometheus / WriteJSON). Always non-nil.
 func (d *DB) Metrics() *obs.Registry { return d.reg }
 
-// Events returns the background-job event log: completed checkpoint,
-// compaction, and migration spans, with a slow-op ring past
+// Events returns the background-job event log: completed checkpoint
+// and compaction spans, with a slow-op ring past
 // Config.SlowOpThreshold. Always non-nil.
 func (d *DB) Events() *obs.EventLog { return d.events }
 
@@ -705,7 +639,7 @@ func (d *DB) onCommit(ct record.Timestamp, oldV record.Version, oldOK bool, newV
 		if !hadOld && removed {
 			continue
 		}
-		//tsb:allow latchio -- secondary-tree time splits burn inline under secMu; deferring them to the migrator is an open item
+		//tsb:allow latchio -- secondary-tree time splits burn inline under secMu, node at a time (§3.4)
 		if err := s.index.Apply(ct, newV.Key, oldSkey, hadOld, newSkey, removed); err != nil {
 			return err
 		}
@@ -938,10 +872,10 @@ type DeviceStats struct {
 	SpaceO uint64
 	// PayloadBytes of SpaceO hold live data; WastedBytes is the burned
 	// remainder: partial sectors plus DeadBytes. DeadBytes is the
-	// payload of runs nothing references — abandoned background
-	// migrations, orphaned post-crash burns — which the raw device
-	// counters report as payload but which no read path can reach, so
-	// here it counts as waste. Compaction (DB.Compact) reclaims it.
+	// payload of runs nothing references — orphaned post-crash burns —
+	// which the raw device counters report as payload but which no read
+	// path can reach, so here it counts as waste. Compaction (DB.Compact)
+	// reclaims it.
 	PayloadBytes uint64
 	WastedBytes  uint64
 	DeadBytes    uint64
@@ -969,10 +903,8 @@ type Stats struct {
 	// databases). Txn.Committed / WAL.Syncs is the group-commit fsync
 	// amortization.
 	WAL wal.Stats
-	// Migrator is the background time-split migrator's accounting:
-	// queue depth, nodes migrated, bytes burned off-latch, abandoned
-	// burns, and the split-under-latch time it exists to shrink
-	// (SplitLatchNanos is reported for inline databases too).
+	// Migrator is the time-split migration accounting: the shard latch
+	// time spent splitting, inline WORM burns included.
 	Migrator MigratorStats
 	// Checkpoint is the checkpoint pause accounting: how long, in
 	// total and per checkpoint, commit posting was quiesced for
@@ -999,11 +931,7 @@ func (d *DB) Stats() Stats {
 	if d.pool != nil {
 		st.Buffer = d.pool.Stats()
 	}
-	st.Migrator = d.mig.statsSnapshot()
-	latchNanos, fallbacks, pending := d.store.migrationCounters()
-	st.Migrator.SplitLatchNanos = latchNanos
-	st.Migrator.InlineFallbacks = fallbacks
-	st.Migrator.PendingNodes = pending
+	st.Migrator.SplitLatchNanos = d.store.splitLatchNanos()
 	st.Checkpoint = CheckpointStats{
 		Checkpoints:    d.cpCount.Load(),
 		PauseNanos:     d.cpPauseNanos.Load(),
@@ -1020,8 +948,8 @@ func (d *DB) Stats() Stats {
 	}
 	// Reclassify dead payload (runs nothing references) as waste: the
 	// device counters cannot know a burned run became unreachable, the
-	// engine can — abandoned migrations and reopen orphans feed
-	// d.deadBytes, a completed compaction zeroes it.
+	// engine can — reopen orphans feed d.deadBytes, a completed
+	// compaction zeroes it.
 	dead := d.deadBytes.Load()
 	worm := st.WORM
 	if dead > worm.PayloadBytes {

@@ -252,22 +252,12 @@ func (d *DB) Checkpoint() error {
 	if d.closed {
 		return ErrClosed
 	}
-	// Fence the background migrator for the duration of the checkpoint:
-	// in-flight migrations complete first (pause waits for them), then
-	// the workers idle, so no swap rewrites pages and no off-latch burn
-	// moves the WORM tail while the boundary is captured. The fence is
-	// what keeps page captures boundary-exact with migrations in the
-	// system; queued-but-unprocessed marks are not durable state and
-	// simply survive (or, after a crash, are re-created by future
-	// inserts).
-	d.mig.pause()
-	defer d.mig.resume()
 	return d.checkpointLocked()
 }
 
-// checkpointLocked runs one checkpoint — caller holds cpMu with the
-// migrator fenced — and accounts the per-checkpoint pause (the sum of
-// its quiesce windows) into Stats().Checkpoint.
+// checkpointLocked runs one checkpoint — caller holds cpMu — and
+// accounts the per-checkpoint pause (the sum of its quiesce windows)
+// into Stats().Checkpoint.
 func (d *DB) checkpointLocked() error {
 	sp := d.events.StartSpan("checkpoint", &d.cpHist)
 	before := d.cpPauseNanos.Load()
@@ -297,21 +287,13 @@ func (d *DB) quiesceTimed(fn func() error) error {
 	return err
 }
 
-// Close stops the maintenance scheduler and the background migrator,
-// then closes the write-ahead log. Acknowledged commits are already
-// durable (group commit fsyncs before acknowledging), so Close flushes
-// nothing; it exists to release the directory cleanly.
-//
-// What Close guarantees about pending migrations: any migration whose
-// swap is in flight completes (so the tree is never left mid-swap — not
-// that a torn swap is possible; the swap is atomic under the shard
-// latch), and the workers then exit. Leaves still queued are simply left
-// unsplit — a valid TSB-tree state; nothing acknowledged depends on a
-// mark, and future inserts re-queue them. Call DrainMigrations first if
-// every deferred historical node must reach the write-once device before
-// the handle is released. Close returns the first background-checkpoint
-// or migrator error, if any. Closing an in-memory database only stops
-// its migrator.
+// Close stops the maintenance scheduler, then closes the write-ahead log,
+// the device files and the directory lock. Acknowledged commits are
+// already durable (group commit fsyncs before acknowledging), and every
+// historical node a split produced was burned by that split, so Close
+// flushes nothing; it exists to release the directory cleanly. Close
+// returns the first background-job error, if any. Closing an in-memory
+// database only marks it closed.
 func (d *DB) Close() error {
 	d.cpMu.Lock()
 	if d.closed {
@@ -324,9 +306,6 @@ func (d *DB) Close() error {
 	if d.stopCp != nil {
 		close(d.stopCp)
 		d.cpDone.Wait()
-	}
-	if err := d.mig.stop(); err != nil && cpErr == nil {
-		cpErr = err
 	}
 	if err := d.releaseFiles(); err != nil && cpErr == nil {
 		cpErr = err

@@ -1,16 +1,10 @@
 package db
 
 // The maintenance scheduler: background upkeep that keeps an aging
-// database young. The background migrator (migrator.go) established the
-// pattern — a worker fenced around checkpoint boundaries, races
-// resolved by epoch/re-verify checks, lost races degraded to bounded
-// waste instead of corruption. This file generalizes it to the
-// database-wide maintenance economy, three job families in all:
+// database young. Time-split migration is not one of its jobs — it runs
+// inline, inside each split (§3.4) — so the maintenance economy is two
+// job families:
 //
-//   - deferred time splits (leaf AND index nodes): owned by the
-//     per-shard migrator workers; the scheduler's role is the shared
-//     fence (pause/resume) every other job uses around its own
-//     critical windows.
 //   - the fuzzy checkpoint flush (paged.go, flushAndInstall): triggered
 //     here on WAL growth, capturing the boundary one flush group at a
 //     time so the writer-visible pause is one shard's capture.
@@ -32,10 +26,9 @@ package db
 //
 //   - the live-run set is closed: every run reachable from any tree
 //     root (primaries and secondaries share one burn file). Runs
-//     outside it — abandoned migrations, crash orphans — are dead
-//     forever: under the non-deletion policy references are only ever
-//     copied, never invented, so an unreachable run cannot become
-//     reachable again.
+//     outside it — crash orphans — are dead forever: under the
+//     non-deletion policy references are only ever copied, never
+//     invented, so an unreachable run cannot become reachable again.
 //   - historical nodes reference only earlier burns (children are
 //     burned before the parents that point at them), so relocating the
 //     live tail in ascending offset order sees every child remapped
@@ -61,6 +54,18 @@ import (
 // maintenancePollInterval is how often the scheduler inspects the job
 // triggers.
 const maintenancePollInterval = 100 * time.Millisecond
+
+// MigratorStats is the time-split migration accounting (Stats().Migrator).
+type MigratorStats struct {
+	// SplitLatchNanos is cumulative time spent splitting nodes under
+	// shard write latches, the inline WORM burns of time splits included
+	// (summed from the shard trees).
+	SplitLatchNanos uint64
+	// Migrated, Abandoned and InlineFallbacks are always zero.
+	//
+	// Deprecated: they counted the retired background migrator.
+	Migrated, Abandoned, InlineFallbacks uint64
+}
 
 // CheckpointStats is the checkpoint pause accounting (Stats().Checkpoint):
 // how long commit posting was quiesced for boundary captures. Pauses are
@@ -182,9 +187,9 @@ func (d *DB) maintenanceLoop() {
 }
 
 // Compact reclaims dead write-once capacity on a durable database: runs
-// that nothing references — abandoned background migrations, post-crash
-// orphans — are squeezed out of the burn file by copying the live tail
-// forward and truncating the rest. Four phases:
+// that nothing references — post-crash orphans — are squeezed out of the
+// burn file by copying the live tail forward and truncating the rest.
+// Four phases:
 //
 //  1. capture, under each tree's read latch in turn: the burned-sector
 //     count and the device-wide live-run set (every run reachable from
@@ -203,8 +208,9 @@ func (d *DB) maintenanceLoop() {
 //
 // The logical content is untouched — only addresses move — and
 // Stats().Device shows WastedBytes/SpaceO drop by what was reclaimed.
-// Compact serializes with checkpoints; the migrator is fenced for the
-// duration. Concurrent writers run freely except during phases 1 and 3.
+// Compact serializes with checkpoints. Concurrent writers run freely
+// except during phases 1 and 3; their inline burns only append past the
+// captured burned count, which is what phase 3 re-checks.
 func (d *DB) Compact() (CompactionReport, error) {
 	var rep CompactionReport
 	if d.bf == nil {
@@ -215,12 +221,6 @@ func (d *DB) Compact() (CompactionReport, error) {
 	if d.closed {
 		return rep, ErrClosed
 	}
-	// Fence the migrator: no background burn moves the tail and no swap
-	// rewrites pages while the live set is walked and relocated. Inline
-	// burns (physical-headroom fallbacks, secondary-index splits) can
-	// still happen — the install re-check catches them.
-	d.mig.pause()
-	defer d.mig.resume()
 	sp := d.events.StartSpan("compact", &d.coHist)
 	defer func() {
 		sp.End(fmt.Sprintf("attempted=%t aborted=%t moved=%dB reclaimed=%dB",
@@ -273,10 +273,10 @@ func (d *DB) Compact() (CompactionReport, error) {
 	rep.Boundary = boundary
 
 	// Phase 3 (plan) — copy-forward plan with no latch held: the region
-	// below burned0 is immutable (the migrator is fenced; inline burns
-	// only append past it). Ascending old offset means every WORM child
-	// of a run — burned before it, so at a smaller offset — is already
-	// in the remap when the parent is re-encoded.
+	// below burned0 is immutable (inline burns only append past it).
+	// Ascending old offset means every WORM child of a run — burned
+	// before it, so at a smaller offset — is already in the remap when
+	// the parent is re-encoded.
 	remap := make(map[uint64]storage.Addr, len(tail))
 	payloads := make([][]byte, 0, len(tail))
 	next := boundary

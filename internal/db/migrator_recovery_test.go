@@ -1,13 +1,13 @@
 package db
 
-// Kill-and-recover coverage for the background migrator: crash a paged
-// durable database while per-shard workers are capturing, burning, and
-// swapping in the background, and demand the standard durability
+// Kill-and-recover coverage for migration: crash a paged durable
+// database while concurrent writers keep time splitting leaves and
+// burning their historical halves, and demand the standard durability
 // invariants — every acknowledged commit fully present, no phantom data,
-// invariants intact, database writable. Migration marks are not durable
-// state: a crash may orphan a burned-but-unswapped historical node as
-// write-once waste (exactly as a torn migration on real WORM media), but
-// can never lose or duplicate a version.
+// invariants intact, database writable. A crash may orphan a burned
+// historical node whose referencing split never reached a checkpoint
+// (write-once waste, exactly as a torn migration on real WORM media),
+// but can never lose or duplicate a version.
 //
 // The CI recovery job runs these by name: go test -race -run Recovery ./...
 
@@ -23,11 +23,11 @@ import (
 )
 
 // TestRecoveryPagedMigratorConcurrentCrash is TestRecoveryPagedConcurrentCrash
-// with the background migrator running: concurrent writers produce a
-// steady stream of deferred time splits (updates to a small hot key set),
-// background checkpoints fence the workers, and the injected tear crashes
-// the process at an arbitrary byte of the durable write stream — possibly
-// mid-burn or between a burn and its swap. Race-clean.
+// tuned for migration: concurrent writers produce a steady stream of
+// time splits (updates to a small hot key set), background checkpoints
+// run beside them, and the injected tear crashes the process at an
+// arbitrary byte of the durable write stream — possibly mid-burn.
+// Race-clean.
 func TestRecoveryPagedMigratorConcurrentCrash(t *testing.T) {
 	for _, tear := range []int64{2500, 9000, 22_000, 47_000} {
 		dir := t.TempDir()
@@ -35,7 +35,6 @@ func TestRecoveryPagedMigratorConcurrentCrash(t *testing.T) {
 		cfg := pagedConfig(dir)
 		cfg.Shards = 4
 		cfg.CheckpointBytes = 2048
-		cfg.BackgroundMigration = true
 		d, err := Open(tearConfig(cfg, plan, true, true))
 		if err != nil {
 			if errors.Is(err, storage.ErrInjected) {
@@ -55,7 +54,7 @@ func TestRecoveryPagedMigratorConcurrentCrash(t *testing.T) {
 				for i := 0; ; i++ {
 					// A small hot key set per worker: repeated updates
 					// build history fast, so time splits (and therefore
-					// background migrations) fire continuously.
+					// burns) fire continuously.
 					k := fmt.Sprintf("w%d-key%02d", w, i%8)
 					val := fmt.Sprintf("w%d-val%05d", w, i)
 					mu.Lock()
@@ -74,12 +73,11 @@ func TestRecoveryPagedMigratorConcurrentCrash(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
-		migrated := d.Stats().Migrator.Migrated
+		migrated := d.Stats().Tree.LeafTimeSplits
 		crash(d)
 
 		recfg := pagedConfig(dir)
 		recfg.Shards = 4
-		recfg.BackgroundMigration = true
 		re, err := Open(recfg)
 		if err != nil {
 			t.Fatalf("tear=%d: recovery: %v", tear, err)
@@ -94,7 +92,7 @@ func TestRecoveryPagedMigratorConcurrentCrash(t *testing.T) {
 		}
 		for pair := range ackedVals {
 			if !recovered[pair] {
-				t.Fatalf("tear=%d: acknowledged %q lost (migrations before crash: %d)", tear, pair, migrated)
+				t.Fatalf("tear=%d: acknowledged %q lost (leaf time splits before crash: %d)", tear, pair, migrated)
 			}
 		}
 		for pair := range recovered {
@@ -105,8 +103,8 @@ func TestRecoveryPagedMigratorConcurrentCrash(t *testing.T) {
 		if err := re.CheckInvariants(); err != nil {
 			t.Fatalf("tear=%d: invariants: %v", tear, err)
 		}
-		// The recovered database migrates in the background too: write
-		// through it, drain, and re-verify.
+		// The recovered database keeps splitting and migrating: write
+		// through it and re-verify.
 		for i := 0; i < 120; i++ {
 			k := fmt.Sprintf("post-key%02d", i%6)
 			if err := re.Update(func(tx *txn.Txn) error {
@@ -114,9 +112,6 @@ func TestRecoveryPagedMigratorConcurrentCrash(t *testing.T) {
 			}); err != nil {
 				t.Fatalf("tear=%d: write after recovery: %v", tear, err)
 			}
-		}
-		if err := re.DrainMigrations(); err != nil {
-			t.Fatalf("tear=%d: drain after recovery: %v", tear, err)
 		}
 		if err := re.CheckInvariants(); err != nil {
 			t.Fatalf("tear=%d: invariants after post-recovery writes: %v", tear, err)

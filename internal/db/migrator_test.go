@@ -3,208 +3,20 @@ package db
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/record"
-	"repro/internal/storage"
 	"repro/internal/txn"
 )
 
-// dbImage is the whole state of an in-memory database — both devices'
-// counters and contents, every tree image, the clock: the reference two
-// databases are compared on when they must be byte-identical.
-type dbImage struct {
-	MagStats    storage.MagneticStats
-	Pages       [][]byte // nil = never written or freed
-	WORMStats   storage.WORMStats
-	Sectors     [][]byte
-	Shards      []core.TreeImage
-	Secondaries map[string]core.TreeImage
-	Clock       record.Timestamp
-}
-
-// imageOf captures d's image. d must be in memory and idle. The
-// counters are snapshotted before the contents are read back, so the
-// reads the capture itself issues do not show in the image.
-func imageOf(t *testing.T, d *DB) dbImage {
-	t.Helper()
-	mag, worm := d.mag.(*storage.MagneticDisk), d.worm.(*storage.WORMDisk)
-	img := dbImage{
-		MagStats:    mag.Stats(),
-		WORMStats:   worm.Stats(),
-		Secondaries: map[string]core.TreeImage{},
-		Clock:       d.Now(),
-	}
-	// Every page slot was handed out by a fresh Alloc, so Allocs bounds
-	// the slot count; the engine burns by Append only, so the burned
-	// sectors are exactly 0..SectorsBurned.
-	for p := uint64(0); p < img.MagStats.Allocs; p++ {
-		data, _ := mag.Read(p)
-		img.Pages = append(img.Pages, data)
-	}
-	for s := uint64(0); s < img.WORMStats.SectorsBurned; s++ {
-		data, err := worm.ReadSector(s)
-		if err != nil {
-			t.Fatalf("burned sector %d: %v", s, err)
-		}
-		img.Sectors = append(img.Sectors, data)
-	}
-	for i := 0; i < d.Shards(); i++ {
-		if err := d.WithShardTree(i, func(tree *core.Tree) error {
-			img.Shards = append(img.Shards, tree.Image())
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d.secMu.RLock()
-	defer d.secMu.RUnlock()
-	for name, s := range d.secondaries {
-		img.Secondaries[name] = s.index.Image()
-	}
-	return img
-}
-
-// applyShardOpsDrained applies ops one at a time, draining the background
-// migration queue after every operation — the serialized discipline under
-// which a background-migrated database must be byte-identical to an
-// inline-split one (each deferred split applies exactly where the inline
-// split would have happened).
-func applyShardOpsDrained(t *testing.T, d *DB, ops []shardOp) {
-	t.Helper()
-	for i, op := range ops {
-		err := d.Update(func(tx *txn.Txn) error {
-			var err error
-			if op.delete {
-				err = tx.Delete(op.key)
-			} else {
-				err = tx.Put(op.key, op.value)
-			}
-			if err != nil {
-				return err
-			}
-			if op.abort {
-				return fmt.Errorf("deliberate abort")
-			}
-			return nil
-		})
-		if op.abort {
-			if err == nil {
-				t.Fatalf("op %d: abort did not propagate", i)
-			}
-		} else if err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-		if err := d.DrainMigrations(); err != nil {
-			t.Fatalf("op %d: drain: %v", i, err)
-		}
-	}
-}
-
-// collectCursor drains a cursor into a slice, failing the test on error.
-func collectCursor(t *testing.T, c *Cursor) []record.Version {
-	t.Helper()
-	out, err := c.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestMigratorEquivalenceProperty is the background-migration property
-// test: a multi-shard database running the background migrator (drained
-// after each operation) must be byte-identical — the full image: device
-// contents, tree metadata, stats, clock — to an inline-split database
-// given the same operation sequence, and must answer forward, reverse,
-// and limit/paginated scans identically.
-func TestMigratorEquivalenceProperty(t *testing.T) {
-	for _, shards := range []int{1, 3, 8} {
-		for _, seed := range []int64{2, 11} {
-			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
-				ops := genShardOps(seed, 500)
-				// LeafCapacity below PageSize: deferral needs physical
-				// headroom for the logically-overfull leaf.
-				cfg := Config{Shards: shards, LeafCapacity: 512, IndexCapacity: 512, MaxKeySize: 32}
-				inline, err := Open(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer inline.Close()
-				cfg.BackgroundMigration = true
-				bg, err := Open(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer bg.Close()
-
-				applyShardOps(t, inline, ops)
-				applyShardOpsDrained(t, bg, ops)
-
-				st := bg.Stats().Migrator
-				if st.Migrated == 0 {
-					t.Fatal("workload produced no background migrations; the property is vacuous")
-				}
-				if st.QueueDepth != 0 || st.PendingNodes != 0 {
-					t.Fatalf("drained database still has queue=%d pending=%d", st.QueueDepth, st.PendingNodes)
-				}
-				if st.Abandoned != 0 {
-					t.Fatalf("serialized drain abandoned %d burns", st.Abandoned)
-				}
-				// Verify BOTH databases (the device images include read
-				// counters, so the walks must be symmetric).
-				if err := inline.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-				if err := bg.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-
-				if !reflect.DeepEqual(imageOf(t, inline), imageOf(t, bg)) {
-					t.Fatalf("images diverged (tree stats inline=%+v bg=%+v)",
-						inline.Stats().Tree, bg.Stats().Tree)
-				}
-
-				// Forward, reverse, and limit/paginated scans agree.
-				fwdI := collectCursor(t, inline.Cursor(nil, record.InfiniteBound(), ScanOptions{}))
-				fwdB := collectCursor(t, bg.Cursor(nil, record.InfiniteBound(), ScanOptions{}))
-				if err := sameVersions(fwdI, fwdB); err != nil {
-					t.Fatalf("forward scan: %v", err)
-				}
-				revI := collectCursor(t, inline.Cursor(nil, record.InfiniteBound(), ScanOptions{Reverse: true}))
-				revB := collectCursor(t, bg.Cursor(nil, record.InfiniteBound(), ScanOptions{Reverse: true}))
-				if err := sameVersions(revI, revB); err != nil {
-					t.Fatalf("reverse scan: %v", err)
-				}
-				var after record.Key
-				for page := 0; ; page++ {
-					opts := ScanOptions{Limit: 3, After: after}
-					pi := collectCursor(t, inline.Cursor(nil, record.InfiniteBound(), opts))
-					pb := collectCursor(t, bg.Cursor(nil, record.InfiniteBound(), opts))
-					if err := sameVersions(pi, pb); err != nil {
-						t.Fatalf("limit page %d: %v", page, err)
-					}
-					if len(pi) == 0 {
-						break
-					}
-					after = pi[len(pi)-1].Key
-				}
-			})
-		}
-	}
-}
-
-// TestMigratorConcurrentStress hammers a background-migration database
-// from concurrent writers and readers (race-clean under -race), then
-// drains and checks that every acknowledged update is reachable and the
-// migrator actually ran in the background.
+// TestMigratorConcurrentStress hammers a migration-heavy database from
+// concurrent writers and readers (race-clean under -race): time splits
+// burn their historical halves inline while snapshot cursors stream.
+// Every acknowledged update must be reachable afterwards and the
+// workload must actually have migrated history.
 func TestMigratorConcurrentStress(t *testing.T) {
-	d, err := Open(Config{
-		Shards: 4, LeafCapacity: 512, IndexCapacity: 1024,
-		BackgroundMigration: true,
-	})
+	d, err := Open(Config{Shards: 4, LeafCapacity: 512, IndexCapacity: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +49,7 @@ func TestMigratorConcurrentStress(t *testing.T) {
 			}
 		}(w)
 	}
-	// Concurrent readers streaming snapshots while swaps happen.
+	// Concurrent readers streaming snapshots while splits burn.
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {
@@ -259,15 +71,12 @@ func TestMigratorConcurrentStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := d.DrainMigrations(); err != nil {
-		t.Fatal(err)
-	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	st := d.Stats().Migrator
-	if st.Migrated == 0 {
-		t.Fatal("concurrent stress produced no background migrations")
+	if st := d.Stats(); st.Tree.LeafTimeSplits == 0 || st.WORM.SectorsBurned == 0 {
+		t.Fatalf("concurrent stress migrated nothing: %d leaf time splits, %d sectors burned",
+			st.Tree.LeafTimeSplits, st.WORM.SectorsBurned)
 	}
 	for w := 0; w < workers; w++ {
 		for k, v := range acked[w] {
@@ -282,16 +91,15 @@ func TestMigratorConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestMigratorDurableCheckpointReopen runs the migrator against a durable
-// database with checkpoints taken mid-stream — the
-// fence path — then closes with migrations still queued and reopens: the
-// recovered database must hold exactly the acknowledged updates.
+// TestMigratorDurableCheckpointReopen migrates history on a durable
+// database with checkpoints taken mid-stream, closes, and reopens: the
+// recovered database must hold exactly the acknowledged updates and
+// every key's history.
 func TestMigratorDurableCheckpointReopen(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
 		Dir: dir, Shards: 2, CheckpointBytes: -1,
 		LeafCapacity: 512, IndexCapacity: 1024,
-		BackgroundMigration: true,
 	}
 	d, err := Open(cfg)
 	if err != nil {
@@ -313,8 +121,10 @@ func TestMigratorDurableCheckpointReopen(t *testing.T) {
 			}
 		}
 	}
-	// Close WITHOUT draining: queued marks are dropped by contract; no
-	// acknowledged data may depend on them.
+	if st := d.Stats(); st.Tree.LeafTimeSplits == 0 || st.WORM.SectorsBurned == 0 {
+		t.Fatalf("workload migrated nothing: %d leaf time splits, %d sectors burned",
+			st.Tree.LeafTimeSplits, st.WORM.SectorsBurned)
+	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -345,11 +155,11 @@ func TestMigratorDurableCheckpointReopen(t *testing.T) {
 	}
 }
 
-// TestMigratorStatsSurface checks the migrator accounting: marks, queue
-// drain, off-latch burn bytes, and that the split-latch clock ticks in
-// both modes.
+// TestMigratorStatsSurface checks the migration accounting: the
+// split-latch clock ticks once time splits have burned history, and the
+// deprecated background-migrator counters stay zero.
 func TestMigratorStatsSurface(t *testing.T) {
-	d, err := Open(Config{LeafCapacity: 512, IndexCapacity: 1024, BackgroundMigration: true})
+	d, err := Open(Config{LeafCapacity: 512, IndexCapacity: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,42 +172,14 @@ func TestMigratorStatsSurface(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.DrainMigrations(); err != nil {
-		t.Fatal(err)
-	}
-	st := d.Stats().Migrator
-	if !st.Enabled {
-		t.Fatal("Enabled = false on a BackgroundMigration database")
-	}
-	if st.Marked == 0 || st.Migrated == 0 || st.BytesBurned == 0 || st.VersionsMigrated == 0 {
-		t.Fatalf("migrator never ran: %+v", st)
-	}
-	if st.QueueDepth != 0 || st.InFlight != 0 {
-		t.Fatalf("drained database reports backlog: %+v", st)
-	}
-	tree := d.Stats().Tree
-	if tree.LeafTimeSplits == 0 {
+	st := d.Stats()
+	if st.Tree.LeafTimeSplits == 0 {
 		t.Fatal("no time splits recorded in tree stats")
 	}
-
-	inline, err := Open(Config{LeafCapacity: 512, IndexCapacity: 1024})
-	if err != nil {
-		t.Fatal(err)
+	if st.Migrator.SplitLatchNanos == 0 {
+		t.Fatal("zero split-latch time despite splits")
 	}
-	defer inline.Close()
-	for i := 0; i < 600; i++ {
-		k := fmt.Sprintf("key%02d", i%8)
-		if err := inline.Update(func(tx *txn.Txn) error {
-			return tx.Put(record.StringKey(k), []byte(fmt.Sprintf("stats-payload-%04d", i)))
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ist := inline.Stats().Migrator
-	if ist.Enabled {
-		t.Fatal("Enabled = true on an inline database")
-	}
-	if ist.SplitLatchNanos == 0 {
-		t.Fatal("inline database reports zero split-latch time despite splits")
+	if m := st.Migrator; m.Migrated != 0 || m.Abandoned != 0 || m.InlineFallbacks != 0 {
+		t.Fatalf("deprecated migrator counters moved: %+v", m)
 	}
 }

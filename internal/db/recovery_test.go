@@ -46,11 +46,6 @@ func crash(d *DB) {
 		close(d.stopCp)
 		d.cpDone.Wait()
 	}
-	// Background migrator workers are reaped for the same goroutine-leak
-	// reason as the checkpointer: a migration that already reached its
-	// swap may complete, indistinguishable from one landing just before
-	// the power cut.
-	_ = d.mig.stop()
 	if d.dirLock != nil {
 		_ = d.dirLock.Close()
 	}

@@ -59,10 +59,6 @@ func (sh *shard) sampleLatch() bool {
 // needed.
 type shardedStore struct {
 	shards []*shard
-	// mig, when non-nil, receives the deferred-split tickets inserts
-	// create (Config.BackgroundMigration). Set once at open time, before
-	// concurrent use.
-	mig *migrator
 }
 
 func newShardedStore(trees []*core.Tree) *shardedStore {
@@ -91,8 +87,7 @@ func (s *shardedStore) Now() record.Timestamp {
 }
 
 func (s *shardedStore) Insert(v record.Version) error {
-	i := record.ShardOfKey(v.Key, len(s.shards))
-	sh := s.shards[i]
+	sh := s.shardFor(v.Key)
 	var start, acquired time.Time
 	timed := sh.sampleLatch()
 	if timed {
@@ -102,21 +97,12 @@ func (s *shardedStore) Insert(v record.Version) error {
 	if timed {
 		acquired = time.Now()
 	}
-	//tsb:allow latchio -- inline burn fallback: when the migrator queue is saturated (or migration is off) the time split burns under the latch by design
+	//tsb:allow latchio -- §3.4 node-at-a-time migration: a time split burns its historical half under the write latch, by design
 	err := sh.tree.Insert(v)
-	var tickets []core.PendingSplit
-	if s.mig != nil {
-		// Drain tickets while still holding the write latch (the slice
-		// is tree state); hand them to the worker after releasing it.
-		tickets = sh.tree.TakeNewPendingSplits()
-	}
 	sh.mu.Unlock()
 	if timed {
 		sh.waitW.Observe(acquired.Sub(start))
 		sh.holdW.Observe(time.Since(acquired))
-	}
-	if len(tickets) > 0 {
-		s.mig.enqueue(i, tickets)
 	}
 	return err
 }
@@ -350,18 +336,16 @@ func (s *shardedStore) registerMetrics(r *obs.Registry) {
 	}
 }
 
-// migrationCounters aggregates the per-tree migration measurements that
-// live outside core.Stats: split-under-latch time, inline fallbacks, and
-// currently-marked leaves.
-func (s *shardedStore) migrationCounters() (splitLatchNanos, fallbacks uint64, pending int) {
+// splitLatchNanos sums the per-tree split-under-latch time, which lives
+// outside core.Stats.
+func (s *shardedStore) splitLatchNanos() uint64 {
+	var n uint64
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		splitLatchNanos += sh.tree.SplitLatchNanos()
-		fallbacks += sh.tree.MigrationFallbacks()
-		pending += sh.tree.PendingSplitCount()
+		n += sh.tree.SplitLatchNanos()
 		sh.mu.RUnlock()
 	}
-	return splitLatchNanos, fallbacks, pending
+	return n
 }
 
 // stats aggregates the structural counters of every shard tree.

@@ -17,7 +17,7 @@
 //	                             (1 is the coarsest; a holder may only
 //	                             acquire strictly greater levels).
 //	//tsb:acquires X             calling this function acquires latch X
-//	                             and leaves it held (e.g. migrator.pause).
+//	                             and leaves it held.
 //	//tsb:releases X             calling this function releases latch X.
 //	//tsb:wraps X                this function runs its function-typed
 //	                             argument with latch X held.

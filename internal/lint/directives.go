@@ -247,7 +247,7 @@ func parseAllow(comment string) ([]string, bool) {
 	}
 	rest := strings.TrimPrefix(text, "tsb:allow")
 	// Allow trailing prose after a "--" separator:
-	//   //tsb:allow latchio -- split swap installs under the shard latch
+	//   //tsb:allow latchio -- a time split burns under the shard latch
 	if i := strings.Index(rest, "--"); i >= 0 {
 		rest = rest[:i]
 	}

@@ -8,14 +8,13 @@ import (
 // LatchIOAnalyzer enforces the "no device I/O under a write latch"
 // rule: the page-data latches (hierarchy levels 5-6: shard, store,
 // secondary) exist to protect in-memory page state for microseconds,
-// and the whole PR 5/6 performance story — background burns, fuzzy
-// checkpoint capture — depends on never blocking a writer behind a
-// device. Any call classified as write-side device I/O (structurally,
-// by //tsb:io directive, or by the built-in table) reachable while one
-// of those latches is held in exclusive mode is reported. The few
-// deliberate exceptions (ApplySplit's swap install, the compaction
-// region install, inline burn fallback when the migrator queue is
-// saturated) each carry a visible //tsb:allow latchio directive.
+// and the fuzzy checkpoint capture depends on never blocking a writer
+// behind a device. Any call classified as write-side device I/O
+// (structurally, by //tsb:io directive, or by the built-in table)
+// reachable while one of those latches is held in exclusive mode is
+// reported. The few deliberate exceptions (the §3.4 inline burn of a
+// time split, primary and secondary, and the compaction region install)
+// each carry a visible //tsb:allow latchio directive.
 var LatchIOAnalyzer = &Analyzer{
 	Name: "latchio",
 	Doc:  "flag device I/O reachable while a data write latch is held",

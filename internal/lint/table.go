@@ -34,14 +34,12 @@ const (
 func LatchTable() []LatchEntry {
 	return []LatchEntry{
 		{1, "checkpoint", "repro/internal/db.DB.cpMu", "mutex"},
-		{2, "migrator-fence", "repro/internal/db.migrator.paused", "state"},
 		{3, "commit-token", "repro/internal/txn.Manager.leaderCh", "token"},
 		{4, "wal", "repro/internal/wal.Log.mu", "mutex"},
 		{5, "shard", "repro/internal/db.shard.mu", "rwmutex"},
 		{6, "secondary", "repro/internal/db.DB.secMu", "rwmutex"},
 		{7, "commit-queue", "repro/internal/txn.Manager.qMu", "mutex"},
 		{7, "lock-table", "repro/internal/txn.Manager.lockMu", "mutex"},
-		{7, "migrator-queue", "repro/internal/db.migrator.mu", "mutex"},
 		{7, "buffer-pool", "repro/internal/buffer.Pool.mu", "mutex"},
 		{7, "page-file", "repro/internal/pagestore.PageFile.mu", "mutex"},
 		{7, "burn-file", "repro/internal/pagestore.BurnFile.mu", "mutex"},
@@ -76,18 +74,9 @@ func builtinFuncFacts() map[string]*FuncFacts {
 		"repro/internal/db.DB.quiesceTimed":  {Wraps: []string{"commit-token"}},
 		"repro/internal/txn.Txn.Commit":      {AcquiresScoped: []string{"commit-token", "commit-queue"}},
 
-		// The migrator write fence.
-		"repro/internal/db.migrator.pause":  {Acquires: []string{"migrator-fence"}},
-		"repro/internal/db.migrator.resume": {Releases: []string{"migrator-fence"}},
-
-		// Tree mutators that can reach the burn device. Insert may burn
-		// a time split inline when the migrator queue is saturated;
-		// ApplySplit installs a migrated split (and is the documented
-		// //tsb:allow latchio site when called under the shard latch);
-		// BurnCapture writes the captured history page to the WORM file.
-		"repro/internal/core.Tree.Insert":      {IO: true},
-		"repro/internal/core.Tree.ApplySplit":  {IO: true},
-		"repro/internal/core.Tree.BurnCapture": {IO: true},
+		// The tree mutator that reaches the burn device: a time split
+		// migrates its historical half inline (§3.4).
+		"repro/internal/core.Tree.Insert": {IO: true},
 
 		// Store-level insert paths forward to Tree.Insert.
 		"repro/internal/txn.Store.Insert":       {IO: true},
@@ -106,7 +95,7 @@ func builtinFuncFacts() map[string]*FuncFacts {
 		"repro/internal/wal.WriteCheckpoint":                   {IO: true, Sticky: true, Syncs: true},
 		"repro/internal/pagestore.PageFile.WriteBatch":         {IO: true, Sticky: true},
 		"repro/internal/pagestore.PageFile.CompleteFlush":      {IO: true, Sticky: true},
-		"repro/internal/pagestore.BurnFile.Burn":               {IO: true, Sticky: true},
+		"repro/internal/pagestore.BurnFile.Append":             {IO: true, Sticky: true},
 		"repro/internal/pagestore.BurnFile.CompactRegion":      {IO: true, Sticky: true},
 		"repro/internal/pagestore.BurnFile.CompleteCompaction": {IO: true, Sticky: true},
 

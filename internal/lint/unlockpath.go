@@ -12,7 +12,7 @@ import (
 // pattern: return to the caller with the latch held, the caller
 // releases) opt out with //tsb:handoff on their declaration. The check
 // applies to every sync.Mutex/RWMutex, annotated or not; token and
-// state latches (commit token, migrator fence) have their own
+// state latches (the commit token) have their own
 // release discipline and are exempt.
 var UnlockPathAnalyzer = &Analyzer{
 	Name: "unlockpath",

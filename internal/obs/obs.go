@@ -1,8 +1,8 @@
 // Package obs is the engine's observability substrate: named counters,
 // gauges, and lock-free log2 latency histograms behind a Registry, plus
 // a lightweight span API over a fixed-size ring-buffer event log for
-// tracing background jobs (migration phases, checkpoints, compaction,
-// maintenance) and a slow-op log of spans past a threshold.
+// tracing background jobs (checkpoints, compaction, maintenance) and a
+// slow-op log of spans past a threshold.
 //
 // The package is deliberately primitive — standard library only, no
 // global state, no sampling, no exporters. Instruments are plain

@@ -15,7 +15,7 @@ type admitVerdict struct {
 	when   int64 // UnixNano of the probe that produced it
 }
 
-// admit decides whether a write may proceed. Reading the engine gauges
+// admit decides whether a write may proceed. Reading the engine gauge
 // takes the stats snapshot (shard counts, WAL state), which is far too
 // heavy per operation at six-figure op rates — so one verdict is cached
 // for AdmissionProbe and every connection shares it. A shed returns the
@@ -23,11 +23,11 @@ type admitVerdict struct {
 // never loses an acknowledged operation, it only refuses unstarted
 // ones.
 //
-// Reads are never shed — they cost no WAL or migrator work, and serving
-// them during overload is the point of having the history.
+// Reads are never shed — they cost no WAL work, and serving them during
+// overload is the point of having the history.
 func (s *Server) admit() []byte {
 	cfg := s.cfg
-	if cfg.ShedMigratorQueue <= 0 && cfg.ShedWALBacklogBytes <= 0 {
+	if cfg.ShedWALBacklogBytes <= 0 {
 		return nil
 	}
 	now := time.Now().UnixNano()
@@ -44,17 +44,12 @@ func (s *Server) admit() []byte {
 }
 
 func (s *Server) probe(now int64) *admitVerdict {
-	st := s.db.Stats()
+	backlog := s.db.Stats().WAL.BacklogBytes
 	v := &admitVerdict{when: now}
-	switch {
-	case s.cfg.ShedMigratorQueue > 0 && st.Migrator.QueueDepth >= s.cfg.ShedMigratorQueue:
-		v.shed = true
-		v.reason = fmt.Sprintf("migrator queue depth %d at watermark %d; retry later",
-			st.Migrator.QueueDepth, s.cfg.ShedMigratorQueue)
-	case s.cfg.ShedWALBacklogBytes > 0 && int64(st.WAL.BacklogBytes) >= s.cfg.ShedWALBacklogBytes:
+	if int64(backlog) >= s.cfg.ShedWALBacklogBytes {
 		v.shed = true
 		v.reason = fmt.Sprintf("WAL backlog %d bytes at watermark %d; retry later",
-			st.WAL.BacklogBytes, s.cfg.ShedWALBacklogBytes)
+			backlog, s.cfg.ShedWALBacklogBytes)
 	}
 	return v
 }

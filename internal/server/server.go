@@ -40,9 +40,8 @@
 //
 // # Admission control, drain
 //
-// Writes are admitted against two engine gauges: the migrator queue
-// depth and the WAL backlog (Stats().Migrator.QueueDepth,
-// Stats().WAL.BacklogBytes). Past the configured watermarks the server
+// Writes are admitted against one engine gauge, the WAL backlog
+// (Stats().WAL.BacklogBytes). Past the configured watermark the server
 // sheds: the write is refused before any effect with the typed,
 // retryable wire.Error (CodeOverloaded) — never accepted-then-dropped.
 // Shutdown drains: listeners close, readers stop consuming frames,
@@ -85,14 +84,11 @@ type Config struct {
 	// before the janitor reclaims it; every fetch renews it (default
 	// 1m).
 	CursorLease time.Duration
-	// ShedMigratorQueue sheds writes while the background migrator's
-	// queue depth is at or past this watermark (0 = disabled).
-	ShedMigratorQueue int
 	// ShedWALBacklogBytes sheds writes while the WAL has grown this
 	// many bytes past the last checkpoint (0 = disabled).
 	ShedWALBacklogBytes int64
 	// AdmissionProbe is how long an admission verdict is cached before
-	// the engine gauges are re-read (default 5ms; negative probes on
+	// the engine gauge is re-read (default 5ms; negative probes on
 	// every write — tests).
 	AdmissionProbe time.Duration
 }

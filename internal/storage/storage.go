@@ -105,26 +105,6 @@ type CostModel struct {
 	OpticalAccess  time.Duration // seek+rotate per optical access
 	OpticalXfer    time.Duration // transfer per sector
 	MountDelay     time.Duration // robot mount of an off-line platter
-
-	// RealSleep makes the devices actually sleep their access cost
-	// (while holding the device mutex — one arm, one head) instead of
-	// only accounting it in SimTime. Latency measurements use it to make
-	// device asymmetry physically observable — e.g. whether the
-	// write-once burn runs under a shard's write latch (inline time
-	// splits) or off-latch (the background migrator). Keep the
-	// durations small: a RealSleep MountDelay of 20s means a real 20s.
-	RealSleep bool
-}
-
-// charge accumulates cost c into the device's SimTime accumulator and,
-// under RealSleep, actually sleeps it. Callers hold the device mutex —
-// one arm, one head: concurrent accesses to one device serialize, which
-// is exactly the asymmetry latency experiments want to observe.
-func (cm CostModel) charge(acc *time.Duration, c time.Duration) {
-	*acc += c
-	if cm.RealSleep && c > 0 {
-		time.Sleep(c)
-	}
 }
 
 // DefaultCostModel returns latencies typical of the paper's era.
@@ -218,7 +198,7 @@ func (d *MagneticDisk) Write(p uint64, data []byte) error {
 	copy(buf, data)
 	d.pages[p] = buf
 	d.stats.Writes++
-	d.cost.charge(&d.stats.SimTime, d.cost.MagneticAccess+d.cost.MagneticXfer)
+	d.stats.SimTime += d.cost.MagneticAccess + d.cost.MagneticXfer
 	return nil
 }
 
@@ -233,7 +213,7 @@ func (d *MagneticDisk) Read(p uint64) ([]byte, error) {
 		return nil, fmt.Errorf("%w: page %d", ErrUnwritten, p)
 	}
 	d.stats.Reads++
-	d.cost.charge(&d.stats.SimTime, d.cost.MagneticAccess+d.cost.MagneticXfer)
+	d.stats.SimTime += d.cost.MagneticAccess + d.cost.MagneticXfer
 	out := make([]byte, len(d.pages[p]))
 	copy(out, d.pages[p])
 	return out, nil

@@ -115,7 +115,7 @@ func (d *WORMDisk) grow(n uint64) {
 // touch simulates the access cost for reaching sector s, including a robot
 // mount when the platter holding s is not on line.
 func (d *WORMDisk) touch(s uint64) {
-	d.cost.charge(&d.stats.SimTime, d.cost.OpticalAccess+d.cost.OpticalXfer)
+	d.stats.SimTime += d.cost.OpticalAccess + d.cost.OpticalXfer
 	if d.platterSectors == 0 {
 		return
 	}
@@ -127,7 +127,7 @@ func (d *WORMDisk) touch(s uint64) {
 		}
 	}
 	d.stats.Mounts++
-	d.cost.charge(&d.stats.SimTime, d.cost.MountDelay)
+	d.stats.SimTime += d.cost.MountDelay
 	if len(d.mounted) >= d.drives {
 		d.mounted = d.mounted[1:]
 	}
@@ -226,7 +226,7 @@ func (d *WORMDisk) Append(data []byte) (Addr, error) {
 	d.stats.PayloadBytes += uint64(len(data))
 	d.stats.WastedBytes += uint64(nsect*d.sectorSize - len(data))
 	// One seek for the whole sequential run, plus transfer per sector.
-	d.cost.charge(&d.stats.SimTime, d.cost.OpticalAccess+time.Duration(nsect)*d.cost.OpticalXfer)
+	d.stats.SimTime += d.cost.OpticalAccess + time.Duration(nsect)*d.cost.OpticalXfer
 	return Addr{Kind: KindWORM, Off: first, Len: uint32(len(data))}, nil
 }
 
@@ -251,7 +251,7 @@ func (d *WORMDisk) ReadAt(addr Addr) ([]byte, error) {
 	}
 	// One seek for the sequential run.
 	d.touch(addr.Off)
-	d.cost.charge(&d.stats.SimTime, time.Duration(s-addr.Off-1)*d.cost.OpticalXfer)
+	d.stats.SimTime += time.Duration(s-addr.Off-1) * d.cost.OpticalXfer
 	if uint32(len(out)) < addr.Len {
 		return nil, fmt.Errorf("%w: short run at %s", ErrUnwritten, addr)
 	}

@@ -64,8 +64,8 @@ type PagedMeta struct {
 	// captured together under the secondary latch).
 	SecLSN uint64
 	// DeadBytes carries the engine-level dead-burn accounting across
-	// reopens: payload bytes of WORM runs nothing references (abandoned
-	// background migrations, crash orphans), reclaimable by compaction.
+	// reopens: payload bytes of WORM runs nothing references (crash
+	// orphans), reclaimable by compaction.
 	DeadBytes uint64
 }
 
