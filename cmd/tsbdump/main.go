@@ -145,7 +145,7 @@ func dumpPagedDir(w io.Writer, dir string) error {
 		fmt.Fprintf(w, "allocator: %d pages (%d free), boundary %d burned sectors\n",
 			m.Alloc.Pages, len(m.Alloc.Free), m.Burned)
 		if metaDead > 0 {
-			fmt.Fprintf(w, "dead payload: %d B of in-boundary burns referenced by nothing (crash orphans; compaction reclaims)\n",
+			fmt.Fprintf(w, "dead payload: %d B of in-boundary burns referenced by nothing (crash orphans; permanent waste)\n",
 				metaDead)
 		}
 	} else {
@@ -155,6 +155,9 @@ func dumpPagedDir(w io.Writer, dir string) error {
 	pagePath, burnPath := pagestore.Paths(dir)
 	if _, err := os.Stat(pagePath + ".journal"); err == nil {
 		fmt.Fprintln(w, "rollback journal: PRESENT (a checkpoint flush was in progress)")
+	}
+	if _, err := os.Stat(burnPath + ".journal"); err == nil {
+		fmt.Fprintf(w, "retired compaction journal: PRESENT (%s.journal, left by an older release; this binary refuses the directory until the previous release opens it once)\n", burnPath)
 	}
 
 	fmt.Fprintf(w, "\npage file %s:\n", pagePath)
@@ -205,9 +208,8 @@ func dumpPagedDir(w io.Writer, dir string) error {
 	burnedBytes := sectors * uint64(sectorSize)
 	// Dead payload — checkpoint-recorded dead burns plus orphaned
 	// post-boundary burns — is unreachable and counts as waste, not
-	// payload; compaction reclaims it. Clamped so a freshly compacted or
-	// inconsistent (mid-crash) directory still reports utilization in
-	// [0,1].
+	// payload, for good. Clamped so an inconsistent (mid-crash)
+	// directory still reports utilization in [0,1].
 	dead := metaDead + orphanWaste
 	if dead > payload {
 		dead = payload

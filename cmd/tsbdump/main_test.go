@@ -100,6 +100,22 @@ func TestDumpPagedDir(t *testing.T) {
 			t.Errorf("paged dump missing %q:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "journal") {
+		t.Errorf("cleanly closed directory reported a journal:\n%s", out)
+	}
+
+	// A compaction journal an older release left beside the burn file is
+	// named, not passed over in silence.
+	if err := os.WriteFile(filepath.Join(dir, "worm.dev.journal"), []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sb.Reset()
+	if err := dumpPagedDir(&sb, dir); err != nil {
+		t.Fatal(err)
+	}
+	if out := sb.String(); !strings.Contains(out, "retired compaction journal: PRESENT") {
+		t.Errorf("paged dump does not report the retired compaction journal:\n%s", out)
+	}
 }
 
 // TestDumpPagedDirRejectsLogical: a directory whose checkpoint is the

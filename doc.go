@@ -4,8 +4,8 @@
 //
 // docs/ARCHITECTURE.md is the orientation document: the layer map, the
 // latch hierarchy, the durability contract, inline node-at-a-time
-// migration, the maintenance economy (the background scheduler, WORM
-// compaction, and the fuzzy per-shard checkpoint capture), and the
+// migration, the maintenance economy (the background checkpoint loop
+// and its fuzzy per-shard capture), and the
 // statically enforced invariants: cmd/tsbvet is a `go vet -vettool`
 // analyzer suite (internal/lint) that checks the latch hierarchy, the
 // no-I/O-under-a-data-latch rule, release-on-every-path,
@@ -100,12 +100,10 @@
 // unreachable. Stats().Migrator.SplitLatchNanos reports the latch time
 // splits take, burns included.
 //
-// A per-DB maintenance scheduler keeps an aging database healthy: it
-// runs incremental checkpoints (db.Config.CheckpointBytes) and WORM
-// compaction (db.Config.CompactDeadBytes, or DB.Compact on demand),
-// which copies the live tail of the burn file forward, rewrites node
-// addresses under short write latches, and truncates the dead prefix
-// region away so Stats().Device utilization recovers. The checkpoint's capture is
+// A per-DB maintenance loop runs incremental checkpoints on WAL growth
+// (db.Config.CheckpointBytes). Write-once means write-once: burns a
+// crash orphans stay burned, reported as Stats().Device.DeadBytes and
+// lower WORM utilization, never reclaimed. The checkpoint's capture is
 // fuzzy: per-shard boundary LSNs let each shard's image and dirty pages
 // be captured under only that shard's read latch, so the commit-posting
 // pause stays flat as the database grows; see the "maintenance economy"

@@ -73,7 +73,8 @@
 //     checkpointed boundary (fsynced), and the WAL tail, which stops at
 //     the first torn frame. The unsynced WORM tail is verified sector
 //     by sector and clipped at the first torn frame; intact orphan
-//     burns stay as dead waste, as they would on real write-once media.
+//     burns stay as dead waste, as they would on real write-once media:
+//     Stats().Device.DeadBytes reports them, and nothing reclaims them.
 //     Pending versions of transactions in flight at the boundary are
 //     erased from the image (the checkpoint records their write locks),
 //     then the WAL tail replays, each version to its shard only past
@@ -220,15 +221,9 @@ type Config struct {
 	// disables background checkpointing (DB.Checkpoint still works).
 	// Durable databases only.
 	CheckpointBytes int64
-	// CompactDeadBytes triggers a background WORM compaction (see
-	// DB.Compact) once the payload of unreferenced write-once runs —
-	// Stats().Device.DeadBytes: crash orphans — exceeds this many
-	// bytes. 0 disables background compaction (DB.Compact still works).
-	// Durable databases only.
-	CompactDeadBytes int64
 	// SlowOpThreshold is the duration at or above which a completed
-	// background span (checkpoint, compaction round) is copied into the
-	// slow-op ring of the event log (DB.Events). 0 selects the 25ms
+	// background span (a checkpoint) is copied into the slow-op ring of
+	// the event log (DB.Events). 0 selects the 25ms
 	// default; negative disables the slow-op ring (the main event ring
 	// still records everything).
 	SlowOpThreshold time.Duration
@@ -285,28 +280,22 @@ type DB struct {
 	// deadBytes is the payload carried by write-once runs nothing
 	// references — post-crash orphans — i.e. capacity the device
 	// counters still report as payload but that no read path can ever
-	// reach. Carried across reopens in the
-	// checkpoint (wal.PagedMeta.DeadBytes), folded into
-	// Stats().Device.WastedBytes, zeroed by a completed compaction.
+	// reach. Carried across reopens in the checkpoint
+	// (wal.PagedMeta.DeadBytes) and folded into
+	// Stats().Device.WastedBytes; it only ever grows, as burned sectors
+	// do on write-once media.
 	deadBytes atomic.Uint64
-	// Maintenance accounting, atomic because Stats() reads it without
-	// cpMu: checkpoint pause tracking (quiesceTimed) and compaction
-	// counters (Compact). See CheckpointStats / CompactionStats.
-	cpCount, cpPauseNanos, cpLastPause, cpMaxPause                   atomic.Uint64
-	coRounds, coAborted, coRunsMoved, coMovedBytes, coReclaimedBytes atomic.Uint64
-	coPauseNanos                                                     atomic.Uint64
-	// coEvery is the background compaction trigger: a maintenance tick
-	// compacts once deadBytes exceeds it (<=0 disables).
-	coEvery int64
+	// Checkpoint pause accounting (quiesceTimed), atomic because Stats()
+	// reads it without cpMu. See CheckpointStats.
+	cpCount, cpPauseNanos, cpLastPause, cpMaxPause atomic.Uint64
 
 	// reg names every component's instruments for exposition; events is
 	// the background-job span log. Built by wireObs in Open, so both are
 	// always non-nil on a DB the package returned.
 	reg    *obs.Registry
 	events *obs.EventLog
-	// Whole-job duration histograms for the maintenance spans.
+	// Whole-checkpoint duration histogram for the checkpoint spans.
 	cpHist obs.Histogram
-	coHist obs.Histogram
 
 	// secMu latches the secondary indexes: write-held while commit
 	// posting applies index maintenance, read-held by lookups.
@@ -477,8 +466,7 @@ func Open(cfg Config) (_ *DB, err error) {
 		if d.cpEvery == 0 {
 			d.cpEvery = defaultCheckpointBytes
 		}
-		d.coEvery = cfg.CompactDeadBytes
-		if d.cpEvery > 0 || d.coEvery > 0 {
+		if d.cpEvery > 0 {
 			d.stopCp = make(chan struct{})
 			d.cpDone.Add(1)
 			go d.maintenanceLoop()
@@ -541,7 +529,6 @@ func (d *DB) wireObs(cfg Config) {
 		d.bf.RegisterMetrics(d.reg)
 	}
 	d.reg.RegisterHistogram("tsb_checkpoint_seconds", "whole-checkpoint duration, quiesce windows included", &d.cpHist)
-	d.reg.RegisterHistogram("tsb_compaction_seconds", "WORM compaction round duration", &d.coHist)
 }
 
 // Metrics returns the database's metric registry: every engine
@@ -551,8 +538,8 @@ func (d *DB) wireObs(cfg Config) {
 func (d *DB) Metrics() *obs.Registry { return d.reg }
 
 // Events returns the background-job event log: completed checkpoint
-// and compaction spans, with a slow-op ring past
-// Config.SlowOpThreshold. Always non-nil.
+// spans, with a slow-op ring past Config.SlowOpThreshold. Always
+// non-nil.
 func (d *DB) Events() *obs.EventLog { return d.events }
 
 // treePages returns the page store a tree writes through: on file-backed
@@ -874,8 +861,9 @@ type DeviceStats struct {
 	// remainder: partial sectors plus DeadBytes. DeadBytes is the
 	// payload of runs nothing references — orphaned post-crash burns —
 	// which the raw device counters report as payload but which no read
-	// path can reach, so here it counts as waste. Compaction (DB.Compact)
-	// reclaims it.
+	// path can reach, so here it counts as waste. Like every burned
+	// sector on write-once media it is permanent: reported, never
+	// reclaimed.
 	PayloadBytes uint64
 	WastedBytes  uint64
 	DeadBytes    uint64
@@ -910,8 +898,6 @@ type Stats struct {
 	// total and per checkpoint, commit posting was quiesced for
 	// boundary captures. The fuzzy per-shard capture exists to shrink it.
 	Checkpoint CheckpointStats
-	// Compaction is the WORM compaction accounting (DB.Compact).
-	Compaction CompactionStats
 	// Secondaries maps index name to its tree stats.
 	Secondaries map[string]core.Stats
 }
@@ -938,18 +924,9 @@ func (d *DB) Stats() Stats {
 		LastPauseNanos: d.cpLastPause.Load(),
 		MaxPauseNanos:  d.cpMaxPause.Load(),
 	}
-	st.Compaction = CompactionStats{
-		Rounds:         d.coRounds.Load(),
-		Aborted:        d.coAborted.Load(),
-		RunsMoved:      d.coRunsMoved.Load(),
-		MovedBytes:     d.coMovedBytes.Load(),
-		ReclaimedBytes: d.coReclaimedBytes.Load(),
-		PauseNanos:     d.coPauseNanos.Load(),
-	}
 	// Reclassify dead payload (runs nothing references) as waste: the
 	// device counters cannot know a burned run became unreachable, the
-	// engine can — reopen orphans feed d.deadBytes, a completed
-	// compaction zeroes it.
+	// engine can — reopen orphans feed d.deadBytes.
 	dead := d.deadBytes.Load()
 	worm := st.WORM
 	if dead > worm.PayloadBytes {

@@ -69,37 +69,38 @@ func (d *DB) lockAndReadCheckpoint(cfg Config) (info wal.CheckpointInfo, err err
 	return info, checkExtractors(info.Secondaries, cfg.Secondaries)
 }
 
-// openFileDevices opens the page and burn files in cfg.Dir behind a
-// writeback pool: reattached at the boundary meta describes — replaying
-// a matching rollback journal, verifying and clipping the WORM tail past
-// the boundary — or, with no installed checkpoint (meta nil), created
+// openFileDevices opens the burn and page files in cfg.Dir behind a
+// writeback pool: reattached at the boundary meta describes — verifying
+// and clipping the WORM tail past the boundary, replaying a matching
+// rollback journal — or, with no installed checkpoint (meta nil), created
 // empty: whatever device files exist then are the remains of an open
 // that crashed before its seal checkpoint, and nothing in them was ever
-// acknowledged.
+// acknowledged. The burn file goes first: a directory it refuses
+// (pagestore.ErrRetiredJournal) is left exactly as it was found.
 func (d *DB) openFileDevices(cfg Config, meta *wal.PagedMeta) (err error) {
 	pagePath, burnPath := pagestore.Paths(cfg.Dir)
 	pageCfg := pagestore.Config{Path: pagePath, PageSize: cfg.PageSize, Wrap: cfg.blockWrap}
 	burnCfg := pagestore.BurnConfig{Path: burnPath, SectorSize: cfg.SectorSize, Wrap: cfg.blockWrap}
 	if meta == nil {
-		if d.pf, err = pagestore.Create(pageCfg); err != nil {
+		if d.bf, err = pagestore.CreateBurn(burnCfg); err != nil {
 			return err
 		}
-		if d.bf, err = pagestore.CreateBurn(burnCfg); err != nil {
+		if d.pf, err = pagestore.Create(pageCfg); err != nil {
 			return err
 		}
 	} else {
 		pageCfg.PageSize, burnCfg.SectorSize = meta.PageSize, meta.SectorSize
-		if d.pf, err = pagestore.Open(pageCfg, meta.Alloc, meta.MagStats, meta.Epoch); err != nil {
+		var rep pagestore.ReopenReport
+		if d.bf, rep, err = pagestore.OpenBurn(burnCfg, meta.Burned, meta.WormStats); err != nil {
 			return err
 		}
-		var rep pagestore.ReopenReport
-		if d.bf, rep, err = pagestore.OpenBurn(burnCfg, meta.Burned, meta.WormStats, meta.Epoch); err != nil {
+		if d.pf, err = pagestore.Open(pageCfg, meta.Alloc, meta.MagStats, meta.Epoch); err != nil {
 			return err
 		}
 		d.epoch = meta.Epoch
 		// Dead-burn accounting survives the reopen, and the clipped tail's
 		// orphans (burns acknowledged by no checkpoint) join it: both are
-		// write-once payload nothing references, reclaimable by compaction.
+		// write-once payload nothing references, permanent waste.
 		d.deadBytes.Store(meta.DeadBytes + rep.OrphanPayloadBytes)
 	}
 	d.mag, d.worm = d.pf, d.bf

@@ -32,7 +32,7 @@ package db
 //     windows can leak bounded garbage on a crash (a page allocated, or
 //     a run burned, after its tree's capture but before the allocator/
 //     burned capture): allocated-but-unreferenced pages and dead burns,
-//     never lost data; compaction reclaims the dead burns.
+//     never lost data. A dead burn stays burned, as on write-once media.
 //
 //   - The captured pages are flushed, both files fsynced, and the
 //     checkpoint metadata durably installed (tmp + fsync + rename).
@@ -170,7 +170,7 @@ func (d *DB) flushAndInstall() error {
 	// burned count (a run referenced by an image must be below it).
 	// Captures after an image but before this instant leak at most
 	// bounded garbage on a crash: an allocated-but-unreferenced page, a
-	// dead burn for compaction to reclaim — never data.
+	// dead burn that stays burned — never data.
 	var clock record.Timestamp
 	var copies []buffer.DirtyPage
 	err = d.quiesceTimed(func() error {

@@ -1,14 +1,17 @@
 package db
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/pagestore"
 	"repro/internal/record"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -154,12 +157,181 @@ func TestPagedConfigValidation(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesRetiredFormat: a directory whose CHECKPOINT is the
-// retired logical format (3) holds a real database this engine cannot
-// read. Open must say so — not see "no checkpoint" and create a fresh
-// database over it — and must leave every file as it found it.
-func TestOpenRefusesRetiredFormat(t *testing.T) {
+// seedDeadBurns drives a migration-heavy workload against a fresh paged
+// directory — its time splits burn historical nodes inline — and then
+// crashes WITHOUT a checkpoint. On reopen every run burned since the
+// open-time seal is unreferenced (the magnetic tree that pointed at it
+// rolled back to the seal; replay re-burns fresh copies), so the
+// directory deterministically carries dead write-once payload: waste the
+// device reports and never reclaims. It returns the
+// acknowledged commits for oracle comparison.
+func seedDeadBurns(t *testing.T, cfg Config, commits int, seed int64) []oracleOp {
+	t.Helper()
+	d, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	acked, unacked := runUntilCrash(t, d, rng, commits, 0)
+	if unacked != nil {
+		t.Fatalf("fault-free workload failed after %d commits", len(acked))
+	}
+	if st := d.Stats(); st.WORM.SectorsBurned == 0 || st.Tree.LeafTimeSplits == 0 {
+		t.Fatalf("workload burned %d sectors in %d leaf time splits; the orphaning crash would be vacuous",
+			st.WORM.SectorsBurned, st.Tree.LeafTimeSplits)
+	}
+	crash(d)
+	return acked
+}
+
+// TestDeadBurnsSurviveReopen: write-once means write-once. The burns a
+// crash orphans survive the reopen as reported waste — DeadBytes > 0,
+// utilization below 1 — and stay exactly that: a checkpoint carries the
+// account in its metadata, so a second, clean reopen reports the same
+// DeadBytes. The logical content matches the oracle of acknowledged
+// commits on every read surface throughout.
+func TestDeadBurnsSurviveReopen(t *testing.T) {
 	dir := t.TempDir()
+	secs := map[string]SecondaryExtract{"dept": deptExtract}
+	cfg := pagedConfigWithSecs(dir, secs)
+	acked := seedDeadBurns(t, cfg, 120, 42)
+	oracle := applyOracle(t, cfg, acked)
+	defer oracle.Close()
+
+	d, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := d.Stats().Device
+	if dev.DeadBytes == 0 {
+		t.Fatal("no dead bytes after the orphaning crash")
+	}
+	if u := dev.Utilization; u < 0 || u >= 1 {
+		t.Fatalf("utilization %v with %d dead bytes, want [0,1)", u, dev.DeadBytes)
+	}
+	assertEquivalent(t, "reopened", d, oracle, []string{"dept"})
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Stats().Device.DeadBytes; got != dev.DeadBytes {
+		t.Fatalf("DeadBytes %d -> %d across a checkpoint", dev.DeadBytes, got)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.Stats().Device; got.DeadBytes != dev.DeadBytes || got.Utilization >= 1 {
+		t.Fatalf("clean reopen: DeadBytes %d utilization %v, want DeadBytes %d and utilization < 1",
+			got.DeadBytes, got.Utilization, dev.DeadBytes)
+	}
+	assertEquivalent(t, "clean reopen", re, oracle, []string{"dept"})
+}
+
+// TestCheckpointPauseAccounting checks the Stats().Checkpoint surface
+// the fuzzy paged capture exists to shrink: counts and pause nanos move.
+func TestCheckpointPauseAccounting(t *testing.T) {
+	d, err := Open(pagedConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		mustPut(t, d, fmt.Sprintf("key%03d", i%20), fmt.Sprintf("val%04d", i))
+	}
+	base := d.Stats().Checkpoint
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	st := d.Stats().Checkpoint
+	if st.Checkpoints != base.Checkpoints+1 {
+		t.Fatalf("Checkpoints %d -> %d, want +1", base.Checkpoints, st.Checkpoints)
+	}
+	if st.LastPauseNanos == 0 || st.PauseNanos <= base.PauseNanos {
+		t.Fatalf("pause accounting did not move: %+v (was %+v)", st, base)
+	}
+	if st.MaxPauseNanos < st.LastPauseNanos {
+		t.Fatalf("MaxPauseNanos %d < LastPauseNanos %d", st.MaxPauseNanos, st.LastPauseNanos)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenRefusesRetiredFormat: a directory an older release left in a
+// shape this engine no longer reads holds a real database. Open must
+// refuse it by name — not see "no checkpoint" and create a fresh
+// database over it, not replay, delete or skip what it cannot handle —
+// leave every file as it found it, and release the lock. The inputs:
+//   - a CHECKPOINT in the retired logical format (3);
+//   - a v4 directory with worm.dev.journal beside the burn file: the
+//     rollback journal of the retired WORM compaction, possibly a torn
+//     round that still needs rolling back.
+func TestOpenRefusesRetiredFormat(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		seed    func(t *testing.T, dir string)
+		want    error
+		mention []string
+	}{
+		{"logical-checkpoint", seedLogicalCheckpoint, wal.ErrRetiredFormat, []string{"logical"}},
+		{"compaction-journal", seedCompactionJournal, pagestore.ErrRetiredJournal,
+			[]string{"worm.dev.journal", "previous release"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.seed(t, dir)
+			before := dirSnapshot(t, dir)
+
+			_, err := Open(Config{Dir: dir})
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("open: err = %v, want %v", err, tc.want)
+			}
+			for _, m := range tc.mention {
+				if !strings.Contains(err.Error(), m) {
+					t.Fatalf("error does not mention %q: %v", m, err)
+				}
+			}
+			if after := dirSnapshot(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatalf("refused open changed the directory:\nbefore %q\nafter  %q", before, after)
+			}
+			// The refusal released the lock: a second attempt fails the
+			// same way, not with ErrLocked.
+			if _, err := Open(Config{Dir: dir}); !errors.Is(err, tc.want) {
+				t.Fatalf("second open: err = %v", err)
+			}
+		})
+	}
+}
+
+// dirSnapshot maps every file of dir but the advisory lock (not database
+// state) to its contents.
+func dirSnapshot(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, ent := range ents {
+		if ent.Name() == "LOCK" {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[ent.Name()] = string(data)
+	}
+	return out
+}
+
+// seedLogicalCheckpoint writes a format-3 (logical dump) CHECKPOINT and
+// an empty WAL segment into dir.
+func seedLogicalCheckpoint(t *testing.T, dir string) {
 	frame := func(build func(e *record.Encoder)) []byte {
 		e := record.NewEncoder(nil)
 		build(e)
@@ -189,41 +361,39 @@ func TestOpenRefusesRetiredFormat(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "wal-00000002.log"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	snapshot := func() map[string]string {
-		t.Helper()
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := map[string]string{}
-		for _, ent := range ents {
-			if ent.Name() == "LOCK" {
-				continue // the advisory lock file is not database state
-			}
-			data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[ent.Name()] = string(data)
-		}
-		return out
-	}
-	before := snapshot()
+}
 
-	_, err := Open(Config{Dir: dir})
-	if !errors.Is(err, wal.ErrRetiredFormat) {
-		t.Fatalf("open of a format-3 directory: err = %v, want wal.ErrRetiredFormat", err)
+// seedCompactionJournal builds a checkpointed v4 directory with burned
+// history and a WAL tail, then puts beside its burn file a compaction
+// journal in the retired layout: a header frame (journal magic, the
+// installed epoch, the region boundary and old burned end) and one
+// old-region frame.
+func seedCompactionJournal(t *testing.T, dir string) {
+	d, err := Open(pagedConfig(dir))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "logical") {
-		t.Fatalf("error does not name the retired logical format: %v", err)
+	for i := 0; i < 200; i++ {
+		mustPut(t, d, fmt.Sprintf("key%02d", i%30), fmt.Sprintf("val%04d", i))
 	}
-	if after := snapshot(); !reflect.DeepEqual(after, before) {
-		t.Fatalf("refused open changed the directory:\nbefore %q\nafter  %q", before, after)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
-	// The refusal released the lock: a second attempt fails the same
-	// way, not with ErrLocked.
-	if _, err := Open(Config{Dir: dir}); !errors.Is(err, wal.ErrRetiredFormat) {
-		t.Fatalf("second open: err = %v", err)
+	mustPut(t, d, "tail", "only in the WAL")
+	burned, epoch := d.Stats().WORM.SectorsBurned, d.epoch
+	if burned == 0 {
+		t.Fatal("workload burned nothing")
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	hdr := []byte("TSBJRNL\x01")
+	for _, v := range []uint64{epoch, 0, burned} {
+		hdr = binary.LittleEndian.AppendUint64(hdr, v)
+	}
+	journal := record.AppendFrame(record.AppendFrame(nil, hdr), []byte("old region"))
+	if err := os.WriteFile(filepath.Join(dir, "worm.dev.journal"), journal, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 // behind a device. Any call classified as write-side device I/O
 // (structurally, by //tsb:io directive, or by the built-in table)
 // reachable while one of those latches is held in exclusive mode is
-// reported. The few deliberate exceptions (the §3.4 inline burn of a
-// time split, primary and secondary, and the compaction region install)
-// each carry a visible //tsb:allow latchio directive.
+// reported. The two deliberate exceptions (the §3.4 inline burn of a
+// time split, primary and secondary) each carry a visible //tsb:allow
+// latchio directive.
 var LatchIOAnalyzer = &Analyzer{
 	Name: "latchio",
 	Doc:  "flag device I/O reachable while a data write latch is held",

@@ -20,8 +20,8 @@ import (
 //   - Loop bodies are simulated (so returns inside them are checked)
 //     but the held set at loop exit reverts to the loop-entry state.
 //     This tolerates the latch hand-off patterns that acquire and
-//     release across iterations (DB.Compact's lock-all-shards loops,
-//     the merge cursor's one-shard-at-a-time walk).
+//     release across iterations (the merge cursor's
+//     one-shard-at-a-time walk).
 //   - Function literals are simulated inline when invoked immediately
 //     or passed to a //tsb:wraps callee; otherwise they are analyzed
 //     as independent functions starting from an empty held set.

@@ -87,17 +87,15 @@ func builtinFuncFacts() map[string]*FuncFacts {
 		"repro/internal/secondary.Index.Apply": {IO: true},
 
 		// Durable write stream: WAL appends, page-file batches, WORM
-		// burns, compaction. All are device I/O and all return sticky
-		// errors that must not be discarded.
-		"repro/internal/wal.Log.AppendBatch":                   {IO: true, Sticky: true},
-		"repro/internal/wal.Log.Rotate":                        {IO: true, Sticky: true},
-		"repro/internal/wal.Log.RemoveSegmentsBelow":           {IO: true, Sticky: true},
-		"repro/internal/wal.WriteCheckpoint":                   {IO: true, Sticky: true, Syncs: true},
-		"repro/internal/pagestore.PageFile.WriteBatch":         {IO: true, Sticky: true},
-		"repro/internal/pagestore.PageFile.CompleteFlush":      {IO: true, Sticky: true},
-		"repro/internal/pagestore.BurnFile.Append":             {IO: true, Sticky: true},
-		"repro/internal/pagestore.BurnFile.CompactRegion":      {IO: true, Sticky: true},
-		"repro/internal/pagestore.BurnFile.CompleteCompaction": {IO: true, Sticky: true},
+		// burns. All are device I/O and all return sticky errors that
+		// must not be discarded.
+		"repro/internal/wal.Log.AppendBatch":              {IO: true, Sticky: true},
+		"repro/internal/wal.Log.Rotate":                   {IO: true, Sticky: true},
+		"repro/internal/wal.Log.RemoveSegmentsBelow":      {IO: true, Sticky: true},
+		"repro/internal/wal.WriteCheckpoint":              {IO: true, Sticky: true, Syncs: true},
+		"repro/internal/pagestore.PageFile.WriteBatch":    {IO: true, Sticky: true},
+		"repro/internal/pagestore.PageFile.CompleteFlush": {IO: true, Sticky: true},
+		"repro/internal/pagestore.BurnFile.Append":        {IO: true, Sticky: true},
 
 		// Close on the write path: dropping the error can drop the last
 		// flush. (os.File.Close is handled structurally by stickyerr.)

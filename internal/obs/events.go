@@ -7,11 +7,11 @@ import (
 )
 
 // Event is one completed span in the event log: a named background
-// operation (a checkpoint, a compaction round, a maintenance job) with
-// its wall start time and duration.
+// operation (a checkpoint, a maintenance job) with its wall start time
+// and duration.
 type Event struct {
 	Seq    uint64        // monotonically increasing per log
-	Name   string        // span name, e.g. "checkpoint" or "compact"
+	Name   string        // span name, e.g. "checkpoint"
 	Detail string        // free-form outcome text, set at End
 	Start  time.Time     // wall-clock start
 	Dur    time.Duration // span duration

@@ -1,7 +1,7 @@
 // Package obs is the engine's observability substrate: named counters,
 // gauges, and lock-free log2 latency histograms behind a Registry, plus
 // a lightweight span API over a fixed-size ring-buffer event log for
-// tracing background jobs (checkpoints, compaction, maintenance) and a
+// tracing background jobs (checkpoints, maintenance) and a
 // slow-op log of spans past a threshold.
 //
 // The package is deliberately primitive — standard library only, no

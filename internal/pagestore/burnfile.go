@@ -2,9 +2,11 @@ package pagestore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
 	"sync"
 	"time"
 
@@ -33,8 +35,7 @@ type ReopenReport struct {
 	// waste, exactly as unacknowledged burns on write-once media are.
 	OrphanSectors uint64
 	// OrphanPayloadBytes is the payload carried by those orphan sectors:
-	// dead bytes nothing will ever reference, reclaimable only by a
-	// compaction.
+	// dead bytes nothing will ever reference, and permanent waste.
 	OrphanPayloadBytes uint64
 	// Clipped reports whether a torn tail was truncated away, and
 	// ClippedAt the first bad sector.
@@ -53,7 +54,7 @@ type BurnFile struct {
 	cfg        BurnConfig
 	f          storage.BlockFile
 	sectorSize int
-	reserved   uint64 // == sectors burned; appends only (except compaction)
+	reserved   uint64 // == sectors burned; appends only
 	stats      storage.WORMStats
 
 	// Device latency instruments; recorded under the burn-file latch the
@@ -62,9 +63,35 @@ type BurnFile struct {
 	readHist obs.Histogram // one ReadAt run per observation
 }
 
-// CreateBurn makes a fresh, empty burn file, removing any stale
-// compaction journal.
+// ErrRetiredJournal refuses a burn file with a journal beside it. Older
+// releases rewrote burned sectors in place (WORM compaction) behind that
+// journal; this release never does, so the file can only be a compaction
+// an older binary left unfinished, which may need rolling back before
+// the directory is consistent again. Open the directory once with the
+// previous release to finish or roll it back.
+var ErrRetiredJournal = errors.New("pagestore: retired WORM compaction journal")
+
+// refuseRetiredJournal fails with ErrRetiredJournal, naming the file,
+// when the burn file at path has a journal. It reads nothing and changes
+// nothing: the journal is neither replayed, deleted nor skipped.
+func refuseRetiredJournal(path string) error {
+	jp := journalPath(path)
+	_, err := os.Stat(jp)
+	switch {
+	case err == nil:
+		return fmt.Errorf("%w: %s (left by an older release; open the directory once with the previous release)", ErrRetiredJournal, jp)
+	case os.IsNotExist(err):
+		return nil
+	default:
+		return fmt.Errorf("pagestore: %s: %w", jp, err)
+	}
+}
+
+// CreateBurn makes a fresh, empty burn file.
 func CreateBurn(cfg BurnConfig) (*BurnFile, error) {
+	if err := refuseRetiredJournal(cfg.Path); err != nil {
+		return nil, err
+	}
 	f, err := createDevice(cfg.Path, cfg.Wrap, burnMagic, cfg.SectorSize)
 	if err != nil {
 		return nil, err
@@ -73,15 +100,15 @@ func CreateBurn(cfg BurnConfig) (*BurnFile, error) {
 }
 
 // OpenBurn reattaches to an existing burn file. The installed checkpoint
-// (epoch `epoch`) guarantees `durable` sectors (fsynced at the boundary)
-// with cumulative stats `base`; the tail past them was never
-// acknowledged, so it is verified frame by frame — intact sectors stay
-// as burned waste (write-once media cannot un-burn), and the file is
-// truncated at the first torn or corrupt frame. A compaction journal
-// whose epoch matches is replayed first (the compaction's checkpoint was
-// never installed, so the rewritten region is restored to the boundary
-// image); a stale journal is discarded.
-func OpenBurn(cfg BurnConfig, durable uint64, base storage.WORMStats, epoch uint64) (*BurnFile, ReopenReport, error) {
+// guarantees `durable` sectors (fsynced at the boundary) with cumulative
+// stats `base`; the tail past them was never acknowledged, so it is
+// verified frame by frame — intact sectors stay as burned waste
+// (write-once media cannot un-burn), and the file is truncated at the
+// first torn or corrupt frame.
+func OpenBurn(cfg BurnConfig, durable uint64, base storage.WORMStats) (*BurnFile, ReopenReport, error) {
+	if err := refuseRetiredJournal(cfg.Path); err != nil {
+		return nil, ReopenReport{}, err
+	}
 	f, size, err := openDevice(cfg.Path, cfg.Wrap, burnMagic, cfg.SectorSize)
 	if err != nil {
 		return nil, ReopenReport{}, err
@@ -93,9 +120,6 @@ func OpenBurn(cfg BurnConfig, durable uint64, base storage.WORMStats, epoch uint
 		}
 	}()
 	b := &BurnFile{cfg: cfg, f: f, sectorSize: size, reserved: durable, stats: base}
-	if err := b.recoverCompactionJournal(epoch); err != nil {
-		return nil, ReopenReport{}, err
-	}
 	var rep ReopenReport
 	buf := make([]byte, burnFrameHeader+size)
 	for s := durable; ; s++ {
@@ -155,8 +179,7 @@ func decodeBurnFrame(buf []byte, sectorSize int) (plen int, valid bool) {
 
 // sectorFrames encodes data as a consolidated run of sector slots: every
 // sector filled to capacity except possibly the last, which is
-// zero-padded to the slot size. The one encoder of burned bytes, shared
-// by Append and CompactRegion.
+// zero-padded to the slot size. The one encoder of burned bytes.
 func sectorFrames(data []byte, sectorSize int) (buf []byte, nsect int) {
 	nsect = (len(data) + sectorSize - 1) / sectorSize
 	buf = make([]byte, 0, nsect*(burnFrameHeader+sectorSize))
@@ -278,147 +301,6 @@ func (b *BurnFile) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.f.Close()
-}
-
-// --- WORM compaction ---
-//
-// Compaction is the one operation that rewrites burned sectors: the
-// caller (internal/db's maintenance scheduler) has proven every sector
-// from `boundary` up is either dead (unreferenced) or belongs to a live
-// run it passes back in `payloads`, in ascending old-offset order with
-// relocated child references already patched. CompactRegion journals the
-// old region bytes first — the same rollback protocol as the page file's
-// checkpoint flush — then rewrites the region with the live runs packed
-// from the boundary, truncates the file, and adjusts the content
-// accounting. The journal is retired by CompleteCompaction only after
-// the checkpoint recording the new boundary is durably installed; until
-// then a crash restores the old region (OpenBurn replays a matching
-// journal), so the pre-compaction checkpoint remains recoverable.
-
-// saturatingSub subtracts without wrapping: device accounting of runs
-// torn by injected write faults is intentionally conservative (a failed
-// run is all waste even if some sectors landed intact), so region
-// recomputation may not match it bit for bit.
-func saturatingSub(a, b uint64) uint64 {
-	if b > a {
-		return 0
-	}
-	return a - b
-}
-
-// CompactRegion rewrites the sectors from boundary to the end of the
-// file with the given live-run payloads, packed from boundary on, and
-// truncates the rest: dead runs between live ones are squeezed out and
-// their capacity reclaimed. epoch is the currently installed checkpoint
-// epoch — it stamps the rollback journal so recovery can tell a torn
-// compaction (restore) from a completed one (discard). The returned
-// addresses are the relocated runs, in payload order. Callers must
-// guarantee no concurrent Append (the scheduler re-checks Burned() under
-// every write latch before committing to the rewrite).
-func (b *BurnFile) CompactRegion(epoch, boundary uint64, payloads [][]byte) ([]storage.Addr, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if boundary > b.reserved {
-		return nil, fmt.Errorf("pagestore: compaction boundary %d past burned end %d", boundary, b.reserved)
-	}
-	oldReserved := b.reserved
-	regionSectors := oldReserved - boundary
-	frameSize := burnFrameHeader + b.sectorSize
-
-	// Journal the old region before touching it.
-	region := make([]byte, int(regionSectors)*frameSize)
-	n, err := b.f.ReadAt(region, b.frameOff(boundary))
-	if err != nil && err != io.EOF {
-		return nil, fmt.Errorf("pagestore: compaction read of old region: %w", err)
-	}
-	region = region[:n] // short reads past holes/clipped tails are fine: restore rewrites what existed
-	j, err := createJournal(journalPath(b.cfg.Path), b.cfg.Wrap, epoch, []uint64{boundary, oldReserved}, region)
-	if err != nil {
-		return nil, err
-	}
-	if err := j.close(); err != nil {
-		return nil, err
-	}
-
-	// Retire the old region from the content accounting. A slot that is
-	// torn, a hole, or past the short read decodes to no payload: all
-	// waste.
-	var oldPayload uint64
-	for lo := 0; lo < len(region); lo += frameSize {
-		plen, _ := decodeBurnFrame(region[lo:min(lo+frameSize, len(region))], b.sectorSize)
-		oldPayload += uint64(plen)
-	}
-	oldWaste := regionSectors*uint64(b.sectorSize) - oldPayload
-	b.stats.SectorsBurned = saturatingSub(b.stats.SectorsBurned, regionSectors)
-	b.stats.PayloadBytes = saturatingSub(b.stats.PayloadBytes, oldPayload)
-	b.stats.WastedBytes = saturatingSub(b.stats.WastedBytes, oldWaste)
-
-	// Pack the live runs from the boundary on.
-	start := time.Now()
-	addrs := make([]storage.Addr, 0, len(payloads))
-	next := boundary
-	for _, data := range payloads {
-		if len(data) == 0 {
-			return nil, fmt.Errorf("pagestore: empty compaction payload")
-		}
-		buf, nsect := sectorFrames(data, b.sectorSize)
-		if _, err := b.f.WriteAt(buf, b.frameOff(next)); err != nil {
-			return nil, fmt.Errorf("pagestore: compaction write at sector %d: %w", next, err)
-		}
-		addrs = append(addrs, storage.Addr{Kind: storage.KindWORM, Off: next, Len: uint32(len(data))})
-		b.stats.SectorWrites += uint64(nsect)
-		b.stats.SectorsBurned += uint64(nsect)
-		b.stats.PayloadBytes += uint64(len(data))
-		b.stats.WastedBytes += uint64(nsect*b.sectorSize - len(data))
-		next += uint64(nsect)
-	}
-	if err := b.f.Truncate(b.frameOff(next)); err != nil {
-		return nil, fmt.Errorf("pagestore: compaction truncate: %w", err)
-	}
-	if err := b.f.Sync(); err != nil {
-		return nil, err
-	}
-	b.reserved = next
-	b.stats.SimTime += time.Since(start)
-	return addrs, nil
-}
-
-// CompleteCompaction retires the compaction journal once the checkpoint
-// recording the new boundary is durably installed. A journal that cannot
-// be removed is harmless: its epoch no longer matches the installed
-// checkpoint, so recovery discards it.
-func (b *BurnFile) CompleteCompaction() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return retireJournal(journalPath(b.cfg.Path))
-}
-
-// recoverCompactionJournal replays the journal a torn compaction left
-// behind: the old region bytes are restored at the boundary and the file
-// truncated back to the old burned end, so the device again reconstructs
-// to the installed (pre-compaction) checkpoint. A journal with a torn
-// entry is discarded whole: its one region frame is fsynced before the
-// region is touched, so a torn one means an untouched region.
-func (b *BurnFile) recoverCompactionJournal(epoch uint64) error {
-	targets, entries, clean, err := readJournal(journalPath(b.cfg.Path), epoch, 2)
-	if err != nil {
-		return err
-	}
-	if targets != nil && clean && len(entries) == 1 {
-		boundary, oldReserved, region := targets[0], targets[1], entries[0]
-		if len(region) > 0 {
-			if _, err := b.f.WriteAt(region, b.frameOff(boundary)); err != nil {
-				return fmt.Errorf("pagestore: compaction journal restore: %w", err)
-			}
-		}
-		if err := b.f.Truncate(b.frameOff(oldReserved)); err != nil {
-			return fmt.Errorf("pagestore: compaction journal truncate: %w", err)
-		}
-		if err := b.f.Sync(); err != nil {
-			return err
-		}
-	}
-	return retireJournal(journalPath(b.cfg.Path))
 }
 
 var _ storage.WORMDevice = (*BurnFile)(nil)

@@ -72,10 +72,9 @@ func TestGoldenFlushJournal(t *testing.T) {
 	checkGolden(t, "flush-journal.hex", readFile(t, journalPath(cfg.Path)))
 }
 
-// TestGoldenCompaction pins the burn file's sector bytes as Append
-// writes them, the compaction journal, and the sector bytes as
-// CompactRegion rewrites them.
-func TestGoldenCompaction(t *testing.T) {
+// TestGoldenBurnAppend pins the burn file's sector bytes as Append
+// writes them: full sectors, a partial last sector, and a one-byte run.
+func TestGoldenBurnAppend(t *testing.T) {
 	cfg := BurnConfig{Path: filepath.Join(t.TempDir(), "worm.dev"), SectorSize: 16}
 	bf, err := CreateBurn(cfg)
 	if err != nil {
@@ -88,13 +87,4 @@ func TestGoldenCompaction(t *testing.T) {
 		}
 	}
 	checkGolden(t, "burn-appended.hex", readFile(t, cfg.Path))
-	addrs, err := bf.CompactRegion(9, 2, [][]byte{[]byte("live-run-spanning-three-sectors!!!!"), []byte("x")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(addrs) != 2 || addrs[0].Off != 2 || addrs[1].Off != 5 {
-		t.Fatalf("relocated runs: %v", addrs)
-	}
-	checkGolden(t, "compaction-journal.hex", readFile(t, journalPath(cfg.Path)))
-	checkGolden(t, "burn-compacted.hex", readFile(t, cfg.Path))
 }

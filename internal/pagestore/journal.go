@@ -10,17 +10,17 @@ import (
 	"repro/internal/storage"
 )
 
-// journal is the rollback journal both device files write before they
-// overwrite anything in place: the page file before a checkpoint flush
-// overwrites page slots (one entry per pre-image), the burn file before
-// a compaction rewrites a sector region (one entry, the old region).
+// journal is the page file's rollback journal, written before a
+// checkpoint flush overwrites page slots in place: one entry per
+// pre-image. (The burn file never overwrites anything, so it has no
+// journal; see ErrRetiredJournal.)
 //
 // The file is a run of record CRC frames. Frame 0 is the header —
 // jrnlMagic, the installed checkpoint epoch the device must be restored
-// to, then the owner's restore targets as uint64s (the page file's
-// boundary page count; the burn file's region boundary and old burned
-// end). Every later frame is an entry, opaque here. The protocol, the
-// same for both owners:
+// to, then the restore boundary (the boundary page count) as a uint64.
+// Every later frame is an entry, opaque here. Every frame is non-empty
+// (the header is 24 bytes), so a zero-filled tail reads as a torn one.
+// The protocol:
 //
 //   - an entry is fsynced into the journal BEFORE the bytes it preserves
 //     are overwritten, so a torn journal tail covers only untouched bytes;
@@ -37,15 +37,13 @@ type journal struct {
 // createJournal starts a journal at path: the header frame plus any
 // entries already in hand go out in one write and one fsync. On return
 // they are durable.
-func createJournal(path string, w wrapFn, epoch uint64, targets []uint64, entries ...[]byte) (*journal, error) {
+func createJournal(path string, w wrapFn, epoch, boundary uint64, entries ...[]byte) (*journal, error) {
 	f, err := openBlock(path, true, w)
 	if err != nil {
 		return nil, fmt.Errorf("pagestore: create journal: %w", err)
 	}
 	hdr := binary.LittleEndian.AppendUint64(append([]byte(nil), jrnlMagic[:]...), epoch)
-	for _, v := range targets {
-		hdr = binary.LittleEndian.AppendUint64(hdr, v)
-	}
+	hdr = binary.LittleEndian.AppendUint64(hdr, boundary)
 	j := &journal{f: f}
 	if err := j.append(append([][]byte{hdr}, entries...)...); err != nil {
 		f.Close()
@@ -79,38 +77,34 @@ func (j *journal) append(entries ...[]byte) error {
 func (j *journal) close() error { return j.f.Close() }
 
 // readJournal loads the journal at path for a device whose installed
-// checkpoint has the given epoch. targets is non-nil only when the
-// journal must be replayed: its header frame is intact, carries
-// jrnlMagic and ntargets targets, and names that epoch. An absent
-// journal, one torn inside its header (nothing was overwritten yet) and
-// a stale one all come back nil. entries are the intact frames after the
-// header; clean=false says a torn frame cut them short.
-func readJournal(path string, epoch uint64, ntargets int) (targets []uint64, entries [][]byte, clean bool, err error) {
+// checkpoint has the given epoch. ok is true only when the journal must
+// be replayed: its header frame is intact, carries jrnlMagic and a
+// boundary, and names that epoch. An absent journal, one torn inside its
+// header (nothing was overwritten yet) and a stale one all come back
+// false. entries are the intact frames after the header, up to the first
+// torn one.
+func readJournal(path string, epoch uint64) (boundary uint64, entries [][]byte, ok bool, err error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return nil, nil, false, nil
+		return 0, nil, false, nil
 	}
 	if err != nil {
-		return nil, nil, false, err
+		return 0, nil, false, err
 	}
 	var frames [][]byte
-	clean, _ = record.WalkFrames(data, false, func(payload []byte) error {
+	_, _ = record.WalkFrames(data, func(payload []byte) error {
 		frames = append(frames, payload)
 		return nil
 	})
 	if len(frames) == 0 {
-		return nil, nil, false, nil
+		return 0, nil, false, nil
 	}
 	hdr := frames[0]
-	if len(hdr) != 16+8*ntargets || !bytes.Equal(hdr[:8], jrnlMagic[:]) ||
+	if len(hdr) != 24 || !bytes.Equal(hdr[:8], jrnlMagic[:]) ||
 		binary.LittleEndian.Uint64(hdr[8:16]) != epoch {
-		return nil, nil, false, nil
+		return 0, nil, false, nil
 	}
-	targets = make([]uint64, ntargets)
-	for i := range targets {
-		targets[i] = binary.LittleEndian.Uint64(hdr[16+8*i:])
-	}
-	return targets, frames[1:], clean, nil
+	return binary.LittleEndian.Uint64(hdr[16:24]), frames[1:], true, nil
 }
 
 // journalPath names the journal that guards the device file at path.

@@ -340,7 +340,7 @@ func (p *PageFile) Close() error {
 // count need no entry: restore truncates the file back to the boundary.
 func (p *PageFile) journalBatch(pages []uint64) error {
 	if p.j == nil {
-		j, err := createJournal(journalPath(p.cfg.Path), p.cfg.Wrap, p.diskEpoch, []uint64{p.diskPages})
+		j, err := createJournal(journalPath(p.cfg.Path), p.cfg.Wrap, p.diskEpoch, p.diskPages)
 		if err != nil {
 			return err
 		}
@@ -414,12 +414,11 @@ func (p *PageFile) CompleteFlush(epoch, boundaryPages uint64) error {
 // because entries are fsynced before their slots are touched — then the
 // file is truncated to the boundary page count.
 func (p *PageFile) recoverJournal(epoch uint64) error {
-	targets, entries, _, err := readJournal(journalPath(p.cfg.Path), epoch, 1)
+	boundary, entries, ok, err := readJournal(journalPath(p.cfg.Path), epoch)
 	if err != nil {
 		return err
 	}
-	if targets != nil {
-		boundary := targets[0]
+	if ok {
 		for _, entry := range entries {
 			if len(entry) < 9 {
 				continue

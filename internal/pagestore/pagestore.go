@@ -15,11 +15,13 @@
 //     unsynced tail sector by sector and clips it at the first torn
 //     frame; intact sectors past the checkpoint boundary are kept as
 //     burned waste, exactly as unacknowledged burns on write-once media
-//     would be.
+//     would be, and never reclaimed.
 //
-// Neither file is overwritten in place except behind the one rollback
-// journal (journal.go): a checkpoint flush journals page pre-images, a
-// WORM compaction journals the region it rewrites.
+// Only the page file is ever overwritten in place, and only behind the
+// rollback journal (journal.go): a checkpoint flush journals page
+// pre-images. The burn file is written once; a journal beside it can
+// only come from an older release's WORM compaction and is refused
+// (ErrRetiredJournal).
 //
 // Both devices keep the paper's accounting (SpaceM via
 // storage.MagneticStats, SpaceO and burned-vs-payload via

@@ -290,7 +290,7 @@ func TestBurnFileTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, rep, err := OpenBurn(cfg, durable, statsAt, 1)
+	re, rep, err := OpenBurn(cfg, durable, statsAt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,43 +440,5 @@ func TestPageFileRetryAfterJournalSyncFailure(t *testing.T) {
 	got, err := re.Read(p)
 	if err != nil || string(got) != "old" {
 		t.Fatalf("page = %q, %v after torn retried flush; want old", got, err)
-	}
-}
-
-// TestCompactionJournalEmptyRegion: a compaction whose old region is
-// empty (the boundary is the burned end) journals a zero-length region
-// frame. That frame is data, not a torn tail: a crash before the
-// compaction's checkpoint must still replay the journal and truncate the
-// relocated runs away — discarding it would leave them behind as orphan
-// burns the installed checkpoint never saw.
-func TestCompactionJournalEmptyRegion(t *testing.T) {
-	cfg := burnCfg(t)
-	bf, err := CreateBurn(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bf.Append(bytes.Repeat([]byte("d"), 150)); err != nil { // 3 sectors
-		t.Fatal(err)
-	}
-	if err := bf.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	durable, statsAt := bf.Burned(), bf.Stats()
-	addrs, err := bf.CompactRegion(1, durable, [][]byte{[]byte("relocated")})
-	if err != nil || len(addrs) != 1 || addrs[0].Off != durable {
-		t.Fatalf("CompactRegion: %v, %v", addrs, err)
-	}
-	bf.Close() // crash: epoch 1 is still the installed checkpoint
-
-	re, rep, err := OpenBurn(cfg, durable, statsAt, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if rep.OrphanSectors != 0 || rep.Clipped || re.Burned() != durable {
-		t.Fatalf("reopen report %+v, burned %d: the empty-region journal was not replayed", rep, re.Burned())
-	}
-	if _, err := os.Stat(journalPath(cfg.Path)); !os.IsNotExist(err) {
-		t.Fatal("journal survived recovery")
 	}
 }

@@ -6,17 +6,16 @@ package record
 //	| payload length (uint32 LE) | CRC32-C of payload (uint32 LE) | payload |
 //
 // frames: the WAL segments and the checkpoint file (internal/wal), the
-// page file's flush journal and the burn file's compaction journal
-// (internal/pagestore), and the tsbserve wire protocol
-// (internal/server/wire). All of them encode with AppendFrame; the files
-// are read back with WalkFrames, which is a DecodeFrame loop, and the
-// wire with ReadFrame — so torn-tail detection and corruption handling
-// are one code path with one fuzz target. The three failure modes are
-// typed: a frame whose header claims more than the caller's limit is
-// ErrFrameTooLarge (corruption or abuse — the decoder refuses before
-// allocating or reading the claimed length), a frame that ends early is
-// ErrFrameTruncated, and a payload whose checksum disagrees with the
-// header is ErrFrameCRC.
+// page file's flush journal (internal/pagestore), and the tsbserve wire
+// protocol (internal/server/wire). All of them encode with AppendFrame;
+// the files are read back with WalkFrames, which is a DecodeFrame loop,
+// and the wire with ReadFrame — so torn-tail detection and corruption
+// handling are one code path with one fuzz target. The three failure
+// modes are typed: a frame whose header claims more than the caller's
+// limit is ErrFrameTooLarge (corruption or abuse — the decoder refuses
+// before allocating or reading the claimed length), a frame that ends
+// early is ErrFrameTruncated, and a payload whose checksum disagrees
+// with the header is ErrFrameCRC.
 
 import (
 	"encoding/binary"
@@ -94,16 +93,14 @@ func DecodeFrame(buf []byte, maxPayload int) (payload, rest []byte, err error) {
 // reports that the walk consumed all of buf; an error from fn aborts the
 // walk and is returned with clean=false. Payloads alias buf.
 //
-// emptyIsTorn makes a zero-length frame end the walk as well. A
-// zero-filled tail (a file extended but never written) parses as a run
-// of empty frames, because CRC32-C of nothing is 0; a file whose every
-// real payload is non-empty (the WAL, the checkpoint) must read that as
-// a torn tail, while the compaction journal legally carries an empty
-// region frame.
-func WalkFrames(buf []byte, emptyIsTorn bool, fn func(payload []byte) error) (clean bool, err error) {
+// A zero-length frame ends the walk as well. A zero-filled tail (a file
+// extended but never written) parses as a run of empty frames, because
+// CRC32-C of nothing is 0, and no framed file ever carries an empty
+// payload, so such a tail is torn.
+func WalkFrames(buf []byte, fn func(payload []byte) error) (clean bool, err error) {
 	for len(buf) > 0 {
 		payload, rest, derr := DecodeFrame(buf, 0)
-		if derr != nil || (emptyIsTorn && len(payload) == 0) {
+		if derr != nil || len(payload) == 0 {
 			return false, nil
 		}
 		if err := fn(payload); err != nil {

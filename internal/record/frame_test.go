@@ -150,38 +150,35 @@ func FuzzFrameDecode(f *testing.F) {
 		// payloads, clean iff the loop consumed everything. The capacity
 		// clip turns any read past len(data) into a panic.
 		data = data[:len(data):len(data)]
-		for _, emptyIsTorn := range []bool{false, true} {
-			var want [][]byte
-			left := data
-			for len(left) > 0 {
-				p, r, derr := DecodeFrame(left, 0)
-				if derr != nil || (emptyIsTorn && len(p) == 0) {
-					break
-				}
-				want, left = append(want, p), r
+		var want [][]byte
+		left := data
+		for len(left) > 0 {
+			p, r, derr := DecodeFrame(left, 0)
+			if derr != nil || len(p) == 0 {
+				break
 			}
-			var got [][]byte
-			clean, werr := WalkFrames(data, emptyIsTorn, func(p []byte) error {
-				got = append(got, p)
-				return nil
-			})
-			if werr != nil || clean != (len(left) == 0) || len(got) != len(want) {
-				t.Fatalf("WalkFrames(emptyIsTorn=%v): %d frames clean=%v err=%v, DecodeFrame loop: %d frames, %d bytes left",
-					emptyIsTorn, len(got), clean, werr, len(want), len(left))
-			}
-			for i := range want {
-				if !bytes.Equal(got[i], want[i]) {
-					t.Fatalf("WalkFrames(emptyIsTorn=%v): frame %d = %q, want %q", emptyIsTorn, i, got[i], want[i])
-				}
+			want, left = append(want, p), r
+		}
+		var got [][]byte
+		clean, werr := WalkFrames(data, func(p []byte) error {
+			got = append(got, p)
+			return nil
+		})
+		if werr != nil || clean != (len(left) == 0) || len(got) != len(want) {
+			t.Fatalf("WalkFrames: %d frames clean=%v err=%v, DecodeFrame loop: %d frames, %d bytes left",
+				len(got), clean, werr, len(want), len(left))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("WalkFrames: frame %d = %q, want %q", i, got[i], want[i])
 			}
 		}
 	})
 }
 
-// TestWalkFrames pins the walker's stopping rule, and the one way its
-// two users differ: a zero-length frame ends a WAL or checkpoint walk
-// (a zero-filled tail parses as empty frames) but is data to the
-// compaction journal.
+// TestWalkFrames pins the walker's stopping rule, a zero-length frame
+// included: no framed file carries an empty payload, so one ends the
+// walk (a zero-filled tail parses as a run of them).
 func TestWalkFrames(t *testing.T) {
 	frames := func(payloads ...string) []byte {
 		var buf []byte
@@ -195,24 +192,21 @@ func TestWalkFrames(t *testing.T) {
 	flipped := frames("a", "bb", "ccc")
 	flipped[FrameHeaderSize+1+FrameHeaderSize] ^= 1 // first payload byte of "bb"
 	for _, tc := range []struct {
-		name        string
-		buf         []byte
-		emptyIsTorn bool
-		want        []string
-		clean       bool
+		name  string
+		buf   []byte
+		want  []string
+		clean bool
 	}{
-		{"empty buffer", nil, true, nil, true},
-		{"intact run", frames("a", "bb", "ccc"), true, []string{"a", "bb", "ccc"}, true},
-		{"torn last frame", torn, true, []string{"a", "bb"}, false},
-		{"short trailing header", append(frames("a"), 1, 2, 3), true, []string{"a"}, false},
-		{"corrupt middle frame hides the rest", flipped, true, []string{"a"}, false},
-		{"zero-filled tail, empty is torn", append(frames("a"), make([]byte, 24)...), true, []string{"a"}, false},
-		{"zero-filled tail, empty is data", append(frames("a"), make([]byte, 24)...), false, []string{"a", "", "", ""}, true},
-		{"empty frame mid-run, empty is torn", frames("a", "", "b"), true, []string{"a"}, false},
-		{"empty frame mid-run, empty is data", frames("a", "", "b"), false, []string{"a", "", "b"}, true},
+		{"empty buffer", nil, nil, true},
+		{"intact run", frames("a", "bb", "ccc"), []string{"a", "bb", "ccc"}, true},
+		{"torn last frame", torn, []string{"a", "bb"}, false},
+		{"short trailing header", append(frames("a"), 1, 2, 3), []string{"a"}, false},
+		{"corrupt middle frame hides the rest", flipped, []string{"a"}, false},
+		{"zero-filled tail", append(frames("a"), make([]byte, 24)...), []string{"a"}, false},
+		{"empty frame mid-run", frames("a", "", "b"), []string{"a"}, false},
 	} {
 		var got []string
-		clean, err := WalkFrames(tc.buf, tc.emptyIsTorn, func(p []byte) error {
+		clean, err := WalkFrames(tc.buf, func(p []byte) error {
 			got = append(got, string(p))
 			return nil
 		})
@@ -223,7 +217,7 @@ func TestWalkFrames(t *testing.T) {
 	// An error from fn aborts the walk at that frame.
 	boom := errors.New("boom")
 	calls := 0
-	clean, err := WalkFrames(frames("a", "bb", "ccc"), true, func([]byte) error {
+	clean, err := WalkFrames(frames("a", "bb", "ccc"), func([]byte) error {
 		calls++
 		if calls == 2 {
 			return boom

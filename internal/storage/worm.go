@@ -30,7 +30,7 @@ func (s WORMStats) BytesBurned(sectorSize int) uint64 {
 
 // Utilization returns PayloadBytes / BytesBurned, the fraction of burned
 // optical capacity holding real data. It is clamped to [0, 1]: an empty
-// (or fully compacted-away) device divides by zero, and the conservative
+// device divides by zero, and the conservative
 // accounting of fault-torn runs can leave the ratio marginally off on
 // either side.
 func (s WORMStats) Utilization(sectorSize int) float64 {

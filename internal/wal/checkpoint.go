@@ -134,7 +134,7 @@ func ReadCheckpoint(dir string) (info CheckpointInfo, found bool, err error) {
 		return CheckpointInfo{}, false, err
 	}
 	sawHeader, sawFooter := false, false
-	clean, err := record.WalkFrames(buf, true, func(payload []byte) error {
+	clean, err := record.WalkFrames(buf, func(payload []byte) error {
 		d := record.NewDecoder(payload)
 		switch typ := d.Byte(); typ {
 		case frameCheckpointHeader:

@@ -65,7 +65,7 @@ type PagedMeta struct {
 	SecLSN uint64
 	// DeadBytes carries the engine-level dead-burn accounting across
 	// reopens: payload bytes of WORM runs nothing references (crash
-	// orphans), reclaimable by compaction.
+	// orphans), permanent write-once waste.
 	DeadBytes uint64
 }
 

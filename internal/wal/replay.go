@@ -38,7 +38,7 @@ func ReplayFile(path string, afterLSN uint64, fn func(lsn uint64, rec txn.Commit
 	if err != nil {
 		return 0, false, err
 	}
-	clean, err = record.WalkFrames(buf, true, func(payload []byte) error {
+	clean, err = record.WalkFrames(buf, func(payload []byte) error {
 		lsn, rec, derr := decodeCommit(payload)
 		if derr != nil {
 			return fmt.Errorf("%s: %w", path, derr)
