@@ -153,7 +153,8 @@ func run(args []string, stdout io.Writer, sigCh <-chan os.Signal) error {
 
 	// The drain order of the durability contract: stop intake, finish
 	// and acknowledge every in-flight batch, close cursors, then close
-	// the database (final checkpoint in durable mode).
+	// the database, which releases the directory (acknowledged commits
+	// are already durable in the WAL).
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

@@ -6,9 +6,9 @@
 // latch hierarchy, the durability contract, inline node-at-a-time
 // migration, the maintenance economy (the background checkpoint loop
 // and its fuzzy per-shard capture), and the
-// statically enforced invariants: cmd/tsbvet is a `go vet -vettool`
-// analyzer suite (internal/lint) that checks the latch hierarchy, the
-// no-I/O-under-a-data-latch rule, release-on-every-path,
+// statically enforced invariants: internal/lint is an analyzer suite,
+// run by its own test over the whole module, that checks the latch
+// hierarchy, the no-I/O-under-a-data-latch rule, release-on-every-path,
 // sync-before-rename, and the sticky-error discipline against //tsb:
 // directives in the source — see ARCHITECTURE.md ("Statically enforced
 // invariants") for the rules and their escape hatches.

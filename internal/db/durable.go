@@ -295,6 +295,8 @@ func (d *DB) quiesceTimed(fn func() error) error {
 // flushes nothing; it exists to release the directory cleanly. Close
 // returns the first background-job error, if any. Closing an in-memory
 // database only marks it closed.
+//
+//tsb:sticky
 func (d *DB) Close() error {
 	d.cpMu.Lock()
 	if d.closed {

@@ -86,6 +86,7 @@ func (s *shardedStore) Now() record.Timestamp {
 	return now
 }
 
+//tsb:io -- a time split burns its historical half inline
 func (s *shardedStore) Insert(v record.Version) error {
 	sh := s.shardFor(v.Key)
 	var start, acquired time.Time

@@ -1,36 +1,38 @@
-// Package lint implements tsbvet, the repo's static checker for the
-// latch-hierarchy and durability-ordering invariants documented in
-// docs/ARCHITECTURE.md ("Statically enforced invariants").
+// Package lint is the repo's static checker for the latch-hierarchy
+// and durability-ordering invariants documented in docs/ARCHITECTURE.md
+// ("Statically enforced invariants"). Its runner is its own test:
+// `go test ./internal/lint` loads every package of the module, builds
+// one set of facts from the //tsb: directives of all of them, and fails
+// on any unsuppressed diagnostic.
 //
 // The package deliberately depends only on the standard library: the
 // build environment pins the toolchain and carries no module cache, so
 // the usual golang.org/x/tools/go/analysis machinery is rebuilt here in
 // miniature. An Analyzer receives one type-checked package (a Unit) and
-// reports Diagnostics; cmd/tsbvet adapts the set of analyzers both to
-// the `go vet -vettool` single-package protocol and to a standalone
-// whole-module run.
+// the module-wide Facts, and reports Diagnostics.
 //
-// Invariants are declared in source with //tsb: directives:
+// Invariants are declared in source with //tsb: directives, each stated
+// once, on the declaration it describes:
 //
-//	//tsb:latch level=N name=X   on a mutex/channel/state field: the
+//	//tsb:latch level=N name=X   on a mutex or token-channel field: the
 //	                             field is latch X at hierarchy level N
 //	                             (1 is the coarsest; a holder may only
 //	                             acquire strictly greater levels).
-//	//tsb:acquires X             calling this function acquires latch X
-//	                             and leaves it held.
-//	//tsb:releases X             calling this function releases latch X.
 //	//tsb:wraps X                this function runs its function-typed
 //	                             argument with latch X held.
+//	//tsb:locks X...             this function takes and releases these
+//	                             latches inside the call.
 //	//tsb:io                     this function performs device I/O.
-//	//tsb:handoff                this function intentionally returns with
-//	                             a latch held (latch hand-off protocol);
-//	                             unlockpath skips it.
+//	//tsb:sticky                 its error result must not be discarded.
+//	//tsb:syncs                  this function fsyncs what the caller
+//	                             wrote (satisfies durablerename).
 //	//tsb:allow <analyzer>       suppress <analyzer> diagnostics on the
-//	                             next (or same) line, or on the whole
-//	                             function when written in its doc comment.
+//	                             same or the next line.
 //
-// Every suppression is grep-able: the only way to silence a diagnostic
-// is a visible //tsb:allow at the offending site.
+// Function directives sit in the doc comment of a function, a method or
+// an interface method; a call through an interface carries the facts of
+// the interface method. Every suppression is grep-able: the only way to
+// silence a diagnostic is a visible //tsb:allow at the offending site.
 package lint
 
 import (
@@ -39,7 +41,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Unit is one type-checked package: the input to the analyzers.
@@ -50,9 +51,9 @@ type Unit struct {
 	Info  *types.Info
 }
 
-// NewInfo returns a types.Info with all the maps the analyzers need
-// populated. Callers type-checking a Unit themselves should use it.
-func NewInfo() *types.Info {
+// newInfo returns a types.Info with all the maps the analyzers need
+// populated.
+func newInfo() *types.Info {
 	return &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -77,13 +78,12 @@ func (d Diagnostic) String() string {
 // Analyzer is one named check.
 type Analyzer struct {
 	Name string
-	Doc  string
 	Run  func(*Pass)
 }
 
-// Pass carries one analyzer's view of one Unit plus the parsed
-// directives, and collects diagnostics (applying //tsb:allow
-// suppression centrally).
+// Pass carries one analyzer's view of one Unit plus the module-wide
+// facts, and collects diagnostics (applying //tsb:allow suppression
+// centrally).
 type Pass struct {
 	*Unit
 	Analyzer *Analyzer
@@ -93,15 +93,10 @@ type Pass struct {
 }
 
 // Reportf records a diagnostic at pos unless a //tsb:allow directive
-// (line-level or enclosing-function-level) suppresses it, or pos sits
-// in a _test.go file: the invariants target production code, and test
-// code routinely does deliberately odd things with latches.
+// suppresses it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
-	if strings.HasSuffix(position.Filename, "_test.go") {
-		return
-	}
-	if p.Facts.allowed(p.Analyzer.Name, position, pos) {
+	if p.Facts.allowed(p.Analyzer.Name, position) {
 		return
 	}
 	*p.diags = append(*p.diags, Diagnostic{
@@ -111,7 +106,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Analyzers returns the full tsbvet suite in a stable order.
+// Analyzers returns the full suite in a stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		LatchOrderAnalyzer,
@@ -122,19 +117,16 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// RunAll runs every analyzer over the unit and returns the (unsuppressed)
-// diagnostics sorted by position.
-func RunAll(u *Unit) []Diagnostic {
-	return Run(u, Analyzers())
-}
-
-// Run runs the given analyzers over the unit.
-func Run(u *Unit, analyzers []*Analyzer) []Diagnostic {
-	facts := BuildFacts(u)
+// Run builds the facts of all the units, runs the given analyzers over
+// each unit, and returns the unsuppressed diagnostics sorted by
+// position.
+func Run(units []*Unit, analyzers []*Analyzer) []Diagnostic {
+	facts := buildFacts(units)
 	var diags []Diagnostic
-	for _, a := range analyzers {
-		pass := &Pass{Unit: u, Analyzer: a, Facts: facts, diags: &diags}
-		a.Run(pass)
+	for _, u := range units {
+		for _, a := range analyzers {
+			a.Run(&Pass{Unit: u, Analyzer: a, Facts: facts, diags: &diags})
+		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
@@ -152,9 +144,10 @@ func Run(u *Unit, analyzers []*Analyzer) []Diagnostic {
 	return diags
 }
 
-// funcQName renders a *types.Func as the qualified name used by the
-// built-in tables: "pkgpath.Func" or "pkgpath.Recv.Method" (pointer
-// receivers are not distinguished).
+// funcQName renders a *types.Func as the qualified name its facts are
+// keyed by: "pkgpath.Func" or "pkgpath.Recv.Method", where Recv is the
+// named receiver type or, for an interface method, the interface
+// (pointer receivers are not distinguished).
 func funcQName(f *types.Func) string {
 	sig, _ := f.Type().(*types.Signature)
 	if sig != nil {

@@ -8,80 +8,65 @@ import (
 	"strings"
 )
 
-// LatchSpec describes one latch declared by a //tsb:latch directive or
-// the built-in table.
+// LatchSpec describes one latch declared by a //tsb:latch directive.
 type LatchSpec struct {
-	Name  string
-	Level int
-	Kind  string // mutex | rwmutex | token | state
+	Name   string // stable latch name used in directives and diagnostics
+	Level  int    // 1 is the coarsest; holders may only acquire strictly greater levels
+	Kind   string // mutex | rwmutex | token, from the field's type
+	Object string // qualified field: pkgpath.Type.field
 }
 
 // FuncFacts describes what a function does to the latch state or the
-// devices, from //tsb: directives on its declaration or the built-in
-// table.
+// devices, from the //tsb: directives on its declaration.
 type FuncFacts struct {
-	IO             bool     // performs device I/O
-	Sticky         bool     // its error result must not be discarded
-	Syncs          bool     // performs an fsync (satisfies durablerename)
-	Handoff        bool     // intentionally returns with a latch held
-	Acquires       []string // leaves these latches held on return
-	Releases       []string // releases these latches
-	AcquiresScoped []string // takes and releases these inside the call
-	Wraps          []string // runs its func-typed argument with these held
-	Allow          map[string]bool
+	IO     bool     // performs device I/O
+	Sticky bool     // its error result must not be discarded
+	Syncs  bool     // performs an fsync (satisfies durablerename)
+	Locks  []string // takes and releases these latches inside the call
+	Wraps  []string // runs its func-typed argument with these held
 }
 
-// Facts is everything the analyzers know about one Unit beyond the type
-// information: parsed directives plus the built-in cross-package table.
+// Facts is everything the analyzers know beyond the type information:
+// the directives of every unit in the run, so a call in one package
+// finds the facts declared in another.
 type Facts struct {
-	unit *Unit
-
-	fieldLatch map[types.Object]*LatchSpec // latch fields declared in this package
-	fn         map[types.Object]*FuncFacts // directive facts on this package's functions
-	funcRanges map[types.Object][2]token.Pos
-	levels     map[string]int // latch name -> level (builtin + local)
+	latches map[types.Object]*LatchSpec // latch fields (all unexported: used only in their own unit)
+	byName  map[string]*LatchSpec       // latch name -> spec
+	fn      map[string]*FuncFacts       // funcQName -> facts
 
 	// allow: filename -> line of the //tsb:allow comment -> analyzers.
 	allow map[string]map[int]map[string]bool
-	// funcAllow: analyzers allowed for entire function body ranges.
-	funcAllow []allowRange
-
-	builtinFn map[string]*FuncFacts
 
 	summaries map[*types.Func]*funcSummary
 }
 
-type allowRange struct {
-	start, end token.Pos
-	analyzers  map[string]bool
-}
-
-// BuildFacts parses every //tsb: directive in the unit and merges the
-// built-in table.
-func BuildFacts(u *Unit) *Facts {
+// buildFacts parses every //tsb: directive in the units, then
+// summarizes every function body against the result.
+func buildFacts(units []*Unit) *Facts {
 	f := &Facts{
-		unit:       u,
-		fieldLatch: make(map[types.Object]*LatchSpec),
-		fn:         make(map[types.Object]*FuncFacts),
-		funcRanges: make(map[types.Object][2]token.Pos),
-		levels:     latchLevels(),
-		allow:      make(map[string]map[int]map[string]bool),
-		builtinFn:  builtinFuncFacts(),
-		summaries:  make(map[*types.Func]*funcSummary),
+		latches:   make(map[types.Object]*LatchSpec),
+		byName:    make(map[string]*LatchSpec),
+		fn:        make(map[string]*FuncFacts),
+		allow:     make(map[string]map[int]map[string]bool),
+		summaries: make(map[*types.Func]*funcSummary),
 	}
-	for _, file := range u.Files {
-		f.scanFile(file)
+	for _, u := range units {
+		for _, file := range u.Files {
+			f.scanFile(u, file)
+		}
 	}
-	f.buildSummaries()
+	for _, u := range units {
+		f.buildSummaries(u)
+	}
 	return f
 }
 
-func (f *Facts) scanFile(file *ast.File) {
+func (f *Facts) scanFile(u *Unit, file *ast.File) {
 	// Line-level allow directives can appear in any comment group.
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
 			if names, ok := parseAllow(c.Text); ok {
-				pos := f.unit.Fset.Position(c.Pos())
+				pos := u.Fset.Position(c.Pos())
 				byLine := f.allow[pos.Filename]
 				if byLine == nil {
 					byLine = make(map[int]map[string]bool)
@@ -99,58 +84,63 @@ func (f *Facts) scanFile(file *ast.File) {
 		}
 	}
 
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.StructType:
-			for _, field := range n.Fields.List {
-				spec := latchSpecFromComments(field.Doc, field.Comment)
-				if spec == nil || len(field.Names) == 0 {
+	addFunc := func(name *ast.Ident, doc *ast.CommentGroup) {
+		if ff := funcFactsFromDoc(doc); ff != nil {
+			if fn, ok := u.Info.Defs[name].(*types.Func); ok {
+				f.fn[funcQName(fn)] = ff
+			}
+		}
+	}
+	for _, decl := range file.Decls {
+		switch decl := decl.(type) {
+		case *ast.FuncDecl:
+			addFunc(decl.Name, decl.Doc)
+		case *ast.GenDecl:
+			for _, spec := range decl.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
 					continue
 				}
-				if spec.Kind == "" {
-					spec.Kind = kindOfFieldType(f.unit, field)
-				}
-				if obj := f.unit.Info.Defs[field.Names[0]]; obj != nil {
-					f.fieldLatch[obj] = spec
-					f.levels[spec.Name] = spec.Level
-				}
-			}
-		case *ast.FuncDecl:
-			ff := funcFactsFromDoc(n.Doc)
-			if ff == nil {
-				return true
-			}
-			if obj := f.unit.Info.Defs[n.Name]; obj != nil {
-				f.fn[obj] = ff
-				if n.Body != nil {
-					f.funcRanges[obj] = [2]token.Pos{n.Body.Pos(), n.Body.End()}
-					if len(ff.Allow) > 0 {
-						f.funcAllow = append(f.funcAllow, allowRange{n.Body.Pos(), n.Body.End(), ff.Allow})
+				switch t := ts.Type.(type) {
+				case *ast.StructType:
+					for _, field := range t.Fields.List {
+						f.addLatch(u, ts.Name.Name, field)
+					}
+				case *ast.InterfaceType:
+					for _, m := range t.Methods.List {
+						if len(m.Names) == 1 {
+							addFunc(m.Names[0], m.Doc)
+						}
 					}
 				}
 			}
 		}
-		return true
-	})
+	}
 }
 
-func kindOfFieldType(u *Unit, field *ast.Field) string {
-	tv, ok := u.Info.Types[field.Type]
-	if !ok {
-		return "mutex"
+// addLatch records a //tsb:latch directive on a struct field of the
+// named type typeName.
+func (f *Facts) addLatch(u *Unit, typeName string, field *ast.Field) {
+	spec := latchSpecFromComments(field.Doc, field.Comment)
+	if spec == nil || len(field.Names) == 0 {
+		return
 	}
-	t := tv.Type
+	obj := u.Info.Defs[field.Names[0]]
+	if obj == nil {
+		return
+	}
+	spec.Kind = kindOfType(obj.Type())
+	spec.Object = u.Pkg.Path() + "." + typeName + "." + obj.Name()
+	f.latches[obj] = spec
+	f.byName[spec.Name] = spec
+}
+
+func kindOfType(t types.Type) string {
 	if _, ok := types.Unalias(t).(*types.Chan); ok {
 		return "token"
 	}
-	s := t.String()
-	switch {
-	case strings.HasSuffix(s, "sync.RWMutex"):
+	if strings.HasSuffix(t.String(), "sync.RWMutex") {
 		return "rwmutex"
-	case strings.HasSuffix(s, "sync.Mutex"):
-		return "mutex"
-	case s == "bool":
-		return "state"
 	}
 	return "mutex"
 }
@@ -169,19 +159,12 @@ func latchSpecFromComments(groups ...*ast.CommentGroup) *LatchSpec {
 			}
 			spec := &LatchSpec{}
 			for _, kv := range strings.Fields(strings.TrimPrefix(text, "tsb:latch")) {
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok {
-					continue
-				}
+				k, v, _ := strings.Cut(kv, "=")
 				switch k {
 				case "level":
-					if lv, err := strconv.Atoi(v); err == nil {
-						spec.Level = lv
-					}
+					spec.Level, _ = strconv.Atoi(v)
 				case "name":
 					spec.Name = v
-				case "kind":
-					spec.Kind = v
 				}
 			}
 			if spec.Name != "" && spec.Level > 0 {
@@ -217,24 +200,10 @@ func funcFactsFromDoc(doc *ast.CommentGroup) *FuncFacts {
 			ensure().Sticky = true
 		case "syncs":
 			ensure().Syncs = true
-		case "handoff":
-			ensure().Handoff = true
-		case "acquires":
-			ensure().Acquires = append(ensure().Acquires, args...)
-		case "releases":
-			ensure().Releases = append(ensure().Releases, args...)
 		case "locks":
-			ensure().AcquiresScoped = append(ensure().AcquiresScoped, args...)
+			ensure().Locks = append(ensure().Locks, args...)
 		case "wraps":
 			ensure().Wraps = append(ensure().Wraps, args...)
-		case "allow":
-			e := ensure()
-			if e.Allow == nil {
-				e.Allow = make(map[string]bool)
-			}
-			for _, a := range args {
-				e.Allow[a] = true
-			}
 		}
 	}
 	return ff
@@ -252,59 +221,22 @@ func parseAllow(comment string) ([]string, bool) {
 		rest = rest[:i]
 	}
 	names := strings.Fields(rest)
-	if len(names) == 0 {
-		return nil, false
-	}
-	return names, true
+	return names, len(names) > 0
 }
 
 // allowed reports whether a diagnostic from the named analyzer at the
 // given position is suppressed by a //tsb:allow directive on the same
-// line, the preceding line, or an enclosing annotated function.
-func (f *Facts) allowed(analyzer string, position token.Position, pos token.Pos) bool {
-	if byLine := f.allow[position.Filename]; byLine != nil {
-		for _, line := range [2]int{position.Line, position.Line - 1} {
-			if set := byLine[line]; set != nil && (set[analyzer] || set["all"]) {
-				return true
-			}
-		}
-	}
-	for _, r := range f.funcAllow {
-		if pos >= r.start && pos < r.end && (r.analyzers[analyzer] || r.analyzers["all"]) {
-			return true
-		}
-	}
-	return false
+// line or the preceding line.
+func (f *Facts) allowed(analyzer string, position token.Position) bool {
+	byLine := f.allow[position.Filename]
+	return byLine[position.Line][analyzer] || byLine[position.Line-1][analyzer]
 }
 
-// latchOf resolves the latch spec (if any) for a mutex/channel selector
-// expression's field object.
-func (f *Facts) latchOf(obj types.Object) *LatchSpec {
-	if obj == nil {
-		return nil
-	}
-	return f.fieldLatch[obj]
-}
-
-// funcFacts resolves directive facts for a callee: local directives
-// first, then the built-in cross-package table.
+// funcFacts resolves the directive facts of a callee, wherever it is
+// declared.
 func (f *Facts) funcFacts(fn *types.Func) *FuncFacts {
 	if fn == nil {
 		return nil
 	}
-	if ff, ok := f.fn[fn.Origin()]; ok {
-		return ff
-	}
-	return f.builtinFn[funcQName(fn)]
-}
-
-// levelOf returns the hierarchy level for a latch name (0 if unknown).
-func (f *Facts) levelOf(name string) int { return f.levels[name] }
-
-func (f *Facts) specForName(name string) *LatchSpec {
-	lv := f.levels[name]
-	if lv == 0 {
-		return nil
-	}
-	return &LatchSpec{Name: name, Level: lv}
+	return f.fn[funcQName(fn.Origin())]
 }

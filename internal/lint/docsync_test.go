@@ -1,18 +1,12 @@
 package lint
 
-// The docsync test: the latch hierarchy is stated three times — as
-// //tsb:latch directives on the fields themselves, as lint.LatchTable()
-// (the cross-package facts a vet unit needs), and as the markdown table
-// in docs/ARCHITECTURE.md — and this test fails if any two disagree.
+// The docsync test: the latch hierarchy is stated as //tsb:latch
+// directives on the fields themselves, and rendered for readers as the
+// markdown table in docs/ARCHITECTURE.md. This test fails if the two
+// disagree.
 
 import (
-	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,9 +14,9 @@ import (
 
 const archDoc = "../../docs/ARCHITECTURE.md"
 
-// parseDocTable extracts the LatchEntry rows between the
-// tsb:latch-table markers in docs/ARCHITECTURE.md.
-func parseDocTable(t *testing.T) []LatchEntry {
+// parseDocTable extracts the latch rows between the tsb:latch-table
+// markers in docs/ARCHITECTURE.md.
+func parseDocTable(t *testing.T) []LatchSpec {
 	t.Helper()
 	data, err := os.ReadFile(archDoc)
 	if err != nil {
@@ -34,7 +28,7 @@ func parseDocTable(t *testing.T) []LatchEntry {
 	if begin < 0 || end < 0 || end < begin {
 		t.Fatalf("%s: tsb:latch-table markers missing or out of order", archDoc)
 	}
-	var rows []LatchEntry
+	var rows []LatchSpec
 	for _, line := range strings.Split(text[begin:end], "\n") {
 		line = strings.TrimSpace(line)
 		if !strings.HasPrefix(line, "|") {
@@ -54,128 +48,35 @@ func parseDocTable(t *testing.T) []LatchEntry {
 		if err != nil {
 			t.Fatalf("%s: latch table row %q: bad level: %v", archDoc, line, err)
 		}
-		rows = append(rows, LatchEntry{Level: level, Name: cells[1], Object: cells[2], Kind: cells[3]})
+		rows = append(rows, LatchSpec{Level: level, Name: cells[1], Object: cells[2], Kind: cells[3]})
 	}
 	return rows
 }
 
-// scanSourceLatches parses every non-test file under ../../internal
-// (skipping testdata fixtures) and collects each //tsb:latch directive
-// as a LatchEntry, deriving Kind from the field's syntactic type.
-func scanSourceLatches(t *testing.T) map[string]LatchEntry {
-	t.Helper()
-	found := make(map[string]LatchEntry)
-	root := filepath.Join("..", "..", "internal")
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if d.Name() == "testdata" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		fset := token.NewFileSet()
-		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return fmt.Errorf("parse %s: %w", path, err)
-		}
-		rel, _ := filepath.Rel(filepath.Join("..", ".."), filepath.Dir(path))
-		pkgPath := "repro/" + filepath.ToSlash(rel)
-		for _, decl := range file.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				for _, field := range st.Fields.List {
-					ls := latchSpecFromComments(field.Doc, field.Comment)
-					if ls == nil {
-						continue
-					}
-					for _, name := range field.Names {
-						obj := pkgPath + "." + ts.Name.Name + "." + name.Name
-						kind := ls.Kind
-						if kind == "" {
-							kind = syntacticKind(field.Type)
-						}
-						found[obj] = LatchEntry{Level: ls.Level, Name: ls.Name, Object: obj, Kind: kind}
-					}
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("scan source latches: %v", err)
-	}
-	return found
-}
-
-// syntacticKind maps a latch field's AST type to a table kind.
-func syntacticKind(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.SelectorExpr:
-		if id, ok := e.X.(*ast.Ident); ok && id.Name == "sync" {
-			switch e.Sel.Name {
-			case "Mutex":
-				return "mutex"
-			case "RWMutex":
-				return "rwmutex"
-			}
-		}
-	case *ast.ChanType:
-		return "token"
-	}
-	return "state"
-}
-
 func TestDocLatchTableInSync(t *testing.T) {
-	table := LatchTable()
-
-	// Doc table == LatchTable(), row for row.
+	src := make(map[string]LatchSpec)
+	for _, spec := range buildFacts(loadRepo(t)).latches {
+		src[spec.Object] = *spec
+	}
 	doc := parseDocTable(t)
-	if len(doc) != len(table) {
-		t.Fatalf("%s has %d latch rows, lint.LatchTable() has %d", archDoc, len(doc), len(table))
-	}
-	for i, want := range table {
-		if doc[i] != want {
-			t.Errorf("latch table row %d: doc says %+v, lint.LatchTable() says %+v", i, doc[i], want)
+	seen := make(map[string]bool)
+	for i, row := range doc {
+		if i > 0 && row.Level < doc[i-1].Level {
+			t.Errorf("%s: latch row %s (level %d) is listed after level %d; order rows coarsest first", archDoc, row.Name, row.Level, doc[i-1].Level)
 		}
-	}
-
-	// Every table row is backed by a //tsb:latch directive on the field,
-	// and every directive in the source appears in the table.
-	src := scanSourceLatches(t)
-	for _, want := range table {
-		got, ok := src[want.Object]
+		seen[row.Object] = true
+		got, ok := src[row.Object]
 		if !ok {
-			t.Errorf("lint.LatchTable() lists %s but the field carries no //tsb:latch directive", want.Object)
+			t.Errorf("%s lists %s but the field carries no //tsb:latch directive", archDoc, row.Object)
 			continue
 		}
-		if got != want {
-			t.Errorf("%s: directive says %+v, lint.LatchTable() says %+v", want.Object, got, want)
+		if got != row {
+			t.Errorf("%s: directive says %+v, %s says %+v", row.Object, got, archDoc, row)
 		}
 	}
-	byObject := make(map[string]LatchEntry, len(table))
-	for _, e := range table {
-		byObject[e.Object] = e
-	}
 	for obj, got := range src {
-		if _, ok := byObject[obj]; !ok {
-			t.Errorf("%s carries //tsb:latch (%+v) but is missing from lint.LatchTable() and the %s table", obj, got, archDoc)
+		if !seen[obj] {
+			t.Errorf("%s carries //tsb:latch (%+v) but is missing from the %s table", obj, got, archDoc)
 		}
 	}
 }

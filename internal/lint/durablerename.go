@@ -15,7 +15,6 @@ import (
 // //tsb:allow durablerename.
 var DurableRenameAnalyzer = &Analyzer{
 	Name: "durablerename",
-	Doc:  "check that os.Rename installs are preceded by a Sync of the temp file",
 	Run:  runDurableRename,
 }
 

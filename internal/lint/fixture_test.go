@@ -50,7 +50,7 @@ func loadFixture(t *testing.T, name string) *Unit {
 	for _, e := range entries {
 		if e.IsDir() {
 			path := strings.ReplaceAll(e.Name(), "__", "/")
-			imp.pkgs[path] = checkFixturePkg(t, fset, filepath.Join(dir, e.Name()), path, imp, NewInfo())
+			imp.pkgs[path] = checkFixturePkg(t, fset, filepath.Join(dir, e.Name()), path, imp, newInfo())
 			continue
 		}
 		if !strings.HasSuffix(e.Name(), ".go") {
@@ -66,7 +66,7 @@ func loadFixture(t *testing.T, name string) *Unit {
 	if len(files) == 0 {
 		t.Fatalf("no fixture files in %s", dir)
 	}
-	info := NewInfo()
+	info := newInfo()
 	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(name, fset, files, info)
 	if err != nil {
@@ -200,7 +200,7 @@ func runFixture(t *testing.T, a *Analyzer, name string) {
 	t.Helper()
 	u := loadFixture(t, name)
 	wants := collectWants(t, u)
-	diags := Run(u, []*Analyzer{a})
+	diags := Run([]*Unit{u}, []*Analyzer{a})
 
 	var unexpected []string
 	for _, d := range diags {

@@ -10,25 +10,30 @@ import (
 // secondary) exist to protect in-memory page state for microseconds,
 // and the fuzzy checkpoint capture depends on never blocking a writer
 // behind a device. Any call classified as write-side device I/O
-// (structurally, by //tsb:io directive, or by the built-in table)
-// reachable while one of those latches is held in exclusive mode is
-// reported. The two deliberate exceptions (the §3.4 inline burn of a
-// time split, primary and secondary) each carry a visible //tsb:allow
-// latchio directive.
+// (structurally, or by //tsb:io directive) reachable while one of those
+// latches is held in exclusive mode is reported. The two deliberate
+// exceptions (the §3.4 inline burn of a time split, primary and
+// secondary) each carry a visible //tsb:allow latchio directive.
 var LatchIOAnalyzer = &Analyzer{
 	Name: "latchio",
-	Doc:  "flag device I/O reachable while a data write latch is held",
 	Run:  runLatchIO,
 }
 
+// Levels dataLatchMin through dataLatchMax are the page-data latches:
+// holding one of these in write mode must not reach device I/O.
+const (
+	dataLatchMin = 5
+	dataLatchMax = 6
+)
+
 // writeLatch reports whether h is a data latch held in write mode.
-func writeLatch(h *heldLatch) bool {
+func writeLatch(h heldLatch) bool {
 	return h.spec != nil && h.excl &&
 		h.spec.Level >= dataLatchMin && h.spec.Level <= dataLatchMax
 }
 
 func runLatchIO(pass *Pass) {
-	report := func(pos token.Pos, what string, held []*heldLatch, via string) {
+	report := func(pos token.Pos, what string, held []heldLatch, via string) {
 		for _, h := range held {
 			if writeLatch(h) {
 				pass.Reportf(pos, "latchio: device I/O (%s)%s while write latch %q (acquired at %s) is held",
@@ -39,10 +44,10 @@ func runLatchIO(pass *Pass) {
 	}
 
 	simulate(pass.Unit, pass.Facts, simHooks{
-		onIO: func(pos token.Pos, what string, held []*heldLatch) {
+		onIO: func(pos token.Pos, what string, held []heldLatch) {
 			report(pos, what, held, "")
 		},
-		onCall: func(pos token.Pos, fn *types.Func, skip map[string]bool, held []*heldLatch) {
+		onCall: func(pos token.Pos, fn *types.Func, skip map[string]bool, held []heldLatch) {
 			sum := pass.Facts.summaryOf(fn)
 			if sum == nil || !sum.ioPos.IsValid() {
 				return

@@ -13,16 +13,15 @@ import (
 // instance is self-deadlock and is always reported. The check is
 // intraprocedural plus one call-graph level: a call to a same-package
 // function is charged with every latch that function's body acquires,
-// and //tsb:acquires / //tsb:locks / //tsb:wraps directives (or the
-// built-in table) extend that across package boundaries.
+// and //tsb:locks / //tsb:wraps directives extend that across package
+// boundaries.
 var LatchOrderAnalyzer = &Analyzer{
 	Name: "latchorder",
-	Doc:  "check latch acquisitions against the declared //tsb:latch hierarchy",
 	Run:  runLatchOrder,
 }
 
 func runLatchOrder(pass *Pass) {
-	checkAcquire := func(h *heldLatch, held []*heldLatch, via string) {
+	checkAcquire := func(h heldLatch, held []heldLatch, via string) {
 		for _, g := range held {
 			if g.key == h.key && via == "" {
 				pass.Reportf(h.pos, "latchorder: re-acquiring %s already held (acquired at %s): self-deadlock",
@@ -44,10 +43,10 @@ func runLatchOrder(pass *Pass) {
 	}
 
 	simulate(pass.Unit, pass.Facts, simHooks{
-		onAcquire: func(h *heldLatch, held []*heldLatch) {
+		onAcquire: func(h heldLatch, held []heldLatch) {
 			checkAcquire(h, held, "")
 		},
-		onCall: func(pos token.Pos, fn *types.Func, skip map[string]bool, held []*heldLatch) {
+		onCall: func(pos token.Pos, fn *types.Func, skip map[string]bool, held []heldLatch) {
 			sum := pass.Facts.summaryOf(fn)
 			if sum == nil {
 				return
@@ -56,11 +55,11 @@ func runLatchOrder(pass *Pass) {
 				if skip[name] {
 					continue
 				}
-				spec := pass.Facts.specForName(name)
+				spec := pass.Facts.byName[name]
 				if spec == nil {
 					continue
 				}
-				checkAcquire(&heldLatch{key: "call:" + name, spec: spec, excl: true, pos: pos}, held,
+				checkAcquire(heldLatch{key: "call:" + name, spec: spec, excl: true, pos: pos}, held,
 					" (via call to "+fn.Name()+")")
 			}
 		},

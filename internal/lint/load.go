@@ -15,12 +15,11 @@ import (
 	"path/filepath"
 )
 
-// Standalone package loading: `tsbvet ./...` (and the in-repo
-// self-check test) cannot rely on `go vet` to hand over per-package
-// configs, so this loader shells out to `go list -export -deps -json`,
-// which compiles export data for every dependency into the build cache,
-// then type-checks only the target packages' source against that export
-// data. No network, no module downloads, standard library only.
+// Package loading for the module-wide self-check: the loader shells out
+// to `go list -export -deps -json`, which compiles export data for every
+// dependency into the build cache, then type-checks only the target
+// packages' source (test files excluded) against that export data. No
+// network, no module downloads, standard library only.
 
 type listPackage struct {
 	Dir        string
@@ -96,7 +95,7 @@ func LoadPackages(dir string, patterns ...string) ([]*Unit, error) {
 			}
 			files = append(files, f)
 		}
-		info := NewInfo()
+		info := newInfo()
 		conf := types.Config{
 			Importer: importerFunc(func(path string) (*types.Package, error) {
 				if path == "unsafe" {

@@ -19,23 +19,22 @@ import (
 //     one path counts as released.
 //   - Loop bodies are simulated (so returns inside them are checked)
 //     but the held set at loop exit reverts to the loop-entry state.
-//     This tolerates the latch hand-off patterns that acquire and
-//     release across iterations (the merge cursor's
-//     one-shard-at-a-time walk).
-//   - Function literals are simulated inline when invoked immediately
-//     or passed to a //tsb:wraps callee; otherwise they are analyzed
-//     as independent functions starting from an empty held set.
+//   - Function literals passed to a //tsb:wraps callee are simulated
+//     inline, under the wrapped latch; every other literal is analyzed
+//     as an independent function starting from an empty held set.
 
-// heldLatch is one entry of the abstract held-latch stack.
+// heldLatch is one entry of the abstract held-latch stack. Entries are
+// values, so each simulated path owns its copy: a defer on one branch
+// marks only that branch's entry.
 type heldLatch struct {
-	key      string     // instance key: rendered expr ("sh.mu") or "state:<name>"
+	key      string     // instance key: rendered expr ("sh.mu") or "wraps:<name>"
 	spec     *LatchSpec // nil for mutexes outside the declared hierarchy
 	excl     bool       // held in write/exclusive mode
 	pos      token.Pos  // acquisition site
 	deferred bool       // released by defer (or owned by a //tsb:wraps wrapper)
 }
 
-func (h *heldLatch) describe() string {
+func (h heldLatch) describe() string {
 	if h.spec != nil {
 		return "\"" + h.spec.Name + "\""
 	}
@@ -43,29 +42,17 @@ func (h *heldLatch) describe() string {
 }
 
 type simState struct {
-	held []*heldLatch
+	held []heldLatch
 }
 
 func (s *simState) clone() *simState {
-	return &simState{held: append([]*heldLatch(nil), s.held...)}
+	return &simState{held: append([]heldLatch(nil), s.held...)}
 }
-
-func (s *simState) push(h *heldLatch) { s.held = append(s.held, h) }
 
 // release removes the most recent entry with the given key.
 func (s *simState) release(key string) {
 	for i := len(s.held) - 1; i >= 0; i-- {
 		if s.held[i].key == key {
-			s.held = append(s.held[:i], s.held[i+1:]...)
-			return
-		}
-	}
-}
-
-// releaseName removes the most recent entry whose latch name matches.
-func (s *simState) releaseName(name string) {
-	for i := len(s.held) - 1; i >= 0; i-- {
-		if s.held[i].spec != nil && s.held[i].spec.Name == name {
 			s.held = append(s.held[:i], s.held[i+1:]...)
 			return
 		}
@@ -81,18 +68,9 @@ func (s *simState) markDeferred(key string) {
 	}
 }
 
-func (s *simState) markDeferredName(name string) {
-	for i := len(s.held) - 1; i >= 0; i-- {
-		if s.held[i].spec != nil && s.held[i].spec.Name == name {
-			s.held[i].deferred = true
-			return
-		}
-	}
-}
-
 // live returns the held latches not covered by a deferred release.
-func (s *simState) live() []*heldLatch {
-	var out []*heldLatch
+func (s *simState) live() []heldLatch {
+	var out []heldLatch
 	for _, h := range s.held {
 		if !h.deferred {
 			out = append(out, h)
@@ -101,14 +79,12 @@ func (s *simState) live() []*heldLatch {
 	return out
 }
 
-func intersectHeld(a, b []*heldLatch) []*heldLatch {
-	var out []*heldLatch
+func intersectHeld(a, b []heldLatch) []heldLatch {
+	var out []heldLatch
 	for _, h := range a {
 		for _, g := range b {
 			if g.key == h.key {
-				if g.deferred && !h.deferred {
-					h.deferred = true
-				}
+				h.deferred = h.deferred || g.deferred
 				out = append(out, h)
 				break
 			}
@@ -120,17 +96,17 @@ func intersectHeld(a, b []*heldLatch) []*heldLatch {
 type simHooks struct {
 	// onAcquire fires when a latch is about to be acquired; held is the
 	// current stack (not yet including the new latch).
-	onAcquire func(h *heldLatch, held []*heldLatch)
+	onAcquire func(h heldLatch, held []heldLatch)
 	// onIO fires at a device-I/O call.
-	onIO func(pos token.Pos, what string, held []*heldLatch)
+	onIO func(pos token.Pos, what string, held []heldLatch)
 	// onCall fires at calls to same-package functions, for one-level
 	// call-graph checks. skip lists latch names already handled via
 	// directive facts at this call site.
-	onCall func(pos token.Pos, fn *types.Func, skip map[string]bool, held []*heldLatch)
+	onCall func(pos token.Pos, fn *types.Func, skip map[string]bool, held []heldLatch)
 	// onReturn fires at each return statement with the live held set.
-	onReturn func(pos token.Pos, held []*heldLatch)
+	onReturn func(pos token.Pos, held []heldLatch)
 	// onEnd fires when the body falls off the end with the live held set.
-	onEnd func(pos token.Pos, held []*heldLatch)
+	onEnd func(pos token.Pos, held []heldLatch)
 }
 
 type sim struct {
@@ -139,27 +115,6 @@ type sim struct {
 	hooks   simHooks
 	orphans []*ast.FuncLit
 	seen    map[*ast.FuncLit]bool // literals consumed inline (not orphans)
-
-	// frames tracks the body start of the innermost function or inlined
-	// function literal: a return is only charged with latches acquired
-	// within its own frame (an inline closure returning while the
-	// enclosing function holds a latch is the enclosing function's
-	// business, not the closure's).
-	frames []token.Pos
-}
-
-func (s *sim) frameHeld(held []*heldLatch) []*heldLatch {
-	if len(s.frames) == 0 {
-		return held
-	}
-	start := s.frames[len(s.frames)-1]
-	var out []*heldLatch
-	for _, h := range held {
-		if h.pos >= start {
-			out = append(out, h)
-		}
-	}
-	return out
 }
 
 // simulate runs the interpreter over every function declaration in the
@@ -192,11 +147,9 @@ func (s *sim) drainOrphans() {
 }
 
 func (s *sim) walkBody(body *ast.BlockStmt, st *simState) {
-	s.frames = append(s.frames, body.Pos())
 	if !s.walkStmts(body.List, st) && s.hooks.onEnd != nil {
-		s.hooks.onEnd(body.Rbrace, s.frameHeld(st.live()))
+		s.hooks.onEnd(body.Rbrace, st.live())
 	}
-	s.frames = s.frames[:len(s.frames)-1]
 }
 
 // walkStmts returns true if every path through the statements exits the
@@ -237,7 +190,7 @@ func (s *sim) walkStmt(stmt ast.Stmt, st *simState) bool {
 	case *ast.SendStmt:
 		s.walkExpr(stmt.Value, st)
 		if spec, key, ok := s.tokenLatch(stmt.Chan); ok {
-			s.acquire(st, key, spec, true, stmt.Arrow)
+			s.acquire(st, heldLatch{key: key, spec: spec, excl: true, pos: stmt.Arrow})
 		}
 	case *ast.DeferStmt:
 		s.walkDefer(stmt, st)
@@ -253,7 +206,7 @@ func (s *sim) walkStmt(stmt ast.Stmt, st *simState) bool {
 			s.walkExpr(e, st)
 		}
 		if s.hooks.onReturn != nil {
-			s.hooks.onReturn(stmt.Pos(), s.frameHeld(st.live()))
+			s.hooks.onReturn(stmt.Pos(), st.live())
 		}
 		return true
 	case *ast.IfStmt:
@@ -432,26 +385,13 @@ var lockMethods = map[string][2]bool{
 }
 
 func (s *sim) walkCall(call *ast.CallExpr, st *simState) {
-	// Immediately-invoked function literal: simulate inline, in its own
-	// frame (its returns are not charged with outer latches).
-	if lit, ok := call.Fun.(*ast.FuncLit); ok {
-		for _, a := range call.Args {
-			s.walkExpr(a, st)
-		}
-		s.seen[lit] = true
-		s.frames = append(s.frames, lit.Body.Pos())
-		s.walkStmts(lit.Body.List, st)
-		s.frames = s.frames[:len(s.frames)-1]
-		return
-	}
-
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		s.walkExpr(sel.X, st)
 		if lk, ok := lockMethods[sel.Sel.Name]; ok && s.isSyncMutexMethod(sel) {
 			key := exprKey(sel.X)
-			spec := s.latchSpecOfExpr(sel.X)
 			if lk[0] {
-				s.acquireMutex(st, key, spec, lk[1], call.Pos())
+				spec := s.f.latches[fieldObjOf(s.u, sel.X)]
+				s.acquire(st, heldLatch{key: key, spec: spec, excl: lk[1], pos: call.Pos()})
 			} else {
 				st.release(key)
 			}
@@ -468,58 +408,47 @@ func (s *sim) walkCall(call *ast.CallExpr, st *simState) {
 	if facts != nil {
 		for _, name := range facts.Wraps {
 			skip[name] = true
-			if spec := s.f.specForName(name); spec != nil {
-				s.acquire(st, "state:"+name, spec, true, call.Pos())
-				st.markDeferredName(name) // released by the wrapper itself
+			if spec := s.f.byName[name]; spec != nil {
+				// Released by the wrapper itself, hence deferred.
+				s.acquire(st, heldLatch{key: "wraps:" + name, spec: spec, excl: true, pos: call.Pos(), deferred: true})
 			}
 		}
-		for _, name := range facts.AcquiresScoped {
+		for _, name := range facts.Locks {
 			skip[name] = true
-			if spec := s.f.specForName(name); spec != nil && s.hooks.onAcquire != nil {
-				s.hooks.onAcquire(&heldLatch{key: "state:" + name, spec: spec, excl: true, pos: call.Pos()}, st.held)
-			}
-		}
-		for _, name := range facts.Acquires {
-			skip[name] = true
-			if spec := s.f.specForName(name); spec != nil {
-				s.acquire(st, "state:"+name, spec, true, call.Pos())
+			if spec := s.f.byName[name]; spec != nil && s.hooks.onAcquire != nil {
+				s.hooks.onAcquire(heldLatch{key: "locks:" + name, spec: spec, excl: true, pos: call.Pos()}, st.held)
 			}
 		}
 	}
 
 	// Arguments; function literals passed to a wrapping callee run with
 	// the wrapped latches held, so walk them inline under the current
-	// (augmented) state.
+	// (augmented) state. Everything held here is this function's to
+	// release, not the literal's: the literal sees it as deferred.
 	for _, a := range call.Args {
 		if lit, ok := a.(*ast.FuncLit); ok && facts != nil && len(facts.Wraps) > 0 {
 			s.seen[lit] = true
-			s.frames = append(s.frames, lit.Body.Pos())
-			s.walkStmts(lit.Body.List, st)
-			s.frames = s.frames[:len(s.frames)-1]
+			inner := st.clone()
+			for i := range inner.held {
+				inner.held[i].deferred = true
+			}
+			s.walkBody(lit.Body, inner)
 			continue
 		}
 		s.walkExpr(a, st)
 	}
 
-	if facts != nil {
-		for _, name := range facts.Releases {
-			skip[name] = true
-			st.releaseName(name)
-		}
-		if facts.IO && s.hooks.onIO != nil {
-			s.hooks.onIO(call.Pos(), calleeName(fn, call), st.held)
+	if s.hooks.onIO != nil {
+		if facts != nil && facts.IO {
+			s.hooks.onIO(call.Pos(), fn.Name(), st.held)
+		} else if ok, what := isIOCall(s.u, call, fn); ok {
+			s.hooks.onIO(call.Pos(), what, st.held)
 		}
 	}
 	// Pop wrapped latches: the callee released them before returning.
 	if facts != nil {
 		for _, name := range facts.Wraps {
-			st.releaseName(name)
-		}
-	}
-
-	if facts == nil || !facts.IO {
-		if ok, what := isIOCall(s.u, call, fn); ok && s.hooks.onIO != nil {
-			s.hooks.onIO(call.Pos(), what, st.held)
+			st.release("wraps:" + name)
 		}
 	}
 
@@ -542,17 +471,11 @@ func (s *sim) walkDefer(d *ast.DeferStmt, st *simState) {
 	if lit, ok := call.Fun.(*ast.FuncLit); ok {
 		s.seen[lit] = true
 		s.scanDeferredReleases(lit.Body, st)
-		return
-	}
-	if facts := s.f.funcFacts(staticCallee(s.u, call)); facts != nil {
-		for _, name := range facts.Releases {
-			st.markDeferredName(name)
-		}
 	}
 }
 
 // scanDeferredReleases marks latches released anywhere inside a deferred
-// function literal (unlocks, token receives, //tsb:releases calls).
+// function literal (unlocks and token receives).
 func (s *sim) scanDeferredReleases(body ast.Node, st *simState) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -560,11 +483,6 @@ func (s *sim) scanDeferredReleases(body ast.Node, st *simState) {
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
 				if lk, ok := lockMethods[sel.Sel.Name]; ok && !lk[0] && s.isSyncMutexMethod(sel) {
 					st.markDeferred(exprKey(sel.X))
-				}
-			}
-			if facts := s.f.funcFacts(staticCallee(s.u, n)); facts != nil {
-				for _, name := range facts.Releases {
-					st.markDeferredName(name)
 				}
 			}
 		case *ast.UnaryExpr:
@@ -578,16 +496,11 @@ func (s *sim) scanDeferredReleases(body ast.Node, st *simState) {
 	})
 }
 
-func (s *sim) acquireMutex(st *simState, key string, spec *LatchSpec, excl bool, pos token.Pos) {
-	s.acquire(st, key, spec, excl, pos)
-}
-
-func (s *sim) acquire(st *simState, key string, spec *LatchSpec, excl bool, pos token.Pos) {
-	h := &heldLatch{key: key, spec: spec, excl: excl, pos: pos}
+func (s *sim) acquire(st *simState, h heldLatch) {
 	if s.hooks.onAcquire != nil {
 		s.hooks.onAcquire(h, st.held)
 	}
-	st.push(h)
+	st.held = append(st.held, h)
 }
 
 // isSyncMutexMethod reports whether sel selects a Lock-family method on
@@ -600,24 +513,10 @@ func (s *sim) isSyncMutexMethod(sel *ast.SelectorExpr) bool {
 	return fn.Pkg().Path() == "sync"
 }
 
-// latchSpecOfExpr resolves the //tsb:latch spec for a mutex expression
-// like sh.mu: the final selector's field object must carry a directive.
-func (s *sim) latchSpecOfExpr(e ast.Expr) *LatchSpec {
-	obj := fieldObjOf(s.u, e)
-	if obj == nil {
-		return nil
-	}
-	return s.f.latchOf(obj)
-}
-
 // tokenLatch reports whether e is a selector of a token-kind latch
 // channel field, returning its spec and instance key.
 func (s *sim) tokenLatch(e ast.Expr) (*LatchSpec, string, bool) {
-	obj := fieldObjOf(s.u, e)
-	if obj == nil {
-		return nil, "", false
-	}
-	spec := s.f.latchOf(obj)
+	spec := s.f.latches[fieldObjOf(s.u, e)]
 	if spec == nil || spec.Kind != "token" {
 		return nil, "", false
 	}
@@ -656,15 +555,41 @@ func staticCallee(u *Unit, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-func calleeName(fn *types.Func, call *ast.CallExpr) string {
-	if fn != nil {
-		return fn.Name()
-	}
-	return exprKey(call.Fun)
+// ioPackages are packages whose write-side methods count as device I/O
+// without a //tsb:io directive: a method named in ioMethodNames on a
+// type from one of these packages writes to a device.
+var ioPackages = map[string]bool{
+	"os":                       true,
+	"repro/internal/storage":   true,
+	"repro/internal/pagestore": true,
+	"repro/internal/wal":       true,
+}
+
+// ioMethodNames are method names that count as write-side device I/O
+// when the receiver type lives in an ioPackages package.
+var ioMethodNames = map[string]bool{
+	"Sync":     true,
+	"Write":    true,
+	"WriteAt":  true,
+	"Truncate": true,
+}
+
+// osIOFuncs are package-level os functions that touch the filesystem
+// (the write side; reads are deliberately not flagged).
+var osIOFuncs = map[string]bool{
+	"Rename":    true,
+	"Remove":    true,
+	"RemoveAll": true,
+	"Create":    true,
+	"OpenFile":  true,
+	"WriteFile": true,
+	"MkdirAll":  true,
+	"Mkdir":     true,
+	"Truncate":  true,
 }
 
 // isIOCall reports whether a call performs write-side device I/O, by
-// structure rather than by table: os mutating functions, and Sync /
+// structure rather than by directive: os mutating functions, and Sync /
 // Write-family methods on types from I/O packages.
 func isIOCall(u *Unit, call *ast.CallExpr, fn *types.Func) (bool, string) {
 	if fn == nil {
@@ -673,7 +598,7 @@ func isIOCall(u *Unit, call *ast.CallExpr, fn *types.Func) (bool, string) {
 	// The observability substrate is never device I/O: its instruments
 	// record with atomics, so even a Sync-shaped method there is safe
 	// under any latch.
-	if fn.Pkg() != nil && obsPackages[fn.Pkg().Path()] {
+	if fn.Pkg() != nil && fn.Pkg().Path() == "repro/internal/obs" {
 		return false, ""
 	}
 	if fn.Pkg() != nil && fn.Pkg().Path() == "os" {
@@ -749,8 +674,6 @@ func isTerminalCall(e ast.Expr, u *Unit) bool {
 			return fn.Name() == "Goexit"
 		case "log":
 			return fn.Name() == "Fatal" || fn.Name() == "Fatalf" || fn.Name() == "Fatalln"
-		case "testing":
-			return fn.Name() == "Fatal" || fn.Name() == "Fatalf" || fn.Name() == "FailNow" || fn.Name() == "Skip" || fn.Name() == "Skipf" || fn.Name() == "SkipNow"
 		}
 	}
 	return false

@@ -2,13 +2,14 @@ package lint
 
 // The self-check: the whole module must vet clean. Every deliberate
 // exception to an invariant is a //tsb:allow at the site, so "clean"
-// here means zero *unsuppressed* diagnostics — exactly what the CI
-// `go vet -vettool=tsbvet ./...` gate enforces, checked again here so
-// `go test ./...` alone catches a violation.
+// here means zero *unsuppressed* diagnostics. This test is the runner:
+// `go test ./internal/lint` (and so `go test ./...`) enforces the
+// invariants.
 
 import (
-	"go/types"
+	"go/ast"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -35,33 +36,53 @@ func loadRepo(t *testing.T) []*Unit {
 }
 
 func TestRepoHasNoUnsuppressedDiagnostics(t *testing.T) {
-	for _, u := range loadRepo(t) {
-		for _, d := range RunAll(u) {
-			t.Errorf("%s", d)
-		}
+	for _, d := range Run(loadRepo(t), Analyzers()) {
+		t.Errorf("%s", d)
 	}
 }
 
-// TestBuiltinFuncFactsResolve fails on any key of builtinFuncFacts that
-// names no function or method declared in the module: a stale key gives
-// its facts to nothing, silently.
+// TestBuiltinFuncFactsResolve fails on any function directive whose
+// declaration no call in the module resolves to statically: facts on a
+// method every caller reaches through an interface (or through nothing)
+// apply to no call site, silently. So does a directive of a kind the
+// analyzers do not parse.
 func TestBuiltinFuncFactsResolve(t *testing.T) {
-	declared := make(map[string]bool)
-	for _, u := range loadRepo(t) {
-		for _, obj := range u.Info.Defs {
-			if f, ok := obj.(*types.Func); ok {
-				declared[funcQName(f)] = true
+	units := loadRepo(t)
+	kinds := map[string]bool{"latch": true, "wraps": true, "locks": true, "io": true, "sticky": true, "syncs": true, "allow": true}
+	called := make(map[string]bool)
+	for _, u := range units {
+		for _, file := range u.Files {
+			for _, cg := range file.Comments {
+				for _, c := range cg.List {
+					if rest, ok := strings.CutPrefix(c.Text, "//tsb:"); ok {
+						if kind, _, _ := strings.Cut(rest, " "); !kinds[kind] {
+							t.Errorf("%s: unknown directive kind //tsb:%s", u.Fset.Position(c.Pos()), kind)
+						}
+					}
+				}
 			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if fn := staticCallee(u, call); fn != nil {
+						called[funcQName(fn.Origin())] = true
+					}
+				}
+				return true
+			})
 		}
 	}
+	facts := buildFacts(units)
+	if len(facts.fn) == 0 {
+		t.Fatal("no function directives found in the module")
+	}
 	var stale []string
-	for key := range builtinFuncFacts() {
-		if !declared[key] {
+	for key := range facts.fn {
+		if !called[key] {
 			stale = append(stale, key)
 		}
 	}
 	sort.Strings(stale)
 	for _, key := range stale {
-		t.Errorf("builtinFuncFacts key %q matches no function in the module", key)
+		t.Errorf("//tsb: directive on %s: no call in the module resolves to it", key)
 	}
 }

@@ -15,7 +15,6 @@ import (
 // sync is not ordered against anything).
 var StickyErrAnalyzer = &Analyzer{
 	Name: "stickyerr",
-	Doc:  "check that Sync/Close/append errors on the durable write path are not discarded",
 	Run:  runStickyErr,
 }
 

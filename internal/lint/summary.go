@@ -17,8 +17,7 @@ type funcSummary struct {
 	ioPos    token.Pos            // first unsuppressed device-I/O site (NoPos if none)
 }
 
-func (f *Facts) buildSummaries() {
-	u := f.unit
+func (f *Facts) buildSummaries(u *Unit) {
 	for _, file := range u.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -29,7 +28,7 @@ func (f *Facts) buildSummaries() {
 			if fn == nil {
 				continue
 			}
-			f.summaries[fn] = f.collectSummary(fd.Body)
+			f.summaries[fn] = f.collectSummary(u, fd.Body)
 		}
 	}
 }
@@ -41,8 +40,7 @@ func (f *Facts) summaryOf(fn *types.Func) *funcSummary {
 	return f.summaries[fn.Origin()]
 }
 
-func (f *Facts) collectSummary(body *ast.BlockStmt) *funcSummary {
-	u := f.unit
+func (f *Facts) collectSummary(u *Unit, body *ast.BlockStmt) *funcSummary {
 	sum := &funcSummary{acquires: make(map[string]token.Pos)}
 	addAcq := func(name string, pos token.Pos) {
 		if _, ok := sum.acquires[name]; !ok {
@@ -53,7 +51,7 @@ func (f *Facts) collectSummary(body *ast.BlockStmt) *funcSummary {
 		if sum.ioPos.IsValid() {
 			return
 		}
-		if f.allowed("latchio", u.Fset.Position(pos), pos) {
+		if f.allowed("latchio", u.Fset.Position(pos)) {
 			return
 		}
 		sum.ioPos = pos
@@ -61,27 +59,20 @@ func (f *Facts) collectSummary(body *ast.BlockStmt) *funcSummary {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SendStmt:
-			if obj := fieldObjOf(u, n.Chan); obj != nil {
-				if spec := f.latchOf(obj); spec != nil && spec.Kind == "token" {
-					addAcq(spec.Name, n.Arrow)
-				}
+			if spec := f.latches[fieldObjOf(u, n.Chan)]; spec != nil && spec.Kind == "token" {
+				addAcq(spec.Name, n.Arrow)
 			}
 		case *ast.CallExpr:
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
 				if lk, ok := lockMethods[sel.Sel.Name]; ok && lk[0] {
-					if obj := fieldObjOf(u, sel.X); obj != nil {
-						if spec := f.latchOf(obj); spec != nil {
-							addAcq(spec.Name, n.Pos())
-						}
+					if spec := f.latches[fieldObjOf(u, sel.X)]; spec != nil {
+						addAcq(spec.Name, n.Pos())
 					}
 				}
 			}
 			fn := staticCallee(u, n)
 			if facts := f.funcFacts(fn); facts != nil {
-				for _, name := range facts.Acquires {
-					addAcq(name, n.Pos())
-				}
-				for _, name := range facts.AcquiresScoped {
+				for _, name := range facts.Locks {
 					addAcq(name, n.Pos())
 				}
 				for _, name := range facts.Wraps {

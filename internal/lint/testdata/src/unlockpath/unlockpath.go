@@ -1,7 +1,7 @@
 // Package unlockpath exercises the release-on-every-path analyzer:
 // defer and explicit-per-path releases pass; an early return or a
 // fall-through end with the latch live is flagged; undeclared mutexes
-// are checked too; //tsb:handoff opts a deliberate hand-off out.
+// are checked too; a defer on one branch releases on that branch only.
 package unlockpath
 
 import "sync"
@@ -49,10 +49,22 @@ func (p *plain) leak(x bool) {
 	p.mu.Unlock()
 }
 
-// lockForCursor hands the latch to the caller (the cursor latch
-// hand-off protocol): the caller releases it.
-//
-//tsb:handoff
-func (b *box) lockForCursor() {
+// A defer on one branch covers that branch only: the path that skips
+// it still returns with the latch held.
+func (b *box) deferOnOneBranch(x bool) {
 	b.mu.Lock()
+	if x {
+		defer b.mu.Unlock()
+		return
+	}
+	return // want `unlockpath: "box" locked at .* is still held at this return`
 }
+
+func (b *box) deferInOneCase(n int) {
+	b.mu.Lock()
+	switch n {
+	case 0:
+		defer b.mu.Unlock()
+		return
+	}
+} // want `unlockpath: "box" locked at .* is still held at this fall-through function end`

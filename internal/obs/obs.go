@@ -12,8 +12,8 @@
 // recording operation (Counter.Add, Gauge.Set, Histogram.Observe,
 // EventLog ring append) is allocation-free and safe from any goroutine;
 // none takes an engine latch, so instrumentation is legal at any level
-// of the latch hierarchy — tsbvet's latchio analyzer knows calls into
-// this package are never device I/O.
+// of the latch hierarchy — internal/lint's latchio analyzer knows calls
+// into this package are never device I/O.
 //
 // Naming follows the Prometheus convention: snake_case metric names
 // prefixed tsb_, counters suffixed _total, durations as _seconds

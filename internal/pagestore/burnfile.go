@@ -297,6 +297,8 @@ func (b *BurnFile) Stats() storage.WORMStats {
 }
 
 // Close closes the burn file.
+//
+//tsb:sticky
 func (b *BurnFile) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()

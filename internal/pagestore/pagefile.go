@@ -265,6 +265,9 @@ func (p *PageFile) Write(page uint64, data []byte) error {
 // boundary. Callers flush dirty pages with one or more WriteBatch
 // calls, then Sync, then durably install the new checkpoint metadata,
 // then CompleteFlush.
+//
+//tsb:io
+//tsb:sticky
 func (p *PageFile) WriteBatch(pages []uint64, datas [][]byte) error {
 	if len(pages) != len(datas) {
 		return fmt.Errorf("pagestore: WriteBatch of %d pages, %d payloads", len(pages), len(datas))
@@ -323,6 +326,8 @@ func (p *PageFile) RegisterMetrics(r *obs.Registry) {
 }
 
 // Close closes the page file and any open journal.
+//
+//tsb:sticky
 func (p *PageFile) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -394,6 +399,9 @@ func (p *PageFile) journalBatch(pages []uint64) error {
 // that cannot be removed is harmless: its epoch no longer matches the
 // installed checkpoint, so recovery discards it, and the next flush
 // recreates the file from scratch.
+//
+//tsb:io
+//tsb:sticky
 func (p *PageFile) CompleteFlush(epoch, boundaryPages uint64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -271,6 +271,8 @@ var _ PageDevice = (*MagneticDisk)(nil)
 // pagestore.BurnFile (the file-backed device) both satisfy it.
 type WORMDevice interface {
 	SectorSize() int
+	//tsb:io
+	//tsb:sticky
 	Append(data []byte) (Addr, error)
 	ReadAt(addr Addr) ([]byte, error)
 	Stats() WORMStats

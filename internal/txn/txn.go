@@ -88,6 +88,7 @@ import (
 // safe for concurrent use; the db layer's latched shard router satisfies
 // it, and a bare *core.Tree does for single-goroutine use.
 type Store interface {
+	//tsb:io -- inserting can time-split and burn inline
 	Insert(v record.Version) error
 	CommitKey(k record.Key, txnID uint64, commitTime record.Timestamp) error
 	AbortKey(k record.Key, txnID uint64) error
@@ -157,6 +158,8 @@ type CommitRecord struct {
 // returning nil; on error nothing of the batch may be considered
 // committed. It is only ever called by one batch leader at a time.
 type CommitLog interface {
+	//tsb:io
+	//tsb:sticky
 	AppendBatch(recs []CommitRecord) error
 }
 

@@ -59,6 +59,10 @@ type CheckpointInfo struct {
 // a temporary file and atomically renamed into place. The device files
 // the meta describes must already be flushed and fsynced. wrap is the
 // fault-injection seam (may be nil).
+//
+//tsb:io
+//tsb:sticky
+//tsb:syncs
 func WriteCheckpoint(dir string, wrap func(storage.LogFile) storage.LogFile, info CheckpointInfo) (err error) {
 	tmpPath := filepath.Join(dir, checkpointTmpName)
 	raw, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)

@@ -239,6 +239,9 @@ func (l *Log) AppendBatch(recs []txn.CommitRecord) error {
 // the LSN boundary: every record at or below it is in a closed segment.
 // The checkpointer calls this under the commit manager's Quiesce, so the
 // boundary also means "fully posted to the store".
+//
+//tsb:io
+//tsb:sticky
 func (l *Log) Rotate() (lastLSN uint64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -259,6 +262,9 @@ func (l *Log) Rotate() (lastLSN uint64, err error) {
 
 // RemoveSegmentsBelow deletes segments with index < keep: the truncation
 // step after a checkpoint is durable.
+//
+//tsb:io
+//tsb:sticky
 func (l *Log) RemoveSegmentsBelow(keep uint64) error {
 	segs, err := Segments(l.opts.Dir)
 	if err != nil {
@@ -336,6 +342,8 @@ func (l *Log) MarkCheckpoint() {
 }
 
 // Close closes the current segment. Further appends fail.
+//
+//tsb:sticky
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
