@@ -153,8 +153,9 @@ func run(args []string, stdout io.Writer, sigCh <-chan os.Signal) error {
 
 	// The drain order of the durability contract: stop intake, finish
 	// and acknowledge every in-flight batch, close cursors, then close
-	// the database, which releases the directory (acknowledged commits
-	// are already durable in the WAL).
+	// the database: acknowledged commits are durable in the WAL, and Close
+	// ends at a checkpoint covering them all, so the next start replays
+	// nothing. Close also releases the directory.
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

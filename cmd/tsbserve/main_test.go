@@ -17,6 +17,8 @@ import (
 	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/server/client"
+	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 // prefixWriter hands each stdout line to a callback as it appears —
@@ -149,6 +151,25 @@ func TestSIGTERMDrainMidPipeline(t *testing.T) {
 	for _, want := range []string{"caught terminated, draining", "drained:", "closed"} {
 		if !strings.Contains(stdout, want) {
 			t.Fatalf("daemon output missing %q:\n%s", want, stdout)
+		}
+	}
+
+	// The drain ended at Close's final checkpoint: the WAL holds no
+	// frame past the installed checkpoint's LSN, so the reopen below
+	// replays nothing.
+	info, _, err := wal.ReadCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := wal.Segments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range segs {
+		if _, _, err := wal.ReplayFile(seg.Path, info.LSN, func(lsn uint64, _ txn.CommitRecord) error {
+			return fmt.Errorf("frame %d past the drain's checkpoint (LSN %d)", lsn, info.LSN)
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
 
@@ -316,6 +337,7 @@ func TestMetricsScrape(t *testing.T) {
 	required := []string{
 		"tsb_commit_latency_seconds",
 		"tsb_wal_fsync_seconds",
+		"tsb_checkpoint_pause_seconds",
 		"tsb_latch_wait_seconds",
 		"tsb_buffer_hit_ratio",
 		"tsb_server_op_seconds",

@@ -100,14 +100,16 @@
 // unreachable. Stats().Migrator.SplitLatchNanos reports the latch time
 // splits take, burns included.
 //
-// A per-DB maintenance loop runs incremental checkpoints on WAL growth
-// (db.Config.CheckpointBytes). Write-once means write-once: burns a
+// Open and Close each end at a checkpoint, and in between the log append
+// that crosses db.Config.CheckpointBytes triggers a background one, run
+// by a per-DB maintenance loop. Write-once means write-once: burns a
 // crash orphans stay burned, reported as Stats().Device.DeadBytes and
-// lower WORM utilization, never reclaimed. The checkpoint's capture is
-// fuzzy: per-shard boundary LSNs let each shard's image and dirty pages
-// be captured under only that shard's read latch, so the commit-posting
-// pause stays flat as the database grows; see the "maintenance economy"
-// section of docs/ARCHITECTURE.md.
+// lower WORM utilization, never reclaimed; a clean restart orphans
+// none. The checkpoint's capture is fuzzy: per-shard boundary LSNs let
+// each shard's image and dirty pages be captured under only that
+// shard's read latch, so the commit-posting pause stays flat as the
+// database grows; see the "maintenance economy" section of
+// docs/ARCHITECTURE.md.
 //
 // Range reads stream: db.Cursor / txn.ReadTxn.Cursor (and the iter.Seq2
 // form, Range) yield a snapshot lazily, page by page, with

@@ -67,6 +67,9 @@
 //     pre-runs shard by shard with commits flowing; only each shard's
 //     boundary capture (memory copies, no I/O) briefly holds the commit
 //     token plus that shard's latch.
+//   - When checkpoints happen: Open and Close each end at one, and in
+//     between the log append that crosses Config.CheckpointBytes
+//     triggers the background one.
 //   - What recovery trusts: page CRCs (verified on every read), the
 //     rollback journal (a torn flush restores the previous boundary
 //     image before anything reads it), the burn file up to the
@@ -75,6 +78,7 @@
 //     by sector and clipped at the first torn frame; intact orphan
 //     burns stay as dead waste, as they would on real write-once media:
 //     Stats().Device.DeadBytes reports them, and nothing reclaims them.
+//     Only a crash leaves them; a clean restart adds none.
 //     Pending versions of transactions in flight at the boundary are
 //     erased from the image (the checkpoint records their write locks),
 //     then the WAL tail replays, each version to its shard only past
@@ -216,10 +220,10 @@ type Config struct {
 	// (see the package documentation's migration section).
 	BackgroundMigration bool
 	// CheckpointBytes triggers a background incremental checkpoint
-	// (which truncates the log) once the WAL has grown by this many
-	// bytes since the last one. 0 selects the 4 MiB default; negative
-	// disables background checkpointing (DB.Checkpoint still works).
-	// Durable databases only.
+	// (which truncates the log): the log append that leaves this many
+	// bytes since the last one signals it. 0 selects 4 MiB; negative
+	// disables it, though Open and Close still end at a checkpoint and
+	// DB.Checkpoint still works. Durable databases only.
 	CheckpointBytes int64
 	// SlowOpThreshold is the duration at or above which a completed
 	// background span (a checkpoint) is copied into the slow-op ring of
@@ -285,17 +289,15 @@ type DB struct {
 	// Stats().Device.WastedBytes; it only ever grows, as burned sectors
 	// do on write-once media.
 	deadBytes atomic.Uint64
-	// Checkpoint pause accounting (quiesceTimed), atomic because Stats()
-	// reads it without cpMu. See CheckpointStats.
-	cpCount, cpPauseNanos, cpLastPause, cpMaxPause atomic.Uint64
 
 	// reg names every component's instruments for exposition; events is
 	// the background-job span log. Built by wireObs in Open, so both are
 	// always non-nil on a DB the package returned.
 	reg    *obs.Registry
 	events *obs.EventLog
-	// Whole-checkpoint duration histogram for the checkpoint spans.
-	cpHist obs.Histogram
+	// Checkpoint span durations, and each completed checkpoint's pause
+	// (the instrument Stats().Checkpoint is a view over).
+	cpHist, cpPause obs.Histogram
 
 	// secMu latches the secondary indexes: write-held while commit
 	// posting applies index maintenance, read-held by lookups.
@@ -310,14 +312,13 @@ type DB struct {
 	dirLock *os.File // exclusive flock on dir/LOCK, held until Close
 	logWrap func(storage.LogFile) storage.LogFile
 	// cpMu serializes checkpoints (manual and background). The WAL
-	// itself anchors the "bytes since last checkpoint" gauge
-	// (wal.Log.MarkCheckpoint / Stats().WAL.BacklogBytes).
-	cpMu    sync.Mutex //tsb:latch level=1 name=checkpoint
-	cpEvery int64      // background trigger; <=0 disabled
-	cpErr   error      // sticky first background-checkpoint error (under cpMu)
-	stopCp  chan struct{}
-	cpDone  sync.WaitGroup
-	closed  bool
+	// itself anchors the "bytes since last checkpoint" gauge and says
+	// when the background one is due.
+	cpMu   sync.Mutex //tsb:latch level=1 name=checkpoint
+	cpErr  error      // sticky first background-checkpoint error (under cpMu)
+	stopCp chan struct{}
+	cpDone sync.WaitGroup
+	closed bool
 }
 
 func (cfg *Config) withDefaults() error {
@@ -354,6 +355,11 @@ func (cfg *Config) withDefaults() error {
 // yielding exactly the acknowledged commits (see the package
 // documentation's durability contract). The device choice is the only
 // fork: everything from the trees up is wired the same way, once.
+//
+// A durable Open always ends at a checkpoint: on a fresh directory it
+// seals the shape, after recovery it covers the replayed tail and its
+// burns. A replay that applied nothing still gets one: a metadata-only
+// install is cheaper than a branch that tests must cover.
 func Open(cfg Config) (_ *DB, err error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
@@ -442,7 +448,7 @@ func Open(cfg Config) (_ *DB, err error) {
 	d.tm = txn.NewManager(d.store, max(d.store.Now(), info.Clock))
 	d.tm.SetCommitHook(d.onCommit)
 	if durable {
-		d.wal, err = wal.Open(wal.Options{Dir: cfg.Dir, WrapFile: cfg.logWrap}, nextSeg, lastLSN)
+		d.wal, err = wal.Open(wal.Options{Dir: cfg.Dir, CheckpointBytes: cfg.CheckpointBytes, WrapFile: cfg.logWrap}, nextSeg, lastLSN)
 		if err != nil {
 			return nil, err
 		}
@@ -450,27 +456,14 @@ func Open(cfg Config) (_ *DB, err error) {
 	}
 	d.wireObs(cfg)
 
-	if durable && meta == nil {
-		// Seal the directory's shape before the first commit: an empty
-		// checkpoint makes the shard count (and secondary-index set)
-		// authoritative for every future reopen, even one that crashes
-		// before its first real checkpoint.
+	if durable {
 		if err := d.Checkpoint(); err != nil {
 			return nil, err
 		}
-	}
-
-	// Background work starts last, with nothing left that can fail.
-	if durable {
-		d.cpEvery = cfg.CheckpointBytes
-		if d.cpEvery == 0 {
-			d.cpEvery = defaultCheckpointBytes
-		}
-		if d.cpEvery > 0 {
-			d.stopCp = make(chan struct{})
-			d.cpDone.Add(1)
-			go d.maintenanceLoop()
-		}
+		// Background work starts last, with nothing left that can fail.
+		d.stopCp = make(chan struct{})
+		d.cpDone.Add(1)
+		go d.maintenanceLoop()
 	}
 	return d, nil
 }
@@ -529,6 +522,7 @@ func (d *DB) wireObs(cfg Config) {
 		d.bf.RegisterMetrics(d.reg)
 	}
 	d.reg.RegisterHistogram("tsb_checkpoint_seconds", "whole-checkpoint duration, quiesce windows included", &d.cpHist)
+	d.reg.RegisterHistogram("tsb_checkpoint_pause_seconds", "commit-posting pause of each completed checkpoint: the sum of its quiesce windows", &d.cpPause)
 }
 
 // Metrics returns the database's metric registry: every engine
@@ -895,7 +889,7 @@ type Stats struct {
 	// time spent splitting, inline WORM burns included.
 	Migrator MigratorStats
 	// Checkpoint is the checkpoint pause accounting: how long, in
-	// total and per checkpoint, commit posting was quiesced for
+	// total and at most per checkpoint, commit posting was quiesced for
 	// boundary captures. The fuzzy per-shard capture exists to shrink it.
 	Checkpoint CheckpointStats
 	// Secondaries maps index name to its tree stats.
@@ -919,10 +913,9 @@ func (d *DB) Stats() Stats {
 	}
 	st.Migrator.SplitLatchNanos = d.store.splitLatchNanos()
 	st.Checkpoint = CheckpointStats{
-		Checkpoints:    d.cpCount.Load(),
-		PauseNanos:     d.cpPauseNanos.Load(),
-		LastPauseNanos: d.cpLastPause.Load(),
-		MaxPauseNanos:  d.cpMaxPause.Load(),
+		Checkpoints:   d.cpPause.Count(),
+		PauseNanos:    uint64(d.cpPause.Sum()),
+		MaxPauseNanos: d.cpPause.MaxMicros() * uint64(time.Microsecond),
 	}
 	// Reclassify dead payload (runs nothing references) as waste: the
 	// device counters cannot know a burned run became unreachable, the

@@ -44,10 +44,6 @@ func lockDir(dir string) (*os.File, error) {
 	return f, nil
 }
 
-// defaultCheckpointBytes is how much WAL growth triggers a background
-// checkpoint when Config.CheckpointBytes is 0.
-const defaultCheckpointBytes = 4 << 20
-
 // lockAndReadCheckpoint creates and locks cfg.Dir, reads its installed
 // checkpoint if there is one (info.Paged is nil otherwise), and checks
 // the configuration against it.
@@ -74,7 +70,7 @@ func (d *DB) lockAndReadCheckpoint(cfg Config) (info wal.CheckpointInfo, err err
 // and clipping the WORM tail past the boundary, replaying a matching
 // rollback journal — or, with no installed checkpoint (meta nil), created
 // empty: whatever device files exist then are the remains of an open
-// that crashed before its seal checkpoint, and nothing in them was ever
+// that crashed before its first checkpoint, and nothing in them was ever
 // acknowledged. The burn file goes first: a directory it refuses
 // (pagestore.ErrRetiredJournal) is left exactly as it was found.
 func (d *DB) openFileDevices(cfg Config, meta *wal.PagedMeta) (err error) {
@@ -256,45 +252,37 @@ func (d *DB) Checkpoint() error {
 	return d.checkpointLocked()
 }
 
-// checkpointLocked runs one checkpoint — caller holds cpMu — and
-// accounts the per-checkpoint pause (the sum of its quiesce windows)
-// into Stats().Checkpoint.
+// checkpointLocked runs one checkpoint — caller holds cpMu — and, once
+// it completes, observes its pause (the sum of its quiesce windows).
 func (d *DB) checkpointLocked() error {
 	sp := d.events.StartSpan("checkpoint", &d.cpHist)
-	before := d.cpPauseNanos.Load()
-	if err := d.flushAndInstall(); err != nil {
+	var pause time.Duration
+	if err := d.flushAndInstall(&pause); err != nil {
 		sp.End("error: " + err.Error())
 		return err
 	}
-	pause := d.cpPauseNanos.Load() - before
-	d.cpCount.Add(1)
-	d.cpLastPause.Store(pause)
-	if pause > d.cpMaxPause.Load() {
-		d.cpMaxPause.Store(pause)
-	}
-	sp.End(fmt.Sprintf("pause=%s", time.Duration(pause)))
+	d.cpPause.Observe(pause)
+	sp.End(fmt.Sprintf("pause=%s", pause))
 	return nil
 }
 
-// quiesceTimed is tm.Quiesce plus pause accounting: the commit-posting
-// stall a checkpoint inflicts on writers is the sum of its quiesce
-// windows, measured here and reported by Stats().Checkpoint.
+// quiesceTimed is tm.Quiesce that adds the commit-posting stall it
+// inflicts on writers to *pause.
 //
 //tsb:wraps commit-token
-func (d *DB) quiesceTimed(fn func() error) error {
+func (d *DB) quiesceTimed(pause *time.Duration, fn func() error) error {
 	start := time.Now()
 	err := d.tm.Quiesce(fn)
-	d.cpPauseNanos.Add(uint64(time.Since(start)))
+	*pause += time.Since(start)
 	return err
 }
 
-// Close stops the maintenance scheduler, then closes the write-ahead log,
-// the device files and the directory lock. Acknowledged commits are
-// already durable (group commit fsyncs before acknowledging), and every
-// historical node a split produced was burned by that split, so Close
-// flushes nothing; it exists to release the directory cleanly. Close
-// returns the first background-job error, if any. Closing an in-memory
-// database only marks it closed.
+// Close stops the maintenance loop, takes a final checkpoint unless a
+// background one failed (then it returns that sticky error instead), and
+// closes the log, the device files and the directory lock either way.
+// The loop stops first, so a pass racing Close finishes or finds the
+// database closed: no deadlock, no error. Closing an in-memory database
+// only marks it closed.
 //
 //tsb:sticky
 func (d *DB) Close() error {
@@ -304,16 +292,21 @@ func (d *DB) Close() error {
 		return nil
 	}
 	d.closed = true
-	cpErr := d.cpErr
 	d.cpMu.Unlock()
 	if d.stopCp != nil {
 		close(d.stopCp)
 		d.cpDone.Wait()
 	}
-	if err := d.releaseFiles(); err != nil && cpErr == nil {
-		cpErr = err
+	d.cpMu.Lock()
+	err := d.cpErr
+	if err == nil && d.wal != nil {
+		err = d.checkpointLocked()
 	}
-	return cpErr
+	d.cpMu.Unlock()
+	if rerr := d.releaseFiles(); rerr != nil && err == nil {
+		err = rerr
+	}
+	return err
 }
 
 // releaseFiles closes the log, the device files and the directory lock

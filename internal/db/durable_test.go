@@ -3,11 +3,13 @@ package db
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/record"
+	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/wal"
 )
@@ -187,22 +189,62 @@ func TestDurableSecondariesMultiShardCheckpointReopen(t *testing.T) {
 	}
 }
 
+// TestDurableDirectoryLockedWhileOpen: a live directory refuses a second
+// handle, and Close releases it on both of Close's paths — the clean one,
+// which ends at a checkpoint covering every commit, and the one with a
+// sticky background-checkpoint error, which returns that error and takes
+// no checkpoint.
 func TestDurableDirectoryLockedWhileOpen(t *testing.T) {
-	dir := t.TempDir()
-	d := openDur(t, Config{Dir: dir})
-	put(t, d, "k", "v")
-	// A second handle on the live directory would interleave log
-	// segments with the first and lose acknowledged commits: refused.
-	if _, err := Open(Config{Dir: dir}); !errors.Is(err, ErrLocked) {
-		t.Fatalf("second open = %v, want ErrLocked", err)
-	}
-	// Close releases the lock; the directory reopens normally.
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d2 := openDur(t, Config{Dir: dir})
-	if _, ok, _ := d2.Get(record.StringKey("k")); !ok {
-		t.Fatal("data lost across lock release")
+	for _, sticky := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sticky=%v", sticky), func(t *testing.T) {
+			dir := t.TempDir()
+			d, err := Open(Config{Dir: dir, CheckpointBytes: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			put(t, d, "k", "v")
+			// A second handle on the live directory would interleave log
+			// segments with the first and lose acknowledged commits: refused.
+			if _, err := Open(Config{Dir: dir}); !errors.Is(err, ErrLocked) {
+				t.Fatalf("second open = %v, want ErrLocked", err)
+			}
+			if sticky {
+				// From here every checkpoint install tears: the background
+				// pass the next commit triggers fails, and its error sticks.
+				d.cpMu.Lock()
+				d.logWrap = func(f storage.LogFile) storage.LogFile {
+					return storage.NewTornLogFile(f, storage.NewTearPlan(0))
+				}
+				d.cpMu.Unlock()
+				put(t, d, "k2", "v2")
+				d.cpDone.Wait() // the loop stops on a sticky error
+			}
+			var before map[string]string
+			if sticky { // with the loop stopped, nothing else writes the directory
+				before = dirSnapshot(t, dir)
+			}
+			err = d.Close()
+			if sticky {
+				if !errors.Is(err, storage.ErrInjected) {
+					t.Fatalf("close with a sticky error = %v, want the injected tear", err)
+				}
+				if after := dirSnapshot(t, dir); !reflect.DeepEqual(after, before) {
+					t.Fatal("close with a sticky error changed the directory: it took a checkpoint")
+				}
+			} else {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := framesPastCheckpoint(t, dir); n != 0 {
+					t.Fatalf("%d frames past the checkpoint Close ended at", n)
+				}
+			}
+			// Close released the lock; the directory reopens normally.
+			d2 := openDur(t, Config{Dir: dir})
+			if _, ok, _ := d2.Get(record.StringKey("k")); !ok {
+				t.Fatal("data lost across lock release")
+			}
+		})
 	}
 }
 
@@ -288,36 +330,42 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	}
 }
 
+// TestBackgroundCheckpointerTruncates: with a tiny threshold every commit
+// triggers a background pass, and Close, called while a writer keeps
+// them coming, races one: it neither deadlocks nor reports an error, and
+// every acknowledged commit recovers.
 func TestBackgroundCheckpointerTruncates(t *testing.T) {
 	dir := t.TempDir()
-	// A tiny threshold so a few commits trigger the background pass.
 	d := openDur(t, Config{Dir: dir, CheckpointBytes: 256})
-	for i := 0; i < 200; i++ {
-		put(t, d, fmt.Sprintf("key%02d", i%10), fmt.Sprintf("val%d", i))
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		info, found, err := wal.ReadCheckpoint(dir)
-		if err != nil {
-			t.Fatal(err)
+	var acked []string
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			k := fmt.Sprintf("key%04d", i)
+			if err := d.Update(func(tx *txn.Txn) error {
+				return tx.Put(record.StringKey(k), []byte("val"))
+			}); err != nil {
+				return // Close won
+			}
+			acked = append(acked, k)
 		}
-		// The open-time seal checkpoint has LSN 0; wait for a real one.
-		if found && info.LSN > 0 {
-			break
-		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); d.Stats().Checkpoint.Checkpoints < 3; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("background checkpointer never ran")
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 	if err := d.Close(); err != nil {
-		t.Fatalf("close after background checkpoints: %v", err)
+		t.Fatalf("close racing background checkpoints: %v", err)
 	}
-	// Everything still recovers.
+	<-done
+	// Everything acknowledged still recovers.
 	d2 := openDur(t, Config{Dir: dir, CheckpointBytes: -1})
-	v, ok, _ := d2.Get(record.StringKey("key09"))
-	if !ok || string(v.Value) != "val199" {
-		t.Fatalf("recovered Get = %v %v", v, ok)
+	for _, k := range acked {
+		if _, ok, err := d2.Get(record.StringKey(k)); err != nil || !ok {
+			t.Fatalf("acknowledged %s lost: ok=%v err=%v", k, ok, err)
+		}
 	}
 	if err := d2.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -54,6 +54,8 @@ package db
 //     burns on write-once media would.
 
 import (
+	"time"
+
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/record"
@@ -86,7 +88,7 @@ func (d *DB) flushPages(copies []buffer.DirtyPage) error {
 // The boundary capture is fuzzy — per flush group, never whole-database;
 // see the protocol at the top of this file and the GroupLSNs/SecLSN
 // fields of wal.PagedMeta.
-func (d *DB) flushAndInstall() error {
+func (d *DB) flushAndInstall(pause *time.Duration) error {
 	// Fuzzy pre-flush, flush group by flush group (shards, then the
 	// secondary indexes — captured in ONE pool walk), with commits
 	// running: shrinks the set the boundary capture must copy. Pages
@@ -116,7 +118,7 @@ func (d *DB) flushAndInstall() error {
 	// checkpoint header's LSN (segment retention, replay start) while
 	// the per-group LSNs make replay exactly-once per tree.
 	var boundary uint64
-	err := d.quiesceTimed(func() error {
+	err := d.quiesceTimed(pause, func() error {
 		lsn, err := d.wal.Rotate()
 		boundary = lsn
 		return err
@@ -130,14 +132,15 @@ func (d *DB) flushAndInstall() error {
 	// and this ONE shard's read latch stops its in-flight transactions'
 	// pending inserts. Writers of every other shard run free; any page
 	// they re-dirty is detected by its write epoch and stays dirty. The
-	// flush I/O runs after the latch is released.
+	// flush I/O runs after the latch is released. The group LSN is read
+	// before the latch (level 4 may not nest in 5); the token holds it.
 	for i := range d.store.shards {
 		i, sh := i, d.store.shards[i]
 		var copies []buffer.DirtyPage
-		err := d.quiesceTimed(func() error {
+		err := d.quiesceTimed(pause, func() error {
+			meta.GroupLSNs[i] = d.wal.LastLSN()
 			sh.mu.RLock()
 			defer sh.mu.RUnlock()
-			meta.GroupLSNs[i] = d.wal.LastLSN()
 			meta.Shards[i] = sh.tree.Image()
 			copies = d.pool.CaptureDirty(i)
 			// This shard's slice of the in-flight write-lock set: the
@@ -173,10 +176,10 @@ func (d *DB) flushAndInstall() error {
 	// dead burn that stays burned — never data.
 	var clock record.Timestamp
 	var copies []buffer.DirtyPage
-	err = d.quiesceTimed(func() error {
+	err = d.quiesceTimed(pause, func() error {
+		meta.SecLSN = d.wal.LastLSN()
 		d.secMu.RLock()
 		defer d.secMu.RUnlock()
-		meta.SecLSN = d.wal.LastLSN()
 		meta.Secondaries = make(map[string]core.TreeImage)
 		for name, s := range d.secondaries {
 			meta.Secondaries[name] = s.index.Image()
@@ -227,9 +230,5 @@ func (d *DB) flushAndInstall() error {
 	if err := d.pf.CompleteFlush(meta.Epoch, meta.Alloc.Pages); err != nil {
 		return err
 	}
-	if err := d.wal.RemoveSegmentsBelow(d.wal.CurrentSegment()); err != nil {
-		return err
-	}
-	d.wal.MarkCheckpoint()
-	return nil
+	return d.wal.MarkCheckpoint()
 }

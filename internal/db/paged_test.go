@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/pagestore"
 	"repro/internal/record"
+	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/wal"
 )
@@ -188,61 +189,167 @@ func seedDeadBurns(t *testing.T, cfg Config, commits int, seed int64) []oracleOp
 // crash orphans survive the reopen as reported waste — DeadBytes > 0,
 // utilization below 1 — and stay exactly that: a checkpoint carries the
 // account in its metadata, so a second, clean reopen reports the same
-// DeadBytes. The logical content matches the oracle of acknowledged
-// commits on every read surface throughout.
+// DeadBytes. The inputs add a crash loop: before the first clean reopen,
+// tornOpens opens each crash inside their open-time checkpoint: a tear
+// on the block seam past the replay's burns, the k-th one k·1500 B into
+// the checkpoint's page flush, so each lands at a new point. Each crash
+// orphans that replay's burns and nothing more — DeadBytes grows by at
+// most one tail's burns per crash. The logical content matches the
+// oracle of acknowledged commits on every read surface throughout.
 func TestDeadBurnsSurviveReopen(t *testing.T) {
-	dir := t.TempDir()
 	secs := map[string]SecondaryExtract{"dept": deptExtract}
-	cfg := pagedConfigWithSecs(dir, secs)
-	acked := seedDeadBurns(t, cfg, 120, 42)
+	var tailBurns, prevDead uint64 // payload one replay burns; DeadBytes with one crash fewer
+	var replayBytes int64          // block-seam bytes one replay writes before its checkpoint
+	for tornOpens := 0; tornOpens <= 3; tornOpens++ {
+		dir := t.TempDir()
+		_, burnPath := pagestore.Paths(dir)
+		cfg := pagedConfigWithSecs(dir, secs)
+		acked := seedDeadBurns(t, cfg, 120, 42)
+		oracle := applyOracle(t, cfg, acked)
+		for k := 0; k < tornOpens; k++ {
+			plan := storage.NewTearPlan(replayBytes + int64(k)*1500)
+			if _, err := Open(tearConfig(cfg, plan, false, true)); !errors.Is(err, storage.ErrInjected) {
+				t.Fatalf("torn open %d of %d: err = %v, want the injected tear", k+1, tornOpens, err)
+			}
+		}
+		sizeBefore := fileSize(t, burnPath)
+		d, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev := d.Stats().Device
+		if dev.DeadBytes == 0 {
+			t.Fatal("no dead bytes after the orphaning crash")
+		}
+		if u := dev.Utilization; u < 0 || u >= 1 {
+			t.Fatalf("utilization %v with %d dead bytes, want [0,1)", u, dev.DeadBytes)
+		}
+		if tornOpens == 0 {
+			// The seal burned nothing, so every live payload byte is this
+			// replay's, and so is every byte the open added to worm.dev.
+			tailBurns, replayBytes = dev.PayloadBytes, fileSize(t, burnPath)-sizeBefore
+		} else if dev.DeadBytes <= prevDead || dev.DeadBytes > prevDead+tailBurns {
+			t.Fatalf("%d torn opens: DeadBytes %d, want in (%d, %d]: one tail's burns (%d B) per crash",
+				tornOpens, dev.DeadBytes, prevDead, prevDead+tailBurns, tailBurns)
+		}
+		prevDead = dev.DeadBytes
+		label := fmt.Sprintf("%d torn opens", tornOpens)
+		assertEquivalent(t, label+", reopened", d, oracle, []string{"dept"})
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if got := d.Stats().Device.DeadBytes; got != dev.DeadBytes {
+			t.Fatalf("%s: DeadBytes %d -> %d across a checkpoint", label, dev.DeadBytes, got)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		re, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := re.Stats().Device; got.DeadBytes != dev.DeadBytes || got.Utilization >= 1 {
+			t.Fatalf("%s: clean reopen: DeadBytes %d utilization %v, want DeadBytes %d and utilization < 1",
+				label, got.DeadBytes, got.Utilization, dev.DeadBytes)
+		}
+		assertEquivalent(t, label+", clean reopen", re, oracle, nil)
+		re.Close()
+		oracle.Close()
+	}
+}
+
+// TestRestartIsIdempotent: Open and Close each end at a checkpoint, so a
+// clean restart replays nothing and burns nothing. After a crash that
+// leaves a tail of time splits behind, the first reopen replays it and
+// accounts the crash's orphans once; from then on DeadBytes, the sectors
+// burned and the size of worm.dev never change, and no later reopen
+// finds a frame to replay.
+func TestRestartIsIdempotent(t *testing.T) {
+	dir := t.TempDir()
+	_, burnPath := pagestore.Paths(dir)
+	cfg := pagedConfig(dir)
+	acked := seedDeadBurns(t, cfg, 120, 7)
 	oracle := applyOracle(t, cfg, acked)
 	defer oracle.Close()
+	var dead, burned uint64
+	var size int64
+	for cycle := 0; cycle < 5; cycle++ {
+		frames := framesPastCheckpoint(t, dir)
+		if (cycle == 0) != (frames > 0) {
+			t.Fatalf("cycle %d: the reopen will replay %d frames", cycle, frames)
+		}
+		d, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := d.Stats()
+		assertEquivalent(t, fmt.Sprintf("cycle %d", cycle), d, oracle, nil)
+		if err := d.Close(); err != nil {
+			t.Fatalf("cycle %d: close: %v", cycle, err)
+		}
+		sz := fileSize(t, burnPath)
+		if cycle == 0 {
+			dead, burned, size = st.Device.DeadBytes, st.WORM.SectorsBurned, sz
+			if dead == 0 {
+				t.Fatal("the crash orphaned nothing; the test would be vacuous")
+			}
+			continue
+		}
+		if st.Device.DeadBytes != dead || st.WORM.SectorsBurned != burned || sz != size {
+			t.Fatalf("cycle %d: DeadBytes %d, sectors burned %d, worm.dev %d B; after the first reopen %d, %d, %d B",
+				cycle, st.Device.DeadBytes, st.WORM.SectorsBurned, sz, dead, burned, size)
+		}
+	}
+}
 
-	d, err := Open(cfg)
+// fileSize returns the size of the file at path.
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := d.Stats().Device
-	if dev.DeadBytes == 0 {
-		t.Fatal("no dead bytes after the orphaning crash")
-	}
-	if u := dev.Utilization; u < 0 || u >= 1 {
-		t.Fatalf("utilization %v with %d dead bytes, want [0,1)", u, dev.DeadBytes)
-	}
-	assertEquivalent(t, "reopened", d, oracle, []string{"dept"})
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Stats().Device.DeadBytes; got != dev.DeadBytes {
-		t.Fatalf("DeadBytes %d -> %d across a checkpoint", dev.DeadBytes, got)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return fi.Size()
+}
 
-	re, err := Open(cfg)
+// framesPastCheckpoint counts the WAL frames in dir past the installed
+// checkpoint's LSN: what the next Open will replay.
+func framesPastCheckpoint(t *testing.T, dir string) int {
+	t.Helper()
+	info, _, err := wal.ReadCheckpoint(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	if got := re.Stats().Device; got.DeadBytes != dev.DeadBytes || got.Utilization >= 1 {
-		t.Fatalf("clean reopen: DeadBytes %d utilization %v, want DeadBytes %d and utilization < 1",
-			got.DeadBytes, got.Utilization, dev.DeadBytes)
+	segs, err := wal.Segments(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	assertEquivalent(t, "clean reopen", re, oracle, []string{"dept"})
+	n := 0
+	for _, seg := range segs {
+		if _, _, err := wal.ReplayFile(seg.Path, info.LSN, func(uint64, txn.CommitRecord) error { n++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return n
 }
 
 // TestCheckpointPauseAccounting checks the Stats().Checkpoint surface
-// the fuzzy paged capture exists to shrink: counts and pause nanos move.
+// the fuzzy paged capture exists to shrink: a view over the
+// tsb_checkpoint_pause_seconds histogram, which each completed checkpoint
+// — Open's included — observes exactly once and a failed one not at all.
 func TestCheckpointPauseAccounting(t *testing.T) {
 	d, err := Open(pagedConfig(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := d.Stats().Checkpoint
+	if base.Checkpoints != 1 {
+		t.Fatalf("fresh open counted %d checkpoints, want its own 1", base.Checkpoints)
+	}
 	for i := 0; i < 100; i++ {
 		mustPut(t, d, fmt.Sprintf("key%03d", i%20), fmt.Sprintf("val%04d", i))
 	}
-	base := d.Stats().Checkpoint
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -250,15 +357,23 @@ func TestCheckpointPauseAccounting(t *testing.T) {
 	if st.Checkpoints != base.Checkpoints+1 {
 		t.Fatalf("Checkpoints %d -> %d, want +1", base.Checkpoints, st.Checkpoints)
 	}
-	if st.LastPauseNanos == 0 || st.PauseNanos <= base.PauseNanos {
-		t.Fatalf("pause accounting did not move: %+v (was %+v)", st, base)
+	if st.PauseNanos <= base.PauseNanos || st.MaxPauseNanos > st.PauseNanos {
+		t.Fatalf("pause accounting: %+v (was %+v)", st, base)
 	}
-	if st.MaxPauseNanos < st.LastPauseNanos {
-		t.Fatalf("MaxPauseNanos %d < LastPauseNanos %d", st.MaxPauseNanos, st.LastPauseNanos)
+	if c, sum := d.cpPause.Count(), d.cpPause.Sum(); c != st.Checkpoints || uint64(sum) != st.PauseNanos {
+		t.Fatalf("Stats().Checkpoint %+v is not the histogram's view: count %d sum %v", st, c, sum)
 	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
+	// A checkpoint that fails is not counted.
+	d.cpMu.Lock()
+	d.logWrap = func(f storage.LogFile) storage.LogFile { return storage.NewTornLogFile(f, storage.NewTearPlan(0)) }
+	d.cpMu.Unlock()
+	if err := d.Checkpoint(); !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("torn checkpoint: %v", err)
 	}
+	if got := d.Stats().Checkpoint; got != st {
+		t.Fatalf("failed checkpoint moved the accounting: %+v -> %+v", st, got)
+	}
+	crash(d)
 }
 
 // TestOpenRefusesRetiredFormat: a directory an older release left in a

@@ -25,7 +25,7 @@ import (
 // PagedMeta is the device/tree metadata of a checkpoint.
 type PagedMeta struct {
 	// Epoch numbers installed checkpoints (monotonically, from 1
-	// for the open-time seal). The page file's rollback journal records
+	// for a new directory's first). The page file's rollback journal records
 	// which epoch's image it restores; matching epochs is how recovery
 	// distinguishes a torn flush from a completed one.
 	Epoch uint64

@@ -108,6 +108,10 @@ func Segments(dir string) ([]Segment, error) {
 type Options struct {
 	// Dir is the directory holding segments and checkpoints.
 	Dir string
+	// CheckpointBytes is the backlog at which a checkpoint is due: every
+	// append that leaves BacklogBytes at or over it signals CheckpointDue.
+	// 0 selects 4 MiB; negative never signals.
+	CheckpointBytes int64
 	// WrapFile, if set, wraps every file the log opens for writing —
 	// the fault-injection seam (storage.TornLogFile) for torn-write
 	// crash tests.
@@ -133,8 +137,8 @@ type Stats struct {
 	Bytes   uint64 // bytes durably written to segments
 	// BacklogBytes is Bytes minus the value it held when MarkCheckpoint
 	// last ran: the un-checkpointed log tail. After a reopen it counts
-	// from the reopened log (the replayed tail was just applied, and
-	// the recovery path's first checkpoint re-anchors it).
+	// from the reopened log: the recovery path's checkpoint, which ends
+	// every durable open, covers the replayed tail and re-anchors it.
 	BacklogBytes uint64
 }
 
@@ -159,6 +163,7 @@ type Log struct {
 	// ckptBytes is bytes.Load() at the last MarkCheckpoint: the anchor
 	// Stats derives BacklogBytes from.
 	ckptBytes uint64
+	due       chan struct{} // the pending CheckpointDue signal, if any; under mu
 }
 
 // Open opens a log in opts.Dir for appending, starting a fresh segment
@@ -169,7 +174,10 @@ func Open(opts Options, nextSeg, lastLSN uint64) (*Log, error) {
 	if nextSeg == 0 {
 		nextSeg = 1
 	}
-	l := &Log{opts: opts, lsn: lastLSN}
+	if opts.CheckpointBytes == 0 {
+		opts.CheckpointBytes = 4 << 20
+	}
+	l := &Log{opts: opts, lsn: lastLSN, due: make(chan struct{}, 1)}
 	if err := l.openSegment(nextSeg); err != nil {
 		return nil, err
 	}
@@ -205,7 +213,8 @@ func encodeCommit(lsn uint64, rec txn.CommitRecord) []byte {
 // durable with a single write and a single fsync — the group-commit
 // amortization. On error the log is broken: the batch (and everything
 // after it) must be considered unacknowledged, and recovery decides what
-// actually persisted.
+// actually persisted. An append that leaves the backlog at or over
+// Options.CheckpointBytes signals CheckpointDue before it returns.
 func (l *Log) AppendBatch(recs []txn.CommitRecord) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -232,8 +241,18 @@ func (l *Log) AppendBatch(recs []txn.CommitRecord) error {
 	l.appends.Inc()
 	l.records.Add(uint64(len(recs)))
 	l.syncs.Inc()
+	if t := l.opts.CheckpointBytes; t > 0 && l.bytes.Load()-l.ckptBytes >= uint64(t) {
+		select {
+		case l.due <- struct{}{}:
+		default: // one pending signal already says it
+		}
+	}
 	return nil
 }
+
+// CheckpointDue receives a signal once an append has left the backlog at
+// or over Options.CheckpointBytes; MarkCheckpoint withdraws an unreceived one.
+func (l *Log) CheckpointDue() <-chan struct{} { return l.due }
 
 // Rotate closes the current segment and starts the next one, returning
 // the LSN boundary: every record at or below it is in a closed segment.
@@ -242,6 +261,7 @@ func (l *Log) AppendBatch(recs []txn.CommitRecord) error {
 //
 //tsb:io
 //tsb:sticky
+//tsb:locks wal
 func (l *Log) Rotate() (lastLSN uint64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -260,36 +280,9 @@ func (l *Log) Rotate() (lastLSN uint64, err error) {
 	return l.lsn, nil
 }
 
-// RemoveSegmentsBelow deletes segments with index < keep: the truncation
-// step after a checkpoint is durable.
-//
-//tsb:io
-//tsb:sticky
-func (l *Log) RemoveSegmentsBelow(keep uint64) error {
-	segs, err := Segments(l.opts.Dir)
-	if err != nil {
-		return err
-	}
-	for _, s := range segs {
-		if s.Index >= keep {
-			continue
-		}
-		if err := os.Remove(s.Path); err != nil {
-			return fmt.Errorf("wal: remove %s: %w", s.Path, err)
-		}
-	}
-	syncDir(l.opts.Dir)
-	return nil
-}
-
-// CurrentSegment returns the index of the segment appends go to.
-func (l *Log) CurrentSegment() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seg
-}
-
 // LastLSN returns the sequence number of the last appended record.
+//
+//tsb:locks wal
 func (l *Log) LastLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -298,6 +291,8 @@ func (l *Log) LastLSN() uint64 {
 
 // Stats returns a snapshot of the append accounting, derived from the
 // log's registered instruments.
+//
+//tsb:locks wal
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -332,18 +327,45 @@ func (l *Log) RegisterMetrics(r *obs.Registry) {
 	})
 }
 
-// MarkCheckpoint anchors the backlog gauge: the checkpointer calls it
-// once a checkpoint is durably installed, and Stats reports the bytes
-// appended since as BacklogBytes.
-func (l *Log) MarkCheckpoint() {
+// MarkCheckpoint is the log's half of a durably installed checkpoint:
+// it deletes the segments below the current one (the checkpoint covers
+// the last Rotate boundary), re-anchors BacklogBytes, and withdraws the
+// CheckpointDue signal the covered backlog may have left.
+//
+//tsb:io
+//tsb:sticky
+//tsb:locks wal
+func (l *Log) MarkCheckpoint() error {
+	l.mu.Lock()
+	keep := l.seg
+	l.mu.Unlock()
+	segs, err := Segments(l.opts.Dir)
+	if err != nil {
+		return err
+	}
+	for _, s := range segs {
+		if s.Index >= keep {
+			continue
+		}
+		if err := os.Remove(s.Path); err != nil {
+			return fmt.Errorf("wal: remove %s: %w", s.Path, err)
+		}
+	}
+	syncDir(l.opts.Dir)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.ckptBytes = l.bytes.Load()
+	select {
+	case <-l.due:
+	default:
+	}
+	return nil
 }
 
 // Close closes the current segment. Further appends fail.
 //
 //tsb:sticky
+//tsb:locks wal
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -184,14 +184,24 @@ func frameEndsAt(buf []byte, cut int) bool {
 	return off == cut
 }
 
+// TestRotateAndTruncate: Rotate closes a segment at an LSN boundary,
+// replay stitches records across it, and MarkCheckpoint deletes the
+// closed segment and withdraws the CheckpointDue signal the appends left
+// (every append signals at a 1-byte threshold).
 func TestRotateAndTruncate(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir}, 0, 0)
+	l, err := Open(Options{Dir: dir, CheckpointBytes: 1}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(l.CheckpointDue()) != 0 {
+		t.Fatal("a fresh log signals a checkpoint")
+	}
 	if err := l.AppendBatch([]txn.CommitRecord{rec(2, 1, "a")}); err != nil {
 		t.Fatal(err)
+	}
+	if len(l.CheckpointDue()) != 1 {
+		t.Fatal("an append over the threshold did not signal")
 	}
 	boundary, err := l.Rotate()
 	if err != nil {
@@ -212,12 +222,15 @@ func TestRotateAndTruncate(t *testing.T) {
 		t.Fatalf("replay across rotation = %+v", got)
 	}
 	// Truncation drops the closed segment, keeps the live one.
-	if err := l.RemoveSegmentsBelow(l.CurrentSegment()); err != nil {
+	if err := l.MarkCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
 	segs, _ = Segments(dir)
 	if len(segs) != 1 || segs[0].Index != 2 {
 		t.Fatalf("segments after truncation = %+v", segs)
+	}
+	if len(l.CheckpointDue()) != 0 || l.Stats().BacklogBytes != 0 {
+		t.Fatal("MarkCheckpoint left a signal or a backlog behind")
 	}
 	if got := replayAll(t, dir, boundary); len(got) != 1 || got[0].TxnID != 3 {
 		t.Fatalf("replay after truncation = %+v", got)
