@@ -330,25 +330,29 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	}
 }
 
-// TestBackgroundCheckpointerTruncates: with a tiny threshold every commit
-// triggers a background pass, and Close, called while a writer keeps
-// them coming, races one: it neither deadlocks nor reports an error, and
-// every acknowledged commit recovers.
+// TestBackgroundCheckpointerTruncates: with a tiny threshold, overwrites
+// of ten keys trigger background pass after pass, and Close, called
+// while the writer keeps them coming, races one: it neither deadlocks
+// nor reports an error, and every key recovers its newest acknowledged
+// value — or the one write Close cut off, which may have reached the log
+// unacknowledged.
 func TestBackgroundCheckpointerTruncates(t *testing.T) {
 	dir := t.TempDir()
 	d := openDur(t, Config{Dir: dir, CheckpointBytes: 256})
-	var acked []string
+	acked := map[string]string{} // each key's newest acknowledged value
+	var cutKey, cutVal string    // the write Close cut off
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; ; i++ {
-			k := fmt.Sprintf("key%04d", i)
+			k, v := fmt.Sprintf("key%02d", i%10), fmt.Sprintf("val%d", i)
 			if err := d.Update(func(tx *txn.Txn) error {
-				return tx.Put(record.StringKey(k), []byte("val"))
+				return tx.Put(record.StringKey(k), []byte(v))
 			}); err != nil {
+				cutKey, cutVal = k, v
 				return // Close won
 			}
-			acked = append(acked, k)
+			acked[k] = v
 		}
 	}()
 	for deadline := time.Now().Add(10 * time.Second); d.Stats().Checkpoint.Checkpoints < 3; time.Sleep(time.Millisecond) {
@@ -360,11 +364,14 @@ func TestBackgroundCheckpointerTruncates(t *testing.T) {
 		t.Fatalf("close racing background checkpoints: %v", err)
 	}
 	<-done
-	// Everything acknowledged still recovers.
 	d2 := openDur(t, Config{Dir: dir, CheckpointBytes: -1})
-	for _, k := range acked {
-		if _, ok, err := d2.Get(record.StringKey(k)); err != nil || !ok {
+	for k, want := range acked {
+		v, ok, err := d2.Get(record.StringKey(k))
+		if err != nil || !ok {
 			t.Fatalf("acknowledged %s lost: ok=%v err=%v", k, ok, err)
+		}
+		if got := string(v.Value); got != want && (k != cutKey || got != cutVal) {
+			t.Fatalf("%s recovered as %q, want its newest acknowledged value %q", k, got, want)
 		}
 	}
 	if err := d2.CheckInvariants(); err != nil {

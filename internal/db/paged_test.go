@@ -253,8 +253,10 @@ func TestDeadBurnsSurviveReopen(t *testing.T) {
 			t.Fatalf("%s: clean reopen: DeadBytes %d utilization %v, want DeadBytes %d and utilization < 1",
 				label, got.DeadBytes, got.Utilization, dev.DeadBytes)
 		}
-		assertEquivalent(t, label+", clean reopen", re, oracle, nil)
-		re.Close()
+		assertEquivalent(t, label+", clean reopen", re, oracle, []string{"dept"})
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
 		oracle.Close()
 	}
 }

@@ -127,18 +127,16 @@ func (o Options) wrap(f storage.LogFile) storage.LogFile {
 
 // Stats is the log writer's accounting. Records/Syncs is the group
 // commit amortization factor; BacklogBytes is the admission-control and
-// checkpoint-scheduling gauge — bytes appended since the last
-// checkpoint install (MarkCheckpoint), i.e. the log tail a crash right
-// now would replay.
+// checkpoint-scheduling gauge.
 type Stats struct {
 	Appends uint64 // batches appended
 	Records uint64 // commit records appended
 	Syncs   uint64 // fsyncs issued for appends
 	Bytes   uint64 // bytes durably written to segments
-	// BacklogBytes is Bytes minus the value it held when MarkCheckpoint
-	// last ran: the un-checkpointed log tail. After a reopen it counts
-	// from the reopened log: the recovery path's checkpoint, which ends
-	// every durable open, covers the replayed tail and re-anchors it.
+	// BacklogBytes is Bytes minus its value at the Rotate boundary the
+	// last MarkCheckpoint covered: the log tail a crash now would replay.
+	// After a reopen it counts from the reopened log, whose tail the
+	// checkpoint ending every durable open covers.
 	BacklogBytes uint64
 }
 
@@ -160,10 +158,10 @@ type Log struct {
 	syncs   obs.Counter
 	bytes   obs.Counter
 	fsync   obs.Histogram // append-path fsync latency
-	// ckptBytes is bytes.Load() at the last MarkCheckpoint: the anchor
-	// Stats derives BacklogBytes from.
-	ckptBytes uint64
-	due       chan struct{} // the pending CheckpointDue signal, if any; under mu
+	// ckptBytes anchors BacklogBytes: rotBytes (bytes.Load() at the last
+	// Rotate) as of the last MarkCheckpoint.
+	ckptBytes, rotBytes uint64
+	due                 chan struct{} // the pending CheckpointDue signal, if any; under mu
 }
 
 // Open opens a log in opts.Dir for appending, starting a fresh segment
@@ -251,7 +249,7 @@ func (l *Log) AppendBatch(recs []txn.CommitRecord) error {
 }
 
 // CheckpointDue receives a signal once an append has left the backlog at
-// or over Options.CheckpointBytes; MarkCheckpoint withdraws an unreceived one.
+// or over Options.CheckpointBytes; MarkCheckpoint may withdraw it.
 func (l *Log) CheckpointDue() <-chan struct{} { return l.due }
 
 // Rotate closes the current segment and starts the next one, returning
@@ -277,6 +275,7 @@ func (l *Log) Rotate() (lastLSN uint64, err error) {
 		l.broken = err
 		return 0, err
 	}
+	l.rotBytes = l.bytes.Load()
 	return l.lsn, nil
 }
 
@@ -328,9 +327,10 @@ func (l *Log) RegisterMetrics(r *obs.Registry) {
 }
 
 // MarkCheckpoint is the log's half of a durably installed checkpoint:
-// it deletes the segments below the current one (the checkpoint covers
-// the last Rotate boundary), re-anchors BacklogBytes, and withdraws the
-// CheckpointDue signal the covered backlog may have left.
+// it deletes the segments below the current one and re-anchors
+// BacklogBytes at the last Rotate boundary, which the checkpoint covers.
+// An unreceived CheckpointDue signal is withdrawn unless the appends
+// since that boundary alone reach the threshold.
 //
 //tsb:io
 //tsb:sticky
@@ -354,10 +354,12 @@ func (l *Log) MarkCheckpoint() error {
 	syncDir(l.opts.Dir)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.ckptBytes = l.bytes.Load()
-	select {
-	case <-l.due:
-	default:
+	l.ckptBytes = l.rotBytes
+	if t := l.opts.CheckpointBytes; t <= 0 || l.bytes.Load()-l.ckptBytes < uint64(t) {
+		select {
+		case <-l.due:
+		default:
+		}
 	}
 	return nil
 }

@@ -186,8 +186,8 @@ func frameEndsAt(buf []byte, cut int) bool {
 
 // TestRotateAndTruncate: Rotate closes a segment at an LSN boundary,
 // replay stitches records across it, and MarkCheckpoint deletes the
-// closed segment and withdraws the CheckpointDue signal the appends left
-// (every append signals at a 1-byte threshold).
+// closed segment and re-anchors the backlog at the boundary (every
+// append signals at a 1-byte threshold).
 func TestRotateAndTruncate(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(Options{Dir: dir, CheckpointBytes: 1}, 0, 0)
@@ -210,6 +210,7 @@ func TestRotateAndTruncate(t *testing.T) {
 	if boundary != 1 {
 		t.Fatalf("rotation boundary = %d, want 1", boundary)
 	}
+	rotated := l.Stats().Bytes // the backlog anchor of a checkpoint at this boundary
 	if err := l.AppendBatch([]txn.CommitRecord{rec(3, 2, "b")}); err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +230,24 @@ func TestRotateAndTruncate(t *testing.T) {
 	if len(segs) != 1 || segs[0].Index != 2 {
 		t.Fatalf("segments after truncation = %+v", segs)
 	}
-	if len(l.CheckpointDue()) != 0 || l.Stats().BacklogBytes != 0 {
-		t.Fatal("MarkCheckpoint left a signal or a backlog behind")
-	}
 	if got := replayAll(t, dir, boundary); len(got) != 1 || got[0].TxnID != 3 {
 		t.Fatalf("replay after truncation = %+v", got)
+	}
+	// The checkpoint covers the boundary, not the append after it: that
+	// append stays backlog and, alone over the threshold, keeps a signal
+	// pending. A checkpoint past every append leaves neither.
+	if st := l.Stats(); st.BacklogBytes == 0 || st.BacklogBytes != st.Bytes-rotated || len(l.CheckpointDue()) != 1 {
+		t.Fatalf("append after the boundary: backlog %d, %d signals pending; want %d, 1",
+			st.BacklogBytes, len(l.CheckpointDue()), st.Bytes-rotated)
+	}
+	if _, err := l.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.MarkCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if len(l.CheckpointDue()) != 0 || l.Stats().BacklogBytes != 0 {
+		t.Fatal("a checkpoint past every append left a signal or a backlog behind")
 	}
 	l.Close()
 }
