@@ -86,6 +86,7 @@ func dumpWALDir(w io.Writer, dir string) error {
 		fmt.Fprintf(w, "devices: epoch %d, %d pages of %d B, %d sectors of %d B fsynced\n",
 			info.Paged.Epoch, info.Paged.Alloc.Pages, info.Paged.PageSize,
 			info.Paged.Burned, info.Paged.SectorSize)
+		fmt.Fprintf(w, "pending at boundary: %d key(s), erased on recovery\n", len(info.Paged.Pending))
 		if len(info.Secondaries) > 0 {
 			fmt.Fprintf(w, "secondary indexes: %s\n", strings.Join(info.Secondaries, ", "))
 		}

@@ -59,7 +59,29 @@ func TestDumpWALDir(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	dump("LSN boundary 5", "total: 0 commit record(s)")
+	dump("LSN boundary 5", "total: 0 commit record(s)", "pending at boundary: 0 key(s), erased on recovery")
+
+	// A transaction open across a checkpoint leaves its pending version
+	// in the image, and the checkpoint names it.
+	d, err = db.Open(db.Config{Dir: dir, Shards: 2, CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := d.Begin()
+	if err := tx.Put(record.StringKey("open"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	dump("pending at boundary: 1 key(s), erased on recovery")
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dump("pending at boundary: 0 key(s), erased on recovery")
 }
 
 func TestDumpWALDirEmpty(t *testing.T) {

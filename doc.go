@@ -69,10 +69,11 @@
 // The engine is concurrent and sharded: db.Config.Shards partitions the
 // key space across N independent TSB-trees (key-range sharding, so range
 // queries still merge in key order), each behind a reader/writer latch,
-// with a shared wait-free commit clock and a no-wait lock table — see the
-// internal/db package documentation for the exact guarantees. Shards: 1
-// (the default) reproduces the paper's single-tree system; higher counts
-// scale throughput with available cores.
+// with a shared wait-free commit clock and no-wait write locks that are
+// the pending versions themselves (§4) — see the internal/db package
+// documentation for the exact guarantees. Shards: 1 (the default)
+// reproduces the paper's single-tree system; higher counts scale
+// throughput with available cores.
 //
 // The engine is durable when opened with db.Config.Dir, and the
 // directory is the database: the two storage devices are disk files in

@@ -21,6 +21,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/record"
 	"repro/internal/storage"
@@ -29,6 +30,10 @@ import (
 // ErrNoPending is returned by AbortKey when the transaction has no
 // pending version of the key: already erased, or never inserted.
 var ErrNoPending = errors.New("core: no pending version")
+
+// ErrLockConflict is returned by Insert when another transaction's pending
+// version of the key — its write lock (§4) — is in the tree.
+var ErrLockConflict = errors.New("core: key locked by another transaction")
 
 // SplitTimeChoice selects the time value used for a data-node time split.
 // The WOBT is forced to split at the current time; the TSB-tree may choose
@@ -223,6 +228,11 @@ type Tree struct {
 	marked   map[uint64]bool // magnetic leaf pages marked for forced time split
 	entryCap int             // conservative bound on one encoded index entry
 
+	// pending maps each key with a pending version to its writer: the
+	// write locks of §4. A tree reattached from an image starts with none,
+	// until recovery has erased the image's pending versions.
+	pending map[string]uint64
+
 	// splitNanos accumulates time spent in splitChild/splitRoot — work
 	// performed under the shard write latch. It lives outside Stats so
 	// it never reaches a TreeImage.
@@ -238,11 +248,12 @@ func (t *Tree) SplitLatchNanos() uint64 { return t.splitNanos }
 func New(mag storage.PageStore, worm storage.WORMDevice, cfg Config) (*Tree, error) {
 	c := cfg.withDefaults(mag.PageSize())
 	t := &Tree{
-		mag:    mag,
-		worm:   worm,
-		cfg:    c,
-		policy: c.Policy,
-		marked: make(map[uint64]bool),
+		mag:     mag,
+		worm:    worm,
+		cfg:     c,
+		policy:  c.Policy,
+		marked:  make(map[uint64]bool),
+		pending: make(map[string]uint64),
 	}
 	// Bound on an encoded index entry: rect (two keys + bounds + two
 	// times) + child address + framing.
@@ -280,6 +291,24 @@ func (t *Tree) Stats() Stats { return t.stats }
 
 // Policy returns the tree's splitting policy.
 func (t *Tree) Policy() Policy { return t.policy }
+
+// PendingWrite names one key with a pending (uncommitted) version in the
+// tree and the transaction that owns it.
+type PendingWrite struct {
+	Key   record.Key
+	TxnID uint64
+}
+
+// PendingWrites returns every pending version's key and owner, sorted by
+// key: exactly the write locks held in this tree.
+func (t *Tree) PendingWrites() []PendingWrite {
+	out := make([]PendingWrite, 0, len(t.pending))
+	for k, id := range t.pending {
+		out = append(out, PendingWrite{Key: record.Key(k), TxnID: id})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key.Less(out[j].Key) })
+	return out
+}
 
 // MarkedLeafCount returns how many leaves are currently marked for a
 // forced time split at their next opportunity (§3.5's optimization).

@@ -60,11 +60,12 @@ func FromImage(mag storage.PageStore, worm storage.WORMDevice, img TreeImage) (*
 			LeafCapacity:  img.LeafCapacity,
 			IndexCapacity: img.IndexCapacity,
 		},
-		policy: img.Policy,
-		root:   img.Root,
-		now:    img.Now,
-		stats:  img.Stats,
-		marked: make(map[uint64]bool),
+		policy:  img.Policy,
+		root:    img.Root,
+		now:     img.Now,
+		stats:   img.Stats,
+		marked:  make(map[uint64]bool),
+		pending: make(map[string]uint64),
 	}
 	t.entryCap = 2*img.MaxKeySize + 64
 	for _, page := range img.Marked {

@@ -11,6 +11,9 @@ import (
 // databases append in commit-time order). Pending versions (Time ==
 // record.TimePending) must carry the writing transaction's id; a second
 // pending write of the same key by the same transaction replaces the first.
+// A pending write of a key another transaction holds (its pending version
+// is the write lock) fails with ErrLockConflict before the descent: a
+// refused write splits and burns nothing.
 //
 // Nodes on the insertion path that are too full to absorb the incoming
 // data — or the postings of a descendant's split — are split top-down
@@ -21,6 +24,9 @@ import (
 func (t *Tree) Insert(v record.Version) error {
 	if err := t.validate(v); err != nil {
 		return err
+	}
+	if owner, held := t.pending[string(v.Key)]; held && v.IsPending() && owner != v.TxnID {
+		return fmt.Errorf("%w: key %s held by txn %d", ErrLockConflict, v.Key, owner)
 	}
 	if v.Time.IsCommitted() && v.Time > t.now {
 		t.now = v.Time
@@ -86,8 +92,9 @@ func (t *Tree) Insert(v record.Version) error {
 
 	if v.IsPending() {
 		// Replace an earlier pending write of the same key by the
-		// same transaction; reject a conflicting one (the lock layer
-		// should have prevented it).
+		// same transaction. Another transaction's version here is one
+		// the entry check could not see: a reattached image's, not yet
+		// erased by recovery.
 		for i, old := range n.versions {
 			if old.IsPending() && old.Key.Equal(v.Key) {
 				if old.TxnID != v.TxnID {
@@ -110,6 +117,9 @@ func (t *Tree) Insert(v record.Version) error {
 	sortVersions(n.versions)
 	if err := t.writeCurrent(n); err != nil {
 		return err
+	}
+	if v.IsPending() {
+		t.pending[string(v.Key)] = v.TxnID
 	}
 	t.stats.Inserts++
 	if v.Tombstone {
@@ -168,6 +178,7 @@ func (t *Tree) CommitKey(k record.Key, txnID uint64, commitTime record.Timestamp
 			if err := t.writeCurrent(n); err != nil {
 				return err
 			}
+			delete(t.pending, string(k))
 			t.now = commitTime
 			t.stats.Restamps++
 			return nil
@@ -187,7 +198,11 @@ func (t *Tree) AbortKey(k record.Key, txnID uint64) error {
 	for i, v := range n.versions {
 		if v.IsPending() && v.Key.Equal(k) && v.TxnID == txnID {
 			n.versions = append(n.versions[:i], n.versions[i+1:]...)
-			return t.writeCurrent(n)
+			if err := t.writeCurrent(n); err != nil {
+				return err
+			}
+			delete(t.pending, string(k))
+			return nil
 		}
 	}
 	return fmt.Errorf("%w: key %s, transaction %d", ErrNoPending, k, txnID)

@@ -25,7 +25,7 @@ func (t *Tree) Get(k record.Key) (record.Version, bool, error) {
 }
 
 // GetPending returns transaction txnID's uncommitted version of key k, if
-// any — the transaction layer's read-your-writes path.
+// any.
 func (t *Tree) GetPending(k record.Key, txnID uint64) (record.Version, bool, error) {
 	n, err := t.currentLeaf(k)
 	if err != nil {

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/record"
@@ -98,6 +100,7 @@ func TestConcurrentStress(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, writers+readers+1)
+	var conflicts atomic.Uint64
 
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -131,6 +134,9 @@ func TestConcurrentStress(t *testing.T) {
 							}
 							staged = append(staged, committedOp{key: k, value: val})
 						}
+						// Yield while holding the key's lock, so that
+						// writers meet on a key even on one CPU.
+						runtime.Gosched()
 					}
 					if abort {
 						return errors.New("deliberate abort")
@@ -157,8 +163,11 @@ func TestConcurrentStress(t *testing.T) {
 						final = append(final, op)
 					}
 					appendLog(final)
-				case errors.Is(err, txn.ErrLockConflict) || abort:
-					// No-wait conflicts and deliberate aborts leave no trace.
+				case errors.Is(err, txn.ErrLockConflict):
+					// No-wait conflicts leave no trace.
+					conflicts.Add(1)
+				case abort:
+					// Nor do deliberate aborts.
 				default:
 					errCh <- fmt.Errorf("writer %d: %v", w, err)
 					return
@@ -225,6 +234,11 @@ func TestConcurrentStress(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
+	}
+	t.Logf("%d conflicts", conflicts.Load())
+	// Every refused write was counted once, and the run refused some.
+	if got := d.Stats().Txn.Conflicts; got == 0 || got != conflicts.Load() {
+		t.Fatalf("Stats().Txn.Conflicts = %d, writers saw %d ErrLockConflict", got, conflicts.Load())
 	}
 
 	if err := d.CheckInvariants(); err != nil {

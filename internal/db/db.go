@@ -20,9 +20,10 @@
 //     shard latch and can wait for an in-progress page split on that one
 //     shard. Readers never block readers, and never touch shards outside
 //     their key range.
-//   - Updaters claim keys in a no-wait lock table (conflicts fail fast
-//     with txn.ErrLockConflict) and write pending versions under the
-//     owning shard's write latch. Commit posting is serialized by a
+//   - An updater's write lock on a key is its pending version (§4), so
+//     a write takes one latch, its shard's; another transaction's write
+//     of the key fails fast with txn.ErrLockConflict (no-wait). Commit
+//     posting is serialized by a
 //     group-commit leadership token: concurrently-arriving committers
 //     coalesce into one batch — consecutive commit timestamps, one
 //     commit-log append + fsync (durable mode), one clock advance — so
@@ -80,7 +81,8 @@
 //     Stats().Device.DeadBytes reports them, and nothing reclaims them.
 //     Only a crash leaves them; a clean restart adds none.
 //     Pending versions of transactions in flight at the boundary are
-//     erased from the image (the checkpoint records their write locks),
+//     erased from the image (the checkpoint lists exactly those the
+//     images hold; one that is missing fails Open as corruption),
 //     then the WAL tail replays, each version to its shard only past
 //     that shard's boundary — so recovery reads the checkpoint metadata
 //     plus O(log tail), never the whole database, and applies every

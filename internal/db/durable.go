@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/buffer"
-	"repro/internal/core"
 	"repro/internal/pagestore"
 	"repro/internal/record"
 	"repro/internal/txn"
@@ -159,10 +158,10 @@ func (d *DB) recoverTo(info wal.CheckpointInfo) (lastLSN, nextSeg uint64, err er
 		group, secLSN = m.GroupLSNs, m.SecLSN
 		// The transactions in flight at the boundary died with the
 		// crash; a committed one re-arrives from its log frame. The
-		// lock-table snapshot is a superset of what actually reached the
-		// trees, so "nothing to abort" is fine.
+		// list is exactly the pending versions the images hold, so one
+		// that is missing means the checkpoint does not match its pages.
 		for _, p := range m.Pending {
-			if err := d.store.AbortKey(p.Key, p.TxnID); err != nil && !errors.Is(err, core.ErrNoPending) {
+			if err := d.store.AbortKey(p.Key, p.TxnID); err != nil {
 				return 0, 0, fmt.Errorf("db: erasing boundary pending version of %s: %w", p.Key, err)
 			}
 		}

@@ -20,8 +20,8 @@ package db
 //     time: the WAL is rotated under the commit token alone, and then
 //     each shard is captured under the token plus that ONE shard's read
 //     latch — its boundary LSN (meta GroupLSNs[i]), its tree image, its
-//     dirty pages (memory copies only), and its slice of the in-flight
-//     write-lock set. The secondary indexes are captured last, the same
+//     dirty pages (memory copies only), and its pending versions (its
+//     write locks). The secondary indexes are captured last, the same
 //     way, under the secondary latch (SecLSN), together with the page
 //     allocator and the WORM burned count. No instant quiesces the
 //     whole database: the pause a writer can observe is one shard's
@@ -143,19 +143,12 @@ func (d *DB) flushAndInstall(pause *time.Duration) error {
 			defer sh.mu.RUnlock()
 			meta.Shards[i] = sh.tree.Image()
 			copies = d.pool.CaptureDirty(i)
-			// This shard's slice of the in-flight write-lock set: the
-			// captured pages may hold those transactions' pending
-			// versions, and if this boundary is ever recovered they are
-			// dead — recovery erases them (see recoverTo). A lock
-			// released after this instant is either aborted (the erase
-			// finds nothing or removes a version the flushed page still
-			// shows) or committed past GroupLSNs[i] (erased, then
-			// replayed).
-			for _, p := range d.tm.PendingWrites() {
-				if record.ShardOfKey(p.Key, nShards) == i {
-					meta.Pending = append(meta.Pending, p)
-				}
-			}
+			// This shard's pending versions, exactly the ones its image
+			// holds at this instant: if this boundary is ever recovered
+			// their transactions are dead and recovery erases them (see
+			// recoverTo). One committed after this instant is past
+			// GroupLSNs[i]: erased, then replayed.
+			meta.Pending = append(meta.Pending, sh.tree.PendingWrites()...)
 			return nil
 		})
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/pagestore"
 	"repro/internal/record"
 	"repro/internal/storage"
@@ -580,7 +581,11 @@ func TestPagedSecondariesReopen(t *testing.T) {
 // TestPagedPendingErasedOnRecovery: a transaction in flight across a
 // checkpoint leaves its pending version in the flushed pages; recovery
 // must erase it — invisible to every read, and no obstacle to a new
-// transaction (with a recycled txn id) writing the same key.
+// transaction (with a recycled txn id) writing the same key. The
+// checkpoint lists exactly the pending versions its images hold: one in
+// flight across two checkpoints is listed by the second although its
+// leaf was clean then, one that aborted before is not, and a listed one
+// that is not in the image makes Open fail as corruption.
 func TestPagedPendingErasedOnRecovery(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(pagedConfig(dir))
@@ -592,8 +597,30 @@ func TestPagedPendingErasedOnRecovery(t *testing.T) {
 	if err := tx.Put(record.StringKey("inflight"), []byte("uncommitted")); err != nil {
 		t.Fatal(err)
 	}
+	aborted := d.Begin()
+	if err := aborted.Put(record.StringKey("aborted"), []byte("gone")); err != nil {
+		t.Fatal(err)
+	}
+	if err := aborted.Abort(); err != nil {
+		t.Fatal(err)
+	}
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+	// The second checkpoint flushes nothing: tx's leaf is clean.
+	if dirty := d.Stats().Device.DirtyPages; dirty != 0 {
+		t.Fatalf("%d dirty pages between checkpoints, want 0", dirty)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	info, _, err := wal.ReadCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []core.PendingWrite{{Key: record.StringKey("inflight"), TxnID: tx.ID()}}
+	if !reflect.DeepEqual(info.Paged.Pending, want) {
+		t.Fatalf("checkpoint pending = %v, want %v", info.Paged.Pending, want)
 	}
 	// Power loss with tx still open: its pending version is inside the
 	// checkpointed pages.
@@ -603,7 +630,6 @@ func TestPagedPendingErasedOnRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
 	if _, ok, err := re.Get(record.StringKey("inflight")); err != nil || ok {
 		t.Fatalf("uncommitted key visible after recovery: ok=%v err=%v", ok, err)
 	}
@@ -617,6 +643,40 @@ func TestPagedPendingErasedOnRecovery(t *testing.T) {
 		t.Fatalf("rewrite after recovery: ok=%v val=%q", ok, v.Value)
 	}
 	if err := re.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A checkpoint naming a pending version its image lacks is refused,
+	// and the refused Open leaves the directory unlocked.
+	info, _, err = wal.ReadCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(info.Paged.Pending) != 0 {
+		t.Fatalf("clean close left pending %v", info.Paged.Pending)
+	}
+	info.Paged.Pending = []core.PendingWrite{{Key: record.StringKey("ghost"), TxnID: 7}}
+	if err := wal.WriteCheckpoint(dir, nil, info); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(pagedConfig(dir)); !errors.Is(err, core.ErrNoPending) || !strings.Contains(err.Error(), "ghost") {
+		t.Fatalf("Open with a fabricated pending entry = %v, want ErrNoPending naming ghost", err)
+	}
+	info.Paged.Pending = nil
+	if err := wal.WriteCheckpoint(dir, nil, info); err != nil {
+		t.Fatal(err)
+	}
+	re, err = Open(pagedConfig(dir))
+	if err != nil {
+		t.Fatalf("reopen after the refused Open: %v", err)
+	}
+	if v, ok, _ := re.Get(record.StringKey("inflight")); !ok || string(v.Value) != "second-life" {
+		t.Fatalf("after the refused Open: ok=%v val=%q", ok, v.Value)
+	}
+	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -15,9 +15,11 @@ import (
 
 // shard is one key-range partition of the database: an independent
 // TSB-tree guarded by a reader/writer latch. The latch protects the tree
-// *structure* (nodes split and migrate in place); logical record locking
-// is the transaction manager's job. Readers of disjoint shards never
-// contend, and readers of the same shard share the latch.
+// *structure* (nodes split and migrate in place) and its write locks: a
+// transaction's pending version of a key is its lock on that key (§4),
+// so claiming, stamping and erasing one is a write under this latch.
+// Readers of disjoint shards never contend, and readers of the same
+// shard share the latch.
 type shard struct {
 	mu   sync.RWMutex //tsb:latch level=5 name=shard
 	tree *core.Tree
@@ -133,13 +135,6 @@ func (s *shardedStore) AbortKey(k record.Key, txnID uint64) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.tree.AbortKey(k, txnID)
-}
-
-func (s *shardedStore) GetPending(k record.Key, txnID uint64) (record.Version, bool, error) {
-	sh := s.shardFor(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.tree.GetPending(k, txnID)
 }
 
 func (s *shardedStore) Get(k record.Key) (record.Version, bool, error) {

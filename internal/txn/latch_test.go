@@ -36,12 +36,6 @@ func (l *latchedStore) AbortKey(k record.Key, txnID uint64) error {
 	return l.s.AbortKey(k, txnID)
 }
 
-func (l *latchedStore) GetPending(k record.Key, txnID uint64) (record.Version, bool, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.s.GetPending(k, txnID)
-}
-
 func (l *latchedStore) Get(k record.Key) (record.Version, bool, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()

@@ -11,8 +11,10 @@
 //     wait for an updater, and no updater can later commit at or before
 //     the reader's timestamp.
 //
-// Updaters use a no-wait lock table: a conflicting write fails immediately
-// with ErrLockConflict, which makes the protocol trivially deadlock-free.
+// An updater's write lock on a key is its pending version in the store,
+// released when commit stamps or abort erases it. Locking is no-wait: a
+// write of a key another transaction holds fails immediately with
+// ErrLockConflict, which makes the protocol trivially deadlock-free.
 //
 // # Concurrency
 //
@@ -22,8 +24,8 @@
 //   - the commit clock and transaction-id counter are atomics, so issuing
 //     a read-only transaction's timestamp is wait-free — a reader never
 //     blocks on an updater, honoring §4.1;
-//   - the no-wait lock table has its own short mutex, taken only to claim
-//     or release a key;
+//   - a write lock is claimed and released by the latched Store call
+//     that writes, stamps or erases the pending version;
 //   - commit posting is serialized by a leadership token (group commit):
 //     concurrently-arriving committers enqueue their write sets, and the
 //     first to take the token posts the whole queue as one batch —
@@ -92,7 +94,6 @@ type Store interface {
 	Insert(v record.Version) error
 	CommitKey(k record.Key, txnID uint64, commitTime record.Timestamp) error
 	AbortKey(k record.Key, txnID uint64) error
-	GetPending(k record.Key, txnID uint64) (record.Version, bool, error)
 	Get(k record.Key) (record.Version, bool, error)
 	GetAsOf(k record.Key, at record.Timestamp) (record.Version, bool, error)
 	History(k record.Key) ([]record.Version, error)
@@ -117,8 +118,8 @@ type (
 // Errors returned by the transaction layer.
 var (
 	// ErrLockConflict is returned when a write hits a key locked by
-	// another transaction (no-wait policy).
-	ErrLockConflict = errors.New("txn: key locked by another transaction")
+	// another transaction (no-wait policy); the tree's Insert detects it.
+	ErrLockConflict = core.ErrLockConflict
 	// ErrDone is returned when a finished transaction is used again.
 	ErrDone = errors.New("txn: transaction already committed or aborted")
 )
@@ -163,9 +164,9 @@ type CommitLog interface {
 	AppendBatch(recs []CommitRecord) error
 }
 
-// Manager issues transaction ids and commit timestamps, orders commit
-// posting, and holds the updater lock table. It is safe for concurrent
-// use when its Store is.
+// Manager issues transaction ids and commit timestamps and orders commit
+// posting; the write locks are the pending versions in its Store. It is
+// safe for concurrent use when its Store is.
 type Manager struct {
 	store Store
 
@@ -193,10 +194,6 @@ type Manager struct {
 	// durable directory, which replays the log) reconciles them.
 	// Written and read only under the leadership token.
 	broken error
-
-	// lockMu guards the no-wait lock table only.
-	lockMu sync.Mutex        //tsb:latch level=7 name=lock-table
-	locks  map[string]uint64 // key -> txn id holding the write lock
 
 	// Outcome counters are obs instruments — the one source of truth;
 	// Stats() derives from them and RegisterMetrics names them.
@@ -226,7 +223,6 @@ type commitResult struct {
 func NewManager(store Store, startTime record.Timestamp) *Manager {
 	m := &Manager{
 		store:    store,
-		locks:    make(map[string]uint64),
 		leaderCh: make(chan struct{}, 1),
 	}
 	m.clock.Store(uint64(startTime))
@@ -274,29 +270,6 @@ func (m *Manager) Quiesce(fn func() error) error {
 // ActiveUpdaters returns the number of updating transactions begun but
 // not yet committed or aborted.
 func (m *Manager) ActiveUpdaters() int64 { return m.activeUpdaters.Load() }
-
-// PendingWrite names one key whose pending (uncommitted) version is —
-// or is about to be — in the store, and the transaction that owns it.
-type PendingWrite struct {
-	Key   record.Key
-	TxnID uint64
-}
-
-// PendingWrites snapshots the lock table: every key currently
-// write-locked by an in-flight transaction. The checkpoint records
-// this set so recovery can erase the stale pending versions a
-// page-level image necessarily captures. The snapshot is a superset of
-// the pending versions actually in the store — a locker may not have
-// inserted yet — so consumers must tolerate AbortKey finding nothing.
-func (m *Manager) PendingWrites() []PendingWrite {
-	m.lockMu.Lock()
-	defer m.lockMu.Unlock()
-	out := make([]PendingWrite, 0, len(m.locks))
-	for k, id := range m.locks {
-		out = append(out, PendingWrite{Key: record.Key(k).Clone(), TxnID: id})
-	}
-	return out
-}
 
 // Stats returns a snapshot of the counters.
 func (m *Manager) Stats() Stats {
@@ -357,43 +330,25 @@ func (t *Txn) ID() uint64 { return t.id }
 // it has not (successfully) committed or wrote nothing.
 func (t *Txn) CommitTime() record.Timestamp { return t.commitTime }
 
-// releaseLock drops the lock-table entry for key ks if held by txn id.
-func (m *Manager) releaseLock(ks string, id uint64) {
-	m.lockMu.Lock()
-	if holder, held := m.locks[ks]; held && holder == id {
-		delete(m.locks, ks)
-	}
-	m.lockMu.Unlock()
-}
-
-func (t *Txn) lockAndWrite(v record.Version) error {
-	m := t.m
+// write inserts the pending version v, which claims the key's write lock
+// or fails with ErrLockConflict.
+func (t *Txn) write(v record.Version) error {
 	if t.done {
 		return ErrDone
 	}
-	ks := string(v.Key)
-	_, mine := t.writes[ks]
-	m.lockMu.Lock()
-	if holder, held := m.locks[ks]; held && holder != t.id {
-		m.lockMu.Unlock()
-		m.conflicts.Add(1)
-		return fmt.Errorf("%w: key %s held by txn %d", ErrLockConflict, v.Key, holder)
-	}
-	m.locks[ks] = t.id
-	m.lockMu.Unlock()
-	if err := m.store.Insert(v); err != nil {
-		if !mine {
-			m.releaseLock(ks, t.id)
+	if err := t.m.store.Insert(v); err != nil {
+		if errors.Is(err, ErrLockConflict) {
+			t.m.conflicts.Add(1)
 		}
 		return err
 	}
-	t.writes[ks] = v
+	t.writes[string(v.Key)] = v
 	return nil
 }
 
 // Put writes a pending (untimestamped) version of key k.
 func (t *Txn) Put(k record.Key, val []byte) error {
-	return t.lockAndWrite(record.Version{
+	return t.write(record.Version{
 		Key: k.Clone(), Time: record.TimePending, TxnID: t.id,
 		Value: append([]byte(nil), val...),
 	})
@@ -401,30 +356,29 @@ func (t *Txn) Put(k record.Key, val []byte) error {
 
 // Delete writes a pending tombstone for key k.
 func (t *Txn) Delete(k record.Key) error {
-	return t.lockAndWrite(record.Version{
+	return t.write(record.Version{
 		Key: k.Clone(), Time: record.TimePending, TxnID: t.id, Tombstone: true,
 	})
 }
 
 // Get returns the transaction's own pending write of k if it has one,
 // otherwise the most recently committed version (read-committed: a
-// concurrent commit mid-posting may already be visible key by key).
+// concurrent commit mid-posting may already be visible key by key). An
+// own write is answered from the write set; the caller gets a copy,
+// since those bytes become the commit record.
 func (t *Txn) Get(k record.Key) (record.Version, bool, error) {
-	m := t.m
 	if t.done {
 		return record.Version{}, false, ErrDone
 	}
-	if _, wrote := t.writes[string(k)]; wrote {
-		v, ok, err := m.store.GetPending(k, t.id)
-		if err != nil || !ok {
-			return record.Version{}, false, err
-		}
+	if v, wrote := t.writes[string(k)]; wrote {
 		if v.Tombstone {
 			return record.Version{}, false, nil
 		}
+		v.Key = v.Key.Clone()
+		v.Value = append([]byte(nil), v.Value...)
 		return v, true, nil
 	}
-	v, ok, err := m.store.Get(k)
+	v, ok, err := t.m.store.Get(k)
 	if err != nil || !ok {
 		return record.Version{}, false, err
 	}
@@ -594,7 +548,7 @@ func (m *Manager) runBatch(batch []*commitReq) {
 }
 
 // postTxn stamps every pending version of one transaction with its
-// commit time, releasing locks as it goes. On a store error it cleans up
+// commit time, which releases its lock. On a store error it cleans up
 // the unposted remainder (failCommit) and reports whether anything of
 // the transaction reached the store stamped.
 func (m *Manager) postTxn(req *commitReq, ct record.Timestamp) (posted bool, err error) {
@@ -604,7 +558,6 @@ func (m *Manager) postTxn(req *commitReq, ct record.Timestamp) (posted bool, err
 			m.failCommit(req.writes[j:], req.id)
 			return j > 0 || stamped, fmt.Errorf("txn: commit of %s: %w", v.Key, err)
 		}
-		m.releaseLock(string(v.Key), req.id)
 	}
 	return true, nil
 }
@@ -657,16 +610,14 @@ func (m *Manager) callHook(commitTime record.Timestamp, oldV record.Version, old
 }
 
 // failCommit cleans up a failed commit: the remaining write set's
-// pending versions are erased best-effort and every remaining lock is
-// released, so no key stays locked forever. Burning a torn timestamp is
-// the batch leader's job. Called under the leadership token.
+// pending versions — its locks — are erased best-effort. AbortKey fails
+// if the version is gone (e.g. the failed key was stamped before its
+// hook errored), and then there is no lock left to release. Burning a
+// torn timestamp is the batch leader's job. Called under the leadership
+// token.
 func (m *Manager) failCommit(remaining []record.Version, txnID uint64) {
 	for _, v := range remaining {
-		// AbortKey fails if the pending version is gone (e.g. the
-		// failed key was stamped before its hook errored); the lock
-		// must be released regardless.
 		_ = m.store.AbortKey(v.Key, txnID)
-		m.releaseLock(string(v.Key), txnID)
 	}
 	m.aborted.Add(1)
 }
@@ -680,15 +631,13 @@ func (t *Txn) Abort() error {
 	}
 	t.done = true
 	defer m.activeUpdaters.Add(-1)
-	// Locks are released even when erasing a pending version fails —
-	// mirroring failCommit — so a store error can never strand a key
-	// locked forever. The first error is still reported.
+	// Erasing a pending version releases its lock. Every key is tried
+	// even after one fails; the first error is reported.
 	var firstErr error
 	for _, v := range t.sortedWrites() {
 		if err := m.store.AbortKey(v.Key, t.id); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("txn: abort of %s: %w", v.Key, err)
 		}
-		m.releaseLock(string(v.Key), t.id)
 	}
 	m.aborted.Add(1)
 	return firstErr

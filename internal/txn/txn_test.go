@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -24,6 +25,8 @@ func newManager(t *testing.T) (*Manager, *core.Tree) {
 
 func TestCommitMakesWritesVisible(t *testing.T) {
 	m, _ := newManager(t)
+	log := &recordingLog{}
+	m.SetCommitLog(log)
 	tx := m.Begin()
 	if err := tx.Put(record.StringKey("a"), []byte("1")); err != nil {
 		t.Fatal(err)
@@ -36,10 +39,13 @@ func TestCommitMakesWritesVisible(t *testing.T) {
 	if _, ok, _ := r.Get(record.StringKey("a")); ok {
 		t.Error("uncommitted write visible to reader")
 	}
-	// Visible to self.
-	if v, ok, _ := tx.Get(record.StringKey("a")); !ok || string(v.Value) != "1" {
+	// Visible to self, as a copy: the write set's bytes become the
+	// commit record, so scribbling on the answer changes nothing.
+	v, ok, _ := tx.Get(record.StringKey("a"))
+	if !ok || string(v.Value) != "1" || v.TxnID != tx.ID() {
 		t.Errorf("read-your-writes failed: %v, %v", v, ok)
 	}
+	v.Value[0], v.Key[0] = 'X', 'X'
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -49,6 +55,10 @@ func TestCommitMakesWritesVisible(t *testing.T) {
 	vb, okB, _ := r2.Get(record.StringKey("b"))
 	if !okA || !okB {
 		t.Fatal("committed writes missing")
+	}
+	rec := log.snapshot()[0][0]
+	if string(va.Value) != "1" || string(rec.Versions[0].Key) != "a" || string(rec.Versions[0].Value) != "1" {
+		t.Errorf("committed %q, logged %v; want the write as made", va.Value, rec.Versions[0])
 	}
 	if va.Time != vb.Time {
 		t.Errorf("commit timestamps differ: %v vs %v", va.Time, vb.Time)
@@ -82,33 +92,113 @@ func TestAbortErasesWrites(t *testing.T) {
 	}
 }
 
+// conflictSetup builds a one-leaf tree of LeafCapacity 512 in which txn
+// holder has a pending version of "k" and fill filler keys are committed.
+func conflictSetup(t *testing.T, fill int) (*Manager, *core.Tree, *Txn) {
+	t.Helper()
+	mag := storage.NewMagneticDisk(4096, storage.CostModel{})
+	worm := storage.NewWORMDisk(storage.WORMConfig{SectorSize: 512})
+	tree, err := core.New(mag, worm, core.Config{Policy: core.PolicyLastUpdate, MaxKeySize: 32, LeafCapacity: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(newLatchedStore(tree), tree.Now())
+	holder := m.Begin()
+	if err := holder.Put(record.StringKey("k"), []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < fill; i++ {
+		if err := m.Update(func(tx *Txn) error {
+			return tx.Put(record.StringKey(fmt.Sprintf("f%02d", i)), []byte("filler"))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m, tree, holder
+}
+
+// TestNoWaitLockConflict: a pending version is its transaction's write
+// lock. A conflicting write fails at once and leaves no trace — not even
+// the split an accepted write of the same size would have made — and the
+// key is free again once the holder commits or aborts.
 func TestNoWaitLockConflict(t *testing.T) {
-	m, _ := newManager(t)
-	tx1 := m.Begin()
-	tx2 := m.Begin()
-	if err := tx1.Put(record.StringKey("k"), []byte("1")); err != nil {
-		t.Fatal(err)
+	loserVal := []byte(strings.Repeat("v", 60))
+	// The smallest fill at which one more write of loserVal's size
+	// splits the leaf, found on twin trees.
+	fill := 0
+	for ; ; fill++ {
+		m, tree, _ := conflictSetup(t, fill)
+		if err := m.Update(func(tx *Txn) error { return tx.Put(record.StringKey("j"), loserVal) }); err != nil {
+			t.Fatal(err)
+		}
+		if tree.Stats().CurrentNodes > 1 {
+			break
+		}
+		if fill > 100 {
+			t.Fatal("leaf never split")
+		}
 	}
-	err := tx2.Put(record.StringKey("k"), []byte("2"))
-	if !errors.Is(err, ErrLockConflict) {
-		t.Fatalf("conflicting write = %v, want ErrLockConflict", err)
-	}
-	if m.Stats().Conflicts != 1 {
-		t.Errorf("stats: %+v", m.Stats())
-	}
-	// After tx1 finishes, tx2 can proceed.
-	if err := tx1.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx2.Put(record.StringKey("k"), []byte("2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx2.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	v, _, _ := m.ReadOnly().Get(record.StringKey("k"))
-	if string(v.Value) != "2" {
-		t.Fatalf("final value = %s", v.Value)
+	for _, holderCommits := range []bool{true, false} {
+		name := "abort"
+		if holderCommits {
+			name = "commit"
+		}
+		t.Run(name, func(t *testing.T) {
+			m, tree, holder := conflictSetup(t, fill)
+			stats := tree.Stats()
+			cur, hist, err := tree.CountNodes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			loser := m.Begin()
+			if err := loser.Put(record.StringKey("k"), loserVal); !errors.Is(err, ErrLockConflict) {
+				t.Fatalf("conflicting write = %v, want ErrLockConflict", err)
+			}
+			// The Store path: a bare tree refuses the same way (txn's
+			// error is core's).
+			err = tree.Insert(record.Version{Key: record.StringKey("k"), Time: record.TimePending,
+				TxnID: loser.ID(), Value: loserVal})
+			if !errors.Is(err, core.ErrLockConflict) {
+				t.Fatalf("bare tree insert = %v, want core.ErrLockConflict", err)
+			}
+			if m.Stats().Conflicts != 1 {
+				t.Errorf("stats: %+v", m.Stats())
+			}
+			if got := tree.Stats(); got != stats {
+				t.Errorf("refused writes changed the tree stats:\n%+v\n%+v", stats, got)
+			}
+			if c, h, err := tree.CountNodes(); err != nil || c != cur || h != hist {
+				t.Errorf("refused writes changed the node count: %d/%d -> %d/%d (%v)", cur, hist, c, h, err)
+			}
+			want := "1"
+			if holderCommits {
+				err = holder.Commit()
+			} else {
+				err = holder.Abort()
+				want = ""
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, ok, _ := m.ReadOnly().Get(record.StringKey("k")); string(v.Value) != want || ok != holderCommits {
+				t.Fatalf("after the holder finished: %q, %v", v.Value, ok)
+			}
+			if err := loser.Put(record.StringKey("k"), loserVal); err != nil {
+				t.Fatal(err)
+			}
+			if err := loser.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if v, _, _ := m.ReadOnly().Get(record.StringKey("k")); string(v.Value) != string(loserVal) {
+				t.Fatalf("final value = %s", v.Value)
+			}
+			if len(tree.PendingWrites()) != 0 {
+				t.Errorf("locks left after both finished: %v", tree.PendingWrites())
+			}
+			if err := tree.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"repro/internal/pagestore"
 	"repro/internal/record"
 	"repro/internal/storage"
-	"repro/internal/txn"
 )
 
 // PagedMeta is the device/tree metadata of a checkpoint.
@@ -47,12 +46,13 @@ type PagedMeta struct {
 	// Secondaries one per secondary index, keyed by name.
 	Shards      []core.TreeImage
 	Secondaries map[string]core.TreeImage
-	// Pending lists the write locks held at the boundary: the keys
-	// whose uncommitted pending versions the flushed pages may contain
-	// (§4: uncommitted data lives, erasable, in the current database).
-	// Those transactions died with the crash, so recovery erases each
-	// pending version before replaying the WAL tail.
-	Pending []txn.PendingWrite
+	// Pending lists exactly the pending versions the shard images hold
+	// at the boundary, each a key and its owning transaction (§4:
+	// uncommitted data lives, erasable, in the current database, and a
+	// pending version is its transaction's write lock). Those
+	// transactions died with the crash, so recovery erases each pending
+	// version before replaying the WAL tail.
+	Pending []core.PendingWrite
 	// GroupLSNs holds the per-shard capture boundary of a fuzzy
 	// checkpoint: shard i's image and dirty pages were captured with the
 	// log at GroupLSNs[i], quiescing only that shard. Replay applies a
@@ -261,7 +261,7 @@ func decodePagedMeta(d *record.Decoder) (*PagedMeta, error) {
 	}
 	nPend := d.Uvarint()
 	for i := uint64(0); i < nPend && d.Err() == nil; i++ {
-		var p txn.PendingWrite
+		var p core.PendingWrite
 		p.Key = d.Key().Clone()
 		p.TxnID = d.Uvarint()
 		m.Pending = append(m.Pending, p)

@@ -8,7 +8,6 @@ import (
 	"repro/internal/pagestore"
 	"repro/internal/record"
 	"repro/internal/storage"
-	"repro/internal/txn"
 )
 
 // sampleCheckpoint is a checkpoint with every field populated: the fixed
@@ -51,7 +50,7 @@ func sampleCheckpoint() CheckpointInfo {
 				MaxKeySize: 129, MaxValueSize: 512, LeafCapacity: 4096, IndexCapacity: 4096,
 			},
 		},
-		Pending: []txn.PendingWrite{
+		Pending: []core.PendingWrite{
 			{Key: record.StringKey("inflight-a"), TxnID: 12},
 			{Key: record.StringKey("inflight-b"), TxnID: 13},
 		},
