@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/storage"
 )
@@ -237,12 +238,26 @@ type Tree struct {
 	// performed under the shard write latch. It lives outside Stats so
 	// it never reaches a TreeImage.
 	splitNanos uint64
+
+	// nodeDecodes and nodeEncodes count node accesses, the paper's cost
+	// unit (§3.2): every node parsed from a device, and every node
+	// serialized, sizing included. Reads run concurrently under shard
+	// read latches, so they are atomic; like splitNanos they stay out of
+	// Stats and so out of every TreeImage.
+	nodeDecodes obs.Counter
+	nodeEncodes obs.Counter
 }
 
 // SplitLatchNanos returns the cumulative time spent splitting nodes,
 // including the inline WORM append of every time split — work that runs
 // under the owning shard's write latch.
 func (t *Tree) SplitLatchNanos() uint64 { return t.splitNanos }
+
+// RegisterMetrics names the tree's node-access counters in r.
+func (t *Tree) RegisterMetrics(r *obs.Registry, labels ...obs.Label) {
+	r.RegisterCounter("tsb_core_node_decodes_total", "TSB-tree nodes decoded from a device page or WORM run", &t.nodeDecodes, labels...)
+	r.RegisterCounter("tsb_core_node_encodes_total", "TSB-tree nodes encoded, to write or to size them", &t.nodeEncodes, labels...)
+}
 
 // New creates an empty TSB-tree with a single empty leaf as root.
 func New(mag storage.PageStore, worm storage.WORMDevice, cfg Config) (*Tree, error) {

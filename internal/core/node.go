@@ -96,6 +96,7 @@ func decodeNode(data []byte, addr storage.Addr) (*node, error) {
 
 // readNode loads the node at addr from the appropriate device.
 func (t *Tree) readNode(addr storage.Addr) (*node, error) {
+	t.nodeDecodes.Inc()
 	switch addr.Kind {
 	case storage.KindMagnetic:
 		data, err := t.mag.Read(addr.Off)
@@ -119,7 +120,7 @@ func (t *Tree) writeCurrent(n *node) error {
 	if !n.addr.IsMagnetic() {
 		return fmt.Errorf("core: writeCurrent of %s", n.addr)
 	}
-	data := encodeNode(n)
+	data := t.encode(n)
 	if len(data) > t.mag.PageSize() {
 		return fmt.Errorf("core: node %s of %d bytes exceeds page size %d",
 			n.addr, len(data), t.mag.PageSize())
@@ -141,7 +142,7 @@ func (t *Tree) migrate(n *node) (storage.Addr, error) {
 			return storage.NilAddr, fmt.Errorf("core: entry referencing current node cannot migrate (paper §3.5)")
 		}
 	}
-	data := encodeNode(n)
+	data := t.encode(n)
 	addr, err := t.worm.Append(data)
 	if err != nil {
 		return storage.NilAddr, err
@@ -152,8 +153,14 @@ func (t *Tree) migrate(n *node) (storage.Addr, error) {
 	return addr, nil
 }
 
+// encode serializes a node, counting the access.
+func (t *Tree) encode(n *node) []byte {
+	t.nodeEncodes.Inc()
+	return encodeNode(n)
+}
+
 // size returns the encoded size of the node.
-func (t *Tree) size(n *node) int { return len(encodeNode(n)) }
+func (t *Tree) size(n *node) int { return len(t.encode(n)) }
 
 // sortVersions restores the canonical (key, time) order, pending last
 // within each key.

@@ -318,7 +318,8 @@ func (s *shardedStore) ScanRangePage(low record.Key, high record.Bound, from, to
 }
 
 // registerMetrics names each shard's latch-contention histograms in r,
-// one (shard, mode) series pair per histogram.
+// one (shard, mode) series pair per histogram, and its tree's
+// node-access counters.
 func (s *shardedStore) registerMetrics(r *obs.Registry) {
 	for i, sh := range s.shards {
 		latch := obs.Label{Key: "latch", Value: "shard"}
@@ -329,6 +330,7 @@ func (s *shardedStore) registerMetrics(r *obs.Registry) {
 		r.RegisterHistogram("tsb_latch_wait_seconds", "shard latch acquire latency (1-in-8 sampled)", &sh.waitW, latch, id, wr)
 		r.RegisterHistogram("tsb_latch_hold_seconds", "shard latch hold duration (1-in-8 sampled)", &sh.holdR, latch, id, rd)
 		r.RegisterHistogram("tsb_latch_hold_seconds", "shard latch hold duration (1-in-8 sampled)", &sh.holdW, latch, id, wr)
+		sh.tree.RegisterMetrics(r, id)
 	}
 }
 
