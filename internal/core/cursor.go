@@ -149,7 +149,7 @@ func visibleInLeaf(n *node, at record.Timestamp, low record.Key, high record.Bou
 	have := false
 	flush := func() {
 		if have && !best.Tombstone {
-			out = append(out, best)
+			out = append(out, best.Clone())
 		}
 		have = false
 	}

@@ -47,12 +47,12 @@ func (t *Tree) CurrentLeafView(k record.Key) (NodeView, error) {
 }
 
 func viewOf(n *node) NodeView {
-	v := NodeView{Addr: n.addr, Rect: n.rect, Leaf: n.leaf}
+	v := NodeView{Addr: n.addr, Rect: n.rect.Clone(), Leaf: n.leaf}
 	for _, ver := range n.versions {
 		v.Versions = append(v.Versions, ver.Clone())
 	}
 	for _, e := range n.entries {
-		v.Entries = append(v.Entries, EntryView{Rect: e.rect, Child: e.child})
+		v.Entries = append(v.Entries, EntryView{Rect: e.rect.Clone(), Child: e.child})
 	}
 	return v
 }

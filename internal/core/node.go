@@ -53,10 +53,7 @@ func encodeNode(n *node) []byte {
 	}
 	e.Rect(n.rect)
 	if n.leaf {
-		e.Uvarint(uint64(len(n.versions)))
-		for _, v := range n.versions {
-			e.Version(v)
-		}
+		e.Versions(n.versions)
 	} else {
 		e.Uvarint(uint64(len(n.entries)))
 		for _, en := range n.entries {
@@ -69,17 +66,23 @@ func encodeNode(n *node) []byte {
 	return e.Bytes()
 }
 
-// decodeNode parses a node body.
+// minEntrySize is the smallest encoded index entry: a rectangle (empty
+// low key, infinite high bound, two times) and a three-field address.
+const minEntrySize = 7
+
+// decodeNode parses a node body. The node's keys, values and bounds are
+// views into data, which the caller must own: every device read returns a
+// private buffer. Whatever the package hands out of a node is cloned.
 func decodeNode(data []byte, addr storage.Addr) (*node, error) {
-	d := record.NewDecoder(data)
-	kind := d.Byte()
-	n := &node{addr: addr, leaf: kind == nodeKindLeaf}
+	d := record.NewViewDecoder(data)
+	n := &node{addr: addr, leaf: d.Byte() == nodeKindLeaf}
 	n.rect = d.Rect()
-	count := d.Uvarint()
-	for i := uint64(0); i < count && d.Err() == nil; i++ {
-		if n.leaf {
-			n.versions = append(n.versions, d.Version())
-		} else {
+	if n.leaf {
+		n.versions = d.Versions()
+	} else {
+		count := d.Count(minEntrySize)
+		n.entries = make([]entry, 0, count)
+		for i := 0; i < count && d.Err() == nil; i++ {
 			var en entry
 			en.rect = d.Rect()
 			en.child.Kind = storage.DeviceKind(d.Byte())
@@ -159,8 +162,23 @@ func (t *Tree) encode(n *node) []byte {
 	return encodeNode(n)
 }
 
-// size returns the encoded size of the node.
-func (t *Tree) size(n *node) int { return len(t.encode(n)) }
+// size returns the encoded size of the node, len(encodeNode(n)), by
+// arithmetic: sizing a node on the insertion path must not serialize it.
+func (t *Tree) size(n *node) int {
+	size := 1 + n.rect.EncodedSize()
+	if n.leaf {
+		size += record.UvarintSize(uint64(len(n.versions)))
+		for _, v := range n.versions {
+			size += v.EncodedSize()
+		}
+		return size
+	}
+	size += record.UvarintSize(uint64(len(n.entries)))
+	for _, e := range n.entries {
+		size += e.rect.EncodedSize() + 1 + record.UvarintSize(e.child.Off) + record.UvarintSize(uint64(e.child.Len))
+	}
+	return size
+}
 
 // sortVersions restores the canonical (key, time) order, pending last
 // within each key.

@@ -97,10 +97,10 @@ func (t *Tree) ScanRange(low record.Key, high record.Bound, from, to record.Time
 		// A version committed at exactly `from` supersedes the alive
 		// candidate: the candidate was not valid inside the window.
 		if _, atFrom := s.versions[from]; s.hasAlive && !atFrom && !s.alive.Tombstone {
-			out = append(out, s.alive)
+			out = append(out, s.alive.Clone())
 		}
 		for _, v := range s.versions {
-			out = append(out, v)
+			out = append(out, v.Clone())
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })

@@ -21,7 +21,7 @@ func (t *Tree) Get(k record.Key) (record.Version, bool, error) {
 	if !ok || v.Tombstone {
 		return record.Version{}, false, nil
 	}
-	return v, true, nil
+	return v.Clone(), true, nil
 }
 
 // GetPending returns transaction txnID's uncommitted version of key k, if
@@ -33,7 +33,7 @@ func (t *Tree) GetPending(k record.Key, txnID uint64) (record.Version, bool, err
 	}
 	for _, v := range n.versions {
 		if v.IsPending() && v.Key.Equal(k) && v.TxnID == txnID {
-			return v, true, nil
+			return v.Clone(), true, nil
 		}
 	}
 	return record.Version{}, false, nil
@@ -62,7 +62,7 @@ func (t *Tree) GetAsOf(k record.Key, at record.Timestamp) (record.Version, bool,
 	if !ok || v.Tombstone {
 		return record.Version{}, false, nil
 	}
-	return v, true, nil
+	return v.Clone(), true, nil
 }
 
 // ScanAsOf returns the snapshot of keys in [low, high) as of time at,
@@ -112,7 +112,7 @@ func (t *Tree) ScanAsOf(at record.Timestamp, low record.Key, high record.Bound) 
 		}
 		for _, v := range best {
 			if !v.Tombstone {
-				out = append(out, v)
+				out = append(out, v.Clone())
 			}
 		}
 		return nil
@@ -158,7 +158,7 @@ func (t *Tree) History(k record.Key) ([]record.Version, error) {
 	}
 	out := make([]record.Version, 0, len(seen))
 	for _, v := range seen {
-		out = append(out, v)
+		out = append(out, v.Clone())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Time < out[j].Time })
 	return out, nil

@@ -448,7 +448,9 @@ func Open(cfg Config) (_ *DB, err error) {
 	// The clock resumes at the newest committed time recovery produced
 	// (the checkpoint clock is a lower bound of it).
 	d.tm = txn.NewManager(d.store, max(d.store.Now(), info.Clock))
-	d.tm.SetCommitHook(d.onCommit)
+	if len(d.secondaries) > 0 {
+		d.tm.SetCommitHook(d.onCommit)
+	}
 	if durable {
 		d.wal, err = wal.Open(wal.Options{Dir: cfg.Dir, CheckpointBytes: cfg.CheckpointBytes, WrapFile: cfg.logWrap}, nextSeg, lastLSN)
 		if err != nil {
@@ -588,6 +590,9 @@ func (d *DB) CreateSecondary(name string, extract SecondaryExtract) error {
 	if err := d.addSecondary(name, extract, nil); err != nil {
 		return err
 	}
+	// Without secondaries no hook is installed, so a commit posts each
+	// key with one descent instead of three.
+	d.tm.SetCommitHook(d.onCommit)
 	if d.wal != nil {
 		if err := d.Checkpoint(); err != nil {
 			return fmt.Errorf("db: sealing secondary index %q: %w", name, err)
@@ -598,7 +603,7 @@ func (d *DB) CreateSecondary(name string, extract SecondaryExtract) error {
 
 // onCommit maintains the secondary indexes; it runs under the transaction
 // manager's commit mutex for every committed key, write-holding the
-// secondary latch.
+// secondary latch. It is the commit hook only once a secondary exists.
 func (d *DB) onCommit(ct record.Timestamp, oldV record.Version, oldOK bool, newV record.Version) error {
 	d.secMu.Lock()
 	defer d.secMu.Unlock()

@@ -265,12 +265,14 @@ func TestShardRoutingPlacement(t *testing.T) {
 }
 
 // TestLatchSamplingCoversBothModes regression-tests the latch-timing
-// sampler against stride aliasing. A put-only workload ticks the
+// sampler against stride aliasing. A periodic workload ticks the
 // sampler a fixed number of times per operation, so a plain modulo-8
-// stride lands every sample on the same acquisition site — in practice
-// the read latch — leaving the write-latch histograms permanently
-// empty no matter how long the server runs. The hashed sampler must
-// spread samples across both modes.
+// stride lands every sample on the same acquisition site, leaving one
+// mode's histograms permanently empty no matter how long the server
+// runs. Each iteration here is a put (two write acquisitions: insert
+// and commit) then two gets of the key (two read acquisitions), a
+// period-4 W W R R pattern. The hashed sampler must spread samples
+// across both modes.
 func TestLatchSamplingCoversBothModes(t *testing.T) {
 	d, err := Open(Config{Shards: 4})
 	if err != nil {
@@ -278,10 +280,16 @@ func TestLatchSamplingCoversBothModes(t *testing.T) {
 	}
 	defer d.Close()
 	for i := 0; i < 2000; i++ {
+		k := record.Key(fmt.Sprintf("alias%04d", i))
 		if err := d.Update(func(tx *txn.Txn) error {
-			return tx.Put(record.Key(fmt.Sprintf("alias%04d", i)), []byte("v"))
+			return tx.Put(k, []byte("v"))
 		}); err != nil {
 			t.Fatal(err)
+		}
+		for range 2 {
+			if _, _, err := d.Get(k); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	var reads, writes uint64

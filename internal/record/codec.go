@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // The codec is a small, allocation-conscious binary encoder/decoder used by
@@ -96,15 +97,29 @@ func (e *Encoder) Versions(vs []Version) {
 	}
 }
 
+// UvarintSize returns the number of bytes Encoder.Uvarint writes for v.
+func UvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// blobSize returns the number of bytes Encoder.Blob writes for b.
+func blobSize(b []byte) int { return UvarintSize(uint64(len(b))) + len(b) }
+
 // Decoder reads binary fields from a byte slice with a sticky error.
 type Decoder struct {
-	buf []byte
-	off int
-	err error
+	buf  []byte
+	off  int
+	err  error
+	view bool // Blob aliases buf instead of copying
 }
 
 // NewDecoder returns a decoder over buf.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
+
+// NewViewDecoder returns a decoder over buf whose byte strings (keys,
+// values, bounds) alias buf rather than copy it: each is a subslice
+// capped at its own end, so appending to one never overwrites the next.
+// The caller must own buf and keep it unmodified while any decoded
+// value is in use.
+func NewViewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf, view: true} }
 
 // Err returns the first decoding error encountered, if any.
 func (d *Decoder) Err() error { return d.err }
@@ -150,7 +165,8 @@ func (d *Decoder) Byte() byte {
 func (d *Decoder) Bool() bool { return d.Byte() != 0 }
 
 // Blob reads a length-prefixed byte string. The returned slice is a copy,
-// safe to retain after the page buffer is recycled.
+// safe to retain after the page buffer is recycled — except from a
+// NewViewDecoder, where it is a capped subslice of the decoded buffer.
 func (d *Decoder) Blob() []byte {
 	n := d.Uvarint()
 	if d.err != nil {
@@ -160,9 +176,15 @@ func (d *Decoder) Blob() []byte {
 		d.fail()
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+int(n)])
-	d.off += int(n)
+	end := d.off + int(n)
+	var out []byte
+	if d.view {
+		out = d.buf[d.off:end:end]
+	} else {
+		out = make([]byte, n)
+		copy(out, d.buf[d.off:end])
+	}
+	d.off = end
 	return out
 }
 
@@ -212,24 +234,33 @@ func (d *Decoder) Version() Version {
 	return v
 }
 
+// Count reads an item count, failing if the remaining bytes cannot hold
+// that many items of at least minSize bytes each: such a count is
+// corrupt, not merely big, and must not size an allocation.
+func (d *Decoder) Count(minSize int) int {
+	n := d.Uvarint()
+	if d.err == nil && n > uint64(d.Remaining()/minSize) {
+		d.fail()
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
 // Versions reads a count-prefixed run of version records written by
 // Encoder.Versions.
 func (d *Decoder) Versions() []Version {
-	n := d.Uvarint()
+	// The smallest version (flags, empty key, time, txn id, empty
+	// value) occupies 5 bytes. The pre-allocation is further capped so
+	// a crafted count can never balloon memory ahead of the decode
+	// failing.
+	n := d.Count(5)
 	if d.err != nil {
 		return nil
 	}
-	// The smallest version (flags, empty key, time, txn id, empty
-	// value) occupies 5 bytes, so a count exceeding Remaining/5 is
-	// corrupt, not merely big — and the pre-allocation below is further
-	// capped so a crafted count can never balloon memory ahead of the
-	// decode failing.
-	if n > uint64(d.Remaining())/5 {
-		d.fail()
-		return nil
-	}
 	out := make([]Version, 0, min(n, 1024))
-	for i := uint64(0); i < n; i++ {
+	for range n {
 		v := d.Version()
 		if d.err != nil {
 			return nil

@@ -5,8 +5,8 @@ import (
 )
 
 // FuzzDecodeVersion feeds arbitrary bytes to the version decoder: it must
-// either fail cleanly or round-trip what it decoded, and never panic.
-// (Run with `go test -fuzz=FuzzDecodeVersion ./internal/record` to explore;
+// either fail cleanly or round-trip what it decoded, and never panic. The
+// view decoder must decode exactly what the copying decoder does. (Run with `go test -fuzz=FuzzDecodeVersion ./internal/record` to explore;
 // the seed corpus runs as a normal test.)
 func FuzzDecodeVersion(f *testing.F) {
 	// Seed with valid encodings and near-misses.
@@ -23,6 +23,11 @@ func FuzzDecodeVersion(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDecoder(data)
 		v := d.Version()
+		vd := NewViewDecoder(data)
+		vv := vd.Version()
+		if (d.Err() == nil) != (vd.Err() == nil) || !sameVersion(v, vv) {
+			t.Fatalf("view decoder differs: %+v (%v) vs %+v (%v)", vv, vd.Err(), v, d.Err())
+		}
 		if d.Err() != nil {
 			return // clean failure
 		}
@@ -34,11 +39,16 @@ func FuzzDecodeVersion(f *testing.F) {
 		if d2.Err() != nil {
 			t.Fatalf("re-decode failed: %v", d2.Err())
 		}
-		if !v2.Key.Equal(v.Key) || v2.Time != v.Time || v2.TxnID != v.TxnID ||
-			v2.Tombstone != v.Tombstone || string(v2.Value) != string(v.Value) {
+		if !sameVersion(v, v2) {
 			t.Fatalf("round trip mismatch: %+v vs %+v", v, v2)
 		}
 	})
+}
+
+// sameVersion compares two versions field by field, bytes by value.
+func sameVersion(a, b Version) bool {
+	return a.Key.Equal(b.Key) && a.Time == b.Time && a.TxnID == b.TxnID &&
+		a.Tombstone == b.Tombstone && string(a.Value) == string(b.Value)
 }
 
 // FuzzShardRouting drives the shard-boundary key codec with arbitrary keys

@@ -293,6 +293,24 @@ func (r Rect) Equal(other Rect) bool {
 		r.Start == other.Start && r.End == other.End
 }
 
+// Clone returns a rectangle whose keys share no memory with r's.
+func (r Rect) Clone() Rect {
+	out := r
+	out.LowKey = r.LowKey.Clone()
+	out.HighKey.key = r.HighKey.key.Clone()
+	return out
+}
+
+// EncodedSize returns the exact number of bytes Encoder.Rect writes for
+// the rectangle.
+func (r Rect) EncodedSize() int {
+	n := blobSize(r.LowKey) + 1
+	if !r.HighKey.inf {
+		n += blobSize(r.HighKey.key)
+	}
+	return n + UvarintSize(uint64(r.Start)) + UvarintSize(uint64(r.End))
+}
+
 // IsCurrent reports whether the rectangle is open-ended in time, i.e.
 // describes a node of the current database.
 func (r Rect) IsCurrent() bool { return r.End == TimeInfinity }
@@ -322,18 +340,14 @@ func (v Version) IsPending() bool { return v.Time == TimePending }
 func (v Version) Clone() Version {
 	out := v
 	out.Key = v.Key.Clone()
-	if v.Value != nil {
-		out.Value = append([]byte(nil), v.Value...)
-	}
+	out.Value = bytes.Clone(v.Value)
 	return out
 }
 
-// EncodedSize returns the exact number of bytes the version occupies on a
-// page.
+// EncodedSize returns the exact number of bytes Encoder.Version writes
+// for the version.
 func (v Version) EncodedSize() int {
-	e := Encoder{}
-	e.Version(v)
-	return e.Len()
+	return 1 + blobSize(v.Key) + UvarintSize(uint64(v.Time)) + UvarintSize(v.TxnID) + blobSize(v.Value)
 }
 
 // String renders the version for figures and debugging.

@@ -243,6 +243,8 @@ func (d *MagneticDisk) Stats() MagneticStats {
 
 // PageStore is the page-device interface the trees build on. *MagneticDisk
 // implements it directly; buffer.Pool implements it as a caching layer.
+// Read returns a buffer the caller owns: the TSB-tree decodes a node as
+// views over it.
 type PageStore interface {
 	Alloc() (uint64, error)
 	Read(p uint64) ([]byte, error)
@@ -274,6 +276,7 @@ type WORMDevice interface {
 	//tsb:io
 	//tsb:sticky
 	Append(data []byte) (Addr, error)
+	// ReadAt returns a buffer the caller owns, as PageStore.Read does.
 	ReadAt(addr Addr) ([]byte, error)
 	Stats() WORMStats
 }

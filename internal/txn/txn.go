@@ -230,8 +230,9 @@ func NewManager(store Store, startTime record.Timestamp) *Manager {
 	return m
 }
 
-// SetCommitHook installs the per-key commit callback. It must be called
-// before concurrent transactions begin.
+// SetCommitHook installs the per-key commit callback. It takes the
+// leadership token, so every commit posted after it returns runs the
+// hook. Without a hook, posting a key is one CommitKey.
 func (m *Manager) SetCommitHook(h CommitHook) {
 	m.leaderCh <- struct{}{}
 	m.hook = h
