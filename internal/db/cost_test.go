@@ -33,8 +33,10 @@ var updateCosts = flag.Bool("update", false, "rewrite testdata/costs.golden from
 // only when the split decisions do.
 
 const (
-	costKeys = 600 // keys loaded before measuring
-	costOps  = 100 // operations per class, and AllocsPerRun's run count
+	costKeys  = 600 // keys loaded before measuring
+	costOps   = 100 // operations per class, and AllocsPerRun's run count
+	costSpan  = 50  // keys in a diff or window read
+	costTicks = 20  // ticks in a diff or window read
 )
 
 func costLedger(t *testing.T) []string {
@@ -68,6 +70,13 @@ func costLedger(t *testing.T) []string {
 
 	now := d.Now()
 	next := costKeys
+	// window picks the key×time rectangle of a diff or window read:
+	// costSpan keys from a random start, costTicks ticks from a random
+	// past time.
+	window := func() (record.Key, record.Bound, record.Timestamp) {
+		i := rng.Intn(costKeys - costSpan)
+		return keys[i], record.KeyBound(keys[i+costSpan]), record.Timestamp(1 + rng.Int63n(int64(now)-costTicks))
+	}
 	classes := []struct {
 		name string
 		op   func()
@@ -84,6 +93,30 @@ func costLedger(t *testing.T) []string {
 		}},
 		{"update_txn", func() { put(keys[rng.Intn(costKeys)]) }},
 		{"insert_txn", func() { put(keys[next]); next++ }},
+		{"scan_as_of_200", func() {
+			at := record.Timestamp(1 + rng.Int63n(int64(now)))
+			cur := d.ReadAt(at).Cursor(keys[rng.Intn(costKeys)], record.InfiniteBound(), ScanOptions{Limit: 200})
+			if _, err := cur.Collect(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"history", func() {
+			if _, err := d.History(keys[rng.Intn(costKeys)]); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"diff", func() {
+			low, high, from := window()
+			if _, err := d.Diff(low, high, from, from+costTicks); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"window", func() {
+			low, high, from := window()
+			if _, err := d.ScanRange(low, high, from, from+costTicks); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
 	for _, c := range classes {
 		dec0, enc0 := nodeAccesses(t, d)
