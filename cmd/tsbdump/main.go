@@ -8,8 +8,9 @@
 //	tsbdump -waldir DIR
 //	tsbdump -pagedir DIR
 //
-// -scan N streams the first N records of the current snapshot through the
-// lazy cursor API — pagination over the tree, not a materialized scan.
+// -scan N streams the first N records of the current snapshot one leaf
+// page at a time (ScanPageAsOf, resumed through Page.Advance) — pagination
+// over the tree, not a materialized scan.
 //
 // -waldir DIR inspects a durable database directory instead: the
 // checkpoint header (format, shards, clock, LSN boundary, secondary
@@ -48,7 +49,7 @@ func main() {
 	u := flag.Float64("u", 0.5, "update fraction in [0,1]")
 	seed := flag.Int64("seed", 1, "workload seed")
 	dump := flag.Bool("dump", false, "print the full node-by-node tree dump")
-	scan := flag.Int("scan", 0, "stream the first N snapshot records through a cursor")
+	scan := flag.Int("scan", 0, "stream the first N snapshot records one leaf page at a time")
 	waldir := flag.String("waldir", "", "inspect a durable database directory (checkpoint + WAL) and exit")
 	pagedir := flag.String("pagedir", "", "inspect a durable database directory's device files (page-by-page, sector-by-sector) and exit")
 	flag.Parse()
@@ -67,7 +68,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*policy, *ops, *u, *seed, *dump, *scan); err != nil {
+	if err := run(os.Stdout, *policy, *ops, *u, *seed, *dump, *scan); err != nil {
 		fmt.Fprintln(os.Stderr, "tsbdump:", err)
 		os.Exit(1)
 	}
@@ -237,47 +238,53 @@ func dumpPagedDir(w io.Writer, dir string) error {
 	return nil
 }
 
-func run(policy string, ops int, u float64, seed int64, dump bool, scan int) error {
+func run(w io.Writer, policy string, ops int, u float64, seed int64, dump bool, scan int) error {
 	p := experiments.Params{Ops: ops, Seed: seed}
 	res, err := experiments.RunTSB(policy, u, p)
 	if err != nil {
 		return err
 	}
 	st := res.Tree.Stats()
-	fmt.Printf("policy=%s ops=%d update-fraction=%.2f\n\n", policy, ops, u)
-	fmt.Printf("height:               %d\n", st.Height)
-	fmt.Printf("current nodes:        %d\n", st.CurrentNodes)
-	fmt.Printf("historical nodes:     %d\n", st.HistoricalNodes)
-	fmt.Printf("leaf splits:          %d time, %d key, %d time+key\n",
+	fmt.Fprintf(w, "policy=%s ops=%d update-fraction=%.2f\n\n", policy, ops, u)
+	fmt.Fprintf(w, "height:               %d\n", st.Height)
+	fmt.Fprintf(w, "current nodes:        %d\n", st.CurrentNodes)
+	fmt.Fprintf(w, "historical nodes:     %d\n", st.HistoricalNodes)
+	fmt.Fprintf(w, "leaf splits:          %d time, %d key, %d time+key\n",
 		st.LeafTimeSplits, st.LeafKeySplits, st.LeafTimeKeySplits)
-	fmt.Printf("index splits:         %d time (local), %d keyspace\n",
+	fmt.Fprintf(w, "index splits:         %d time (local), %d keyspace\n",
 		st.IndexTimeSplits, st.IndexKeySplits)
-	fmt.Printf("redundant versions:   %d\n", st.RedundantVersions)
-	fmt.Printf("redundant idx entries:%d\n", st.RedundantIndexEntries)
-	fmt.Printf("versions migrated:    %d (%d bytes)\n", st.VersionsMigrated, st.BytesMigrated)
-	fmt.Printf("marked leaves:        %d (forced splits: %d)\n", st.MarkedLeaves, st.ForcedTimeSplits)
+	fmt.Fprintf(w, "redundant versions:   %d\n", st.RedundantVersions)
+	fmt.Fprintf(w, "redundant idx entries:%d\n", st.RedundantIndexEntries)
+	fmt.Fprintf(w, "versions migrated:    %d (%d bytes)\n", st.VersionsMigrated, st.BytesMigrated)
+	fmt.Fprintf(w, "marked leaves:        %d (forced splits: %d)\n", st.MarkedLeaves, st.ForcedTimeSplits)
 
-	fmt.Printf("\nspace: %s\n", res.Report)
+	fmt.Fprintf(w, "\nspace: %s\n", res.Report)
 
 	if err := res.Tree.CheckInvariants(); err != nil {
 		return fmt.Errorf("INVARIANT VIOLATION: %w", err)
 	}
-	fmt.Println("invariants: OK")
+	fmt.Fprintln(w, "invariants: OK")
 
 	analysis, err := res.Tree.Analyze()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nper-level profile:\n%s", analysis)
+	fmt.Fprintf(w, "\nper-level profile:\n%s", analysis)
 
 	if scan > 0 {
-		fmt.Printf("\nfirst %d records of the snapshot at t=%s (streamed):\n", scan, res.Tree.Now())
-		cur := res.Tree.NewCursor(res.Tree.Now(), nil, record.InfiniteBound())
-		for i := 0; i < scan && cur.Next(); i++ {
-			fmt.Printf("  %s\n", cur.Version())
-		}
-		if err := cur.Err(); err != nil {
-			return err
+		at := res.Tree.Now()
+		fmt.Fprintf(w, "\nfirst %d records of the snapshot at t=%s (streamed):\n", scan, at)
+		for low, high, done := record.Key(nil), record.InfiniteBound(), false; scan > 0 && !done; {
+			p, err := res.Tree.ScanPageAsOf(at, low, high, false)
+			if err != nil {
+				return err
+			}
+			vs := p.Versions[:min(scan, len(p.Versions))]
+			for _, v := range vs {
+				fmt.Fprintf(w, "  %s\n", v)
+			}
+			scan -= len(vs)
+			low, high, done = p.Advance(low, high, false)
 		}
 	}
 
@@ -286,7 +293,7 @@ func run(policy string, ops int, u float64, seed int64, dump bool, scan int) err
 		if err != nil {
 			return err
 		}
-		fmt.Println("\n" + s)
+		fmt.Fprintln(w, "\n"+s)
 	}
 	return nil
 }

@@ -15,13 +15,36 @@ import (
 )
 
 func TestRun(t *testing.T) {
-	if err := run("tsb-lastupdate", 600, 0.5, 1, true, 5); err != nil {
+	var sb strings.Builder
+	if err := run(&sb, "tsb-lastupdate", 600, 0.5, 1, true, 5); err != nil {
 		t.Fatal(err)
+	}
+	// -scan 5 prints exactly 5 records, in ascending key order.
+	out := sb.String()
+	_, scanned, ok := strings.Cut(out, "first 5 records of the snapshot")
+	if !ok {
+		t.Fatalf("no scan header in:\n%s", out)
+	}
+	lines := strings.Split(scanned, "\n")[1:]
+	var keys []string
+	for _, l := range lines {
+		if !strings.HasPrefix(l, "  ") {
+			break
+		}
+		keys = append(keys, strings.Fields(l)[0])
+	}
+	if len(keys) != 5 {
+		t.Fatalf("-scan 5 printed %d records: %q", len(keys), keys)
+	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i-1] >= keys[i] {
+			t.Fatalf("-scan keys out of order: %q", keys)
+		}
 	}
 }
 
 func TestRunRejectsBadPolicy(t *testing.T) {
-	if err := run("bogus", 100, 0.5, 1, false, 0); err == nil {
+	if err := run(io.Discard, "bogus", 100, 0.5, 1, false, 0); err == nil {
 		t.Fatal("bogus policy should fail")
 	}
 }

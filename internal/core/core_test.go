@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/record"
@@ -423,4 +424,84 @@ func TestDumpAndViews(t *testing.T) {
 	if lv.String() == "" {
 		t.Error("NodeView.String empty")
 	}
+}
+
+// TestReadAtInfinityIsLatest: a read at TimeInfinity sees the latest
+// committed state, the same answer as a read at TimePending, whatever
+// the tree's height. Only a root leaf's rectangle holds TimeInfinity, so
+// without a clamp a deeper tree answers such a read with nothing.
+func TestReadAtInfinityIsLatest(t *testing.T) {
+	const keys = 40
+	for height := 1; height <= 4; height++ {
+		t.Run(fmt.Sprintf("height=%d", height), func(t *testing.T) {
+			cfg := testConfig(PolicyLastUpdate)
+			if height == 1 {
+				cfg.LeafCapacity = 1024
+			}
+			tree, err := New(storage.NewMagneticDisk(4096, storage.CostModel{}), storage.NewWORMDisk(storage.WORMConfig{SectorSize: 512}), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ts uint64
+			for ts < keys || tree.Stats().Height < height {
+				ts++
+				put(t, tree, fmt.Sprintf("k%02d", ts%keys), ts, fmt.Sprintf("v%d", ts))
+			}
+			if h := tree.Stats().Height; h != height {
+				t.Fatalf("height %d, want %d", h, height)
+			}
+			for i := 0; i < keys; i += 8 {
+				ts++
+				del(t, tree, fmt.Sprintf("k%02d", i), ts)
+			}
+			live := keys - keys/8
+
+			for i := 0; i < keys; i++ {
+				k := record.StringKey(fmt.Sprintf("k%02d", i))
+				want, wok, err := tree.Get(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, at := range []record.Timestamp{record.TimePending, record.TimeInfinity} {
+					got, ok, err := tree.GetAsOf(k, at)
+					if err != nil || ok != wok || got.Time != want.Time {
+						t.Fatalf("GetAsOf(%s, %s) = %v,%v,%v; Get = %v,%v", k, at, got, ok, err, want, wok)
+					}
+				}
+			}
+			want, err := tree.ScanAsOf(record.TimePending, nil, record.InfiniteBound())
+			if err != nil || len(want) != live {
+				t.Fatalf("ScanAsOf(TimePending) = %d versions, %v; want %d", len(want), err, live)
+			}
+			reversed := slices.Clone(want)
+			slices.Reverse(reversed)
+			scan := func(reverse bool) ([]record.Version, error) {
+				return drain(tree, record.TimeInfinity, nil, record.InfiniteBound(), reverse)
+			}
+			for name, read := range map[string]func() ([]record.Version, error){
+				"ScanAsOf": func() ([]record.Version, error) {
+					return tree.ScanAsOf(record.TimeInfinity, nil, record.InfiniteBound())
+				},
+				"pages":         func() ([]record.Version, error) { return scan(false) },
+				"reverse pages": func() ([]record.Version, error) { return scan(true) },
+			} {
+				got, err := read()
+				w := want
+				if name == "reverse pages" {
+					w = reversed
+				}
+				if err != nil || !sameVersions(got, w) {
+					t.Fatalf("%s at TimeInfinity = %v, %v; at TimePending %v", name, got, err, w)
+				}
+			}
+		})
+	}
+}
+
+// sameVersions reports whether two version lists hold the same (key,
+// time) pairs in the same order.
+func sameVersions(a, b []record.Version) bool {
+	return slices.EqualFunc(a, b, func(x, y record.Version) bool {
+		return x.Key.Equal(y.Key) && x.Time == y.Time
+	})
 }

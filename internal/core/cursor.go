@@ -34,8 +34,8 @@ type Page struct {
 
 // Advance applies the page's resume contract to a scan window: it
 // returns the shrunk (low, high) window for the next page and whether
-// the scan is finished. Every pager (core.Cursor, the txn cursor) goes
-// through this single copy of the contract.
+// the scan is finished. Every pager (the txn cursor, tsbdump's -scan)
+// goes through this single copy of the contract.
 func (p Page) Advance(low record.Key, high record.Bound, reverse bool) (record.Key, record.Bound, bool) {
 	switch {
 	case !p.More:
@@ -50,46 +50,29 @@ func (p Page) Advance(low record.Key, high record.Bound, reverse bool) (record.K
 // ScanPageAsOf returns one page of the snapshot of [low, high) at time
 // at: the visible versions of the single leaf responsible for the window
 // edge (the low edge forward, the high edge in reverse), found by one
-// root-to-leaf descent — O(tree height) node reads per page regardless
-// of database size. The page's NextLow/NextHigh shrink the window for
-// the following call, so repeated calls enumerate the full snapshot
-// exactly once, in order, with strictly decreasing window size.
+// edge descent — O(tree height) node reads per page regardless of
+// database size. The page's NextLow/NextHigh shrink the window for the
+// following call, so repeated calls enumerate the full snapshot exactly
+// once, in order, with strictly decreasing window size.
 //
 // Because the entries of every index node partition its rectangle, each
 // (key, at) point lives in exactly one leaf: pages never overlap and no
 // deduplication across pages is needed.
 func (t *Tree) ScanPageAsOf(at record.Timestamp, low record.Key, high record.Bound, reverse bool) (Page, error) {
-	if reverse {
-		return t.scanPageReverse(at, low, high)
-	}
-	// Descend to the leaf containing the point (low, at), tracking the
-	// clip (the intersection of entry rectangles along the path): a
-	// shared historical node owns only the keys inside the clip.
-	clip := record.WholeSpace()
-	n, err := t.readNode(t.root)
-	if err != nil {
+	n, clip, err := t.edgeLeaf(at, low, high, reverse)
+	if n == nil || err != nil {
+		// No slab covers the edge at time at: nothing is visible there.
 		return Page{}, err
 	}
-	for !n.leaf {
-		next := -1
-		var sub record.Rect
-		for i, e := range n.entries {
-			s, ok := e.rect.Intersect(clip)
-			if ok && s.Contains(low, at) {
-				next, sub = i, s
-				break
-			}
-		}
-		if next < 0 {
-			// No slab covers (low, at): nothing is visible there.
-			return Page{}, nil
-		}
-		clip = sub
-		if n, err = t.readNode(n.entries[next].child); err != nil {
-			return Page{}, err
-		}
-	}
 	p := Page{Versions: visibleInLeaf(n, at, low, high, clip)}
+	if reverse {
+		slices.Reverse(p.Versions)
+		if len(clip.LowKey) > 0 && low.Compare(clip.LowKey) < 0 {
+			p.NextHigh = record.KeyBound(clip.LowKey.Clone())
+			p.More = true
+		}
+		return p, nil
+	}
 	if !clip.HighKey.IsInfinite() {
 		next := clip.HighKey.Key()
 		if high.CompareKey(next) > 0 {
@@ -100,43 +83,38 @@ func (t *Tree) ScanPageAsOf(at record.Timestamp, low record.Key, high record.Bou
 	return p, nil
 }
 
-// scanPageReverse descends to the leaf responsible for the greatest keys
-// of the window at time at: at each index node it takes the matching
-// entry with the greatest low key (entries are sorted by (LowKey, Start),
-// and at a fixed time the slabs partition the key space, so scanning
-// from the end finds it first).
-func (t *Tree) scanPageReverse(at record.Timestamp, low record.Key, high record.Bound) (Page, error) {
+// edgeLeaf descends to the leaf holding the edge of the window [low, high)
+// at time at — its least keys forward, its greatest in reverse — and
+// returns it with the clip of the path to it: the intersection of the
+// entry rectangles along the path. A shared historical node owns only
+// the keys inside the clip (rule 4 of §3.5 duplicates references,
+// clipping each side). At a fixed time the slabs of an index node
+// partition its key space and its entries are sorted by (LowKey, Start),
+// so the first entry that overlaps the window, scanning from the front
+// (from the back in reverse), is the one at the edge. The node is nil
+// when no slab overlaps the window at time at.
+func (t *Tree) edgeLeaf(at record.Timestamp, low record.Key, high record.Bound, reverse bool) (*node, record.Rect, error) {
+	at = readTime(at)
 	clip := record.WholeSpace()
 	n, err := t.readNode(t.root)
-	if err != nil {
-		return Page{}, err
-	}
-	for !n.leaf {
+	for err == nil && !n.leaf {
 		next := -1
-		var sub record.Rect
-		for i := len(n.entries) - 1; i >= 0; i-- {
+		for i := range n.entries {
+			if reverse {
+				i = len(n.entries) - 1 - i
+			}
 			s, ok := n.entries[i].rect.Intersect(clip)
 			if ok && s.ContainsTime(at) && s.OverlapsKeyRange(low, high) {
-				next, sub = i, s
+				next, clip = i, s
 				break
 			}
 		}
 		if next < 0 {
-			return Page{}, nil
+			return nil, clip, nil
 		}
-		clip = sub
-		if n, err = t.readNode(n.entries[next].child); err != nil {
-			return Page{}, err
-		}
+		n, err = t.readNode(n.entries[next].child)
 	}
-	vs := visibleInLeaf(n, at, low, high, clip)
-	slices.Reverse(vs)
-	p := Page{Versions: vs}
-	if len(clip.LowKey) > 0 && low.Compare(clip.LowKey) < 0 {
-		p.NextHigh = record.KeyBound(clip.LowKey.Clone())
-		p.More = true
-	}
-	return p, nil
+	return n, clip, err
 }
 
 // visibleInLeaf collects the leaf's versions visible at time at with keys
@@ -172,66 +150,3 @@ func visibleInLeaf(n *node, at record.Timestamp, low record.Key, high record.Bou
 	flush()
 	return out
 }
-
-// Cursor streams a snapshot of the database at a fixed time in key order
-// without materializing it: the iterator form of ScanAsOf, for backups,
-// pagination, and large range reads. A cursor is resumable: it keeps only
-// a (low, high) window between pages, never node addresses, so the tree
-// may split freely between two Next calls — the snapshot it reports is
-// still exactly the state at its timestamp. It is positioned before the
-// first version until Next is called.
-type Cursor struct {
-	tree    *Tree
-	at      record.Timestamp
-	low     record.Key
-	high    record.Bound
-	reverse bool
-
-	buf  []record.Version
-	pos  int
-	done bool
-	err  error
-}
-
-// NewCursor returns a cursor over keys in [low, high) as of time at, in
-// ascending key order.
-func (t *Tree) NewCursor(at record.Timestamp, low record.Key, high record.Bound) *Cursor {
-	return &Cursor{tree: t, at: at, low: low.Clone(), high: high}
-}
-
-// NewReverseCursor returns a cursor over keys in [low, high) as of time
-// at, in descending key order.
-func (t *Tree) NewReverseCursor(at record.Timestamp, low record.Key, high record.Bound) *Cursor {
-	return &Cursor{tree: t, at: at, low: low.Clone(), high: high, reverse: true}
-}
-
-// Err returns the first error the cursor hit, if any.
-func (c *Cursor) Err() error { return c.err }
-
-// Next advances to the next version and reports whether one is available.
-// Each underlying page fetch is a single root-to-leaf descent.
-func (c *Cursor) Next() bool {
-	if c.err != nil {
-		return false
-	}
-	for {
-		if c.pos < len(c.buf) {
-			c.pos++
-			return true
-		}
-		if c.done {
-			return false
-		}
-		p, err := c.tree.ScanPageAsOf(c.at, c.low, c.high, c.reverse)
-		if err != nil {
-			c.err = err
-			return false
-		}
-		c.buf, c.pos = p.Versions, 0
-		c.low, c.high, c.done = p.Advance(c.low, c.high, c.reverse)
-	}
-}
-
-// Version returns the version the cursor is positioned on. It must only be
-// called after a successful Next.
-func (c *Cursor) Version() record.Version { return c.buf[c.pos-1] }

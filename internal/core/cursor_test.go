@@ -8,6 +8,24 @@ import (
 	"repro/internal/record"
 )
 
+// drain pages the snapshot of [low, high) at time at through
+// ScanPageAsOf and Page.Advance, as txn.Cursor does, and returns every
+// version in page order.
+func drain(tree *Tree, at record.Timestamp, low record.Key, high record.Bound, reverse bool) ([]record.Version, error) {
+	var out []record.Version
+	for {
+		p, err := tree.ScanPageAsOf(at, low, high, reverse)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, p.Versions...)
+		var done bool
+		if low, high, done = p.Advance(low, high, reverse); done {
+			return out, nil
+		}
+	}
+}
+
 func TestCursorMatchesScanAsOf(t *testing.T) {
 	for _, policyName := range []string{"key-pref", "time-pref", "last-update"} {
 		p := policies()[policyName]
@@ -40,13 +58,9 @@ func TestCursorMatchesScanAsOf(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cur := tree.NewCursor(at, low, high)
-				var got []record.Version
-				for cur.Next() {
-					got = append(got, cur.Version())
-				}
-				if cur.Err() != nil {
-					t.Fatal(cur.Err())
+				got, err := drain(tree, at, low, high, false)
+				if err != nil {
+					t.Fatal(err)
 				}
 				if len(got) != len(want) {
 					t.Fatalf("cursor@%d [%s,%s) returned %d, scan %d", at, low, high, len(got), len(want))
@@ -96,13 +110,9 @@ func TestReverseCursorMatchesScanAsOf(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cur := tree.NewReverseCursor(at, low, high)
-				var got []record.Version
-				for cur.Next() {
-					got = append(got, cur.Version())
-				}
-				if cur.Err() != nil {
-					t.Fatal(cur.Err())
+				got, err := drain(tree, at, low, high, true)
+				if err != nil {
+					t.Fatal(err)
 				}
 				if len(got) != len(want) {
 					t.Fatalf("reverse cursor@%d [%s,%s) returned %d, scan %d", at, low, high, len(got), len(want))
@@ -123,15 +133,15 @@ func TestReverseCursorMatchesScanAsOf(t *testing.T) {
 
 func TestCursorEmptyAndExhausted(t *testing.T) {
 	tree, _, _ := newTestTree(t, PolicyLastUpdate)
-	cur := tree.NewCursor(10, nil, record.InfiniteBound())
-	if cur.Next() {
-		t.Fatal("cursor on empty tree should be exhausted")
+	p, err := tree.ScanPageAsOf(10, nil, record.InfiniteBound(), false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cur.Next() {
-		t.Fatal("Next after exhaustion must stay false")
+	if len(p.Versions) != 0 || p.More {
+		t.Fatalf("page of an empty tree = %+v, want empty and exhausted", p)
 	}
-	if cur.Err() != nil {
-		t.Fatal(cur.Err())
+	if _, _, done := p.Advance(nil, record.InfiniteBound(), false); !done {
+		t.Fatal("Advance past the last page must report the scan finished")
 	}
 }
 

@@ -152,13 +152,7 @@ func TestReadsNeverReturnViews(t *testing.T) {
 			}
 			return out, err
 		}},
-		{"Cursor", func() ([][]byte, error) {
-			var out [][]byte
-			for c := tree.NewCursor(mid, nil, all); c.Next(); {
-				out = append(out, versionBytes(c.Version())...)
-			}
-			return out, nil
-		}},
+		{"drained pages", func() ([][]byte, error) { return many(drain(tree, mid, nil, all, false)) }},
 		{"ViewRoot", func() ([][]byte, error) { return viewBytes(tree.ViewRoot()) }},
 		{"CurrentLeafView", func() ([][]byte, error) { return viewBytes(tree.CurrentLeafView(k)) }},
 		{"PendingWrites", func() ([][]byte, error) {

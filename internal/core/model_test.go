@@ -187,7 +187,7 @@ func runModelWorkload(t *testing.T, p Policy, seed int64, ops, nKeys int) {
 		}
 	}
 	// Snapshots.
-	for _, at := range []record.Timestamp{1, record.Timestamp(ts / 3), record.Timestamp(ts / 2), record.Timestamp(ts)} {
+	for _, at := range []record.Timestamp{1, record.Timestamp(ts / 3), record.Timestamp(ts / 2), record.Timestamp(ts), record.TimePending} {
 		got, err := tree.ScanAsOf(at, nil, record.InfiniteBound())
 		if err != nil {
 			t.Fatal(err)
@@ -222,6 +222,11 @@ func runModelWorkload(t *testing.T, p Policy, seed int64, ops, nKeys int) {
 				t.Fatalf("History(%s)[%d]: tree=%v ref=%v", k, j, h[j], want[j])
 			}
 		}
+	}
+	// Windows at the edges of time, through the window walk and the edge
+	// descent.
+	for _, w := range edgeWindows(rng, ts) {
+		checkWindow(t, tree, ref, nil, record.InfiniteBound(), w[0], w[1])
 	}
 }
 

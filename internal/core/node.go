@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/record"
@@ -183,7 +185,12 @@ func (t *Tree) size(n *node) int {
 // sortVersions restores the canonical (key, time) order, pending last
 // within each key.
 func sortVersions(vs []record.Version) {
-	sort.Slice(vs, func(i, j int) bool { return vs[i].Before(vs[j]) })
+	slices.SortFunc(vs, func(a, b record.Version) int {
+		if c := a.Key.Compare(b.Key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Time, b.Time)
+	})
 }
 
 // sortEntries restores the canonical (LowKey, Start) order.

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/record"
 	"repro/internal/storage"
 )
@@ -15,30 +13,18 @@ import (
 // are included — a caller reconstructing an interval needs to know when a
 // record stopped existing.
 //
-// This is the natural composition of the paper's query set (§2.5: version
-// by key and time, snapshots, all versions of a record); it exercises the
-// clustering property the Time-Split Rule's redundancy buys: versions
-// valid at the same time sit in few nodes.
+// Every query class of §2.5 is a key×time rectangle, so this is the one
+// whole-tree walk: ScanAsOf, History and Diff are windows of it. The walk
+// prunes each index entry whose rectangle, clipped by the path to it,
+// misses the window (§3.1; clipping at shared nodes, §3.5 rule 4); the
+// clustering the Time-Split Rule's redundancy buys keeps the versions
+// valid at the same time in few nodes.
 func (t *Tree) ScanRange(low record.Key, high record.Bound, from, to record.Timestamp) ([]record.Version, error) {
 	if to <= from {
 		return nil, nil
 	}
-	type slot struct {
-		versions map[record.Timestamp]record.Version
-		alive    record.Version // latest version with Time < from
-		hasAlive bool
-	}
-	byKey := make(map[string]*slot)
-	get := func(k record.Key) *slot {
-		s, ok := byKey[string(k)]
-		if !ok {
-			s = &slot{versions: make(map[record.Timestamp]record.Version)}
-			byKey[string(k)] = s
-		}
-		return s
-	}
-
 	window := record.Rect{LowKey: low, HighKey: high, Start: from, End: to}
+	var vs []record.Version
 	var visit func(addr storage.Addr, clip record.Rect) error
 	visit = func(addr storage.Addr, clip record.Rect) error {
 		n, err := t.readNode(addr)
@@ -61,29 +47,18 @@ func (t *Tree) ScanRange(low record.Key, high record.Bound, from, to record.Time
 			return nil
 		}
 		for _, v := range n.versions {
-			if v.IsPending() || !clip.ContainsKey(v.Key) {
+			if v.IsPending() || v.Time >= to || !clip.ContainsKey(v.Key) {
 				continue
 			}
 			if v.Key.Compare(low) < 0 || high.CompareKey(v.Key) <= 0 {
 				continue
 			}
-			switch {
-			case v.Time >= to:
-				// after the window
-			case v.Time >= from:
-				get(v.Key).versions[v.Time] = v
-			default:
-				// Candidate for "alive at window start". Only
-				// trust it if this leaf actually covers the
-				// instant `from` for this key — otherwise an
-				// older slice could offer a stale version.
-				if clip.Contains(v.Key, from) {
-					s := get(v.Key)
-					if !s.hasAlive || v.Time > s.alive.Time {
-						s.alive = v
-						s.hasAlive = true
-					}
-				}
+			// A version older than the window counts only as the one
+			// alive at from, and the leaf covering (key, from) holds
+			// that one (clause 3 of the Time-Split Rule): older slices
+			// are skipped to keep the candidates few.
+			if v.Time >= from || clip.Contains(v.Key, from) {
+				vs = append(vs, v)
 			}
 		}
 		return nil
@@ -91,27 +66,31 @@ func (t *Tree) ScanRange(low record.Key, high record.Bound, from, to record.Time
 	if err := visit(t.root, record.WholeSpace()); err != nil {
 		return nil, err
 	}
-
-	var out []record.Version
-	for _, s := range byKey {
-		// A version committed at exactly `from` supersedes the alive
-		// candidate: the candidate was not valid inside the window.
-		if _, atFrom := s.versions[from]; s.hasAlive && !atFrom && !s.alive.Tombstone {
-			out = append(out, s.alive.Clone())
+	sortVersions(vs)
+	// One pass over the sorted candidates: drop the equal neighbours a
+	// time split copies, and keep per key only the latest version older
+	// than the window — unless it is a tombstone, or a version committed
+	// at exactly from supersedes it.
+	out := vs[:0]
+	for i, v := range vs {
+		if i+1 < len(vs) {
+			if w := vs[i+1]; w.Key.Equal(v.Key) && (w.Time == v.Time || v.Time < from && w.Time <= from) {
+				continue
+			}
 		}
-		for _, v := range s.versions {
-			out = append(out, v.Clone())
+		if v.Time < from && v.Tombstone {
+			continue
 		}
+		out = append(out, v.Clone())
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
 	return out, nil
 }
 
 // ScanRangePage returns one key-paged batch of the temporal range query:
 // the ScanRange result restricted to the keys owned by the single current
-// leaf responsible for `low`, found by one root-to-leaf descent. The
-// page's NextLow shrinks the window for the following call (the same
-// resume contract as ScanPageAsOf), so repeated calls enumerate
+// leaf responsible for `low`, found by one edge descent. The page's
+// NextLow shrinks the window for the following call (the same resume
+// contract as ScanPageAsOf), so repeated calls enumerate
 // ScanRange(low, high, from, to) exactly once, in (key, time) order,
 // with bounded work per call — the time-window pushdown that lets a
 // window cursor stream under incremental latch hand-offs instead of
@@ -125,31 +104,15 @@ func (t *Tree) ScanRangePage(low record.Key, high record.Bound, from, to record.
 	if to <= from {
 		return Page{}, nil
 	}
-	clip := record.WholeSpace()
-	n, err := t.readNode(t.root)
+	n, clip, err := t.edgeLeaf(record.TimePending, low, high, false)
 	if err != nil {
 		return Page{}, err
 	}
-	for !n.leaf {
-		next := -1
-		var sub record.Rect
-		for i, e := range n.entries {
-			s, ok := e.rect.Intersect(clip)
-			if ok && s.Contains(low, record.TimePending) {
-				next, sub = i, s
-				break
-			}
-		}
-		if next < 0 {
-			// No current slab covers low (defensive — the current slabs
-			// partition the key space): serve the remainder in one piece.
-			vs, err := t.ScanRange(low, high, from, to)
-			return Page{Versions: vs}, err
-		}
-		clip = sub
-		if n, err = t.readNode(n.entries[next].child); err != nil {
-			return Page{}, err
-		}
+	if n == nil {
+		// No current slab covers low (defensive — the current slabs
+		// partition the key space): serve the remainder in one piece.
+		vs, err := t.ScanRange(low, high, from, to)
+		return Page{Versions: vs}, err
 	}
 	p := Page{}
 	pageHigh := high

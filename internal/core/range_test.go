@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/record"
@@ -10,6 +11,9 @@ import (
 
 // refRange computes ScanRange's answer from a refdb.
 func refRange(m refdb, low record.Key, high record.Bound, from, to record.Timestamp) []record.Version {
+	if to <= from {
+		return nil // an empty or inverted window holds nothing
+	}
 	var out []record.Version
 	for ks, hist := range m {
 		k := record.Key(ks)
@@ -125,29 +129,115 @@ func TestHistoryRange(t *testing.T) {
 	}
 }
 
+// rangePolicies are the split policies the window-walk model checks run
+// under.
+var rangePolicies = []string{"key-pref", "time-pref", "last-update"}
+
+// buildRangeModel inserts ops random committed versions (one per tick,
+// every twelfth a tombstone) of 40 keys into a fresh tree and into a
+// model, and returns both with the last tick.
+func buildRangeModel(t *testing.T, p Policy, rng *rand.Rand, ops int) (*Tree, refdb, uint64) {
+	t.Helper()
+	tree, _, _ := newTestTree(t, p)
+	ref := make(refdb)
+	ts := uint64(0)
+	for op := 0; op < ops; op++ {
+		ts++
+		k := record.StringKey(fmt.Sprintf("key%03d", rng.Intn(40)))
+		v := record.Version{Key: k, Time: record.Timestamp(ts)}
+		if rng.Intn(12) == 0 {
+			v.Tombstone = true
+		} else {
+			v.Value = []byte(fmt.Sprintf("v%d", ts))
+		}
+		if err := tree.Insert(v); err != nil {
+			t.Fatal(err)
+		}
+		ref.insert(v)
+	}
+	checkOK(t, tree)
+	return tree, ref, ts
+}
+
+// edgeWindows returns the windows at the edges of a history whose
+// versions were committed at ticks 1..last: from the origin of time, from
+// and to exactly at a version's time, to the open end of time, and the
+// latest state at TimePending.
+func edgeWindows(rng *rand.Rand, last uint64) [][2]record.Timestamp {
+	at := func() record.Timestamp { return record.Timestamp(1 + rng.Int63n(int64(last)+1)) }
+	t1, t2 := at(), at()
+	return [][2]record.Timestamp{
+		{record.TimeZero, at()},
+		{min(t1, t2), max(t1, t2)},
+		{at(), record.TimeInfinity},
+		{record.TimeZero, record.TimeInfinity},
+		{record.Timestamp(last), record.Timestamp(last + 1)},
+		{record.TimePending, record.TimeInfinity},
+	}
+}
+
+// checkWindow checks every read built on the window walk or on the edge
+// descent against the model, over the keys in [low, high): ScanRange of
+// [from, to); the snapshot at from through ScanAsOf and through pages
+// drained in both directions; and History of each key.
+func checkWindow(t *testing.T, tree *Tree, ref refdb, low record.Key, high record.Bound, from, to record.Timestamp) {
+	t.Helper()
+	got, err := tree.ScanRange(low, high, from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := refRange(ref, low, high, from, to)
+	if len(got) != len(want) {
+		t.Fatalf("ScanRange(%s,%s,[%d,%d)) = %d versions, want %d\ngot:  %v\nwant: %v",
+			low, high, from, to, len(got), len(want), got, want)
+	}
+	for i := range want {
+		if got[i].Time != want[i].Time || !got[i].Key.Equal(want[i].Key) {
+			t.Fatalf("ScanRange[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+
+	var snap []record.Version
+	for _, v := range ref.snapshot(from) {
+		if v.Key.Compare(low) >= 0 && high.CompareKey(v.Key) > 0 {
+			snap = append(snap, v)
+		}
+	}
+	sortVersions(snap)
+	back := slices.Clone(snap)
+	slices.Reverse(back)
+	for _, r := range []struct {
+		name string
+		want []record.Version
+		read func() ([]record.Version, error)
+	}{
+		{"ScanAsOf", snap, func() ([]record.Version, error) { return tree.ScanAsOf(from, low, high) }},
+		{"pages", snap, func() ([]record.Version, error) { return drain(tree, from, low, high, false) }},
+		{"reverse pages", back, func() ([]record.Version, error) { return drain(tree, from, low, high, true) }},
+	} {
+		got, err := r.read()
+		if err != nil || !sameVersions(got, r.want) {
+			t.Fatalf("%s@%d [%s,%s) = %v, %v; want %v", r.name, from, low, high, got, err, r.want)
+		}
+	}
+
+	for k, hist := range ref {
+		if record.Key(k).Compare(low) < 0 || high.CompareKey(record.Key(k)) <= 0 {
+			continue
+		}
+		h, err := tree.History(record.Key(k))
+		if err != nil || !sameVersions(h, hist) {
+			t.Fatalf("History(%s) = %v, %v; want %v", k, h, err, hist)
+		}
+	}
+}
+
 func TestScanRangeModelEquivalence(t *testing.T) {
-	for _, policyName := range []string{"key-pref", "time-pref", "last-update"} {
+	for _, policyName := range rangePolicies {
 		p := policies()[policyName]
 		t.Run(policyName, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(21))
-			tree, _, _ := newTestTree(t, p)
-			ref := make(refdb)
-			ts := uint64(0)
-			for op := 0; op < 800; op++ {
-				ts++
-				k := record.StringKey(fmt.Sprintf("key%03d", rng.Intn(40)))
-				v := record.Version{Key: k, Time: record.Timestamp(ts)}
-				if rng.Intn(12) == 0 {
-					v.Tombstone = true
-				} else {
-					v.Value = []byte(fmt.Sprintf("v%d", ts))
-				}
-				if err := tree.Insert(v); err != nil {
-					t.Fatal(err)
-				}
-				ref.insert(v)
-			}
-			checkOK(t, tree)
+			tree, ref, ts := buildRangeModel(t, p, rng, 800)
 			for trial := 0; trial < 120; trial++ {
 				from := record.Timestamp(rng.Intn(int(ts)))
 				to := from + record.Timestamp(rng.Intn(200))
@@ -157,21 +247,37 @@ func TestScanRangeModelEquivalence(t *testing.T) {
 					low = record.StringKey(fmt.Sprintf("key%03d", rng.Intn(40)))
 					high = record.KeyBound(record.StringKey(fmt.Sprintf("key%03d", rng.Intn(40))))
 				}
-				got, err := tree.ScanRange(low, high, from, to)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := refRange(ref, low, high, from, to)
-				if len(got) != len(want) {
-					t.Fatalf("ScanRange(%s,%s,[%d,%d)) = %d versions, want %d\ngot:  %v\nwant: %v",
-						low, high, from, to, len(got), len(want), got, want)
-				}
-				for i := range want {
-					if got[i].Time != want[i].Time || !got[i].Key.Equal(want[i].Key) {
-						t.Fatalf("ScanRange[%d] = %v, want %v", i, got[i], want[i])
-					}
-				}
+				checkWindow(t, tree, ref, low, high, from, to)
+			}
+			for _, w := range edgeWindows(rng, ts) {
+				checkWindow(t, tree, ref, nil, record.InfiniteBound(), w[0], w[1])
 			}
 		})
 	}
+}
+
+// FuzzScanRange builds a tree with TestScanRangeModelEquivalence's
+// workload from a fuzzed seed, policy and length, and checks one fuzzed
+// window of it with the same model checker. Run it with
+//
+//	go test -run='^$' -fuzz=FuzzScanRange -fuzztime=30s ./internal/core
+func FuzzScanRange(f *testing.F) {
+	for i := range rangePolicies {
+		f.Add(int64(21), uint8(i), uint16(800), uint8(40), uint8(40), uint64(0), uint64(200))
+		f.Add(int64(21), uint8(i), uint16(800), uint8(3), uint8(31), uint64(400), uint64(record.TimeInfinity))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, policy uint8, ops uint16, lowKey, highKey uint8, from, to uint64) {
+		p := policies()[rangePolicies[int(policy)%len(rangePolicies)]]
+		tree, ref, _ := buildRangeModel(t, p, rand.New(rand.NewSource(seed)), int(ops%1024))
+		// Key 40 and above: no low bound, no high bound.
+		var low record.Key
+		high := record.InfiniteBound()
+		if lowKey < 40 {
+			low = record.StringKey(fmt.Sprintf("key%03d", lowKey))
+		}
+		if highKey < 40 {
+			high = record.KeyBound(record.StringKey(fmt.Sprintf("key%03d", highKey)))
+		}
+		checkWindow(t, tree, ref, low, high, record.Timestamp(from), record.Timestamp(to))
+	})
 }

@@ -193,95 +193,75 @@ func (s *shardedStore) History(k record.Key) ([]record.Version, error) {
 // without blocking writers. Because the key space is range-partitioned
 // in shard order, pages concatenate in key order with no interleaving.
 func (s *shardedStore) ScanPageAsOf(at record.Timestamp, low record.Key, high record.Bound, reverse bool) (core.Page, error) {
+	if !reverse {
+		return s.forward(low, high, func(t *core.Tree, lo record.Key, hi record.Bound) (core.Page, error) {
+			return t.ScanPageAsOf(at, lo, hi, false)
+		})
+	}
 	n := len(s.shards)
-	if reverse {
-		i := n - 1
-		if !high.IsInfinite() {
-			i = record.ShardOfKey(high.Key(), n)
-		}
-		first := record.ShardOfKey(low, n)
-		hi := high
-		for {
-			shLow, _ := record.ShardRange(i, n)
-			clampLow := low
-			if low.Compare(shLow) < 0 {
-				clampLow = shLow
-			}
-			// A resumed reverse scan arrives with hi at this shard's
-			// low boundary: the window inside the shard is empty, so
-			// step down without a latched descent.
-			if !hi.IsInfinite() && hi.CompareKey(clampLow) <= 0 {
-				if i <= first {
-					return core.Page{}, nil
-				}
-				i--
-				hi = record.KeyBound(shLow)
-				continue
-			}
-			sh := s.shards[i]
-			sh.mu.RLock()
-			page, err := sh.tree.ScanPageAsOf(at, clampLow, hi, true)
-			sh.mu.RUnlock()
-			if err != nil {
-				return core.Page{}, fmt.Errorf("db: shard %d: %w", i, err)
-			}
-			if page.More || i <= first {
-				return page, nil
-			}
-			// This shard is exhausted: hand the window's high edge down
-			// to the next shard's upper boundary.
-			i--
-			next := record.KeyBound(shLow)
-			if len(page.Versions) > 0 {
-				page.NextHigh = next
-				page.More = true
-				return page, nil
-			}
-			hi = next
-		}
-	}
-	i := record.ShardOfKey(low, n)
-	last := n - 1
+	i := n - 1
 	if !high.IsInfinite() {
-		last = record.ShardOfKey(high.Key(), n)
+		i = record.ShardOfKey(high.Key(), n)
 	}
-	lo := low
+	first := record.ShardOfKey(low, n)
+	hi := high
 	for {
-		_, shHigh := record.ShardRange(i, n)
-		clampHigh := high
-		if shHigh.Compare(high) < 0 {
-			clampHigh = shHigh
+		shLow, _ := record.ShardRange(i, n)
+		clampLow := low
+		if low.Compare(shLow) < 0 {
+			clampLow = shLow
+		}
+		// A resumed reverse scan arrives with hi at this shard's
+		// low boundary: the window inside the shard is empty, so
+		// step down without a latched descent.
+		if !hi.IsInfinite() && hi.CompareKey(clampLow) <= 0 {
+			if i <= first {
+				return core.Page{}, nil
+			}
+			i--
+			hi = record.KeyBound(shLow)
+			continue
 		}
 		sh := s.shards[i]
 		sh.mu.RLock()
-		page, err := sh.tree.ScanPageAsOf(at, lo, clampHigh, false)
+		page, err := sh.tree.ScanPageAsOf(at, clampLow, hi, true)
 		sh.mu.RUnlock()
 		if err != nil {
 			return core.Page{}, fmt.Errorf("db: shard %d: %w", i, err)
 		}
-		if page.More || i >= last {
+		if page.More || i <= first {
 			return page, nil
 		}
-		// This shard is exhausted: resume at the next shard's boundary.
-		i++
-		next := record.ShardBoundary(i, n)
+		// This shard is exhausted: hand the window's high edge down
+		// to the next shard's upper boundary.
+		i--
+		next := record.KeyBound(shLow)
 		if len(page.Versions) > 0 {
-			page.NextLow = next
+			page.NextHigh = next
 			page.More = true
 			return page, nil
 		}
-		lo = next
+		hi = next
 	}
 }
 
 // ScanRangePage streams one latch-scoped, key-paged batch of a temporal
-// range query — the window-mode twin of ScanPageAsOf. It read-latches
-// exactly one shard at a time, for the duration of one ScanRangePage call
-// on that shard's tree, and hands the window off across shard boundaries
-// through the page's NextLow: a window cursor pausing between pages
-// blocks no writer on any shard. Shard order equals key order, so pages
-// concatenate in ScanRange's (key, time) order with no interleaving.
+// range query — the window-mode twin of ScanPageAsOf, through the same
+// forward shard hand-off: a window cursor pausing between pages blocks
+// no writer on any shard, and pages concatenate in ScanRange's (key,
+// time) order with no interleaving.
 func (s *shardedStore) ScanRangePage(low record.Key, high record.Bound, from, to record.Timestamp) (core.Page, error) {
+	return s.forward(low, high, func(t *core.Tree, lo record.Key, hi record.Bound) (core.Page, error) {
+		return t.ScanRangePage(lo, hi, from, to)
+	})
+}
+
+// forward returns the next page of a forward scan of [low, high): page
+// reads the window, clamped to one shard, from that shard's tree. It
+// read-latches exactly one shard at a time, only for the duration of
+// one page call, and hands the window off across a shard boundary
+// through the page's NextLow.
+func (s *shardedStore) forward(low record.Key, high record.Bound, page func(*core.Tree, record.Key, record.Bound) (core.Page, error)) (core.Page, error) {
 	n := len(s.shards)
 	i := record.ShardOfKey(low, n)
 	last := n - 1
@@ -297,21 +277,21 @@ func (s *shardedStore) ScanRangePage(low record.Key, high record.Bound, from, to
 		}
 		sh := s.shards[i]
 		sh.mu.RLock()
-		page, err := sh.tree.ScanRangePage(lo, clampHigh, from, to)
+		p, err := page(sh.tree, lo, clampHigh)
 		sh.mu.RUnlock()
 		if err != nil {
 			return core.Page{}, fmt.Errorf("db: shard %d: %w", i, err)
 		}
-		if page.More || i >= last {
-			return page, nil
+		if p.More || i >= last {
+			return p, nil
 		}
 		// This shard is exhausted: resume at the next shard's boundary.
 		i++
 		next := record.ShardBoundary(i, n)
-		if len(page.Versions) > 0 {
-			page.NextLow = next
-			page.More = true
-			return page, nil
+		if len(p.Versions) > 0 {
+			p.NextLow = next
+			p.More = true
+			return p, nil
 		}
 		lo = next
 	}

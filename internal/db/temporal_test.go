@@ -85,3 +85,26 @@ func TestCursorThroughDB(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReadAtInfinityIsLatest: through the facade, a point read and a
+// cursor at TimeInfinity see the latest committed state of a tree too
+// tall for its root to be a leaf.
+func TestReadAtInfinityIsLatest(t *testing.T) {
+	d := open(t, Config{Shards: 1, LeafCapacity: 256, IndexCapacity: 512, MaxKeySize: 16, MaxValueSize: 16})
+	const keys = 40
+	for i := 0; d.Stats().Tree.Height < 3; i++ {
+		put(t, d, fmt.Sprintf("k%02d", i%keys), fmt.Sprintf("v%d", i))
+	}
+	k := record.StringKey("k07")
+	want, ok, err := d.Get(k)
+	if err != nil || !ok {
+		t.Fatalf("Get(%s) = %v, %v", k, ok, err)
+	}
+	if got, ok, err := d.GetAsOf(k, record.TimeInfinity); err != nil || !ok || got.Time != want.Time {
+		t.Fatalf("GetAsOf(%s, TimeInfinity) = %v,%v,%v; Get = %v", k, got, ok, err, want)
+	}
+	vs, err := d.ReadAt(record.TimeInfinity).Cursor(nil, record.InfiniteBound(), ScanOptions{}).Collect()
+	if err != nil || len(vs) != keys {
+		t.Fatalf("ReadAt(TimeInfinity).Cursor = %d versions, %v; want %d", len(vs), err, keys)
+	}
+}

@@ -118,21 +118,20 @@ func skeyRange(skey record.Key) (record.Key, record.Bound, error) {
 }
 
 // LookupAsOf returns the primary keys whose record carried skey at time
-// at, sorted. It streams the composite-key range through a tree cursor
-// instead of materializing the scan, so the page reads stay proportional
-// to the number of matches.
+// at, sorted. It scans only the composite-key range of skey, so the node
+// reads stay proportional to the number of matches.
 func (ix *Index) LookupAsOf(skey record.Key, at record.Timestamp) ([]record.Key, error) {
 	low, high, err := skeyRange(skey)
 	if err != nil {
 		return nil, err
 	}
-	var out []record.Key
-	cur := ix.tree.NewCursor(at, low, high)
-	for cur.Next() {
-		out = append(out, record.Key(cur.Version().Value).Clone())
-	}
-	if err := cur.Err(); err != nil {
+	vs, err := ix.tree.ScanAsOf(at, low, high)
+	if err != nil {
 		return nil, err
+	}
+	out := make([]record.Key, len(vs))
+	for i, v := range vs {
+		out[i] = v.Value
 	}
 	return out, nil
 }
