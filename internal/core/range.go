@@ -23,7 +23,9 @@ func (t *Tree) ScanRange(low record.Key, high record.Bound, from, to record.Time
 	if to <= from {
 		return nil, nil
 	}
-	window := record.Rect{LowKey: low, HighKey: high, Start: from, End: to}
+	// clip is the window intersected with the entry rectangles along
+	// the path: an entry whose rectangle misses it is pruned, and a
+	// shared node reached through it owns only the keys inside it.
 	var vs []record.Version
 	var visit func(addr storage.Addr, clip record.Rect) error
 	visit = func(addr storage.Addr, clip record.Rect) error {
@@ -33,24 +35,16 @@ func (t *Tree) ScanRange(low record.Key, high record.Bound, from, to record.Time
 		}
 		if !n.leaf {
 			for _, e := range n.entries {
-				sub, ok := e.rect.Intersect(clip)
-				if !ok {
-					continue
-				}
-				if _, overlaps := sub.Intersect(window); !overlaps {
-					continue
-				}
-				if err := visit(e.child, sub); err != nil {
-					return err
+				if sub, ok := e.rect.Intersect(clip); ok {
+					if err := visit(e.child, sub); err != nil {
+						return err
+					}
 				}
 			}
 			return nil
 		}
 		for _, v := range n.versions {
 			if v.IsPending() || v.Time >= to || !clip.ContainsKey(v.Key) {
-				continue
-			}
-			if v.Key.Compare(low) < 0 || high.CompareKey(v.Key) <= 0 {
 				continue
 			}
 			// A version older than the window counts only as the one
@@ -63,7 +57,7 @@ func (t *Tree) ScanRange(low record.Key, high record.Bound, from, to record.Time
 		}
 		return nil
 	}
-	if err := visit(t.root, record.WholeSpace()); err != nil {
+	if err := visit(t.root, record.Rect{LowKey: low, HighKey: high, Start: from, End: to}); err != nil {
 		return nil, err
 	}
 	sortVersions(vs)
