@@ -9,7 +9,7 @@
 //	tsbdump -pagedir DIR
 //
 // -scan N streams the first N records of the current snapshot one leaf
-// page at a time (ScanPageAsOf, resumed through Page.Advance) — pagination
+// page at a time (ScanPageAsOf, then each page's Resume) — pagination
 // over the tree, not a materialized scan.
 //
 // -waldir DIR inspects a durable database directory instead: the
@@ -274,17 +274,18 @@ func run(w io.Writer, policy string, ops int, u float64, seed int64, dump bool, 
 	if scan > 0 {
 		at := res.Tree.Now()
 		fmt.Fprintf(w, "\nfirst %d records of the snapshot at t=%s (streamed):\n", scan, at)
-		for low, high, done := record.Key(nil), record.InfiniteBound(), false; scan > 0 && !done; {
-			p, err := res.Tree.ScanPageAsOf(at, low, high, false)
-			if err != nil {
-				return err
-			}
+		p, err := res.Tree.ScanPageAsOf(at, nil, record.InfiniteBound(), false)
+		for ; err == nil; p, err = p.Resume() {
 			vs := p.Versions[:min(scan, len(p.Versions))]
 			for _, v := range vs {
 				fmt.Fprintf(w, "  %s\n", v)
 			}
-			scan -= len(vs)
-			low, high, done = p.Advance(low, high, false)
+			if scan -= len(vs); scan == 0 || p.Resume == nil {
+				break
+			}
+		}
+		if err != nil {
+			return err
 		}
 	}
 

@@ -124,9 +124,11 @@
 // (db.Query, internal/query) stack streaming operators on those cursors
 // and inherit the contract unchanged, db.Diff drains one such query,
 // and every scan over the wire is one (a leased operator on the server).
-// Beneath them a tree has two read primitives: one edge descent per
-// page, and the window walk core.Tree.ScanRange, of which ScanAsOf,
-// History and Diff are windows.
+// Beneath them a tree has two read primitives: the edge descent of a
+// scan's first page, and the window walk core.Tree.ScanRange, of which
+// ScanAsOf, History and Diff are windows. Each later page is the first
+// page's core.Page.Resume, which reads the index nodes the page before
+// decoded from a memo while the tree has written no index node since.
 //
 // The repo's one benchmark is bench/, a module of its own (bash
 // bench/run.sh --workload NAME --seed N; see bench/README.md): four

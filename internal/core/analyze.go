@@ -36,25 +36,15 @@ func (t *Tree) Analyze() (Analysis, error) {
 		addr  storage.Addr
 		depth int
 	}
-	visited := make(map[storage.Addr]int) // addr -> depth from root
-	var maxDepth int
+	depths := make(map[storage.Addr]int) // addr -> depth from the root
 	queue := []job{{addr: t.root, depth: 0}}
-	levelOf := make(map[storage.Addr]int)
 	for len(queue) > 0 {
 		j := queue[0]
 		queue = queue[1:]
-		if d, seen := visited[j.addr]; seen {
-			if j.depth > d {
-				// Keep the first (shallowest) depth; shared
-				// historical nodes may be reachable at several.
-			}
+		if _, seen := depths[j.addr]; seen {
 			continue
 		}
-		visited[j.addr] = j.depth
-		levelOf[j.addr] = j.depth
-		if j.depth > maxDepth {
-			maxDepth = j.depth
-		}
+		depths[j.addr] = j.depth
 		n, err := t.readNode(j.addr)
 		if err != nil {
 			return Analysis{}, err
@@ -65,29 +55,22 @@ func (t *Tree) Analyze() (Analysis, error) {
 		}
 	}
 
-	// Depth counts from the root; convert to level (0 = leaves) using
-	// the tree height so all leaves land on level 0 even when old roots
-	// sit at odd depths.
+	// Every leaf lies at depth Height-1 (invariant 8 of CheckInvariants),
+	// so a node's level is its height above that depth.
 	height := t.stats.Height
 	levels := make([]LevelStats, height)
 	for i := range levels {
 		levels[i].Level = i
 	}
 	shared := 0
-	for addr := range visited {
+	for addr, depth := range depths {
 		n, err := t.readNode(addr)
 		if err != nil {
 			return Analysis{}, err
 		}
-		lvl := height - 1 - levelOf[addr]
-		if n.leaf {
-			lvl = 0
-		}
-		if lvl < 0 {
-			lvl = 0
-		}
-		if lvl >= height {
-			lvl = height - 1
+		lvl := height - 1 - depth
+		if lvl < 0 || n.leaf != (lvl == 0) {
+			return Analysis{}, fmt.Errorf("core: node %s at depth %d in a tree of height %d (invariant 8)", addr, depth, height)
 		}
 		ls := &levels[lvl]
 		size := t.size(n)

@@ -85,3 +85,28 @@ func TestAnalyzeCountsSharedHistoricalNodes(t *testing.T) {
 		t.Error("rule-4 duplication should yield shared historical nodes")
 	}
 }
+
+// TestLeafDepthInvariant checks invariant 8 of CheckInvariants, which
+// Analyze's levels rely on: every leaf lies at depth Height-1. A tree
+// whose recorded height disagrees with its leaves fails both.
+func TestLeafDepthInvariant(t *testing.T) {
+	tree, _, _ := newTestTree(t, PolicyLastUpdate)
+	for i := 0; i < 500; i++ {
+		put(t, tree, fmt.Sprintf("key%03d", i%60), uint64(i+1), fmt.Sprintf("v%d", i))
+	}
+	checkOK(t, tree)
+	if tree.stats.Height < 2 {
+		t.Fatalf("tree of height %d has no index level", tree.stats.Height)
+	}
+	for _, skew := range []int{-1, 1} {
+		tree.stats.Height += skew
+		if err := tree.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "depth") {
+			t.Errorf("height skewed by %d: CheckInvariants = %v, want a leaf-depth violation", skew, err)
+		}
+		if _, err := tree.Analyze(); err == nil {
+			t.Errorf("height skewed by %d: Analyze succeeded", skew)
+		}
+		tree.stats.Height -= skew
+	}
+	checkOK(t, tree)
+}

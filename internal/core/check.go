@@ -26,7 +26,10 @@ import (
 //  6. pending versions appear only in current nodes (they can always be
 //     erased, §4);
 //  7. historical nodes contain no pending data and reference no current
-//     nodes.
+//     nodes;
+//  8. every leaf lies at depth Height-1, however it is reached: only a
+//     root split adds a level, so the tree stays balanced across time
+//     splits and shared historical nodes.
 func (t *Tree) CheckInvariants() error {
 	root, err := t.readNode(t.root)
 	if err != nil {
@@ -35,15 +38,23 @@ func (t *Tree) CheckInvariants() error {
 	if !root.rect.Equal(record.WholeSpace()) {
 		return fmt.Errorf("root rect %s is not the whole space", root.rect)
 	}
-	visited := make(map[storage.Addr]bool)
-	return t.checkNode(root, visited)
+	depths := make(map[storage.Addr]int)
+	return t.checkNode(root, 0, depths)
 }
 
-func (t *Tree) checkNode(n *node, visited map[storage.Addr]bool) error {
-	if visited[n.addr] {
+// checkNode checks the node at depth (the root's is 0) and the subtree
+// under it; depths records the depth of every node already checked.
+func (t *Tree) checkNode(n *node, depth int, depths map[storage.Addr]int) error {
+	if d, seen := depths[n.addr]; seen {
+		if d != depth {
+			return fmt.Errorf("node %s: reached at depths %d and %d", n.addr, d, depth)
+		}
 		return nil
 	}
-	visited[n.addr] = true
+	depths[n.addr] = depth
+	if n.leaf && depth != t.stats.Height-1 {
+		return fmt.Errorf("leaf %s: at depth %d in a tree of height %d", n.addr, depth, t.stats.Height)
+	}
 	if err := checkRect(n.rect); err != nil {
 		return fmt.Errorf("node %s: %w", n.addr, err)
 	}
@@ -53,7 +64,7 @@ func (t *Tree) checkNode(n *node, visited map[storage.Addr]bool) error {
 	if n.leaf {
 		return t.checkLeaf(n)
 	}
-	return t.checkIndex(n, visited)
+	return t.checkIndex(n, depth, depths)
 }
 
 func checkRect(r record.Rect) error {
@@ -98,7 +109,7 @@ func (t *Tree) checkLeaf(n *node) error {
 	return nil
 }
 
-func (t *Tree) checkIndex(n *node, visited map[storage.Addr]bool) error {
+func (t *Tree) checkIndex(n *node, depth int, depths map[storage.Addr]int) error {
 	if len(n.entries) == 0 {
 		return fmt.Errorf("index %s: no entries", n.addr)
 	}
@@ -133,7 +144,7 @@ func (t *Tree) checkIndex(n *node, visited map[storage.Addr]bool) error {
 			return fmt.Errorf("index %s: historical child %s rect %s does not contain entry rect %s",
 				n.addr, e.child, child.rect, e.rect)
 		}
-		if err := t.checkNode(child, visited); err != nil {
+		if err := t.checkNode(child, depth+1, depths); err != nil {
 			return err
 		}
 	}

@@ -239,6 +239,12 @@ type Tree struct {
 	// it never reaches a TreeImage.
 	splitNanos uint64
 
+	// indexEpoch counts index-node writes. Every split and every root
+	// change writes an index node, so a scan page's memo of the index
+	// nodes it decoded stays exact while the epoch is unchanged (see
+	// pathMemo).
+	indexEpoch uint64
+
 	// nodeDecodes and nodeEncodes count node accesses, the paper's cost
 	// unit (§3.2): every node parsed from a device, and every node
 	// serialized, sizing included. Reads run concurrently under shard

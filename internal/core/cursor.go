@@ -1,65 +1,103 @@
 package core
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/record"
+	"repro/internal/storage"
 )
 
-// Page is one latch-scoped unit of a streaming snapshot scan: the visible
-// versions of a single leaf (deduplicated per key, tombstones dropped),
-// plus the window the next page should resume from.
+// Page is one latch-scoped unit of a streaming scan: the versions of a
+// single leaf's keys, plus the continuation that reads the next page.
 //
 // Pages are what make cursors cheap to hand off across latches: a caller
 // that latches the tree externally (the db layer's shard router) holds
-// the latch only for the duration of one ScanPageAsOf call and resumes
-// later from NextLow/NextHigh with no latch held in between. The snapshot
-// stays consistent across that gap without any locking because of the
-// non-deletion policy: versions visible at a fixed time are immutable —
-// later commits carry later timestamps and time splits preserve
-// visibility at every past time.
+// the latch for one page call, ScanPageAsOf or ScanRangePage for the
+// first page and Resume for each later one, with no latch held in
+// between. A snapshot stays consistent across that gap without any
+// locking because of the non-deletion policy: versions visible at a
+// fixed time are immutable, since later commits carry later timestamps
+// and time splits preserve visibility at every past time.
 type Page struct {
-	// Versions holds the leaf's visible versions in ascending key order
+	// Versions holds the page's versions in ascending key order
 	// (descending when the page was produced with reverse=true).
 	Versions []record.Version
-	// NextLow is the low key the next page of a forward scan resumes
-	// from (meaningful only when More is true).
-	NextLow record.Key
-	// NextHigh is the high bound the next page of a reverse scan
-	// resumes from (meaningful only when More is true).
-	NextHigh record.Bound
-	// More reports whether the remaining window may hold versions.
-	More bool
+	// Resume reads the next page of the same scan. It is non-nil
+	// exactly when more pages may follow, and must be called under the
+	// same guard as the call that produced this page. It reads the index
+	// nodes this page decoded from a memo (see pathMemo), so a scan
+	// decodes about one node per further leaf; when the tree has written
+	// an index node since, it descends afresh.
+	Resume func() (Page, error)
 }
 
-// Advance applies the page's resume contract to a scan window: it
-// returns the shrunk (low, high) window for the next page and whether
-// the scan is finished. Every pager (the txn cursor, tsbdump's -scan)
-// goes through this single copy of the contract.
-func (p Page) Advance(low record.Key, high record.Bound, reverse bool) (record.Key, record.Bound, bool) {
-	switch {
-	case !p.More:
-		return low, high, true
-	case reverse:
-		return low, p.NextHigh, false
-	default:
-		return p.NextLow, high, false
+// pathMemo holds the index nodes the last page of one scan decoded, so
+// the next page of the same scan reads them without decoding again.
+// Leaves are never kept, and an index node changes only through
+// writeCurrent, which bumps the tree's indexEpoch: while the epoch is
+// unchanged, every kept node is byte-identical to its page at every read
+// time, TimePending and TimeInfinity included, and a resumed page is
+// exactly what a fresh descent would return. Commits and aborts write
+// only leaves, so they leave the memo valid. The memo holds only the
+// nodes one page used, so its size is bounded by one page's walk.
+type pathMemo struct {
+	t     *Tree
+	epoch uint64 // t.indexEpoch when every node in last and used was read
+	last  []*node
+	used  []*node
+}
+
+func newPathMemo(t *Tree) *pathMemo { return &pathMemo{t: t, epoch: t.indexEpoch} }
+
+// read returns the node at addr from the memo, or decodes it and keeps
+// it if it is an index node.
+func (m *pathMemo) read(addr storage.Addr) (*node, error) {
+	for _, n := range m.used {
+		if n.addr == addr {
+			return n, nil
+		}
 	}
+	for _, n := range m.last {
+		if n.addr == addr {
+			m.used = append(m.used, n)
+			return n, nil
+		}
+	}
+	n, err := m.t.readNode(addr)
+	if err == nil && !n.leaf {
+		m.used = append(m.used, n)
+	}
+	return n, err
 }
 
-// ScanPageAsOf returns one page of the snapshot of [low, high) at time
-// at: the visible versions of the single leaf responsible for the window
-// edge (the low edge forward, the high edge in reverse), found by one
-// edge descent — O(tree height) node reads per page regardless of
-// database size. The page's NextLow/NextHigh shrink the window for the
-// following call, so repeated calls enumerate the full snapshot exactly
-// once, in order, with strictly decreasing window size.
+// next starts the memo's next page: the nodes the page before used stay
+// readable unless the tree has written an index node since.
+func (m *pathMemo) next() *pathMemo {
+	if m.epoch != m.t.indexEpoch {
+		m.epoch = m.t.indexEpoch
+		m.used = m.used[:0]
+	}
+	m.last, m.used = m.used, m.last[:0]
+	return m
+}
+
+// ScanPageAsOf returns the first page of the snapshot of [low, high) at
+// time at: the visible versions of the single leaf responsible for the
+// window edge (the low edge forward, the high edge in reverse), found by
+// one edge descent of O(tree height) node reads. Its Resume reads the
+// following pages, each one leaf further, so the pages enumerate the
+// full snapshot exactly once, in order, with a strictly shrinking window.
 //
 // Because the entries of every index node partition its rectangle, each
 // (key, at) point lives in exactly one leaf: pages never overlap and no
 // deduplication across pages is needed.
 func (t *Tree) ScanPageAsOf(at record.Timestamp, low record.Key, high record.Bound, reverse bool) (Page, error) {
-	n, clip, err := t.edgeLeaf(at, low, high, reverse)
+	return t.pageAsOf(newPathMemo(t), at, low, high, reverse)
+}
+
+func (t *Tree) pageAsOf(m *pathMemo, at record.Timestamp, low record.Key, high record.Bound, reverse bool) (Page, error) {
+	n, clip, _, err := t.edge(m.read, at, low, high, reverse, math.MaxInt)
 	if n == nil || err != nil {
 		// No slab covers the edge at time at: nothing is visible there.
 		return Page{}, err
@@ -68,36 +106,40 @@ func (t *Tree) ScanPageAsOf(at record.Timestamp, low record.Key, high record.Bou
 	if reverse {
 		slices.Reverse(p.Versions)
 		if len(clip.LowKey) > 0 && low.Compare(clip.LowKey) < 0 {
-			p.NextHigh = record.KeyBound(clip.LowKey.Clone())
-			p.More = true
+			high := record.KeyBound(clip.LowKey.Clone())
+			p.Resume = func() (Page, error) { return t.pageAsOf(m.next(), at, low, high, true) }
 		}
 		return p, nil
 	}
 	if !clip.HighKey.IsInfinite() {
-		next := clip.HighKey.Key()
-		if high.CompareKey(next) > 0 {
-			p.NextLow = next.Clone()
-			p.More = true
+		if next := clip.HighKey.Key(); high.CompareKey(next) > 0 {
+			low := next.Clone()
+			p.Resume = func() (Page, error) { return t.pageAsOf(m.next(), at, low, high, false) }
 		}
 	}
 	return p, nil
 }
 
-// edgeLeaf descends to the leaf holding the edge of the window [low, high)
-// at time at — its least keys forward, its greatest in reverse — and
-// returns it with the clip of the path to it: the intersection of the
-// entry rectangles along the path. A shared historical node owns only
-// the keys inside the clip (rule 4 of §3.5 duplicates references,
-// clipping each side). At a fixed time the slabs of an index node
-// partition its key space and its entries are sorted by (LowKey, Start),
-// so the first entry that overlaps the window, scanning from the front
-// (from the back in reverse), is the one at the edge. The node is nil
-// when no slab overlaps the window at time at.
-func (t *Tree) edgeLeaf(at record.Timestamp, low record.Key, high record.Bound, reverse bool) (*node, record.Rect, error) {
+// edge descends through read toward the edge of the window [low, high)
+// at time at — its least keys forward, its greatest in reverse — decoding
+// at most reads nodes, and returns the leaf it reached with the clip of
+// the path to it: the intersection of the entry rectangles along the
+// path. A shared historical node owns only the keys inside the clip
+// (rule 4 of §3.5 duplicates references, clipping each side). At a fixed
+// time the slabs of an index node partition its key space and its
+// entries are sorted by (LowKey, Start), so the first entry that
+// overlaps the window, scanning from the front (from the back in
+// reverse), is the one at the edge. ok is false when no slab overlaps
+// the window at time at. When the reads run out above the leaf, the leaf
+// is nil and the clip is that of the entry the descent stopped at.
+func (t *Tree) edge(read func(storage.Addr) (*node, error), at record.Timestamp, low record.Key, high record.Bound, reverse bool, reads int) (leaf *node, clip record.Rect, ok bool, err error) {
 	at = readTime(at)
-	clip := record.WholeSpace()
-	n, err := t.readNode(t.root)
-	for err == nil && !n.leaf {
+	clip = record.WholeSpace()
+	for addr := t.root; reads > 0; reads-- {
+		var n *node
+		if n, err = read(addr); err != nil || n.leaf {
+			return n, clip, err == nil, err
+		}
 		next := -1
 		for i := range n.entries {
 			if reverse {
@@ -110,11 +152,11 @@ func (t *Tree) edgeLeaf(at record.Timestamp, low record.Key, high record.Bound, 
 			}
 		}
 		if next < 0 {
-			return nil, clip, nil
+			return nil, clip, false, nil
 		}
-		n, err = t.readNode(n.entries[next].child)
+		addr = n.entries[next].child
 	}
-	return n, clip, err
+	return nil, clip, true, nil
 }
 
 // visibleInLeaf collects the leaf's versions visible at time at with keys

@@ -9,19 +9,26 @@ import (
 )
 
 // drain pages the snapshot of [low, high) at time at through
-// ScanPageAsOf and Page.Advance, as txn.Cursor does, and returns every
-// version in page order.
+// ScanPageAsOf and each page's Resume, as txn.Cursor does, and returns
+// every version in page order.
 func drain(tree *Tree, at record.Timestamp, low record.Key, high record.Bound, reverse bool) ([]record.Version, error) {
+	return drainPages(nil, func() (Page, error) { return tree.ScanPageAsOf(at, low, high, reverse) })
+}
+
+// drainPages collects the page first reads and every page its Resume
+// chain reads, running between (when non-nil) before each Resume.
+func drainPages(between func(), first func() (Page, error)) ([]record.Version, error) {
 	var out []record.Version
-	for {
-		p, err := tree.ScanPageAsOf(at, low, high, reverse)
+	for p, err := first(); ; p, err = p.Resume() {
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, p.Versions...)
-		var done bool
-		if low, high, done = p.Advance(low, high, reverse); done {
+		if p.Resume == nil {
 			return out, nil
+		}
+		if between != nil {
+			between()
 		}
 	}
 }
@@ -137,11 +144,8 @@ func TestCursorEmptyAndExhausted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Versions) != 0 || p.More {
+	if len(p.Versions) != 0 || p.Resume != nil {
 		t.Fatalf("page of an empty tree = %+v, want empty and exhausted", p)
-	}
-	if _, _, done := p.Advance(nil, record.InfiniteBound(), false); !done {
-		t.Fatal("Advance past the last page must report the scan finished")
 	}
 }
 

@@ -80,10 +80,13 @@ func viewBytes(v NodeView, err error) ([][]byte, error) {
 	return out, err
 }
 
+// pageBytes returns the bytes of the page and of the page its Resume
+// reads, so the resume bound a page keeps is checked too.
 func pageBytes(p Page, err error) ([][]byte, error) {
-	out := append(versionBytes(p.Versions...), p.NextLow)
-	if p.More && !p.NextHigh.IsInfinite() {
-		out = append(out, p.NextHigh.Key())
+	out := versionBytes(p.Versions...)
+	if err == nil && p.Resume != nil {
+		p, err = p.Resume()
+		out = append(out, versionBytes(p.Versions...)...)
 	}
 	return out, err
 }

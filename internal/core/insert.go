@@ -67,7 +67,7 @@ func (t *Tree) Insert(v record.Version) error {
 		if err != nil {
 			return err
 		}
-		forced := child.leaf && t.marked[child.addr.Off] && hasCommitted(child)
+		forced := child.leaf && t.marked[child.addr.Off] && t.timeSplittable(child)
 		needSplit := forced
 		if child.leaf {
 			if t.size(child)+vSize+4 > t.cfg.LeafCapacity {
@@ -128,11 +128,18 @@ func (t *Tree) Insert(v record.Version) error {
 	return nil
 }
 
-// hasCommitted reports whether the leaf holds at least one committed
-// version (a node of only pending data cannot be split at all).
-func hasCommitted(n *node) bool {
+// timeSplittable reports whether leaf n has a legal time split: one at
+// now, which chooseSplitTime falls back to and which is legal whenever
+// any split time is — the leaf started before now and holds a committed
+// version older than now. A marked leaf without one is not forced: a
+// forced split of it could only key split a leaf that may not be full,
+// and a leaf of one key could not split at all.
+func (t *Tree) timeSplittable(n *node) bool {
+	if n.rect.Start >= t.now {
+		return false
+	}
 	for _, v := range n.versions {
-		if !v.IsPending() {
+		if !v.IsPending() && v.Time < t.now {
 			return true
 		}
 	}

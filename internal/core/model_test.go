@@ -226,7 +226,7 @@ func runModelWorkload(t *testing.T, p Policy, seed int64, ops, nKeys int) {
 	// Windows at the edges of time, through the window walk and the edge
 	// descent.
 	for _, w := range edgeWindows(rng, ts) {
-		checkWindow(t, tree, ref, nil, record.InfiniteBound(), w[0], w[1])
+		checkWindow(t, tree, ref, nil, nil, record.InfiniteBound(), w[0], w[1])
 	}
 }
 

@@ -130,6 +130,9 @@ func (t *Tree) writeCurrent(n *node) error {
 		return fmt.Errorf("core: node %s of %d bytes exceeds page size %d",
 			n.addr, len(data), t.mag.PageSize())
 	}
+	if !n.leaf {
+		t.indexEpoch++
+	}
 	return t.mag.Write(n.addr.Off, data)
 }
 

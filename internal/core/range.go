@@ -20,6 +20,11 @@ import (
 // clustering the Time-Split Rule's redundancy buys keeps the versions
 // valid at the same time in few nodes.
 func (t *Tree) ScanRange(low record.Key, high record.Bound, from, to record.Timestamp) ([]record.Version, error) {
+	return t.scanRange(t.readNode, low, high, from, to)
+}
+
+// scanRange is ScanRange reading every node through read.
+func (t *Tree) scanRange(read func(storage.Addr) (*node, error), low record.Key, high record.Bound, from, to record.Timestamp) ([]record.Version, error) {
 	if to <= from {
 		return nil, nil
 	}
@@ -29,7 +34,7 @@ func (t *Tree) ScanRange(low record.Key, high record.Bound, from, to record.Time
 	var vs []record.Version
 	var visit func(addr storage.Addr, clip record.Rect) error
 	visit = func(addr storage.Addr, clip record.Rect) error {
-		n, err := t.readNode(addr)
+		n, err := read(addr)
 		if err != nil {
 			return err
 		}
@@ -80,15 +85,14 @@ func (t *Tree) ScanRange(low record.Key, high record.Bound, from, to record.Time
 	return out, nil
 }
 
-// ScanRangePage returns one key-paged batch of the temporal range query:
-// the ScanRange result restricted to the keys owned by the single current
-// leaf responsible for `low`, found by one edge descent. The page's
-// NextLow shrinks the window for the following call (the same resume
-// contract as ScanPageAsOf), so repeated calls enumerate
-// ScanRange(low, high, from, to) exactly once, in (key, time) order,
-// with bounded work per call — the time-window pushdown that lets a
-// window cursor stream under incremental latch hand-offs instead of
-// materializing a whole shard part.
+// ScanRangePage returns the first key-paged batch of the temporal range
+// query: the ScanRange result restricted to the keys owned by the single
+// current leaf responsible for `low`. Its Resume reads the following
+// pages, so the pages enumerate ScanRange(low, high, from, to) exactly
+// once, in (key, time) order, with bounded work per call — the
+// time-window pushdown that lets a window cursor stream under
+// incremental latch hand-offs instead of materializing a whole shard
+// part.
 //
 // Pages are split on the *current* key partition (the slabs alive at
 // TimePending partition the key space and are the most finely key-split
@@ -98,27 +102,34 @@ func (t *Tree) ScanRangePage(low record.Key, high record.Bound, from, to record.
 	if to <= from {
 		return Page{}, nil
 	}
-	n, clip, err := t.edgeLeaf(record.TimePending, low, high, false)
+	return t.rangePage(newPathMemo(t), low, high, from, to)
+}
+
+func (t *Tree) rangePage(m *pathMemo, low record.Key, high record.Bound, from, to record.Timestamp) (Page, error) {
+	// The page needs only the current leaf's key range, so the edge
+	// step stops at the leaf's parent: every leaf lies at depth
+	// Height-1 (invariant 8). Were one deeper, the page would cover its
+	// parent's keys instead — more work, the same versions.
+	_, clip, ok, err := t.edge(m.read, record.TimePending, low, high, false, t.stats.Height-1)
 	if err != nil {
 		return Page{}, err
 	}
-	if n == nil {
+	if !ok {
 		// No current slab covers low (defensive — the current slabs
 		// partition the key space): serve the remainder in one piece.
-		vs, err := t.ScanRange(low, high, from, to)
+		vs, err := t.scanRange(m.read, low, high, from, to)
 		return Page{Versions: vs}, err
 	}
 	p := Page{}
 	pageHigh := high
 	if !clip.HighKey.IsInfinite() {
-		next := clip.HighKey.Key()
-		if high.CompareKey(next) > 0 {
-			pageHigh = record.KeyBound(next.Clone())
-			p.NextLow = next.Clone()
-			p.More = true
+		if next := clip.HighKey.Key(); high.CompareKey(next) > 0 {
+			low := next.Clone()
+			pageHigh = record.KeyBound(low)
+			p.Resume = func() (Page, error) { return t.rangePage(m.next(), low, high, from, to) }
 		}
 	}
-	vs, err := t.ScanRange(low, pageHigh, from, to)
+	vs, err := t.scanRange(m.read, low, pageHigh, from, to)
 	if err != nil {
 		return Page{}, err
 	}

@@ -176,11 +176,43 @@ func edgeWindows(rng *rand.Rand, last uint64) [][2]record.Timestamp {
 	}
 }
 
+// splitter writes into a tree between the pages of a drain, so every
+// resumed page runs after the splits it forces. Its versions are pending
+// versions of keys the model does not hold: invisible at every read
+// time, so no read under check may change. They lie between the model's
+// keys, so they land in the leaves being paged; each run inserts one
+// burst of them, until the budget is spent.
+type splitter struct {
+	t      *testing.T
+	tree   *Tree
+	rng    *rand.Rand
+	burst  int
+	budget int
+}
+
+// splitterTxn is the transaction whose write locks the pending versions
+// are.
+const splitterTxn = 1 << 40
+
+func (s *splitter) write() {
+	for i := 0; i < s.burst && s.budget > 0; i++ {
+		s.budget--
+		k := record.StringKey(fmt.Sprintf("key%03d~%05d", s.rng.Intn(40), s.budget))
+		v := record.Version{Key: k, Time: record.TimePending, TxnID: splitterTxn, Value: []byte("pending")}
+		if err := s.tree.Insert(v); err != nil {
+			s.t.Fatal(err)
+		}
+	}
+}
+
 // checkWindow checks every read built on the window walk or on the edge
 // descent against the model, over the keys in [low, high): ScanRange of
-// [from, to); the snapshot at from through ScanAsOf and through pages
-// drained in both directions; and History of each key.
-func checkWindow(t *testing.T, tree *Tree, ref refdb, low record.Key, high record.Bound, from, to record.Timestamp) {
+// [from, to), and the window pages of it; the snapshot at from through
+// ScanAsOf and through pages drained in both directions; and History of
+// each key. Every drain runs between (when non-nil) between its pages:
+// with a splitter's write, resumed pages are checked across key splits,
+// time splits and root splits.
+func checkWindow(t *testing.T, tree *Tree, ref refdb, between func(), low record.Key, high record.Bound, from, to record.Timestamp) {
 	t.Helper()
 	got, err := tree.ScanRange(low, high, from, to)
 	if err != nil {
@@ -212,12 +244,19 @@ func checkWindow(t *testing.T, tree *Tree, ref refdb, low record.Key, high recor
 		read func() ([]record.Version, error)
 	}{
 		{"ScanAsOf", snap, func() ([]record.Version, error) { return tree.ScanAsOf(from, low, high) }},
-		{"pages", snap, func() ([]record.Version, error) { return drain(tree, from, low, high, false) }},
-		{"reverse pages", back, func() ([]record.Version, error) { return drain(tree, from, low, high, true) }},
+		{"pages", snap, func() ([]record.Version, error) {
+			return drainPages(between, func() (Page, error) { return tree.ScanPageAsOf(from, low, high, false) })
+		}},
+		{"reverse pages", back, func() ([]record.Version, error) {
+			return drainPages(between, func() (Page, error) { return tree.ScanPageAsOf(from, low, high, true) })
+		}},
+		{"window pages", want, func() ([]record.Version, error) {
+			return drainPages(between, func() (Page, error) { return tree.ScanRangePage(low, high, from, to) })
+		}},
 	} {
 		got, err := r.read()
 		if err != nil || !sameVersions(got, r.want) {
-			t.Fatalf("%s@%d [%s,%s) = %v, %v; want %v", r.name, from, low, high, got, err, r.want)
+			t.Fatalf("%s@[%d,%d) [%s,%s) = %v, %v; want %v", r.name, from, to, low, high, got, err, r.want)
 		}
 	}
 
@@ -238,6 +277,8 @@ func TestScanRangeModelEquivalence(t *testing.T) {
 		t.Run(policyName, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(21))
 			tree, ref, ts := buildRangeModel(t, p, rng, 800)
+			before := tree.Stats()
+			w := &splitter{t: t, tree: tree, rng: rng, burst: 4, budget: 1500}
 			for trial := 0; trial < 120; trial++ {
 				from := record.Timestamp(rng.Intn(int(ts)))
 				to := from + record.Timestamp(rng.Intn(200))
@@ -247,10 +288,17 @@ func TestScanRangeModelEquivalence(t *testing.T) {
 					low = record.StringKey(fmt.Sprintf("key%03d", rng.Intn(40)))
 					high = record.KeyBound(record.StringKey(fmt.Sprintf("key%03d", rng.Intn(40))))
 				}
-				checkWindow(t, tree, ref, low, high, from, to)
+				checkWindow(t, tree, ref, w.write, low, high, from, to)
 			}
-			for _, w := range edgeWindows(rng, ts) {
-				checkWindow(t, tree, ref, nil, record.InfiniteBound(), w[0], w[1])
+			for _, e := range edgeWindows(rng, ts) {
+				checkWindow(t, tree, ref, w.write, nil, record.InfiniteBound(), e[0], e[1])
+			}
+			checkOK(t, tree)
+			// The writer ran only between pages: every split below
+			// happened under a paused scan.
+			after := tree.Stats()
+			if after.LeafKeySplits == before.LeafKeySplits || after.LeafTimeSplits == before.LeafTimeSplits || after.RootSplits == before.RootSplits {
+				t.Fatalf("the writer between pages forced too little: splits before %+v, after %+v", before, after)
 			}
 		})
 	}
@@ -268,7 +316,9 @@ func FuzzScanRange(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, policy uint8, ops uint16, lowKey, highKey uint8, from, to uint64) {
 		p := policies()[rangePolicies[int(policy)%len(rangePolicies)]]
-		tree, ref, _ := buildRangeModel(t, p, rand.New(rand.NewSource(seed)), int(ops%1024))
+		rng := rand.New(rand.NewSource(seed))
+		tree, ref, _ := buildRangeModel(t, p, rng, int(ops%1024))
+		w := &splitter{t: t, tree: tree, rng: rng, burst: 4, budget: 1500}
 		// Key 40 and above: no low bound, no high bound.
 		var low record.Key
 		high := record.InfiniteBound()
@@ -278,6 +328,6 @@ func FuzzScanRange(f *testing.F) {
 		if highKey < 40 {
 			high = record.KeyBound(record.StringKey(fmt.Sprintf("key%03d", highKey)))
 		}
-		checkWindow(t, tree, ref, low, high, record.Timestamp(from), record.Timestamp(to))
+		checkWindow(t, tree, ref, w.write, low, high, record.Timestamp(from), record.Timestamp(to))
 	})
 }

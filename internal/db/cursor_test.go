@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -161,7 +163,145 @@ func TestCursorEquivalenceProperty(t *testing.T) {
 					cursorSameVersions(t, "window-reverse-limit", gotWinRevLim, reversed(wantWin)[:winLimit])
 				}
 			}
+			checkCursorsUnderWriter(t, d, rng, keySpace)
 		})
+	}
+}
+
+// checkCursorsUnderWriter is TestCursorEquivalenceProperty's writer
+// input: a goroutine commits fresh keys into every scanned shard while
+// forward, reverse and window cursors drain, and each drain waits for a
+// commit after every Next, so resumed pages read shards split since the
+// page before. The snapshots read at or before the clock at the start
+// and the windows end by then, so the writer changes none of them.
+// Under -race a page's Resume that skipped the shard latch is a data
+// race with the writer.
+func checkCursorsUnderWriter(t *testing.T, d *DB, rng *rand.Rand, keySpace int) {
+	t.Helper()
+	now := int(d.Now())
+	before := d.Stats().Tree
+	var commits atomic.Uint64
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for i := uint64(keySpace); ; i++ {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			err := d.Update(func(tx *txn.Txn) error {
+				return tx.Put(spreadKey(i), []byte(fmt.Sprintf("w%d", i)))
+			})
+			if err != nil {
+				done <- err
+				return
+			}
+			commits.Add(1)
+		}
+	}()
+	drain := func(c *txn.Cursor) []record.Version {
+		var out []record.Version
+		for c.Next() {
+			out = append(out, c.Version())
+			for n := commits.Load(); commits.Load() == n; {
+				runtime.Gosched()
+			}
+		}
+		if err := c.Err(); err != nil {
+			t.Error(err)
+		}
+		return out
+	}
+	for trial := 0; trial < 4; trial++ {
+		at := record.Timestamp(1 + rng.Intn(now))
+		var low record.Key
+		high := record.InfiniteBound()
+		if trial%2 != 0 {
+			low = spreadKey(uint64(rng.Intn(keySpace)))
+			high = record.KeyBound(spreadKey(uint64(rng.Intn(keySpace))))
+		}
+		from := record.Timestamp(1 + rng.Intn(now))
+		to := min(from+record.Timestamp(rng.Intn(now)), record.Timestamp(now+1))
+		want := coreOracle(t, d, func(tr *core.Tree) ([]record.Version, error) {
+			return tr.ScanAsOf(at, low, high)
+		})
+		wantWin := coreOracle(t, d, func(tr *core.Tree) ([]record.Version, error) {
+			return tr.ScanRange(low, high, from, to)
+		})
+		r := d.ReadAt(at)
+		cursorSameVersions(t, "writer/forward", drain(r.Cursor(low, high, ScanOptions{})), want)
+		cursorSameVersions(t, "writer/reverse", drain(r.Cursor(low, high, ScanOptions{Reverse: true})), reversed(want))
+		cursorSameVersions(t, "writer/window", drain(d.Cursor(low, high, ScanOptions{From: from, To: to})), wantWin)
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if after := d.Stats().Tree; after.LeafKeySplits == before.LeafKeySplits {
+		t.Fatalf("the writer split no leaf: %+v", after)
+	}
+}
+
+// TestPageResumeTakesShardLatch pins the router's half of the Store
+// contract: every page's Resume, within a shard and across a shard
+// hand-off, reads under a shard latch. With every shard write-latched, a
+// Resume must block until the latches are released. (The race detector
+// cannot see an unlatched Resume: the buffer pool's mutex orders every
+// page read after the writes it could race with.)
+func TestPageResumeTakesShardLatch(t *testing.T) {
+	const shards = 3
+	d := open(t, Config{Shards: shards, LeafCapacity: 512})
+	for i := 0; i < 120; i++ {
+		err := d.Update(func(tx *txn.Txn) error {
+			return tx.Put(spreadKey(uint64(i)), []byte(fmt.Sprintf("v%d", i)))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	now := d.Now()
+	for _, first := range []struct {
+		name string
+		read func() (core.Page, error)
+	}{
+		{"forward", func() (core.Page, error) { return d.store.ScanPageAsOf(now, nil, record.InfiniteBound(), false) }},
+		{"reverse", func() (core.Page, error) { return d.store.ScanPageAsOf(now, nil, record.InfiniteBound(), true) }},
+		{"window", func() (core.Page, error) { return d.store.ScanRangePage(nil, record.InfiniteBound(), 1, now+1) }},
+	} {
+		n := 0
+		p, err := first.read()
+		for ; err == nil && p.Resume != nil; n++ {
+			for _, sh := range d.store.shards {
+				sh.mu.Lock()
+			}
+			type result struct {
+				p   core.Page
+				err error
+			}
+			done := make(chan result, 1)
+			go func(resume func() (core.Page, error)) {
+				p, err := resume()
+				done <- result{p, err}
+			}(p.Resume)
+			select {
+			case <-done:
+				t.Fatalf("%s: page %d's Resume ran while every shard was write-latched", first.name, n)
+			case <-time.After(20 * time.Millisecond):
+			}
+			for _, sh := range d.store.shards {
+				sh.mu.Unlock()
+			}
+			r := <-done
+			p, err = r.p, r.err
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n < shards {
+			t.Fatalf("%s: %d resumed pages, want at least one per shard", first.name, n)
+		}
 	}
 }
 

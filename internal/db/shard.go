@@ -184,116 +184,100 @@ func (s *shardedStore) History(k record.Key) ([]record.Version, error) {
 	return sh.tree.History(k)
 }
 
-// ScanPageAsOf streams one latch-scoped batch of the snapshot at time
-// at: the shard-order concatenating merge cursor of the sharded engine
-// (reverse shard order when reverse is set). It read-latches exactly one
-// shard at a time, only for the duration of that shard tree's leaf-page
-// call, releasing it before touching the next shard — the incremental
-// latch hand-off that lets a cursor pause indefinitely between pages
-// without blocking writers. Because the key space is range-partitioned
-// in shard order, pages concatenate in key order with no interleaving.
+// ScanPageAsOf returns the first page of the snapshot at time at: the
+// shard-order concatenating merge cursor of the sharded engine (reverse
+// shard order when reverse is set). Because the key space is
+// range-partitioned in shard order, pages concatenate in key order with
+// no interleaving.
 func (s *shardedStore) ScanPageAsOf(at record.Timestamp, low record.Key, high record.Bound, reverse bool) (core.Page, error) {
-	if !reverse {
-		return s.forward(low, high, func(t *core.Tree, lo record.Key, hi record.Bound) (core.Page, error) {
-			return t.ScanPageAsOf(at, lo, hi, false)
-		})
-	}
-	n := len(s.shards)
-	i := n - 1
-	if !high.IsInfinite() {
-		i = record.ShardOfKey(high.Key(), n)
-	}
-	first := record.ShardOfKey(low, n)
-	hi := high
-	for {
-		shLow, _ := record.ShardRange(i, n)
-		clampLow := low
-		if low.Compare(shLow) < 0 {
-			clampLow = shLow
-		}
-		// A resumed reverse scan arrives with hi at this shard's
-		// low boundary: the window inside the shard is empty, so
-		// step down without a latched descent.
-		if !hi.IsInfinite() && hi.CompareKey(clampLow) <= 0 {
-			if i <= first {
-				return core.Page{}, nil
-			}
-			i--
-			hi = record.KeyBound(shLow)
-			continue
-		}
-		sh := s.shards[i]
-		sh.mu.RLock()
-		page, err := sh.tree.ScanPageAsOf(at, clampLow, hi, true)
-		sh.mu.RUnlock()
-		if err != nil {
-			return core.Page{}, fmt.Errorf("db: shard %d: %w", i, err)
-		}
-		if page.More || i <= first {
-			return page, nil
-		}
-		// This shard is exhausted: hand the window's high edge down
-		// to the next shard's upper boundary.
-		i--
-		next := record.KeyBound(shLow)
-		if len(page.Versions) > 0 {
-			page.NextHigh = next
-			page.More = true
-			return page, nil
-		}
-		hi = next
-	}
+	return s.scan(low, high, reverse, func(t *core.Tree, lo record.Key, hi record.Bound) (core.Page, error) {
+		return t.ScanPageAsOf(at, lo, hi, reverse)
+	})
 }
 
-// ScanRangePage streams one latch-scoped, key-paged batch of a temporal
-// range query — the window-mode twin of ScanPageAsOf, through the same
-// forward shard hand-off: a window cursor pausing between pages blocks
-// no writer on any shard, and pages concatenate in ScanRange's (key,
-// time) order with no interleaving.
+// ScanRangePage returns the first page of a temporal range query — the
+// window-mode twin of ScanPageAsOf, through the same forward shard
+// hand-off: pages concatenate in ScanRange's (key, time) order with no
+// interleaving.
 func (s *shardedStore) ScanRangePage(low record.Key, high record.Bound, from, to record.Timestamp) (core.Page, error) {
-	return s.forward(low, high, func(t *core.Tree, lo record.Key, hi record.Bound) (core.Page, error) {
+	return s.scan(low, high, false, func(t *core.Tree, lo record.Key, hi record.Bound) (core.Page, error) {
 		return t.ScanRangePage(lo, hi, from, to)
 	})
 }
 
-// forward returns the next page of a forward scan of [low, high): page
-// reads the window, clamped to one shard, from that shard's tree. It
-// read-latches exactly one shard at a time, only for the duration of
-// one page call, and hands the window off across a shard boundary
-// through the page's NextLow.
-func (s *shardedStore) forward(low record.Key, high record.Bound, page func(*core.Tree, record.Key, record.Bound) (core.Page, error)) (core.Page, error) {
+// scanPages is one scan of [low, high) across the shards, ending at
+// shard last and stepping by step (-1 in reverse). open reads the first
+// page of the window clamped to one shard from that shard's tree. It
+// read-latches one shard at a time, for one page call only, so a cursor
+// may pause indefinitely between pages without blocking a writer.
+type scanPages struct {
+	s          *shardedStore
+	low        record.Key
+	high       record.Bound
+	last, step int
+	open       func(*core.Tree, record.Key, record.Bound) (core.Page, error)
+}
+
+// scan returns the first page of a scan of [low, high), from the shard
+// of low (of high in reverse).
+func (s *shardedStore) scan(low record.Key, high record.Bound, reverse bool, open func(*core.Tree, record.Key, record.Bound) (core.Page, error)) (core.Page, error) {
 	n := len(s.shards)
-	i := record.ShardOfKey(low, n)
-	last := n - 1
+	first, last := record.ShardOfKey(low, n), n-1
 	if !high.IsInfinite() {
 		last = record.ShardOfKey(high.Key(), n)
 	}
-	lo := low
+	sc := &scanPages{s: s, low: low, high: high, last: last, step: 1, open: open}
+	if reverse {
+		first, sc.last, sc.step = last, first, -1
+	}
+	return sc.page(first, sc.descend(first))
+}
+
+// descend returns the read of shard i's first page: a fresh descent of
+// the window clamped to the shard, or an empty page when the clamped
+// window is empty.
+func (sc *scanPages) descend(i int) func() (core.Page, error) {
+	shLow, shHigh := record.ShardRange(i, len(sc.s.shards))
+	lo, hi := sc.low, sc.high
+	if lo.Compare(shLow) < 0 {
+		lo = shLow
+	}
+	if shHigh.Compare(hi) < 0 {
+		hi = shHigh
+	}
+	if !hi.IsInfinite() && hi.CompareKey(lo) <= 0 {
+		return func() (core.Page, error) { return core.Page{}, nil }
+	}
+	return func() (core.Page, error) { return sc.open(sc.s.shards[i].tree, lo, hi) }
+}
+
+// page runs read, one page of shard i, under the shard's read latch and
+// wraps the page's Resume the same way, so no latch is held between
+// pages. Once shard i is exhausted the scan hands off to the next shard
+// with a fresh descent, skipping shards that show nothing.
+func (sc *scanPages) page(i int, read func() (core.Page, error)) (core.Page, error) {
 	for {
-		_, shHigh := record.ShardRange(i, n)
-		clampHigh := high
-		if shHigh.Compare(high) < 0 {
-			clampHigh = shHigh
-		}
-		sh := s.shards[i]
+		sh := sc.s.shards[i]
 		sh.mu.RLock()
-		p, err := page(sh.tree, lo, clampHigh)
+		p, err := read()
 		sh.mu.RUnlock()
 		if err != nil {
 			return core.Page{}, fmt.Errorf("db: shard %d: %w", i, err)
 		}
-		if p.More || i >= last {
+		if p.Resume != nil {
+			resume := p.Resume
+			p.Resume = func() (core.Page, error) { return sc.page(i, resume) }
 			return p, nil
 		}
-		// This shard is exhausted: resume at the next shard's boundary.
-		i++
-		next := record.ShardBoundary(i, n)
+		if (sc.last-i)*sc.step <= 0 {
+			return p, nil
+		}
+		i += sc.step
+		read = sc.descend(i)
 		if len(p.Versions) > 0 {
-			p.NextLow = next
-			p.More = true
+			p.Resume = func() (core.Page, error) { return sc.page(i, read) }
 			return p, nil
 		}
-		lo = next
 	}
 }
 

@@ -48,12 +48,13 @@ var ErrCursorOptions = errors.New("txn: ScanOptions.At cannot be combined with F
 // (key, time) order in window mode) as Next is called, instead of
 // arriving as one materialized slice.
 //
-// No latch is held between Next calls. Each fill asks the Store for one
-// page — ScanPageAsOf in snapshot mode, ScanRangePage in window mode —
-// and the store latches at most one shard for the duration of that one
-// leaf read; the snapshot-timestamp contract survives the latch
-// hand-offs because versions visible at the cursor's timestamp are
-// immutable. Abandoning a cursor mid-iteration therefore leaks nothing
+// No latch is held between Next calls. The first fill asks the Store for
+// the first page — ScanPageAsOf in snapshot mode, ScanRangePage in window
+// mode — and every later fill calls the previous page's Resume; the
+// store latches at most one shard for the duration of one page read
+// (Resume carries that latch, see Store). The snapshot-timestamp
+// contract survives the latch hand-offs because versions visible at the
+// cursor's timestamp are immutable. Abandoning a cursor mid-iteration therefore leaks nothing
 // and can never block a writer; Close exists to make early termination
 // explicit.
 //
@@ -66,6 +67,9 @@ type Cursor struct {
 	high   record.Bound
 	opts   ScanOptions
 	window bool // From/To select versions; at is zero
+
+	// resume reads the next page; nil before the first page.
+	resume func() (core.Page, error)
 
 	buf    []record.Version
 	pos    int
@@ -149,21 +153,23 @@ func (c *Cursor) Next() bool {
 	}
 }
 
-// page fetches the next latch-scoped page from the store and shrinks
-// the cursor's window past it.
+// page fetches the next latch-scoped page: the first from the store,
+// every later one through the previous page's Resume.
 func (c *Cursor) page() ([]record.Version, error) {
 	var p core.Page
 	var err error
-	reverse := c.opts.Reverse && !c.window
-	if c.window {
+	switch {
+	case c.resume != nil:
+		p, err = c.resume()
+	case c.window:
 		p, err = c.store.ScanRangePage(c.low, c.high, c.opts.From, c.opts.To)
-	} else {
-		p, err = c.store.ScanPageAsOf(c.at, c.low, c.high, reverse)
+	default:
+		p, err = c.store.ScanPageAsOf(c.at, c.low, c.high, c.opts.Reverse)
 	}
 	if err != nil {
 		return nil, err
 	}
-	c.low, c.high, c.done = p.Advance(c.low, c.high, reverse)
+	c.resume, c.done = p.Resume, p.Resume == nil
 	return p.Versions, nil
 }
 

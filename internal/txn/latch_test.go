@@ -55,15 +55,23 @@ func (l *latchedStore) History(k record.Key) ([]record.Version, error) {
 }
 
 func (l *latchedStore) ScanPageAsOf(at record.Timestamp, low record.Key, high record.Bound, reverse bool) (core.Page, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.s.ScanPageAsOf(at, low, high, reverse)
+	return l.page(func() (core.Page, error) { return l.s.ScanPageAsOf(at, low, high, reverse) })
 }
 
 func (l *latchedStore) ScanRangePage(low record.Key, high record.Bound, from, to record.Timestamp) (core.Page, error) {
+	return l.page(func() (core.Page, error) { return l.s.ScanRangePage(low, high, from, to) })
+}
+
+// page runs read under the read latch and wraps the page's Resume the
+// same way, as the Store contract requires of a latching store.
+func (l *latchedStore) page(read func() (core.Page, error)) (core.Page, error) {
 	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.s.ScanRangePage(low, high, from, to)
+	p, err := read()
+	l.mu.RUnlock()
+	if resume := p.Resume; resume != nil {
+		p.Resume = func() (core.Page, error) { return l.page(resume) }
+	}
+	return p, err
 }
 
 var _ Store = (*latchedStore)(nil)

@@ -84,11 +84,13 @@ import (
 
 // Store is the versioned store a Manager coordinates — the one store
 // interface: point reads and writes, one key's history, and the two page
-// iterators every range read streams through (a page is one latch-scoped
-// leaf read, resumed through core.Page's NextLow/NextHigh, so a Store
-// never materializes a range or holds a latch across calls). It must be
-// safe for concurrent use; the db layer's latched shard router satisfies
-// it, and a bare *core.Tree does for single-goroutine use.
+// iterators every range read streams through. A page is one latch-scoped
+// leaf read, and each page after the first comes from the previous
+// page's core.Page.Resume, so a Store never materializes a range or holds
+// a latch across calls. A Store that latches its pages must wrap each
+// page's Resume in the same latch, as the db layer's shard router does.
+// It must be safe for concurrent use; the shard router satisfies it, and
+// a bare *core.Tree does for single-goroutine use.
 type Store interface {
 	//tsb:io -- inserting can time-split and burn inline
 	Insert(v record.Version) error
@@ -97,11 +99,12 @@ type Store interface {
 	Get(k record.Key) (record.Version, bool, error)
 	GetAsOf(k record.Key, at record.Timestamp) (record.Version, bool, error)
 	History(k record.Key) ([]record.Version, error)
-	// ScanPageAsOf returns one page of the snapshot of [low, high) at
-	// time at, from the low edge (the high edge when reverse).
+	// ScanPageAsOf returns the first page of the snapshot of [low, high)
+	// at time at, from the low edge (the high edge when reverse).
 	ScanPageAsOf(at record.Timestamp, low record.Key, high record.Bound, reverse bool) (core.Page, error)
-	// ScanRangePage returns one forward key page of the versions of
-	// [low, high) valid at any moment in [from, to), in (key, time) order.
+	// ScanRangePage returns the first forward key page of the versions
+	// of [low, high) valid at any moment in [from, to), in (key, time)
+	// order.
 	ScanRangePage(low record.Key, high record.Bound, from, to record.Timestamp) (core.Page, error)
 }
 
