@@ -119,11 +119,14 @@
 // holds no latch between Next calls; each Next read-latches at most one
 // shard for a single leaf-page fetch (snapshot and From/To window
 // cursors alike), so a Limit=1 read over a 100k-version snapshot costs
-// O(tree height) page reads. That is the one range-read stack: the
-// slice-returning scan APIs are thin Collect wrappers, composed queries
-// (db.Query, internal/query) stack streaming operators on those cursors
-// and inherit the contract unchanged, db.Diff drains one such query,
-// and every scan over the wire is one (a leased operator on the server).
+// O(tree height) page reads. That is the one range-read stack: a
+// snapshot scan (txn.ReadTxn.Scan) is a cursor drained, composed
+// queries (db.Query, internal/query) stack streaming operators on those
+// cursors and inherit the contract unchanged, a temporal diff is the
+// query.Diff source, and every scan over the wire is one (a leased
+// operator on the server). Secondary reads are one lookup
+// (db.LookupSecondary, §3.6's index-only read), followed, to fetch the
+// records, by a point read of each primary key at the same time.
 // Beneath them a tree has two read primitives: the edge descent of a
 // scan's first page, and the window walk core.Tree.ScanRange, of which
 // ScanAsOf, History and Diff are windows. Each later page is the first

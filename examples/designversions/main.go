@@ -74,39 +74,33 @@ func main() {
 	}
 
 	// Temporal secondary queries, answered from the status index alone.
+	inStatus := func(s string, at record.Timestamp) []record.Key {
+		pks, err := d.LookupSecondary("status", record.StringKey(s), at)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return pks
+	}
 	fmt.Println("parts per status, end of Q1 vs now:")
 	for _, s := range statuses {
-		atQ1, err := d.CountSecondary("status", record.StringKey(s), q1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		now, err := d.CountSecondary("status", record.StringKey(s), d.Now())
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %-9s q1=%-3d now=%-3d\n", s, atQ1, now)
+		fmt.Printf("  %-9s q1=%-3d now=%-3d\n", s, len(inStatus(s, q1)), len(inStatus(s, d.Now())))
 	}
 
 	// Fetch records currently in review, resolved through the primary
-	// index by <primary key, timestamp> — streamed with a cursor, so
-	// showing three examples fetches three records, not all of them.
-	total, err := d.CountSecondary("status", record.StringKey("review"), d.Now())
-	if err != nil {
-		log.Fatal(err)
-	}
-	rcur, err := d.FetchBySecondaryCursor("status", record.StringKey("review"), d.Now(), db.ScanOptions{Limit: 3})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\n%d parts in review now; e.g.:\n", total)
-	for rcur.Next() {
-		v := rcur.Version()
+	// index by <primary key, timestamp>: showing three examples fetches
+	// three records, not all of them.
+	now := d.Now()
+	review := inStatus("review", now)
+	fmt.Printf("\n%d parts in review now; e.g.:\n", len(review))
+	snap := d.ReadAt(now)
+	for _, pk := range review[:min(3, len(review))] {
+		v, ok, err := snap.Get(pk)
+		if err != nil || !ok {
+			log.Fatalf("fetch %s: %v %v", pk, ok, err)
+		}
 		fmt.Printf("  %s = %s\n", v.Key, v.Value)
 	}
-	if rcur.Err() != nil {
-		log.Fatal(rcur.Err())
-	}
-	if total > 3 {
+	if len(review) > 3 {
 		fmt.Println("  ...")
 	}
 

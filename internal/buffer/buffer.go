@@ -261,35 +261,15 @@ type DirtyPage struct {
 	Epoch uint64
 }
 
-// CaptureDirty copies the dirty pages of one flush group (NoTag < 0 or
-// any negative tag captures every group) out of the table: a
-// memory-only snapshot the caller then writes to the device. It holds
-// the pool latch only for the copy, never for I/O.
-func (p *Pool) CaptureDirty(tag int) []DirtyPage {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.nDirty == 0 {
-		return nil
-	}
-	var out []DirtyPage
-	for el := p.lru.Front(); el != nil; el = el.Next() {
-		fr := el.Value.(*frame)
-		if !fr.dirty || (tag >= 0 && fr.tag != tag) {
-			continue
-		}
-		out = append(out, captureFrame(fr))
-	}
-	return out
-}
-
-// CaptureDirtyExact copies the dirty pages whose tag equals tag
-// exactly — unlike CaptureDirty, a negative tag selects only the
-// untagged group instead of acting as a catch-all. The fuzzy checkpoint
-// needs this: after a shard's group was captured at its own boundary
-// LSN, re-dirtied pages of that shard must NOT ride along with a later
-// group's capture, or the installed image would hold commits the
+// CaptureDirty copies the dirty pages whose flush group is exactly tag
+// (NoTag selects the untagged writes) out of the table: a memory-only
+// snapshot the caller then writes to the device. It holds the pool latch
+// only for the copy, never for I/O. The match is exact because the fuzzy
+// checkpoint needs it: after a shard's group was captured at its own
+// boundary LSN, re-dirtied pages of that shard must NOT ride along with a
+// later group's capture, or the installed image would hold commits the
 // boundary says are replay's to re-apply.
-func (p *Pool) CaptureDirtyExact(tag int) []DirtyPage {
+func (p *Pool) CaptureDirty(tag int) []DirtyPage {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.nDirty == 0 {

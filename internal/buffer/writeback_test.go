@@ -129,8 +129,11 @@ func TestWritebackTags(t *testing.T) {
 	if len(c1) != 1 || c1[0].Page != p1 {
 		t.Fatalf("tag 1 capture: %+v", c1)
 	}
-	if all := pool.CaptureDirty(NoTag); len(all) != 2 {
-		t.Fatalf("all-tags capture: %+v", all)
+	if none := pool.CaptureDirty(NoTag); len(none) != 0 {
+		t.Fatalf("untagged capture took tagged pages: %+v", none)
+	}
+	if all := pool.CaptureDirtyGroups(); len(all) != 2 {
+		t.Fatalf("all-groups capture: %+v", all)
 	}
 }
 

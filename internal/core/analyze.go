@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/storage"
 )
 
 // LevelStats summarizes one level of the tree (level 0 = leaves).
@@ -31,30 +29,6 @@ type Analysis struct {
 // Analyze walks the tree and produces a per-level structural profile —
 // the inspection behind cmd/tsbdump's fill-factor report.
 func (t *Tree) Analyze() (Analysis, error) {
-	parents := make(map[storage.Addr]int)
-	type job struct {
-		addr  storage.Addr
-		depth int
-	}
-	depths := make(map[storage.Addr]int) // addr -> depth from the root
-	queue := []job{{addr: t.root, depth: 0}}
-	for len(queue) > 0 {
-		j := queue[0]
-		queue = queue[1:]
-		if _, seen := depths[j.addr]; seen {
-			continue
-		}
-		depths[j.addr] = j.depth
-		n, err := t.readNode(j.addr)
-		if err != nil {
-			return Analysis{}, err
-		}
-		for _, e := range n.entries {
-			parents[e.child]++
-			queue = append(queue, job{addr: e.child, depth: j.depth + 1})
-		}
-	}
-
 	// Every leaf lies at depth Height-1 (invariant 8 of CheckInvariants),
 	// so a node's level is its height above that depth.
 	height := t.stats.Height
@@ -63,18 +37,21 @@ func (t *Tree) Analyze() (Analysis, error) {
 		levels[i].Level = i
 	}
 	shared := 0
-	for addr, depth := range depths {
-		n, err := t.readNode(addr)
-		if err != nil {
-			return Analysis{}, err
+	err := t.walkDAG(func(r dagRef) error {
+		if r.n == nil {
+			if r.refs == 2 && r.addr.IsWORM() {
+				shared++
+			}
+			return nil
 		}
-		lvl := height - 1 - depth
+		n := r.n
+		lvl := height - 1 - r.depth
 		if lvl < 0 || n.leaf != (lvl == 0) {
-			return Analysis{}, fmt.Errorf("core: node %s at depth %d in a tree of height %d (invariant 8)", addr, depth, height)
+			return fmt.Errorf("core: node %s at depth %d in a tree of height %d (invariant 8)", r.addr, r.depth, height)
 		}
 		ls := &levels[lvl]
 		size := t.size(n)
-		if addr.IsWORM() {
+		if r.addr.IsWORM() {
 			ls.HistoricalNodes++
 			ls.HistoricalBytes += size
 		} else {
@@ -83,9 +60,10 @@ func (t *Tree) Analyze() (Analysis, error) {
 		}
 		ls.Versions += len(n.versions)
 		ls.Entries += len(n.entries)
-		if addr.IsWORM() && parents[addr] > 1 {
-			shared++
-		}
+		return nil
+	})
+	if err != nil {
+		return Analysis{}, err
 	}
 	for i := range levels {
 		cap := t.cfg.IndexCapacity

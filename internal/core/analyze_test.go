@@ -31,10 +31,7 @@ func TestAnalyzeProfile(t *testing.T) {
 		t.Errorf("root level should have exactly one current node: %+v", top)
 	}
 	// Node counts across levels match the walk-based counter.
-	cur, hist, err := tree.CountNodes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cur, hist := countNodes(t, tree)
 	sumCur, sumHist := 0, 0
 	for _, l := range a.Levels {
 		sumCur += l.CurrentNodes
@@ -83,6 +80,23 @@ func TestAnalyzeCountsSharedHistoricalNodes(t *testing.T) {
 	}
 	if a.SharedHistorical == 0 {
 		t.Error("rule-4 duplication should yield shared historical nodes")
+	}
+	// Each walk over the DAG decodes every reachable node once, the
+	// shared ones included.
+	cur, hist := countNodes(t, tree)
+	walks := map[string]func() error{
+		"Analyze":         func() error { _, err := tree.Analyze(); return err },
+		"CheckInvariants": tree.CheckInvariants,
+		"Dump":            func() error { _, err := tree.Dump(); return err },
+	}
+	for name, walk := range walks {
+		before := tree.nodeDecodes.Load()
+		if err := walk(); err != nil {
+			t.Fatal(err)
+		}
+		if got := tree.nodeDecodes.Load() - before; got != uint64(cur+hist) {
+			t.Errorf("%s decoded %d nodes, want the %d reachable", name, got, cur+hist)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/record"
-	"repro/internal/storage"
 )
 
 // CheckInvariants walks the whole tree and verifies the structural
@@ -31,27 +30,30 @@ import (
 //     root split adds a level, so the tree stays balanced across time
 //     splits and shared historical nodes.
 func (t *Tree) CheckInvariants() error {
-	root, err := t.readNode(t.root)
-	if err != nil {
-		return err
-	}
-	if !root.rect.Equal(record.WholeSpace()) {
-		return fmt.Errorf("root rect %s is not the whole space", root.rect)
-	}
-	depths := make(map[storage.Addr]int)
-	return t.checkNode(root, 0, depths)
+	return t.walkDAG(func(r dagRef) error {
+		if r.e == nil {
+			if !r.rect.Equal(record.WholeSpace()) {
+				return fmt.Errorf("root rect %s is not the whole space", r.rect)
+			}
+		} else if r.e.isCurrent() {
+			if !r.rect.Equal(r.e.rect) {
+				return fmt.Errorf("index %s: current child %s rect %s != entry rect %s",
+					r.from, r.addr, r.rect, r.e.rect)
+			}
+		} else if !rectContainsRect(r.rect, r.e.rect) {
+			return fmt.Errorf("index %s: historical child %s rect %s does not contain entry rect %s",
+				r.from, r.addr, r.rect, r.e.rect)
+		}
+		if r.n == nil {
+			return nil // checked on its first reference
+		}
+		return t.checkNode(r.n, r.depth)
+	})
 }
 
-// checkNode checks the node at depth (the root's is 0) and the subtree
-// under it; depths records the depth of every node already checked.
-func (t *Tree) checkNode(n *node, depth int, depths map[storage.Addr]int) error {
-	if d, seen := depths[n.addr]; seen {
-		if d != depth {
-			return fmt.Errorf("node %s: reached at depths %d and %d", n.addr, d, depth)
-		}
-		return nil
-	}
-	depths[n.addr] = depth
+// checkNode checks the node at depth (the root's is 0) on its own; the
+// walk checks each reference to it.
+func (t *Tree) checkNode(n *node, depth int) error {
 	if n.leaf && depth != t.stats.Height-1 {
 		return fmt.Errorf("leaf %s: at depth %d in a tree of height %d", n.addr, depth, t.stats.Height)
 	}
@@ -64,7 +66,7 @@ func (t *Tree) checkNode(n *node, depth int, depths map[storage.Addr]int) error 
 	if n.leaf {
 		return t.checkLeaf(n)
 	}
-	return t.checkIndex(n, depth, depths)
+	return checkIndex(n)
 }
 
 func checkRect(r record.Rect) error {
@@ -109,7 +111,7 @@ func (t *Tree) checkLeaf(n *node) error {
 	return nil
 }
 
-func (t *Tree) checkIndex(n *node, depth int, depths map[storage.Addr]int) error {
+func checkIndex(n *node) error {
 	if len(n.entries) == 0 {
 		return fmt.Errorf("index %s: no entries", n.addr)
 	}
@@ -129,24 +131,6 @@ func (t *Tree) checkIndex(n *node, depth int, depths map[storage.Addr]int) error
 	}
 	if err := checkPartition(n); err != nil {
 		return fmt.Errorf("index %s: %w", n.addr, err)
-	}
-	for _, e := range n.entries {
-		child, err := t.readNode(e.child)
-		if err != nil {
-			return fmt.Errorf("index %s: reading child %s: %w", n.addr, e.child, err)
-		}
-		if e.isCurrent() {
-			if !child.rect.Equal(e.rect) {
-				return fmt.Errorf("index %s: current child %s rect %s != entry rect %s",
-					n.addr, e.child, child.rect, e.rect)
-			}
-		} else if !rectContainsRect(child.rect, e.rect) {
-			return fmt.Errorf("index %s: historical child %s rect %s does not contain entry rect %s",
-				n.addr, e.child, child.rect, e.rect)
-		}
-		if err := t.checkNode(child, depth+1, depths); err != nil {
-			return err
-		}
 	}
 	return nil
 }

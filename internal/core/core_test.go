@@ -148,7 +148,7 @@ func TestLeafKeySplitInsertOnly(t *testing.T) {
 	if worm.Stats().SectorsBurned != 0 {
 		t.Error("insert-only workload must not migrate anything")
 	}
-	root, _ := tree.ViewRoot()
+	root, _ := tree.View(tree.Root())
 	for _, e := range root.Entries {
 		if e.Rect.Start != record.TimeZero {
 			t.Errorf("entry start %s, want 0 (timestamp copied from previous entry)", e.Rect.Start)
@@ -352,10 +352,7 @@ func TestDeepTreeGrowth(t *testing.T) {
 	if tree.Stats().Height < 3 {
 		t.Fatalf("height = %d, expected a deep tree", tree.Stats().Height)
 	}
-	cur, hist, err := tree.CountNodes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cur, hist := countNodes(t, tree)
 	if cur == 0 {
 		t.Error("no current nodes counted")
 	}
@@ -417,9 +414,9 @@ func TestDumpAndViews(t *testing.T) {
 	if len(s) == 0 {
 		t.Error("empty dump")
 	}
-	lv, err := tree.CurrentLeafView(record.StringKey("a"))
-	if err != nil || !lv.Leaf || len(lv.Versions) != 1 {
-		t.Errorf("CurrentLeafView = %+v, %v", lv, err)
+	lv := currentLeafView(t, tree, record.StringKey("a"))
+	if !lv.Leaf || len(lv.Versions) != 1 {
+		t.Errorf("current leaf view = %+v", lv)
 	}
 	if lv.String() == "" {
 		t.Error("NodeView.String empty")

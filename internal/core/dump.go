@@ -33,19 +33,6 @@ func (t *Tree) View(addr storage.Addr) (NodeView, error) {
 	return viewOf(n), nil
 }
 
-// ViewRoot returns a read-only snapshot of the root node.
-func (t *Tree) ViewRoot() (NodeView, error) { return t.View(t.root) }
-
-// CurrentLeafView returns a snapshot of the current leaf responsible for
-// key k.
-func (t *Tree) CurrentLeafView(k record.Key) (NodeView, error) {
-	n, err := t.currentLeaf(k)
-	if err != nil {
-		return NodeView{}, err
-	}
-	return viewOf(n), nil
-}
-
 func viewOf(n *node) NodeView {
 	v := NodeView{Addr: n.addr, Rect: n.rect.Clone(), Leaf: n.leaf}
 	for _, ver := range n.versions {
@@ -93,61 +80,77 @@ func (v NodeView) String() string {
 // §3.5) are annotated and expanded only once.
 func (t *Tree) Dump() (string, error) {
 	var b strings.Builder
-	seen := make(map[storage.Addr]bool)
-	var walk func(addr storage.Addr, depth int) error
-	walk = func(addr storage.Addr, depth int) error {
-		n, err := t.readNode(addr)
-		if err != nil {
-			return err
-		}
-		indent := strings.Repeat("  ", depth)
-		if seen[addr] {
-			fmt.Fprintf(&b, "%s%s (shared, shown above)\n", indent, addr)
-			return nil
-		}
-		seen[addr] = true
-		fmt.Fprintf(&b, "%s%s\n", indent, viewOf(n))
-		for _, e := range n.entries {
-			if err := walk(e.child, depth+1); err != nil {
-				return err
-			}
+	err := t.walkDAG(func(r dagRef) error {
+		indent := strings.Repeat("  ", r.depth)
+		if r.n == nil {
+			fmt.Fprintf(&b, "%s%s (shared, shown above)\n", indent, r.addr)
+		} else {
+			fmt.Fprintf(&b, "%s%s\n", indent, viewOf(r.n))
 		}
 		return nil
-	}
-	if err := walk(t.root, 0); err != nil {
+	})
+	if err != nil {
 		return "", err
 	}
 	return b.String(), nil
 }
 
-// CountNodes walks the tree and returns the number of distinct current
-// (magnetic) and historical (WORM) nodes reachable from the root.
-func (t *Tree) CountNodes() (current, historical int, err error) {
-	seen := make(map[storage.Addr]bool)
-	var walk func(addr storage.Addr) error
-	walk = func(addr storage.Addr) error {
-		if seen[addr] {
-			return nil
+// dagRef is one reference a DAG walk follows: the root, or an entry of
+// an index node.
+type dagRef struct {
+	addr storage.Addr
+	rect record.Rect // the rectangle of the node at addr
+	// n is the decoded node on its first reference, nil on later ones.
+	n *node
+	// from is the index node holding the reference and e its entry; e
+	// is nil for the root.
+	from  storage.Addr
+	e     *entry
+	depth int // the root's is 0
+	refs  int // references that have reached addr so far, this one included
+}
+
+// walkDAG calls visit for every reference reachable from the root, in
+// pre-order. Each node is decoded once and walked below only on its
+// first reference, so a historical node shared by several parents (§3.5)
+// costs one decode however many reach it. A node reached at two depths
+// fails the walk: only a root split adds a level (invariant 8).
+func (t *Tree) walkDAG(visit func(dagRef) error) error {
+	type seenNode struct {
+		rect        record.Rect
+		depth, refs int
+	}
+	seen := make(map[storage.Addr]*seenNode)
+	var walk func(r dagRef) error
+	walk = func(r dagRef) error {
+		if s, ok := seen[r.addr]; ok {
+			if s.depth != r.depth {
+				return fmt.Errorf("node %s: reached at depths %d and %d", r.addr, s.depth, r.depth)
+			}
+			s.refs++
+			r.rect, r.refs = s.rect, s.refs
+			return visit(r)
 		}
-		seen[addr] = true
-		n, err := t.readNode(addr)
+		n, err := t.readNode(r.addr)
 		if err != nil {
+			if r.e != nil {
+				return fmt.Errorf("index %s: reading child %s: %w", r.from, r.addr, err)
+			}
 			return err
 		}
-		if addr.IsWORM() {
-			historical++
-		} else {
-			current++
+		// The clone lets the page buffer go once the subtree is walked.
+		seen[r.addr] = &seenNode{rect: n.rect.Clone(), depth: r.depth, refs: 1}
+		r.rect, r.n, r.refs = n.rect, n, 1
+		if err := visit(r); err != nil {
+			return err
 		}
-		for _, e := range n.entries {
-			if err := walk(e.child); err != nil {
+		for i := range n.entries {
+			e := &n.entries[i]
+			if err := walk(dagRef{addr: e.child, from: n.addr, e: e, depth: r.depth + 1}); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := walk(t.root); err != nil {
-		return 0, 0, err
-	}
-	return current, historical, nil
+	return walk(dagRef{addr: t.root})
 }

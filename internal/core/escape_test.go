@@ -156,8 +156,14 @@ func TestReadsNeverReturnViews(t *testing.T) {
 			return out, err
 		}},
 		{"drained pages", func() ([][]byte, error) { return many(drain(tree, mid, nil, all, false)) }},
-		{"ViewRoot", func() ([][]byte, error) { return viewBytes(tree.ViewRoot()) }},
-		{"CurrentLeafView", func() ([][]byte, error) { return viewBytes(tree.CurrentLeafView(k)) }},
+		{"View root", func() ([][]byte, error) { return viewBytes(tree.View(tree.Root())) }},
+		{"View leaf", func() ([][]byte, error) {
+			n, err := tree.currentLeaf(k)
+			if err != nil {
+				return nil, err
+			}
+			return viewBytes(tree.View(n.addr))
+		}},
 		{"PendingWrites", func() ([][]byte, error) {
 			var out [][]byte
 			for _, p := range tree.PendingWrites() {

@@ -37,6 +37,36 @@ func figureTreeCap(t *testing.T, p Policy, leafCap int) (*Tree, *storage.WORMDis
 	return tree, worm
 }
 
+// currentLeafView is the view of the current leaf responsible for k.
+func currentLeafView(t *testing.T, tree *Tree, k record.Key) NodeView {
+	t.Helper()
+	n, err := tree.currentLeaf(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return viewOf(n)
+}
+
+// countNodes counts the distinct current (magnetic) and historical
+// (WORM) nodes reachable from the root.
+func countNodes(t *testing.T, tree *Tree) (current, historical int) {
+	t.Helper()
+	err := tree.walkDAG(func(r dagRef) error {
+		switch {
+		case r.n == nil:
+		case r.addr.IsWORM():
+			historical++
+		default:
+			current++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return current, historical
+}
+
 func leafValues(v NodeView) map[string]string {
 	out := make(map[string]string)
 	for _, ver := range v.Versions {
@@ -73,7 +103,7 @@ func TestFigure5(t *testing.T) {
 	if st.LeafTimeSplits != 0 || worm.Stats().SectorsBurned != 0 {
 		t.Fatalf("pure key split must not migrate: %+v", st)
 	}
-	root, err := tree.ViewRoot()
+	root, err := tree.View(tree.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +150,7 @@ func TestFigure6(t *testing.T) {
 	if stA.VersionsMigrated != 2 {
 		t.Errorf("T=4 split should migrate Joe and Pete only, got %d", stA.VersionsMigrated)
 	}
-	cur, err := treeA.CurrentLeafView(record.StringKey("60"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := leafValues(cur)
+	vals := leafValues(currentLeafView(t, treeA, record.StringKey("60")))
 	if vals["60@4"] != "Mary" || vals["90@6"] != "Alice" || len(vals) != 2 {
 		t.Errorf("T=4 current node = %v, want {Mary@4, Alice@6}", vals)
 	}
@@ -139,11 +165,7 @@ func TestFigure6(t *testing.T) {
 	if stB.VersionsMigrated != 3 {
 		t.Errorf("T=now split should migrate all three versions, got %d", stB.VersionsMigrated)
 	}
-	curB, err := treeB.CurrentLeafView(record.StringKey("60"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	valsB := leafValues(curB)
+	valsB := leafValues(currentLeafView(t, treeB, record.StringKey("60")))
 	if valsB["60@4"] != "Mary" || valsB["90@6"] != "Alice" {
 		t.Errorf("T=now current node = %v, want Mary copied in", valsB)
 	}

@@ -34,7 +34,9 @@ func (t *Tree) Insert(v record.Version) error {
 	vSize := v.EncodedSize()
 
 	// Make sure the root itself has room for the insertion or for the
-	// postings of a child split.
+	// postings of a child split; the descent starts from the root that
+	// has it.
+	var n *node
 	for {
 		root, err := t.readNode(t.root)
 		if err != nil {
@@ -47,16 +49,12 @@ func (t *Tree) Insert(v record.Version) error {
 			limit, need = t.cfg.IndexCapacity, 3*t.entryCap
 		}
 		if t.size(root)+need <= limit {
+			n = root
 			break
 		}
 		if err := t.splitRoot(); err != nil {
 			return err
 		}
-	}
-
-	n, err := t.readNode(t.root)
-	if err != nil {
-		return err
 	}
 	for !n.leaf {
 		idx := findCurrentEntry(n, v.Key)

@@ -284,7 +284,7 @@ func TestConcurrentStress(t *testing.T) {
 
 	// Snapshots at several times.
 	for _, at := range []record.Timestamp{1, now / 4, now / 2, now} {
-		got, err := d.ScanAsOf(at, nil, record.InfiniteBound())
+		got, err := d.ReadAt(at).Scan(nil, record.InfiniteBound())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +359,7 @@ func TestConcurrentSecondaryMaintenance(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				tag := record.Key{byte('a' + rng.Intn(4))}
 				at := d.Now()
-				vs, err := d.FetchBySecondary("tag", tag, at)
+				vs, err := fetchSecondary(d, "tag", tag, at)
 				if err != nil {
 					errCh <- err
 					return

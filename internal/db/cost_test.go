@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/query"
 	"repro/internal/record"
 	"repro/internal/txn"
 )
@@ -70,10 +71,10 @@ func costLedger(t *testing.T) []string {
 
 	now := d.Now()
 	next := costKeys
-	// window picks the key×time rectangle of a diff or window read:
+	// rect picks the key×time rectangle of a diff or window read:
 	// costSpan keys from a random start, costTicks ticks from a random
 	// past time.
-	window := func() (record.Key, record.Bound, record.Timestamp) {
+	rect := func() (record.Key, record.Bound, record.Timestamp) {
 		i := rng.Intn(costKeys - costSpan)
 		return keys[i], record.KeyBound(keys[i+costSpan]), record.Timestamp(1 + rng.Int63n(int64(now)-costTicks))
 	}
@@ -106,14 +107,21 @@ func costLedger(t *testing.T) []string {
 			}
 		}},
 		{"diff", func() {
-			low, high, from := window()
-			if _, err := d.Diff(low, high, from, from+costTicks); err != nil {
+			low, high, from := rect()
+			op, err := d.QueryAt(d.Now(), query.Diff(low, high, from, from+costTicks))
+			if err != nil {
 				t.Fatal(err)
 			}
+			for op.Next() {
+			}
+			if err := op.Err(); err != nil {
+				t.Fatal(err)
+			}
+			op.Close()
 		}},
 		{"window", func() {
-			low, high, from := window()
-			if _, err := d.ScanRange(low, high, from, from+costTicks); err != nil {
+			low, high, from := rect()
+			if _, err := window(d, low, high, from, from+costTicks); err != nil {
 				t.Fatal(err)
 			}
 		}},

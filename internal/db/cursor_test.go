@@ -125,9 +125,9 @@ func TestCursorEquivalenceProperty(t *testing.T) {
 					cursorSameVersions(t, "limit", gotLim, wantLim)
 				}
 
-				// The slice API is a wrapper over the same cursor; it
+				// The slice form is a wrapper over the same cursor; it
 				// must agree with the oracle too.
-				slice, err := d.ScanAsOf(at, low, high)
+				slice, err := r.Scan(low, high)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -424,7 +424,7 @@ func TestCursorLimit1PageReads(t *testing.T) {
 	// Contrast: the materializing scan must touch at least one page per
 	// current leaf — orders of magnitude more than the cursor.
 	before = pageFetches()
-	all, err := d.ScanAsOf(d.Now(), nil, record.InfiniteBound())
+	all, err := d.ReadOnly().Scan(nil, record.InfiniteBound())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestCursorLimit1PageReads(t *testing.T) {
 }
 
 // TestBufferPagesContract pins the Config.BufferPages semantics: 0 means
-// the 256-page default, NoCachePages (-1) disables caching.
+// the 256-page default, and a negative value is refused.
 func TestBufferPagesContract(t *testing.T) {
 	cached := open(t, Config{}) // BufferPages 0 -> default pool
 	put(t, cached, "k", "v")
@@ -450,77 +450,62 @@ func TestBufferPagesContract(t *testing.T) {
 	if st := cached.Stats().Buffer; st.Hits+st.Misses == 0 {
 		t.Fatal("BufferPages=0 must enable the default pool")
 	}
-
-	raw := open(t, Config{BufferPages: NoCachePages})
-	put(t, raw, "k", "v")
-	magBefore := raw.Stats().Magnetic.Reads
-	for i := 0; i < 10; i++ {
-		if _, ok, err := raw.Get(record.StringKey("k")); !ok || err != nil {
-			t.Fatal(ok, err)
-		}
-	}
-	st := raw.Stats()
-	if st.Buffer.Hits+st.Buffer.Misses != 0 {
-		t.Fatalf("BufferPages=NoCachePages left the pool active: %+v", st.Buffer)
-	}
-	if st.Magnetic.Reads == magBefore {
-		t.Fatal("reads did not reach the device with caching disabled")
+	if _, err := Open(Config{BufferPages: -1}); err == nil {
+		t.Fatal("negative BufferPages accepted")
 	}
 }
 
-// TestSecondaryCursorEquivalence checks the streaming secondary fetch
-// against the legacy slice API, including Limit and Reverse.
-func TestSecondaryCursorEquivalence(t *testing.T) {
+// TestSecondaryFetchEquivalence checks the §3.6 fetch — the primary keys
+// of a secondary lookup, each read from the primary index at the same
+// time — against a snapshot scan filtered by the extraction function,
+// at a past time and now.
+func TestSecondaryFetchEquivalence(t *testing.T) {
 	d := open(t, Config{Shards: 2})
 	if err := d.CreateSecondary("dept", deptExtract); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 40; i++ {
+	var mid record.Timestamp
+	for i := 0; i < 60; i++ {
 		dept := fmt.Sprintf("dept%d", i%3)
 		err := d.Update(func(tx *txn.Txn) error {
-			return tx.Put(spreadKey(uint64(i)), []byte(dept+"|payload"))
+			return tx.Put(spreadKey(uint64(i%40)), []byte(dept+"|payload"))
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if i == 39 {
+			mid = d.Now()
+		}
 	}
-	at := d.Now()
-	want, err := d.FetchBySecondary("dept", record.StringKey("dept1"), at)
-	if err != nil {
-		t.Fatal(err)
+	for _, at := range []record.Timestamp{mid, d.Now()} {
+		snap := d.ReadAt(at)
+		all, err := snap.Scan(nil, record.InfiniteBound())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []record.Version
+		for _, v := range all {
+			if deptExtract(v.Value).Equal(record.StringKey("dept1")) {
+				want = append(want, v)
+			}
+		}
+		if len(want) == 0 {
+			t.Fatalf("no records for dept1 at %d", at)
+		}
+		pks, err := d.LookupSecondary("dept", record.StringKey("dept1"), at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []record.Version
+		for _, pk := range pks {
+			v, ok, err := snap.Get(pk)
+			if err != nil || !ok {
+				t.Fatalf("fetch %s at %d: %v %v", pk, at, ok, err)
+			}
+			got = append(got, v)
+		}
+		cursorSameVersions(t, fmt.Sprintf("secondary@%d", at), got, want)
 	}
-	if len(want) == 0 {
-		t.Fatal("no records for dept1")
-	}
-	c, err := d.FetchBySecondaryCursor("dept", record.StringKey("dept1"), at, ScanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cursorSameVersions(t, "secondary", got, want)
-
-	rev, err := d.FetchBySecondaryCursor("dept", record.StringKey("dept1"), at, ScanOptions{Reverse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRev, err := rev.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cursorSameVersions(t, "secondary-reverse", gotRev, reversed(want))
-
-	lim, err := d.FetchBySecondaryCursor("dept", record.StringKey("dept1"), at, ScanOptions{Limit: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotLim, err := lim.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cursorSameVersions(t, "secondary-limit", gotLim, want[:2])
 }
 
 // TestRangeIteratorThroughDB drives the iter.Seq2 form end to end,
@@ -535,7 +520,7 @@ func TestRangeIteratorThroughDB(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := d.ScanAsOf(d.Now(), nil, record.InfiniteBound())
+	want, err := d.ReadOnly().Scan(nil, record.InfiniteBound())
 	if err != nil {
 		t.Fatal(err)
 	}

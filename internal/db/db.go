@@ -118,10 +118,11 @@
 // time are immutable under the non-deletion policy — so a paused or
 // abandoned cursor never blocks a writer and a Limit=1 snapshot cursor
 // costs O(tree height) page reads, not a full scan. There is no second
-// range-read path: the slice-returning ScanAsOf/ScanRange/
-// FetchBySecondary are thin Collect wrappers over cursors, and Diff
-// drains the query layer's diff operator, itself a fold over a window
-// cursor.
+// range-read path, and DB has no slice-returning scans: a snapshot is
+// ReadAt(t).Scan (a cursor drained), a temporal window is Cursor with
+// From/To, a diff is QueryAt(Now(), query.Diff(...)) (a fold over a
+// window cursor), and a secondary fetch is LookupSecondary followed by
+// ReadAt(t).Get of each primary key.
 //
 // Typical use:
 //
@@ -146,7 +147,6 @@ import (
 	"fmt"
 	"iter"
 	"os"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -155,7 +155,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pagestore"
-	"repro/internal/query"
 	"repro/internal/record"
 	"repro/internal/secondary"
 	"repro/internal/storage"
@@ -175,9 +174,7 @@ type Config struct {
 	// paper's "typically about one kilobyte").
 	SectorSize int
 	// BufferPages is the page-cache capacity shared by all shards.
-	// 0 selects the default of 256; NoCachePages (-1, or any negative
-	// value) disables caching entirely so every page read reaches the
-	// simulated device (in-memory databases only, see Dir).
+	// 0 selects the default of 256; a negative value is refused.
 	BufferPages int
 	// Policy is the TSB-tree splitting policy (default PolicyLastUpdate,
 	// the paper's refinement).
@@ -207,9 +204,8 @@ type Config struct {
 	// committers into one fsync — and a checkpoint flushes the dirty
 	// pages, O(dirty) not O(database). See the package documentation's
 	// durability contract. Reopening adopts the directory's shard count,
-	// page and sector sizes and tree parameters. A durable database does
-	// not accept BufferPages = NoCachePages (the dirty-page table IS the
-	// pool), and Cost and PlatterSectors/Drives do not apply to it: they
+	// page and sector sizes and tree parameters. Cost and
+	// PlatterSectors/Drives do not apply to a durable database: they
 	// describe the simulated devices only.
 	Dir string
 	// PagedDevices is ignored.
@@ -227,12 +223,6 @@ type Config struct {
 	// disables it, though Open and Close still end at a checkpoint and
 	// DB.Checkpoint still works. Durable databases only.
 	CheckpointBytes int64
-	// SlowOpThreshold is the duration at or above which a completed
-	// background span (a checkpoint) is copied into the slow-op ring of
-	// the event log (DB.Events). 0 selects the 25ms
-	// default; negative disables the slow-op ring (the main event ring
-	// still records everything).
-	SlowOpThreshold time.Duration
 	// Secondaries registers secondary indexes at open time, equivalent
 	// to calling CreateSecondary for each before any writes. Reopening
 	// a durable database that had secondary indexes REQUIRES the same
@@ -248,11 +238,6 @@ type Config struct {
 	// writes through it.
 	blockWrap func(storage.BlockFile) storage.BlockFile
 }
-
-// NoCachePages is the Config.BufferPages value that disables the page
-// cache (0 means "default capacity", so disabling needs its own
-// sentinel).
-const NoCachePages = -1
 
 // SecondaryExtract derives the secondary key from a record value. A nil
 // return means the record has no entry in that index.
@@ -340,13 +325,10 @@ func (cfg *Config) withDefaults() error {
 		cfg.BufferPages = 256
 	}
 	if cfg.BufferPages < 0 {
-		cfg.BufferPages = NoCachePages
+		return fmt.Errorf("db: BufferPages %d is negative", cfg.BufferPages)
 	}
 	if (cfg.Policy == core.Policy{}) {
 		cfg.Policy = core.PolicyLastUpdate
-	}
-	if cfg.Dir != "" && cfg.BufferPages == NoCachePages {
-		return fmt.Errorf("db: a durable database requires the buffer pool (BufferPages must not be NoCachePages)")
 	}
 	return nil
 }
@@ -458,7 +440,7 @@ func Open(cfg Config) (_ *DB, err error) {
 		}
 		d.tm.SetCommitLog(d.wal)
 	}
-	d.wireObs(cfg)
+	d.wireObs()
 
 	if durable {
 		if err := d.Checkpoint(); err != nil {
@@ -472,8 +454,8 @@ func Open(cfg Config) (_ *DB, err error) {
 	return d, nil
 }
 
-// openSimulatedDevices builds the in-memory devices and, unless caching
-// is disabled, the write-through pool over them.
+// openSimulatedDevices builds the in-memory devices and the write-through
+// pool over them.
 func (d *DB) openSimulatedDevices(cfg Config) {
 	cost := storage.DefaultCostModel()
 	if cfg.Cost != nil {
@@ -486,14 +468,13 @@ func (d *DB) openSimulatedDevices(cfg Config) {
 		PlatterSectors: cfg.PlatterSectors,
 		Drives:         cfg.Drives,
 	})
-	if cfg.BufferPages > 0 {
-		d.pool = buffer.NewPool(d.mag, cfg.BufferPages)
-	}
+	d.pool = buffer.NewPool(d.mag, cfg.BufferPages)
 }
 
-// defaultSlowOpThreshold is the slow-op ring threshold when
-// Config.SlowOpThreshold is 0.
-const defaultSlowOpThreshold = 25 * time.Millisecond
+// slowOpThreshold is the duration at or above which a completed
+// background span (a checkpoint) is copied into the event log's slow-op
+// ring.
+const slowOpThreshold = 25 * time.Millisecond
 
 // wireObs builds the metric registry and event log and names every
 // component's instruments in them. Called once, by Open, after the
@@ -501,21 +482,12 @@ const defaultSlowOpThreshold = 25 * time.Millisecond
 // Instruments are component-owned struct fields that record from birth;
 // registration only names them for exposition, so nothing here is on a
 // hot path and order relative to first use does not matter.
-func (d *DB) wireObs(cfg Config) {
+func (d *DB) wireObs() {
 	d.reg = obs.NewRegistry()
-	thresh := cfg.SlowOpThreshold
-	if thresh == 0 {
-		thresh = defaultSlowOpThreshold
-	}
-	if thresh < 0 {
-		thresh = 0
-	}
-	d.events = obs.NewEventLog(1024, thresh)
+	d.events = obs.NewEventLog(1024, slowOpThreshold)
 	d.store.registerMetrics(d.reg)
 	d.tm.RegisterMetrics(d.reg)
-	if d.pool != nil {
-		d.pool.RegisterMetrics(d.reg)
-	}
+	d.pool.RegisterMetrics(d.reg)
 	if d.wal != nil {
 		d.wal.RegisterMetrics(d.reg)
 	}
@@ -536,24 +508,19 @@ func (d *DB) wireObs(cfg Config) {
 func (d *DB) Metrics() *obs.Registry { return d.reg }
 
 // Events returns the background-job event log: completed checkpoint
-// spans, with a slow-op ring past Config.SlowOpThreshold. Always
+// spans, with a slow-op ring of those that took 25ms or more. Always
 // non-nil.
 func (d *DB) Events() *obs.EventLog { return d.events }
 
 // treePages returns the page store a tree writes through: on file-backed
 // devices the pool view tagged with the tree's flush group (shard i =
 // group i, the secondary indexes share secTag), so checkpoints can
-// capture and flush one group at a time; in memory the pool itself, or
-// the raw device when caching is disabled.
+// capture and flush one group at a time; in memory the pool itself.
 func (d *DB) treePages(tag int) storage.PageStore {
-	switch {
-	case d.pf != nil:
+	if d.pf != nil {
 		return d.pool.Tagged(tag)
-	case d.pool != nil:
-		return d.pool
-	default:
-		return d.mag
 	}
+	return d.pool
 }
 
 // addSecondary builds the tree of secondary index name — reattached from
@@ -668,8 +635,9 @@ type ScanOptions = txn.ScanOptions
 type Cursor = txn.Cursor
 
 // Cursor opens a streaming read over keys in [low, high) at the current
-// time (or as directed by opts): the cursor form of ScanAsOf/ScanRange,
-// through a read-only transaction that takes no logical locks.
+// time (or as directed by opts: a snapshot at At, or the versions valid
+// in the window [From, To)), through a read-only transaction that takes
+// no logical locks.
 func (d *DB) Cursor(low record.Key, high record.Bound, opts ScanOptions) *Cursor {
 	return d.ReadOnly().Cursor(low, high, opts)
 }
@@ -680,51 +648,9 @@ func (d *DB) Range(low record.Key, high record.Bound, opts ScanOptions) iter.Seq
 	return d.ReadOnly().Range(low, high, opts)
 }
 
-// ScanAsOf returns the snapshot of [low, high) at time at, sorted by key.
-func (d *DB) ScanAsOf(at record.Timestamp, low record.Key, high record.Bound) ([]record.Version, error) {
-	return d.tm.ReadAt(at).Scan(low, high)
-}
-
 // History returns every committed version of key k, oldest first.
 func (d *DB) History(k record.Key) ([]record.Version, error) {
 	return d.tm.History(k)
-}
-
-// ScanRange returns the versions of keys in [low, high) valid at any
-// moment in [from, to), sorted by (key, time) — e.g. "all balance changes
-// of accounts A..B during March".
-func (d *DB) ScanRange(low record.Key, high record.Bound, from, to record.Timestamp) ([]record.Version, error) {
-	if to <= from {
-		return nil, nil // and from=to=0 is ScanOptions' "no window", not a window
-	}
-	return d.Cursor(low, high, ScanOptions{From: from, To: to}).Collect()
-}
-
-// Diff reports every key in [low, high) whose visible state differs
-// between times from and to, sorted by key: the change stream
-// query.Diff compiles to, drained into a slice.
-func (d *DB) Diff(low record.Key, high record.Bound, from, to record.Timestamp) ([]core.Change, error) {
-	op, err := d.QueryAt(d.Now(), query.Diff(low, high, from, to))
-	if err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	var out []core.Change
-	for op.Next() {
-		r := op.Row()
-		c := core.Change{Key: r.Key, HasBefor: r.HasBefore, HasAfter: r.HasAfter}
-		if c.HasBefor {
-			c.Before = r.Versions[0]
-		}
-		if c.HasAfter {
-			c.After = r.Versions[len(r.Versions)-1]
-		}
-		out = append(out, c)
-	}
-	if err := op.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Now returns the last commit timestamp.
@@ -740,109 +666,6 @@ func (d *DB) LookupSecondary(name string, skey record.Key, at record.Timestamp) 
 		return nil, fmt.Errorf("db: no secondary index %q", name)
 	}
 	return s.index.LookupAsOf(skey, at)
-}
-
-// CountSecondary counts records carrying the secondary key at time at.
-func (d *DB) CountSecondary(name string, skey record.Key, at record.Timestamp) (int, error) {
-	d.secMu.RLock()
-	defer d.secMu.RUnlock()
-	s, ok := d.secondaries[name]
-	if !ok {
-		return 0, fmt.Errorf("db: no secondary index %q", name)
-	}
-	return s.index.CountAsOf(skey, at)
-}
-
-// SecondaryCursor streams the records that carried a secondary key at a
-// fixed time, in primary-key order (descending with ScanOptions.Reverse).
-// The primary-key list is resolved eagerly through the secondary index —
-// a short secondary-index read latch, released before the cursor is
-// returned — and the records themselves are fetched lazily from the
-// primary index, one point lookup per Next, so like every cursor it
-// holds no latch between Next calls.
-type SecondaryCursor struct {
-	reader *txn.ReadTxn
-	pks    []record.Key
-	limit  int
-	cur    record.Version
-	n      int
-	closed bool
-	err    error
-}
-
-// FetchBySecondaryCursor opens a streaming fetch of the records carrying
-// skey at time at, resolved through the primary index (§3.6). Only
-// Limit and Reverse of opts apply; the snapshot time is at.
-func (d *DB) FetchBySecondaryCursor(name string, skey record.Key, at record.Timestamp, opts ScanOptions) (*SecondaryCursor, error) {
-	pks, err := d.LookupSecondary(name, skey, at)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Reverse {
-		slices.Reverse(pks)
-	}
-	return &SecondaryCursor{reader: d.tm.ReadAt(at), pks: pks, limit: opts.Limit}, nil
-}
-
-// Next advances to the next record and reports whether one is available.
-func (c *SecondaryCursor) Next() bool {
-	if c.err != nil || c.closed {
-		return false
-	}
-	for len(c.pks) > 0 {
-		if c.limit > 0 && c.n >= c.limit {
-			return false
-		}
-		pk := c.pks[0]
-		c.pks = c.pks[1:]
-		v, ok, err := c.reader.Get(pk)
-		if err != nil {
-			c.err = err
-			return false
-		}
-		if !ok {
-			continue
-		}
-		c.cur = v
-		c.n++
-		return true
-	}
-	return false
-}
-
-// Version returns the record the cursor is positioned on. It must only
-// be called after a successful Next.
-func (c *SecondaryCursor) Version() record.Version { return c.cur }
-
-// Err returns the first error the cursor hit, if any.
-func (c *SecondaryCursor) Err() error { return c.err }
-
-// Close terminates the cursor; it holds nothing, so Close only stops
-// further Next calls.
-func (c *SecondaryCursor) Close() error { c.closed = true; return nil }
-
-// Collect drains the cursor into a slice.
-func (c *SecondaryCursor) Collect() ([]record.Version, error) {
-	var out []record.Version
-	for c.Next() {
-		out = append(out, c.Version())
-	}
-	if c.err != nil {
-		return nil, c.err
-	}
-	return out, nil
-}
-
-// FetchBySecondary resolves a secondary lookup through the primary index:
-// <timestamp, secondary key, primary key> entries point back at primary
-// records by key and time (§3.6). It is a thin Collect wrapper over
-// FetchBySecondaryCursor.
-func (d *DB) FetchBySecondary(name string, skey record.Key, at record.Timestamp) ([]record.Version, error) {
-	c, err := d.FetchBySecondaryCursor(name, skey, at, ScanOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return c.Collect()
 }
 
 // DeviceStats is the two-tier storage accounting of the paper's cost
@@ -915,9 +738,7 @@ func (d *DB) Stats() Stats {
 	if d.wal != nil {
 		st.WAL = d.wal.Stats()
 	}
-	if d.pool != nil {
-		st.Buffer = d.pool.Stats()
-	}
+	st.Buffer = d.pool.Stats()
 	st.Migrator.SplitLatchNanos = d.store.splitLatchNanos()
 	st.Checkpoint = CheckpointStats{
 		Checkpoints:   d.cpPause.Count(),

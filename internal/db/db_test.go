@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/query"
 	"repro/internal/record"
 	"repro/internal/txn"
 )
@@ -27,6 +28,65 @@ func put(t *testing.T, d *DB, key, val string) {
 	if err != nil {
 		t.Fatalf("put %s: %v", key, err)
 	}
+}
+
+// window returns the versions of keys in [low, high) valid at any moment
+// in [from, to), sorted by (key, time): a window cursor, drained. An empty
+// window holds nothing (and From = To = 0 would mean "no window").
+func window(d *DB, low record.Key, high record.Bound, from, to record.Timestamp) ([]record.Version, error) {
+	if to <= from {
+		return nil, nil
+	}
+	return d.Cursor(low, high, ScanOptions{From: from, To: to}).Collect()
+}
+
+// fullHistory is every committed version of every key: the window over
+// all of time.
+func fullHistory(d *DB) ([]record.Version, error) {
+	return window(d, nil, record.InfiniteBound(), record.TimeZero+1, record.TimeInfinity)
+}
+
+// diffRows drains the query layer's diff of [low, high) between times
+// from and to: one row per key whose visible state differs, in key order.
+func diffRows(d *DB, low record.Key, high record.Bound, from, to record.Timestamp) ([]query.Row, error) {
+	op, err := d.QueryAt(d.Now(), query.Diff(low, high, from, to))
+	if err != nil {
+		return nil, err
+	}
+	defer op.Close()
+	var rows []query.Row
+	for op.Next() {
+		rows = append(rows, op.Row())
+	}
+	return rows, op.Err()
+}
+
+// secondaryCount is the number of records carrying skey at time at,
+// answered from the secondary index alone.
+func secondaryCount(d *DB, name string, skey record.Key, at record.Timestamp) (int, error) {
+	pks, err := d.LookupSecondary(name, skey, at)
+	return len(pks), err
+}
+
+// fetchSecondary resolves a secondary lookup through the primary index
+// (§3.6): each primary key carrying skey at time at, read at that time.
+func fetchSecondary(d *DB, name string, skey record.Key, at record.Timestamp) ([]record.Version, error) {
+	pks, err := d.LookupSecondary(name, skey, at)
+	if err != nil {
+		return nil, err
+	}
+	snap := d.ReadAt(at)
+	out := make([]record.Version, 0, len(pks))
+	for _, pk := range pks {
+		v, ok, err := snap.Get(pk)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out = append(out, v)
+		}
+	}
+	return out, nil
 }
 
 // deptExtract is the secondary-index extractor the tests share: the
@@ -92,25 +152,25 @@ func TestSecondaryIndexEndToEnd(t *testing.T) {
 	put(t, d, "emp3", "eng|carol")   // t=3
 	put(t, d, "emp1", "eng|alice")   // t=4: moves to eng
 
-	if n, _ := d.CountSecondary("dept", record.StringKey("sales"), 3); n != 2 {
+	if n, _ := secondaryCount(d, "dept", record.StringKey("sales"), 3); n != 2 {
 		t.Errorf("sales@3 = %d, want 2", n)
 	}
-	if n, _ := d.CountSecondary("dept", record.StringKey("sales"), 4); n != 1 {
+	if n, _ := secondaryCount(d, "dept", record.StringKey("sales"), 4); n != 1 {
 		t.Errorf("sales@4 = %d, want 1", n)
 	}
-	vs, err := d.FetchBySecondary("dept", record.StringKey("eng"), 4)
+	vs, err := fetchSecondary(d, "dept", record.StringKey("eng"), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(vs) != 2 || string(vs[0].Value) != "eng|alice" || string(vs[1].Value) != "eng|carol" {
-		t.Fatalf("FetchBySecondary(eng@4) = %v", vs)
+		t.Fatalf("fetch eng@4 = %v", vs)
 	}
 	// Delete removes from the index going forward.
 	d.Update(func(tx *txn.Txn) error { return tx.Delete(record.StringKey("emp3")) }) // t=5
-	if n, _ := d.CountSecondary("dept", record.StringKey("eng"), 5); n != 1 {
+	if n, _ := secondaryCount(d, "dept", record.StringKey("eng"), 5); n != 1 {
 		t.Errorf("eng@5 = %d, want 1", n)
 	}
-	if n, _ := d.CountSecondary("dept", record.StringKey("eng"), 4); n != 2 {
+	if n, _ := secondaryCount(d, "dept", record.StringKey("eng"), 4); n != 2 {
 		t.Errorf("eng@4 = %d, want 2 (history preserved)", n)
 	}
 	if err := d.CheckInvariants(); err != nil {
@@ -118,12 +178,6 @@ func TestSecondaryIndexEndToEnd(t *testing.T) {
 	}
 	// Unknown index errors.
 	if _, err := d.LookupSecondary("nope", record.StringKey("x"), 1); err == nil {
-		t.Error("unknown index should error")
-	}
-	if _, err := d.FetchBySecondary("nope", record.StringKey("x"), 1); err == nil {
-		t.Error("unknown index should error")
-	}
-	if _, err := d.CountSecondary("nope", record.StringKey("x"), 1); err == nil {
 		t.Error("unknown index should error")
 	}
 }
@@ -206,9 +260,9 @@ func TestScanAsOfThroughDB(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		put(t, d, fmt.Sprintf("k%d", i), "new")
 	}
-	vs, err := d.ScanAsOf(mid, nil, record.InfiniteBound())
+	vs, err := d.ReadAt(mid).Scan(nil, record.InfiniteBound())
 	if err != nil || len(vs) != 10 {
-		t.Fatalf("ScanAsOf = %d versions, %v", len(vs), err)
+		t.Fatalf("snapshot scan = %d versions, %v", len(vs), err)
 	}
 	for _, v := range vs {
 		if string(v.Value) != "old" {

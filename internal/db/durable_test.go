@@ -39,7 +39,7 @@ func TestDurableSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantScan, err := d.ScanAsOf(wantNow, nil, record.InfiniteBound())
+	wantScan, err := d.ReadAt(wantNow).Scan(nil, record.InfiniteBound())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestDurableSurvivesReopen(t *testing.T) {
 	if d2.Now() != wantNow {
 		t.Fatalf("reopened clock = %v, want %v", d2.Now(), wantNow)
 	}
-	gotScan, err := d2.ScanAsOf(wantNow, nil, record.InfiniteBound())
+	gotScan, err := d2.ReadAt(wantNow).Scan(nil, record.InfiniteBound())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestDurableSecondariesRecovered(t *testing.T) {
 		put(t, d, fmt.Sprintf("emp%03d", i%8), fmt.Sprintf("dept%02d|rev%d", i%3, i))
 	}
 	at := d.Now()
-	want, err := d.FetchBySecondary("dept", record.StringKey("dept01"), at)
+	want, err := fetchSecondary(d, "dept", record.StringKey("dept01"), at)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +127,12 @@ func TestDurableSecondariesRecovered(t *testing.T) {
 	}
 
 	d2 := openDur(t, Config{Dir: dir, Secondaries: secs})
-	got, err := d2.FetchBySecondary("dept", record.StringKey("dept01"), at)
+	got, err := fetchSecondary(d2, "dept", record.StringKey("dept01"), at)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameVersions(t, "secondary fetch", got, want)
-	if n, _ := d2.CountSecondary("dept", record.StringKey("dept01"), at2); n == 0 {
+	if n, _ := secondaryCount(d2, "dept", record.StringKey("dept01"), at2); n == 0 {
 		t.Error("post-checkpoint secondary update lost")
 	}
 }
@@ -165,7 +165,7 @@ func TestDurableSecondariesMultiShardCheckpointReopen(t *testing.T) {
 	at := d.Now()
 	var want [3][]record.Version
 	for dep := 0; dep < 3; dep++ {
-		w, err := d.FetchBySecondary("dept", record.StringKey(fmt.Sprintf("dept%02d", dep)), at)
+		w, err := fetchSecondary(d, "dept", record.StringKey(fmt.Sprintf("dept%02d", dep)), at)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestDurableSecondariesMultiShardCheckpointReopen(t *testing.T) {
 		t.Fatalf("recovered clock %v, want %v", d2.Now(), at)
 	}
 	for dep := 0; dep < 3; dep++ {
-		got, err := d2.FetchBySecondary("dept", record.StringKey(fmt.Sprintf("dept%02d", dep)), at)
+		got, err := fetchSecondary(d2, "dept", record.StringKey(fmt.Sprintf("dept%02d", dep)), at)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +266,7 @@ func TestDurableCreateSecondaryAfterOpenSurvivesReopen(t *testing.T) {
 		t.Fatal("reopen without extractor should fail")
 	}
 	d2 := openDur(t, Config{Dir: dir, Secondaries: map[string]SecondaryExtract{"dept": deptExtract}})
-	if n, err := d2.CountSecondary("dept", record.StringKey("dept07"), at); err != nil || n != 1 {
+	if n, err := secondaryCount(d2, "dept", record.StringKey("dept07"), at); err != nil || n != 1 {
 		t.Fatalf("recovered secondary count = %d, %v", n, err)
 	}
 }
@@ -319,11 +319,11 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 		t.Fatalf("checkpoint info = %+v, clock want %v", info, d.Now())
 	}
 	// Recovery from checkpoint-only (empty tail) reproduces the state.
-	want, _ := d.ScanAsOf(d.Now(), nil, record.InfiniteBound())
+	want, _ := d.ReadAt(d.Now()).Scan(nil, record.InfiniteBound())
 	wantNow := d.Now()
 	d.Close()
 	d2 := openDur(t, Config{Dir: dir, CheckpointBytes: -1})
-	got, _ := d2.ScanAsOf(wantNow, nil, record.InfiniteBound())
+	got, _ := d2.ReadAt(wantNow).Scan(nil, record.InfiniteBound())
 	assertSameVersions(t, "post-truncation scan", got, want)
 	if d2.Now() != wantNow {
 		t.Fatalf("clock after checkpoint-only recovery = %v, want %v", d2.Now(), wantNow)
@@ -478,7 +478,7 @@ func TestDurableConcurrentCommitsAndCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantNow := d.Now()
-	wantDept0, err := d.CountSecondary("dept", record.StringKey("dept00"), wantNow)
+	wantDept0, err := secondaryCount(d, "dept", record.StringKey("dept00"), wantNow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestDurableConcurrentCommitsAndCheckpoints(t *testing.T) {
 			}
 		}
 	}
-	if gotDept0, _ := d2.CountSecondary("dept", record.StringKey("dept00"), wantNow); gotDept0 != wantDept0 {
+	if gotDept0, _ := secondaryCount(d2, "dept", record.StringKey("dept00"), wantNow); gotDept0 != wantDept0 {
 		t.Fatalf("recovered secondary count %d, want %d", gotDept0, wantDept0)
 	}
 	if err := d2.CheckInvariants(); err != nil {

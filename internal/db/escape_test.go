@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/query"
 	"repro/internal/record"
 	"repro/internal/txn"
 )
@@ -50,15 +51,39 @@ func TestReadsReturnPrivateCopies(t *testing.T) {
 			v, _, err := d.GetAsOf(k, mid)
 			return versionBytes(v), err
 		}},
-		{"ScanAsOf", func() ([][]byte, error) { return many(d.ScanAsOf(mid, nil, all)) }},
+		{"ReadAt.Scan", func() ([][]byte, error) { return many(d.ReadAt(mid).Scan(nil, all)) }},
 		{"History", func() ([][]byte, error) { return many(d.History(k)) }},
-		{"ScanRange", func() ([][]byte, error) { return many(d.ScanRange(nil, all, mid, now)) }},
 		{"Cursor", func() ([][]byte, error) { return many(d.Cursor(nil, all, ScanOptions{}).Collect()) }},
-		{"Diff", func() ([][]byte, error) {
-			cs, err := d.Diff(nil, all, mid, now)
+		{"Cursor window", func() ([][]byte, error) {
+			return many(d.Cursor(nil, all, ScanOptions{From: mid, To: now}).Collect())
+		}},
+		{"Range", func() ([][]byte, error) {
+			var vs []record.Version
+			for v, err := range d.Range(nil, all, ScanOptions{At: mid}) {
+				if err != nil {
+					return nil, err
+				}
+				vs = append(vs, v)
+			}
+			return many(vs, nil)
+		}},
+		{"Query scan", func() ([][]byte, error) {
+			op, err := d.Query(query.Scan(nil, all))
+			if err != nil {
+				return nil, err
+			}
+			defer op.Close()
 			var out [][]byte
-			for _, c := range cs {
-				out = append(append(out, c.Key), versionBytes(c.Before, c.After)...)
+			for op.Next() {
+				out = append(out, versionBytes(op.Row().Versions...)...)
+			}
+			return out, op.Err()
+		}},
+		{"QueryAt diff", func() ([][]byte, error) {
+			rows, err := diffRows(d, nil, all, mid, now)
+			var out [][]byte
+			for _, r := range rows {
+				out = append(append(out, r.Key), versionBytes(r.Versions...)...)
 			}
 			return out, err
 		}},
@@ -70,7 +95,10 @@ func TestReadsReturnPrivateCopies(t *testing.T) {
 			}
 			return out, err
 		}},
-		{"FetchBySecondary", func() ([][]byte, error) { return many(d.FetchBySecondary("first", record.Key("c"), mid)) }},
+		{"ReadAt.Get", func() ([][]byte, error) {
+			v, _, err := d.ReadAt(mid).Get(k)
+			return versionBytes(v), err
+		}},
 	}
 	for _, r := range reads {
 		got, err := r.read()

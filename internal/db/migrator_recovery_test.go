@@ -82,7 +82,7 @@ func TestRecoveryPagedMigratorConcurrentCrash(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tear=%d: recovery: %v", tear, err)
 		}
-		all, err := re.ScanRange(nil, record.InfiniteBound(), 1, record.TimeInfinity)
+		all, err := fullHistory(re)
 		if err != nil {
 			t.Fatal(err)
 		}

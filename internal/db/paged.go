@@ -181,8 +181,8 @@ func (d *DB) flushAndInstall(pause *time.Duration) error {
 		// group's boundary must stay dirty for the NEXT checkpoint —
 		// flushing them here would install commits past their shard's
 		// GroupLSN, which replay then re-applies (duplicates).
-		copies = d.pool.CaptureDirtyExact(d.secTag)
-		copies = append(copies, d.pool.CaptureDirtyExact(buffer.NoTag)...)
+		copies = d.pool.CaptureDirty(d.secTag)
+		copies = append(copies, d.pool.CaptureDirty(buffer.NoTag)...)
 		clock = d.tm.Now()
 		meta.Alloc = d.pf.AllocState()
 		meta.MagStats = d.pf.Stats()

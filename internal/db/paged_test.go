@@ -62,7 +62,7 @@ func TestPagedOpenReopen(t *testing.T) {
 	for i := 200; i < 260; i++ {
 		mustPut(t, d, fmt.Sprintf("key%03d", i%50), fmt.Sprintf("val%04d", i))
 	}
-	wantAll, err := d.ScanRange(nil, record.InfiniteBound(), 1, record.TimeInfinity)
+	wantAll, err := fullHistory(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestPagedOpenReopen(t *testing.T) {
 	if re.Now() != wantNow {
 		t.Fatalf("reopened clock %v, want %v", re.Now(), wantNow)
 	}
-	gotAll, err := re.ScanRange(nil, record.InfiniteBound(), 1, record.TimeInfinity)
+	gotAll, err := fullHistory(re)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,12 +147,12 @@ func TestPagedCheckpointIncremental(t *testing.T) {
 	}
 }
 
-// TestPagedConfigValidation: a durable database needs the pool — its
-// dirty-page table is what a checkpoint flushes.
+// TestPagedConfigValidation: a refused config leaves the directory
+// untouched.
 func TestPagedConfigValidation(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
-	if _, err := Open(Config{Dir: dir, BufferPages: NoCachePages}); err == nil {
-		t.Fatal("durable database with NoCachePages accepted")
+	if _, err := Open(Config{Dir: dir, BufferPages: -1}); err == nil {
+		t.Fatal("durable database with negative BufferPages accepted")
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Fatalf("rejected config still touched the directory: %v", err)

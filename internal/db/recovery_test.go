@@ -88,11 +88,11 @@ func assertEquivalent(t *testing.T, label string, got, want *DB, secNames []stri
 	if got.Now() != want.Now() {
 		t.Fatalf("%s: clock = %v, want %v", label, got.Now(), want.Now())
 	}
-	gotAll, err := got.ScanRange(nil, record.InfiniteBound(), 1, record.TimeInfinity)
+	gotAll, err := fullHistory(got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantAll, err := want.ScanRange(nil, record.InfiniteBound(), 1, record.TimeInfinity)
+	wantAll, err := fullHistory(want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func concurrentCrash(t *testing.T, base Config, logSeam, blockSeam bool, tears [
 			t.Fatalf("tear=%d: recovery: %v", tear, err)
 		}
 		// Collect every recovered (key, value) pair across all time.
-		all, err := reopened.ScanRange(nil, record.InfiniteBound(), 1, record.TimeInfinity)
+		all, err := fullHistory(reopened)
 		if err != nil {
 			t.Fatal(err)
 		}

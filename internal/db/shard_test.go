@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/query"
 	"repro/internal/record"
 	"repro/internal/txn"
 )
@@ -91,8 +92,9 @@ func sameVersions(a, b []record.Version) error {
 
 // TestShardEquivalence is the sharding property test: a multi-shard
 // database must answer every query byte-identically to a single-shard
-// database given the same operation sequence — Get, GetAsOf, ScanAsOf,
-// History, ScanRange, and Diff, over full and partial key ranges.
+// database given the same operation sequence — Get, GetAsOf, snapshot
+// scans, History, window cursors and diff queries, over full and partial
+// key ranges.
 func TestShardEquivalence(t *testing.T) {
 	for _, shards := range []int{2, 3, 8} {
 		for _, seed := range []int64{1, 7} {
@@ -167,30 +169,30 @@ func TestShardEquivalence(t *testing.T) {
 				}
 				for _, r := range ranges {
 					for _, at := range []record.Timestamp{1, now / 2, now} {
-						ss, err1 := single.ScanAsOf(at, r.low, r.high)
-						ms, err2 := multi.ScanAsOf(at, r.low, r.high)
+						ss, err1 := single.ReadAt(at).Scan(r.low, r.high)
+						ms, err2 := multi.ReadAt(at).Scan(r.low, r.high)
 						if err1 != nil || err2 != nil {
 							t.Fatal(err1, err2)
 						}
 						if err := sameVersions(ss, ms); err != nil {
-							t.Fatalf("ScanAsOf(%d,[%s,%s)): %v", at, r.low, r.high, err)
+							t.Fatalf("snapshot(%d,[%s,%s)): %v", at, r.low, r.high, err)
 						}
 					}
-					sr, err1 := single.ScanRange(r.low, r.high, now/3, 2*now/3)
-					mr, err2 := multi.ScanRange(r.low, r.high, now/3, 2*now/3)
+					sr, err1 := window(single, r.low, r.high, now/3, 2*now/3)
+					mr, err2 := window(multi, r.low, r.high, now/3, 2*now/3)
 					if err1 != nil || err2 != nil {
 						t.Fatal(err1, err2)
 					}
 					if err := sameVersions(sr, mr); err != nil {
-						t.Fatalf("ScanRange([%s,%s)): %v", r.low, r.high, err)
+						t.Fatalf("window([%s,%s)): %v", r.low, r.high, err)
 					}
-					sd, err1 := single.Diff(r.low, r.high, now/3, now)
-					md, err2 := multi.Diff(r.low, r.high, now/3, now)
+					sd, err1 := diffRows(single, r.low, r.high, now/3, now)
+					md, err2 := diffRows(multi, r.low, r.high, now/3, now)
 					if err1 != nil || err2 != nil {
 						t.Fatal(err1, err2)
 					}
-					if err := sameChanges(sd, md); err != nil {
-						t.Fatalf("Diff([%s,%s)): %v", r.low, r.high, err)
+					if err := sameRows(sd, md); err != nil {
+						t.Fatalf("diff([%s,%s)): %v", r.low, r.high, err)
 					}
 				}
 			})
@@ -198,19 +200,16 @@ func TestShardEquivalence(t *testing.T) {
 	}
 }
 
-func sameChanges(a, b []core.Change) error {
+func sameRows(a, b []query.Row) error {
 	if len(a) != len(b) {
 		return fmt.Errorf("length %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if !a[i].Key.Equal(b[i].Key) || a[i].HasBefor != b[i].HasBefor || a[i].HasAfter != b[i].HasAfter {
-			return fmt.Errorf("change %d: %+v vs %+v", i, a[i], b[i])
+		if !a[i].Key.Equal(b[i].Key) || a[i].HasBefore != b[i].HasBefore || a[i].HasAfter != b[i].HasAfter {
+			return fmt.Errorf("row %d: %+v vs %+v", i, a[i], b[i])
 		}
-		if a[i].HasBefor && (a[i].Before.Time != b[i].Before.Time || !bytes.Equal(a[i].Before.Value, b[i].Before.Value)) {
-			return fmt.Errorf("change %d before: %+v vs %+v", i, a[i], b[i])
-		}
-		if a[i].HasAfter && (a[i].After.Time != b[i].After.Time || !bytes.Equal(a[i].After.Value, b[i].After.Value)) {
-			return fmt.Errorf("change %d after: %+v vs %+v", i, a[i], b[i])
+		if err := sameVersions(a[i].Versions, b[i].Versions); err != nil {
+			return fmt.Errorf("row %d: %w", i, err)
 		}
 	}
 	return nil
@@ -245,7 +244,7 @@ func TestShardRoutingPlacement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	all, err := d.ScanAsOf(d.Now(), nil, record.InfiniteBound())
+	all, err := d.ReadAt(d.Now()).Scan(nil, record.InfiniteBound())
 	if err != nil {
 		t.Fatal(err)
 	}

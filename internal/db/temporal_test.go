@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/record"
 	"repro/internal/txn"
 )
@@ -15,18 +16,18 @@ func TestScanRangeThroughDB(t *testing.T) {
 	put(t, d, "a", "a2") // t=3
 	put(t, d, "c", "c1") // t=4
 
-	vs, err := d.ScanRange(nil, record.InfiniteBound(), 2, 4)
+	vs, err := window(d, nil, record.InfiniteBound(), 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Window [2,4): a1 alive at 2, b1 at 2, a2 at 3. c1 is outside.
 	want := []string{"a1", "a2", "b1"}
 	if len(vs) != len(want) {
-		t.Fatalf("ScanRange = %v", vs)
+		t.Fatalf("window = %v", vs)
 	}
 	for i, w := range want {
 		if string(vs[i].Value) != w {
-			t.Errorf("ScanRange[%d] = %s, want %s", i, vs[i], w)
+			t.Errorf("window[%d] = %s, want %s", i, vs[i], w)
 		}
 	}
 }
@@ -40,13 +41,13 @@ func TestDiffThroughDB(t *testing.T) {
 	put(t, d, "add", "x")                                                            // t=4
 	d.Update(func(tx *txn.Txn) error { return tx.Delete(record.StringKey("stay")) }) // t=5
 
-	changes, err := d.Diff(nil, record.InfiniteBound(), mark, d.Now())
+	rows, err := diffRows(d, nil, record.InfiniteBound(), mark, d.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
 	kinds := map[string]string{}
-	for _, c := range changes {
-		kinds[string(c.Key)] = c.Kind()
+	for _, r := range rows {
+		kinds[string(r.Key)] = core.Change{HasBefor: r.HasBefore, HasAfter: r.HasAfter}.Kind()
 	}
 	want := map[string]string{"mod": "updated", "add": "created", "stay": "deleted"}
 	if len(kinds) != len(want) {

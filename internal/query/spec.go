@@ -105,7 +105,7 @@ func History(key record.Key) *Spec {
 
 // Diff returns the change-cursor between two times: one row per key in
 // [low, high) whose visible state differs between t1 and t2, with the
-// before/after versions attached — db.Diff as a stream.
+// before/after versions attached — core.Tree.Diff as a stream.
 func Diff(low record.Key, high record.Bound, t1, t2 record.Timestamp) *Spec {
 	return &Spec{Kind: OpDiff, Low: low, High: high, From: t1, To: t2}
 }

@@ -135,33 +135,3 @@ func (ix *Index) LookupAsOf(skey record.Key, at record.Timestamp) ([]record.Key,
 	}
 	return out, nil
 }
-
-// CountAsOf answers "how many records had a given secondary key at a given
-// time using only the secondary time-split B-tree" (§3.6).
-func (ix *Index) CountAsOf(skey record.Key, at record.Timestamp) (int, error) {
-	pks, err := ix.LookupAsOf(skey, at)
-	if err != nil {
-		return 0, err
-	}
-	return len(pks), nil
-}
-
-// HistoryOf returns the timestamps at which pkey acquired (true) or lost
-// (false) the secondary key skey, oldest first.
-func (ix *Index) HistoryOf(skey, pkey record.Key) ([]record.Timestamp, []bool, error) {
-	ck, err := composite(skey, pkey)
-	if err != nil {
-		return nil, nil, err
-	}
-	vs, err := ix.tree.History(ck)
-	if err != nil {
-		return nil, nil, err
-	}
-	times := make([]record.Timestamp, 0, len(vs))
-	acquired := make([]bool, 0, len(vs))
-	for _, v := range vs {
-		times = append(times, v.Time)
-		acquired = append(acquired, !v.Tombstone)
-	}
-	return times, acquired, nil
-}

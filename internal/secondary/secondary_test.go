@@ -22,6 +22,38 @@ func newIndex(t *testing.T) *Index {
 
 func k(s string) record.Key { return record.StringKey(s) }
 
+// count is the number of records carrying skey at time at, from the
+// index alone.
+func count(t *testing.T, ix *Index, skey record.Key, at record.Timestamp) int {
+	t.Helper()
+	pks, err := ix.LookupAsOf(skey, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(pks)
+}
+
+// entryHistory returns the times at which pkey acquired (true) or lost
+// (false) skey, oldest first: the history of their composite key.
+func entryHistory(t *testing.T, ix *Index, skey, pkey record.Key) ([]record.Timestamp, []bool) {
+	t.Helper()
+	ck, err := composite(skey, pkey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, err := ix.tree.History(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var times []record.Timestamp
+	var acquired []bool
+	for _, v := range vs {
+		times = append(times, v.Time)
+		acquired = append(acquired, !v.Tombstone)
+	}
+	return times, acquired
+}
+
 func TestLookupAndCount(t *testing.T) {
 	ix := newIndex(t)
 	// emp1 and emp2 join "sales" at t=1,2; emp3 joins "eng" at t=3.
@@ -41,13 +73,13 @@ func TestLookupAndCount(t *testing.T) {
 	if len(pks) != 2 || !pks[0].Equal(k("emp1")) || !pks[1].Equal(k("emp2")) {
 		t.Fatalf("sales@3 = %v", pks)
 	}
-	if n, _ := ix.CountAsOf(k("sales"), 1); n != 1 {
+	if n := count(t, ix, k("sales"), 1); n != 1 {
 		t.Errorf("sales@1 count = %d, want 1", n)
 	}
-	if n, _ := ix.CountAsOf(k("eng"), 2); n != 0 {
+	if n := count(t, ix, k("eng"), 2); n != 0 {
 		t.Errorf("eng@2 count = %d, want 0", n)
 	}
-	if n, _ := ix.CountAsOf(k("eng"), 3); n != 1 {
+	if n := count(t, ix, k("eng"), 3); n != 1 {
 		t.Errorf("eng@3 count = %d, want 1", n)
 	}
 }
@@ -59,21 +91,18 @@ func TestSecondaryKeyChange(t *testing.T) {
 	if err := ix.Apply(5, k("emp1"), k("sales"), true, k("eng"), false); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := ix.CountAsOf(k("sales"), 4); n != 1 {
+	if n := count(t, ix, k("sales"), 4); n != 1 {
 		t.Error("emp1 should be in sales before the move")
 	}
-	if n, _ := ix.CountAsOf(k("sales"), 5); n != 0 {
+	if n := count(t, ix, k("sales"), 5); n != 0 {
 		t.Error("emp1 should have left sales at t=5")
 	}
-	if n, _ := ix.CountAsOf(k("eng"), 5); n != 1 {
+	if n := count(t, ix, k("eng"), 5); n != 1 {
 		t.Error("emp1 should be in eng from t=5")
 	}
-	times, acq, err := ix.HistoryOf(k("sales"), k("emp1"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	times, acq := entryHistory(t, ix, k("sales"), k("emp1"))
 	if len(times) != 2 || times[0] != 1 || times[1] != 5 || !acq[0] || acq[1] {
-		t.Errorf("HistoryOf(sales,emp1) = %v %v", times, acq)
+		t.Errorf("history of (sales,emp1) = %v %v", times, acq)
 	}
 }
 
@@ -84,7 +113,7 @@ func TestUnchangedSecondaryKeyPostsNothing(t *testing.T) {
 	if err := ix.Apply(2, k("emp1"), k("sales"), true, k("sales"), false); err != nil {
 		t.Fatal(err)
 	}
-	times, _, _ := ix.HistoryOf(k("sales"), k("emp1"))
+	times, _ := entryHistory(t, ix, k("sales"), k("emp1"))
 	if len(times) != 1 {
 		t.Fatalf("unchanged skey should post nothing, history = %v", times)
 	}
@@ -96,10 +125,10 @@ func TestRecordRemoval(t *testing.T) {
 	if err := ix.Apply(4, k("emp1"), k("sales"), true, nil, true); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := ix.CountAsOf(k("sales"), 4); n != 0 {
+	if n := count(t, ix, k("sales"), 4); n != 0 {
 		t.Error("deleted record should leave the index as of the delete time")
 	}
-	if n, _ := ix.CountAsOf(k("sales"), 3); n != 1 {
+	if n := count(t, ix, k("sales"), 3); n != 1 {
 		t.Error("deleted record should remain visible in the past")
 	}
 }
@@ -110,10 +139,10 @@ func TestPrefixSafety(t *testing.T) {
 	// one is a prefix of the other.
 	ix.Apply(1, k("p1"), nil, false, k("a"), false)
 	ix.Apply(2, k("p2"), nil, false, k("ab"), false)
-	if n, _ := ix.CountAsOf(k("a"), 5); n != 1 {
+	if n := count(t, ix, k("a"), 5); n != 1 {
 		t.Errorf("lookup of 'a' = %d, want 1", n)
 	}
-	if n, _ := ix.CountAsOf(k("ab"), 5); n != 1 {
+	if n := count(t, ix, k("ab"), 5); n != 1 {
 		t.Errorf("lookup of 'ab' = %d, want 1", n)
 	}
 }
@@ -154,13 +183,13 @@ func TestManyEntriesSplitAndStayQueryable(t *testing.T) {
 	if err := ix.Tree().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := ix.CountAsOf(k("dept00"), joinEnd); n != 20 {
+	if n := count(t, ix, k("dept00"), joinEnd); n != 20 {
 		t.Errorf("dept00 at join end = %d, want 20", n)
 	}
-	if n, _ := ix.CountAsOf(k("dept00"), ts); n != 0 {
+	if n := count(t, ix, k("dept00"), ts); n != 0 {
 		t.Errorf("dept00 after moves = %d, want 0", n)
 	}
-	if n, _ := ix.CountAsOf(k("dept99"), ts); n != 200 {
+	if n := count(t, ix, k("dept99"), ts); n != 200 {
 		t.Errorf("dept99 after moves = %d, want 200", n)
 	}
 	if ix.Name() != "dept" {

@@ -212,9 +212,8 @@ func (c *Cursor) Close() error {
 }
 
 // Collect drains the cursor into a slice: the bridge from the streaming
-// API back to the materializing one. The slice-returning scans
-// (ReadTxn.Scan, the db layer's ScanAsOf/ScanRange) are implemented
-// with it.
+// API back to the materializing one. ReadTxn.Scan is implemented with
+// it.
 func (c *Cursor) Collect() ([]record.Version, error) {
 	var out []record.Version
 	for c.Next() {

@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -14,9 +15,15 @@ import (
 
 func newManager(t *testing.T) (*Manager, *core.Tree) {
 	t.Helper()
+	return newManagerWith(t, core.Config{Policy: core.PolicyLastUpdate, MaxKeySize: 32})
+}
+
+// newManagerWith is newManager over a tree configured by cfg.
+func newManagerWith(t *testing.T, cfg core.Config) (*Manager, *core.Tree) {
+	t.Helper()
 	mag := storage.NewMagneticDisk(4096, storage.CostModel{})
 	worm := storage.NewWORMDisk(storage.WORMConfig{SectorSize: 512})
-	tree, err := core.New(mag, worm, core.Config{Policy: core.PolicyLastUpdate, MaxKeySize: 32})
+	tree, err := core.New(mag, worm, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +124,22 @@ func conflictSetup(t *testing.T, fill int) (*Manager, *core.Tree, *Txn) {
 	return m, tree, holder
 }
 
+// nodeCounts is the number of distinct current and historical nodes
+// reachable from the root, summed over the tree's levels.
+func nodeCounts(t *testing.T, tree *core.Tree) [2]int {
+	t.Helper()
+	a, err := tree.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n [2]int
+	for _, l := range a.Levels {
+		n[0] += l.CurrentNodes
+		n[1] += l.HistoricalNodes
+	}
+	return n
+}
+
 // TestNoWaitLockConflict: a pending version is its transaction's write
 // lock. A conflicting write fails at once and leaves no trace — not even
 // the split an accepted write of the same size would have made — and the
@@ -146,17 +169,14 @@ func TestNoWaitLockConflict(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			m, tree, holder := conflictSetup(t, fill)
 			stats := tree.Stats()
-			cur, hist, err := tree.CountNodes()
-			if err != nil {
-				t.Fatal(err)
-			}
+			nodes := nodeCounts(t, tree)
 			loser := m.Begin()
 			if err := loser.Put(record.StringKey("k"), loserVal); !errors.Is(err, ErrLockConflict) {
 				t.Fatalf("conflicting write = %v, want ErrLockConflict", err)
 			}
 			// The Store path: a bare tree refuses the same way (txn's
 			// error is core's).
-			err = tree.Insert(record.Version{Key: record.StringKey("k"), Time: record.TimePending,
+			err := tree.Insert(record.Version{Key: record.StringKey("k"), Time: record.TimePending,
 				TxnID: loser.ID(), Value: loserVal})
 			if !errors.Is(err, core.ErrLockConflict) {
 				t.Fatalf("bare tree insert = %v, want core.ErrLockConflict", err)
@@ -167,8 +187,8 @@ func TestNoWaitLockConflict(t *testing.T) {
 			if got := tree.Stats(); got != stats {
 				t.Errorf("refused writes changed the tree stats:\n%+v\n%+v", stats, got)
 			}
-			if c, h, err := tree.CountNodes(); err != nil || c != cur || h != hist {
-				t.Errorf("refused writes changed the node count: %d/%d -> %d/%d (%v)", cur, hist, c, h, err)
+			if got := nodeCounts(t, tree); got != nodes {
+				t.Errorf("refused writes changed the node count: %v -> %v", nodes, got)
 			}
 			want := "1"
 			if holderCommits {
@@ -331,21 +351,32 @@ func TestTombstoneReadYourWrites(t *testing.T) {
 }
 
 func TestConcurrentReadersAndWriters(t *testing.T) {
-	m, tree := newManager(t)
-	for i := 0; i < 20; i++ {
+	// Small leaves: a full scan reads several pages, so readers resume
+	// pages while writers split the tree under them.
+	const keys = 60
+	m, tree := newManagerWith(t, core.Config{Policy: core.PolicyLastUpdate, MaxKeySize: 32, LeafCapacity: 256})
+	for i := 0; i < keys; i++ {
 		k := record.StringKey(fmt.Sprintf("key%02d", i))
 		if err := m.Update(func(tx *Txn) error { return tx.Put(k, []byte("init")) }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var wg sync.WaitGroup
+	// Writers run until every reader is done; readers yield between
+	// rows, so splits land between the pages of a scan.
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
 	errs := make(chan error, 64)
 	for w := 0; w < 4; w++ {
-		wg.Add(1)
+		writers.Add(1)
 		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				k := record.StringKey(fmt.Sprintf("key%02d", (w*5+i)%20))
+			defer writers.Done()
+			for i := 0; i < 5000; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := record.StringKey(fmt.Sprintf("key%02d", (w*15+i)%keys))
 				err := m.Update(func(tx *Txn) error {
 					return tx.Put(k, []byte(fmt.Sprintf("w%d-%d", w, i)))
 				})
@@ -357,38 +388,48 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		}(w)
 	}
 	for r := 0; r < 4; r++ {
-		wg.Add(1)
+		readers.Add(1)
 		go func() {
-			defer wg.Done()
+			defer readers.Done()
 			for i := 0; i < 50; i++ {
 				rt := m.ReadOnly()
-				vs, err := rt.Scan(nil, record.InfiniteBound())
-				if err != nil {
-					errs <- err
-					return
-				}
-				// A reader's snapshot is internally consistent: all
-				// versions committed at or before its timestamp.
-				for _, v := range vs {
-					if v.Time > rt.Timestamp() {
+				cur := rt.Cursor(nil, record.InfiniteBound(), ScanOptions{})
+				n := 0
+				for ; cur.Next(); n++ {
+					// A reader's snapshot is internally consistent: all
+					// versions committed at or before its timestamp.
+					if v := cur.Version(); v.Time > rt.Timestamp() {
 						errs <- fmt.Errorf("snapshot leak: version %v after reader time %v", v.Time, rt.Timestamp())
 						return
 					}
+					runtime.Gosched()
 				}
-				if len(vs) != 20 {
-					errs <- fmt.Errorf("snapshot size %d, want 20", len(vs))
+				if err := cur.Err(); err != nil {
+					errs <- err
+					return
+				}
+				if n != keys {
+					errs <- fmt.Errorf("snapshot size %d, want %d", n, keys)
 					return
 				}
 			}
 		}()
 	}
-	wg.Wait()
+	readers.Wait()
+	close(stop)
+	writers.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	if st := tree.Stats(); st.LeafKeySplits == 0 || st.LeafTimeSplits == 0 {
+		t.Fatalf("writers split no leaf under the readers: %+v", st)
+	}
+	if p, err := tree.ScanPageAsOf(m.Now(), nil, record.InfiniteBound(), false); err != nil || p.Resume == nil {
+		t.Fatalf("a full scan fits one page (err %v): no reader resumed a page", err)
 	}
 }
 
