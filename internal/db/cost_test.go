@@ -40,30 +40,66 @@ const (
 	costTicks = 20  // ticks in a diff or window read
 )
 
-func costLedger(t *testing.T) []string {
+// costDB is a ledger database: the fixed config plus secs, loaded from
+// the fixed seed with every key once and then 3×costKeys updates of
+// random keys. put commits one single-key update with the next value
+// from value.
+type costDB struct {
+	d    *DB
+	rng  *rand.Rand
+	keys []record.Key
+	put  func(k record.Key)
+}
+
+func openCostDB(t *testing.T, secs map[string]SecondaryExtract, value func() []byte) costDB {
 	t.Helper()
-	d, err := Open(Config{Shards: 1, LeafCapacity: 512, IndexCapacity: 2048, MaxKeySize: 16, MaxValueSize: 32})
+	d, err := Open(Config{Shards: 1, LeafCapacity: 512, IndexCapacity: 2048, MaxKeySize: 16, MaxValueSize: 32, Secondaries: secs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	rng := rand.New(rand.NewSource(37))
-	keys := make([]record.Key, costKeys+2*costOps+1)
-	for i := range keys {
-		keys[i] = record.Key(fmt.Sprintf("k%06d", i))
+	c := costDB{d: d, rng: rand.New(rand.NewSource(37)), keys: make([]record.Key, costKeys+2*costOps+1)}
+	for i := range c.keys {
+		c.keys[i] = record.Key(fmt.Sprintf("k%06d", i))
 	}
-	value := []byte("v-0123456789")
-	put := func(k record.Key) {
-		if err := d.Update(func(tx *txn.Txn) error { return tx.Put(k, value) }); err != nil {
+	c.put = func(k record.Key) {
+		if err := d.Update(func(tx *txn.Txn) error { return tx.Put(k, value()) }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, k := range keys[:costKeys] {
-		put(k)
+	for _, k := range c.keys[:costKeys] {
+		c.put(k)
 	}
 	for i := 0; i < 3*costKeys; i++ {
-		put(keys[rng.Intn(costKeys)])
+		c.put(c.keys[c.rng.Intn(costKeys)])
 	}
+	return c
+}
+
+// costRows measures one op class: its node accesses per op, read from
+// the series that carry label, and (without -race) its allocations.
+func costRows(t *testing.T, d *DB, label, name string, op func()) []string {
+	t.Helper()
+	dec0, enc0 := nodeAccesses(t, d, label)
+	for i := 0; i < costOps; i++ {
+		op()
+	}
+	dec1, enc1 := nodeAccesses(t, d, label)
+	rows := []string{fmt.Sprintf("nodes %s decodes/op=%.2f encodes/op=%.2f",
+		name, float64(dec1-dec0)/costOps, float64(enc1-enc0)/costOps)}
+	// The alloc runs move the tree on, so they run in both builds.
+	allocs := testing.AllocsPerRun(costOps, op)
+	if !raceEnabled {
+		rows = append(rows, fmt.Sprintf("allocs %s allocs/op=%.0f", name, allocs))
+	}
+	return rows
+}
+
+func costLedger(t *testing.T) []string {
+	t.Helper()
+	value := []byte("v-0123456789")
+	c := openCostDB(t, nil, func() []byte { return value })
+	defer c.d.Close()
+	d, rng, keys, put := c.d, c.rng, c.keys, c.put
 	st := d.Stats().Tree
 	rows := []string{fmt.Sprintf("shape height=%d leaf_time_splits=%d leaf_key_splits=%d index_splits=%d redundant_versions=%d current_nodes=%d historical_nodes=%d",
 		st.Height, st.LeafTimeSplits, st.LeafKeySplits, st.IndexTimeSplits+st.IndexKeySplits,
@@ -127,25 +163,24 @@ func costLedger(t *testing.T) []string {
 		}},
 	}
 	for _, c := range classes {
-		dec0, enc0 := nodeAccesses(t, d)
-		for i := 0; i < costOps; i++ {
-			c.op()
-		}
-		dec1, enc1 := nodeAccesses(t, d)
-		rows = append(rows, fmt.Sprintf("nodes %s decodes/op=%.2f encodes/op=%.2f",
-			c.name, float64(dec1-dec0)/costOps, float64(enc1-enc0)/costOps))
-		// The alloc runs move the tree on, so they run in both builds.
-		allocs := testing.AllocsPerRun(costOps, c.op)
-		if !raceEnabled {
-			rows = append(rows, fmt.Sprintf("allocs %s allocs/op=%.0f", c.name, allocs))
-		}
+		rows = append(rows, costRows(t, d, "shard", c.name, c.op)...)
 	}
+
+	// The same update on a database with one secondary index, whose key
+	// changes on every commit: the commit path's index maintenance.
+	// Its primary accesses are counted apart from the index tree's.
+	n := 0
+	sc := openCostDB(t, map[string]SecondaryExtract{"tag": func(v []byte) record.Key { return record.Key(v[:2]) }},
+		func() []byte { n++; return fmt.Appendf(nil, "t%d-0123456789", n%8) })
+	defer sc.d.Close()
+	rows = append(rows, costRows(t, sc.d, "shard", "update_txn_secondary", func() { sc.put(sc.keys[sc.rng.Intn(costKeys)]) })...)
 	return rows
 }
 
 // nodeAccesses reads the node-access counters the way an operator
-// does: from the registry's exposition, summed over the shards.
-func nodeAccesses(t *testing.T, d *DB) (decodes, encodes uint64) {
+// does: from the registry's exposition, summed over the series that
+// carry label (one per shard for "shard").
+func nodeAccesses(t *testing.T, d *DB, label string) (decodes, encodes uint64) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := d.Metrics().WritePrometheus(&buf); err != nil {
@@ -156,6 +191,9 @@ func nodeAccesses(t *testing.T, d *DB) (decodes, encodes uint64) {
 		t.Fatal(err)
 	}
 	for _, s := range samples {
+		if !strings.Contains(s.Series, label+`="`) {
+			continue
+		}
 		switch s.Name {
 		case "tsb_core_node_decodes_total":
 			decodes += uint64(s.Value)
