@@ -75,17 +75,24 @@ func openCostDB(t *testing.T, secs map[string]SecondaryExtract, value func() []b
 	return c
 }
 
-// costRows measures one op class: its node accesses per op, read from
-// the series that carry label, and (without -race) its allocations.
-func costRows(t *testing.T, d *DB, label, name string, op func()) []string {
+// costRows measures one op class: its node accesses per op on the
+// primary trees and, on a database with secondary indexes, on the index
+// trees, then (without -race) its allocations.
+func costRows(t *testing.T, d *DB, name string, op func()) []string {
 	t.Helper()
-	dec0, enc0 := nodeAccesses(t, d, label)
+	prim0, idx0 := nodeAccesses(t, d)
 	for i := 0; i < costOps; i++ {
 		op()
 	}
-	dec1, enc1 := nodeAccesses(t, d, label)
-	rows := []string{fmt.Sprintf("nodes %s decodes/op=%.2f encodes/op=%.2f",
-		name, float64(dec1-dec0)/costOps, float64(enc1-enc0)/costOps)}
+	prim1, idx1 := nodeAccesses(t, d)
+	row := func(name string, a0, a1 [2]uint64) string {
+		return fmt.Sprintf("nodes %s decodes/op=%.2f encodes/op=%.2f",
+			name, float64(a1[0]-a0[0])/costOps, float64(a1[1]-a0[1])/costOps)
+	}
+	rows := []string{row(name, prim0, prim1)}
+	if len(d.secondaryNames()) > 0 {
+		rows = append(rows, row(name+" index", idx0, idx1))
+	}
 	// The alloc runs move the tree on, so they run in both builds.
 	allocs := testing.AllocsPerRun(costOps, op)
 	if !raceEnabled {
@@ -163,7 +170,7 @@ func costLedger(t *testing.T) []string {
 		}},
 	}
 	for _, c := range classes {
-		rows = append(rows, costRows(t, d, "shard", c.name, c.op)...)
+		rows = append(rows, costRows(t, d, c.name, c.op)...)
 	}
 
 	// The same update on a database with one secondary index, whose key
@@ -173,14 +180,15 @@ func costLedger(t *testing.T) []string {
 	sc := openCostDB(t, map[string]SecondaryExtract{"tag": func(v []byte) record.Key { return record.Key(v[:2]) }},
 		func() []byte { n++; return fmt.Appendf(nil, "t%d-0123456789", n%8) })
 	defer sc.d.Close()
-	rows = append(rows, costRows(t, sc.d, "shard", "update_txn_secondary", func() { sc.put(sc.keys[sc.rng.Intn(costKeys)]) })...)
+	rows = append(rows, costRows(t, sc.d, "update_txn_secondary", func() { sc.put(sc.keys[sc.rng.Intn(costKeys)]) })...)
 	return rows
 }
 
 // nodeAccesses reads the node-access counters the way an operator
-// does: from the registry's exposition, summed over the series that
-// carry label (one per shard for "shard").
-func nodeAccesses(t *testing.T, d *DB, label string) (decodes, encodes uint64) {
+// does: from the registry's exposition, as {decodes, encodes} summed
+// over the primary trees (the series labelled shard) and over the
+// secondary index trees (labelled index).
+func nodeAccesses(t *testing.T, d *DB) (primary, index [2]uint64) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := d.Metrics().WritePrometheus(&buf); err != nil {
@@ -191,17 +199,18 @@ func nodeAccesses(t *testing.T, d *DB, label string) (decodes, encodes uint64) {
 		t.Fatal(err)
 	}
 	for _, s := range samples {
-		if !strings.Contains(s.Series, label+`="`) {
-			continue
+		sum := &primary
+		if strings.Contains(s.Series, `index="`) {
+			sum = &index
 		}
 		switch s.Name {
 		case "tsb_core_node_decodes_total":
-			decodes += uint64(s.Value)
+			sum[0] += uint64(s.Value)
 		case "tsb_core_node_encodes_total":
-			encodes += uint64(s.Value)
+			sum[1] += uint64(s.Value)
 		}
 	}
-	return decodes, encodes
+	return primary, index
 }
 
 func TestCostLedger(t *testing.T) {

@@ -179,11 +179,9 @@ type Config struct {
 	// Policy is the TSB-tree splitting policy (default PolicyLastUpdate,
 	// the paper's refinement).
 	Policy core.Policy
-	// Cost is the latency model of the simulated devices (default
-	// DefaultCostModel). File-backed devices cost what the files cost.
-	Cost *storage.CostModel
 	// PlatterSectors/Drives enable the simulated optical-library model
-	// (0 = one always-mounted disk).
+	// (0 = one always-mounted disk). The simulated devices charge
+	// storage.DefaultCostModel's latencies.
 	PlatterSectors uint64
 	Drives         int
 	// MaxKeySize / MaxValueSize bound record sizes (see core.Config).
@@ -204,9 +202,9 @@ type Config struct {
 	// committers into one fsync — and a checkpoint flushes the dirty
 	// pages, O(dirty) not O(database). See the package documentation's
 	// durability contract. Reopening adopts the directory's shard count,
-	// page and sector sizes and tree parameters. Cost and
-	// PlatterSectors/Drives do not apply to a durable database: they
-	// describe the simulated devices only.
+	// page and sector sizes and tree parameters. PlatterSectors/Drives
+	// do not apply to a durable database: they describe the simulated
+	// devices only.
 	Dir string
 	// PagedDevices is ignored.
 	//
@@ -278,8 +276,9 @@ type DB struct {
 	deadBytes atomic.Uint64
 
 	// reg names every component's instruments for exposition; events is
-	// the background-job span log. Built by wireObs in Open, so both are
-	// always non-nil on a DB the package returned.
+	// the background-job span log. Both are built first thing in Open and
+	// filled by addSecondary and wireObs, so they are always non-nil on a
+	// DB the package returned.
 	reg    *obs.Registry
 	events *obs.EventLog
 	// Checkpoint span durations, and each completed checkpoint's pause
@@ -352,6 +351,8 @@ func Open(cfg Config) (_ *DB, err error) {
 		secondaries: make(map[string]*secondaryIndex),
 		dir:         cfg.Dir,
 		logWrap:     cfg.logWrap,
+		reg:         obs.NewRegistry(),
+		events:      obs.NewEventLog(1024, slowOpThreshold),
 	}
 	defer func() {
 		if err != nil {
@@ -458,9 +459,6 @@ func Open(cfg Config) (_ *DB, err error) {
 // pool over them.
 func (d *DB) openSimulatedDevices(cfg Config) {
 	cost := storage.DefaultCostModel()
-	if cfg.Cost != nil {
-		cost = *cfg.Cost
-	}
 	d.mag = storage.NewMagneticDisk(cfg.PageSize, cost)
 	d.worm = storage.NewWORMDisk(storage.WORMConfig{
 		SectorSize:     cfg.SectorSize,
@@ -476,15 +474,13 @@ func (d *DB) openSimulatedDevices(cfg Config) {
 // ring.
 const slowOpThreshold = 25 * time.Millisecond
 
-// wireObs builds the metric registry and event log and names every
-// component's instruments in them. Called once, by Open, after the
-// transaction manager exists.
+// wireObs names every component's instruments in the metric registry
+// (addSecondary names each secondary tree's). Called once, by Open,
+// after the transaction manager exists.
 // Instruments are component-owned struct fields that record from birth;
 // registration only names them for exposition, so nothing here is on a
 // hot path and order relative to first use does not matter.
 func (d *DB) wireObs() {
-	d.reg = obs.NewRegistry()
-	d.events = obs.NewEventLog(1024, slowOpThreshold)
 	d.store.registerMetrics(d.reg)
 	d.tm.RegisterMetrics(d.reg)
 	d.pool.RegisterMetrics(d.reg)
@@ -524,7 +520,8 @@ func (d *DB) treePages(tag int) storage.PageStore {
 }
 
 // addSecondary builds the tree of secondary index name — reattached from
-// img when non-nil, else new — and registers it.
+// img when non-nil, else new — registers it, and names the tree's
+// node-access counters in the metric registry under index=name.
 func (d *DB) addSecondary(name string, extract SecondaryExtract, img *core.TreeImage) error {
 	d.secMu.Lock()
 	defer d.secMu.Unlock()
@@ -541,6 +538,7 @@ func (d *DB) addSecondary(name string, extract SecondaryExtract, img *core.TreeI
 	if err != nil {
 		return fmt.Errorf("db: secondary %q: %w", name, err)
 	}
+	ix.Tree().RegisterMetrics(d.reg, obs.Label{Key: "index", Value: name})
 	d.secondaries[name] = &secondaryIndex{index: ix, extract: extract}
 	return nil
 }
@@ -557,8 +555,8 @@ func (d *DB) CreateSecondary(name string, extract SecondaryExtract) error {
 	if err := d.addSecondary(name, extract, nil); err != nil {
 		return err
 	}
-	// Without secondaries no hook is installed, so a commit posts each
-	// key with one descent instead of three.
+	// Without secondaries no hook is installed, so a commit builds no
+	// record unless it logs one, and reads no replaced version.
 	d.tm.SetCommitHook(d.onCommit)
 	if d.wal != nil {
 		if err := d.Checkpoint(); err != nil {
@@ -568,10 +566,30 @@ func (d *DB) CreateSecondary(name string, extract SecondaryExtract) error {
 	return nil
 }
 
-// onCommit maintains the secondary indexes; it runs under the transaction
-// manager's commit mutex for every committed key, write-holding the
-// secondary latch. It is the commit hook only once a secondary exists.
-func (d *DB) onCommit(ct record.Timestamp, oldV record.Version, oldOK bool, newV record.Version) error {
+// onCommit maintains the secondary indexes from one commit record (§3.6:
+// an entry inherits the time of the primary change behind it). It is the
+// commit hook once a secondary exists, and recovery calls it with each
+// replayed record past the indexes' checkpoint. Either way the store
+// holds every commit up to rec.Time, so a key's replaced version is its
+// version as of rec.Time-1.
+func (d *DB) onCommit(rec txn.CommitRecord) error {
+	for _, newV := range rec.Versions {
+		// Read before taking the secondary latch, which orders above
+		// the shard latches.
+		oldV, oldOK, err := d.store.GetAsOf(newV.Key, rec.Time-1)
+		if err != nil {
+			return err
+		}
+		if err := d.applySecondaries(rec.Time, oldV, oldOK, newV); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// applySecondaries posts one key's change from oldV to newV at ct to
+// every secondary index, write-holding the secondary latch.
+func (d *DB) applySecondaries(ct record.Timestamp, oldV record.Version, oldOK bool, newV record.Version) error {
 	d.secMu.Lock()
 	defer d.secMu.Unlock()
 	for _, s := range d.secondaries {

@@ -118,36 +118,14 @@ func checkExtractors(names []string, extracts map[string]SecondaryExtract) error
 	return nil
 }
 
-// applyCommitted installs one committed version during recovery: the
-// previously visible version is looked up first so the secondary-index
-// hook sees exactly what it would have seen at the original commit.
-// Versions must arrive in an order that never decreases commit times
-// GLOBALLY — the secondary indexes are single trees spanning all
-// shards — which the WAL's LSN order guarantees.
-func (d *DB) applyCommitted(v record.Version) error {
-	if len(d.secondaries) == 0 {
-		// The old version is only ever needed by the secondary-index
-		// hook; without one, skip the extra tree lookup per version.
-		return d.store.Insert(v)
-	}
-	oldV, oldOK, err := d.store.Get(v.Key)
-	if err != nil {
-		return err
-	}
-	if err := d.store.Insert(v); err != nil {
-		return err
-	}
-	return d.onCommit(v.Time, oldV, oldOK, v)
-}
-
 // recoverTo brings the reattached trees up to the acknowledged state: it
 // erases the pending versions the checkpointed pages may hold, then
 // replays every WAL segment past the checkpoint boundary. A checkpoint
 // is fuzzy — shard i's image was captured at GroupLSNs[i] and the
 // secondary indexes at SecLSN (>= every group LSN, they are captured
 // last), all >= the header LSN the replay starts from — so each version
-// applies to its primary shard only past that shard's boundary, and
-// drives the secondary-index hook only past SecLSN: exactly once per
+// applies to its primary shard only past that shard's boundary, and a
+// record drives the secondary indexes only past SecLSN: exactly once per
 // tree. With no installed checkpoint every boundary is zero and
 // everything applies. It returns the last intact LSN and the segment
 // number a fresh log should start at.
@@ -197,25 +175,25 @@ func (d *DB) recoverTo(info wal.CheckpointInfo) (lastLSN, nextSeg uint64, err er
 
 // replayCommit redoes one logged transaction, filtered by the fuzzy
 // capture boundaries: group[i] is shard i's, secLSN the secondaries'.
+// Records replay in LSN order, so commit times never decrease globally,
+// as the secondary trees (each spanning all shards) require.
 func (d *DB) replayCommit(lsn uint64, rec txn.CommitRecord, group []uint64, secLSN uint64) error {
 	for _, v := range rec.Versions {
 		if lsn <= group[record.ShardOfKey(v.Key, len(group))] {
 			// The shard's image was captured past this record: the
-			// version is already in it — and in the secondaries too,
-			// since SecLSN >= every group LSN.
+			// version is already in it.
 			continue
 		}
-		var err error
-		if lsn <= secLSN {
-			// The primary shard needs it, the secondary indexes
-			// (captured later) already saw it: insert without the
-			// index hook.
-			err = d.store.Insert(v)
-		} else {
-			err = d.applyCommitted(v)
-		}
-		if err != nil {
+		if err := d.store.Insert(v); err != nil {
 			return fmt.Errorf("db: replay of txn %d at %s: %w", rec.TxnID, rec.Time, err)
+		}
+	}
+	// Past SecLSN the indexes have not seen the record. SecLSN >= every
+	// group LSN, so every shard holds the record by now, exactly as the
+	// commit hook finds the store live.
+	if lsn > secLSN && len(d.secondaries) > 0 {
+		if err := d.onCommit(rec); err != nil {
+			return fmt.Errorf("db: replay of txn %d at %s: secondary indexes: %w", rec.TxnID, rec.Time, err)
 		}
 	}
 	return nil

@@ -6,9 +6,8 @@ import (
 	"repro/internal/txn"
 )
 
-// queryExec binds a read transaction to the engine extensions the query
-// layer can exploit: the shard count (parallel scans) and secondary
-// lookups (index joins).
+// queryExec binds a read transaction to the one engine extension the
+// query layer can exploit: secondary lookups (index joins).
 type queryExec struct {
 	d *DB
 	r *txn.ReadTxn
@@ -19,8 +18,6 @@ func (q queryExec) Cursor(low record.Key, high record.Bound, opts txn.ScanOption
 }
 
 func (q queryExec) Timestamp() record.Timestamp { return q.r.Timestamp() }
-
-func (q queryExec) Shards() int { return q.d.Shards() }
 
 func (q queryExec) LookupSecondary(index string, skey record.Key, at record.Timestamp) ([]record.Key, error) {
 	return q.d.LookupSecondary(index, skey, at)
@@ -37,8 +34,7 @@ func (q queryExec) LookupSecondary(index string, skey record.Key, at record.Time
 //	for op.Next() { use(op.Row()) }
 //
 // Operators stream under the cursor latch discipline — no latch held
-// between Next calls — and a parallel scan's goroutines are released by
-// Close.
+// between Next calls — and Close releases their cursors.
 func (d *DB) Query(spec *query.Spec) (query.Operator, error) {
 	return d.QueryAt(d.Now(), spec)
 }
@@ -52,6 +48,5 @@ func (d *DB) QueryAt(at record.Timestamp, spec *query.Spec) (query.Operator, err
 
 var (
 	_ query.Source          = queryExec{}
-	_ query.ShardedSource   = queryExec{}
 	_ query.SecondaryLookup = queryExec{}
 )

@@ -7,7 +7,7 @@ import (
 
 // Compile validates the spec, applies the pushdown rewrites, and builds
 // the operator pipeline over src. The returned Operator owns every
-// cursor and goroutine the plan needs; Close releases them.
+// cursor the plan opens; Close releases them.
 func Compile(s *Spec, src Source) (Operator, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -55,7 +55,8 @@ func pushdown(s *Spec) *Spec {
 func compile(s *Spec, src Source) (Operator, error) {
 	switch s.Kind {
 	case OpScan:
-		return compileScan(s, src)
+		cur := src.Cursor(s.Low, s.High, txn.ScanOptions{At: s.At, From: s.From, To: s.To, Reverse: s.Reverse})
+		return &cursorOp{cur: cur}, nil
 	case OpHistory:
 		from, to := s.From, s.To
 		if from == 0 {
@@ -130,17 +131,4 @@ func compile(s *Spec, src Source) (Operator, error) {
 		return newSemiJoin(in, pks, s.Input.direction()), nil
 	}
 	return nil, badSpec("unknown operator kind %d", s.Kind)
-}
-
-// compileScan builds a Scan source: a serial cursor, or — Parallel over
-// a ShardedSource — one cursor goroutine per shard feeding an ordered
-// merge.
-func compileScan(s *Spec, src Source) (Operator, error) {
-	opts := txn.ScanOptions{At: s.At, From: s.From, To: s.To, Reverse: s.Reverse}
-	if s.Parallel {
-		if sh, ok := src.(ShardedSource); ok && sh.Shards() > 1 {
-			return newParallelScan(src, sh.Shards(), s.Low, s.High, opts), nil
-		}
-	}
-	return &cursorOp{cur: src.Cursor(s.Low, s.High, opts)}, nil
 }

@@ -16,8 +16,8 @@ func shardKey(i, n, j int) record.Key {
 }
 
 // TestQueryHoldsNoLatchMidStream extends the abandoned-cursor latch
-// contract to operator trees: a merge join and a parallel scan paused
-// mid-stream (between Next calls, neither drained nor closed) hold no
+// contract to operator trees: a merge join and a scan across every shard
+// paused mid-stream (between Next calls, neither drained nor closed) hold no
 // shard latch, so exclusive-latch writers on EVERY shard proceed
 // immediately. Afterwards the paused operators resume and still
 // observe only their snapshot.
@@ -47,16 +47,14 @@ func TestQueryHoldsNoLatchMidStream(t *testing.T) {
 		t.Fatalf("join empty: %v", join.Err())
 	}
 
-	// A parallel scan mid-stream: one goroutine per shard, all alive.
-	par := query.Scan(nil, record.InfiniteBound())
-	par.Parallel = true
-	pscan, err := d.Query(par)
+	// A scan mid-stream: its cursor has filled its first page.
+	scan, err := d.Query(query.Scan(nil, record.InfiniteBound()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pscan.Close()
-	if !pscan.Next() {
-		t.Fatalf("parallel scan empty: %v", pscan.Err())
+	defer scan.Close()
+	if !scan.Next() {
+		t.Fatalf("scan empty: %v", scan.Err())
 	}
 
 	// Both operators now sit between Next calls. Writers must take the
@@ -86,7 +84,7 @@ func TestQueryHoldsNoLatchMidStream(t *testing.T) {
 	}
 
 	// The paused operators finish their snapshots untainted.
-	joinRows, parRows := 1, 1
+	joinRows, scanRows := 1, 1
 	for join.Next() {
 		for _, v := range join.Row().Versions {
 			if string(v.Value) != "seed" {
@@ -98,16 +96,16 @@ func TestQueryHoldsNoLatchMidStream(t *testing.T) {
 	if err := join.Err(); err != nil {
 		t.Fatal(err)
 	}
-	for pscan.Next() {
-		if string(pscan.Row().Versions[0].Value) != "seed" {
-			t.Fatalf("parallel scan leaked a post-snapshot write: %v", pscan.Row())
+	for scan.Next() {
+		if string(scan.Row().Versions[0].Value) != "seed" {
+			t.Fatalf("scan leaked a post-snapshot write: %v", scan.Row())
 		}
-		parRows++
+		scanRows++
 	}
-	if err := pscan.Err(); err != nil {
+	if err := scan.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if want := shards * 16; joinRows != want || parRows != want {
-		t.Fatalf("rows after resume: join=%d par=%d, want %d", joinRows, parRows, want)
+	if want := shards * 16; joinRows != want || scanRows != want {
+		t.Fatalf("rows after resume: join=%d scan=%d, want %d", joinRows, scanRows, want)
 	}
 }

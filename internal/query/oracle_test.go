@@ -401,8 +401,8 @@ func specString(s *query.Spec) string {
 	if s == nil {
 		return "nil"
 	}
-	desc := fmt.Sprintf("%s{low=%q high=%v at=%d from=%d to=%d key=%q rev=%v par=%v flow=%q fhigh=%v vp=%q skey=%q lim=%d}",
-		s.Kind, s.Low, s.High, s.At, s.From, s.To, s.Key, s.Reverse, s.Parallel,
+	desc := fmt.Sprintf("%s{low=%q high=%v at=%d from=%d to=%d key=%q rev=%v flow=%q fhigh=%v vp=%q skey=%q lim=%d}",
+		s.Kind, s.Low, s.High, s.At, s.From, s.To, s.Key, s.Reverse,
 		s.FilterLow, s.FilterHigh, s.ValuePrefix, s.SKey, s.Limit)
 	switch {
 	case s.Left != nil:
@@ -513,7 +513,6 @@ func genSpec(r *rand.Rand, keys []string, at record.Timestamp) *query.Spec {
 		case 0: // snapshot scan
 			s := query.Scan(randLow(), randHigh())
 			s.Reverse = reverse
-			s.Parallel = r.Intn(2) == 0
 			return s
 		case 1: // window scan
 			from := randTime()
@@ -523,7 +522,6 @@ func genSpec(r *rand.Rand, keys []string, at record.Timestamp) *query.Spec {
 			}
 			s := query.Window(randLow(), randHigh(), from, to)
 			s.Reverse = reverse
-			s.Parallel = r.Intn(2) == 0
 			return s
 		case 2: // history
 			s := query.History(randKey())
@@ -539,7 +537,6 @@ func genSpec(r *rand.Rand, keys []string, at record.Timestamp) *query.Spec {
 		default: // merge join of two scans
 			l := query.Scan(randLow(), randHigh())
 			l.Reverse = reverse
-			l.Parallel = r.Intn(2) == 0
 			rg := query.Scan(randLow(), randHigh())
 			rg.Reverse = reverse
 			return l.Join(rg)

@@ -30,14 +30,11 @@
 //
 // # Latch discipline
 //
-// Operators add no latches of their own. All engine access goes through
-// cursors, which hold no latch between Next calls and at most one shard
-// latch during a fill; a paused or abandoned operator tree therefore
-// never blocks a writer. Parallel scans run one goroutine per shard,
-// each with its own shard-clamped cursor — so each goroutine holds at
-// most its own shard's latch, exactly as the serial merge cursor does —
-// feeding an ordered merge over plain channels (shard order equals key
-// order, so the merge is concatenation).
+// Operators add no latches and start no goroutines of their own. All
+// engine access goes through cursors, which hold no latch between Next
+// calls and at most one shard latch during a fill; a paused or abandoned
+// operator tree therefore never blocks a writer, and an idle one pins
+// only the heap its cursors and buffered rows hold.
 package query
 
 import (
@@ -71,8 +68,8 @@ type Row struct {
 // Operator is a streaming row producer: the cursor contract lifted to
 // rows. Like a Cursor, an Operator holds no latch between Next calls,
 // must be confined to one goroutine at a time, and may be abandoned at
-// any point — Close makes early termination explicit (and stops the
-// per-shard goroutines of a parallel scan).
+// any point — Close makes early termination explicit and releases the
+// pipeline's cursors.
 type Operator interface {
 	Next() bool
 	Row() Row
@@ -82,17 +79,10 @@ type Operator interface {
 
 // Source is the engine surface a query executes against: the read side
 // of a transaction. *txn.ReadTxn satisfies it; the db layer's Query
-// binds one together with the optional extensions below.
+// binds one together with the optional extension below.
 type Source interface {
 	Cursor(low record.Key, high record.Bound, opts txn.ScanOptions) *txn.Cursor
 	Timestamp() record.Timestamp
-}
-
-// ShardedSource is the optional Source extension parallel scans need:
-// the shard count fixes the per-goroutine key ranges. A Parallel spec
-// over a plain Source degrades to a serial scan.
-type ShardedSource interface {
-	Shards() int
 }
 
 // SecondaryLookup is the optional Source extension JoinSecondary needs:

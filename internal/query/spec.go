@@ -53,9 +53,6 @@ type Spec struct {
 	// Reverse yields descending keys (descending (key, time) in window
 	// mode, descending time in History). Sources only.
 	Reverse bool
-	// Parallel runs a Scan with one goroutine per shard feeding an
-	// ordered merge. Sources only; ignored without a ShardedSource.
-	Parallel bool
 
 	// Filter predicate: an optional key range (pushed down into a
 	// Scan/Diff input's window at compile time) and an optional value
@@ -85,7 +82,8 @@ type Spec struct {
 
 // Scan returns a snapshot scan of keys in [low, high) at the executing
 // transaction's timestamp. Set At to pin another snapshot, From/To for
-// window mode, Reverse or Parallel to direct execution.
+// window mode, or Reverse for descending keys. It runs as one cursor
+// over the source, which crosses shards in key order.
 func Scan(low record.Key, high record.Bound) *Spec {
 	return &Spec{Kind: OpScan, Low: low, High: high}
 }

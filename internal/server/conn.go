@@ -361,8 +361,7 @@ func (c *conn) namespaceSpec(s *query.Spec) *query.Spec {
 // and registers its live pipeline as a cursor. Malformed trees — decode
 // failures and Validate refusals alike — are the typed bad-request;
 // nothing panics on crafted bytes. A session at maxSessionCursors is
-// refused with the retryable overloaded error before anything compiles
-// (a parallel scan starts its goroutines at compile).
+// refused with the retryable overloaded error before anything compiles.
 func (c *conn) opOpenQuery(d *record.Decoder) []byte {
 	spec, err := wire.DecodeOpenQuery(d)
 	if err != nil {

@@ -8,8 +8,7 @@ import (
 )
 
 // maxSessionCursors bounds how many cursors one session may hold open:
-// each pins an operator pipeline (heap, and for a parallel scan one
-// goroutine per shard prefetching from open) for up to a full lease, so
+// each pins an operator pipeline's heap for up to a full lease, so
 // unbounded, one connection could pin unbounded memory. 64 is the
 // default pipelining Window.
 const maxSessionCursors = 64
@@ -18,10 +17,9 @@ const maxSessionCursors = 64
 // cursor between fetches: its owner, its lease, and its live operator
 // pipeline (a plain range scan is the one-operator pipeline). The
 // operator contract makes keeping it harmless to writers — an idle
-// operator holds no latch — but it does pin heap (and, for a parallel
-// scan, parked goroutines), so every path that drops the table entry
-// must also Close the operator. Close runs outside the table mutex:
-// it may wait on goroutines that are mid-fill inside the engine.
+// operator holds no latch — but it does pin heap, so every path that
+// drops the table entry must also Close the operator. Close runs
+// outside the table mutex, which guards the table only.
 type cursorState struct {
 	sess    uint64
 	expires time.Time

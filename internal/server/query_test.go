@@ -118,13 +118,10 @@ func TestServerQueryCursorLease(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Open a parallel query (per-shard goroutines parked on channels),
-	// fetch nothing, and let the lease lapse: the janitor must reap the
-	// cursor AND release the pipeline (Shutdown would hang on leaked
-	// goroutines otherwise — the harness cleanup is the assertion).
-	spec := query.Scan(nil, record.InfiniteBound())
-	spec.Parallel = true
-	if _, err := c.QueryScan(spec, client.QueryOptions{}); err != nil {
+	// Open a query, fetch nothing, and let the lease lapse: the janitor
+	// must reap the cursor and close its serial pipeline, which pins
+	// only heap while idle.
+	if _, err := c.QueryScan(query.Scan(nil, record.InfiniteBound()), client.QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)

@@ -32,7 +32,7 @@
 // fetches the pipeline holds NO latch — an operator latches one shard
 // for one leaf read inside a Next call and nothing between calls — so
 // an idle or abandoned cursor can never block a writer. What it pins is
-// heap (and, for a parallel scan, parked goroutines), capped two ways:
+// heap only, capped two ways:
 // a lease (every fetch renews it, a janitor closes expired cursors'
 // operators, a session's close closes its own) and a per-session cursor
 // cap (maxSessionCursors), past which an open is refused with the

@@ -16,15 +16,19 @@ import (
 // A cursor keeps its live operator pipeline on the server between
 // fetches: a composed stream (join, group-by, diff) has no single resume
 // key to re-seek from, so no cursor resumes by key. That is safe under
-// the engine's cursor contract — an idle operator holds no latch — and
-// the cursor lease bounds an abandoned pipeline's lifetime.
+// the engine's cursor contract — an idle operator holds no latch, only
+// heap — and the cursor lease bounds an abandoned pipeline's lifetime.
 
-// Spec node flag bits on the wire.
+// Spec node flag bits on the wire. Bit 1 once asked for a parallel
+// scan; it stays reserved so the other bits keep their values, and a
+// spec that sets it, or any bit not named here, is refused.
 const (
 	specReverse byte = 1 << iota
-	specParallel
+	specRetired
 	specHasKeyRange
 	specKeysOnly
+
+	specKnown = specReverse | specHasKeyRange | specKeysOnly
 )
 
 // Row flag bits on the wire.
@@ -63,9 +67,6 @@ func appendSpec(e *record.Encoder, s *query.Spec, depth int, nodes *int) error {
 	var flags byte
 	if s.Reverse {
 		flags |= specReverse
-	}
-	if s.Parallel {
-		flags |= specParallel
 	}
 	if s.HasKeyRange {
 		flags |= specHasKeyRange
@@ -126,8 +127,10 @@ func decodeSpec(d *record.Decoder, depth int, nodes *int) (*query.Spec, error) {
 	var s query.Spec
 	s.Kind = query.OpKind(d.Byte())
 	flags := d.Byte()
+	if flags&^specKnown != 0 {
+		return nil, fmt.Errorf("%w: unknown spec flag bits %#x", query.ErrBadSpec, flags&^specKnown)
+	}
 	s.Reverse = flags&specReverse != 0
-	s.Parallel = flags&specParallel != 0
 	s.HasKeyRange = flags&specHasKeyRange != 0
 	s.KeysOnly = flags&specKeysOnly != 0
 	s.Low = d.Key()

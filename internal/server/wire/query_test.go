@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/query"
@@ -52,6 +53,28 @@ func TestQuerySpecRoundTrip(t *testing.T) {
 		if string(b) != string(b2) {
 			t.Fatalf("spec %d: re-encode differs\n  %x\n  %x", i, b, b2)
 		}
+	}
+}
+
+// TestQuerySpecRejectsUnknownFlags: a spec node whose flag byte sets the
+// retired parallel bit, or any bit the codec does not name, is the typed
+// bad-request, not a silently narrowed spec.
+func TestQuerySpecRejectsUnknownFlags(t *testing.T) {
+	b := mustOpenQuery(t, query.Scan(nil, record.InfiniteBound()))
+	const flagsAt = 1 // the body after the op byte: kind, then flags
+	for _, bit := range []byte{specRetired, 1 << 4, 1 << 7} {
+		body := append([]byte(nil), b[1:]...)
+		body[flagsAt] |= bit
+		_, err := DecodeOpenQuery(record.NewDecoder(body))
+		if !errors.Is(err, query.ErrBadSpec) {
+			t.Fatalf("flag bit %#02x: err = %v, want ErrBadSpec", bit, err)
+		}
+	}
+	// The named bits still decode.
+	body := append([]byte(nil), b[1:]...)
+	body[flagsAt] |= specReverse | specKeysOnly
+	if _, err := DecodeOpenQuery(record.NewDecoder(body)); err != nil {
+		t.Fatalf("named flag bits refused: %v", err)
 	}
 }
 
@@ -107,6 +130,13 @@ func FuzzQueryWire(f *testing.F) {
 			f.Fatal(err)
 		}
 		seed = append(seed, b[1:]) // fuzz the body after the op byte
+	}
+	// A scan whose flag byte sets the retired parallel bit, and one
+	// setting an unknown high bit: both must be refused.
+	for _, bit := range []byte{specRetired, 1 << 7} {
+		b := append([]byte(nil), seed[3]...)
+		b[1] |= bit
+		seed = append(seed, b)
 	}
 	for _, b := range seed {
 		f.Add(b)

@@ -274,8 +274,8 @@ func storageNew(t *testing.T) Store {
 
 func TestCommitHookPanicDoesNotStrandLeadership(t *testing.T) {
 	m, _ := newManager(t)
-	m.SetCommitHook(func(ct record.Timestamp, oldV record.Version, oldOK bool, newV record.Version) error {
-		if string(newV.Key) == "boom" {
+	m.SetCommitHook(func(rec CommitRecord) error {
+		if string(rec.Versions[0].Key) == "boom" {
 			panic("extractor exploded")
 		}
 		return nil

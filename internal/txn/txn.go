@@ -141,11 +141,14 @@ type Stats struct {
 	CommitBatches uint64
 }
 
-// CommitHook is invoked under the commit leadership for every key a
-// transaction commits, after the version is stamped. The db layer uses it
-// to maintain secondary indexes. old is the previously committed version
-// (ok=false if none); new is the just-committed version.
-type CommitHook func(commitTime record.Timestamp, oldV record.Version, oldOK bool, newV record.Version) error
+// CommitHook is invoked under the commit leadership once per committed
+// transaction, with its CommitRecord, after every version of the record
+// is stamped in the store and before the next transaction is posted:
+// the store then holds exactly the commits up to rec.Time, so a key's
+// replaced version is its version as of rec.Time-1. The db layer
+// maintains its secondary indexes from it, and recovery calls the same
+// function with each replayed record.
+type CommitHook func(rec CommitRecord) error
 
 // CommitRecord is the redo record of one committed transaction: its
 // stamped write set, in key order, every version carrying the commit
@@ -233,9 +236,9 @@ func NewManager(store Store, startTime record.Timestamp) *Manager {
 	return m
 }
 
-// SetCommitHook installs the per-key commit callback. It takes the
-// leadership token, so every commit posted after it returns runs the
-// hook. Without a hook, posting a key is one CommitKey.
+// SetCommitHook installs the per-transaction commit callback. It takes
+// the leadership token, so every commit posted after it returns runs the
+// hook.
 func (m *Manager) SetCommitHook(h CommitHook) {
 	m.leaderCh <- struct{}{}
 	m.hook = h
@@ -494,8 +497,9 @@ func (m *Manager) runBatch(batch []*commitReq) {
 	}
 	m.commitBatches.Add(1)
 	base := record.Timestamp(m.clock.Load())
-	if m.log != nil {
-		recs := make([]CommitRecord, len(batch))
+	var recs []CommitRecord
+	if m.log != nil || m.hook != nil {
+		recs = make([]CommitRecord, len(batch))
 		for i, req := range batch {
 			ct := base + record.Timestamp(i) + 1
 			vs := make([]record.Version, len(req.writes))
@@ -505,6 +509,8 @@ func (m *Manager) runBatch(batch []*commitReq) {
 			}
 			recs[i] = CommitRecord{TxnID: req.id, Time: ct, Versions: vs}
 		}
+	}
+	if m.log != nil {
 		if err := m.log.AppendBatch(recs); err != nil {
 			// Durability failed before anything was stamped: the whole
 			// batch aborts — pending versions erased, locks released,
@@ -522,6 +528,14 @@ func (m *Manager) runBatch(batch []*commitReq) {
 	for i, req := range batch {
 		ct := base + record.Timestamp(i) + 1
 		posted, err := m.postTxn(req, ct)
+		if err == nil && m.hook != nil {
+			if err = m.callHook(recs[i]); err != nil {
+				// Every key is stamped but the hook failed: the
+				// transaction counts as aborted, and its timestamp is
+				// burned below.
+				m.failCommit(nil, req.id)
+			}
+		}
 		if err != nil {
 			results[i] = commitResult{err: err}
 			if posted {
@@ -557,42 +571,9 @@ func (m *Manager) runBatch(batch []*commitReq) {
 // the transaction reached the store stamped.
 func (m *Manager) postTxn(req *commitReq, ct record.Timestamp) (posted bool, err error) {
 	for j, v := range req.writes {
-		stamped, err := m.postKey(v.Key, req.id, ct)
-		if err != nil {
+		if err := m.store.CommitKey(v.Key, req.id, ct); err != nil {
 			m.failCommit(req.writes[j:], req.id)
-			return j > 0 || stamped, fmt.Errorf("txn: commit of %s: %w", v.Key, err)
-		}
-	}
-	return true, nil
-}
-
-// postKey stamps one pending version with the commit time and runs the
-// commit hook. stamped reports whether the version was committed to the
-// store even if the hook then failed. Called under the leadership token.
-func (m *Manager) postKey(k record.Key, txnID uint64, commitTime record.Timestamp) (stamped bool, err error) {
-	var oldV record.Version
-	var oldOK bool
-	if m.hook != nil {
-		oldV, oldOK, err = m.store.Get(k)
-		if err != nil {
-			return false, err
-		}
-	}
-	if err := m.store.CommitKey(k, txnID, commitTime); err != nil {
-		return false, err
-	}
-	if m.hook != nil {
-		newV, ok, err := m.store.GetAsOf(k, commitTime)
-		if err != nil {
-			return true, err
-		}
-		if !ok {
-			// The committed version is a tombstone; rebuild it for
-			// the hook.
-			newV = record.Version{Key: k, Time: commitTime, Tombstone: true}
-		}
-		if err := m.callHook(commitTime, oldV, oldOK, newV); err != nil {
-			return true, err
+			return j > 0, fmt.Errorf("txn: commit of %s: %w", v.Key, err)
 		}
 	}
 	return true, nil
@@ -604,21 +585,24 @@ func (m *Manager) postKey(k record.Key, txnID uint64, commitTime record.Timestam
 // batch-mates still waiting for results — parking the next leader on an
 // empty queue forever. As an error it takes the ordinary torn-commit
 // cleanup path instead.
-func (m *Manager) callHook(commitTime record.Timestamp, oldV record.Version, oldOK bool, newV record.Version) (err error) {
+func (m *Manager) callHook(rec CommitRecord) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("txn: commit hook panicked: %v", r)
 		}
 	}()
-	return m.hook(commitTime, oldV, oldOK, newV)
+	if err := m.hook(rec); err != nil {
+		return fmt.Errorf("txn: commit hook at %s: %w", rec.Time, err)
+	}
+	return nil
 }
 
 // failCommit cleans up a failed commit: the remaining write set's
 // pending versions — its locks — are erased best-effort. AbortKey fails
-// if the version is gone (e.g. the failed key was stamped before its
-// hook errored), and then there is no lock left to release. Burning a
-// torn timestamp is the batch leader's job. Called under the leadership
-// token.
+// if the version is gone (the failed CommitKey stamped it anyway), and
+// then there is no lock left to release; after a hook failure every key
+// is stamped and nothing remains. Burning a torn timestamp is the batch
+// leader's job. Called under the leadership token.
 func (m *Manager) failCommit(remaining []record.Version, txnID uint64) {
 	for _, v := range remaining {
 		_ = m.store.AbortKey(v.Key, txnID)

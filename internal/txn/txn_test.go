@@ -307,30 +307,59 @@ func TestEmptyCommit(t *testing.T) {
 	}
 }
 
+// TestCommitHookSeesOldAndNew: the hook runs once per transaction with
+// its commit record (the new versions), after every key of it is
+// stamped, so the store answers each key's replaced version as of
+// rec.Time-1 and the new one as of rec.Time.
 func TestCommitHookSeesOldAndNew(t *testing.T) {
-	m, _ := newManager(t)
+	m, tree := newManager(t)
 	type event struct {
-		old, new string
-		oldOK    bool
+		key, old, new string
+		oldOK         bool
 	}
 	var events []event
-	m.SetCommitHook(func(ct record.Timestamp, oldV record.Version, oldOK bool, newV record.Version) error {
-		ev := event{new: string(newV.Value), oldOK: oldOK}
-		if oldOK {
-			ev.old = string(oldV.Value)
+	calls := 0
+	m.SetCommitHook(func(rec CommitRecord) error {
+		calls++
+		for _, newV := range rec.Versions {
+			if newV.Time != rec.Time {
+				t.Errorf("%s: record version at %s, record at %s", newV.Key, newV.Time, rec.Time)
+			}
+			got, ok, err := tree.GetAsOf(newV.Key, rec.Time)
+			if err != nil || ok == newV.Tombstone || (ok && string(got.Value) != string(newV.Value)) {
+				t.Errorf("%s: store at %s = %v %v %v, record holds %v", newV.Key, rec.Time, got, ok, err, newV)
+			}
+			oldV, oldOK, err := tree.GetAsOf(newV.Key, rec.Time-1)
+			if err != nil {
+				return err
+			}
+			ev := event{key: string(newV.Key), new: string(newV.Value), oldOK: oldOK}
+			if oldOK {
+				ev.old = string(oldV.Value)
+			}
+			if newV.Tombstone {
+				ev.new = "<del>"
+			}
+			events = append(events, ev)
 		}
-		if newV.Tombstone {
-			ev.new = "<del>"
-		}
-		events = append(events, ev)
 		return nil
 	})
 	m.Update(func(tx *Txn) error { return tx.Put(record.StringKey("k"), []byte("v1")) })
-	m.Update(func(tx *Txn) error { return tx.Put(record.StringKey("k"), []byte("v2")) })
+	m.Update(func(tx *Txn) error {
+		if err := tx.Put(record.StringKey("k"), []byte("v2")); err != nil {
+			return err
+		}
+		return tx.Put(record.StringKey("j"), []byte("w1"))
+	})
 	m.Update(func(tx *Txn) error { return tx.Delete(record.StringKey("k")) })
-	want := []event{{old: "", oldOK: false, new: "v1"}, {old: "v1", oldOK: true, new: "v2"}, {old: "v2", oldOK: true, new: "<del>"}}
-	if len(events) != len(want) {
-		t.Fatalf("events = %v", events)
+	want := []event{
+		{key: "k", old: "", oldOK: false, new: "v1"},
+		{key: "j", old: "", oldOK: false, new: "w1"},
+		{key: "k", old: "v1", oldOK: true, new: "v2"},
+		{key: "k", old: "v2", oldOK: true, new: "<del>"},
+	}
+	if calls != 3 || len(events) != len(want) {
+		t.Fatalf("%d calls, events = %v", calls, events)
 	}
 	for i := range want {
 		if events[i] != want[i] {
