@@ -88,8 +88,8 @@ func dumpWALDir(w io.Writer, dir string) error {
 			info.Paged.Epoch, info.Paged.Alloc.Pages, info.Paged.PageSize,
 			info.Paged.Burned, info.Paged.SectorSize)
 		fmt.Fprintf(w, "pending at boundary: %d key(s), erased on recovery\n", len(info.Paged.Pending))
-		if len(info.Secondaries) > 0 {
-			fmt.Fprintf(w, "secondary indexes: %s\n", strings.Join(info.Secondaries, ", "))
+		if names := info.Paged.SecondaryNames(); len(names) > 0 {
+			fmt.Fprintf(w, "secondary indexes: %s\n", strings.Join(names, ", "))
 		}
 	} else {
 		fmt.Fprintln(w, "checkpoint: none")

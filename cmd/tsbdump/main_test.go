@@ -78,7 +78,7 @@ func TestDumpWALDir(t *testing.T) {
 			}
 		}
 	}
-	dump("checkpoint: format v4", "2 shard(s)", "devices: epoch", "lsn 5", "tail: clean", "5 commit record(s)")
+	dump("checkpoint: format v5", "2 shard(s)", "devices: epoch", "lsn 5", "tail: clean", "5 commit record(s)")
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestDumpPagedDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"format v4, epoch", "page file", "crc ok", "burn file",
+	for _, want := range []string{"format v5, epoch", "page file", "crc ok", "burn file",
 		"live payload", "dead payload, utilization", "0 bad"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("paged dump missing %q:\n%s", want, out)
@@ -169,20 +169,23 @@ func TestDumpPagedDir(t *testing.T) {
 	}
 }
 
-// TestDumpPagedDirRejectsLogical: a directory whose checkpoint is the
-// retired logical format (3) is reported as such, not dumped as empty.
+// TestDumpPagedDirRejectsLogical: a directory whose checkpoint is in a
+// retired format — the logical dump (3) or the per-shard fuzzy
+// checkpoint (4) — is reported as such by name, not dumped as empty.
 func TestDumpPagedDirRejectsLogical(t *testing.T) {
-	dir := t.TempDir()
-	e := record.NewEncoder(nil)
-	e.Byte(2)    // checkpoint header frame
-	e.Uvarint(3) // format
-	if err := os.WriteFile(filepath.Join(dir, "CHECKPOINT"), record.AppendFrame(nil, e.Bytes()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for name, dump := range map[string]func(io.Writer, string) error{"pagedir": dumpPagedDir, "waldir": dumpWALDir} {
-		var sb strings.Builder
-		if err := dump(&sb, dir); !errors.Is(err, wal.ErrRetiredFormat) || !strings.Contains(err.Error(), "logical") {
-			t.Fatalf("-%s on a format-3 directory: %v", name, err)
+	for format, name := range map[uint64]string{3: "logical", 4: "fuzzy"} {
+		dir := t.TempDir()
+		e := record.NewEncoder(nil)
+		e.Byte(2)         // checkpoint header frame
+		e.Uvarint(format) // format
+		if err := os.WriteFile(filepath.Join(dir, "CHECKPOINT"), record.AppendFrame(nil, e.Bytes()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for flag, dump := range map[string]func(io.Writer, string) error{"pagedir": dumpPagedDir, "waldir": dumpWALDir} {
+			var sb strings.Builder
+			if err := dump(&sb, dir); !errors.Is(err, wal.ErrRetiredFormat) || !strings.Contains(err.Error(), name) {
+				t.Fatalf("-%s on a format-%d directory: %v", flag, format, err)
+			}
 		}
 	}
 }

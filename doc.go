@@ -5,7 +5,7 @@
 // docs/ARCHITECTURE.md is the orientation document: the layer map, the
 // latch hierarchy, the durability contract, inline node-at-a-time
 // migration, the maintenance economy (the background checkpoint loop
-// and its fuzzy per-shard capture), and the
+// and its one-boundary capture), and the
 // statically enforced invariants: internal/lint is an analyzer suite,
 // run by its own test over the whole module, that checks the latch
 // hierarchy, the no-I/O-under-a-data-latch rule, release-on-every-path,
@@ -106,11 +106,11 @@
 // by a per-DB maintenance loop. Write-once means write-once: burns a
 // crash orphans stay burned, reported as Stats().Device.DeadBytes and
 // lower WORM utilization, never reclaimed; a clean restart orphans
-// none. The checkpoint's capture is fuzzy: per-shard boundary LSNs let
-// each shard's image and dirty pages be captured under only that
-// shard's read latch, so the commit-posting pause stays flat as the
-// database grows; see the "maintenance economy" section of
-// docs/ARCHITECTURE.md.
+// none. A checkpoint pre-flushes dirty pages with writers running, then
+// captures every tree, the dirty remainder and the allocators at one
+// WAL boundary in one short pause of commit posting, so recovery replays
+// every record past that one LSN into every tree; see the "maintenance
+// economy" section of docs/ARCHITECTURE.md.
 //
 // Range reads stream: db.Cursor / txn.ReadTxn.Cursor (and the iter.Seq2
 // form, Range) yield a snapshot lazily, page by page, with

@@ -23,10 +23,10 @@
 //     than violate no-steal (Stats.Overflows counts this; the
 //     checkpoint cadence bounds it).
 //
-// Writes can be tagged with a flush group (Tagged) — the paged engine
-// tags each shard's tree and the secondary indexes — so a checkpoint
-// can pre-flush shard by shard (CaptureDirty with a tag) before its
-// final boundary capture.
+// A frame's buffer is never written in place: every write installs a
+// fresh one. So a capture of the dirty-page table shares the frames'
+// buffers instead of copying them, which keeps the checkpoint's boundary
+// capture O(dirty pages) pointer copies.
 package buffer
 
 import (
@@ -37,9 +37,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/storage"
 )
-
-// NoTag is the flush group of untagged writes.
-const NoTag = -1
 
 // Stats is a snapshot of cache effectiveness and dirty-table counters.
 type Stats struct {
@@ -71,7 +68,6 @@ type frame struct {
 	data  []byte
 	dirty bool
 	epoch uint64 // bumped on every write; lets a flush detect re-dirtying
-	tag   int
 }
 
 // Pool is an LRU page cache implementing storage.PageStore. It is safe
@@ -129,7 +125,7 @@ func (p *Pool) PageSize() int { return p.dev.PageSize() }
 func (p *Pool) Alloc() (uint64, error) { return p.dev.Alloc() }
 
 // insert upserts a frame and evicts if over capacity. Called under mu.
-func (p *Pool) insert(page uint64, data []byte, dirty bool, tag int) *frame {
+func (p *Pool) insert(page uint64, data []byte, dirty bool) *frame {
 	if el, ok := p.byPg[page]; ok {
 		fr := el.Value.(*frame)
 		fr.data = data
@@ -138,7 +134,6 @@ func (p *Pool) insert(page uint64, data []byte, dirty bool, tag int) *frame {
 		}
 		if dirty {
 			fr.dirty = true
-			fr.tag = tag
 			p.epoch++
 			fr.epoch = p.epoch
 		}
@@ -146,7 +141,7 @@ func (p *Pool) insert(page uint64, data []byte, dirty bool, tag int) *frame {
 		return fr
 	}
 	p.evictSome(p.cap - 1)
-	fr := &frame{page: page, data: data, dirty: dirty, tag: tag}
+	fr := &frame{page: page, data: data, dirty: dirty}
 	if dirty {
 		p.nDirty++
 		p.epoch++
@@ -198,15 +193,15 @@ func (p *Pool) Read(page uint64) ([]byte, error) {
 	}
 	cached := make([]byte, len(data))
 	copy(cached, data)
-	p.insert(page, cached, false, NoTag)
+	p.insert(page, cached, false)
 	return data, nil
 }
 
 // Write stores the page contents: through to the device in
-// write-through mode, into the dirty-page table in writeback mode.
-func (p *Pool) Write(page uint64, data []byte) error { return p.write(page, data, NoTag) }
-
-func (p *Pool) write(page uint64, data []byte, tag int) error {
+// write-through mode, into the dirty-page table in writeback mode. The
+// frame gets a fresh buffer, never the old one overwritten: a capture
+// may still be flushing the old one.
+func (p *Pool) Write(page uint64, data []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if !p.writeback {
@@ -218,7 +213,7 @@ func (p *Pool) write(page uint64, data []byte, tag int) error {
 	}
 	cached := make([]byte, len(data))
 	copy(cached, data)
-	p.insert(page, cached, p.writeback, tag)
+	p.insert(page, cached, p.writeback)
 	return nil
 }
 
@@ -237,80 +232,33 @@ func (p *Pool) Free(page uint64) error {
 	return p.dev.Free(page)
 }
 
-// Tagged returns a view of the pool whose writes carry the given flush
-// group — the handle each shard's tree (and the secondary indexes) gets
-// in a durable database, so a checkpoint can pre-flush shard by shard. Reads, allocation, and freeing are the shared pool's.
-func (p *Pool) Tagged(tag int) storage.PageStore { return &taggedView{p: p, tag: tag} }
-
-type taggedView struct {
-	p   *Pool
-	tag int
-}
-
-func (v *taggedView) PageSize() int                     { return v.p.PageSize() }
-func (v *taggedView) Alloc() (uint64, error)            { return v.p.Alloc() }
-func (v *taggedView) Read(page uint64) ([]byte, error)  { return v.p.Read(page) }
-func (v *taggedView) Free(page uint64) error            { return v.p.Free(page) }
-func (v *taggedView) Write(page uint64, b []byte) error { return v.p.write(page, b, v.tag) }
-
 // DirtyPage is one captured entry of the dirty-page table: the page,
-// a copy of its contents, and the write epoch the copy was taken at.
+// its contents, and the write epoch they were captured at. Data is the
+// frame's own buffer, shared read-only: writes replace a frame's buffer
+// and never modify it.
 type DirtyPage struct {
 	Page  uint64
 	Data  []byte
 	Epoch uint64
 }
 
-// CaptureDirty copies the dirty pages whose flush group is exactly tag
-// (NoTag selects the untagged writes) out of the table: a memory-only
-// snapshot the caller then writes to the device. It holds the pool latch
-// only for the copy, never for I/O. The match is exact because the fuzzy
-// checkpoint needs it: after a shard's group was captured at its own
-// boundary LSN, re-dirtied pages of that shard must NOT ride along with a
-// later group's capture, or the installed image would hold commits the
-// boundary says are replay's to re-apply.
-func (p *Pool) CaptureDirty(tag int) []DirtyPage {
+// CaptureDirty takes the dirty-page table: a memory-only snapshot the
+// caller then writes to the device. It holds the pool latch only for the
+// walk, never for I/O, and copies no page: each entry shares its frame's
+// buffer.
+func (p *Pool) CaptureDirty() []DirtyPage {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.nDirty == 0 {
 		return nil
 	}
-	var out []DirtyPage
+	out := make([]DirtyPage, 0, p.nDirty)
 	for el := p.lru.Front(); el != nil; el = el.Next() {
-		fr := el.Value.(*frame)
-		if !fr.dirty || fr.tag != tag {
-			continue
+		if fr := el.Value.(*frame); fr.dirty {
+			out = append(out, DirtyPage{Page: fr.page, Data: fr.data, Epoch: fr.epoch})
 		}
-		out = append(out, captureFrame(fr))
 	}
 	return out
-}
-
-// CaptureDirtyGroups captures every flush group's dirty pages in a
-// single walk of the pool, keyed by tag — what a checkpoint's
-// group-by-group pre-flush uses, so the scan cost is one O(pool) pass
-// regardless of the group count, not one pass per group.
-func (p *Pool) CaptureDirtyGroups() map[int][]DirtyPage {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.nDirty == 0 {
-		return nil
-	}
-	out := make(map[int][]DirtyPage)
-	for el := p.lru.Front(); el != nil; el = el.Next() {
-		fr := el.Value.(*frame)
-		if !fr.dirty {
-			continue
-		}
-		out[fr.tag] = append(out[fr.tag], captureFrame(fr))
-	}
-	return out
-}
-
-func captureFrame(fr *frame) DirtyPage {
-	data := make([]byte, len(fr.data))
-	copy(data, fr.data)
-	return DirtyPage{Page: fr.page, Data: data, Epoch: fr.epoch}
 }
 
 // MarkClean retires captured pages from the dirty-page table once their

@@ -23,7 +23,7 @@ func TestWritebackBuffersWrites(t *testing.T) {
 	if n := pool.DirtyCount(); n != 1 {
 		t.Fatalf("DirtyCount = %d", n)
 	}
-	copies := pool.CaptureDirty(NoTag)
+	copies := pool.CaptureDirty()
 	if len(copies) != 1 || string(copies[0].Data) != "dirty" {
 		t.Fatalf("capture: %+v", copies)
 	}
@@ -64,7 +64,7 @@ func TestWritebackNoSteal(t *testing.T) {
 	if st.DirtyPages != 6 || st.Overflows == 0 {
 		t.Fatalf("stats: %+v", st)
 	}
-	copies := pool.CaptureDirty(NoTag)
+	copies := pool.CaptureDirty()
 	for _, cp := range copies {
 		if err := dev.Write(cp.Page, cp.Data); err != nil {
 			t.Fatal(err)
@@ -92,7 +92,7 @@ func TestWritebackEpochDetectsRewrite(t *testing.T) {
 	if err := pool.Write(p, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	copies := pool.CaptureDirty(NoTag)
+	copies := pool.CaptureDirty()
 	if err := pool.Write(p, []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
@@ -100,68 +100,36 @@ func TestWritebackEpochDetectsRewrite(t *testing.T) {
 	if n := pool.DirtyCount(); n != 1 {
 		t.Fatalf("re-dirtied page marked clean (dirty = %d)", n)
 	}
-	again := pool.CaptureDirty(NoTag)
+	again := pool.CaptureDirty()
 	if len(again) != 1 || string(again[0].Data) != "v2" {
 		t.Fatalf("recapture: %+v", again)
 	}
 }
 
-// TestWritebackTags: tagged views partition the dirty table into flush
-// groups.
-func TestWritebackTags(t *testing.T) {
+// TestCaptureSurvivesRewrite: a capture shares the frames' buffers, so
+// rewriting (or re-reading) a page after its capture must leave the
+// captured bytes exactly as they were: a checkpoint flushes them after
+// writers have moved on.
+func TestCaptureSurvivesRewrite(t *testing.T) {
 	dev := newDev()
-	pool := NewWritebackPool(dev, 8)
-	s0 := pool.Tagged(0)
-	s1 := pool.Tagged(1)
-	p0, _ := s0.Alloc()
-	p1, _ := s1.Alloc()
-	if err := s0.Write(p0, []byte("shard0")); err != nil {
+	pool := NewWritebackPool(dev, 4)
+	p, _ := pool.Alloc()
+	if err := pool.Write(p, []byte("before")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s1.Write(p1, []byte("shard1")); err != nil {
+	copies := pool.CaptureDirty()
+	if err := pool.Write(p, []byte("AFTER!")); err != nil {
 		t.Fatal(err)
 	}
-	c0 := pool.CaptureDirty(0)
-	if len(c0) != 1 || c0[0].Page != p0 {
-		t.Fatalf("tag 0 capture: %+v", c0)
+	if got, err := pool.Read(p); err != nil || string(got) != "AFTER!" {
+		t.Fatalf("read after rewrite: %q, %v", got, err)
+	} else {
+		copy(got, "xxxxxx") // a caller scribbling on its read result
 	}
-	c1 := pool.CaptureDirty(1)
-	if len(c1) != 1 || c1[0].Page != p1 {
-		t.Fatalf("tag 1 capture: %+v", c1)
+	if len(copies) != 1 || string(copies[0].Data) != "before" {
+		t.Fatalf("captured bytes changed under a rewrite: %+v", copies)
 	}
-	if none := pool.CaptureDirty(NoTag); len(none) != 0 {
-		t.Fatalf("untagged capture took tagged pages: %+v", none)
-	}
-	if all := pool.CaptureDirtyGroups(); len(all) != 2 {
-		t.Fatalf("all-groups capture: %+v", all)
-	}
-}
-
-// TestCaptureDirtyGroups: one walk buckets every flush group.
-func TestCaptureDirtyGroups(t *testing.T) {
-	dev := newDev()
-	pool := NewWritebackPool(dev, 8)
-	if pool.CaptureDirtyGroups() != nil {
-		t.Fatal("groups of a clean pool should be nil")
-	}
-	for tag := 0; tag < 3; tag++ {
-		view := pool.Tagged(tag)
-		for i := 0; i <= tag; i++ {
-			p, _ := view.Alloc()
-			if err := view.Write(p, []byte{byte(tag)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	groups := pool.CaptureDirtyGroups()
-	for tag := 0; tag < 3; tag++ {
-		if len(groups[tag]) != tag+1 {
-			t.Fatalf("group %d has %d pages, want %d", tag, len(groups[tag]), tag+1)
-		}
-		for _, cp := range groups[tag] {
-			if cp.Data[0] != byte(tag) {
-				t.Fatalf("group %d captured foreign page %d", tag, cp.Page)
-			}
-		}
+	if got, _ := pool.Read(p); string(got) != "AFTER!" {
+		t.Fatalf("frame changed by a caller's read buffer: %q", got)
 	}
 }

@@ -335,15 +335,25 @@ func (t *Tree) PendingWrites() []PendingWrite {
 // forced time split at their next opportunity (§3.5's optimization).
 func (t *Tree) MarkedLeafCount() int { return len(t.marked) }
 
+// CheckSizes reports the error Insert returns for a key of keyLen bytes
+// and a value of valueLen bytes that exceed the tree's bounds. The
+// bounds never change, so it needs no latch.
+func (t *Tree) CheckSizes(keyLen, valueLen int) error {
+	if keyLen > t.cfg.MaxKeySize {
+		return fmt.Errorf("core: key of %d bytes exceeds MaxKeySize %d", keyLen, t.cfg.MaxKeySize)
+	}
+	if valueLen > t.cfg.MaxValueSize {
+		return fmt.Errorf("core: value of %d bytes exceeds MaxValueSize %d", valueLen, t.cfg.MaxValueSize)
+	}
+	return nil
+}
+
 func (t *Tree) validate(v record.Version) error {
 	if len(v.Key) == 0 {
 		return fmt.Errorf("core: empty key")
 	}
-	if len(v.Key) > t.cfg.MaxKeySize {
-		return fmt.Errorf("core: key of %d bytes exceeds MaxKeySize %d", len(v.Key), t.cfg.MaxKeySize)
-	}
-	if len(v.Value) > t.cfg.MaxValueSize {
-		return fmt.Errorf("core: value of %d bytes exceeds MaxValueSize %d", len(v.Value), t.cfg.MaxValueSize)
+	if err := t.CheckSizes(len(v.Key), len(v.Value)); err != nil {
+		return err
 	}
 	switch {
 	case v.Time == record.TimePending:

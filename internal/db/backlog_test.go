@@ -51,8 +51,8 @@ func TestWALBacklogAcrossCheckpoint(t *testing.T) {
 	put(d, 1)
 	put(d, 2)
 	st := d.Stats().WAL
-	if st.BacklogBytes != 2*frame || st.BacklogBytes != st.Bytes {
-		t.Fatalf("backlog = %d (bytes %d), want %d", st.BacklogBytes, st.Bytes, 2*frame)
+	if st.BacklogBytes != 2*frame || st.BacklogBytes != st.Bytes || d.WALBacklogBytes() != st.BacklogBytes {
+		t.Fatalf("backlog = %d (bytes %d, lock-free read %d), want %d", st.BacklogBytes, st.Bytes, d.WALBacklogBytes(), 2*frame)
 	}
 	if len(due) != 0 {
 		t.Fatal("a backlog one commit under CheckpointBytes signalled a checkpoint")
@@ -84,7 +84,7 @@ func TestWALBacklogAcrossCheckpoint(t *testing.T) {
 		t.Fatalf("post-checkpoint backlog = %d, want 0", got)
 	}
 	put(d, 5)
-	if got := d.Stats().WAL.BacklogBytes; got != frame {
-		t.Fatalf("post-checkpoint append backlog = %d, want %d", got, frame)
+	if got := d.Stats().WAL.BacklogBytes; got != frame || d.WALBacklogBytes() != frame {
+		t.Fatalf("post-checkpoint append backlog = %d (lock-free read %d), want %d", got, d.WALBacklogBytes(), frame)
 	}
 }

@@ -90,7 +90,7 @@ func costRows(t *testing.T, d *DB, name string, op func()) []string {
 			name, float64(a1[0]-a0[0])/costOps, float64(a1[1]-a0[1])/costOps)
 	}
 	rows := []string{row(name, prim0, prim1)}
-	if len(d.secondaryNames()) > 0 {
+	if len(d.secondaries) > 0 {
 		rows = append(rows, row(name+" index", idx0, idx1))
 	}
 	// The alloc runs move the tree on, so they run in both builds.

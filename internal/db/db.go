@@ -63,11 +63,11 @@
 //     not O(database) — through a rollback journal (old contents
 //     fsynced before any slot is overwritten), then fsyncs both device
 //     files, then installs a metadata-only checkpoint: tree roots, page
-//     allocator, WORM burned boundary, and one WAL boundary per tree.
-//     Log segments the checkpoint covers are then deleted. The flush
-//     pre-runs shard by shard with commits flowing; only each shard's
-//     boundary capture (memory copies, no I/O) briefly holds the commit
-//     token plus that shard's latch.
+//     allocator, WORM burned boundary, all at one WAL boundary. Log
+//     segments the checkpoint covers are then deleted. The flush
+//     pre-runs with commits flowing; only the boundary capture (the log
+//     rotation and a walk of memory, no page I/O) briefly holds the
+//     commit token plus every shard's read latch.
 //   - When checkpoints happen: Open and Close each end at one, and in
 //     between the log append that crosses Config.CheckpointBytes
 //     triggers the background one.
@@ -83,10 +83,10 @@
 //     Pending versions of transactions in flight at the boundary are
 //     erased from the image (the checkpoint lists exactly those the
 //     images hold; one that is missing fails Open as corruption),
-//     then the WAL tail replays, each version to its shard only past
-//     that shard's boundary — so recovery reads the checkpoint metadata
-//     plus O(log tail), never the whole database, and applies every
-//     commit to every tree exactly once.
+//     then the WAL tail past the boundary replays into every tree — so
+//     recovery reads the checkpoint metadata plus O(log tail), never
+//     the whole database, and applies every commit to every tree
+//     exactly once.
 //
 // # Migration
 //
@@ -238,7 +238,11 @@ type Config struct {
 }
 
 // SecondaryExtract derives the secondary key from a record value. A nil
-// return means the record has no entry in that index.
+// return means the record has no entry in that index. It must be a pure
+// function of the value, safe for concurrent use: every committer runs
+// it, with no latch held, to check its write set before it is queued. A
+// write whose key the index refuses (one holding 0x00, or longer with
+// its primary key than 2×64 bytes) aborts its transaction.
 type SecondaryExtract func(value []byte) record.Key
 
 type secondaryIndex struct {
@@ -261,10 +265,8 @@ type DB struct {
 	// flush protocol.
 	pf *pagestore.PageFile
 	bf *pagestore.BurnFile
-	// epoch is the installed checkpoint epoch; secTag the flush group of
-	// the secondary indexes (shard i uses group i).
-	epoch  uint64
-	secTag int
+	// epoch is the installed checkpoint epoch.
+	epoch uint64
 
 	// deadBytes is the payload carried by write-once runs nothing
 	// references — post-crash orphans — i.e. capacity the device
@@ -374,7 +376,6 @@ func Open(cfg Config) (_ *DB, err error) {
 	if meta != nil {
 		cfg.Shards = info.Shards
 	}
-	d.secTag = cfg.Shards
 
 	// Devices and pool.
 	if durable {
@@ -390,9 +391,9 @@ func Open(cfg Config) (_ *DB, err error) {
 	trees := make([]*core.Tree, cfg.Shards)
 	for i := range trees {
 		if meta != nil {
-			trees[i], err = core.FromImage(d.treePages(i), d.worm, meta.Shards[i])
+			trees[i], err = core.FromImage(d.pool, d.worm, meta.Shards[i])
 		} else {
-			trees[i], err = core.New(d.treePages(i), d.worm, core.Config{
+			trees[i], err = core.New(d.pool, d.worm, core.Config{
 				Policy:        cfg.Policy,
 				MaxKeySize:    cfg.MaxKeySize,
 				MaxValueSize:  cfg.MaxValueSize,
@@ -409,10 +410,7 @@ func Open(cfg Config) (_ *DB, err error) {
 	for name, extract := range cfg.Secondaries {
 		var img *core.TreeImage
 		if meta != nil {
-			saved, ok := meta.Secondaries[name]
-			if !ok {
-				return nil, fmt.Errorf("db: checkpoint names secondary index %q but holds no image of it", name)
-			}
+			saved := meta.Secondaries[name] // checkExtractors matched the names
 			img = &saved
 		}
 		if err := d.addSecondary(name, extract, img); err != nil {
@@ -432,7 +430,7 @@ func Open(cfg Config) (_ *DB, err error) {
 	// (the checkpoint clock is a lower bound of it).
 	d.tm = txn.NewManager(d.store, max(d.store.Now(), info.Clock))
 	if len(d.secondaries) > 0 {
-		d.tm.SetCommitHook(d.onCommit)
+		d.setCommitHook()
 	}
 	if durable {
 		d.wal, err = wal.Open(wal.Options{Dir: cfg.Dir, CheckpointBytes: cfg.CheckpointBytes, WrapFile: cfg.logWrap}, nextSeg, lastLSN)
@@ -493,8 +491,8 @@ func (d *DB) wireObs() {
 	if d.bf != nil {
 		d.bf.RegisterMetrics(d.reg)
 	}
-	d.reg.RegisterHistogram("tsb_checkpoint_seconds", "whole-checkpoint duration, quiesce windows included", &d.cpHist)
-	d.reg.RegisterHistogram("tsb_checkpoint_pause_seconds", "commit-posting pause of each completed checkpoint: the sum of its quiesce windows", &d.cpPause)
+	d.reg.RegisterHistogram("tsb_checkpoint_seconds", "whole-checkpoint duration, quiesce window included", &d.cpHist)
+	d.reg.RegisterHistogram("tsb_checkpoint_pause_seconds", "commit-posting pause of each completed checkpoint: its boundary capture's quiesce window", &d.cpPause)
 }
 
 // Metrics returns the database's metric registry: every engine
@@ -508,17 +506,6 @@ func (d *DB) Metrics() *obs.Registry { return d.reg }
 // non-nil.
 func (d *DB) Events() *obs.EventLog { return d.events }
 
-// treePages returns the page store a tree writes through: on file-backed
-// devices the pool view tagged with the tree's flush group (shard i =
-// group i, the secondary indexes share secTag), so checkpoints can
-// capture and flush one group at a time; in memory the pool itself.
-func (d *DB) treePages(tag int) storage.PageStore {
-	if d.pf != nil {
-		return d.pool.Tagged(tag)
-	}
-	return d.pool
-}
-
 // addSecondary builds the tree of secondary index name — reattached from
 // img when non-nil, else new — registers it, and names the tree's
 // node-access counters in the metric registry under index=name.
@@ -531,9 +518,9 @@ func (d *DB) addSecondary(name string, extract SecondaryExtract, img *core.TreeI
 	var ix *secondary.Index
 	var err error
 	if img != nil {
-		ix, err = secondary.FromImage(name, d.treePages(d.secTag), d.worm, *img)
+		ix, err = secondary.FromImage(name, d.pool, d.worm, *img)
 	} else {
-		ix, err = secondary.New(name, d.treePages(d.secTag), d.worm, core.Config{Policy: d.policy})
+		ix, err = secondary.New(name, d.pool, d.worm, core.Config{Policy: d.policy})
 	}
 	if err != nil {
 		return fmt.Errorf("db: secondary %q: %w", name, err)
@@ -557,7 +544,7 @@ func (d *DB) CreateSecondary(name string, extract SecondaryExtract) error {
 	}
 	// Without secondaries no hook is installed, so a commit builds no
 	// record unless it logs one, and reads no replaced version.
-	d.tm.SetCommitHook(d.onCommit)
+	d.setCommitHook()
 	if d.wal != nil {
 		if err := d.Checkpoint(); err != nil {
 			return fmt.Errorf("db: sealing secondary index %q: %w", name, err)
@@ -585,6 +572,36 @@ func (d *DB) onCommit(rec txn.CommitRecord) error {
 		}
 	}
 	return nil
+}
+
+// setCommitHook installs secondary-index maintenance on the commit
+// path: onCommit as the hook, and as the check every extractor over
+// every new value, each key checked as Apply checks it, so a panicking
+// extractor or a refused key aborts its transaction unlogged and
+// unstamped; onCommit can then fail only on a device error. The check
+// closes over the indexes registered now and holds no latch.
+func (d *DB) setCommitHook() {
+	d.secMu.RLock()
+	secs := make([]*secondaryIndex, 0, len(d.secondaries))
+	for _, s := range d.secondaries {
+		secs = append(secs, s)
+	}
+	d.secMu.RUnlock()
+	d.tm.SetCommitHook(d.onCommit, func(writes []record.Version) error {
+		for _, v := range writes {
+			if v.Tombstone {
+				continue
+			}
+			for _, s := range secs {
+				if sk := s.extract(v.Value); sk != nil {
+					if err := s.index.CheckEntry(sk, v.Key); err != nil {
+						return fmt.Errorf("db: %w", err)
+					}
+				}
+			}
+		}
+		return nil
+	})
 }
 
 // applySecondaries posts one key's change from oldV to newV at ct to
@@ -738,7 +755,7 @@ type Stats struct {
 	Migrator MigratorStats
 	// Checkpoint is the checkpoint pause accounting: how long, in
 	// total and at most per checkpoint, commit posting was quiesced for
-	// boundary captures. The fuzzy per-shard capture exists to shrink it.
+	// boundary captures.
 	Checkpoint CheckpointStats
 	// Secondaries maps index name to its tree stats.
 	Secondaries map[string]core.Stats
@@ -789,6 +806,16 @@ func (d *DB) Stats() Stats {
 	}
 	d.secMu.RUnlock()
 	return st
+}
+
+// WALBacklogBytes is Stats().WAL.BacklogBytes without the snapshot: it
+// takes no latch, so an admission check can read it on every write.
+// Always 0 in memory.
+func (d *DB) WALBacklogBytes() uint64 {
+	if d.wal == nil {
+		return 0
+	}
+	return d.wal.BacklogBytes()
 }
 
 // Shards returns the number of key-range partitions.

@@ -3,6 +3,7 @@ package db
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -179,6 +180,99 @@ func TestSecondaryIndexEndToEnd(t *testing.T) {
 	// Unknown index errors.
 	if _, err := d.LookupSecondary("nope", record.StringKey("x"), 1); err == nil {
 		t.Error("unknown index should error")
+	}
+}
+
+// TestSecondaryExtractorFailureAbortsCommit: a value the extractor
+// panics on, or whose secondary key the index would refuse (a NUL byte,
+// a composite key past the index's key bound), aborts its transaction
+// before anything is logged, stamped or indexed: the key keeps its old
+// value, the clock does not move, and the key stays writable — in
+// memory and across a durable reopen.
+func TestSecondaryExtractorFailureAbortsCommit(t *testing.T) {
+	extract := func(v []byte) record.Key {
+		switch {
+		case string(v) == "boom":
+			panic("extractor refuses boom")
+		case strings.HasPrefix(string(v), "-"):
+			return nil // no index entry
+		}
+		return record.Key(v)
+	}
+	rows := []struct {
+		name, key          string
+		maxKey             int
+		first, bad, second string
+		want               string
+	}{
+		{name: "panic", key: "k", first: "ok1", bad: "boom", second: "ok2", want: "panicked"},
+		{name: "NUL in secondary key", key: "k", first: "ok1", bad: "a\x00b", second: "ok2", want: "NUL"},
+		// "k" + 0x00 + 128 bytes is one past the 129-byte bound; 127 fits.
+		{name: "long secondary key", key: "k", first: "ok1", bad: strings.Repeat("s", 128), second: strings.Repeat("s", 127), want: "MaxKeySize"},
+		// A primary key the raised primary bound admits, too long for
+		// any composite key; values without an index entry still commit.
+		{name: "long primary key", key: strings.Repeat("p", 128), maxKey: 200, first: "-1", bad: "v", second: "-2", want: "MaxKeySize"},
+	}
+	for _, r := range rows {
+		for _, durable := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/durable=%v", r.name, durable), func(t *testing.T) {
+				cfg := Config{Secondaries: map[string]SecondaryExtract{"val": extract}, CheckpointBytes: -1, MaxKeySize: r.maxKey}
+				if durable {
+					cfg.Dir = t.TempDir()
+				}
+				key := record.StringKey(r.key)
+				d := open(t, cfg)
+				put(t, d, r.key, r.first)
+				now, aborted := d.Now(), d.Stats().Txn.Aborted
+				err := d.Update(func(tx *txn.Txn) error { return tx.Put(key, []byte(r.bad)) })
+				if err == nil || !strings.Contains(err.Error(), r.want) {
+					t.Fatalf("commit of an unindexable value = %v, want %q", err, r.want)
+				}
+				if v, ok, err := d.Get(key); err != nil || !ok || string(v.Value) != r.first {
+					t.Fatalf("after the failed commit Get = %q %v %v, want %q", v.Value, ok, err, r.first)
+				}
+				if got := d.Now(); got != now {
+					t.Fatalf("failed commit moved the clock %s -> %s", now, got)
+				}
+				if got := d.Stats().Txn.Aborted; got != aborted+1 {
+					t.Fatalf("aborted %d -> %d, want one more", aborted, got)
+				}
+				put(t, d, r.key, r.second) // the key is still writable
+				check := func(d *DB) {
+					t.Helper()
+					if v, ok, err := d.Get(key); err != nil || !ok || string(v.Value) != r.second {
+						t.Fatalf("Get = %q %v %v, want %q", v.Value, ok, err, r.second)
+					}
+					want := map[string]int{r.first: 0, r.second: 1}
+					if extract([]byte(r.second)) == nil {
+						want[r.second] = 0
+					}
+					for skey, n := range want {
+						if keys, err := d.LookupSecondary("val", record.StringKey(skey), d.Now()); err != nil || len(keys) != n {
+							t.Fatalf("index %q now = %v %v, want %d keys", skey, keys, err, n)
+						}
+					}
+					// A NUL-bearing key is refused at lookup too.
+					if keys, err := d.LookupSecondary("val", record.StringKey(r.bad), d.Now()); err == nil && len(keys) != 0 {
+						t.Fatalf("index %q now = %v, want none", r.bad, keys)
+					}
+					if err := d.CheckInvariants(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				check(d)
+				if err := d.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if durable {
+					d = open(t, cfg)
+					check(d)
+					if err := d.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

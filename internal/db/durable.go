@@ -9,13 +9,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"syscall"
-	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/pagestore"
-	"repro/internal/record"
 	"repro/internal/txn"
 	"repro/internal/wal"
 )
@@ -61,7 +58,7 @@ func (d *DB) lockAndReadCheckpoint(cfg Config) (info wal.CheckpointInfo, err err
 		return info, fmt.Errorf("db: %s has %d shards, config asks for %d",
 			cfg.Dir, info.Shards, cfg.Shards)
 	}
-	return info, checkExtractors(info.Secondaries, cfg.Secondaries)
+	return info, checkExtractors(info.Paged.SecondaryNames(), cfg.Secondaries)
 }
 
 // openFileDevices opens the burn and page files in cfg.Dir behind a
@@ -120,20 +117,13 @@ func checkExtractors(names []string, extracts map[string]SecondaryExtract) error
 
 // recoverTo brings the reattached trees up to the acknowledged state: it
 // erases the pending versions the checkpointed pages may hold, then
-// replays every WAL segment past the checkpoint boundary. A checkpoint
-// is fuzzy — shard i's image was captured at GroupLSNs[i] and the
-// secondary indexes at SecLSN (>= every group LSN, they are captured
-// last), all >= the header LSN the replay starts from — so each version
-// applies to its primary shard only past that shard's boundary, and a
-// record drives the secondary indexes only past SecLSN: exactly once per
-// tree. With no installed checkpoint every boundary is zero and
-// everything applies. It returns the last intact LSN and the segment
-// number a fresh log should start at.
+// replays every WAL record past the checkpoint's LSN — every tree was
+// captured at that LSN, so each record applies to every tree exactly
+// once. With no installed checkpoint the LSN is zero and everything
+// applies. It returns the last intact LSN and the segment number a fresh
+// log should start at.
 func (d *DB) recoverTo(info wal.CheckpointInfo) (lastLSN, nextSeg uint64, err error) {
-	group := make([]uint64, len(d.store.shards))
-	secLSN := uint64(0)
 	if m := info.Paged; m != nil {
-		group, secLSN = m.GroupLSNs, m.SecLSN
 		// The transactions in flight at the boundary died with the
 		// crash; a committed one re-arrives from its log frame. The
 		// list is exactly the pending versions the images hold, so one
@@ -159,7 +149,7 @@ func (d *DB) recoverTo(info wal.CheckpointInfo) (lastLSN, nextSeg uint64, err er
 				return fmt.Errorf("db: recovery gap: LSN %d follows %d (missing segment?)", lsn, last)
 			}
 			last = lsn
-			return d.replayCommit(lsn, rec, group, secLSN)
+			return d.replayCommit(rec)
 		})
 		if err != nil {
 			return 0, 0, err
@@ -173,25 +163,18 @@ func (d *DB) recoverTo(info wal.CheckpointInfo) (lastLSN, nextSeg uint64, err er
 	return last, nextSeg, nil
 }
 
-// replayCommit redoes one logged transaction, filtered by the fuzzy
-// capture boundaries: group[i] is shard i's, secLSN the secondaries'.
-// Records replay in LSN order, so commit times never decrease globally,
-// as the secondary trees (each spanning all shards) require.
-func (d *DB) replayCommit(lsn uint64, rec txn.CommitRecord, group []uint64, secLSN uint64) error {
+// replayCommit redoes one logged transaction: its versions into their
+// shards, then, with every key of it in the store, its secondary-index
+// maintenance, exactly as the commit hook finds the store live. Records
+// replay in LSN order, so commit times never decrease globally, as the
+// secondary trees (each spanning all shards) require.
+func (d *DB) replayCommit(rec txn.CommitRecord) error {
 	for _, v := range rec.Versions {
-		if lsn <= group[record.ShardOfKey(v.Key, len(group))] {
-			// The shard's image was captured past this record: the
-			// version is already in it.
-			continue
-		}
 		if err := d.store.Insert(v); err != nil {
 			return fmt.Errorf("db: replay of txn %d at %s: %w", rec.TxnID, rec.Time, err)
 		}
 	}
-	// Past SecLSN the indexes have not seen the record. SecLSN >= every
-	// group LSN, so every shard holds the record by now, exactly as the
-	// commit hook finds the store live.
-	if lsn > secLSN && len(d.secondaries) > 0 {
+	if len(d.secondaries) > 0 {
 		if err := d.onCommit(rec); err != nil {
 			return fmt.Errorf("db: replay of txn %d at %s: secondary indexes: %w", rec.TxnID, rec.Time, err)
 		}
@@ -199,24 +182,11 @@ func (d *DB) replayCommit(lsn uint64, rec txn.CommitRecord, group []uint64, secL
 	return nil
 }
 
-// secondaryNames returns the registered secondary-index names, sorted.
-func (d *DB) secondaryNames() []string {
-	d.secMu.RLock()
-	defer d.secMu.RUnlock()
-	names := make([]string, 0, len(d.secondaries))
-	for name := range d.secondaries {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Checkpoint takes an incremental checkpoint of a durable database and
-// truncates the log, without stopping writers: dirty pages are flushed,
-// each shard's boundary is captured under a brief pause of commit
-// posting plus that shard's read latch, and old segments are deleted
-// once the checkpoint file is durably installed. Concurrent checkpoints
-// serialize.
+// truncates the log: dirty pages are flushed with writers running, the
+// boundary is captured in one brief pause of commit posting plus every
+// shard's read latch, and old segments are deleted once the checkpoint
+// file is durably installed. Concurrent checkpoints serialize.
 func (d *DB) Checkpoint() error {
 	if d.wal == nil {
 		return fmt.Errorf("db: Checkpoint requires a durable database (Config.Dir)")
@@ -230,28 +200,17 @@ func (d *DB) Checkpoint() error {
 }
 
 // checkpointLocked runs one checkpoint — caller holds cpMu — and, once
-// it completes, observes its pause (the sum of its quiesce windows).
+// it completes, observes its pause (its quiesce window).
 func (d *DB) checkpointLocked() error {
 	sp := d.events.StartSpan("checkpoint", &d.cpHist)
-	var pause time.Duration
-	if err := d.flushAndInstall(&pause); err != nil {
+	pause, err := d.flushAndInstall()
+	if err != nil {
 		sp.End("error: " + err.Error())
 		return err
 	}
 	d.cpPause.Observe(pause)
 	sp.End(fmt.Sprintf("pause=%s", pause))
 	return nil
-}
-
-// quiesceTimed is tm.Quiesce that adds the commit-posting stall it
-// inflicts on writers to *pause.
-//
-//tsb:wraps commit-token
-func (d *DB) quiesceTimed(pause *time.Duration, fn func() error) error {
-	start := time.Now()
-	err := d.tm.Quiesce(fn)
-	*pause += time.Since(start)
-	return err
 }
 
 // Close stops the maintenance loop, takes a final checkpoint unless a

@@ -140,9 +140,8 @@ func TestDurableSecondariesRecovered(t *testing.T) {
 func TestDurableSecondariesMultiShardCheckpointReopen(t *testing.T) {
 	// The secondary index is ONE tree spanning all shards, so recovery
 	// must feed it commit times that never decrease GLOBALLY: its image
-	// plus the tail past its own boundary, in log order, whatever the
-	// per-shard boundaries are. Keys here are spread so consecutive
-	// commits land on far-apart shards.
+	// plus the tail past the boundary, in log order. Keys here are
+	// spread so consecutive commits land on far-apart shards.
 	dir := t.TempDir()
 	secs := map[string]SecondaryExtract{"dept": deptExtract}
 	d := openDur(t, Config{Dir: dir, Shards: 4, Secondaries: secs, CheckpointBytes: -1})
@@ -426,9 +425,9 @@ func TestDurableCheckpointOnInMemoryDBFails(t *testing.T) {
 func TestDurableConcurrentCommitsAndCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	// Keys spread across all 4 shards and a secondary index riding
-	// along: a checkpoint racing the writers must stay boundary-exact
-	// per tree (replay must neither skip nor repeat a commit for any
-	// shard or for the shard-spanning secondary tree).
+	// along: a checkpoint racing the writers must capture every tree
+	// at its one boundary (replay must neither skip nor repeat a commit
+	// for any shard or for the shard-spanning secondary tree).
 	secs := map[string]SecondaryExtract{"dept": deptExtract}
 	d := openDur(t, Config{Dir: dir, Shards: 4, Secondaries: secs, CheckpointBytes: -1})
 	const workers = 4

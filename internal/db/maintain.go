@@ -1,9 +1,9 @@
 package db
 
 // The maintenance loop: background upkeep that keeps an aging database
-// young. It has one job, the fuzzy checkpoint flush (paged.go,
-// flushAndInstall), capturing the boundary one flush group at a time so
-// the writer-visible pause is one shard's capture. Between the
+// young. It has one job, the checkpoint flush (paged.go,
+// flushAndInstall): a pre-flush with writers running, then one short
+// boundary capture of every tree. Between the
 // checkpoints Open and Close take, the log says when one is due
 // (wal.Log.CheckpointDue); no clock is involved. Time-split migration is
 // not its job — it runs inline, inside each split (§3.4) — and dead WORM
@@ -30,9 +30,8 @@ type MigratorStats struct {
 }
 
 // CheckpointStats is the checkpoint pause accounting (Stats().Checkpoint):
-// a view over tsb_checkpoint_pause_seconds. A checkpoint's pause is the
-// sum of its quiesce windows — the fuzzy paged capture takes several
-// short ones instead of one global one, and this shows the difference.
+// a view over tsb_checkpoint_pause_seconds. A checkpoint's pause is its
+// one quiesce window, the boundary capture.
 type CheckpointStats struct {
 	// Checkpoints counts completed checkpoints.
 	Checkpoints uint64

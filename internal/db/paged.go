@@ -14,25 +14,19 @@ package db
 //     the page file always reconstructs to the last installed
 //     checkpoint boundary.
 //
-//   - A checkpoint pre-flushes dirty pages flush-group by flush-group
-//     (one group per shard, one for the secondary indexes) without any
-//     pause, then captures the boundary FUZZILY, one flush group at a
-//     time: the WAL is rotated under the commit token alone, and then
-//     each shard is captured under the token plus that ONE shard's read
-//     latch — its boundary LSN (meta GroupLSNs[i]), its tree image, its
-//     dirty pages (memory copies only), and its pending versions (its
-//     write locks). The secondary indexes are captured last, the same
-//     way, under the secondary latch (SecLSN), together with the page
-//     allocator and the WORM burned count. No instant quiesces the
-//     whole database: the pause a writer can observe is one shard's
-//     capture, not all of them. Replay compensates for the skew — a
-//     logged version applies to its primary shard only past that
-//     shard's GroupLSN, and to the secondaries only past SecLSN — so
-//     reload + tail replay stays exactly-once per tree. The skew
-//     windows can leak bounded garbage on a crash (a page allocated, or
-//     a run burned, after its tree's capture but before the allocator/
-//     burned capture): allocated-but-unreferenced pages and dead burns,
-//     never lost data. A dead burn stays burned, as on write-once media.
+//   - A checkpoint first pre-flushes the dirty-page table with commits
+//     running, which shrinks what the boundary must capture. Then it
+//     takes the boundary in ONE hold of the commit token: it rotates
+//     the WAL — the rotation LSN is the checkpoint's LSN — and, under
+//     every shard's read latch (in shard order) and the secondary
+//     latch's, captures every tree image, the pending versions (the
+//     in-flight transactions' write locks), the remaining dirty pages
+//     (shared buffers, no copies), the clock, the page allocator, the
+//     WORM burned count and the dead-burn bytes. The token stops commit
+//     posting and secondary maintenance, the read latches stop pending
+//     inserts and splits, so every tree and both devices are at that
+//     one LSN: replay applies every record past it to every tree,
+//     unfiltered, exactly once.
 //
 //   - The captured pages are flushed, both files fsynced, and the
 //     checkpoint metadata durably installed (tmp + fsync + rename).
@@ -49,7 +43,7 @@ package db
 //     reattaches the trees from their checkpointed images, erases the
 //     pending versions of the transactions in flight at the boundary
 //     (they died with the crash, and a page image cannot filter them
-//     out), and replays the WAL tail past the boundary LSNs. Orphaned
+//     out), and replays the WAL tail past the boundary LSN. Orphaned
 //     intact burns stay as burned waste, exactly as unacknowledged
 //     burns on write-once media would.
 
@@ -58,7 +52,6 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/core"
-	"repro/internal/record"
 	"repro/internal/wal"
 )
 
@@ -85,105 +78,48 @@ func (d *DB) flushPages(copies []buffer.DirtyPage) error {
 // flushAndInstall is the body of a checkpoint, called under cpMu. Its
 // cost is O(dirty pages), independent of database size: only the
 // dirty-page table is flushed and a metadata-only checkpoint installed.
-// The boundary capture is fuzzy — per flush group, never whole-database;
-// see the protocol at the top of this file and the GroupLSNs/SecLSN
-// fields of wal.PagedMeta.
-func (d *DB) flushAndInstall(pause *time.Duration) error {
-	// Fuzzy pre-flush, flush group by flush group (shards, then the
-	// secondary indexes — captured in ONE pool walk), with commits
-	// running: shrinks the set the boundary capture must copy. Pages
-	// this pass races with are simply re-captured at the boundary (the
-	// write epoch moved, so they stay dirty).
-	groups := d.pool.CaptureDirtyGroups()
-	for tag := 0; tag <= d.secTag; tag++ {
-		if err := d.flushPages(groups[tag]); err != nil {
-			return err
-		}
-	}
-	if err := d.flushPages(groups[buffer.NoTag]); err != nil {
-		return err
+// See the protocol at the top of this file. pause is the commit-posting
+// stall the boundary capture inflicted on writers.
+func (d *DB) flushAndInstall() (pause time.Duration, err error) {
+	// Pre-flush with commits running. Pages this races with keep a
+	// moved write epoch, so they stay dirty for the boundary capture.
+	if err := d.flushPages(d.pool.CaptureDirty()); err != nil {
+		return 0, err
 	}
 
-	nShards := len(d.store.shards)
 	meta := wal.PagedMeta{
 		Epoch:      d.epoch + 1,
 		PageSize:   d.pf.PageSize(),
 		SectorSize: d.bf.SectorSize(),
-		GroupLSNs:  make([]uint64, nShards),
-		Shards:     make([]core.TreeImage, nShards),
 	}
-
-	// Rotate first, under the token alone: every group LSN captured
-	// below is >= the rotation point, so the rotation LSN is the
-	// checkpoint header's LSN (segment retention, replay start) while
-	// the per-group LSNs make replay exactly-once per tree.
-	var boundary uint64
-	err := d.quiesceTimed(pause, func() error {
+	info := wal.CheckpointInfo{Shards: len(d.store.shards), Paged: &meta}
+	var copies []buffer.DirtyPage
+	start := time.Now()
+	err = d.tm.Quiesce(func() error {
 		lsn, err := d.wal.Rotate()
-		boundary = lsn
-		return err
-	})
-	if err != nil {
-		return err
-	}
-
-	// Capture shard by shard: the token stops commit posting (so the
-	// group LSN is posting-exact — appended implies fully in the store),
-	// and this ONE shard's read latch stops its in-flight transactions'
-	// pending inserts. Writers of every other shard run free; any page
-	// they re-dirty is detected by its write epoch and stays dirty. The
-	// flush I/O runs after the latch is released. The group LSN is read
-	// before the latch (level 4 may not nest in 5); the token holds it.
-	for i := range d.store.shards {
-		i, sh := i, d.store.shards[i]
-		var copies []buffer.DirtyPage
-		err := d.quiesceTimed(pause, func() error {
-			meta.GroupLSNs[i] = d.wal.LastLSN()
-			sh.mu.RLock()
-			defer sh.mu.RUnlock()
-			meta.Shards[i] = sh.tree.Image()
-			copies = d.pool.CaptureDirty(i)
-			// This shard's pending versions, exactly the ones its image
-			// holds at this instant: if this boundary is ever recovered
-			// their transactions are dead and recovery erases them (see
-			// recoverTo). One committed after this instant is past
-			// GroupLSNs[i]: erased, then replayed.
-			meta.Pending = append(meta.Pending, sh.tree.PendingWrites()...)
-			return nil
-		})
 		if err != nil {
 			return err
 		}
-		if err := d.flushPages(copies); err != nil {
-			return err
+		info.LSN = lsn
+		for _, sh := range d.store.shards { // in shard order
+			sh.mu.RLock()
+			defer sh.mu.RUnlock()
 		}
-	}
-
-	// The secondary indexes are captured last — SecLSN >= every group
-	// LSN, which replay relies on — together with everything whose
-	// capture must not precede any tree image: the page allocator (a
-	// page referenced by an image must be allocated in it) and the WORM
-	// burned count (a run referenced by an image must be below it).
-	// Captures after an image but before this instant leak at most
-	// bounded garbage on a crash: an allocated-but-unreferenced page, a
-	// dead burn that stays burned — never data.
-	var clock record.Timestamp
-	var copies []buffer.DirtyPage
-	err = d.quiesceTimed(pause, func() error {
-		meta.SecLSN = d.wal.LastLSN()
 		d.secMu.RLock()
 		defer d.secMu.RUnlock()
-		meta.Secondaries = make(map[string]core.TreeImage)
+		for _, sh := range d.store.shards {
+			meta.Shards = append(meta.Shards, sh.tree.Image())
+			// Exactly the pending versions the image holds: if this
+			// boundary is ever recovered their transactions are dead,
+			// and recovery erases them (see recoverTo).
+			meta.Pending = append(meta.Pending, sh.tree.PendingWrites()...)
+		}
+		meta.Secondaries = make(map[string]core.TreeImage, len(d.secondaries))
 		for name, s := range d.secondaries {
 			meta.Secondaries[name] = s.index.Image()
 		}
-		// Exact-tag captures: shard pages re-dirtied since their own
-		// group's boundary must stay dirty for the NEXT checkpoint —
-		// flushing them here would install commits past their shard's
-		// GroupLSN, which replay then re-applies (duplicates).
-		copies = d.pool.CaptureDirty(d.secTag)
-		copies = append(copies, d.pool.CaptureDirty(buffer.NoTag)...)
-		clock = d.tm.Now()
+		copies = d.pool.CaptureDirty()
+		info.Clock = d.tm.Now()
 		meta.Alloc = d.pf.AllocState()
 		meta.MagStats = d.pf.Stats()
 		meta.Burned = d.bf.Burned()
@@ -191,28 +127,21 @@ func (d *DB) flushAndInstall(pause *time.Duration) error {
 		meta.DeadBytes = d.deadBytes.Load()
 		return nil
 	})
-	if err != nil {
-		return err
+	if pause = time.Since(start); err != nil {
+		return pause, err
 	}
 
 	if err := d.flushPages(copies); err != nil {
-		return err
+		return pause, err
 	}
 	if err := d.pf.Sync(); err != nil {
-		return err
+		return pause, err
 	}
 	if err := d.bf.Sync(); err != nil {
-		return err
-	}
-	info := wal.CheckpointInfo{
-		Shards:      len(d.store.shards),
-		Clock:       clock,
-		LSN:         boundary,
-		Secondaries: d.secondaryNames(),
-		Paged:       &meta,
+		return pause, err
 	}
 	if err := wal.WriteCheckpoint(d.dir, d.logWrap, info); err != nil {
-		return err
+		return pause, err
 	}
 	// The rename landed: the installed boundary IS meta.Epoch from here
 	// on, whatever later steps return — record it before anything can
@@ -221,7 +150,7 @@ func (d *DB) flushAndInstall(pause *time.Duration) error {
 	// Retire the rollback journal and advance the restore point, then
 	// truncate the log.
 	if err := d.pf.CompleteFlush(meta.Epoch, meta.Alloc.Pages); err != nil {
-		return err
+		return pause, err
 	}
-	return d.wal.MarkCheckpoint()
+	return pause, d.wal.MarkCheckpoint()
 }

@@ -337,8 +337,8 @@ func framesPastCheckpoint(t *testing.T, dir string) int {
 	return n
 }
 
-// TestCheckpointPauseAccounting checks the Stats().Checkpoint surface
-// the fuzzy paged capture exists to shrink: a view over the
+// TestCheckpointPauseAccounting checks the Stats().Checkpoint surface,
+// the boundary capture's commit-posting pause: a view over the
 // tsb_checkpoint_pause_seconds histogram, which each completed checkpoint
 // — Open's included — observes exactly once and a failed one not at all.
 func TestCheckpointPauseAccounting(t *testing.T) {

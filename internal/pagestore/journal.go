@@ -30,14 +30,15 @@ import (
 //     installed checkpoint is a torn overwrite (replay it) and any other
 //     journal is stale (discard it).
 type journal struct {
-	f   storage.BlockFile
-	off int64
+	f     storage.BlockFile
+	off   int64  // end of the durable frames
+	end   int64  // end of the frames written since the last sync
+	frame []byte // one frame's bytes, reused
 }
 
-// createJournal starts a journal at path: the header frame plus any
-// entries already in hand go out in one write and one fsync. On return
-// they are durable.
-func createJournal(path string, w wrapFn, epoch, boundary uint64, entries ...[]byte) (*journal, error) {
+// createJournal starts a journal at path: its header frame is written
+// and fsynced before it returns.
+func createJournal(path string, w wrapFn, epoch, boundary uint64) (*journal, error) {
 	f, err := openBlock(path, true, w)
 	if err != nil {
 		return nil, fmt.Errorf("pagestore: create journal: %w", err)
@@ -45,34 +46,48 @@ func createJournal(path string, w wrapFn, epoch, boundary uint64, entries ...[]b
 	hdr := binary.LittleEndian.AppendUint64(append([]byte(nil), jrnlMagic[:]...), epoch)
 	hdr = binary.LittleEndian.AppendUint64(hdr, boundary)
 	j := &journal{f: f}
-	if err := j.append(append([][]byte{hdr}, entries...)...); err != nil {
+	if err = j.write(hdr); err == nil {
+		err = j.sync()
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
 	return j, nil
 }
 
-// append frames entries onto the journal's end and fsyncs. Only a nil
-// return means they are durable: after an error the caller must treat
-// none of them as journaled (a retry appends them again at the same
-// offset).
-func (j *journal) append(entries ...[]byte) error {
-	var buf []byte
-	for _, e := range entries {
-		if len(e) > record.MaxFramePayload {
-			return fmt.Errorf("pagestore: journal entry of %d bytes exceeds the frame limit", len(e))
-		}
-		buf = record.AppendFrame(buf, e)
+// write frames one entry onto the journal's end, without an fsync: it
+// is durable only once sync returns nil. Entries are written as they
+// are produced, so a batch never holds more than one in memory.
+func (j *journal) write(entry []byte) error {
+	if len(entry) > record.MaxFramePayload {
+		return fmt.Errorf("pagestore: journal entry of %d bytes exceeds the frame limit", len(entry))
 	}
-	if _, err := j.f.WriteAt(buf, j.off); err != nil {
+	j.frame = record.AppendFrame(j.frame[:0], entry)
+	if _, err := j.f.WriteAt(j.frame, j.end); err != nil {
 		return fmt.Errorf("pagestore: journal append: %w", err)
+	}
+	j.end += int64(len(j.frame))
+	return nil
+}
+
+// sync makes every entry written since the last sync durable with one
+// fsync, and issues none when nothing was written.
+func (j *journal) sync() error {
+	if j.end == j.off {
+		return nil
 	}
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("pagestore: journal sync: %w", err)
 	}
-	j.off += int64(len(buf))
+	j.off = j.end
 	return nil
 }
+
+// discard drops the entries written since the last sync: after a failed
+// write or sync none of them may count as journaled, and the next write
+// lands on them again.
+func (j *journal) discard() { j.end = j.off }
 
 func (j *journal) close() error { return j.f.Close() }
 

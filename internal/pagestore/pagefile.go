@@ -341,9 +341,10 @@ func (p *PageFile) Close() error {
 // --- rollback journal ---
 
 // journalBatch records the pre-flush contents of every not-yet-journaled
-// page in the batch and fsyncs the journal. Pages past the boundary
-// count need no entry: restore truncates the file back to the boundary.
-func (p *PageFile) journalBatch(pages []uint64) error {
+// page in the batch, each entry written as it is read, and covers them
+// all with one fsync. Pages past the boundary count need no entry:
+// restore truncates the file back to the boundary.
+func (p *PageFile) journalBatch(pages []uint64) (err error) {
 	if p.j == nil {
 		j, err := createJournal(journalPath(p.cfg.Path), p.cfg.Wrap, p.diskEpoch, p.diskPages)
 		if err != nil {
@@ -353,12 +354,18 @@ func (p *PageFile) journalBatch(pages []uint64) error {
 		p.journaled = make(map[uint64]bool)
 	}
 	// A page may be marked journaled ONLY once its entry (or its
-	// covered-by-truncation status) is durable: a failed append or sync
+	// covered-by-truncation status) is durable: a failed write or sync
 	// must leave every page of this batch eligible for re-journaling,
 	// or a retried checkpoint would overwrite slots with no durable
 	// pre-image and a later crash could not restore the boundary.
-	var entries [][]byte
+	defer func() {
+		if err != nil {
+			p.j.discard()
+		}
+	}()
 	var fresh []uint64
+	old := make([]byte, pageFrameHeader+p.pageSize)
+	var entry []byte
 	for _, page := range pages {
 		if p.journaled[page] {
 			continue
@@ -367,7 +374,6 @@ func (p *PageFile) journalBatch(pages []uint64) error {
 		if page >= p.diskPages {
 			continue // restore truncates past the boundary; no old bytes exist
 		}
-		old := make([]byte, pageFrameHeader+p.pageSize)
 		n, err := p.f.ReadAt(old, p.frameOff(page))
 		if err != nil && err != io.EOF {
 			return fmt.Errorf("pagestore: journal read of page %d: %w", page, err)
@@ -376,13 +382,14 @@ func (p *PageFile) journalBatch(pages []uint64) error {
 		if n >= pageFrameHeader && binary.LittleEndian.Uint32(old[0:4]) != 0 {
 			kind, keep = 1, min(n, pageFrameHeader+int(binary.LittleEndian.Uint32(old[4:8])))
 		}
-		entry := binary.LittleEndian.AppendUint64([]byte{kind}, page)
-		entries = append(entries, append(entry, old[:keep]...))
-	}
-	if len(entries) > 0 {
-		if err := p.j.append(entries...); err != nil {
+		entry = binary.LittleEndian.AppendUint64(append(entry[:0], kind), page)
+		entry = append(entry, old[:keep]...)
+		if err := p.j.write(entry); err != nil {
 			return err
 		}
+	}
+	if err := p.j.sync(); err != nil {
+		return err
 	}
 	for _, page := range fresh {
 		p.journaled[page] = true

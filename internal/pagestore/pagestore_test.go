@@ -385,10 +385,17 @@ func (f *flakyFile) Sync() error {
 }
 
 // TestPageFileRetryAfterJournalSyncFailure: a WriteBatch whose journal
-// sync fails must leave every page of the batch eligible for
-// re-journaling — a retried flush followed by a crash must still
-// restore the boundary image.
+// sync fails — the new journal's header sync (#1) or its entries' (#2) —
+// must leave every page of the batch eligible for re-journaling: a
+// retried flush followed by a crash must still restore the boundary
+// image.
 func TestPageFileRetryAfterJournalSyncFailure(t *testing.T) {
+	for _, failAt := range []int{1, 2} {
+		t.Run(fmt.Sprintf("sync%d", failAt), func(t *testing.T) { retryAfterJournalSyncFailure(t, failAt) })
+	}
+}
+
+func retryAfterJournalSyncFailure(t *testing.T, failAt int) {
 	cfg := pageCfg(t)
 	var flaky *flakyFile
 	cfg.Wrap = func(f storage.BlockFile) storage.BlockFile {
@@ -415,9 +422,9 @@ func TestPageFileRetryAfterJournalSyncFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Next flush: the journal's entry-batch sync (sync #2: header is
-	// #1) fails, so WriteBatch must fail WITHOUT touching the slot.
-	flaky = &flakyFile{failSyncN: 2}
+	// Next flush: a journal sync fails, so WriteBatch must fail
+	// WITHOUT touching the slot.
+	flaky = &flakyFile{failSyncN: failAt}
 	if err := pf.WriteBatch([]uint64{p}, [][]byte{[]byte("new1")}); err == nil {
 		t.Fatal("WriteBatch survived a journal sync failure")
 	}

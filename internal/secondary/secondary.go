@@ -58,12 +58,31 @@ func FromImage(name string, mag storage.PageStore, worm storage.WORMDevice, img 
 // Tree exposes the underlying TSB-tree (for stats and invariant checks).
 func (ix *Index) Tree() *core.Tree { return ix.tree }
 
+// CheckEntry reports the error Apply returns for posting skey for the
+// primary key pkey, short of a device error, without touching the tree
+// or allocating: composite's NUL rule, then the tree's size bounds for
+// the entry's key and its value, pkey.
+func (ix *Index) CheckEntry(skey, pkey record.Key) error {
+	if err := checkSkey(skey); err != nil {
+		return err
+	}
+	return ix.tree.CheckSizes(len(skey)+1+len(pkey), len(pkey))
+}
+
+// checkSkey refuses a secondary key holding 0x00, the separator.
+func checkSkey(skey record.Key) error {
+	if bytes.IndexByte(skey, 0) >= 0 {
+		return fmt.Errorf("secondary: secondary key %q contains NUL", skey)
+	}
+	return nil
+}
+
 // composite builds the index record key: secondary key, a 0x00 separator,
 // then primary key, so that entries order by secondary key first. The
 // secondary key must not contain 0x00.
 func composite(skey, pkey record.Key) (record.Key, error) {
-	if bytes.IndexByte(skey, 0) >= 0 {
-		return nil, fmt.Errorf("secondary: secondary key %q contains NUL", skey)
+	if err := checkSkey(skey); err != nil {
+		return nil, err
 	}
 	out := make(record.Key, 0, len(skey)+1+len(pkey))
 	out = append(out, skey...)

@@ -87,10 +87,6 @@ type Config struct {
 	// ShedWALBacklogBytes sheds writes while the WAL has grown this
 	// many bytes past the last checkpoint (0 = disabled).
 	ShedWALBacklogBytes int64
-	// AdmissionProbe is how long an admission verdict is cached before
-	// the engine gauge is re-read (default 5ms; negative probes on
-	// every write — tests).
-	AdmissionProbe time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -108,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CursorLease <= 0 {
 		c.CursorLease = time.Minute
-	}
-	if c.AdmissionProbe == 0 {
-		c.AdmissionProbe = 5 * time.Millisecond
 	}
 	return c
 }
@@ -164,10 +157,6 @@ type Server struct {
 	inFlight    obs.Gauge
 	ops         obs.Counter
 	shed        obs.Counter
-
-	// Cached admission verdict (admission.go).
-	admitProbe atomic.Int64
-	admitState atomic.Pointer[admitVerdict]
 
 	// allHist aggregates execution latency across every op; opHists
 	// break it down by op byte (index = wire op code), badHist catches

@@ -408,10 +408,8 @@ func TestServerCursorLeaseExpiry(t *testing.T) {
 
 func TestServerAdmissionShed(t *testing.T) {
 	// WAL backlog watermark of one byte: the first commit trips it.
-	// Negative probe interval disables verdict caching.
 	h := start(t, db.Config{}, server.Config{
 		ShedWALBacklogBytes: 1,
-		AdmissionProbe:      -1,
 	})
 	c := h.dial(t, client.Options{Tenant: []byte("shed")})
 

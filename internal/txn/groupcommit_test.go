@@ -279,7 +279,7 @@ func TestCommitHookPanicDoesNotStrandLeadership(t *testing.T) {
 			panic("extractor exploded")
 		}
 		return nil
-	})
+	}, nil)
 	tx := m.Begin()
 	if err := tx.Put(record.StringKey("boom"), []byte("v")); err != nil {
 		t.Fatal(err)
@@ -289,14 +289,80 @@ func TestCommitHookPanicDoesNotStrandLeadership(t *testing.T) {
 	if err := tx.Commit(); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("commit with panicking hook = %v", err)
 	}
-	// The system keeps committing: the leadership token was released
-	// and the key's lock dropped.
+	// The leadership token was released: the next commit gets an answer
+	// instead of parking forever. Its versions were stamped while the
+	// hook's state lacks them, so that answer is the diverged manager's
+	// refusal, and a checkpoint would be refused too.
 	tx2 := m.Begin()
 	if err := tx2.Put(record.StringKey("fine"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx2.Commit(); err != nil {
-		t.Fatalf("commit after hook panic: %v", err)
+	if err := tx2.Commit(); err == nil || !strings.Contains(err.Error(), "diverged") {
+		t.Fatalf("commit after a stamped hook failure = %v, want the diverged refusal", err)
+	}
+	if err := m.Quiesce(func() error { return nil }); err == nil {
+		t.Fatal("Quiesce on a diverged manager should fail")
+	}
+}
+
+// TestCommitCheckAbortsBeforeQueue: a write set the check refuses (here,
+// by panicking) aborts in Commit with nothing stamped, logged or hooked,
+// its locks released, and the manager keeps committing.
+func TestCommitCheckAbortsBeforeQueue(t *testing.T) {
+	m, tree := newManager(t)
+	var logged, hooked int
+	m.SetCommitLog(commitLogFunc(func(recs []CommitRecord) error {
+		logged += len(recs)
+		return nil
+	}))
+	m.SetCommitHook(func(CommitRecord) error { hooked++; return nil }, func(writes []record.Version) error {
+		for _, v := range writes {
+			if string(v.Value) == "boom" {
+				panic("extractor exploded")
+			}
+		}
+		return nil
+	})
+	now := m.Now()
+	tx := m.Begin()
+	for _, k := range []string{"a", "b"} {
+		if err := tx.Put(record.StringKey(k), []byte("boom")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("commit of a refused write set = %v", err)
+	}
+	if logged != 0 || hooked != 0 || m.Now() != now {
+		t.Fatalf("refused commit reached the log (%d) or hook (%d), or moved the clock %s -> %s",
+			logged, hooked, now, m.Now())
+	}
+	if st := m.Stats(); st.Aborted != 1 || st.Committed != 0 {
+		t.Fatalf("stats = %+v, want one abort", st)
+	}
+	if _, ok, err := tree.Get(record.StringKey("a")); err != nil || ok {
+		t.Fatalf("refused version visible: ok=%v err=%v", ok, err)
+	}
+	// Its pending versions are gone, so both keys are writable again.
+	if err := m.Update(func(tx *Txn) error {
+		if err := tx.Put(record.StringKey("a"), []byte("x")); err != nil {
+			return err
+		}
+		return tx.Put(record.StringKey("b"), []byte("y"))
+	}); err != nil {
+		t.Fatalf("commit after a refused one: %v", err)
+	}
+	if logged != 1 || hooked != 1 {
+		t.Fatalf("logged %d, hooked %d, want 1 each", logged, hooked)
+	}
+	// The hook and its check are installed as one pair: a nil check
+	// removes the earlier one.
+	m.SetCommitHook(func(CommitRecord) error { hooked++; return nil }, nil)
+	if err := m.Update(func(tx *Txn) error { return tx.Put(record.StringKey("a"), []byte("boom")) }); err != nil {
+		t.Fatalf("commit after the check was removed: %v", err)
+	}
+	if logged != 2 || hooked != 2 {
+		t.Fatalf("logged %d, hooked %d, want 2 each", logged, hooked)
 	}
 }
 

@@ -150,6 +150,12 @@ type Stats struct {
 // function with each replayed record.
 type CommitHook func(rec CommitRecord) error
 
+// CommitCheck validates a write set in Commit before it is queued: an
+// error or a panic aborts the transaction with nothing logged, stamped
+// or posted. The db layer runs its secondary-key extractors here, so
+// none fails in the hook, after every key is stamped.
+type CommitCheck func(writes []record.Version) error
+
 // CommitRecord is the redo record of one committed transaction: its
 // stamped write set, in key order, every version carrying the commit
 // time. It is what a CommitLog must make durable before the commit is
@@ -192,8 +198,9 @@ type Manager struct {
 	qMu   sync.Mutex //tsb:latch level=7 name=commit-queue
 	queue []*commitReq
 
-	hook CommitHook
-	log  CommitLog
+	hook  CommitHook
+	check atomic.Pointer[CommitCheck] // loaded by every Commit, outside the token
+	log   CommitLog
 	// broken, when non-nil, permanently fails further commits: the
 	// store failed to apply a durably-logged batch, so in-memory state
 	// has diverged from the log and only recovery (reopening the
@@ -236,12 +243,14 @@ func NewManager(store Store, startTime record.Timestamp) *Manager {
 	return m
 }
 
-// SetCommitHook installs the per-transaction commit callback. It takes
-// the leadership token, so every commit posted after it returns runs the
-// hook.
-func (m *Manager) SetCommitHook(h CommitHook) {
+// SetCommitHook installs the per-transaction commit callback and the
+// check every write set must pass before it is queued, as one pair (a
+// nil check removes the earlier one). It takes the leadership token, so
+// every commit posted after it returns runs the hook.
+func (m *Manager) SetCommitHook(h CommitHook, check CommitCheck) {
 	m.leaderCh <- struct{}{}
 	m.hook = h
+	m.check.Store(&check)
 	<-m.leaderCh
 }
 
@@ -415,6 +424,9 @@ func (t *Txn) sortedWrites() []record.Version {
 // itself. Either way, when a commit log is attached, a nil return means
 // the commit record is fsynced.
 //
+// A write set the installed CommitCheck refuses aborts before it is
+// queued: nothing is logged, stamped or posted.
+//
 // If posting fails partway (a store error — with the simulated devices
 // this means fault injection or corruption), Commit erases the
 // still-pending keys, releases every lock, and returns the error. Keys
@@ -441,6 +453,10 @@ func (t *Txn) Commit() error {
 		return nil
 	}
 	req := &commitReq{id: t.id, writes: t.sortedWrites(), done: make(chan commitResult, 1)}
+	if err := m.checkWrites(req.writes); err != nil {
+		m.failCommit(req.writes, t.id)
+		return err
+	}
 	start := time.Now()
 	m.qMu.Lock()
 	m.queue = append(m.queue, req)
@@ -528,12 +544,14 @@ func (m *Manager) runBatch(batch []*commitReq) {
 	for i, req := range batch {
 		ct := base + record.Timestamp(i) + 1
 		posted, err := m.postTxn(req, ct)
+		hookFailed := false
 		if err == nil && m.hook != nil {
 			if err = m.callHook(recs[i]); err != nil {
 				// Every key is stamped but the hook failed: the
 				// transaction counts as aborted, and its timestamp is
 				// burned below.
 				m.failCommit(nil, req.id)
+				hookFailed = true
 			}
 		}
 		if err != nil {
@@ -543,13 +561,14 @@ func (m *Manager) runBatch(batch []*commitReq) {
 				// may share it.
 				advance = ct
 			}
-			if m.log != nil && m.broken == nil {
-				// The record is already durable but the store refused
-				// it: runtime state has diverged from the log (for this
-				// caller the commit outcome is "unknown" — recovery
-				// will replay the record as committed). Poison the
-				// commit path; reopening the directory reconciles.
-				m.broken = fmt.Errorf("txn: store diverged from the commit log (reopen to recover): %w", err)
+			if (m.log != nil || hookFailed) && m.broken == nil {
+				// The record is durable but the store refused it, or it
+				// is stamped but the hook's state lacks it: runtime state
+				// has diverged (for this caller the outcome is "unknown"
+				// — recovery replays the record as committed). Poison
+				// the commit path; reopening a durable directory
+				// reconciles.
+				m.broken = fmt.Errorf("txn: store diverged from the commit log and hook (reopen to recover): %w", err)
 			}
 			continue
 		}
@@ -586,15 +605,29 @@ func (m *Manager) postTxn(req *commitReq, ct record.Timestamp) (posted bool, err
 // empty queue forever. As an error it takes the ordinary torn-commit
 // cleanup path instead.
 func (m *Manager) callHook(rec CommitRecord) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("txn: commit hook panicked: %v", r)
-		}
-	}()
+	defer recoverUser(&err, "hook")
 	if err := m.hook(rec); err != nil {
 		return fmt.Errorf("txn: commit hook at %s: %w", rec.Time, err)
 	}
 	return nil
+}
+
+// checkWrites runs the installed CommitCheck over a write set, a panic
+// in it becoming an error.
+func (m *Manager) checkWrites(writes []record.Version) (err error) {
+	if check := m.check.Load(); check != nil && *check != nil {
+		defer recoverUser(&err, "check")
+		err = (*check)(writes)
+	}
+	return err
+}
+
+// recoverUser, deferred, turns a panic in the commit hook or check (user
+// code) into *err.
+func recoverUser(err *error, what string) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("txn: commit %s panicked: %v", what, r)
+	}
 }
 
 // failCommit cleans up a failed commit: the remaining write set's

@@ -343,7 +343,7 @@ func TestCommitHookSeesOldAndNew(t *testing.T) {
 			events = append(events, ev)
 		}
 		return nil
-	})
+	}, nil)
 	m.Update(func(tx *Txn) error { return tx.Put(record.StringKey("k"), []byte("v1")) })
 	m.Update(func(tx *Txn) error {
 		if err := tx.Put(record.StringKey("k"), []byte("v2")); err != nil {

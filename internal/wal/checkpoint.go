@@ -14,14 +14,18 @@ import (
 // only one the engine writes or reads: the database pages live in the
 // device files (internal/pagestore), flushed before the checkpoint is
 // installed, and the checkpoint is a header, one PagedMeta frame
-// reattaching the engine to them at a page-consistent boundary, and the
-// footer that seals it.
-const PagedCheckpointFormatVersion = 4
+// reattaching the engine to them at a page-consistent boundary — every
+// tree captured at the header's LSN — and the footer that seals it.
+const PagedCheckpointFormatVersion = 5
 
-// retiredLogicalFormat is format 3, the logical checkpoint: a dump of
-// every committed version per shard, for a database held in RAM on
-// simulated disks. The engine no longer reads it.
-const retiredLogicalFormat = 3
+// retiredFormats names the formats the engine no longer reads. Format 3
+// dumped every committed version per shard, for a database held in RAM
+// on simulated disks; format 4 captured each tree at its own LSN, one
+// per shard plus one for the secondary indexes.
+var retiredFormats = map[uint64]string{
+	3: "the logical version dump",
+	4: "the per-shard fuzzy checkpoint",
+}
 
 // ErrRetiredFormat is returned by ReadCheckpoint for a checkpoint in a
 // format this engine no longer reads. The directory holds a real
@@ -39,16 +43,13 @@ type CheckpointInfo struct {
 	// Shards is the key-range shard count; a durable database reopens
 	// with the same count.
 	Shards int
-	// Clock is the commit clock when the last tree image was captured:
-	// a lower bound of the clock recovery resumes at.
+	// Clock is the commit clock at the boundary: a lower bound of the
+	// clock recovery resumes at.
 	Clock record.Timestamp
-	// LSN is the rotation boundary: every per-tree capture boundary in
-	// Paged is at or above it, so replay starts after it and segments
-	// wholly at or below it are deleted once the checkpoint lands.
+	// LSN is the boundary every tree image in Paged was captured at:
+	// replay applies every record after it, and segments wholly at or
+	// below it are deleted once the checkpoint lands.
 	LSN uint64
-	// Secondaries names the secondary indexes registered when the
-	// checkpoint was taken; reopening requires an extractor per name.
-	Secondaries []string
 	// Paged is the device/tree metadata. Never nil in a checkpoint
 	// ReadCheckpoint returned.
 	Paged *PagedMeta
@@ -93,10 +94,6 @@ func WriteCheckpoint(dir string, wrap func(storage.LogFile) storage.LogFile, inf
 	e.Uvarint(uint64(info.Shards))
 	e.Time(info.Clock)
 	e.Uvarint(info.LSN)
-	e.Uvarint(uint64(len(info.Secondaries)))
-	for _, name := range info.Secondaries {
-		e.Blob([]byte(name))
-	}
 	if err = write(e.Bytes()); err != nil {
 		return err
 	}
@@ -128,15 +125,25 @@ func WriteCheckpoint(dir string, wrap func(storage.LogFile) storage.LogFile, inf
 // no checkpoint exists (a fresh or pre-first-checkpoint directory). A
 // checkpoint is only ever installed complete, so a torn or incomplete
 // one is corruption, not a crash artifact: the error says so. A
-// checkpoint in the retired logical format fails with ErrRetiredFormat.
+// checkpoint in a retired format (3 or 4) fails with ErrRetiredFormat.
 func ReadCheckpoint(dir string) (info CheckpointInfo, found bool, err error) {
-	buf, err := os.ReadFile(filepath.Join(dir, checkpointName))
+	path := filepath.Join(dir, checkpointName)
+	buf, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return CheckpointInfo{}, false, nil
 	}
 	if err != nil {
 		return CheckpointInfo{}, false, err
 	}
+	if info, err = parseCheckpoint(path, buf); err != nil {
+		return CheckpointInfo{}, false, err
+	}
+	return info, true, nil
+}
+
+// parseCheckpoint decodes and verifies the bytes of the checkpoint file
+// at path (named in errors only).
+func parseCheckpoint(path string, buf []byte) (info CheckpointInfo, err error) {
 	sawHeader, sawFooter := false, false
 	clean, err := record.WalkFrames(buf, func(payload []byte) error {
 		d := record.NewDecoder(payload)
@@ -146,24 +153,16 @@ func ReadCheckpoint(dir string) (info CheckpointInfo, found bool, err error) {
 				return fmt.Errorf("wal: duplicate checkpoint header")
 			}
 			sawHeader = true
-			switch version := d.Uvarint(); version {
-			case PagedCheckpointFormatVersion:
-			case retiredLogicalFormat:
-				return fmt.Errorf("%w: %s is format %d, the logical version dump; this engine reads only format %d",
-					ErrRetiredFormat, filepath.Join(dir, checkpointName), version, PagedCheckpointFormatVersion)
-			default:
+			if version := d.Uvarint(); version != PagedCheckpointFormatVersion {
+				if name, ok := retiredFormats[version]; ok {
+					return fmt.Errorf("%w: %s is format %d, %s; this engine reads only format %d",
+						ErrRetiredFormat, path, version, name, PagedCheckpointFormatVersion)
+				}
 				return fmt.Errorf("wal: checkpoint format %d, want %d", version, PagedCheckpointFormatVersion)
 			}
 			info.Shards = int(d.Uvarint())
 			info.Clock = d.Time()
 			info.LSN = d.Uvarint()
-			n := d.Uvarint()
-			if n > uint64(d.Remaining()) {
-				return fmt.Errorf("wal: checkpoint header: %d secondaries", n)
-			}
-			for i := uint64(0); i < n; i++ {
-				info.Secondaries = append(info.Secondaries, string(d.Blob()))
-			}
 			if err := d.Err(); err != nil {
 				return fmt.Errorf("wal: checkpoint header: %w", err)
 			}
@@ -199,13 +198,13 @@ func ReadCheckpoint(dir string) (info CheckpointInfo, found bool, err error) {
 		}
 	})
 	if err != nil {
-		return CheckpointInfo{}, false, err
+		return CheckpointInfo{}, err
 	}
 	if !clean || !sawHeader || !sawFooter {
-		return CheckpointInfo{}, false, fmt.Errorf("wal: checkpoint incomplete or corrupt")
+		return CheckpointInfo{}, fmt.Errorf("wal: checkpoint incomplete or corrupt")
 	}
 	if info.Paged == nil {
-		return CheckpointInfo{}, false, fmt.Errorf("wal: checkpoint missing its paged-meta frame")
+		return CheckpointInfo{}, fmt.Errorf("wal: checkpoint missing its paged-meta frame")
 	}
-	return info, true, nil
+	return info, nil
 }

@@ -4,10 +4,12 @@ package wal
 // engine to its file-backed devices (internal/pagestore) at a
 // page-consistent boundary — the page allocator, the WORM burned-sector
 // boundary, the cumulative device accounting, and each tree's image
-// (root pointer, clock, counters, §3.5 marked set). The pages themselves
-// were flushed and fsynced into the device files before this metadata is
-// installed, so recovery is: restore any torn flush from the rollback
-// journal, reattach, replay the WAL tail past each tree's boundary LSN.
+// (root pointer, clock, counters, §3.5 marked set). Every tree and the
+// devices were captured at one instant, the checkpoint header's LSN. The
+// pages themselves were flushed and fsynced into the device files
+// before this metadata is installed, so recovery is: restore any torn
+// flush from the rollback journal, reattach, replay the WAL tail past
+// that LSN.
 
 import (
 	"fmt"
@@ -53,16 +55,6 @@ type PagedMeta struct {
 	// transactions died with the crash, so recovery erases each pending
 	// version before replaying the WAL tail.
 	Pending []core.PendingWrite
-	// GroupLSNs holds the per-shard capture boundary of a fuzzy
-	// checkpoint: shard i's image and dirty pages were captured with the
-	// log at GroupLSNs[i], quiescing only that shard. Replay applies a
-	// committed version to its primary shard iff its record's LSN is
-	// past that shard's boundary. Always one per shard: the decoder
-	// refuses any other count.
-	GroupLSNs []uint64
-	// SecLSN is the capture boundary of the secondary indexes (all
-	// captured together under the secondary latch).
-	SecLSN uint64
 	// DeadBytes carries the engine-level dead-burn accounting across
 	// reopens: payload bytes of WORM runs nothing references (crash
 	// orphans), permanent write-once waste.
@@ -184,6 +176,17 @@ func decodeWormStats(d *record.Decoder) storage.WORMStats {
 	return s
 }
 
+// SecondaryNames returns the names of the secondary indexes the
+// checkpoint holds, sorted; reopening requires an extractor per name.
+func (m *PagedMeta) SecondaryNames() []string {
+	names := make([]string, 0, len(m.Secondaries))
+	for name := range m.Secondaries {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // encodePagedMeta builds the framePagedMeta payload.
 func encodePagedMeta(m *PagedMeta) []byte {
 	e := record.NewEncoder(nil)
@@ -203,11 +206,7 @@ func encodePagedMeta(m *PagedMeta) []byte {
 	for _, img := range m.Shards {
 		encodeTreeImage(e, img)
 	}
-	names := make([]string, 0, len(m.Secondaries))
-	for name := range m.Secondaries {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := m.SecondaryNames()
 	e.Uvarint(uint64(len(names)))
 	for _, name := range names {
 		e.Blob([]byte(name))
@@ -218,11 +217,6 @@ func encodePagedMeta(m *PagedMeta) []byte {
 		e.Key(p.Key)
 		e.Uvarint(p.TxnID)
 	}
-	e.Uvarint(uint64(len(m.GroupLSNs)))
-	for _, lsn := range m.GroupLSNs {
-		e.Uvarint(lsn)
-	}
-	e.Uvarint(m.SecLSN)
 	e.Uvarint(m.DeadBytes)
 	return e.Bytes()
 }
@@ -266,23 +260,9 @@ func decodePagedMeta(d *record.Decoder) (*PagedMeta, error) {
 		p.TxnID = d.Uvarint()
 		m.Pending = append(m.Pending, p)
 	}
-	nGroup := d.Uvarint()
-	if nGroup > uint64(d.Remaining()) {
-		return nil, fmt.Errorf("wal: paged meta: %d group LSNs", nGroup)
-	}
-	for i := uint64(0); i < nGroup && d.Err() == nil; i++ {
-		m.GroupLSNs = append(m.GroupLSNs, d.Uvarint())
-	}
-	m.SecLSN = d.Uvarint()
 	m.DeadBytes = d.Uvarint()
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("wal: paged meta: %w", err)
-	}
-	if len(m.GroupLSNs) != len(m.Shards) {
-		// Replay filters each shard's versions by its boundary LSN; with
-		// a boundary missing it would re-apply commits the shard image
-		// already holds.
-		return nil, fmt.Errorf("wal: paged meta: %d group LSNs for %d shard images", len(m.GroupLSNs), len(m.Shards))
 	}
 	return m, nil
 }

@@ -54,16 +54,13 @@ func sampleCheckpoint() CheckpointInfo {
 			{Key: record.StringKey("inflight-a"), TxnID: 12},
 			{Key: record.StringKey("inflight-b"), TxnID: 13},
 		},
-		GroupLSNs: []uint64{457, 460},
-		SecLSN:    461,
 		DeadBytes: 77,
 	}
 	return CheckpointInfo{
-		Shards:      2,
-		Clock:       99,
-		LSN:         456,
-		Secondaries: []string{"dept"},
-		Paged:       meta,
+		Shards: 2,
+		Clock:  99,
+		LSN:    456,
+		Paged:  meta,
 	}
 }
 
@@ -84,7 +81,7 @@ func TestPagedCheckpointRoundTrip(t *testing.T) {
 		t.Fatal("paged meta missing")
 	}
 	if got.Shards != 2 || got.Clock != 99 || got.LSN != 456 ||
-		len(got.Secondaries) != 1 || got.Secondaries[0] != "dept" {
+		!reflect.DeepEqual(got.Paged.SecondaryNames(), []string{"dept"}) {
 		t.Fatalf("header: %+v", got)
 	}
 	if !reflect.DeepEqual(got.Paged, meta) {

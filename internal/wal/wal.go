@@ -41,8 +41,8 @@
 // database pages live in the device files (internal/pagestore), which
 // the engine flushes and fsyncs first. The checkpoint is the CRC-framed
 // metadata that reattaches the engine to them — tree roots, page
-// allocator, WORM burned boundary — with one log boundary per tree
-// (PagedMeta.GroupLSNs, SecLSN), so reattach plus log-tail replay
+// allocator, WORM burned boundary — all captured at one log boundary,
+// the checkpoint's LSN, so reattach plus replay of every record past it
 // applies every commit to every tree exactly once. Once a checkpoint is
 // durable (written to a temp file, fsynced, atomically renamed),
 // segments wholly at or below its LSN are deleted: incremental
@@ -56,6 +56,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -159,9 +160,12 @@ type Log struct {
 	bytes   obs.Counter
 	fsync   obs.Histogram // append-path fsync latency
 	// ckptBytes anchors BacklogBytes: rotBytes (bytes.Load() at the last
-	// Rotate) as of the last MarkCheckpoint.
-	ckptBytes, rotBytes uint64
-	due                 chan struct{} // the pending CheckpointDue signal, if any; under mu
+	// Rotate, under mu) as of the last MarkCheckpoint. It is atomic so
+	// that BacklogBytes reads it without mu, which an append holds across
+	// its fsync.
+	ckptBytes atomic.Uint64
+	rotBytes  uint64
+	due       chan struct{} // the pending CheckpointDue signal, if any; under mu
 }
 
 // Open opens a log in opts.Dir for appending, starting a fresh segment
@@ -239,7 +243,7 @@ func (l *Log) AppendBatch(recs []txn.CommitRecord) error {
 	l.appends.Inc()
 	l.records.Add(uint64(len(recs)))
 	l.syncs.Inc()
-	if t := l.opts.CheckpointBytes; t > 0 && l.bytes.Load()-l.ckptBytes >= uint64(t) {
+	if t := l.opts.CheckpointBytes; t > 0 && l.bytes.Load()-l.ckptBytes.Load() >= uint64(t) {
 		select {
 		case l.due <- struct{}{}:
 		default: // one pending signal already says it
@@ -279,13 +283,14 @@ func (l *Log) Rotate() (lastLSN uint64, err error) {
 	return l.lsn, nil
 }
 
-// LastLSN returns the sequence number of the last appended record.
-//
-//tsb:locks wal
-func (l *Log) LastLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lsn
+// BacklogBytes is Stats().BacklogBytes read without the log latch, which
+// an append holds across its fsync: cheap enough to check on every
+// write.
+func (l *Log) BacklogBytes() uint64 {
+	// The anchor is a past value of bytes, and bytes only grows: loaded
+	// in this order the difference cannot underflow.
+	anchor := l.ckptBytes.Load()
+	return l.bytes.Load() - anchor
 }
 
 // Stats returns a snapshot of the append accounting, derived from the
@@ -301,13 +306,13 @@ func (l *Log) Stats() Stats {
 		Syncs:   l.syncs.Load(),
 		Bytes:   l.bytes.Load(),
 	}
-	st.BacklogBytes = st.Bytes - l.ckptBytes
+	st.BacklogBytes = st.Bytes - l.ckptBytes.Load()
 	return st
 }
 
 // RegisterMetrics names the log's instruments in r; the engine facade
-// calls it once at open. The derived gauges take the log mutex at
-// scrape time only.
+// calls it once at open. The derived gauges read the instruments
+// without the log mutex.
 func (l *Log) RegisterMetrics(r *obs.Registry) {
 	r.RegisterCounter("tsb_wal_appends_total", "group-commit batches appended", &l.appends)
 	r.RegisterCounter("tsb_wal_records_total", "commit records appended", &l.records)
@@ -315,7 +320,7 @@ func (l *Log) RegisterMetrics(r *obs.Registry) {
 	r.RegisterCounter("tsb_wal_bytes_total", "bytes durably written to log segments", &l.bytes)
 	r.RegisterHistogram("tsb_wal_fsync_seconds", "append-path fsync latency", &l.fsync)
 	r.GaugeFunc("tsb_wal_backlog_bytes", "log bytes appended since the last checkpoint install", func() float64 {
-		return float64(l.Stats().BacklogBytes)
+		return float64(l.BacklogBytes())
 	})
 	r.GaugeFunc("tsb_wal_records_per_sync", "group-commit amortization: commit records per fsync", func() float64 {
 		syncs := l.syncs.Load()
@@ -354,8 +359,8 @@ func (l *Log) MarkCheckpoint() error {
 	syncDir(l.opts.Dir)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.ckptBytes = l.rotBytes
-	if t := l.opts.CheckpointBytes; t <= 0 || l.bytes.Load()-l.ckptBytes < uint64(t) {
+	l.ckptBytes.Store(l.rotBytes)
+	if t := l.opts.CheckpointBytes; t <= 0 || l.bytes.Load()-l.ckptBytes.Load() < uint64(t) {
 		select {
 		case <-l.due:
 		default:

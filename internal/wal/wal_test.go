@@ -66,8 +66,11 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if st.Appends != 2 || st.Records != 3 || st.Syncs != 2 {
 		t.Errorf("stats = %+v", st)
 	}
-	if l.LastLSN() != 3 {
-		t.Errorf("last LSN = %d, want 3", l.LastLSN())
+	if got := l.BacklogBytes(); got != st.BacklogBytes || got != st.Bytes {
+		t.Errorf("lock-free backlog = %d, stats = %+v", got, st)
+	}
+	if lsn, err := l.Rotate(); err != nil || lsn != 3 {
+		t.Errorf("rotation boundary = %d, %v; want 3", lsn, err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -291,7 +294,7 @@ func TestCheckpointAbsentAndTorn(t *testing.T) {
 	}
 	info := CheckpointInfo{Shards: 1, Clock: 3, LSN: 7, Paged: &PagedMeta{
 		Epoch: 1, PageSize: 4096, SectorSize: 1024,
-		Shards: []core.TreeImage{{}}, GroupLSNs: []uint64{7}, SecLSN: 7,
+		Shards: []core.TreeImage{{}},
 	}}
 
 	// A torn checkpoint write never installs: the tmp file stays and is
@@ -361,7 +364,6 @@ func TestReadCheckpointRefuses(t *testing.T) {
 	chunk.Uvarint(0)
 	chunk.Versions([]record.Version{{Key: record.StringKey("k"), Time: 1, Value: []byte("v")}})
 
-	twoShards := []core.TreeImage{{}, {}}
 	for _, tc := range []struct {
 		name    string
 		frames  [][]byte
@@ -372,14 +374,12 @@ func TestReadCheckpointRefuses(t *testing.T) {
 			[][]byte{header(3, 1), chunk.Bytes(), footer()}, ErrRetiredFormat, ""},
 		{"unknown format",
 			[][]byte{header(9, 1), footer()}, nil, "checkpoint format 9"},
-		{"v4 meta with fewer group LSNs than shards",
-			[][]byte{header(4, 2), encodePagedMeta(&PagedMeta{Shards: twoShards, GroupLSNs: []uint64{9}}), footer()},
-			nil, "1 group LSNs for 2 shard images"},
-		{"v4 meta with no group LSNs",
-			[][]byte{header(4, 2), encodePagedMeta(&PagedMeta{Shards: twoShards}), footer()},
-			nil, "0 group LSNs for 2 shard images"},
+		{"format 4 fuzzy checkpoint",
+			checkpointFrames(t, goldenBytes(t, "checkpoint-v4.hex")), ErrRetiredFormat, "per-shard fuzzy"},
 		{"v4 without its meta frame",
-			[][]byte{header(4, 1), footer()}, nil, "missing its paged-meta frame"},
+			[][]byte{header(4, 1), footer()}, ErrRetiredFormat, "format 4"},
+		{"v5 without its meta frame",
+			[][]byte{header(5, 1), footer()}, nil, "missing its paged-meta frame"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
