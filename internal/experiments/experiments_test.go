@@ -3,11 +3,27 @@ package experiments
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // smallParams keeps experiment tests fast.
 var smallParams = Params{Ops: 3000, ValueSize: 24, Seed: 1}
+
+// e5Params sizes the E5 probe runs.
+var e5Params = Params{Ops: 2000, ValueSize: 24, Seed: 1}
+
+// The sweep and E5 are built once per test binary and shared by the shape
+// checks and the golden tables.
+var (
+	smallSweep = sync.OnceValues(func() (*Sweep, error) { return RunSweep(smallParams) })
+	smallE5    = sync.OnceValues(func() ([]E5Result, error) {
+		results, tab, err := E5SearchIO(e5Params)
+		e5Table = tab
+		return results, err
+	})
+	e5Table Table
+)
 
 func TestPolicyByName(t *testing.T) {
 	for _, name := range PolicyNames {
@@ -56,7 +72,7 @@ func rowByName(tab Table, name string) int {
 }
 
 func TestSweepShapes(t *testing.T) {
-	s, err := RunSweep(smallParams)
+	s, err := smallSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,10 +167,11 @@ func TestSweepShapes(t *testing.T) {
 }
 
 func TestE5SearchIO(t *testing.T) {
-	results, tab, err := E5SearchIO(Params{Ops: 2000, ValueSize: 24, Seed: 1})
+	results, err := smallE5()
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := e5Table
 	byKey := make(map[string]E5Result)
 	for _, r := range results {
 		byKey[r.Structure+"/"+r.Query] = r
