@@ -344,6 +344,9 @@ func TestMetricsScrape(t *testing.T) {
 		"tsb_server_ops_total",
 		"tsb_server_shed_total",
 		"tsb_server_conns_total",
+		"tsb_core_index_level_hits_total",
+		"tsb_core_index_level_misses_total",
+		"tsb_core_index_level_evictions_total",
 	}
 	if missing := obs.RequireSeries(samples, required); len(missing) != 0 {
 		t.Fatalf("required series missing from /metrics: %v", missing)

@@ -130,8 +130,10 @@
 // Beneath them a tree has two read primitives: the edge descent of a
 // scan's first page, and the window walk core.Tree.ScanRange, of which
 // ScanAsOf, History and Diff are windows. Each later page is the first
-// page's core.Page.Resume, which reads the index nodes the page before
-// decoded from a memo while the tree has written no index node since.
+// page's core.Page.Resume, a fresh edge descent. Every read and write
+// takes index nodes from the tree's one shared level of decoded index
+// nodes, valid while the tree has written no index node since, so a
+// point read or a resumed page decodes about one leaf.
 //
 // The repo's one benchmark is bench/, a module of its own (bash
 // bench/run.sh --workload NAME --seed N; see bench/README.md): four

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/record"
@@ -28,7 +29,9 @@ import (
 //     nodes;
 //  8. every leaf lies at depth Height-1, however it is reached: only a
 //     root split adds a level, so the tree stays balanced across time
-//     splits and shared historical nodes.
+//     splits and shared historical nodes;
+//  9. a node the index level holds equals a fresh decode of its page,
+//     so a stale level fails the check.
 func (t *Tree) CheckInvariants() error {
 	return t.walkDAG(func(r dagRef) error {
 		if r.e == nil {
@@ -46,6 +49,9 @@ func (t *Tree) CheckInvariants() error {
 		}
 		if r.n == nil {
 			return nil // checked on its first reference
+		}
+		if h := t.level.get(r.addr, t.indexEpoch); h != nil && !bytes.Equal(encodeNode(h), encodeNode(r.n)) {
+			return fmt.Errorf("index level: node %s differs from its page", r.addr)
 		}
 		return t.checkNode(r.n, r.depth)
 	})

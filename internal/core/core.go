@@ -214,9 +214,9 @@ func (s Stats) Merge(o Stats) Stats {
 
 // Tree is a Time-Split B-tree. Current nodes live on a magnetic
 // storage.PageStore; historical nodes are appended to a WORM device.
-// It is not safe for concurrent use; the transaction layer serializes
-// access (read-only transactions read versioned data without locks, but
-// the tree structure itself is protected above this package).
+// Reads may run concurrently (the index level they share has its own
+// mutex); a write must exclude every other call, which the latch above
+// this package ensures (read-only transactions take no locks).
 type Tree struct {
 	mag    storage.PageStore
 	worm   storage.WORMDevice
@@ -239,17 +239,15 @@ type Tree struct {
 	// it never reaches a TreeImage.
 	splitNanos uint64
 
-	// indexEpoch counts index-node writes. Every split and every root
-	// change writes an index node, so a scan page's memo of the index
-	// nodes it decoded stays exact while the epoch is unchanged (see
-	// pathMemo).
+	// indexEpoch counts landed index-node writes: the current nodes in
+	// level are exact while it holds (see indexLevel).
 	indexEpoch uint64
+	level      *indexLevel
 
-	// nodeDecodes and nodeEncodes count node accesses, the paper's cost
-	// unit (§3.2): every node parsed from a device, and every node
-	// serialized, sizing included. Reads run concurrently under shard
-	// read latches, so they are atomic; like splitNanos they stay out of
-	// Stats and so out of every TreeImage.
+	// nodeDecodes and nodeEncodes count every node parsed from a device
+	// and every node serialized, sizing included. Reads run concurrently
+	// under shard read latches, so they are atomic; like splitNanos they
+	// stay out of Stats and so out of every TreeImage.
 	nodeDecodes obs.Counter
 	nodeEncodes obs.Counter
 }
@@ -263,7 +261,14 @@ func (t *Tree) SplitLatchNanos() uint64 { return t.splitNanos }
 func (t *Tree) RegisterMetrics(r *obs.Registry, labels ...obs.Label) {
 	r.RegisterCounter("tsb_core_node_decodes_total", "TSB-tree nodes decoded from a device page or WORM run", &t.nodeDecodes, labels...)
 	r.RegisterCounter("tsb_core_node_encodes_total", "TSB-tree nodes encoded, to write or to size them", &t.nodeEncodes, labels...)
+	r.RegisterCounter("tsb_core_index_level_hits_total", "TSB-tree index-node reads served by the decoded index level", &t.level.hits, labels...)
+	r.RegisterCounter("tsb_core_index_level_misses_total", "TSB-tree index nodes decoded into the index level", &t.level.misses, labels...)
+	r.RegisterCounter("tsb_core_index_level_evictions_total", "historical index nodes dropped from a full index level", &t.level.evictions, labels...)
 }
+
+// NodeAccesses counts node accesses, the paper's cost unit (§3.2): every
+// node decoded plus every read the index level served.
+func (t *Tree) NodeAccesses() uint64 { return t.nodeDecodes.Load() + t.level.hits.Load() }
 
 // New creates an empty TSB-tree with a single empty leaf as root.
 func New(mag storage.PageStore, worm storage.WORMDevice, cfg Config) (*Tree, error) {
@@ -283,6 +288,7 @@ func New(mag storage.PageStore, worm storage.WORMDevice, cfg Config) (*Tree, err
 		return nil, fmt.Errorf("core: index capacity %d too small for MaxKeySize %d",
 			c.IndexCapacity, c.MaxKeySize)
 	}
+	t.level = t.newLevel()
 	rootNode := &node{
 		rect: record.WholeSpace(),
 		leaf: true,

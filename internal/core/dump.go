@@ -111,10 +111,12 @@ type dagRef struct {
 }
 
 // walkDAG calls visit for every reference reachable from the root, in
-// pre-order. Each node is decoded once and walked below only on its
-// first reference, so a historical node shared by several parents (§3.5)
-// costs one decode however many reach it. A node reached at two depths
-// fails the walk: only a root split adds a level (invariant 8).
+// pre-order. Each node is decoded from its page once — never served by
+// the index level, which the walk checks rather than trusts — and walked
+// below only on its first reference, so a historical node shared by
+// several parents (§3.5) costs one decode however many reach it. A node
+// reached at two depths fails the walk: only a root split adds a level
+// (invariant 8).
 func (t *Tree) walkDAG(visit func(dagRef) error) error {
 	type seenNode struct {
 		rect        record.Rect
@@ -131,7 +133,7 @@ func (t *Tree) walkDAG(visit func(dagRef) error) error {
 			r.rect, r.refs = s.rect, s.refs
 			return visit(r)
 		}
-		n, err := t.readNode(r.addr)
+		n, err := t.decode(r.addr)
 		if err != nil {
 			if r.e != nil {
 				return fmt.Errorf("index %s: reading child %s: %w", r.from, r.addr, err)

@@ -68,6 +68,7 @@ func FromImage(mag storage.PageStore, worm storage.WORMDevice, img TreeImage) (*
 		pending: make(map[string]uint64),
 	}
 	t.entryCap = 2*img.MaxKeySize + 64
+	t.level = t.newLevel()
 	for _, page := range img.Marked {
 		t.marked[page] = true
 	}

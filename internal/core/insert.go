@@ -75,7 +75,7 @@ func (t *Tree) Insert(v record.Version) error {
 			needSplit = true
 		}
 		if needSplit {
-			if err := t.splitChild(n, idx, forced); err != nil {
+			if n, err = t.splitChild(n, idx, forced); err != nil {
 				return err
 			}
 			if idx = findCurrentEntry(n, v.Key); idx < 0 {

@@ -99,8 +99,24 @@ func decodeNode(data []byte, addr storage.Addr) (*node, error) {
 	return n, nil
 }
 
-// readNode loads the node at addr from the appropriate device.
+// readNode returns the node at addr, from the tree's index level if it
+// holds it, else decoded; an index node decoded here joins the level.
+// The node may be shared with other readers: a writer changes a clone.
 func (t *Tree) readNode(addr storage.Addr) (*node, error) {
+	if n := t.level.get(addr, t.indexEpoch); n != nil {
+		t.level.hits.Inc()
+		return n, nil
+	}
+	n, err := t.decode(addr)
+	if err == nil && !n.leaf {
+		t.level.misses.Inc()
+		t.level.put(n, t.indexEpoch)
+	}
+	return n, err
+}
+
+// decode loads the node at addr from the appropriate device.
+func (t *Tree) decode(addr storage.Addr) (*node, error) {
 	t.nodeDecodes.Inc()
 	switch addr.Kind {
 	case storage.KindMagnetic:
@@ -120,7 +136,17 @@ func (t *Tree) readNode(addr storage.Addr) (*node, error) {
 	}
 }
 
-// writeCurrent serializes a current node back to its magnetic page.
+// clone returns a copy of index node n, which may be the level's, for a
+// writer to change.
+func (n *node) clone() *node {
+	c := *n
+	c.entries = slices.Clone(n.entries)
+	return &c
+}
+
+// writeCurrent serializes a current node back to its magnetic page. A
+// landed index-node write bumps indexEpoch, retiring the level's current
+// nodes; a refused one leaves the page, and so the level, as it was.
 func (t *Tree) writeCurrent(n *node) error {
 	if !n.addr.IsMagnetic() {
 		return fmt.Errorf("core: writeCurrent of %s", n.addr)
@@ -130,10 +156,13 @@ func (t *Tree) writeCurrent(n *node) error {
 		return fmt.Errorf("core: node %s of %d bytes exceeds page size %d",
 			n.addr, len(data), t.mag.PageSize())
 	}
+	if err := t.mag.Write(n.addr.Off, data); err != nil {
+		return err
+	}
 	if !n.leaf {
 		t.indexEpoch++
 	}
-	return t.mag.Write(n.addr.Off, data)
+	return nil
 }
 
 // migrate appends a node to the historical database, consolidated into a

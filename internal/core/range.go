@@ -20,11 +20,6 @@ import (
 // clustering the Time-Split Rule's redundancy buys keeps the versions
 // valid at the same time in few nodes.
 func (t *Tree) ScanRange(low record.Key, high record.Bound, from, to record.Timestamp) ([]record.Version, error) {
-	return t.scanRange(t.readNode, low, high, from, to)
-}
-
-// scanRange is ScanRange reading every node through read.
-func (t *Tree) scanRange(read func(storage.Addr) (*node, error), low record.Key, high record.Bound, from, to record.Timestamp) ([]record.Version, error) {
 	if to <= from {
 		return nil, nil
 	}
@@ -34,7 +29,7 @@ func (t *Tree) scanRange(read func(storage.Addr) (*node, error), low record.Key,
 	var vs []record.Version
 	var visit func(addr storage.Addr, clip record.Rect) error
 	visit = func(addr storage.Addr, clip record.Rect) error {
-		n, err := read(addr)
+		n, err := t.readNode(addr)
 		if err != nil {
 			return err
 		}
@@ -102,22 +97,18 @@ func (t *Tree) ScanRangePage(low record.Key, high record.Bound, from, to record.
 	if to <= from {
 		return Page{}, nil
 	}
-	return t.rangePage(newPathMemo(t), low, high, from, to)
-}
-
-func (t *Tree) rangePage(m *pathMemo, low record.Key, high record.Bound, from, to record.Timestamp) (Page, error) {
 	// The page needs only the current leaf's key range, so the edge
 	// step stops at the leaf's parent: every leaf lies at depth
 	// Height-1 (invariant 8). Were one deeper, the page would cover its
 	// parent's keys instead — more work, the same versions.
-	_, clip, ok, err := t.edge(m.read, record.TimePending, low, high, false, t.stats.Height-1)
+	_, clip, ok, err := t.edge(record.TimePending, low, high, false, t.stats.Height-1)
 	if err != nil {
 		return Page{}, err
 	}
 	if !ok {
 		// No current slab covers low (defensive — the current slabs
 		// partition the key space): serve the remainder in one piece.
-		vs, err := t.scanRange(m.read, low, high, from, to)
+		vs, err := t.ScanRange(low, high, from, to)
 		return Page{Versions: vs}, err
 	}
 	p := Page{}
@@ -126,10 +117,10 @@ func (t *Tree) rangePage(m *pathMemo, low record.Key, high record.Bound, from, t
 		if next := clip.HighKey.Key(); high.CompareKey(next) > 0 {
 			low := next.Clone()
 			pageHigh = record.KeyBound(low)
-			p.Resume = func() (Page, error) { return t.rangePage(m.next(), low, high, from, to) }
+			p.Resume = func() (Page, error) { return t.ScanRangePage(low, high, from, to) }
 		}
 	}
-	vs, err := t.scanRange(m.read, low, pageHigh, from, to)
+	vs, err := t.ScanRange(low, pageHigh, from, to)
 	if err != nil {
 		return Page{}, err
 	}

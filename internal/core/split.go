@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -13,13 +14,14 @@ import (
 // split) and returns the entries that replace its single parent entry.
 // Current halves are rewritten in place on magnetic pages; older halves are
 // migrated to the WORM. forced requests a time split per §3.5's "marked to
-// be time split at the next opportunity" optimization.
+// be time split at the next opportunity" optimization. An index node is
+// split as a clone: n itself may be the index level's.
 func (t *Tree) splitNode(n *node, forced bool) ([]entry, error) {
 	delete(t.marked, n.addr.Off)
 	if n.leaf {
 		return t.splitLeaf(n, forced)
 	}
-	return t.splitIndex(n)
+	return t.splitIndex(n.clone())
 }
 
 // --- Data node splitting (§3.1-§3.3) ---
@@ -526,30 +528,28 @@ func indexSplitValue(n *node) (record.Key, bool) {
 	return bounds[len(bounds)/2].Clone(), true
 }
 
-// splitChild splits the child under parent.entries[idx] and patches the
-// parent in place (the parent is guaranteed to be on the magnetic disk:
-// "all parts of the index which refer to [the current database] must be on
-// an erasable medium", §1). Split work — including the WORM append of a
-// time split — runs under the owning shard's write latch, so its duration
-// is accumulated into splitNanos.
-func (t *Tree) splitChild(parent *node, idx int, forced bool) error {
+// splitChild splits the child under parent.entries[idx] and returns the
+// parent as rewritten, a clone: parent itself may be the index level's.
+// The parent is guaranteed to be on the magnetic disk: "all parts of the
+// index which refer to [the current database] must be on an erasable
+// medium" (§1). Split work — including the WORM append of a time split —
+// runs under the owning shard's write latch, so its duration is
+// accumulated into splitNanos.
+func (t *Tree) splitChild(parent *node, idx int, forced bool) (*node, error) {
 	start := time.Now()
 	defer func() { t.splitNanos += uint64(time.Since(start)) }()
 	child, err := t.readNode(parent.entries[idx].child)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	replacement, err := t.splitNode(child, forced)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	es := make([]entry, 0, len(parent.entries)+len(replacement)-1)
-	es = append(es, parent.entries[:idx]...)
-	es = append(es, replacement...)
-	es = append(es, parent.entries[idx+1:]...)
-	parent.entries = es
-	sortEntries(parent.entries)
-	return t.writeCurrent(parent)
+	p := parent.clone()
+	p.entries = slices.Replace(p.entries, idx, idx+1, replacement...)
+	sortEntries(p.entries)
+	return p, t.writeCurrent(p)
 }
 
 // splitRoot splits the root and grows the tree by one level: the new root

@@ -19,8 +19,9 @@ import (
 var updateCosts = flag.Bool("update", false, "rewrite testdata/costs.golden from the current code")
 
 // The cost ledger pins the paper's cost unit, node accesses (§3.2), per
-// operation class: how many nodes an operation decodes and encodes
-// (sizing included), and how many heap allocations it makes. A
+// operation class: how many nodes an operation accesses (a decode or a
+// hit in the tree's index level), how many of those it decodes, how many
+// it encodes (sizing included), and how many heap allocations it makes. A
 // single-goroutine in-memory database is built from a fixed seed, so
 // every count is exact and a change that moves one shows up as a row
 // diff. A change that makes an operation cheaper says so by changing its
@@ -85,9 +86,10 @@ func costRows(t *testing.T, d *DB, name string, op func()) []string {
 		op()
 	}
 	prim1, idx1 := nodeAccesses(t, d)
-	row := func(name string, a0, a1 [2]uint64) string {
-		return fmt.Sprintf("nodes %s decodes/op=%.2f encodes/op=%.2f",
-			name, float64(a1[0]-a0[0])/costOps, float64(a1[1]-a0[1])/costOps)
+	row := func(name string, a0, a1 [3]uint64) string {
+		per := func(i int) float64 { return float64(a1[i]-a0[i]) / costOps }
+		return fmt.Sprintf("nodes %s decodes/op=%.2f accesses/op=%.2f encodes/op=%.2f",
+			name, per(0), per(0)+per(1), per(2))
 	}
 	rows := []string{row(name, prim0, prim1)}
 	if len(d.secondaries) > 0 {
@@ -185,10 +187,10 @@ func costLedger(t *testing.T) []string {
 }
 
 // nodeAccesses reads the node-access counters the way an operator
-// does: from the registry's exposition, as {decodes, encodes} summed
-// over the primary trees (the series labelled shard) and over the
-// secondary index trees (labelled index).
-func nodeAccesses(t *testing.T, d *DB) (primary, index [2]uint64) {
+// does: from the registry's exposition, as {decodes, index-level hits,
+// encodes} summed over the primary trees (the series labelled shard) and
+// over the secondary index trees (labelled index).
+func nodeAccesses(t *testing.T, d *DB) (primary, index [3]uint64) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := d.Metrics().WritePrometheus(&buf); err != nil {
@@ -206,8 +208,10 @@ func nodeAccesses(t *testing.T, d *DB) (primary, index [2]uint64) {
 		switch s.Name {
 		case "tsb_core_node_decodes_total":
 			sum[0] += uint64(s.Value)
-		case "tsb_core_node_encodes_total":
+		case "tsb_core_index_level_hits_total":
 			sum[1] += uint64(s.Value)
+		case "tsb_core_node_encodes_total":
+			sum[2] += uint64(s.Value)
 		}
 	}
 	return primary, index

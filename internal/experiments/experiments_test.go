@@ -13,16 +13,20 @@ var smallParams = Params{Ops: 3000, ValueSize: 24, Seed: 1}
 // e5Params sizes the E5 probe runs.
 var e5Params = Params{Ops: 2000, ValueSize: 24, Seed: 1}
 
+// e5Run is one E5SearchIO run: its results and its table.
+type e5Run struct {
+	results []E5Result
+	table   Table
+}
+
 // The sweep and E5 are built once per test binary and shared by the shape
 // checks and the golden tables.
 var (
 	smallSweep = sync.OnceValues(func() (*Sweep, error) { return RunSweep(smallParams) })
-	smallE5    = sync.OnceValues(func() ([]E5Result, error) {
+	smallE5    = sync.OnceValues(func() (e5Run, error) {
 		results, tab, err := E5SearchIO(e5Params)
-		e5Table = tab
-		return results, err
+		return e5Run{results, tab}, err
 	})
-	e5Table Table
 )
 
 func TestPolicyByName(t *testing.T) {
@@ -167,11 +171,11 @@ func TestSweepShapes(t *testing.T) {
 }
 
 func TestE5SearchIO(t *testing.T) {
-	results, err := smallE5()
+	e5, err := smallE5()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := e5Table
+	results, tab := e5.results, e5.table
 	byKey := make(map[string]E5Result)
 	for _, r := range results {
 		byKey[r.Structure+"/"+r.Query] = r

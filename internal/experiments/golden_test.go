@@ -19,13 +19,14 @@ func paperTables(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := smallE5(); err != nil {
+	e5, err := smallE5()
+	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
 	for _, tab := range []Table{
 		s.E1TotalSpace(), s.E2CurrentSpace(), s.E3Redundancy(), s.E4CostFunction(0.6),
-		e5Table,
+		e5.table,
 		s.E6SectorUtilization(), s.E7SplitTimeChoice(), s.E8IndexSplits(),
 	} {
 		b.WriteString(tab.String())
