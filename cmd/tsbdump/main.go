@@ -111,8 +111,8 @@ func dumpWALDir(w io.Writer, dir string) error {
 			if found && lsn <= info.LSN {
 				covered = "  [in checkpoint]"
 			}
-			fmt.Fprintf(w, "  lsn %-6d txn %-6d t=%-8s %d key(s)%s\n",
-				lsn, rec.TxnID, rec.Time, len(rec.Versions), covered)
+			fmt.Fprintf(w, "  lsn %-6d txn %-6d t=%-8s %d key(s) %d index write(s)%s\n",
+				lsn, rec.TxnID, rec.Time, len(rec.Versions), len(rec.Index), covered)
 			n++
 			return nil
 		})

@@ -78,7 +78,7 @@ func TestDumpWALDir(t *testing.T) {
 			}
 		}
 	}
-	dump("checkpoint: format v5", "2 shard(s)", "devices: epoch", "lsn 5", "tail: clean", "5 commit record(s)")
+	dump("checkpoint: format v6", "2 shard(s)", "devices: epoch", "lsn 5", "tail: clean", "5 commit record(s)")
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestDumpPagedDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"format v5, epoch", "page file", "crc ok", "burn file",
+	for _, want := range []string{"format v6, epoch", "page file", "crc ok", "burn file",
 		"live payload", "dead payload, utilization", "0 bad"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("paged dump missing %q:\n%s", want, out)
@@ -170,10 +170,11 @@ func TestDumpPagedDir(t *testing.T) {
 }
 
 // TestDumpPagedDirRejectsLogical: a directory whose checkpoint is in a
-// retired format — the logical dump (3) or the per-shard fuzzy
-// checkpoint (4) — is reported as such by name, not dumped as empty.
+// retired format — the logical dump (3), the per-shard fuzzy checkpoint
+// (4) or the one whose log tail carries no index writes (5) — is
+// reported as such by name, not dumped as empty.
 func TestDumpPagedDirRejectsLogical(t *testing.T) {
-	for format, name := range map[uint64]string{3: "logical", 4: "fuzzy"} {
+	for format, name := range map[uint64]string{3: "logical", 4: "fuzzy", 5: "no index writes"} {
 		dir := t.TempDir()
 		e := record.NewEncoder(nil)
 		e.Byte(2)         // checkpoint header frame

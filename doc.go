@@ -28,7 +28,9 @@
 //     length|CRC|payload frame codec under the WAL, the checkpoint,
 //     the journals and the wire);
 //   - internal/txn, internal/secondary, internal/db: the §4/§3.6
-//     transaction and secondary-index layers and the engine facade;
+//     transaction and secondary-index layers and the engine facade (a
+//     secondary-index entry is a logged version of the transaction that
+//     causes it);
 //   - internal/query: the temporal query engine — §2.5's query classes
 //     as composable streaming operators (filter with key-range
 //     pushdown, project, merge join, secondary-index join, group-by,

@@ -36,6 +36,11 @@ var ErrNoPending = errors.New("core: no pending version")
 // version of the key — its write lock (§4) — is in the tree.
 var ErrLockConflict = errors.New("core: key locked by another transaction")
 
+// ErrDamaged marks every error of a tree a split failed in after one of
+// its page writes landed: a split has no rollback, so the tree stops
+// (fail-stop) rather than serve half of one; a durable reopen recovers.
+var ErrDamaged = errors.New("core: tree damaged by a failed split")
+
 // SplitTimeChoice selects the time value used for a data-node time split.
 // The WOBT is forced to split at the current time; the TSB-tree may choose
 // "any convenient time more recent than the last time split for the node"
@@ -238,6 +243,9 @@ type Tree struct {
 	// performed under the shard write latch. It lives outside Stats so
 	// it never reaches a TreeImage.
 	splitNanos uint64
+
+	writes  uint64 // landed page writes
+	damaged error  // ErrDamaged, once set; every later operation returns it
 
 	// indexEpoch counts landed index-node writes: the current nodes in
 	// level are exact while it holds (see indexLevel).

@@ -25,8 +25,11 @@ type TreeImage struct {
 	IndexCapacity int
 }
 
-// Image captures the tree's metadata.
-func (t *Tree) Image() TreeImage {
+// Image captures the tree's metadata; a damaged tree has none.
+func (t *Tree) Image() (TreeImage, error) {
+	if t.damaged != nil {
+		return TreeImage{}, t.damaged
+	}
 	img := TreeImage{
 		Root:          t.root,
 		Now:           t.now,
@@ -44,7 +47,7 @@ func (t *Tree) Image() TreeImage {
 	// byte-identical (the shard-equivalence property test compares
 	// serialized images directly).
 	sort.Slice(img.Marked, func(i, j int) bool { return img.Marked[i] < img.Marked[j] })
-	return img
+	return img, nil
 }
 
 // FromImage reattaches a tree to its devices. The devices must hold the

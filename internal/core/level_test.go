@@ -155,40 +155,12 @@ func TestIndexLevelConcurrentReaders(t *testing.T) {
 // nodes themselves, so the level still equals every page, and a read
 // through it sees what a read of the pages alone sees.
 func TestSplitWriteFaultLeavesLevelExact(t *testing.T) {
-	// Fresh keys sort after every loaded one and fill the last leaf.
-	fresh := func(i int) record.Version {
-		return record.Version{Key: record.StringKey(fmt.Sprintf("n%06d", i)), Time: record.Timestamp(1e6 + i), Value: []byte("fresh")}
-	}
 	t.Run("leaf", func(t *testing.T) {
 		tree, faulty, keys := levelTree(t)
 		for _, k := range keys {
 			tree.Get(k) // every current index node joins the level
 		}
-		for i := 0; ; i++ {
-			if i == 2000 {
-				t.Fatal("no key split reached its parent's write")
-			}
-			st := tree.stats
-			// Once the last leaf holds only fresh keys it key splits:
-			// it writes its two halves, then the parent. A time split
-			// writes the leaf and the parent, so the third write is
-			// the insert's own.
-			faulty.FailAfter("write", 3)
-			err := tree.Insert(fresh(i))
-			faulty.Clear()
-			if err == nil {
-				continue
-			}
-			if !errors.Is(err, storage.ErrInjected) {
-				t.Fatalf("insert %d: %v", i, err)
-			}
-			if tree.stats.LeafKeySplits > st.LeafKeySplits {
-				break
-			}
-			if tree.stats.IndexKeySplits+tree.stats.IndexTimeSplits != st.IndexKeySplits+st.IndexTimeSplits {
-				t.Fatalf("insert %d failed in an index split: %v", i, err)
-			}
-		}
+		refuseKeySplitParentWrite(t, tree, faulty)
 		checkLevelAfterFault(t, tree, keys)
 	})
 	t.Run("index", func(t *testing.T) {
@@ -201,13 +173,13 @@ func TestSplitWriteFaultLeavesLevelExact(t *testing.T) {
 			// that lacks room for a child's split, and that split's
 			// first write is the node's own.
 			full := false
-			for n, _ := tree.readNode(tree.root); !n.leaf && !full; n, _ = tree.readNode(n.entries[findCurrentEntry(n, fresh(i).Key)].child) {
+			for n, _ := tree.readNode(tree.root); !n.leaf && !full; n, _ = tree.readNode(n.entries[findCurrentEntry(n, freshVersion(i).Key)].child) {
 				full = tree.size(n)+3*tree.entryCap > tree.cfg.IndexCapacity
 			}
 			if full {
 				faulty.FailAfter("write", 1)
 			}
-			err := tree.Insert(fresh(i))
+			err := tree.Insert(freshVersion(i))
 			faulty.Clear()
 			if full {
 				if !errors.Is(err, storage.ErrInjected) {
@@ -223,13 +195,91 @@ func TestSplitWriteFaultLeavesLevelExact(t *testing.T) {
 	})
 }
 
+// freshVersion is the i-th version of a key sorting after every key
+// levelTree loads, so fresh versions fill the tree's last leaf.
+func freshVersion(i int) record.Version {
+	return record.Version{Key: record.StringKey(fmt.Sprintf("n%06d", i)), Time: record.Timestamp(1e6 + i), Value: []byte("fresh")}
+}
+
+// refuseKeySplitParentWrite inserts fresh versions until a leaf key
+// split writes both halves and the page write of its parent is refused,
+// and returns the number of fresh versions inserted before that one.
+func refuseKeySplitParentWrite(t *testing.T, tree *Tree, faulty *storage.FaultyPages) int {
+	t.Helper()
+	for i := 0; ; i++ {
+		if i == 2000 {
+			t.Fatal("no key split reached its parent's write")
+		}
+		st := tree.stats
+		// Once the last leaf holds only fresh keys it key splits: it
+		// writes its two halves, then the parent. A time split writes
+		// the leaf and the parent, so the third write is the insert's
+		// own.
+		faulty.FailAfter("write", 3)
+		err := tree.Insert(freshVersion(i))
+		faulty.Clear()
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, storage.ErrInjected) {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+		if tree.stats.LeafKeySplits > st.LeafKeySplits {
+			return i
+		}
+		if tree.stats.IndexKeySplits+tree.stats.IndexTimeSplits != st.IndexKeySplits+st.IndexTimeSplits {
+			t.Fatalf("insert %d failed in an index split: %v", i, err)
+		}
+	}
+}
+
+// TestSplitFaultIsFailStop: a split has no rollback, so once the page
+// write of a key-split leaf's parent is refused, after both halves were
+// written, the parent still holds the whole old rectangle and the
+// versions that moved right would read as absent. The tree stops
+// instead: every later read, write and image capture returns the
+// error, and nothing reads the half-split node.
+func TestSplitFaultIsFailStop(t *testing.T) {
+	tree, faulty, keys := levelTree(t)
+	n := refuseKeySplitParentWrite(t, tree, faulty)
+	failStopped := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrDamaged) || !errors.Is(err, storage.ErrInjected) {
+			t.Fatalf("%s on a tree with a refused split = %v, want the damage error", what, err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		k := freshVersion(i).Key
+		_, _, err := tree.Get(k)
+		failStopped(fmt.Sprintf("Get(%s)", k), err)
+		_, _, err = tree.GetAsOf(k, tree.now)
+		failStopped(fmt.Sprintf("GetAsOf(%s)", k), err)
+	}
+	_, err := tree.History(keys[0])
+	failStopped("History", err)
+	_, err = tree.ScanAsOf(tree.now, nil, record.InfiniteBound())
+	failStopped("ScanAsOf", err)
+	failStopped("Insert", tree.Insert(freshVersion(n+1)))
+	failStopped("pending Insert", tree.Insert(record.Version{Key: keys[1], Time: record.TimePending, TxnID: 9, Value: []byte("x")}))
+	failStopped("CheckInvariants", tree.CheckInvariants())
+	_, err = tree.Image()
+	failStopped("Image", err)
+}
+
 // checkLevelAfterFault checks that every node the level holds equals its
 // page, and that a tree attached to the same pages with an empty level
 // reads exactly what the tree with the level reads.
 func checkLevelAfterFault(t *testing.T, tree *Tree, keys []record.Key) {
 	t.Helper()
+	// A refused split stops the tree (TestSplitFaultIsFailStop); the
+	// level beneath that gate is what is checked here.
+	tree.damaged = nil
 	levelMatchesPages(t, tree)
-	fresh, err := FromImage(tree.mag, tree.worm, tree.Image())
+	img, err := tree.Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := FromImage(tree.mag, tree.worm, img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,5 +329,37 @@ func BenchmarkIndexLevel(b *testing.B) {
 				wg.Wait()
 			})
 		}
+	}
+}
+
+// TestRootSplitAllocFaultIsFailStop: the other part-way failure of a
+// split, a refused allocation of the new root after the old root was
+// rewritten as the left half (ENOSPC on a page file), stops the tree
+// too, and nothing reads the root that lost its right half.
+func TestRootSplitAllocFaultIsFailStop(t *testing.T) {
+	faulty := storage.NewFaultyPages(storage.NewMagneticDisk(4096, storage.CostModel{}))
+	worm := storage.NewWORMDisk(storage.WORMConfig{SectorSize: 512})
+	tree, err := New(faulty, worm, Config{Policy: PolicyLastUpdate, MaxKeySize: 16, MaxValueSize: 32, LeafCapacity: 512, IndexCapacity: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		if i == 100 {
+			t.Fatal("the root leaf never split")
+		}
+		// The root leaf's key split allocates its right half, then
+		// the root split allocates the new root.
+		faulty.FailAfter("alloc", 2)
+		err := tree.Insert(freshVersion(i))
+		faulty.Clear()
+		if err != nil {
+			if !errors.Is(err, ErrDamaged) || !errors.Is(err, storage.ErrInjected) {
+				t.Fatalf("insert %d = %v, want the damage error", i, err)
+			}
+			break
+		}
+	}
+	if _, _, err := tree.Get(freshVersion(0).Key); !errors.Is(err, ErrDamaged) {
+		t.Fatalf("Get after the refused root allocation = %v", err)
 	}
 }

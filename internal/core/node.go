@@ -103,6 +103,9 @@ func decodeNode(data []byte, addr storage.Addr) (*node, error) {
 // holds it, else decoded; an index node decoded here joins the level.
 // The node may be shared with other readers: a writer changes a clone.
 func (t *Tree) readNode(addr storage.Addr) (*node, error) {
+	if t.damaged != nil {
+		return nil, t.damaged
+	}
 	if n := t.level.get(addr, t.indexEpoch); n != nil {
 		t.level.hits.Inc()
 		return n, nil
@@ -117,6 +120,9 @@ func (t *Tree) readNode(addr storage.Addr) (*node, error) {
 
 // decode loads the node at addr from the appropriate device.
 func (t *Tree) decode(addr storage.Addr) (*node, error) {
+	if t.damaged != nil {
+		return nil, t.damaged
+	}
 	t.nodeDecodes.Inc()
 	switch addr.Kind {
 	case storage.KindMagnetic:
@@ -159,6 +165,7 @@ func (t *Tree) writeCurrent(n *node) error {
 	if err := t.mag.Write(n.addr.Off, data); err != nil {
 		return err
 	}
+	t.writes++
 	if !n.leaf {
 		t.indexEpoch++
 	}

@@ -535,9 +535,8 @@ func indexSplitValue(n *node) (record.Key, bool) {
 // medium" (§1). Split work — including the WORM append of a time split —
 // runs under the owning shard's write latch, so its duration is
 // accumulated into splitNanos.
-func (t *Tree) splitChild(parent *node, idx int, forced bool) (*node, error) {
-	start := time.Now()
-	defer func() { t.splitNanos += uint64(time.Since(start)) }()
+func (t *Tree) splitChild(parent *node, idx int, forced bool) (_ *node, err error) {
+	defer t.endSplit(time.Now(), t.writes, &err)
 	child, err := t.readNode(parent.entries[idx].child)
 	if err != nil {
 		return nil, err
@@ -552,11 +551,21 @@ func (t *Tree) splitChild(parent *node, idx int, forced bool) (*node, error) {
 	return p, t.writeCurrent(p)
 }
 
+// endSplit ends a split begun at start, when writes page writes had
+// landed: it adds the split's time to splitNanos, and damages the tree
+// (ErrDamaged) if the split failed after one of its own writes landed.
+func (t *Tree) endSplit(start time.Time, writes uint64, err *error) {
+	t.splitNanos += uint64(time.Since(start))
+	if *err != nil && t.writes != writes && t.damaged == nil {
+		t.damaged = fmt.Errorf("%w: %w", ErrDamaged, *err)
+		*err = t.damaged
+	}
+}
+
 // splitRoot splits the root and grows the tree by one level: the new root
 // is a fresh index node over the pieces.
-func (t *Tree) splitRoot() error {
-	start := time.Now()
-	defer func() { t.splitNanos += uint64(time.Since(start)) }()
+func (t *Tree) splitRoot() (err error) {
+	defer t.endSplit(time.Now(), t.writes, &err)
 	root, err := t.readNode(t.root)
 	if err != nil {
 		return err

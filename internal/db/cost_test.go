@@ -92,7 +92,7 @@ func costRows(t *testing.T, d *DB, name string, op func()) []string {
 			name, per(0), per(0)+per(1), per(2))
 	}
 	rows := []string{row(name, prim0, prim1)}
-	if len(d.secondaries) > 0 {
+	if len(d.indexes()) > 0 {
 		rows = append(rows, row(name+" index", idx0, idx1))
 	}
 	// The alloc runs move the tree on, so they run in both builds.

@@ -30,8 +30,9 @@
 //     commit timestamps reach every shard in order and the shared clock
 //     advances only after a batch is fully posted; any snapshot at
 //     time <= Now() is consistent.
-//   - Secondary indexes are maintained during commit posting and guarded
-//     by their own reader/writer latch.
+//   - A transaction's secondary-index entries are versions it writes,
+//     derived when it commits and logged and posted with its own. Each
+//     index tree has a shard latch of its own.
 //
 // # Durability
 //
@@ -46,8 +47,8 @@
 // precisely:
 //
 //   - Committed = logged + fsynced. Update/Commit return only after the
-//     transaction's redo record (its stamped write set) is durable in
-//     the log. Group commit amortizes the fsync: committers arriving
+//     transaction's redo record (its stamped write set and index writes)
+//     is durable in the log. Group commit amortizes the fsync: committers arriving
 //     while the batch leader fsyncs join the next batch, so N
 //     concurrent committers cost far fewer than N fsyncs
 //     (Stats().WAL's Records/Syncs is the measured factor).
@@ -146,7 +147,9 @@ package db
 import (
 	"fmt"
 	"iter"
+	"maps"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -224,8 +227,8 @@ type Config struct {
 	// Secondaries registers secondary indexes at open time, equivalent
 	// to calling CreateSecondary for each before any writes. Reopening
 	// a durable database that had secondary indexes REQUIRES the same
-	// set here: extraction functions are code, not data, and recovery
-	// replays them.
+	// set here: extraction functions are code, not data, and future
+	// writes need them (recovery replays logged entries and runs none).
 	Secondaries map[string]SecondaryExtract
 
 	// logWrap wraps every log and checkpoint file a durable database
@@ -240,14 +243,65 @@ type Config struct {
 // SecondaryExtract derives the secondary key from a record value. A nil
 // return means the record has no entry in that index. It must be a pure
 // function of the value, safe for concurrent use: every committer runs
-// it, with no latch held, to check its write set before it is queued. A
-// write whose key the index refuses (one holding 0x00, or longer with
-// its primary key than 2×64 bytes) aborts its transaction.
+// it, with no latch held, on the new and the replaced value of each key
+// it wrote. A write whose key the index refuses (one holding 0x00, or
+// longer with its primary key than 2×64 bytes), or an extractor that
+// panics, aborts its transaction.
 type SecondaryExtract func(value []byte) record.Key
 
+// secondaryIndex is one secondary index: its tree, a shard of its own.
 type secondaryIndex struct {
-	index   *secondary.Index
+	*shard
+	name    string
 	extract SecondaryExtract
+}
+
+// indexes is a set of secondary indexes in registration order, replaced
+// whole when one is registered: the txn.Indexes router of commits.
+type indexes []*secondaryIndex
+
+// named returns the index called name, or nil.
+func (ix indexes) named(name string) *secondaryIndex {
+	if i := slices.IndexFunc(ix, func(s *secondaryIndex) bool { return s.name == name }); i >= 0 {
+		return ix[i]
+	}
+	return nil
+}
+
+// Derive appends the writes that move cur.Key from old's entries to cur's.
+func (ix indexes) Derive(dst []txn.IndexWrite, old record.Version, oldOK bool, cur record.Version) ([]txn.IndexWrite, error) {
+	dst = slices.Grow(dst, 2*len(ix))
+	for _, s := range ix {
+		var oldSkey, newSkey record.Key
+		if oldOK {
+			oldSkey = s.extract(old.Value)
+		}
+		if !cur.Tombstone {
+			newSkey = s.extract(cur.Value)
+		}
+		retire, post, err := secondary.Transition(s.tree, cur.Key, oldSkey, newSkey)
+		if err != nil {
+			return nil, fmt.Errorf("db: secondary %q: %w", s.name, err)
+		}
+		if retire != nil {
+			dst = append(dst, txn.IndexWrite{Index: s.name, Version: record.Version{Key: retire, Tombstone: true}})
+		}
+		if post != nil {
+			dst = append(dst, txn.IndexWrite{Index: s.name, Version: record.Version{Key: post, Value: cur.Key}})
+		}
+	}
+	return dst, nil
+}
+
+// Insert posts one stamped index write into its index's tree.
+//
+//tsb:io
+func (ix indexes) Insert(w txn.IndexWrite) error {
+	s := ix.named(w.Index)
+	if s == nil {
+		return fmt.Errorf("db: index write for unknown secondary index %q", w.Index)
+	}
+	return s.insert(w.Version)
 }
 
 // DB is a multiversion database instance. All public methods are safe for
@@ -287,10 +341,7 @@ type DB struct {
 	// (the instrument Stats().Checkpoint is a view over).
 	cpHist, cpPause obs.Histogram
 
-	// secMu latches the secondary indexes: write-held while commit
-	// posting applies index maintenance, read-held by lookups.
-	secMu       sync.RWMutex //tsb:latch level=6 name=secondary
-	secondaries map[string]*secondaryIndex
+	secondaries atomic.Pointer[indexes] // never nil; see addSecondary
 
 	policy core.Policy
 
@@ -350,12 +401,12 @@ func Open(cfg Config) (_ *DB, err error) {
 		return nil, err
 	}
 	d := &DB{
-		secondaries: make(map[string]*secondaryIndex),
-		dir:         cfg.Dir,
-		logWrap:     cfg.logWrap,
-		reg:         obs.NewRegistry(),
-		events:      obs.NewEventLog(1024, slowOpThreshold),
+		dir:     cfg.Dir,
+		logWrap: cfg.logWrap,
+		reg:     obs.NewRegistry(),
+		events:  obs.NewEventLog(1024, slowOpThreshold),
 	}
+	d.secondaries.Store(new(indexes))
 	defer func() {
 		if err != nil {
 			_ = d.releaseFiles()
@@ -407,13 +458,13 @@ func Open(cfg Config) (_ *DB, err error) {
 	}
 	d.store = newShardedStore(trees)
 	d.policy = trees[0].Policy()
-	for name, extract := range cfg.Secondaries {
+	for _, name := range slices.Sorted(maps.Keys(cfg.Secondaries)) {
 		var img *core.TreeImage
 		if meta != nil {
 			saved := meta.Secondaries[name] // checkExtractors matched the names
 			img = &saved
 		}
-		if err := d.addSecondary(name, extract, img); err != nil {
+		if err := d.addSecondary(name, cfg.Secondaries[name], img); err != nil {
 			return nil, err
 		}
 	}
@@ -429,8 +480,8 @@ func Open(cfg Config) (_ *DB, err error) {
 	// The clock resumes at the newest committed time recovery produced
 	// (the checkpoint clock is a lower bound of it).
 	d.tm = txn.NewManager(d.store, max(d.store.Now(), info.Clock))
-	if len(d.secondaries) > 0 {
-		d.setCommitHook()
+	if ix := d.indexes(); len(ix) > 0 {
+		d.tm.SetIndexes(ix)
 	}
 	if durable {
 		d.wal, err = wal.Open(wal.Options{Dir: cfg.Dir, CheckpointBytes: cfg.CheckpointBytes, WrapFile: cfg.logWrap}, nextSeg, lastLSN)
@@ -506,27 +557,32 @@ func (d *DB) Metrics() *obs.Registry { return d.reg }
 // non-nil.
 func (d *DB) Events() *obs.EventLog { return d.events }
 
+// indexes returns the registered secondary indexes.
+func (d *DB) indexes() indexes { return *d.secondaries.Load() }
+
 // addSecondary builds the tree of secondary index name — reattached from
 // img when non-nil, else new — registers it, and names the tree's
-// node-access counters in the metric registry under index=name.
+// node-access counters in the metric registry under index=name. It
+// installs a new set, so callers serialize: Open runs alone,
+// CreateSecondary holds cpMu.
 func (d *DB) addSecondary(name string, extract SecondaryExtract, img *core.TreeImage) error {
-	d.secMu.Lock()
-	defer d.secMu.Unlock()
-	if _, dup := d.secondaries[name]; dup {
+	old := d.indexes()
+	if old.named(name) != nil {
 		return fmt.Errorf("db: secondary index %q already exists", name)
 	}
-	var ix *secondary.Index
+	var tree *core.Tree
 	var err error
 	if img != nil {
-		ix, err = secondary.FromImage(name, d.pool, d.worm, *img)
+		tree, err = core.FromImage(d.pool, d.worm, *img)
 	} else {
-		ix, err = secondary.New(name, d.pool, d.worm, core.Config{Policy: d.policy})
+		tree, err = core.New(d.pool, d.worm, secondary.TreeConfig(core.Config{Policy: d.policy}))
 	}
 	if err != nil {
 		return fmt.Errorf("db: secondary %q: %w", name, err)
 	}
-	ix.Tree().RegisterMetrics(d.reg, obs.Label{Key: "index", Value: name})
-	d.secondaries[name] = &secondaryIndex{index: ix, extract: extract}
+	tree.RegisterMetrics(d.reg, obs.Label{Key: "index", Value: name})
+	next := append(slices.Clone(old), &secondaryIndex{shard: &shard{tree: tree}, name: name, extract: extract})
+	d.secondaries.Store(&next)
 	return nil
 }
 
@@ -539,99 +595,18 @@ func (d *DB) CreateSecondary(name string, extract SecondaryExtract) error {
 	if d.store.stats().Inserts > 0 {
 		return fmt.Errorf("db: secondary index %q must be created before any writes", name)
 	}
-	if err := d.addSecondary(name, extract, nil); err != nil {
+	d.cpMu.Lock()
+	err := d.addSecondary(name, extract, nil)
+	if err == nil {
+		d.tm.SetIndexes(d.indexes())
+	}
+	d.cpMu.Unlock()
+	if err != nil {
 		return err
 	}
-	// Without secondaries no hook is installed, so a commit builds no
-	// record unless it logs one, and reads no replaced version.
-	d.setCommitHook()
 	if d.wal != nil {
 		if err := d.Checkpoint(); err != nil {
 			return fmt.Errorf("db: sealing secondary index %q: %w", name, err)
-		}
-	}
-	return nil
-}
-
-// onCommit maintains the secondary indexes from one commit record (§3.6:
-// an entry inherits the time of the primary change behind it). It is the
-// commit hook once a secondary exists, and recovery calls it with each
-// replayed record past the indexes' checkpoint. Either way the store
-// holds every commit up to rec.Time, so a key's replaced version is its
-// version as of rec.Time-1.
-func (d *DB) onCommit(rec txn.CommitRecord) error {
-	for _, newV := range rec.Versions {
-		// Read before taking the secondary latch, which orders above
-		// the shard latches.
-		oldV, oldOK, err := d.store.GetAsOf(newV.Key, rec.Time-1)
-		if err != nil {
-			return err
-		}
-		if err := d.applySecondaries(rec.Time, oldV, oldOK, newV); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// setCommitHook installs secondary-index maintenance on the commit
-// path: onCommit as the hook, and as the check every extractor over
-// every new value, each key checked as Apply checks it, so a panicking
-// extractor or a refused key aborts its transaction unlogged and
-// unstamped; onCommit can then fail only on a device error. The check
-// closes over the indexes registered now and holds no latch.
-func (d *DB) setCommitHook() {
-	d.secMu.RLock()
-	secs := make([]*secondaryIndex, 0, len(d.secondaries))
-	for _, s := range d.secondaries {
-		secs = append(secs, s)
-	}
-	d.secMu.RUnlock()
-	d.tm.SetCommitHook(d.onCommit, func(writes []record.Version) error {
-		for _, v := range writes {
-			if v.Tombstone {
-				continue
-			}
-			for _, s := range secs {
-				if sk := s.extract(v.Value); sk != nil {
-					if err := s.index.CheckEntry(sk, v.Key); err != nil {
-						return fmt.Errorf("db: %w", err)
-					}
-				}
-			}
-		}
-		return nil
-	})
-}
-
-// applySecondaries posts one key's change from oldV to newV at ct to
-// every secondary index, write-holding the secondary latch.
-func (d *DB) applySecondaries(ct record.Timestamp, oldV record.Version, oldOK bool, newV record.Version) error {
-	d.secMu.Lock()
-	defer d.secMu.Unlock()
-	for _, s := range d.secondaries {
-		var oldSkey record.Key
-		hadOld := false
-		if oldOK && !oldV.Tombstone {
-			if sk := s.extract(oldV.Value); sk != nil {
-				oldSkey = sk
-				hadOld = true
-			}
-		}
-		var newSkey record.Key
-		removed := true
-		if !newV.Tombstone {
-			if sk := s.extract(newV.Value); sk != nil {
-				newSkey = sk
-				removed = false
-			}
-		}
-		if !hadOld && removed {
-			continue
-		}
-		//tsb:allow latchio -- secondary-tree time splits burn inline under secMu, node at a time (§3.4)
-		if err := s.index.Apply(ct, newV.Key, oldSkey, hadOld, newSkey, removed); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -694,13 +669,13 @@ func (d *DB) Now() record.Timestamp { return d.tm.Now() }
 // LookupSecondary returns the primary keys carrying the secondary key at
 // time at, using only the secondary index.
 func (d *DB) LookupSecondary(name string, skey record.Key, at record.Timestamp) ([]record.Key, error) {
-	d.secMu.RLock()
-	defer d.secMu.RUnlock()
-	s, ok := d.secondaries[name]
-	if !ok {
+	s := d.indexes().named(name)
+	if s == nil {
 		return nil, fmt.Errorf("db: no secondary index %q", name)
 	}
-	return s.index.LookupAsOf(skey, at)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return secondary.LookupAsOf(s.tree, skey, at)
 }
 
 // DeviceStats is the two-tier storage accounting of the paper's cost
@@ -800,11 +775,11 @@ func (d *DB) Stats() Stats {
 		Utilization:  worm.Utilization(d.worm.SectorSize()),
 		DirtyPages:   st.Buffer.DirtyPages,
 	}
-	d.secMu.RLock()
-	for name, s := range d.secondaries {
-		st.Secondaries[name] = s.index.Tree().Stats()
+	for _, s := range d.indexes() {
+		s.mu.RLock()
+		st.Secondaries[s.name] = s.tree.Stats()
+		s.mu.RUnlock()
 	}
-	d.secMu.RUnlock()
 	return st
 }
 
@@ -847,11 +822,12 @@ func (d *DB) CheckInvariants() error {
 	if err := d.store.checkInvariants(); err != nil {
 		return fmt.Errorf("primary: %w", err)
 	}
-	d.secMu.RLock()
-	defer d.secMu.RUnlock()
-	for name, s := range d.secondaries {
-		if err := s.index.Tree().CheckInvariants(); err != nil {
-			return fmt.Errorf("secondary %q: %w", name, err)
+	for _, s := range d.indexes() {
+		s.mu.RLock()
+		err := s.tree.CheckInvariants()
+		s.mu.RUnlock()
+		if err != nil {
+			return fmt.Errorf("secondary %q: %w", s.name, err)
 		}
 	}
 	return nil

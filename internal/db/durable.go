@@ -163,20 +163,20 @@ func (d *DB) recoverTo(info wal.CheckpointInfo) (lastLSN, nextSeg uint64, err er
 	return last, nextSeg, nil
 }
 
-// replayCommit redoes one logged transaction: its versions into their
-// shards, then, with every key of it in the store, its secondary-index
-// maintenance, exactly as the commit hook finds the store live. Records
-// replay in LSN order, so commit times never decrease globally, as the
-// secondary trees (each spanning all shards) require.
+// replayCommit redoes one logged transaction as its commit posted it:
+// its versions into their shards, then its index writes into their
+// trees, running no extractor. Records replay in LSN order, so commit
+// times never decrease globally, as the secondary trees (each spanning
+// all shards) require.
 func (d *DB) replayCommit(rec txn.CommitRecord) error {
 	for _, v := range rec.Versions {
 		if err := d.store.Insert(v); err != nil {
 			return fmt.Errorf("db: replay of txn %d at %s: %w", rec.TxnID, rec.Time, err)
 		}
 	}
-	if len(d.secondaries) > 0 {
-		if err := d.onCommit(rec); err != nil {
-			return fmt.Errorf("db: replay of txn %d at %s: secondary indexes: %w", rec.TxnID, rec.Time, err)
+	for _, w := range rec.Index {
+		if err := d.indexes().Insert(w); err != nil {
+			return fmt.Errorf("db: replay of txn %d at %s: %w", rec.TxnID, rec.Time, err)
 		}
 	}
 	return nil

@@ -18,15 +18,14 @@ package db
 //     running, which shrinks what the boundary must capture. Then it
 //     takes the boundary in ONE hold of the commit token: it rotates
 //     the WAL — the rotation LSN is the checkpoint's LSN — and, under
-//     every shard's read latch (in shard order) and the secondary
-//     latch's, captures every tree image, the pending versions (the
-//     in-flight transactions' write locks), the remaining dirty pages
-//     (shared buffers, no copies), the clock, the page allocator, the
-//     WORM burned count and the dead-burn bytes. The token stops commit
-//     posting and secondary maintenance, the read latches stop pending
-//     inserts and splits, so every tree and both devices are at that
-//     one LSN: replay applies every record past it to every tree,
-//     unfiltered, exactly once.
+//     every shard's read latch (in shard order), captures every tree
+//     image, the pending versions (the in-flight transactions' write
+//     locks), the remaining dirty pages (shared buffers, no copies), the
+//     clock, the page allocator, the WORM burned count and the dead-burn
+//     bytes. The token stops commit posting and index writes, the read
+//     latches stop pending inserts and splits, so every tree and both
+//     devices are at that one LSN: replay applies every record past it
+//     to every tree, unfiltered, exactly once.
 //
 //   - The captured pages are flushed, both files fsynced, and the
 //     checkpoint metadata durably installed (tmp + fsync + rename).
@@ -105,18 +104,24 @@ func (d *DB) flushAndInstall() (pause time.Duration, err error) {
 			sh.mu.RLock()
 			defer sh.mu.RUnlock()
 		}
-		d.secMu.RLock()
-		defer d.secMu.RUnlock()
 		for _, sh := range d.store.shards {
-			meta.Shards = append(meta.Shards, sh.tree.Image())
+			img, err := sh.tree.Image()
+			if err != nil {
+				return err
+			}
+			meta.Shards = append(meta.Shards, img)
 			// Exactly the pending versions the image holds: if this
 			// boundary is ever recovered their transactions are dead,
 			// and recovery erases them (see recoverTo).
 			meta.Pending = append(meta.Pending, sh.tree.PendingWrites()...)
 		}
-		meta.Secondaries = make(map[string]core.TreeImage, len(d.secondaries))
-		for name, s := range d.secondaries {
-			meta.Secondaries[name] = s.index.Image()
+		meta.Secondaries = make(map[string]core.TreeImage)
+		for _, s := range d.indexes() { // written only under the token
+			img, err := s.tree.Image()
+			if err != nil {
+				return err
+			}
+			meta.Secondaries[s.name] = img
 		}
 		copies = d.pool.CaptureDirty()
 		info.Clock = d.tm.Now()

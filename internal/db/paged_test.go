@@ -169,7 +169,7 @@ func TestPagedConfigValidation(t *testing.T) {
 // acknowledged commits for oracle comparison.
 func seedDeadBurns(t *testing.T, cfg Config, commits int, seed int64) []oracleOp {
 	t.Helper()
-	d, err := Open(cfg)
+	d, err := Open(tearConfig(cfg, nil, false, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func framesPastCheckpoint(t *testing.T, dir string) int {
 // tsb_checkpoint_pause_seconds histogram, which each completed checkpoint
 // — Open's included — observes exactly once and a failed one not at all.
 func TestCheckpointPauseAccounting(t *testing.T) {
-	d, err := Open(pagedConfig(t.TempDir()))
+	d, err := Open(tearConfig(pagedConfig(t.TempDir()), nil, false, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,7 +588,7 @@ func TestPagedSecondariesReopen(t *testing.T) {
 // that is not in the image makes Open fail as corruption.
 func TestPagedPendingErasedOnRecovery(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(pagedConfig(dir))
+	d, err := Open(tearConfig(pagedConfig(dir), nil, false, false))
 	if err != nil {
 		t.Fatal(err)
 	}

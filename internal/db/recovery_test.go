@@ -17,10 +17,12 @@ package db
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/record"
 	"repro/internal/storage"
 	"repro/internal/txn"
@@ -31,12 +33,19 @@ type oracleOp struct {
 	puts map[string]string // key -> value; empty value means delete
 }
 
+// crashPlans maps a test directory to the TearPlan the log files of its
+// latest database were opened under (tearConfig), so that crash can cut
+// each back to its synced length.
+var crashPlans sync.Map
+
 // crash simulates power loss: nothing is flushed or closed in order,
-// but the directory flock vanishes exactly as it does when the holding
-// process dies. The background checkpointer is reaped only so the test
-// process doesn't leak goroutines; a pass that already started may
-// complete, which is indistinguishable from a checkpoint landing just
-// before the power cut.
+// every log file loses what was written to it after its last landed
+// fsync (storage.TearPlan.Crash), and the directory flock vanishes
+// exactly as it does when the holding process dies. The background
+// checkpointer is reaped first, only so the test process doesn't leak
+// goroutines; a pass that already started may complete, which is
+// indistinguishable from a checkpoint landing just before the power
+// cut. d must have been opened through tearConfig.
 func crash(d *DB) {
 	d.cpMu.Lock()
 	stopped := d.closed
@@ -45,6 +54,13 @@ func crash(d *DB) {
 	if !stopped && d.stopCp != nil {
 		close(d.stopCp)
 		d.cpDone.Wait()
+	}
+	plan, ok := crashPlans.Load(d.dir)
+	if !ok {
+		panic("crash: " + d.dir + " was not opened through tearConfig")
+	}
+	if err := plan.(*storage.TearPlan).Crash(); err != nil {
+		panic(err)
 	}
 	if d.dirLock != nil {
 		_ = d.dirLock.Close()
@@ -149,14 +165,22 @@ func assertEquivalent(t *testing.T, label string, got, want *DB, secNames []stri
 	}
 }
 
+// noTear is a TearPlan budget no test run reaches.
+const noTear = math.MaxInt64
+
 // tearConfig wires one TearPlan byte budget through the chosen fault
-// seams of cfg's directory.
+// seams of cfg's directory. The log seam is always wired, under a plan
+// that never tears when logSeam is false, so that crash can cut every
+// log file back to its synced length.
 func tearConfig(cfg Config, plan *storage.TearPlan, logSeam, blockSeam bool) Config {
+	logPlan := storage.NewTearPlan(noTear)
 	if logSeam {
-		cfg.logWrap = func(f storage.LogFile) storage.LogFile {
-			return storage.NewTornLogFile(f, plan)
-		}
+		logPlan = plan
 	}
+	cfg.logWrap = func(f storage.LogFile) storage.LogFile {
+		return storage.NewTornLogFile(f, logPlan)
+	}
+	crashPlans.Store(cfg.Dir, logPlan)
 	if blockSeam {
 		cfg.blockWrap = func(f storage.BlockFile) storage.BlockFile {
 			return storage.NewTornBlockFile(f, plan)
@@ -313,7 +337,7 @@ func TestRecoveryTornSweep(t *testing.T) {
 func TestRecoveryMidCheckpointCrash(t *testing.T) {
 	for _, tear := range []int64{0, 1, 7, 64, 120, 160} {
 		dir := t.TempDir()
-		d, err := Open(Config{Dir: dir, Shards: 2, CheckpointBytes: -1})
+		d, err := Open(tearConfig(Config{Dir: dir, Shards: 2, CheckpointBytes: -1}, nil, false, false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -509,13 +533,7 @@ func TestRecoveryPagedDoubleCrash(t *testing.T) {
 func TestRecoveryMultiKeyAtomicity(t *testing.T) {
 	for tear := int64(50); tear < 2500; tear += 61 {
 		dir := t.TempDir()
-		plan := storage.NewTearPlan(tear)
-		d, err := Open(Config{
-			Dir: dir, Shards: 4, CheckpointBytes: -1,
-			logWrap: func(f storage.LogFile) storage.LogFile {
-				return storage.NewTornLogFile(f, plan)
-			},
-		})
+		d, err := Open(tearConfig(Config{Dir: dir, Shards: 4, CheckpointBytes: -1}, storage.NewTearPlan(tear), true, false))
 		if err != nil {
 			if errors.Is(err, storage.ErrInjected) {
 				continue
@@ -571,4 +589,81 @@ func TestRecoveryMultiKeyAtomicity(t *testing.T) {
 		}
 		reopened.Close()
 	}
+}
+
+// TestDamagedTreeRecoversOnReopen: a split refused part-way has no
+// rollback, so it stops its tree (core.ErrDamaged): reads and writes of
+// the shard and every checkpoint then fail with that error instead of
+// serving half a split, and reopening the durable directory recovers
+// every acknowledged commit from the last checkpoint and the log. The
+// shard's tree is reattached to pages that refuse the write a leaf key
+// split makes of its parent, after both halves landed.
+func TestDamagedTreeRecoversOnReopen(t *testing.T) {
+	cfg := Config{Dir: t.TempDir(), Shards: 1, CheckpointBytes: -1}
+	d, err := Open(tearConfig(cfg, nil, false, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := d.store.shards[0]
+	faulty := storage.NewFaultyPages(d.pool)
+	sh.mu.Lock()
+	img, err := sh.tree.Image()
+	if err == nil {
+		sh.tree, err = core.FromImage(faulty, d.worm, img)
+	}
+	sh.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := map[string]string{}
+	val := func(i int) string { return fmt.Sprintf("v%04d-%0200d", i, i) }
+	var damage error
+	for i := 0; damage == nil; i++ {
+		if i == 2000 {
+			t.Fatal("no split was refused part-way")
+		}
+		tx := d.Begin()
+		k := fmt.Sprintf("k%06d", i) // ascending fresh keys: leaf key splits
+		// A leaf key split writes both halves, then the parent.
+		faulty.FailAfter("write", 3)
+		err := tx.Put(record.StringKey(k), []byte(val(i)))
+		faulty.Clear()
+		switch {
+		case errors.Is(err, core.ErrDamaged):
+			damage = err
+			_ = tx.Abort()
+		case err != nil:
+			_ = tx.Abort() // a plain refused write: the tree is whole
+		default:
+			if err := tx.Commit(); err != nil {
+				t.Fatalf("commit %s: %v", k, err)
+			}
+			acked[k] = val(i)
+		}
+	}
+	if !errors.Is(damage, storage.ErrInjected) || len(acked) == 0 {
+		t.Fatalf("damage = %v after %d commits, want the refused write after some", damage, len(acked))
+	}
+	if _, _, err := d.Get(record.StringKey("k000000")); !errors.Is(err, core.ErrDamaged) {
+		t.Fatalf("Get on a damaged tree = %v", err)
+	}
+	if err := d.Update(func(tx *txn.Txn) error { return tx.Put(record.StringKey("k999999"), []byte("x")) }); !errors.Is(err, core.ErrDamaged) {
+		t.Fatalf("write on a damaged tree = %v", err)
+	}
+	if err := d.Checkpoint(); !errors.Is(err, core.ErrDamaged) {
+		t.Fatalf("checkpoint of a damaged tree = %v", err)
+	}
+	crash(d)
+
+	re := openDur(t, cfg)
+	for k, v := range acked {
+		got, ok, err := re.Get(record.StringKey(k))
+		if err != nil || !ok || string(got.Value) != v {
+			t.Fatalf("acked %s after reopen = %q %v %v", k, got.Value, ok, err)
+		}
+	}
+	if err := re.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	put(t, re, "k999999", "after")
 }

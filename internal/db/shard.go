@@ -89,8 +89,13 @@ func (s *shardedStore) Now() record.Timestamp {
 }
 
 //tsb:io -- a time split burns its historical half inline
-func (s *shardedStore) Insert(v record.Version) error {
-	sh := s.shardFor(v.Key)
+func (s *shardedStore) Insert(v record.Version) error { return s.shardFor(v.Key).insert(v) }
+
+// insert adds v to the shard's tree under its write latch: the way every
+// version enters any tree, a secondary index's (a shard of its own) too.
+//
+//tsb:io -- a time split burns its historical half inline
+func (sh *shard) insert(v record.Version) error {
 	var start, acquired time.Time
 	timed := sh.sampleLatch()
 	if timed {

@@ -172,7 +172,7 @@ func funcQName(f *types.Func) string {
 }
 
 // exprKey renders a stable instance key for a latch expression like
-// sh.mu or d.secMu, so Lock/Unlock pairs on the same expression match.
+// sh.mu or d.cpMu, so Lock/Unlock pairs on the same expression match.
 func exprKey(e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.Ident:

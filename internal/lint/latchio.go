@@ -6,14 +6,14 @@ import (
 )
 
 // LatchIOAnalyzer enforces the "no device I/O under a write latch"
-// rule: the page-data latches (hierarchy levels 5-6: shard, store,
-// secondary) exist to protect in-memory page state for microseconds,
+// rule: the page-data latches (hierarchy level 5: the shard latches)
+// exist to protect in-memory page state for microseconds,
 // and the checkpoint's boundary capture, which read-holds every one of
 // them, depends on never waiting behind a device. Any call classified as write-side device I/O
 // (structurally, or by //tsb:io directive) reachable while one of those
-// latches is held in exclusive mode is reported. The two deliberate
-// exceptions (the §3.4 inline burn of a time split, primary and
-// secondary) each carry a visible //tsb:allow latchio directive.
+// latches is held in exclusive mode is reported. The one deliberate
+// exception, the §3.4 inline burn of a time split, carries a visible
+// //tsb:allow latchio directive.
 var LatchIOAnalyzer = &Analyzer{
 	Name: "latchio",
 	Run:  runLatchIO,

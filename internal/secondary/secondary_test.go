@@ -9,11 +9,11 @@ import (
 	"repro/internal/storage"
 )
 
-func newIndex(t *testing.T) *Index {
+func newIndex(t *testing.T) *core.Tree {
 	t.Helper()
 	mag := storage.NewMagneticDisk(4096, storage.CostModel{})
 	worm := storage.NewWORMDisk(storage.WORMConfig{SectorSize: 512})
-	ix, err := New("dept", mag, worm, core.Config{Policy: core.PolicyLastUpdate, MaxKeySize: 32})
+	ix, err := core.New(mag, worm, TreeConfig(core.Config{Policy: core.PolicyLastUpdate, MaxKeySize: 32}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,11 +22,31 @@ func newIndex(t *testing.T) *Index {
 
 func k(s string) record.Key { return record.StringKey(s) }
 
+// apply posts the change of pkey's secondary key at commit time ts (from
+// oldSkey if oldOK, to newSkey unless removed) to index tree ix as the
+// committing transaction does: Transition's entries, stamped with ts.
+func apply(ix *core.Tree, ts record.Timestamp, pkey, oldSkey record.Key, oldOK bool, newSkey record.Key, removed bool) error {
+	if !oldOK {
+		oldSkey = nil
+	}
+	if removed {
+		newSkey = nil
+	}
+	retire, post, err := Transition(ix, pkey, oldSkey, newSkey)
+	if err == nil && retire != nil {
+		err = ix.Insert(record.Version{Key: retire, Time: ts, Tombstone: true})
+	}
+	if err == nil && post != nil {
+		err = ix.Insert(record.Version{Key: post, Time: ts, Value: pkey})
+	}
+	return err
+}
+
 // count is the number of records carrying skey at time at, from the
 // index alone.
-func count(t *testing.T, ix *Index, skey record.Key, at record.Timestamp) int {
+func count(t *testing.T, ix *core.Tree, skey record.Key, at record.Timestamp) int {
 	t.Helper()
-	pks, err := ix.LookupAsOf(skey, at)
+	pks, err := LookupAsOf(ix, skey, at)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,13 +55,13 @@ func count(t *testing.T, ix *Index, skey record.Key, at record.Timestamp) int {
 
 // entryHistory returns the times at which pkey acquired (true) or lost
 // (false) skey, oldest first: the history of their composite key.
-func entryHistory(t *testing.T, ix *Index, skey, pkey record.Key) ([]record.Timestamp, []bool) {
+func entryHistory(t *testing.T, ix *core.Tree, skey, pkey record.Key) ([]record.Timestamp, []bool) {
 	t.Helper()
 	ck, err := composite(skey, pkey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs, err := ix.tree.History(ck)
+	vs, err := ix.History(ck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,16 +77,16 @@ func entryHistory(t *testing.T, ix *Index, skey, pkey record.Key) ([]record.Time
 func TestLookupAndCount(t *testing.T) {
 	ix := newIndex(t)
 	// emp1 and emp2 join "sales" at t=1,2; emp3 joins "eng" at t=3.
-	if err := ix.Apply(1, k("emp1"), nil, false, k("sales"), false); err != nil {
+	if err := apply(ix, 1, k("emp1"), nil, false, k("sales"), false); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Apply(2, k("emp2"), nil, false, k("sales"), false); err != nil {
+	if err := apply(ix, 2, k("emp2"), nil, false, k("sales"), false); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Apply(3, k("emp3"), nil, false, k("eng"), false); err != nil {
+	if err := apply(ix, 3, k("emp3"), nil, false, k("eng"), false); err != nil {
 		t.Fatal(err)
 	}
-	pks, err := ix.LookupAsOf(k("sales"), 3)
+	pks, err := LookupAsOf(ix, k("sales"), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +106,9 @@ func TestLookupAndCount(t *testing.T) {
 
 func TestSecondaryKeyChange(t *testing.T) {
 	ix := newIndex(t)
-	ix.Apply(1, k("emp1"), nil, false, k("sales"), false)
+	apply(ix, 1, k("emp1"), nil, false, k("sales"), false)
 	// emp1 moves from sales to eng at t=5.
-	if err := ix.Apply(5, k("emp1"), k("sales"), true, k("eng"), false); err != nil {
+	if err := apply(ix, 5, k("emp1"), k("sales"), true, k("eng"), false); err != nil {
 		t.Fatal(err)
 	}
 	if n := count(t, ix, k("sales"), 4); n != 1 {
@@ -108,9 +128,9 @@ func TestSecondaryKeyChange(t *testing.T) {
 
 func TestUnchangedSecondaryKeyPostsNothing(t *testing.T) {
 	ix := newIndex(t)
-	ix.Apply(1, k("emp1"), nil, false, k("sales"), false)
+	apply(ix, 1, k("emp1"), nil, false, k("sales"), false)
 	// Value update that keeps the secondary field: no index churn.
-	if err := ix.Apply(2, k("emp1"), k("sales"), true, k("sales"), false); err != nil {
+	if err := apply(ix, 2, k("emp1"), k("sales"), true, k("sales"), false); err != nil {
 		t.Fatal(err)
 	}
 	times, _ := entryHistory(t, ix, k("sales"), k("emp1"))
@@ -121,8 +141,8 @@ func TestUnchangedSecondaryKeyPostsNothing(t *testing.T) {
 
 func TestRecordRemoval(t *testing.T) {
 	ix := newIndex(t)
-	ix.Apply(1, k("emp1"), nil, false, k("sales"), false)
-	if err := ix.Apply(4, k("emp1"), k("sales"), true, nil, true); err != nil {
+	apply(ix, 1, k("emp1"), nil, false, k("sales"), false)
+	if err := apply(ix, 4, k("emp1"), k("sales"), true, nil, true); err != nil {
 		t.Fatal(err)
 	}
 	if n := count(t, ix, k("sales"), 4); n != 0 {
@@ -137,8 +157,8 @@ func TestPrefixSafety(t *testing.T) {
 	ix := newIndex(t)
 	// "a" and "ab" must not contaminate each other's lookups even though
 	// one is a prefix of the other.
-	ix.Apply(1, k("p1"), nil, false, k("a"), false)
-	ix.Apply(2, k("p2"), nil, false, k("ab"), false)
+	apply(ix, 1, k("p1"), nil, false, k("a"), false)
+	apply(ix, 2, k("p2"), nil, false, k("ab"), false)
 	if n := count(t, ix, k("a"), 5); n != 1 {
 		t.Errorf("lookup of 'a' = %d, want 1", n)
 	}
@@ -149,10 +169,10 @@ func TestPrefixSafety(t *testing.T) {
 
 func TestNULSecondaryKeyRejected(t *testing.T) {
 	ix := newIndex(t)
-	if err := ix.Apply(1, k("p"), nil, false, record.Key{0x61, 0x00, 0x62}, false); err == nil {
+	if err := apply(ix, 1, k("p"), nil, false, record.Key{0x61, 0x00, 0x62}, false); err == nil {
 		t.Error("NUL in secondary key should be rejected")
 	}
-	if _, err := ix.LookupAsOf(record.Key{0x00}, 1); err == nil {
+	if _, err := LookupAsOf(ix, record.Key{0x00}, 1); err == nil {
 		t.Error("NUL in lookup key should be rejected")
 	}
 }
@@ -166,7 +186,7 @@ func TestManyEntriesSplitAndStayQueryable(t *testing.T) {
 			ts++
 			dep := k(fmt.Sprintf("dept%02d", d))
 			emp := k(fmt.Sprintf("emp%03d", d*20+e))
-			if err := ix.Apply(ts, emp, nil, false, dep, false); err != nil {
+			if err := apply(ix, ts, emp, nil, false, dep, false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -176,11 +196,11 @@ func TestManyEntriesSplitAndStayQueryable(t *testing.T) {
 		ts++
 		emp := k(fmt.Sprintf("emp%03d", i))
 		oldDep := k(fmt.Sprintf("dept%02d", i/20))
-		if err := ix.Apply(ts, emp, oldDep, true, k("dept99"), false); err != nil {
+		if err := apply(ix, ts, emp, oldDep, true, k("dept99"), false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := ix.Tree().CheckInvariants(); err != nil {
+	if err := ix.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	if n := count(t, ix, k("dept00"), joinEnd); n != 20 {
@@ -191,8 +211,5 @@ func TestManyEntriesSplitAndStayQueryable(t *testing.T) {
 	}
 	if n := count(t, ix, k("dept99"), ts); n != 200 {
 		t.Errorf("dept99 after moves = %d, want 200", n)
-	}
-	if ix.Name() != "dept" {
-		t.Error("Name wrong")
 	}
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"io"
+	"os"
 	"sync"
 )
 
@@ -29,24 +30,29 @@ type LogFile interface {
 type TearPlan struct {
 	mu     sync.Mutex //tsb:latch level=8 name=tear-plan
 	budget int64
-	armed  bool
 	dead   bool
+	synced map[string]int64 // length at the last landed Sync, by path, for Crash
 }
 
 // NewTearPlan returns a plan that tears the write crossing `budget`
 // bytes from now, counted across every file sharing the plan.
 func NewTearPlan(budget int64) *TearPlan {
-	return &TearPlan{budget: budget, armed: true}
+	return &TearPlan{budget: budget, synced: make(map[string]int64)}
 }
 
-// Dead reports whether the plan has fired (the simulated device died).
-func (p *TearPlan) Dead() bool {
-	if p == nil {
-		return false
-	}
+// Crash simulates a power cut: each file opened under the plan (and not
+// renamed or removed since) loses what its last landed Sync did not
+// cover, and every later write and sync fails.
+func (p *TearPlan) Crash() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.dead
+	p.dead = true
+	for path, n := range p.synced {
+		if err := os.Truncate(path, n); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
+	return nil
 }
 
 // consume accounts a write of n bytes: it returns how many bytes may
@@ -60,7 +66,7 @@ func (p *TearPlan) consume(n int) (allowed int, err error) {
 	if p.dead {
 		return 0, fmt.Errorf("%w: log device dead", ErrInjected)
 	}
-	if !p.armed || int64(n) <= p.budget {
+	if int64(n) <= p.budget {
 		p.budget -= int64(n)
 		return n, nil
 	}
@@ -68,6 +74,13 @@ func (p *TearPlan) consume(n int) (allowed int, err error) {
 	p.budget = 0
 	p.dead = true
 	return allowed, fmt.Errorf("%w: torn write after %d bytes", ErrInjected, allowed)
+}
+
+// markSynced records that the file at path is durable up to n bytes.
+func (p *TearPlan) markSynced(path string, n int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.synced[path] = n
 }
 
 // syncErr fails the sync if the device is dead.
@@ -85,23 +98,33 @@ func (p *TearPlan) syncErr() error {
 
 // TornLogFile wraps a LogFile with a shared TearPlan. Writes consume the
 // plan's byte budget; the write crossing it persists only its allowed
-// prefix and fails, and the file is dead from then on.
+// prefix and fails, and the file is dead from then on. A named file (an
+// *os.File) is taken to start empty, as log files are created.
 type TornLogFile struct {
-	inner LogFile
-	plan  *TearPlan
+	inner   LogFile
+	plan    *TearPlan
+	name    string
+	written int64
 }
 
 // NewTornLogFile wraps inner under plan. A nil plan passes everything
 // through untouched.
 func NewTornLogFile(inner LogFile, plan *TearPlan) *TornLogFile {
-	return &TornLogFile{inner: inner, plan: plan}
+	f := &TornLogFile{inner: inner, plan: plan}
+	if named, ok := inner.(interface{ Name() string }); ok && plan != nil {
+		f.name = named.Name()
+		plan.markSynced(f.name, 0)
+	}
+	return f
 }
 
 // Write persists as much of p as the plan allows.
 func (f *TornLogFile) Write(p []byte) (int, error) {
 	allowed, err := f.plan.consume(len(p))
 	if allowed > 0 {
-		if n, werr := f.inner.Write(p[:allowed]); werr != nil {
+		n, werr := f.inner.Write(p[:allowed])
+		f.written += int64(n)
+		if werr != nil {
 			return n, werr
 		}
 	}
@@ -116,7 +139,11 @@ func (f *TornLogFile) Sync() error {
 	if err := f.plan.syncErr(); err != nil {
 		return err
 	}
-	return f.inner.Sync()
+	err := f.inner.Sync()
+	if err == nil && f.name != "" {
+		f.plan.markSynced(f.name, f.written)
+	}
+	return err
 }
 
 // Close always closes the inner file (a dead device can still be

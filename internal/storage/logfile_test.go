@@ -3,6 +3,8 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -38,9 +40,6 @@ func TestTornLogFileTearsAtBudget(t *testing.T) {
 	}
 	if got := inner.buf.String(); got != "0123456abc" {
 		t.Fatalf("durable bytes = %q, want %q", got, "0123456abc")
-	}
-	if !plan.Dead() {
-		t.Fatal("plan should be dead after tearing")
 	}
 	// The device is dead: nothing further persists, syncs fail.
 	if _, err := f.Write([]byte("x")); !errors.Is(err, ErrInjected) {
@@ -90,5 +89,55 @@ func TestNilTearPlanPassesThrough(t *testing.T) {
 	}
 	if inner.buf.String() != "hello" || inner.syncs != 1 {
 		t.Fatalf("pass-through failed: %q syncs=%d", inner.buf.String(), inner.syncs)
+	}
+}
+
+// TestTearPlanCrashKeepsSyncedPrefix: a crash cuts each file opened
+// under the plan back to its length at its last landed Sync; a file
+// never synced comes back empty, a removed one stays removed, and the
+// device is dead afterwards.
+func TestTearPlanCrashKeepsSyncedPrefix(t *testing.T) {
+	dir := t.TempDir()
+	plan := NewTearPlan(1 << 40)
+	open := func(name string) *TornLogFile {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewTornLogFile(f, plan)
+	}
+	write := func(f *TornLogFile, s string) {
+		if _, err := f.Write([]byte(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	synced, unsynced, gone := open("synced"), open("unsynced"), open("gone")
+	write(synced, "durable")
+	if err := synced.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	write(synced, "+lost")
+	write(unsynced, "lost")
+	for _, f := range []*TornLogFile{synced, unsynced, gone} {
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(filepath.Join(dir, "gone")); err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{"synced": "durable", "unsynced": ""} {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != want {
+			t.Fatalf("%s after the crash = %q, %v; want %q", name, got, err, want)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "gone")); !os.IsNotExist(err) {
+		t.Fatalf("a removed file came back: %v", err)
+	}
+	if _, err := open("after").Write([]byte("x")); !errors.Is(err, ErrInjected) {
+		t.Fatalf("write after the crash = %v, want the dead device", err)
 	}
 }

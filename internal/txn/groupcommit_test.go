@@ -272,57 +272,72 @@ func storageNew(t *testing.T) Store {
 	return newLatchedStore(tree)
 }
 
+// TestCommitHookPanicDoesNotStrandLeadership: an index write the store
+// refuses when the batch leader posts it follows the posting-failure
+// rule of a refused CommitKey. The leader answers every waiter and
+// releases the token; with a commit log attached the record is durable
+// while the store lacks part of it, so the manager refuses further
+// commits and checkpoints until a reopen replays the log.
 func TestCommitHookPanicDoesNotStrandLeadership(t *testing.T) {
 	m, _ := newManager(t)
-	m.SetCommitHook(func(rec CommitRecord) error {
-		if string(rec.Versions[0].Key) == "boom" {
-			panic("extractor exploded")
-		}
-		return nil
-	}, nil)
+	m.SetCommitLog(commitLogFunc(func([]CommitRecord) error { return nil }))
+	m.SetIndexes(indexFuncs{
+		derive: func(_ record.Version, _ bool, cur record.Version) ([]IndexWrite, error) {
+			return []IndexWrite{{Index: "ix", Version: record.Version{Key: cur.Key}}}, nil
+		},
+		insert: func(w IndexWrite) error {
+			if string(w.Version.Key) == "boom" {
+				return errors.New("index device refused")
+			}
+			return nil
+		},
+	})
 	tx := m.Begin()
 	if err := tx.Put(record.StringKey("boom"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	// The panic surfaces as an ordinary commit error, not an unwind of
-	// the batch leader.
-	if err := tx.Commit(); err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("commit with panicking hook = %v", err)
+	if err := tx.Commit(); err == nil || !strings.Contains(err.Error(), "index device refused") {
+		t.Fatalf("commit with a refused index write = %v", err)
+	}
+	if st := m.Stats(); st.Aborted != 1 || st.Committed != 0 || m.Now() != 1 {
+		t.Fatalf("stats = %+v, clock %s; want one abort and the torn timestamp burned", st, m.Now())
 	}
 	// The leadership token was released: the next commit gets an answer
-	// instead of parking forever. Its versions were stamped while the
-	// hook's state lacks them, so that answer is the diverged manager's
-	// refusal, and a checkpoint would be refused too.
+	// instead of parking forever, and that answer is the diverged
+	// manager's refusal; a checkpoint would be refused too.
 	tx2 := m.Begin()
 	if err := tx2.Put(record.StringKey("fine"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx2.Commit(); err == nil || !strings.Contains(err.Error(), "diverged") {
-		t.Fatalf("commit after a stamped hook failure = %v, want the diverged refusal", err)
+		t.Fatalf("commit after a refused index write = %v, want the diverged refusal", err)
 	}
 	if err := m.Quiesce(func() error { return nil }); err == nil {
 		t.Fatal("Quiesce on a diverged manager should fail")
 	}
 }
 
-// TestCommitCheckAbortsBeforeQueue: a write set the check refuses (here,
-// by panicking) aborts in Commit with nothing stamped, logged or hooked,
-// its locks released, and the manager keeps committing.
+// TestCommitCheckAbortsBeforeQueue: a write set whose index derivation
+// fails (here, by panicking) aborts in Commit with nothing stamped,
+// logged or posted, its locks released, and the manager keeps
+// committing.
 func TestCommitCheckAbortsBeforeQueue(t *testing.T) {
 	m, tree := newManager(t)
-	var logged, hooked int
+	var logged, posted int
 	m.SetCommitLog(commitLogFunc(func(recs []CommitRecord) error {
 		logged += len(recs)
 		return nil
 	}))
-	m.SetCommitHook(func(CommitRecord) error { hooked++; return nil }, func(writes []record.Version) error {
-		for _, v := range writes {
-			if string(v.Value) == "boom" {
+	ix := indexFuncs{
+		derive: func(_ record.Version, _ bool, cur record.Version) ([]IndexWrite, error) {
+			if string(cur.Value) == "boom" {
 				panic("extractor exploded")
 			}
-		}
-		return nil
-	})
+			return []IndexWrite{{Index: "ix", Version: record.Version{Key: cur.Key}}}, nil
+		},
+		insert: func(IndexWrite) error { posted++; return nil },
+	}
+	m.SetIndexes(ix)
 	now := m.Now()
 	tx := m.Begin()
 	for _, k := range []string{"a", "b"} {
@@ -333,9 +348,9 @@ func TestCommitCheckAbortsBeforeQueue(t *testing.T) {
 	if err := tx.Commit(); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("commit of a refused write set = %v", err)
 	}
-	if logged != 0 || hooked != 0 || m.Now() != now {
-		t.Fatalf("refused commit reached the log (%d) or hook (%d), or moved the clock %s -> %s",
-			logged, hooked, now, m.Now())
+	if logged != 0 || posted != 0 || m.Now() != now {
+		t.Fatalf("refused commit reached the log (%d) or an index (%d), or moved the clock %s -> %s",
+			logged, posted, now, m.Now())
 	}
 	if st := m.Stats(); st.Aborted != 1 || st.Committed != 0 {
 		t.Fatalf("stats = %+v, want one abort", st)
@@ -352,17 +367,16 @@ func TestCommitCheckAbortsBeforeQueue(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("commit after a refused one: %v", err)
 	}
-	if logged != 1 || hooked != 1 {
-		t.Fatalf("logged %d, hooked %d, want 1 each", logged, hooked)
+	if logged != 1 || posted != 2 {
+		t.Fatalf("logged %d, posted %d, want 1 and 2", logged, posted)
 	}
-	// The hook and its check are installed as one pair: a nil check
-	// removes the earlier one.
-	m.SetCommitHook(func(CommitRecord) error { hooked++; return nil }, nil)
+	// Without a router nothing is derived or posted.
+	m.SetIndexes(nil)
 	if err := m.Update(func(tx *Txn) error { return tx.Put(record.StringKey("a"), []byte("boom")) }); err != nil {
-		t.Fatalf("commit after the check was removed: %v", err)
+		t.Fatalf("commit after the router was removed: %v", err)
 	}
-	if logged != 2 || hooked != 2 {
-		t.Fatalf("logged %d, hooked %d, want 2 each", logged, hooked)
+	if logged != 2 || posted != 2 {
+		t.Fatalf("logged %d, posted %d, want 2 and 2", logged, posted)
 	}
 }
 

@@ -39,13 +39,17 @@
 // A Manager optionally writes a redo log: SetCommitLog attaches a
 // CommitLog (the wal package provides one) and from then on a
 // transaction only reports Commit success after its CommitRecord — the
-// stamped write set — is durably appended. Batching makes that cheap:
+// stamped write set and index writes — is durably appended. Batching makes that cheap:
 // the batch leader logs every queued transaction with a single
 // AppendBatch call (one fsync), so under concurrency the fsync cost is
 // amortized across committers (Stats.CommitBatches counts batches; the
 // committed/batches ratio is the amortization factor). If the log append
 // fails, no version of the batch is stamped: every member transaction is
 // aborted and its pending versions erased.
+//
+// A transaction's secondary-index entries are versions it writes (§3.6):
+// Commit derives them through the router SetIndexes installs, and they
+// are logged, stamped and posted with the transaction's own versions.
 //
 // Uncommitted writes and reads run concurrently across transactions,
 // synchronized only by the Store's own latches. A Txn or ReadTxn handle
@@ -141,29 +145,35 @@ type Stats struct {
 	CommitBatches uint64
 }
 
-// CommitHook is invoked under the commit leadership once per committed
-// transaction, with its CommitRecord, after every version of the record
-// is stamped in the store and before the next transaction is posted:
-// the store then holds exactly the commits up to rec.Time, so a key's
-// replaced version is its version as of rec.Time-1. The db layer
-// maintains its secondary indexes from it, and recovery calls the same
-// function with each replayed record.
-type CommitHook func(rec CommitRecord) error
+// IndexWrite is one version a transaction writes to the secondary index
+// named Index, stamped with its commit time like its own versions.
+type IndexWrite struct {
+	Index   string
+	Version record.Version
+}
 
-// CommitCheck validates a write set in Commit before it is queued: an
-// error or a panic aborts the transaction with nothing logged, stamped
-// or posted. The db layer runs its secondary-key extractors here, so
-// none fails in the hook, after every key is stamped.
-type CommitCheck func(writes []record.Version) error
+// Indexes routes a transaction's index writes: Derive runs in Commit
+// before the write set is queued, Insert in the batch leader's posting
+// loop, right after the transaction's own versions.
+type Indexes interface {
+	// Derive appends to dst the index writes that move key cur.Key from
+	// the entries of old, its latest committed version (Store.Get's
+	// answer), to those of its pending version cur. An error or a panic
+	// aborts the transaction with nothing logged or posted.
+	Derive(dst []IndexWrite, old record.Version, oldOK bool, cur record.Version) ([]IndexWrite, error)
+	//tsb:io -- inserting can time-split and burn inline
+	Insert(w IndexWrite) error
+}
 
 // CommitRecord is the redo record of one committed transaction: its
-// stamped write set, in key order, every version carrying the commit
-// time. It is what a CommitLog must make durable before the commit is
-// acknowledged, and what recovery replays.
+// stamped write set, in key order, and its index writes, every version
+// carrying the commit time. It is what a CommitLog must make durable
+// before the commit is acknowledged, and what recovery replays.
 type CommitRecord struct {
 	TxnID    uint64
 	Time     record.Timestamp
 	Versions []record.Version
+	Index    []IndexWrite
 }
 
 // CommitLog is the durability hook of the commit path. AppendBatch must
@@ -198,9 +208,8 @@ type Manager struct {
 	qMu   sync.Mutex //tsb:latch level=7 name=commit-queue
 	queue []*commitReq
 
-	hook  CommitHook
-	check atomic.Pointer[CommitCheck] // loaded by every Commit, outside the token
-	log   CommitLog
+	indexes atomic.Pointer[Indexes] // loaded by every Commit, outside the token
+	log     CommitLog
 	// broken, when non-nil, permanently fails further commits: the
 	// store failed to apply a durably-logged batch, so in-memory state
 	// has diverged from the log and only recovery (reopening the
@@ -221,9 +230,11 @@ type Manager struct {
 
 // commitReq is one transaction waiting in the group-commit queue.
 type commitReq struct {
-	id     uint64
-	writes []record.Version // pending write set, sorted by key
-	done   chan commitResult
+	id      uint64
+	writes  []record.Version // pending write set, sorted by key
+	index   []IndexWrite     // derived from writes through indexes
+	indexes Indexes
+	done    chan commitResult
 }
 
 type commitResult struct {
@@ -243,16 +254,9 @@ func NewManager(store Store, startTime record.Timestamp) *Manager {
 	return m
 }
 
-// SetCommitHook installs the per-transaction commit callback and the
-// check every write set must pass before it is queued, as one pair (a
-// nil check removes the earlier one). It takes the leadership token, so
-// every commit posted after it returns runs the hook.
-func (m *Manager) SetCommitHook(h CommitHook, check CommitCheck) {
-	m.leaderCh <- struct{}{}
-	m.hook = h
-	m.check.Store(&check)
-	<-m.leaderCh
-}
+// SetIndexes installs the index router every later Commit derives and
+// posts its index writes through; nil removes it.
+func (m *Manager) SetIndexes(ix Indexes) { m.indexes.Store(&ix) }
 
 // SetCommitLog attaches the redo log: from now on a commit is
 // acknowledged only after its record is durably appended. It must be
@@ -424,8 +428,8 @@ func (t *Txn) sortedWrites() []record.Version {
 // itself. Either way, when a commit log is attached, a nil return means
 // the commit record is fsynced.
 //
-// A write set the installed CommitCheck refuses aborts before it is
-// queued: nothing is logged, stamped or posted.
+// A write set whose index writes (SetIndexes) cannot be derived aborts
+// before it is queued: nothing is logged, stamped or posted.
 //
 // If posting fails partway (a store error — with the simulated devices
 // this means fault injection or corruption), Commit erases the
@@ -453,7 +457,7 @@ func (t *Txn) Commit() error {
 		return nil
 	}
 	req := &commitReq{id: t.id, writes: t.sortedWrites(), done: make(chan commitResult, 1)}
-	if err := m.checkWrites(req.writes); err != nil {
+	if err := m.derive(req); err != nil {
 		m.failCommit(req.writes, t.id)
 		return err
 	}
@@ -513,9 +517,8 @@ func (m *Manager) runBatch(batch []*commitReq) {
 	}
 	m.commitBatches.Add(1)
 	base := record.Timestamp(m.clock.Load())
-	var recs []CommitRecord
-	if m.log != nil || m.hook != nil {
-		recs = make([]CommitRecord, len(batch))
+	if m.log != nil {
+		recs := make([]CommitRecord, len(batch))
 		for i, req := range batch {
 			ct := base + record.Timestamp(i) + 1
 			vs := make([]record.Version, len(req.writes))
@@ -523,10 +526,11 @@ func (m *Manager) runBatch(batch []*commitReq) {
 				v.Time = ct
 				vs[j] = v
 			}
-			recs[i] = CommitRecord{TxnID: req.id, Time: ct, Versions: vs}
+			for j := range req.index {
+				req.index[j].Version.Time = ct
+			}
+			recs[i] = CommitRecord{TxnID: req.id, Time: ct, Versions: vs, Index: req.index}
 		}
-	}
-	if m.log != nil {
 		if err := m.log.AppendBatch(recs); err != nil {
 			// Durability failed before anything was stamped: the whole
 			// batch aborts — pending versions erased, locks released,
@@ -544,16 +548,6 @@ func (m *Manager) runBatch(batch []*commitReq) {
 	for i, req := range batch {
 		ct := base + record.Timestamp(i) + 1
 		posted, err := m.postTxn(req, ct)
-		hookFailed := false
-		if err == nil && m.hook != nil {
-			if err = m.callHook(recs[i]); err != nil {
-				// Every key is stamped but the hook failed: the
-				// transaction counts as aborted, and its timestamp is
-				// burned below.
-				m.failCommit(nil, req.id)
-				hookFailed = true
-			}
-		}
 		if err != nil {
 			results[i] = commitResult{err: err}
 			if posted {
@@ -561,14 +555,11 @@ func (m *Manager) runBatch(batch []*commitReq) {
 				// may share it.
 				advance = ct
 			}
-			if (m.log != nil || hookFailed) && m.broken == nil {
-				// The record is durable but the store refused it, or it
-				// is stamped but the hook's state lacks it: runtime state
-				// has diverged (for this caller the outcome is "unknown"
-				// — recovery replays the record as committed). Poison
-				// the commit path; reopening a durable directory
-				// reconciles.
-				m.broken = fmt.Errorf("txn: store diverged from the commit log and hook (reopen to recover): %w", err)
+			if m.log != nil && m.broken == nil {
+				// The record is durable but the store refused it (for
+				// this caller the outcome is "unknown"): poison the
+				// commit path until a reopen replays the record.
+				m.broken = fmt.Errorf("txn: store diverged from the commit log (reopen to recover): %w", err)
 			}
 			continue
 		}
@@ -585,9 +576,9 @@ func (m *Manager) runBatch(batch []*commitReq) {
 }
 
 // postTxn stamps every pending version of one transaction with its
-// commit time, which releases its lock. On a store error it cleans up
-// the unposted remainder (failCommit) and reports whether anything of
-// the transaction reached the store stamped.
+// commit time, which releases its lock, then posts its index writes. On
+// a store error it cleans up the unposted remainder (failCommit) and
+// reports whether anything of the transaction reached the store stamped.
 func (m *Manager) postTxn(req *commitReq, ct record.Timestamp) (posted bool, err error) {
 	for j, v := range req.writes {
 		if err := m.store.CommitKey(v.Key, req.id, ct); err != nil {
@@ -595,47 +586,48 @@ func (m *Manager) postTxn(req *commitReq, ct record.Timestamp) (posted bool, err
 			return j > 0, fmt.Errorf("txn: commit of %s: %w", v.Key, err)
 		}
 	}
+	for _, w := range req.index {
+		w.Version.Time = ct
+		if err := req.indexes.Insert(w); err != nil {
+			m.failCommit(nil, req.id)
+			return true, fmt.Errorf("txn: commit of %s entry %s: %w", w.Index, w.Version.Key, err)
+		}
+	}
 	return true, nil
 }
 
-// callHook runs the commit hook, converting a panic into an error: the
-// hook runs user code (secondary-key extraction) on the batch leader's
-// goroutine, and a panic escaping here would unwind the leader with
-// batch-mates still waiting for results — parking the next leader on an
-// empty queue forever. As an error it takes the ordinary torn-commit
-// cleanup path instead.
-func (m *Manager) callHook(rec CommitRecord) (err error) {
-	defer recoverUser(&err, "hook")
-	if err := m.hook(rec); err != nil {
-		return fmt.Errorf("txn: commit hook at %s: %w", rec.Time, err)
+// derive fills req's index writes through the installed router, a panic
+// in it (user code) becoming an error. A key's replaced version cannot
+// change before this commit posts: the pending version locks the key.
+func (m *Manager) derive(req *commitReq) (err error) {
+	ix := m.indexes.Load()
+	if ix == nil || *ix == nil {
+		return nil
+	}
+	req.indexes = *ix
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("txn: commit index derivation panicked: %v", r)
+		}
+	}()
+	for _, v := range req.writes {
+		old, ok, err := m.store.Get(v.Key)
+		if err != nil {
+			return fmt.Errorf("txn: replaced version of %s: %w", v.Key, err)
+		}
+		if req.index, err = req.indexes.Derive(req.index, old, ok, v); err != nil {
+			return err
+		}
 	}
 	return nil
-}
-
-// checkWrites runs the installed CommitCheck over a write set, a panic
-// in it becoming an error.
-func (m *Manager) checkWrites(writes []record.Version) (err error) {
-	if check := m.check.Load(); check != nil && *check != nil {
-		defer recoverUser(&err, "check")
-		err = (*check)(writes)
-	}
-	return err
-}
-
-// recoverUser, deferred, turns a panic in the commit hook or check (user
-// code) into *err.
-func recoverUser(err *error, what string) {
-	if r := recover(); r != nil {
-		*err = fmt.Errorf("txn: commit %s panicked: %v", what, r)
-	}
 }
 
 // failCommit cleans up a failed commit: the remaining write set's
 // pending versions — its locks — are erased best-effort. AbortKey fails
 // if the version is gone (the failed CommitKey stamped it anyway), and
-// then there is no lock left to release; after a hook failure every key
-// is stamped and nothing remains. Burning a torn timestamp is the batch
-// leader's job. Called under the leadership token.
+// then there is no lock left to release; after an index posting failure
+// every key is stamped and nothing remains. Burning a torn timestamp is
+// the batch leader's job. Called under the leadership token.
 func (m *Manager) failCommit(remaining []record.Version, txnID uint64) {
 	for _, v := range remaining {
 		_ = m.store.AbortKey(v.Key, txnID)

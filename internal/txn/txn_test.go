@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -307,43 +308,59 @@ func TestEmptyCommit(t *testing.T) {
 	}
 }
 
-// TestCommitHookSeesOldAndNew: the hook runs once per transaction with
-// its commit record (the new versions), after every key of it is
-// stamped, so the store answers each key's replaced version as of
-// rec.Time-1 and the new one as of rec.Time.
+// indexFuncs adapts two functions to Indexes.
+type indexFuncs struct {
+	derive func(old record.Version, oldOK bool, cur record.Version) ([]IndexWrite, error)
+	insert func(w IndexWrite) error
+}
+
+func (x indexFuncs) Derive(dst []IndexWrite, old record.Version, oldOK bool, cur record.Version) ([]IndexWrite, error) {
+	ws, err := x.derive(old, oldOK, cur)
+	return append(dst, ws...), err
+}
+
+func (x indexFuncs) Insert(w IndexWrite) error { return x.insert(w) }
+
+// TestCommitHookSeesOldAndNew: Commit derives each key's index writes
+// from its replaced version (the latest committed one) and its new
+// pending one; the commit record carries them stamped with the commit
+// time, and the batch leader posts them after every key of the
+// transaction is stamped, so the store answers each key's new version
+// as of the write's time.
 func TestCommitHookSeesOldAndNew(t *testing.T) {
 	m, tree := newManager(t)
+	log := &recordingLog{}
+	m.SetCommitLog(log)
 	type event struct {
 		key, old, new string
 		oldOK         bool
 	}
 	var events []event
-	calls := 0
-	m.SetCommitHook(func(rec CommitRecord) error {
-		calls++
-		for _, newV := range rec.Versions {
-			if newV.Time != rec.Time {
-				t.Errorf("%s: record version at %s, record at %s", newV.Key, newV.Time, rec.Time)
+	var posted []IndexWrite
+	m.SetIndexes(indexFuncs{
+		derive: func(old record.Version, oldOK bool, cur record.Version) ([]IndexWrite, error) {
+			if !cur.IsPending() {
+				t.Errorf("%s: derived from a stamped version %v", cur.Key, cur)
 			}
-			got, ok, err := tree.GetAsOf(newV.Key, rec.Time)
-			if err != nil || ok == newV.Tombstone || (ok && string(got.Value) != string(newV.Value)) {
-				t.Errorf("%s: store at %s = %v %v %v, record holds %v", newV.Key, rec.Time, got, ok, err, newV)
-			}
-			oldV, oldOK, err := tree.GetAsOf(newV.Key, rec.Time-1)
-			if err != nil {
-				return err
-			}
-			ev := event{key: string(newV.Key), new: string(newV.Value), oldOK: oldOK}
+			ev := event{key: string(cur.Key), new: string(cur.Value), oldOK: oldOK}
 			if oldOK {
-				ev.old = string(oldV.Value)
+				ev.old = string(old.Value)
 			}
-			if newV.Tombstone {
+			if cur.Tombstone {
 				ev.new = "<del>"
 			}
 			events = append(events, ev)
-		}
-		return nil
-	}, nil)
+			return []IndexWrite{{Index: "ix", Version: record.Version{Key: cur.Key, Value: []byte(ev.new)}}}, nil
+		},
+		insert: func(w IndexWrite) error {
+			got, ok, err := tree.GetAsOf(w.Version.Key, w.Version.Time)
+			if err != nil || ok == (string(w.Version.Value) == "<del>") || (ok && string(got.Value) != string(w.Version.Value)) {
+				t.Errorf("%s: store at %s = %v %v %v when its index write %v posts", w.Version.Key, w.Version.Time, got, ok, err, w)
+			}
+			posted = append(posted, w)
+			return nil
+		},
+	})
 	m.Update(func(tx *Txn) error { return tx.Put(record.StringKey("k"), []byte("v1")) })
 	m.Update(func(tx *Txn) error {
 		if err := tx.Put(record.StringKey("k"), []byte("v2")); err != nil {
@@ -358,13 +375,29 @@ func TestCommitHookSeesOldAndNew(t *testing.T) {
 		{key: "k", old: "v1", oldOK: true, new: "v2"},
 		{key: "k", old: "v2", oldOK: true, new: "<del>"},
 	}
-	if calls != 3 || len(events) != len(want) {
-		t.Fatalf("%d calls, events = %v", calls, events)
+	if len(events) != len(want) || len(posted) != len(want) {
+		t.Fatalf("events = %v, posted = %v", events, posted)
 	}
 	for i := range want {
 		if events[i] != want[i] {
 			t.Errorf("event %d = %+v, want %+v", i, events[i], want[i])
 		}
+	}
+	// Each record carries its transaction's index writes, stamped, and
+	// they are exactly what was posted.
+	var logged []IndexWrite
+	for _, batch := range log.snapshot() {
+		for _, rec := range batch {
+			for _, w := range rec.Index {
+				if w.Version.Time != rec.Time {
+					t.Errorf("record at %s logs index write at %s", rec.Time, w.Version.Time)
+				}
+			}
+			logged = append(logged, rec.Index...)
+		}
+	}
+	if !reflect.DeepEqual(logged, posted) {
+		t.Errorf("logged index writes %v, posted %v", logged, posted)
 	}
 }
 

@@ -15,16 +15,19 @@ import (
 // device files (internal/pagestore), flushed before the checkpoint is
 // installed, and the checkpoint is a header, one PagedMeta frame
 // reattaching the engine to them at a page-consistent boundary — every
-// tree captured at the header's LSN — and the footer that seals it.
-const PagedCheckpointFormatVersion = 5
+// tree captured at the header's LSN — and the footer that seals it. Its
+// log tail logs each transaction's index writes in its commit frame.
+const PagedCheckpointFormatVersion = 6
 
 // retiredFormats names the formats the engine no longer reads. Format 3
 // dumped every committed version per shard, for a database held in RAM
 // on simulated disks; format 4 captured each tree at its own LSN, one
-// per shard plus one for the secondary indexes.
+// per shard plus one for the secondary indexes; format 5's log tail
+// carries no index writes.
 var retiredFormats = map[uint64]string{
 	3: "the logical version dump",
 	4: "the per-shard fuzzy checkpoint",
+	5: "the checkpoint whose log tail carries no index writes",
 }
 
 // ErrRetiredFormat is returned by ReadCheckpoint for a checkpoint in a
@@ -125,7 +128,7 @@ func WriteCheckpoint(dir string, wrap func(storage.LogFile) storage.LogFile, inf
 // no checkpoint exists (a fresh or pre-first-checkpoint directory). A
 // checkpoint is only ever installed complete, so a torn or incomplete
 // one is corruption, not a crash artifact: the error says so. A
-// checkpoint in a retired format (3 or 4) fails with ErrRetiredFormat.
+// checkpoint in a retired format (3, 4 or 5) fails with ErrRetiredFormat.
 func ReadCheckpoint(dir string) (info CheckpointInfo, found bool, err error) {
 	path := filepath.Join(dir, checkpointName)
 	buf, err := os.ReadFile(path)

@@ -18,6 +18,11 @@ func decodeCommit(payload []byte) (lsn uint64, rec txn.CommitRecord, err error) 
 	rec.TxnID = d.Uvarint()
 	rec.Time = d.Time()
 	rec.Versions = d.Versions()
+	if d.Remaining() > 0 { // index writes, each at least 6 bytes
+		for range d.Count(6) {
+			rec.Index = append(rec.Index, txn.IndexWrite{Index: string(d.Blob()), Version: d.Version()})
+		}
+	}
 	if err := d.Err(); err != nil {
 		return 0, rec, fmt.Errorf("wal: commit frame: %w", err)
 	}

@@ -13,7 +13,8 @@
 //
 // A commit payload carries the frame's log sequence number (LSN, global
 // across segments), the transaction id, the commit time, and the stamped
-// write set in the record package's wire encoding. Because versions are
+// write set in the record package's wire encoding, then its index
+// writes, if any: a count, then each one's index name and version. Because versions are
 // immutable once stamped (the non-deletion policy), redo is the whole
 // recovery story: there is no undo logging — uncommitted data never
 // becomes durable, so there is nothing to roll back.
@@ -208,6 +209,13 @@ func encodeCommit(lsn uint64, rec txn.CommitRecord) []byte {
 	e.Uvarint(rec.TxnID)
 	e.Time(rec.Time)
 	e.Versions(rec.Versions)
+	if len(rec.Index) > 0 {
+		e.Uvarint(uint64(len(rec.Index)))
+		for _, w := range rec.Index {
+			e.Blob([]byte(w.Index))
+			e.Version(w.Version)
+		}
+	}
 	return e.Bytes()
 }
 

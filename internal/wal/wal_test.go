@@ -378,8 +378,12 @@ func TestReadCheckpointRefuses(t *testing.T) {
 			checkpointFrames(t, goldenBytes(t, "checkpoint-v4.hex")), ErrRetiredFormat, "per-shard fuzzy"},
 		{"v4 without its meta frame",
 			[][]byte{header(4, 1), footer()}, ErrRetiredFormat, "format 4"},
+		{"format 5 checkpoint",
+			checkpointFrames(t, goldenBytes(t, "checkpoint-v5.hex")), ErrRetiredFormat, "no index writes"},
 		{"v5 without its meta frame",
-			[][]byte{header(5, 1), footer()}, nil, "missing its paged-meta frame"},
+			[][]byte{header(5, 1), footer()}, ErrRetiredFormat, "format 5"},
+		{"v6 without its meta frame",
+			[][]byte{header(6, 1), footer()}, nil, "missing its paged-meta frame"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
