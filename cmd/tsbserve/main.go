@@ -2,17 +2,18 @@
 // face of the engine, speaking the pipelined binary protocol of
 // internal/server/wire. It opens (or recovers) the durable database in
 // -dir — page and burn device files, write-ahead log, checkpoint —
-// listens on -addr, and drains cleanly on SIGTERM/SIGINT: in-flight
-// request windows finish and are acknowledged, cursors close, and the
-// database closes last — every acknowledged commit is on disk before
-// the process exits.
+// listens on -addr, and serves each connection on one goroutine that
+// reads a request, executes it and writes its response. It drains
+// cleanly on SIGTERM/SIGINT: each connection's executing request
+// finishes and is acknowledged, cursors close, and the database closes
+// last — every acknowledged commit is on disk before the process exits.
 //
 // Usage:
 //
 //	tsbserve -dir DATA [-addr HOST:PORT] [-shards N]
 //	         [-checkpoint-bytes N]
 //	         [-metrics-addr HOST:PORT]
-//	         [-window N] [-max-frame BYTES]
+//	         [-max-frame BYTES]
 //	         [-idle-timeout D] [-write-timeout D] [-lease D]
 //	         [-shed-wal-bytes N] [-drain-timeout D]
 //
@@ -76,7 +77,6 @@ func run(args []string, stdout io.Writer, sigCh <-chan os.Signal) error {
 	dir := fs.String("dir", "", "database directory (created or recovered; required to serve)")
 	shards := fs.Int("shards", 4, "shard count for a newly created database")
 	ckptBytes := fs.Int64("checkpoint-bytes", 0, "background checkpoint threshold (0 = engine default, <0 = off)")
-	window := fs.Int("window", 64, "per-connection in-flight request window")
 	maxFrame := fs.Int("max-frame", 0, "max frame payload bytes (0 = protocol default)")
 	idleTimeout := fs.Duration("idle-timeout", 5*time.Minute, "close connections idle this long")
 	writeTimeout := fs.Duration("write-timeout", 30*time.Second, "per-flush write deadline")
@@ -108,7 +108,6 @@ func run(args []string, stdout io.Writer, sigCh <-chan os.Signal) error {
 
 	srv := server.New(d, server.Config{
 		MaxFrameBytes:       *maxFrame,
-		Window:              *window,
 		IdleTimeout:         *idleTimeout,
 		WriteTimeout:        *writeTimeout,
 		CursorLease:         *lease,
@@ -152,7 +151,7 @@ func run(args []string, stdout io.Writer, sigCh <-chan os.Signal) error {
 	}
 
 	// The drain order of the durability contract: stop intake, finish
-	// and acknowledge every in-flight batch, close cursors, then close
+	// and acknowledge every executing request, close cursors, then close
 	// the database: acknowledged commits are durable in the WAL, and Close
 	// ends at a checkpoint covering them all, so the next start replays
 	// nothing. Close also releases the directory.

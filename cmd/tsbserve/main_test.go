@@ -72,7 +72,7 @@ func TestSIGTERMDrainMidPipeline(t *testing.T) {
 	go func() {
 		runDone <- run([]string{
 			"-dir", dir, "-addr", "127.0.0.1:0",
-			"-shards", "4", "-window", "16", "-drain-timeout", "20s",
+			"-shards", "4", "-drain-timeout", "20s",
 		}, out, sigCh)
 	}()
 	var addr string
@@ -253,10 +253,11 @@ func TestStatusFlag(t *testing.T) {
 	}
 }
 
-// TestRetiredFlagsRejected: the background-migration knobs are gone, and
-// naming one is an error rather than a silent no-op.
+// TestRetiredFlagsRejected: the background-migration knobs and the
+// per-connection request window are gone, and naming one is an error
+// rather than a silent no-op.
 func TestRetiredFlagsRejected(t *testing.T) {
-	for _, flag := range []string{"-migration", "-shed-queue=1"} {
+	for _, flag := range []string{"-migration", "-shed-queue=1", "-window=16"} {
 		// A queued SIGTERM makes a daemon that accepted the flag drain
 		// and return nil at once instead of serving forever.
 		sigCh := make(chan os.Signal, 1)

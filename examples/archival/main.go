@@ -29,10 +29,6 @@ func main() {
 	d, err := db.Open(db.Config{
 		Shards:       2,
 		LeafCapacity: 1024,
-		// A small optical library: 256-sector platters, 2 drives, so
-		// cold reads pay simulated robot mounts.
-		PlatterSectors: 256,
-		Drives:         2,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -93,17 +89,15 @@ func main() {
 	fmt.Printf("\npatient0003 chart has %d entries; first: %q, latest: %q\n",
 		len(h), h[0].Value, h[len(h)-1].Value)
 
-	// Reading a cold chart pays optical seeks and possibly robot mounts;
-	// the device model accounts for them.
+	// Reading a cold chart pays optical seeks; the device model accounts
+	// for them.
 	mag, worm := d.Devices()
 	m0, w0 := mag.Stats().SimTime, worm.Stats().SimTime
-	mounts0 := worm.Stats().Mounts
 	if _, err := d.History(patient(3)); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("cold chart read cost: +%v simulated latency, %d platter mounts\n",
-		(mag.Stats().SimTime-m0)+(worm.Stats().SimTime-w0),
-		worm.Stats().Mounts-mounts0)
+	fmt.Printf("cold chart read cost: +%v simulated latency\n",
+		(mag.Stats().SimTime-m0)+(worm.Stats().SimTime-w0))
 
 	// Current-care lookups never leave the magnetic disk.
 	w1 := worm.Stats().SectorReads

@@ -182,11 +182,6 @@ type Config struct {
 	// Policy is the TSB-tree splitting policy (default PolicyLastUpdate,
 	// the paper's refinement).
 	Policy core.Policy
-	// PlatterSectors/Drives enable the simulated optical-library model
-	// (0 = one always-mounted disk). The simulated devices charge
-	// storage.DefaultCostModel's latencies.
-	PlatterSectors uint64
-	Drives         int
 	// MaxKeySize / MaxValueSize bound record sizes (see core.Config).
 	MaxKeySize   int
 	MaxValueSize int
@@ -205,9 +200,7 @@ type Config struct {
 	// committers into one fsync — and a checkpoint flushes the dirty
 	// pages, O(dirty) not O(database). See the package documentation's
 	// durability contract. Reopening adopts the directory's shard count,
-	// page and sector sizes and tree parameters. PlatterSectors/Drives
-	// do not apply to a durable database: they describe the simulated
-	// devices only.
+	// page and sector sizes and tree parameters.
 	Dir string
 	// PagedDevices is ignored.
 	//
@@ -509,12 +502,7 @@ func Open(cfg Config) (_ *DB, err error) {
 func (d *DB) openSimulatedDevices(cfg Config) {
 	cost := storage.DefaultCostModel()
 	d.mag = storage.NewMagneticDisk(cfg.PageSize, cost)
-	d.worm = storage.NewWORMDisk(storage.WORMConfig{
-		SectorSize:     cfg.SectorSize,
-		Cost:           cost,
-		PlatterSectors: cfg.PlatterSectors,
-		Drives:         cfg.Drives,
-	})
+	d.worm = storage.NewWORMDisk(storage.WORMConfig{SectorSize: cfg.SectorSize, Cost: cost})
 	d.pool = buffer.NewPool(d.mag, cfg.BufferPages)
 }
 

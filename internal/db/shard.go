@@ -26,8 +26,8 @@ type shard struct {
 
 	// Latch contention instruments for the hot operations (Insert,
 	// CommitKey, Get, GetAsOf): wait is acquire latency, hold is the
-	// latched section. Timing is sampled — every latchSampleInterval-th
-	// acquisition per shard pays the clock reads, the rest pay one
+	// latched section. Timing is sampled — one acquisition in eight
+	// per shard pays the clock reads (beginLatch), the rest pay one
 	// atomic add — and hold is observed after release, so the metric
 	// update itself is latch-free and the common path stays cheap.
 	tick         atomic.Uint64
@@ -41,16 +41,43 @@ type shard struct {
 // off seven in eight acquisitions.
 const latchSampleShift = 61
 
-// sampleLatch reports whether this acquisition is one of the timed
-// 1-in-8. The tick is Fibonacci-hashed before the bit test: a plain
-// tick%8 stride aliases with periodic op patterns (a put ticks the
-// counter a fixed number of times, so every sample can land on the
-// same acquisition site — in practice the read latch, leaving the
-// write-latch histograms permanently empty). Multiplying by the odd
+// latchTiming is one shard-latch acquisition's sampled timing. The
+// latch calls themselves stay at each call site, where internal/lint
+// sees what runs under them; this carries only the clock reads.
+type latchTiming struct {
+	start, got time.Time
+	timed      bool
+}
+
+// beginLatch is called just before an acquisition; it reads the clock
+// only on the timed 1-in-8. The tick is Fibonacci-hashed before the bit
+// test: a plain tick%8 stride aliases with periodic op patterns (a put
+// ticks the counter a fixed number of times, so every sample can land
+// on the same acquisition site — in practice the read latch, leaving
+// the write-latch histograms permanently empty). Multiplying by the odd
 // constant is a bijection, so the rate stays exactly 1-in-8 while the
 // sampled positions scatter across any small period.
-func (sh *shard) sampleLatch() bool {
-	return sh.tick.Add(1)*0x9E3779B97F4A7C15>>latchSampleShift == 0
+func (sh *shard) beginLatch() (lt latchTiming) {
+	if sh.tick.Add(1)*0x9E3779B97F4A7C15>>latchSampleShift == 0 {
+		lt.start, lt.timed = time.Now(), true
+	}
+	return lt
+}
+
+// held marks the latch acquired.
+func (lt *latchTiming) held() {
+	if lt.timed {
+		lt.got = time.Now()
+	}
+}
+
+// observe records a timed acquisition's wait and hold. It is called
+// after the release, so the metric update itself is latch-free.
+func (lt *latchTiming) observe(wait, hold *obs.Histogram) {
+	if lt.timed {
+		wait.Observe(lt.got.Sub(lt.start))
+		hold.Observe(time.Since(lt.got))
+	}
 }
 
 // shardedStore routes operations across n key-range shards and implements
@@ -96,42 +123,24 @@ func (s *shardedStore) Insert(v record.Version) error { return s.shardFor(v.Key)
 //
 //tsb:io -- a time split burns its historical half inline
 func (sh *shard) insert(v record.Version) error {
-	var start, acquired time.Time
-	timed := sh.sampleLatch()
-	if timed {
-		start = time.Now()
-	}
+	lt := sh.beginLatch()
 	sh.mu.Lock()
-	if timed {
-		acquired = time.Now()
-	}
+	lt.held()
 	//tsb:allow latchio -- §3.4 node-at-a-time migration: a time split burns its historical half under the write latch, by design
 	err := sh.tree.Insert(v)
 	sh.mu.Unlock()
-	if timed {
-		sh.waitW.Observe(acquired.Sub(start))
-		sh.holdW.Observe(time.Since(acquired))
-	}
+	lt.observe(&sh.waitW, &sh.holdW)
 	return err
 }
 
 func (s *shardedStore) CommitKey(k record.Key, txnID uint64, commitTime record.Timestamp) error {
 	sh := s.shardFor(k)
-	var start, acquired time.Time
-	timed := sh.sampleLatch()
-	if timed {
-		start = time.Now()
-	}
+	lt := sh.beginLatch()
 	sh.mu.Lock()
-	if timed {
-		acquired = time.Now()
-	}
+	lt.held()
 	err := sh.tree.CommitKey(k, txnID, commitTime)
 	sh.mu.Unlock()
-	if timed {
-		sh.waitW.Observe(acquired.Sub(start))
-		sh.holdW.Observe(time.Since(acquired))
-	}
+	lt.observe(&sh.waitW, &sh.holdW)
 	return err
 }
 
@@ -144,41 +153,23 @@ func (s *shardedStore) AbortKey(k record.Key, txnID uint64) error {
 
 func (s *shardedStore) Get(k record.Key) (record.Version, bool, error) {
 	sh := s.shardFor(k)
-	var start, acquired time.Time
-	timed := sh.sampleLatch()
-	if timed {
-		start = time.Now()
-	}
+	lt := sh.beginLatch()
 	sh.mu.RLock()
-	if timed {
-		acquired = time.Now()
-	}
+	lt.held()
 	v, ok, err := sh.tree.Get(k)
 	sh.mu.RUnlock()
-	if timed {
-		sh.waitR.Observe(acquired.Sub(start))
-		sh.holdR.Observe(time.Since(acquired))
-	}
+	lt.observe(&sh.waitR, &sh.holdR)
 	return v, ok, err
 }
 
 func (s *shardedStore) GetAsOf(k record.Key, at record.Timestamp) (record.Version, bool, error) {
 	sh := s.shardFor(k)
-	var start, acquired time.Time
-	timed := sh.sampleLatch()
-	if timed {
-		start = time.Now()
-	}
+	lt := sh.beginLatch()
 	sh.mu.RLock()
-	if timed {
-		acquired = time.Now()
-	}
+	lt.held()
 	v, ok, err := sh.tree.GetAsOf(k, at)
 	sh.mu.RUnlock()
-	if timed {
-		sh.waitR.Observe(acquired.Sub(start))
-		sh.holdR.Observe(time.Since(acquired))
-	}
+	lt.observe(&sh.waitR, &sh.holdR)
 	return v, ok, err
 }
 

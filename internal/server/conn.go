@@ -2,9 +2,9 @@ package server
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/query"
@@ -23,8 +23,8 @@ type session struct {
 	nsHigh record.Bound     // upper edge of TenantRange(tenant)
 }
 
-// conn runs one connection's pipeline. Only the executor goroutine
-// touches sess, so it needs no lock.
+// conn is one connection's state. One goroutine runs the connection
+// from first frame to close, so sess needs no lock.
 type conn struct {
 	srv  *Server
 	nc   net.Conn
@@ -33,11 +33,12 @@ type conn struct {
 	sess session
 }
 
-// serveConn is the reader side of the pipeline and owns the connection's
-// lifecycle. It decodes frames into reqCh (capacity = the pipelining
-// window); the executor turns each into a response on respCh; the
-// writer streams responses back in order, flushing whenever the channel
-// runs dry (one syscall per burst, not per response).
+// serveConn runs one connection: read a frame, execute it, buffer its
+// response, and flush unless the next request has already arrived whole
+// — a pipelined burst is answered with one write, and a frame that has
+// only partly arrived never holds back the responses before it. A
+// client that stops reading blocks the write under WriteTimeout, and
+// TCP flow control pushes back on the client's sends.
 func (s *Server) serveConn(nc net.Conn) {
 	defer s.connWg.Done()
 	defer s.unregister(nc)
@@ -50,81 +51,59 @@ func (s *Server) serveConn(nc net.Conn) {
 		bw:   bufio.NewWriterSize(nc, 1<<12),
 		sess: session{id: s.nextSession.Add(1)},
 	}
-	reqCh := make(chan []byte, s.cfg.Window)
-	respCh := make(chan []byte, s.cfg.Window)
+	// No fetch can arrive once the loop ends, so the session's cursors
+	// are reaped before the connection is unregistered.
+	defer s.curs.removeSession(c.sess.id)
 
-	var pipeWg sync.WaitGroup
-	pipeWg.Add(2)
-
-	// Executor: strictly in order, one request at a time. A nil payload
-	// is the reader's bad-frame sentinel — answer it, then the reader's
-	// close of reqCh ends the loop. When the loop ends no more fetches
-	// can arrive, so the session's cursors are reaped here, before the
-	// connection is unregistered.
-	go func() {
-		defer pipeWg.Done()
-		defer close(respCh)
-		for payload := range reqCh {
-			start := time.Now()
-			resp := c.execute(payload)
-			dur := time.Since(start)
-			s.allHist.Observe(dur)
-			s.opHistFor(payload).Observe(dur)
-			s.ops.Inc()
-			respCh <- resp
-		}
-		s.curs.removeSession(c.sess.id)
-	}()
-
-	// Writer: drains respCh even after a write error so the executor
-	// never blocks, and keeps the in-flight gauge exact either way.
-	go func() {
-		defer pipeWg.Done()
-		var werr error
-		for frame := range respCh {
-			if werr == nil {
-				if s.cfg.WriteTimeout > 0 {
-					_ = nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-				}
-				_, werr = c.bw.Write(frame)
-				if werr == nil && len(respCh) == 0 {
-					werr = c.bw.Flush()
-				}
-			}
-			s.inFlight.Add(-1)
-		}
-		if werr == nil {
-			_ = c.bw.Flush()
-		}
-	}()
-
-	// Reader. A CRC or size violation is answered with one typed error
-	// and then the connection closes — after either, the stream offset
-	// can no longer be trusted.
-	for {
-		if !s.armRead(nc) {
-			break
-		}
+	var werr error
+	for werr == nil && s.armRead(nc) {
 		payload, err := record.ReadFrame(c.br, s.cfg.MaxFrameBytes)
 		if err != nil {
+			// A CRC or size violation is answered with one typed error
+			// and then the connection closes — after either, the stream
+			// offset can no longer be trusted.
 			if errors.Is(err, record.ErrFrameTooLarge) || errors.Is(err, record.ErrFrameCRC) {
-				s.inFlight.Add(1)
-				reqCh <- nil
+				werr = c.serve(nil)
 			}
 			break
 		}
-		s.inFlight.Add(1)
-		reqCh <- payload
+		if werr = c.serve(payload); werr == nil && !frameBuffered(c.br) {
+			werr = c.bw.Flush()
+		}
 	}
-	close(reqCh)
-	pipeWg.Wait()
+	// A drain or a bad-frame reply can leave a response buffered. The
+	// connection closes next, so a failed flush has no one to tell.
+	if werr == nil {
+		_ = c.bw.Flush()
+	}
 }
 
-// execute turns one request payload into one response frame, ready to
-// write. It runs on the executor goroutine only.
-func (c *conn) execute(payload []byte) []byte {
+// frameBuffered reports whether br already holds the whole next frame,
+// so reading it cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < record.FrameHeaderSize {
+		return false
+	}
+	hdr, _ := br.Peek(record.FrameHeaderSize)
+	return uint64(n-record.FrameHeaderSize) >= uint64(binary.LittleEndian.Uint32(hdr))
+}
+
+// serve executes one request and buffers its response frame. A nil
+// payload is a framing violation, answered with the typed bad-request.
+func (c *conn) serve(payload []byte) error {
+	s := c.srv
+	s.inFlight.Add(1)
+	defer s.inFlight.Add(-1)
+	start := time.Now()
 	body := c.respond(payload)
-	return record.AppendFrame(nil, body)
+	dur := time.Since(start)
+	s.allHist.Observe(dur)
+	s.opHistFor(payload).Observe(dur)
+	s.ops.Inc()
+	_ = c.nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	_, err := c.bw.Write(record.AppendFrame(nil, body))
+	return err
 }
 
 func errResp(code byte, msg string) []byte {

@@ -9,8 +9,9 @@ import (
 
 // maxSessionCursors bounds how many cursors one session may hold open:
 // each pins an operator pipeline's heap for up to a full lease, so
-// unbounded, one connection could pin unbounded memory. 64 is the
-// default pipelining Window.
+// unbounded, one connection could pin unbounded memory. 64 is twice
+// the client's default pipelining window (client.Options.Window), so a
+// client that opens one cursor per in-flight request never meets it.
 const maxSessionCursors = 64
 
 // cursorState is everything the server remembers about a client's open

@@ -4,14 +4,16 @@
 //
 // # Connection model
 //
-// One connection is one session. Per connection three goroutines form a
-// pipeline: a reader decodes frames (record.ReadFrame — the WAL's
-// length+CRC shape) into a bounded in-flight window, an executor runs
-// requests against the DB strictly in order, and a writer streams the
-// responses back in that same order, so the window needs no correlation
-// ids. The window bound is the server's per-connection memory ceiling
-// and its backpressure: a client that pipelines past it simply blocks
-// in TCP.
+// One connection is one session, served by one goroutine in a
+// read–execute–write loop: it reads a frame (record.ReadFrame — the
+// WAL's length+CRC shape), executes the request against the DB, and
+// buffers the response, so responses leave strictly in request order
+// and the protocol needs no correlation ids. The loop flushes unless
+// the next request frame has already arrived whole, so a pipelined
+// burst is answered with one write. Backpressure is the socket's: a
+// client that stops reading blocks the loop's write (bounded by
+// WriteTimeout), the loop stops reading, and TCP flow control pushes
+// back on the client's sends.
 //
 // The session's first frame must be wire.Hello, which names the tenant
 // and pins the session's read snapshot (0 = the commit clock at open).
@@ -44,11 +46,11 @@
 // (Stats().WAL.BacklogBytes). Past the configured watermark the server
 // sheds: the write is refused before any effect with the typed,
 // retryable wire.Error (CodeOverloaded) — never accepted-then-dropped.
-// Shutdown drains: listeners close, readers stop consuming frames,
-// every request already in a window executes and its response flushes,
-// cursors close. Acknowledged means durable throughout — a commit is
-// acked only after db.DB.Update returned, which in durable mode means
-// fsynced.
+// Shutdown drains: listeners close, each connection's loop finishes
+// the request it is executing, flushes its response and reads no
+// further frame, cursors close. Acknowledged means durable throughout
+// — a commit is acked only after db.DB.Update returned, which in
+// durable mode means fsynced.
 package server
 
 import (
@@ -72,10 +74,6 @@ type Config struct {
 	// directions (default wire.DefaultMaxFrame). It must comfortably
 	// exceed the largest value the DB accepts plus header overhead.
 	MaxFrameBytes int
-	// Window is the per-connection in-flight request bound: how many
-	// decoded requests may await execution or response write (default
-	// 64).
-	Window int
 	// IdleTimeout closes a connection no frame arrived on (default 5m).
 	IdleTimeout time.Duration
 	// WriteTimeout bounds each response flush (default 30s).
@@ -92,9 +90,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxFrameBytes <= 0 {
 		c.MaxFrameBytes = wire.DefaultMaxFrame
-	}
-	if c.Window <= 0 {
-		c.Window = 64
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 5 * time.Minute
@@ -304,8 +299,8 @@ func (s *Server) unregister(nc net.Conn) {
 }
 
 // Shutdown drains the server: no new connections or frames are
-// accepted, every request already inside a connection's window executes
-// and its response is flushed, then connections and cursors close. If
+// accepted, the request each connection is executing finishes and its
+// response is flushed, then connections and cursors close. If
 // ctx expires first the remaining connections are severed and their
 // unwritten responses dropped (their commits, if any, are durable —
 // they were simply never acknowledged). The caller closes the DB after
@@ -316,7 +311,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for ln := range s.lns {
 		_ = ln.Close()
 	}
-	// Wake every reader blocked in a frame read; armRead cannot re-arm
+	// Wake every loop blocked in a frame read; armRead cannot re-arm
 	// past this because draining is set under the same mu.
 	now := time.Now()
 	for nc := range s.conns {

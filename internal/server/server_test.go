@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -502,7 +503,7 @@ func TestServerRefusesOldProtocol(t *testing.T) {
 }
 
 // TestServerDrain pins the drain contract at the server level: during
-// Shutdown every request already in a window executes and is
+// Shutdown the request each connection is executing finishes and is
 // acknowledged, and every acknowledged commit is durable across reopen.
 func TestServerDrain(t *testing.T) {
 	dir := t.TempDir()
@@ -616,7 +617,7 @@ func TestServerManyConnections(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1000-connection soak skipped in -short")
 	}
-	h := start(t, db.Config{Shards: 8}, server.Config{Window: 32})
+	h := start(t, db.Config{Shards: 8}, server.Config{})
 	const conns = 1000
 	const opsPerConn = 10
 	errCh := make(chan error, conns)
@@ -666,4 +667,60 @@ func TestServerManyConnections(t *testing.T) {
 	if st := h.srv.Stats(); st.TotalConns < conns {
 		t.Fatalf("TotalConns = %d, want >= %d", st.TotalConns, conns)
 	}
+}
+
+// TestServerOneGoroutinePerConn pins the connection model: the server
+// serves each session on one goroutine, so a client connection (whose
+// own reader is one more) costs at most two.
+func TestServerOneGoroutinePerConn(t *testing.T) {
+	h := start(t, db.Config{}, server.Config{})
+	base := runtime.NumGoroutine()
+	const conns = 50
+	for i := 0; i < conns; i++ {
+		h.dial(t, client.Options{}) // returns after hello is answered
+	}
+	got := runtime.NumGoroutine() - base
+	t.Logf("%d sessions: %.2f goroutines per connection", conns, float64(got)/conns)
+	if got > 2*conns+5 {
+		t.Fatalf("%d sessions added %d goroutines, want at most 2 each", conns, got)
+	}
+}
+
+// TestServerFlushesBeforePartialFrame: the loop holds a response back
+// only while the next request frame is already buffered whole. A
+// request followed by the first bytes of another must be answered
+// without waiting for the rest of the second.
+func TestServerFlushesBeforePartialFrame(t *testing.T) {
+	h := start(t, db.Config{}, server.Config{})
+	nc, err := net.Dial("tcp", h.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = nc.Close() }()
+	hello := wire.AppendHello(nil, wire.Hello{Version: wire.ProtocolVersion})
+	ping := record.AppendFrame(nil, []byte{wire.OpPing})
+	burst := record.AppendFrame(nil, hello)
+	burst = append(burst, ping...)
+	burst = append(burst, ping[:3]...)
+	if _, err := nc.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	_ = nc.SetReadDeadline(time.Now().Add(2 * time.Second))
+	answered := func(i int) {
+		t.Helper()
+		payload, err := record.ReadFrame(nc, wire.DefaultMaxFrame)
+		if err == nil {
+			_, err = wire.DecodeResponse(payload)
+		}
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+	}
+	answered(0)
+	answered(1)
+	// The rest of the second ping completes it, and it is answered too.
+	if _, err := nc.Write(ping[3:]); err != nil {
+		t.Fatal(err)
+	}
+	answered(2)
 }
