@@ -86,6 +86,16 @@ func DecodeFrame(buf []byte, maxPayload int) (payload, rest []byte, err error) {
 	return payload, buf[FrameHeaderSize+int(n):], nil
 }
 
+// FrameComplete reports whether buf begins with a whole frame, header
+// and payload, so that decoding or reading it cannot run short. It
+// checks neither the CRC nor any limit.
+func FrameComplete(buf []byte) bool {
+	if len(buf) < FrameHeaderSize {
+		return false
+	}
+	return uint64(len(buf)-FrameHeaderSize) >= uint64(binary.LittleEndian.Uint32(buf[0:4]))
+}
+
 // WalkFrames is recovery's repair rule for a framed file: it calls fn on
 // the payload of each intact frame of buf, in order, and stops at the
 // first frame DecodeFrame rejects — everything before that point was

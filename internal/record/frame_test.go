@@ -46,6 +46,21 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+func TestFrameComplete(t *testing.T) {
+	full := AppendFrame(nil, []byte("hello frame"))
+	for cut := 0; cut < len(full); cut++ {
+		if FrameComplete(full[:cut]) {
+			t.Fatalf("cut=%d: a partial frame reads as complete", cut)
+		}
+	}
+	if !FrameComplete(full) || !FrameComplete(append(full, 0xff)) {
+		t.Fatal("a whole frame, alone or followed by more bytes, reads as incomplete")
+	}
+	if !FrameComplete(AppendFrame(nil, nil)) {
+		t.Fatal("an empty frame reads as incomplete")
+	}
+}
+
 func TestFrameTruncated(t *testing.T) {
 	full := AppendFrame(nil, []byte("hello frame"))
 	for cut := 0; cut < len(full); cut++ {

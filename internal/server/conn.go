@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"net"
 	"time"
@@ -31,6 +30,8 @@ type conn struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	sess session
+
+	unflushed int64 // responses in bw, still counted in the in-flight gauge
 }
 
 // serveConn runs one connection: read a frame, execute it, buffer its
@@ -67,26 +68,31 @@ func (s *Server) serveConn(nc net.Conn) {
 			}
 			break
 		}
-		if werr = c.serve(payload); werr == nil && !frameBuffered(c.br) {
-			werr = c.bw.Flush()
+		if werr = c.serve(payload); werr == nil && !c.nextFrameBuffered() {
+			werr = c.flush()
 		}
 	}
 	// A drain or a bad-frame reply can leave a response buffered. The
-	// connection closes next, so a failed flush has no one to tell.
-	if werr == nil {
-		_ = c.bw.Flush()
-	}
+	// connection closes next, so a failed flush has no one to tell; after
+	// a write error Flush writes nothing and only settles the gauge.
+	_ = c.flush()
 }
 
-// frameBuffered reports whether br already holds the whole next frame,
-// so reading it cannot block.
-func frameBuffered(br *bufio.Reader) bool {
-	n := br.Buffered()
-	if n < record.FrameHeaderSize {
-		return false
-	}
-	hdr, _ := br.Peek(record.FrameHeaderSize)
-	return uint64(n-record.FrameHeaderSize) >= uint64(binary.LittleEndian.Uint32(hdr))
+// nextFrameBuffered reports whether br already holds the whole next
+// request frame, so reading it cannot block.
+func (c *conn) nextFrameBuffered() bool {
+	buf, _ := c.br.Peek(c.br.Buffered())
+	return record.FrameComplete(buf)
+}
+
+// flush writes the buffered responses and only then drops them from the
+// in-flight gauge: a request stays in flight until its response has
+// left bw.
+func (c *conn) flush() error {
+	err := c.bw.Flush()
+	c.srv.inFlight.Add(-c.unflushed)
+	c.unflushed = 0
+	return err
 }
 
 // serve executes one request and buffers its response frame. A nil
@@ -94,7 +100,7 @@ func frameBuffered(br *bufio.Reader) bool {
 func (c *conn) serve(payload []byte) error {
 	s := c.srv
 	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
+	c.unflushed++
 	start := time.Now()
 	body := c.respond(payload)
 	dur := time.Since(start)

@@ -718,6 +718,14 @@ func TestServerFlushesBeforePartialFrame(t *testing.T) {
 	}
 	answered(0)
 	answered(1)
+	// Both responses were flushed, so neither is still in flight; the
+	// partial frame has not been read and does not count.
+	for deadline := time.Now().Add(2 * time.Second); h.srv.Stats().InFlight != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("in-flight gauge stuck at %d after both responses", h.srv.Stats().InFlight)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	// The rest of the second ping completes it, and it is answered too.
 	if _, err := nc.Write(ping[3:]); err != nil {
 		t.Fatal(err)
